@@ -347,6 +347,8 @@ def cmd_sweep(args) -> int:
                          result.g, result.quadrature_error, result.converged,
                          ""])
             any_nonconv = any_nonconv or not result.converged
+        except ConfigError:
+            raise  # the same for every row: exit 2, not a row error
         except CasfricError as exc:
             rows.append([value, "", "", "", "", "", "", str(exc)])
             any_physics = True

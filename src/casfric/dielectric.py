@@ -246,16 +246,6 @@ def dense_alpha(model: PermittivityModel, k):
     return float(out[0]) if scalar else out
 
 
-def reflection_amplitude(model: PermittivityModel, k):
-    """Electrostatic reflection amplitude of a half-plane surface.
-
-    Numerically identical to :func:`dense_alpha`; kept as its own entry
-    point because it plays a distinct role (boundary-value reflection
-    coefficient rather than correlation normalization).
-    """
-    return dense_alpha(model, k)
-
-
 def dense_alpha_retarded(model: PermittivityModel, m, gamma: float | None = None):
     """A continued to the retarded branch, A(-m**2 + i*gamma).
 

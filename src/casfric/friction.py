@@ -95,16 +95,23 @@ class FrictionResult:
 
 
 def _csch2_half(x):
-    """1/sinh(x/2)**2, overflow-safe and vectorized: 4 e^{-x}/(1-e^{-x})^2."""
-    x = np.asarray(x, dtype=float)
-    ex = np.exp(-x)
-    return 4.0 * ex / (1.0 - ex) ** 2
+    """1/sinh(x/2)**2, vectorized and finite for every x > 0 (no
+    cancellation as x -> 0).  The argument is clipped below the overflow
+    of sinh, where the weight has long underflowed to 0."""
+    return np.sinh(np.minimum(0.5 * np.asarray(x, dtype=float), 700.0)) ** -2.0
 
 
-def _thermal_weight(m, beta):
-    """1/sinh(beta*m/2)**2 with the m -> 0 limit handled by the caller's
-    integrand (the product with S1*S2 stays finite for linear spectra)."""
-    return _csch2_half(beta * np.asarray(m, dtype=float))
+def _joint_support(*densities: SpectralDensity) -> float | None:
+    """Upper end of the common support of the densities (None: unbounded)."""
+    bounds = [s.support_max for s in densities if s.support_max is not None]
+    return min(bounds) if bounds else None
+
+
+def _retarded_gamma(model: PermittivityModel) -> float:
+    """Broadening for the retarded-branch response of a route: tabulated
+    data needs a small positive one (1e-6 of the top of its grid); the
+    closed-form models take their own damping and get none."""
+    return 1e-6 * float(model.m_ev[-1]) if isinstance(model, Tabulated) else 0.0
 
 
 def h0_overlap(value1, value2, temperature_k: float,
@@ -135,7 +142,7 @@ def h0_overlap(value1, value2, temperature_k: float,
 
     def integrand(m):
         m = np.asarray(m, dtype=float)
-        out = pref * value1(m) * value2(m) * _thermal_weight(m, beta)
+        out = pref * value1(m) * value2(m) * _csch2_half(beta * m)
         if extra_factor is not None:
             out = out * extra_factor(m)
         return out
@@ -195,13 +202,9 @@ def h0_dilute(spec1: SpectralDensity, spec2: SpectralDensity,
     """
     spec1.require_continuous("the dilute overlap kernel")
     spec2.require_continuous("the dilute overlap kernel")
-    support = None
-    for s in (spec1, spec2):
-        if s.support_max is not None:
-            support = s.support_max if support is None else min(support, s.support_max)
     return h0_overlap(spec1.value, spec2.value, temperature_k,
                       peak_hints=(spec1.peak_hint, spec2.peak_hint),
-                      support_max=support, spec=spec)
+                      support_max=_joint_support(spec1, spec2), spec=spec)
 
 
 def _pair_splits(model1, model2, u: float):
@@ -240,22 +243,16 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
         raise DomainError("u must be > 0")
     s1 = spectral_density(model1).require_continuous("the dense kernel")
     s2 = spectral_density(model2).require_continuous("the dense kernel")
-    support = None
-    for s in (s1, s2):
-        if s.support_max is not None:
-            support = s.support_max if support is None else min(support, s.support_max)
-
     if denominators == "drop":
         extra = None
         hints = [s1.peak_hint, s2.peak_hint]
     elif denominators == "keep":
         x = math.exp(-2.0 * u)
-        gammas = tuple(1e-6 * float(mod.m_ev[-1]) if isinstance(mod, Tabulated)
-                       else 0.0 for mod in (model1, model2))
+        g1, g2 = _retarded_gamma(model1), _retarded_gamma(model2)
 
         def extra(m):
-            a1 = dense_alpha_retarded(model1, m, gammas[0])
-            a2 = dense_alpha_retarded(model2, m, gammas[1])
+            a1 = dense_alpha_retarded(model1, m, g1)
+            a2 = dense_alpha_retarded(model2, m, g2)
             return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
 
         hints = [s1.peak_hint, s2.peak_hint] + _pair_splits(model1, model2, u)
@@ -263,13 +260,13 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
         raise DomainError(f"denominators must be 'drop' or 'keep', got {denominators!r}")
 
     return h0_overlap(s1.value, s2.value, temperature_k,
-                      peak_hints=hints, support_max=support, spec=spec,
-                      extra_factor=extra)
+                      peak_hints=hints, support_max=_joint_support(s1, s2),
+                      spec=spec, extra_factor=extra)
 
 
 def plane_spectral_products(model1: PermittivityModel,
                             model2: PermittivityModel,
-                            m, u: float, gamma: float | None = None):
+                            m, u: float):
     """Spectral products of the fully dressed coupled-plane correlators.
 
     Returns (s11, s22, s12) where s_ab = -Im[h_ab]/pi on the retarded
@@ -281,13 +278,8 @@ def plane_spectral_products(model1: PermittivityModel,
     if not u > 0.0:
         raise DomainError("u must be > 0")
     m = np.asarray(m, dtype=float)
-    if gamma is None:
-        g1, g2 = (1e-6 * float(mod.m_ev[-1]) if isinstance(mod, Tabulated)
-                  else 0.0 for mod in (model1, model2))
-    else:
-        g1 = g2 = gamma
-    a1 = dense_alpha_retarded(model1, m, g1)
-    a2 = dense_alpha_retarded(model2, m, g2)
+    a1 = dense_alpha_retarded(model1, m, _retarded_gamma(model1))
+    a2 = dense_alpha_retarded(model2, m, _retarded_gamma(model2))
     x = math.exp(-2.0 * u)
     denom = 1.0 - a1 * a2 * x
     h11 = a1 / denom
@@ -478,17 +470,13 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
         raise DomainError("v_m_per_s must be >= 0")
     s_probe = _per_particle_density(probe, "the hybrid probe")
     s_plate = spectral_density(plate).require_continuous("the hybrid plate")
-    support = None
-    for s in (s_probe, s_plate):
-        if s.support_max is not None:
-            support = s.support_max if support is None else min(support, s.support_max)
 
     def plate_half(m):
         return 0.5 * s_plate.value(m)
 
     h0 = h0_overlap(s_probe.value, plate_half, temperature_k,
                     peak_hints=(s_probe.peak_hint, s_plate.peak_hint),
-                    support_max=support, spec=spec)
+                    support_max=_joint_support(s_probe, s_plate), spec=spec)
     # nm^3 from the probe spectrum against the nm^-5 gap power: net nm^-2,
     # converted to SI through the single z0 conversion below.
     z0_m = z0_nm * units.NM_TO_M

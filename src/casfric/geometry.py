@@ -16,32 +16,12 @@ converts to SI exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .quadrature import IntegralResult, QuadratureSpec, \
     integrate_semi_infinite
-
-
-@dataclass(frozen=True)
-class Separation:
-    """Geometric configuration: any subset of particle-particle vector r,
-    particle-plane gap z0, plane-plane gap d (nm)."""
-
-    r_nm: tuple[float, float, float] | None = None
-    z0_nm: float | None = None
-    d_nm: float | None = None
-
-
-@dataclass(frozen=True)
-class GeometricFactors:
-    """The three volume factors at a given configuration."""
-
-    g_perp: float | None = None
-    g_halfplane: float | None = None
-    g_two_planes: float | None = None
 
 
 def dipole_tensor(r) -> np.ndarray:
@@ -115,14 +95,16 @@ def g_perp_kspace(z: float, spec: QuadratureSpec | None = None) -> IntegralResul
 
 
 def _g11(x, y, z):
-    """Sum over (i, j) of T_1ij**2 at separation (x, y, z), vectorized."""
-    x = np.asarray(x, dtype=float)
+    """Sum over (i, j) of T_1ij**2 at separation (x, y, z), vectorized
+    over broadcast x and y."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     r2 = x * x + y * y + z * z
     r = np.sqrt(r2)
     r5 = r2 * r2 * r
     r7 = r5 * r2
     out = np.zeros_like(x)
-    coords = (x, np.full_like(x, y), np.full_like(x, z))
+    coords = (x, y, np.full_like(x, z))
     for i in range(3):
         for j in range(3):
             t = 15.0 * coords[i] * coords[j] * x / r7
@@ -148,16 +130,9 @@ def g_perp_realspace(z: float, spec: QuadratureSpec | None = None) -> IntegralRe
     w_ang = 2.0 * math.pi / n_ang
 
     def radial(rho):
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        vals = np.empty_like(rho)
-        for k, rr in enumerate(rho):
-            xs = rr * np.cos(phi)
-            ys = rr * np.sin(phi)
-            acc = 0.0
-            for xx, yy in zip(xs, ys):
-                acc += float(_g11(np.array([xx]), yy, z)[0])
-            vals[k] = w_ang * acc * rr
-        return vals
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))[:, None]
+        ring = _g11(rho * np.cos(phi), rho * np.sin(phi), z)
+        return w_ang * ring.sum(axis=1) * rho[:, 0]
 
     return integrate_semi_infinite(radial, decay_scale=z, spec=spec)
 

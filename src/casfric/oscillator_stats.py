@@ -2,9 +2,10 @@
 
 Imaginary-frequency polarizabilities, imaginary-time correlators and
 their Matsubara convolution, the Gaussian statistics of a coupled pair
-of oscillators, the equal-half-plane correlation functions, and the
-resonant two-oscillator kernel.  Everything here is a pure function;
-the Monte-Carlo cross-check takes an explicit seed.
+of oscillators, and the resonant two-oscillator kernel.  Everything
+here is a pure function; the Monte-Carlo cross-check takes an explicit
+seed.  The correlators of two coupled half-planes live on the retarded
+branch, in ``friction.plane_spectral_products``.
 """
 
 from __future__ import annotations
@@ -35,26 +36,6 @@ class OscillatorSpec:
             raise DomainError("alpha_static must be > 0")
         if not self.eigen_energy_ev > 0.0:
             raise DomainError("eigen_energy_ev must be > 0")
-
-
-@dataclass(frozen=True)
-class PairCoupling:
-    """Bilinear coupling strength phi between two oscillators; the
-    Gaussian pair is normalizable only while alpha1*alpha2*phi**2 < 1."""
-
-    phi: float
-
-
-@dataclass(frozen=True)
-class PlaneCorrelators:
-    """Density-scaled surface correlators of two coupled half-planes at
-    one transverse mode u = q*d: h11 and h22 are the in-plane values,
-    h12 the cross-plane one (all dimensionless)."""
-
-    h11: float
-    h22: float
-    h12: float
-    u: float
 
 
 def gtilde(osc: OscillatorSpec, k) -> float:
@@ -187,30 +168,6 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     # negligible next to the fourth-moment spread)
     fourth = (fourth[0] - s1s2[0] ** 2, fourth[1])
     return {"s1s1": s1s1, "s2s2": s2s2, "s1s2": s1s2, "fourth": fourth}
-
-
-def plane_correlators(a1: float, a2: float, u: float) -> PlaneCorrelators:
-    """Surface correlators of two half-planes coupled across a gap.
-
-    For reflection amplitudes a1, a2 in [0, 1) and u = q*d > 0:
-
-        h11 = a1 / (1 - a1*a2*exp(-2u))
-        h22 = a2 / (1 - a1*a2*exp(-2u))
-        h12 = a1*a2*exp(-u) / (1 - a1*a2*exp(-2u))
-
-    The same rational structure as :func:`pair_correlators` with
-    alpha_a -> a_a and phi -> exp(-u).
-    """
-    if not (0.0 <= a1 < 1.0 and 0.0 <= a2 < 1.0):
-        raise DomainError("reflection amplitudes must lie in [0, 1)")
-    if not u > 0.0:
-        raise DomainError("u must be > 0")
-    x = a1 * a2 * math.exp(-2.0 * u)
-    if x >= 1.0:
-        raise StabilityError("a1*a2*exp(-2u) >= 1")
-    denom = 1.0 - x
-    return PlaneCorrelators(h11=a1 / denom, h22=a2 / denom,
-                            h12=a1 * a2 * math.exp(-u) / denom, u=u)
 
 
 def resonant_kernel(alpha1: float, alpha2: float, m: float,

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -75,13 +75,22 @@ def default_spec() -> QuadratureSpec:
     """Default tolerances, honoring the CASFRIC_QUAD_TOL override.
 
     The environment variable, when set, is read as the relative
-    tolerance; the absolute tolerance is set two decades tighter.
+    tolerance; the absolute tolerance is set two decades tighter.  A
+    value that is not a finite number > 0 is a configuration error.
     """
     env = os.environ.get(_ENV_TOL)
     if env is None:
         return QuadratureSpec()
-    rel = float(env)
-    return QuadratureSpec(abs_tol=rel * 1e-2, rel_tol=rel)
+    try:
+        rel = float(env)
+        if not (math.isfinite(rel) and rel > 0.0):
+            raise ValueError(env)
+        # DomainError is a ValueError too: the absolute tolerance of a
+        # subnormal value underflows to 0.
+        return QuadratureSpec(abs_tol=rel * 1e-2, rel_tol=rel)
+    except ValueError:
+        raise ConfigError([(_ENV_TOL, f"must be a finite number > 0, "
+                                      f"got {env!r}")]) from None
 
 
 @dataclass
@@ -179,7 +188,7 @@ def integrate_finite(f: Callable, a: float, b: float,
         counter += 1
         n_panels += 1
 
-    converged = total_err <= spec.target(total)
+    converged = math.isfinite(total) and total_err <= spec.target(total)
     return IntegralResult(total, total_err, evals, converged)
 
 

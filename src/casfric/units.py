@@ -10,8 +10,6 @@ is formed.  Joules enter only through hbar in that prefactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 # CODATA values; truncation matches the precision used elsewhere in the
@@ -25,30 +23,6 @@ ELEMENTARY_CHARGE_C = 1.602176634e-19  # C
 HBAR_EV_S = HBAR_JS / ELEMENTARY_CHARGE_C
 
 NM_TO_M = 1e-9
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Immutable bundle of the constants above, for record keeping."""
-
-    hbar_J_s: float = HBAR_JS
-    boltzmann_eV_per_K: float = BOLTZMANN_EV_PER_K
-    vacuum_permittivity_SI: float = VACUUM_PERMITTIVITY_SI
-
-
-@dataclass(frozen=True)
-class UnitConvention:
-    """Units assumed by every public operation in this package."""
-
-    energy: str = "eV"
-    length: str = "nm"
-    velocity: str = "m/s"
-    temperature: str = "K"
-    force_per_area: str = "Pa"
-
-
-CONSTANTS = Constants()
-UNITS = UnitConvention()
 
 
 def thermal_energy(temperature_k: float) -> float:

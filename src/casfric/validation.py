@@ -15,6 +15,7 @@ precision in 4d.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,13 +88,13 @@ def check_gold_force(perturb: dict | None = None) -> list[CheckResult]:
                            cf.force, 3.29e-11, "0.5%", 0.0))
     drop = friction_dense(sys_gold, "drop")
     out.append(CheckResult("1b", "dense route, bare spectral product, vs closed form",
-                           _rel(drop.force, cf.force) <= 1e-2,
+                           drop.converged and _rel(drop.force, cf.force) <= 1e-2,
                            drop.force, cf.force, "1%", drop.quadrature_error))
     keep = friction_dense(sys_gold, "keep")
     ratio = keep.force / drop.force
     out.append(CheckResult("1c", "screened/bare force ratio in [1.00, 1.25]",
-                           1.0 <= ratio <= 1.25, ratio, 1.2020569,
-                           "[1.00, 1.25]", keep.quadrature_error,
+                           keep.converged and 1.0 <= ratio <= 1.25, ratio,
+                           1.2020569, "[1.00, 1.25]", keep.quadrature_error,
                            detail="zeta(3) window"))
     return out
 
@@ -110,8 +111,8 @@ def check_thermal_integral() -> list[CheckResult]:
     res = integrate_semi_infinite(f, decay_scale=1.0, spec=spec)
     target = math.pi ** 2 / 3.0
     return [CheckResult("2", "thermal integral = pi^2/3",
-                        abs(res.value - target) <= 1e-8, res.value, target,
-                        "1e-8 abs", res.error_estimate)]
+                        res.converged and abs(res.value - target) <= 1e-8,
+                        res.value, target, "1e-8 abs", res.error_estimate)]
 
 
 def check_geometry() -> list[CheckResult]:
@@ -121,7 +122,8 @@ def check_geometry() -> list[CheckResult]:
     analytic = geometry.g_perp(1.0)
     kspace = geometry.g_perp_kspace(1.0, spec)
     out.append(CheckResult("3a", "transverse factor at 1 nm, k-space route",
-                           _rel(kspace.value, analytic) <= 1e-6,
+                           kspace.converged
+                           and _rel(kspace.value, analytic) <= 1e-6,
                            kspace.value, analytic, "1e-6 rel",
                            kspace.error_estimate))
 
@@ -162,9 +164,8 @@ def check_pendry() -> list[CheckResult]:
         _rel(fp, 1.6e3) <= 1e-2, fp, 1.6e3, "1%",
         detail="known inconsistency: quoted trio violates F = ratio * F_P"))
     med = MediumSpec(PENDRY97.model)
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         cf = friction_drude_closed_form(
             PlateSystem(med, med, PENDRY97.d_nm, PENDRY97.v_m_per_s,
                         PENDRY97.T_K))
@@ -211,8 +212,8 @@ def check_spectral() -> list[CheckResult]:
                                   split_points=[ep])
     target = dense_alpha(gold, 0.0)
     out.append(CheckResult("6a", "spectral sum rule = static response",
-                           _rel(res.value, target) <= 1e-6, res.value, target,
-                           "1e-6 rel", res.error_estimate))
+                           res.converged and _rel(res.value, target) <= 1e-6,
+                           res.value, target, "1e-6 rel", res.error_estimate))
 
     # Retarded-branch extraction with Richardson extrapolation in gamma.
     grid = np.array([0.5, 2.0, ep, 8.0])
@@ -365,7 +366,7 @@ def check_scaling() -> list[CheckResult]:
     f2 = friction_dense(PlateSystem(med, med, 10.0, 100.0, 300.0), "drop")
     dev = abs(f2.force / f1.force - 2.0)
     out.append(CheckResult("9a", "force linear in v (doubling deviation)",
-                           dev <= 1e-12, dev, 0.0, "exact"))
+                           dev <= 2e-13, dev, 0.0, "exact"))
 
     worst = 0.0
     base = None

@@ -1,5 +1,7 @@
-"""Acceptance suite: one test per numbered criterion, each at its pinned
-tolerance, printing a pass line with the measured value.
+"""Acceptance suite: one test per numbered criterion, generated from
+``casfric.validation.run_all``, the only implementation of the checks
+(the CLI ``validate`` command prints the same records).  Each test
+prints the check's line with its measured value and tolerance.
 
 Criteria 4b/4c assert the published benchmark figures (1.6e3 Pa, 3.5e12 Pa)
 at their stated 1%/2% windows.  Those two figures are mutually
@@ -11,324 +13,69 @@ strict expected failures: the faithful assertions stay in place and the
 suite will flag any change in that status.
 """
 
-import math
-import warnings
-
-import numpy as np
 import pytest
 
-from casfric import comparisons, electrostatics, geometry, units, validation
-from casfric.dielectric import (MediumSpec, Plasma, dense_alpha,
-                                dense_alpha_retarded, eps_retarded,
-                                spectral_density, surface_plasmon_frequency)
-from casfric.friction import PlateSystem, friction_dense, \
-    friction_drude_closed_form
-from casfric.oscillator_stats import (OscillatorSpec, g_imaginary_time,
-                                      gtilde, pair_correlators,
-                                      pair_fourth_moment,
-                                      sample_pair_correlators)
-from casfric.presets import GOLD, PENDRY97
-from casfric.quadrature import (QuadratureSpec, integrate_finite,
-                                integrate_semi_infinite)
+from casfric import geometry, validation
+from casfric.quadrature import QuadratureSpec
 
-GOLD_MED = MediumSpec(GOLD.model)
-GOLD_SYSTEM = PlateSystem(GOLD_MED, GOLD_MED, 10.0, 100.0, 300.0)
-EP = math.sqrt(0.5) * 9.0
+CRITERIA = ("1a", "1b", "1c", "2", "3a", "3b", "3c", "3d", "4a", "4b", "4c",
+            "4d", "5", "6a", "6b", "6c", "7a", "7b", "7c", "7d", "8a", "8b",
+            "8c", "9a", "9b", "9c")
 
+ROUTE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
-def report(tag, measured, expected, tol):
-    print(f"criterion {tag}: measured={measured:.6e} expected={expected:.6e} "
-          f"tol={tol} -> PASS")
+KNOWN_INCONSISTENT = {
+    "4b": "published figure 1.6e3 Pa is inconsistent with the exact formula "
+          "chain (measured 1.664e3 Pa; the quoted trio violates "
+          "force = ratio * F_P, see criterion 4d and notes)",
+    "4c": "published figure 3.5e12 Pa is inconsistent with the exact formula "
+          "chain (measured 3.242e12 Pa; the quoted trio violates "
+          "force = ratio * F_P, see criterion 4d and notes)",
+}
 
 
-# --- criterion 1: gold plate-plate friction ------------------------------
+@pytest.fixture(scope="module")
+def results():
+    return validation.run_all()
 
-def test_criterion_1a_gold_closed_form():
-    force = friction_drude_closed_form(GOLD_SYSTEM).force
-    assert force == pytest.approx(3.29e-11, rel=5e-3)
-    report("1a", force, 3.29e-11, "0.5%")
 
+def _check(results, criterion):
+    return next(r for r in results if r.criterion == criterion)
 
-def test_criterion_1b_dense_drop_matches_closed_form():
-    cf = friction_drude_closed_form(GOLD_SYSTEM).force
-    drop = friction_dense(GOLD_SYSTEM, "drop")
-    assert drop.converged
-    assert drop.force == pytest.approx(cf, rel=1e-2)
-    report("1b", drop.force, cf, "1%")
 
-
-def test_criterion_1c_dense_keep_in_zeta3_window():
-    drop = friction_dense(GOLD_SYSTEM, "drop").force
-    keep = friction_dense(GOLD_SYSTEM, "keep")
-    assert keep.converged
-    ratio = keep.force / drop
-    assert 1.0 <= ratio <= 1.25
-    report("1c", ratio, 1.2020569, "[1.00, 1.25]")
-
-
-# --- criterion 2: thermal integral ----------------------------------------
-
-def test_criterion_2_thermal_integral():
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        ex = np.exp(-x)
-        return x * x * ex / (1.0 - ex) ** 2
-
-    res = integrate_semi_infinite(f, 1.0, QuadratureSpec(1e-12, 1e-11))
-    assert res.converged
-    assert abs(res.value - math.pi ** 2 / 3.0) <= 1e-8
-    report("2", res.value, math.pi ** 2 / 3.0, "1e-8 abs")
-
-
-# --- criterion 3: geometric identities -------------------------------------
-
-def test_criterion_3_transverse_factor_two_routes():
-    spec = QuadratureSpec(1e-12, 1e-10)
-    analytic = geometry.g_perp(1.0)
-    kspace = geometry.g_perp_kspace(1.0, spec)
-    assert kspace.converged
-    assert kspace.value == pytest.approx(analytic, rel=1e-6)
-    realspace = geometry.g_perp_realspace(1.0, spec)
-    assert realspace.value == pytest.approx(analytic, rel=1e-6)
-    report("3-gperp", kspace.value, analytic, "1e-6 rel")
-
-
-def test_criterion_3_mode_weight_integral():
-    res = integrate_semi_infinite(
-        lambda u: np.asarray(u, dtype=float) ** 3
-        * np.exp(-2.0 * np.asarray(u, dtype=float)),
-        0.5, QuadratureSpec(1e-13, 1e-12))
-    assert abs(res.value - 0.375) <= 1e-10
-    report("3-u3", res.value, 0.375, "1e-10 abs")
-
-
-def test_criterion_3_halfplane_and_plate_factors():
-    spec = QuadratureSpec(1e-12, 1e-10)
-    gh = geometry.g_halfplane(1.0, 2.0)
-    ghq = geometry.g_halfplane_quadrature(1.0, 2.0, spec)
-    assert ghq.value == pytest.approx(gh, rel=1e-6)
-    g2 = geometry.g_two_planes(1.0, 1.0, 1.5)
-    for route in (geometry.g_two_planes_quadrature,
-                  geometry.g_two_planes_uspace):
-        res = route(1.0, 1.0, 1.5, spec)
-        assert res.value == pytest.approx(g2, rel=1e-6)
-    report("3-gh-g", ghq.value, gh, "1e-6 rel")
-
-
-# --- criterion 4: constant-conductivity benchmark ---------------------------
-
-def test_criterion_4a_ratio():
-    r = comparisons.ratio_to_pendry(300.0, 100.0, 10e-9)
-    assert r == pytest.approx(1.95e9, rel=5e-3)
-    report("4a", r, 1.95e9, "0.5%")
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="published figure 1.6e3 Pa is inconsistent with "
-                          "the exact formula chain (measured 1.664e3 Pa; "
-                          "the quoted trio violates force = ratio * F_P, "
-                          "see criterion 4d and notes)")
-def test_criterion_4b_benchmark_cubic_force():
-    fp = comparisons.pendry_force(comparisons.PendryInput(
-        PENDRY97.conductivity_over_eps0, 1e-10, 1.0))
-    assert fp == pytest.approx(1.6e3, rel=1e-2)
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="published figure 3.5e12 Pa is inconsistent with "
-                          "the exact formula chain (measured 3.242e12 Pa; "
-                          "the quoted trio violates force = ratio * F_P, "
-                          "see criterion 4d and notes)")
-def test_criterion_4c_closed_form_at_benchmark_conductivity():
-    med = MediumSpec(PENDRY97.model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        force = friction_drude_closed_form(
-            PlateSystem(med, med, 0.1, 1.0, 300.0)).force
-    assert force == pytest.approx(3.5e12, rel=2e-2)
-
-
-def test_criterion_4d_cross_identity_exact():
-    # the identity that pins down which published figures are off
-    med = MediumSpec(PENDRY97.model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        force = friction_drude_closed_form(
-            PlateSystem(med, med, 0.1, 1.0, 300.0)).force
-    fp = comparisons.pendry_force(comparisons.PendryInput(
-        PENDRY97.conductivity_over_eps0, 1e-10, 1.0))
-    ratio = comparisons.ratio_to_pendry(300.0, 1.0, 1e-10)
-    assert ratio * fp == pytest.approx(force, rel=1e-12)
-    report("4d", ratio * fp, force, "1e-12 rel")
-
-
-# --- criterion 5: evanescent-wave benchmark --------------------------------
-
-def test_criterion_5_vp_ratio():
-    _, fvp = comparisons.vp_friction(comparisons.VPInput(
-        GOLD.conductivity_over_eps0, 10e-9, 300.0, 100.0))
-    ours = friction_drude_closed_form(GOLD_SYSTEM).force
-    ratio = fvp / ours
-    assert ratio == pytest.approx(1.2, rel=0.1)
-    report("5", ratio, 1.2, "10%")
-
-
-# --- criterion 6: spectral machinery ----------------------------------------
-
-def test_criterion_6_sum_rule():
-    sd = spectral_density(GOLD.model)
-
-    def integrand(m):
-        m = np.asarray(m, dtype=float)
-        return 2.0 * sd.value(m) / np.maximum(m, 1e-300)
-
-    res = integrate_semi_infinite(integrand, EP, QuadratureSpec(1e-12, 1e-10),
-                                  split_points=[EP])
-    assert res.converged
-    target = dense_alpha(GOLD.model, 0.0)
-    assert res.value == pytest.approx(target, rel=1e-6)
-    report("6-sumrule", res.value, target, "1e-6 rel")
-
-
-def test_criterion_6_retarded_extraction():
-    sd = spectral_density(GOLD.model)
-    worst = 0.0
-    for m in (0.5, 2.0, EP, 8.0):
-        s_vals = [-dense_alpha_retarded(GOLD.model, m, g).imag / math.pi
-                  for g in (1e-5 * EP, 1e-6 * EP)]
-        extrap = (10.0 * s_vals[1] - s_vals[0]) / 9.0
-        worst = max(worst, abs(extrap / float(sd.value(m)) - 1.0))
-    assert worst <= 1e-6
-    report("6-retarded", worst, 0.0, "1e-6 rel")
-
-
-def test_criterion_6_small_m_slope():
-    sd = spectral_density(GOLD.model)
-    m = 1e-5 * EP
-    slope = float(sd.value(m)) / m
-    target = 0.035 / (math.pi * EP ** 2)
-    assert slope == pytest.approx(target, rel=1e-6)
-    report("6-slope", slope, target, "1e-6 rel")
-
-
-# --- criterion 7: boundary-value solver --------------------------------------
-
-def test_criterion_7_boundary_solver():
-    rng = np.random.default_rng(20240817)
-    worst_res = 0.0
-    worst_den = 0.0
-    for _ in range(1000):
-        cfg = electrostatics.LayeredConfig(rng.uniform(1.0, 100.0),
-                                           rng.uniform(1.0, 100.0),
-                                           1.0, rng.uniform(0.01, 10.0))
-        sol = electrostatics.solve_layers(cfg)
-        worst_res = max(worst_res,
-                        float(electrostatics.boundary_residuals(cfg, sol).max()))
-        from_d, direct = electrostatics.denominator_check(cfg)
-        worst_den = max(worst_den, abs(from_d / direct - 1.0))
-    assert worst_res < 1e-12
-    assert worst_den <= 1e-12
-    report("7-residuals", worst_res, 0.0, "<1e-12")
-
-    vac = electrostatics.solve_layers(
-        electrostatics.LayeredConfig(1.0, 1.0, 1.0, 1.0))
-    assert vac.d == 1.0 and vac.b == 0.0
-
-    plasma = Plasma(9.0)
-    sp = surface_plasmon_frequency(plasma)
-    assert abs(eps_retarded(plasma, sp, 1e-9) + 1.0) <= 1e-6
-    report("7-pole", eps_retarded(plasma, sp, 1e-9).real, -1.0, "1e-6 abs")
-
-
-# --- criterion 8: oscillator statistics --------------------------------------
-
-def test_criterion_8_transform_pair_100_draws():
-    rng = np.random.default_rng(11)
-    spec = QuadratureSpec(1e-13, 1e-11)
-    worst = 0.0
-    for _ in range(100):
-        alpha = rng.uniform(0.3, 3.0)
-        w = rng.uniform(0.2, 5.0)
-        beta = rng.uniform(0.3, 10.0)
-        n = int(rng.integers(0, 4))
-        osc = OscillatorSpec(alpha, w)
-        k = 2.0 * math.pi * n / beta
-
-        def f(lam, _o=osc, _b=beta, _k=k):
-            lam = np.atleast_1d(np.asarray(lam, dtype=float))
-            return np.array([g_imaginary_time(_o, float(x), _b)
-                             * math.cos(_k * float(x)) for x in lam])
-
-        res = integrate_finite(f, 0.0, beta, spec)
-        worst = max(worst, abs(res.value / gtilde(osc, k) - 1.0))
-    assert worst <= 1e-8
-    report("8-transform", worst, 0.0, "1e-8 rel")
-
-
-def test_criterion_8_monte_carlo_moments():
-    est = sample_pair_correlators(1.0, 1.0, 0.5, 1.0,
-                                  n_samples=1_000_000, seed=20240817)
-    exact = pair_correlators(1.0, 1.0, 0.5, 1.0)
-    exact4 = pair_fourth_moment(1.0, 1.0, 0.5, 1.0)[2]
-    worst_sigma = 0.0
-    for key, target in (("s1s1", exact[0]), ("s2s2", exact[1]),
-                        ("s1s2", exact[2]), ("fourth", exact4)):
-        mean, err = est[key]
-        worst_sigma = max(worst_sigma, abs(mean - target) / err)
-    assert worst_sigma <= 3.0
-    report("8-mc", worst_sigma, 0.0, "3 sigma")
-
-
-def test_criterion_8_fluctuation_dissipation():
-    check = validation._fd_identity_check()
-    assert check.passed, check.line()
-    assert check.measured <= 1e-6
-    report("8-fd", check.measured, 0.0, "1e-6 rel")
-
-
-# --- criterion 9: scaling properties ------------------------------------------
-
-def test_criterion_9_velocity_linearity():
-    f1 = friction_dense(PlateSystem(GOLD_MED, GOLD_MED, 10.0, 50.0, 300.0),
-                        "drop").force
-    f2 = friction_dense(PlateSystem(GOLD_MED, GOLD_MED, 10.0, 100.0, 300.0),
-                        "drop").force
-    assert f2 == pytest.approx(2.0 * f1, rel=1e-13)
-    report("9-v", f2 / f1, 2.0, "exact")
-
-
-def test_criterion_9_gap_power_law():
-    worst = 0.0
-    base = None
-    for d in (5.0, 10.0, 20.0, 50.0):
-        f = friction_dense(PlateSystem(GOLD_MED, GOLD_MED, d, 100.0, 300.0),
-                           "drop").force
-        scaled = f * (d * units.NM_TO_M) ** 4
-        base = scaled if base is None else base
-        worst = max(worst, abs(scaled / base - 1.0))
-    assert worst <= 1e-2
-    report("9-d4", worst, 0.0, "1% over [5, 50] nm")
-
-
-def test_criterion_9_temperature_power_law():
-    worst = 0.0
-    base = None
-    for t in (100.0, 300.0, 600.0):
-        f = friction_dense(PlateSystem(GOLD_MED, GOLD_MED, 10.0, 100.0, t),
-                           "drop").force
-        scaled = f / t ** 2
-        base = scaled if base is None else base
-        worst = max(worst, abs(scaled / base - 1.0))
-    assert worst <= 1e-2
-    report("9-T2", worst, 0.0, "1% over [100, 600] K")
-
-
-# --- validation harness hooks -------------------------------------------------
-
-def test_validation_runner_matches_expected_status():
-    results = validation.run_all()
+def test_validation_runner_matches_expected_status(results):
+    assert tuple(r.criterion for r in results) == CRITERIA
     failing = {r.criterion for r in results if not r.passed}
-    assert failing == validation.EXPECTED_FAILURES
+    assert failing == validation.EXPECTED_FAILURES == set(KNOWN_INCONSISTENT)
+
+
+@pytest.mark.parametrize("criterion", [
+    pytest.param(c, marks=pytest.mark.xfail(strict=True,
+                                            reason=KNOWN_INCONSISTENT[c]))
+    if c in KNOWN_INCONSISTENT else c
+    for c in CRITERIA])
+def test_criterion(results, criterion):
+    check = _check(results, criterion)
+    print(check.line())
+    assert check.passed, check.line()
+
+
+# Criterion 3 names two routes for the transverse and plate-plate factors;
+# validation runs one quadrature route each (3a, 3d).  The second route
+# must agree with the value that record reports.
+
+def test_criterion_3_transverse_factor_two_routes(results):
+    kspace = _check(results, "3a").measured
+    realspace = geometry.g_perp_realspace(1.0, ROUTE_SPEC)
+    assert realspace.converged
+    assert realspace.value == pytest.approx(kspace, rel=1e-6)
+
+
+def test_criterion_3_halfplane_and_plate_factors(results):
+    quadrature = _check(results, "3d").measured
+    uspace = geometry.g_two_planes_uspace(1.0, 1.0, 1.5, ROUTE_SPEC)
+    assert uspace.converged
+    assert uspace.value == pytest.approx(quadrature, rel=1e-6)
 
 
 def test_fault_injection_flips_only_the_right_criteria():

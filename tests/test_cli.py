@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--config", path])
         assert code == 2
 
+    def test_axis_not_fitting_the_medium_exit2(self, tmp_path, capsys):
+        cfg = self.sweep_config(axis="damping", values=[0.01, 0.02])
+        cfg["base"]["system"]["medium1"] = {"model": "vacuum"}
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: .system.medium1: axis 'damping' "
+                       "needs a drude/plasma model\n")
+
 
 class TestCompare:
     def test_gold_comparison(self, tmp_path, capsys):
@@ -287,15 +298,49 @@ class TestSpectra:
         assert code == 3
 
 
+VALIDATE_LINES = [
+    ("PASS", "1a", "0.5%"), ("PASS", "1b", "1%"),
+    ("PASS", "1c", "[1.00, 1.25]"), ("PASS", "2", "1e-8 abs"),
+    ("PASS", "3a", "1e-6 rel"), ("PASS", "3b", "1e-10 abs"),
+    ("PASS", "3c", "1e-6 rel"), ("PASS", "3d", "1e-6 rel"),
+    ("PASS", "4a", "0.5%"), ("FAIL", "4b", "1%"), ("FAIL", "4c", "2%"),
+    ("PASS", "4d", "1e-12 rel"), ("PASS", "5", "10%"),
+    ("PASS", "6a", "1e-6 rel"), ("PASS", "6b", "1e-6 rel"),
+    ("PASS", "6c", "1e-6 rel"), ("PASS", "7a", "<1e-12"),
+    ("PASS", "7b", "1e-12 rel"), ("PASS", "7c", "exact"),
+    ("PASS", "7d", "1e-6 abs"), ("PASS", "8a", "1e-8 rel"),
+    ("PASS", "8b", "3 sigma"), ("PASS", "8c", "1e-6 rel"),
+    ("PASS", "9a", "exact"), ("PASS", "9b", "1%"), ("PASS", "9c", "1%"),
+]
+
+
 class TestValidate:
     def test_validate_reports_all_criteria(self, capsys):
         code = cli.main(["validate"])
-        out = capsys.readouterr().out
-        assert "[PASS]" in out
-        lines = [l for l in out.splitlines() if l.startswith("[")]
-        assert len(lines) >= 20
+        out = capsys.readouterr().out.splitlines()
+        pattern = re.compile(r"\[(PASS|FAIL)\] +(\S+) .*? tol=(.*?)"
+                             r"(?: quad_err=| \[|$)")
+        assert [pattern.match(line).groups() for line in out[:-1]] \
+            == VALIDATE_LINES
         # the two known-inconsistent benchmark figures fail; nothing else
-        fails = [l for l in lines if l.startswith("[FAIL]")]
-        assert len(fails) == 2
-        assert all(("4b" in l or "4c" in l) for l in fails)
+        assert out[-1] == ("24/26 checks passed "
+                           "(2 known-inconsistent benchmark figures)")
         assert code == 1
+
+
+class TestQuadTolEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf",
+                                       "1e-323"])
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                       command, value):
+        cfg = gold_config(route="dense-full")
+        if command == "sweep":
+            cfg = {"base": cfg, "axis": "d", "values": [10.0, 20.0]}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        monkeypatch.setenv("CASFRIC_QUAD_TOL", value)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert code == 2
+        assert out == ""
+        assert err == ("config error: CASFRIC_QUAD_TOL: must be a finite "
+                       f"number > 0, got '{value}'\n")

@@ -53,7 +53,7 @@ class TestEpsImaginary:
 
 class TestReflectionAndDenseAlpha:
     def test_vacuum_zero(self):
-        assert dl.reflection_amplitude(dl.Vacuum(), 1.0) == 0.0
+        assert dl.dense_alpha(dl.Vacuum(), 1.0) == 0.0
 
     def test_conductor_limit(self):
         assert dl.dense_alpha(GOLD, 0.0) == pytest.approx(1.0, abs=1e-15)

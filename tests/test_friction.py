@@ -8,6 +8,7 @@ from casfric import units
 from casfric.dielectric import (Drude, MediumSpec, Plasma, Tabulated, Vacuum,
                                 spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
+from casfric.quadrature import QuadratureSpec
 
 GOLD = Drude(9.0, 0.035)
 EP = math.sqrt(0.5) * 9.0
@@ -111,6 +112,18 @@ class TestDenseRoute:
             MediumSpec(GOLD, 17.0), MediumSpec(GOLD, 0.3), 10.0, 100.0, 300.0))
         assert a.force == b.force
 
+    def test_tight_tolerance_stays_finite(self):
+        res = fr.friction_dense(gold_system(), "drop", spec=QuadratureSpec(
+            abs_tol=1e-18, rel_tol=1e-16))
+        assert res.converged
+        assert res.force == pytest.approx(
+            fr.friction_dense(gold_system()).force, rel=1e-8)
+
+    def test_unreachable_tolerance_never_flags_inf_as_converged(self):
+        res = fr.friction_dense(gold_system(), "drop", spec=QuadratureSpec(
+            abs_tol=1e-302, rel_tol=1e-300))
+        assert math.isfinite(res.force) or not res.converged
+
     def test_system_validation(self):
         with pytest.raises(DomainError):
             fr.PlateSystem(GOLD_MED, GOLD_MED, 0.0, 100.0, 300.0)
@@ -149,6 +162,12 @@ class TestH0Kernels:
         closed = (2.0 * math.pi / 3.0) * units.HBAR_JS \
             * (0.035 / beta) ** 2 / EP ** 4
         assert res.value == pytest.approx(closed, rel=1e-2)
+
+    def test_thermal_weight_finite_near_zero(self):
+        w = fr._csch2_half(np.array([1e-20, 1.0, 2000.0]))
+        assert w[0] == pytest.approx(4e40, rel=1e-12)
+        assert w[1] == pytest.approx(math.sinh(0.5) ** -2, rel=1e-14)
+        assert w[2] == 0.0
 
     def test_delta_line_rejected(self):
         line = spectral_density(Plasma(9.0))

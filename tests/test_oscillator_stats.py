@@ -216,43 +216,6 @@ class TestPairStatistics:
         assert abs(mean4 - (b1 * b2 + b12 * b12)) < 3.5 * err4
 
 
-class TestPlaneCorrelators:
-    def test_dilute_probe_limit(self):
-        pc = osc.plane_correlators(0.0, 0.7, 1.0)
-        assert (pc.h11, pc.h22, pc.h12) == (0.0, 0.7, 0.0)
-
-    def test_decoupled_at_large_gap(self):
-        pc = osc.plane_correlators(0.5, 0.8, 50.0)
-        assert pc.h11 == pytest.approx(0.5, rel=1e-12)
-        assert pc.h22 == pytest.approx(0.8, rel=1e-12)
-        assert pc.h12 == pytest.approx(0.0, abs=1e-20)
-
-    def test_hand_value(self):
-        pc = osc.plane_correlators(0.5, 0.5, math.log(2.0))
-        assert pc.h11 == pytest.approx(8 / 15, rel=1e-14)
-        assert pc.h22 == pytest.approx(8 / 15, rel=1e-14)
-        assert pc.h12 == pytest.approx(2 / 15, rel=1e-14)
-
-    def test_same_structure_as_pair_correlators(self):
-        # substitution alpha -> A, phi -> e^{-u} maps the pair moments
-        # onto the plane correlators exactly
-        for a1 in (0.2, 0.5, 0.9):
-            for a2 in (0.3, 0.6, 0.95):
-                for u in (0.3, 1.0, 3.0):
-                    pc = osc.plane_correlators(a1, a2, u)
-                    phi = math.exp(-u)
-                    b1, b2, b12 = osc.pair_correlators(a1, a2, phi, 1.0)
-                    assert pc.h11 == pytest.approx(b1, rel=1e-14)
-                    assert pc.h22 == pytest.approx(b2, rel=1e-14)
-                    assert pc.h12 == pytest.approx(b12, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            osc.plane_correlators(1.0, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            osc.plane_correlators(0.5, 0.5, 0.0)
-
-
 class TestResonantKernel:
     def test_classical_limit(self):
         # beta*m << 1: kernel -> alpha1*alpha2/beta^2

@@ -45,6 +45,10 @@ class TestFinite:
                                               max_subdivisions=200))
         assert not res.converged
 
+    def test_infinite_total_not_converged(self):
+        res = integrate_finite(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+        assert not res.converged
+
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             integrate_finite(np.sin, 1.0, 0.0)

@@ -47,8 +47,3 @@ def test_constants_quoted_precision():
     assert units.VACUUM_PERMITTIVITY_SI == pytest.approx(8.854e-12, rel=1e-4)
     # hbar in eV s is the exact quotient with the elementary charge
     assert units.HBAR_EV_S == pytest.approx(6.582119569e-16, rel=1e-9)
-
-
-def test_constants_immutable():
-    with pytest.raises(Exception):
-        units.CONSTANTS.hbar_J_s = 1.0
