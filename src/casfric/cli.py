@@ -21,7 +21,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import comparisons, units, validation
 from .dielectric import (Drude, MediumSpec, Plasma, Vacuum,
@@ -206,7 +209,6 @@ def parse_sweep_config(obj):
             _fail(".values.scale", "must be 'linear' or 'log'")
         if not lo < hi and count > 1:
             _fail(".values", "need min < max")
-        import numpy as np
         if scale == "log":
             if not lo > 0.0:
                 _fail(".values.min", "must be > 0 for log scale")
@@ -293,7 +295,20 @@ _RESULT_COLUMNS = ["route", "force", "force_units", "H0", "G",
                    "quadrature_error", "converged"]
 
 
-def _write_payload(text: str, out_path):
+def _write(fmt, out_path, columns, rows, payload=None):
+    """Write the table (columns, rows) as CSV, or as JSON: ``payload``
+    when given, else the rows as a list of objects.  ``out_path`` None
+    means stdout."""
+    if fmt == "json":
+        if payload is None:
+            payload = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -301,34 +316,14 @@ def _write_payload(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _record_csv(record) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_RESULT_COLUMNS)
-    res = record["result"]
-    writer.writerow([res[c] for c in _RESULT_COLUMNS])
-    return buf.getvalue()
-
-
-def _table_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def cmd_compute(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
     result = run_config(cfg)
     record = result_record(cfg, result)
-    fmt = args.format or cfg["out_format"] or "json"
-    out = args.out or cfg["out_path"]
-    if fmt == "json":
-        _write_payload(json.dumps(record, indent=2, sort_keys=True) + "\n", out)
-    else:
-        _write_payload(_record_csv(record), out)
+    res = record["result"]
+    _write(args.format or cfg["out_format"] or "json",
+           args.out or cfg["out_path"], _RESULT_COLUMNS,
+           [[res[c] for c in _RESULT_COLUMNS]], payload=record)
     return EXIT_OK if result.converged else EXIT_NONCONV
 
 
@@ -352,13 +347,7 @@ def cmd_sweep(args) -> int:
         except CasfricError as exc:
             rows.append([value, "", "", "", "", "", "", str(exc)])
             any_physics = True
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        _write_payload(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       args.out)
-    else:
-        _write_payload(_table_csv(columns, rows), args.out)
+    _write(args.format or "json", args.out, columns, rows)
     if any_physics:
         return EXIT_PHYSICS
     if any_nonconv:
@@ -393,35 +382,33 @@ def cmd_compare(args) -> int:
             "conductivity_over_eps0_per_s": sigma_over_eps0,
         },
     }
-    fmt = args.format or "json"
-    if fmt == "json":
-        _write_payload(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                       args.out)
-    else:
-        cols = sorted(record["comparison"])
-        _write_payload(_table_csv(cols, [[record["comparison"][c] for c in cols]]),
-                       args.out)
+    cols = sorted(record["comparison"])
+    _write(args.format or "json", args.out, cols,
+           [[record["comparison"][c] for c in cols]], payload=record)
     return EXIT_OK
 
 
 def _parse_m_grid(text):
-    import numpy as np
     parts = text.split(":")
-    if len(parts) in (3, 4):
+    if len(parts) not in (3, 4):
+        raise ConfigError([("--m-grid", "expected MIN:MAX:COUNT[:log|lin]")])
+    try:
         lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
-        scale = parts[3] if len(parts) == 4 else "lin"
-        if scale not in ("lin", "log"):
-            raise ConfigError([("--m-grid", "scale must be lin or log")])
-        if count < 1 or not lo < hi or (scale == "log" and not lo > 0):
-            raise ConfigError([("--m-grid", "need 0 < min < max, count >= 1")])
-        return np.geomspace(lo, hi, count) if scale == "log" \
-            else np.linspace(lo, hi, count)
-    raise ConfigError([("--m-grid", "expected MIN:MAX:COUNT[:log|lin]")])
+    except ValueError:
+        raise ConfigError([("--m-grid", "MIN and MAX must be numbers and "
+                            f"COUNT an integer, got {text!r}")]) from None
+    scale = parts[3] if len(parts) == 4 else "lin"
+    if scale not in ("lin", "log"):
+        raise ConfigError([("--m-grid", "scale must be lin or log")])
+    if (count < 1 or not lo < hi or not (math.isfinite(lo) and math.isfinite(hi))
+            or (scale == "log" and not lo > 0)):
+        raise ConfigError([("--m-grid", "need 0 < min < max < inf, count >= 1")])
+    return np.geomspace(lo, hi, count) if scale == "log" \
+        else np.linspace(lo, hi, count)
 
 
 def cmd_spectra(args) -> int:
-    import numpy as np
     cfg = parse_run_config(_load_json(args.config))
     grid = _parse_m_grid(args.m_grid)
     u = args.u
@@ -438,13 +425,7 @@ def cmd_spectra(args) -> int:
                                             cfg["medium2"].model, grid, u)
     rows = [[float(m), float(a), float(b), float(c11 * c22), float(c12 ** 2)]
             for m, a, b, c11, c22, c12 in zip(grid, v1, v2, s11, s22, s12)]
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        _write_payload(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       args.out)
-    else:
-        _write_payload(_table_csv(columns, rows), args.out)
+    _write(args.format or "csv", args.out, columns, rows)
     return EXIT_OK
 
 

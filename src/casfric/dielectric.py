@@ -3,9 +3,9 @@
 Models are evaluated primarily on the imaginary frequency axis K = i*hbar*omega
 (in eV), where the response is real, smooth and ideal for quadrature.  Dense
 media enter every friction formula only through the electrostatic surface
-response A(K) = (eps-1)/(eps+1); its spectral density over real excitation
-energies m = hbar*omega is obtained on the retarded branch, approaching the
-real axis from above (-m**2 + i*gamma, gamma -> 0+).
+response A = (eps-1)/(eps+1), one analytic function of the squared frequency
+zeta: K**2 on the imaginary axis, -m**2 + i*gamma (see :func:`default_gamma`)
+on the retarded branch that carries the spectrum over energies m = hbar*omega.
 
 Normalization: the "dense" spectral density carried by this module is the
 dimensionless surface-response spectrum (the density-scaled polarizability
@@ -25,6 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
+from .quadrature import _WGK, _XGK
 
 
 @dataclass(frozen=True)
@@ -135,48 +136,79 @@ def _ep2(model) -> float:
     return 0.5 * model.plasma_energy_ev ** 2
 
 
-def _tabulated_response(model: Tabulated, zeta):
-    """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm'.
+# Most (zeta, column) pairs the tabulated kernel holds in one numpy block.
+_BLOCK_PAIRS = 2 ** 16
+# The differenced logarithms lose precision as |zeta| / m_top**2 grows
+# (~1e-13 relative at 16, ~1e-12 at 100); past _FAR_RATIO the 15-point
+# Kronrod rule per segment, >= 3 m_top from the poles, is exact to rounding.
+_FAR_RATIO = 16.0
 
-    Piecewise-exact for the linear interpolant; ``zeta`` may be a
-    non-negative real (imaginary-axis evaluation, zeta = K**2) or a
-    complex number off the negative real axis (retarded branch).  On the
-    retarded path zeta = -m**2 + i*gamma the principal branches below are
-    continuous because every logarithm argument keeps a fixed-sign
-    imaginary part.
-    """
+
+def _by_blocks(z: np.ndarray, width: int, kernel) -> np.ndarray:
+    """kernel(z[rows, None]) over row blocks of at most _BLOCK_PAIRS
+    (zeta, column) pairs, for a table with ``width`` columns."""
+    out = np.empty(z.shape, dtype=complex)
+    rows = max(1, _BLOCK_PAIRS // width)
+    for lo in range(0, z.size, rows):
+        out[lo:lo + rows] = kernel(z[lo:lo + rows, None])
+    return out
+
+
+def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
+    """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm' for complex
+    zeta off the negative real axis (gamma > 0 on the retarded branch keeps
+    every logarithm off its cut).  Exact for the linear interpolant
+    S = a + b*m': a*dlog(zeta + m'**2) + b*(2*dm' - 2*sqrt(zeta)*
+    datan(m'/sqrt(zeta))) per segment, from logarithms taken once per
+    node; zeta = 0 is the static limit."""
     m = model.m_ev
-    v = model.values
-    m1, m2 = m[:-1], m[1:]
-    v1, v2 = v[:-1], v[1:]
-    b = (v2 - v1) / (m2 - m1)
-    a = v1 - b * m1
-
-    if isinstance(zeta, complex) and zeta.imag != 0.0:
-        s = cmath.sqrt(zeta)
-        z1 = m1 / s
-        z2 = m2 / s
-
-        def atan_c(z):
-            return 0.5j * (np.log(1.0 - 1j * z) - np.log(1.0 + 1j * z))
-
-        log_term = np.log(zeta + m2 ** 2) - np.log(zeta + m1 ** 2)
-        lin_term = 2.0 * (m2 - m1) - 2.0 * s * (atan_c(z2) - atan_c(z1))
-        return complex(np.sum(a * log_term) + np.sum(b * lin_term))
-
-    zr = float(np.real(zeta))
-    if zr < 0.0:
-        raise DomainError("real zeta must be >= 0 on the imaginary axis")
-    if zr == 0.0:
-        if m1[0] == 0.0 and a[0] != 0.0:
-            raise DomainError("response at K=0 diverges for this table")
+    dm = np.diff(m)
+    b = np.diff(model.values) / dm
+    a = model.values[:-1] - b * m[:-1]
+    out = np.empty(zeta.shape, dtype=complex)
+    static = zeta == 0.0
+    far = np.abs(zeta) > _FAR_RATIO * m[-1] ** 2
+    near = ~(static | far)
+    if np.any(static):
+        # A table starting at m = 0 vanishes there, so that segment has a = 0.
         with np.errstate(divide="ignore"):
-            log_term = np.where(m1 > 0.0, np.log(m2 ** 2) - np.log(np.maximum(m1, 1e-300) ** 2), 0.0)
-        return float(np.sum(a * log_term) + np.sum(b * 2.0 * (m2 - m1)))
-    k = math.sqrt(zr)
-    log_term = np.log((zr + m2 ** 2) / (zr + m1 ** 2))
-    lin_term = 2.0 * (m2 - m1) - 2.0 * k * (np.arctan(m2 / k) - np.arctan(m1 / k))
-    return float(np.sum(a * log_term) + np.sum(b * lin_term))
+            log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
+        out[static] = np.sum(a * log_term) + np.sum(b * 2.0 * dm)
+    if np.any(far):
+        x = (0.5 * (m[:-1] + m[1:]))[:, None] + (0.5 * dm)[:, None] * _XGK
+        c = ((0.5 * dm)[:, None] * _WGK * 2.0 * x
+             * (a[:, None] + b[:, None] * x)).ravel()
+        x2 = x.ravel() ** 2
+        out[far] = _by_blocks(zeta[far], x2.size,
+                              lambda zc: np.sum(c / (zc + x2), axis=1))
+
+    def exact(zc):
+        s = np.sqrt(zc)
+        log_term = np.diff(np.log(zc + m ** 2), axis=1)
+        # principal complex arctangent of m/s, written with logarithms
+        atan = 0.5j * np.diff(np.log(1.0 - 1j * (m / s))
+                              - np.log(1.0 + 1j * (m / s)), axis=1)
+        lin_term = 2.0 * dm - 2.0 * s * atan
+        return np.sum(a * log_term, axis=1) + np.sum(b * lin_term, axis=1)
+
+    out[near] = _by_blocks(zeta[near], m.size, exact)
+    return out
+
+
+def _surface_response(model: PermittivityModel, zeta: np.ndarray) -> np.ndarray:
+    """A = (eps-1)/(eps+1) as one analytic function of the squared
+    frequency, at an array of complex zeta: K**2 on the imaginary axis,
+    -m**2 + i*gamma on the retarded branch."""
+    if isinstance(model, Vacuum):
+        return np.zeros(zeta.shape, dtype=complex)
+    if isinstance(model, (Plasma, Drude)):
+        ep2 = _ep2(model)
+        sigma = model.damping_ev if isinstance(model, Drude) else 0.0
+        # principal sqrt: |K| on the imaginary axis, -> +i*m as gamma -> 0
+        return ep2 / (zeta + ep2 + sigma * np.sqrt(zeta))
+    if isinstance(model, Tabulated):
+        return _tabulated_response(model, zeta)
+    raise UnsupportedModelError(f"unknown model {model!r}")
 
 
 def eps_imaginary(model: PermittivityModel, k):
@@ -200,7 +232,7 @@ def eps_imaginary(model: PermittivityModel, k):
         with np.errstate(divide="ignore"):
             out = 1.0 + 2.0 * _ep2(model) / denom
     elif isinstance(model, Tabulated):
-        a = np.array([_tabulated_response(model, float(kk) ** 2) for kk in k_arr])
+        a = dense_alpha(model, k_arr)
         if np.any(a >= 1.0):
             raise DomainError("tabulated response reaches A >= 1; eps undefined")
         out = (1.0 + a) / (1.0 - a)
@@ -209,14 +241,17 @@ def eps_imaginary(model: PermittivityModel, k):
     return float(out[0]) if scalar else out
 
 
-def default_gamma(model: PermittivityModel, m: float) -> float:
-    """Default broadening for retarded-branch evaluation."""
-    scale = m
-    if isinstance(model, (Plasma, Drude)):
-        scale = max(m, math.sqrt(_ep2(model)))
-    elif isinstance(model, Tabulated):
-        scale = max(m, float(model.m_ev[-1]))
-    return 1e-6 * scale
+def default_gamma(model: PermittivityModel) -> float:
+    """Retarded-branch broadening when none is given, from the model alone
+    (so A at one energy does not depend on the others evaluated with it):
+    1e-6 * top of the grid for a table, 1e-6 * e_p for a line (plasma,
+    undamped Drude), 0 (the exact limit) for a damped Drude model."""
+    if isinstance(model, Tabulated):
+        return 1e-6 * float(model.m_ev[-1])
+    if isinstance(model, Plasma) or (isinstance(model, Drude)
+                                     and model.damping_ev == 0.0):
+        return 1e-6 * math.sqrt(_ep2(model))
+    return 0.0
 
 
 def dense_alpha(model: PermittivityModel, k):
@@ -225,59 +260,30 @@ def dense_alpha(model: PermittivityModel, k):
     This dimensionless quantity replaces the density-scaled polarizability
     2*pi*rho*alpha(K) in every dense-media formula; A in [0, 1) for the
     conducting models at K > 0, exactly 0 for vacuum, and -> 1 as K -> 0
-    (perfect-conductor limit).
+    (perfect-conductor limit).  The real part of A(zeta) at zeta = K**2.
     """
     k_arr = np.abs(np.asarray(k, dtype=float))
-    scalar = k_arr.ndim == 0
-    k_arr = np.atleast_1d(k_arr)
-
-    if isinstance(model, Vacuum):
-        out = np.zeros_like(k_arr)
-    elif isinstance(model, Plasma):
-        ep2 = _ep2(model)
-        out = ep2 / (k_arr ** 2 + ep2)
-    elif isinstance(model, Drude):
-        ep2 = _ep2(model)
-        out = ep2 / (k_arr ** 2 + ep2 + model.damping_ev * k_arr)
-    elif isinstance(model, Tabulated):
-        out = np.array([_tabulated_response(model, float(kk) ** 2) for kk in k_arr])
-    else:
-        raise UnsupportedModelError(f"unknown model {model!r}")
-    return float(out[0]) if scalar else out
+    out = _surface_response(model, np.atleast_1d(k_arr ** 2).astype(complex)).real
+    return float(out[0]) if k_arr.ndim == 0 else out
 
 
 def dense_alpha_retarded(model: PermittivityModel, m, gamma: float | None = None):
     """A continued to the retarded branch, A(-m**2 + i*gamma).
 
-    ``gamma = 0`` is allowed for the closed-form models, where the damping
-    itself supplies the imaginary part (i*sigma*m).  Vectorized over m.
+    ``gamma`` defaults to :func:`default_gamma`.  ``gamma = 0`` is allowed
+    for the closed-form models, where the damping itself supplies the
+    imaginary part (i*sigma*m); a table needs gamma > 0.  Vectorized over m.
     """
     m_arr = np.asarray(m, dtype=float)
-    scalar = m_arr.ndim == 0
-    m_arr = np.atleast_1d(m_arr)
     if np.any(m_arr <= 0.0):
         raise DomainError("retarded evaluation requires m > 0")
     if gamma is None:
-        gamma = default_gamma(model, float(np.max(m_arr)))
-    if gamma < 0.0:
-        raise DomainError("gamma must be >= 0")
-
-    if isinstance(model, Vacuum):
-        out = np.zeros(m_arr.shape, dtype=complex)
-    elif isinstance(model, (Plasma, Drude)):
-        ep2 = _ep2(model)
-        sigma = model.damping_ev if isinstance(model, Drude) else 0.0
-        k2 = -m_arr ** 2 + 1j * gamma
-        abs_k = np.sqrt(k2.astype(complex))  # principal branch -> +i*m as gamma -> 0
-        out = ep2 / (k2 + ep2 + sigma * abs_k)
-    elif isinstance(model, Tabulated):
-        if gamma == 0.0:
-            gamma = default_gamma(model, float(np.max(m_arr)))
-        out = np.array([_tabulated_response(model, complex(-mm ** 2, gamma))
-                        for mm in m_arr])
-    else:
-        raise UnsupportedModelError(f"unknown model {model!r}")
-    return complex(out[0]) if scalar else out
+        gamma = default_gamma(model)
+    if gamma < 0.0 or (gamma == 0.0 and isinstance(model, Tabulated)):
+        raise DomainError("gamma must be >= 0, and > 0 for a table, whose "
+                          "logarithms diverge at the grid nodes")
+    out = _surface_response(model, np.atleast_1d(-m_arr ** 2 + 1j * gamma))
+    return complex(out[0]) if m_arr.ndim == 0 else out
 
 
 def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None) -> complex:
@@ -290,7 +296,7 @@ def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None)
     if not m > 0.0:
         raise DomainError("m must be > 0")
     if gamma is None:
-        gamma = default_gamma(model, m)
+        gamma = default_gamma(model)
 
     if isinstance(model, Vacuum):
         return complex(1.0, 0.0)

@@ -107,13 +107,6 @@ def _joint_support(*densities: SpectralDensity) -> float | None:
     return min(bounds) if bounds else None
 
 
-def _retarded_gamma(model: PermittivityModel) -> float:
-    """Broadening for the retarded-branch response of a route: tabulated
-    data needs a small positive one (1e-6 of the top of its grid); the
-    closed-form models take their own damping and get none."""
-    return 1e-6 * float(model.m_ev[-1]) if isinstance(model, Tabulated) else 0.0
-
-
 def h0_overlap(value1, value2, temperature_k: float,
                peak_hints=(), support_max: float | None = None,
                spec: QuadratureSpec | None = None,
@@ -248,11 +241,10 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
         hints = [s1.peak_hint, s2.peak_hint]
     elif denominators == "keep":
         x = math.exp(-2.0 * u)
-        g1, g2 = _retarded_gamma(model1), _retarded_gamma(model2)
 
         def extra(m):
-            a1 = dense_alpha_retarded(model1, m, g1)
-            a2 = dense_alpha_retarded(model2, m, g2)
+            a1 = dense_alpha_retarded(model1, m)
+            a2 = dense_alpha_retarded(model2, m)
             return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
 
         hints = [s1.peak_hint, s2.peak_hint] + _pair_splits(model1, model2, u)
@@ -278,8 +270,8 @@ def plane_spectral_products(model1: PermittivityModel,
     if not u > 0.0:
         raise DomainError("u must be > 0")
     m = np.asarray(m, dtype=float)
-    a1 = dense_alpha_retarded(model1, m, _retarded_gamma(model1))
-    a2 = dense_alpha_retarded(model2, m, _retarded_gamma(model2))
+    a1 = dense_alpha_retarded(model1, m)
+    a2 = dense_alpha_retarded(model2, m)
     x = math.exp(-2.0 * u)
     denom = 1.0 - a1 * a2 * x
     h11 = a1 / denom

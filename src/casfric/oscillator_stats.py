@@ -1,11 +1,11 @@
 """Harmonic-oscillator correlation machinery.
 
-Imaginary-frequency polarizabilities, imaginary-time correlators and
-their Matsubara convolution, the Gaussian statistics of a coupled pair
-of oscillators, and the resonant two-oscillator kernel.  Everything
-here is a pure function; the Monte-Carlo cross-check takes an explicit
-seed.  The correlators of two coupled half-planes live on the retarded
-branch, in ``friction.plane_spectral_products``.
+Imaginary-frequency polarizabilities, imaginary-time correlators and the
+Gaussian statistics of a coupled pair of oscillators: the transform
+pair, moments and Monte-Carlo cross-check of acceptance criterion 8.
+Everything here is a pure function; the Monte-Carlo cross-check takes an
+explicit seed.  The correlators of two coupled half-planes live on the
+retarded branch, in ``friction.plane_spectral_products``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .quadrature import IntegralResult, QuadratureSpec, matsubara_sum
 
 
 @dataclass(frozen=True)
@@ -69,27 +68,6 @@ def g_imaginary_time(osc: OscillatorSpec, lam: float, beta: float) -> float:
     return 0.5 * osc.alpha_static * w * math.cosh(y) / math.sinh(x)
 
 
-def pair_convolution(osc1: OscillatorSpec, osc2: OscillatorSpec,
-                     k: float, beta: float,
-                     spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Matsubara convolution of two oscillator polarizabilities:
-
-        (1/beta) * sum over K0 of gtilde1(K0) * gtilde2(K - K0)
-
-    with K0 = 2*pi*n/beta.  This is the transform of the product of the
-    two imaginary-time correlators.
-    """
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-    w0 = 2.0 * math.pi / beta
-
-    def term(n: int) -> float:
-        k0 = w0 * n
-        return gtilde(osc1, k0) * gtilde(osc2, k - k0)
-
-    return matsubara_sum(term, beta, spec)
-
-
 def _stability(alpha1: float, alpha2: float, phi: float) -> float:
     x = alpha1 * alpha2 * phi * phi
     if x >= 1.0:
@@ -97,16 +75,6 @@ def _stability(alpha1: float, alpha2: float, phi: float) -> float:
             f"alpha1*alpha2*phi**2 = {x:.6g} >= 1: the coupled Gaussian "
             "pair is unstable (non-normalizable weight)")
     return x
-
-
-def pair_free_energy(alpha1: float, alpha2: float, phi: float,
-                     beta: float) -> float:
-    """Interaction free energy of the coupled pair,
-    F = ln(1 - alpha1*alpha2*phi**2) / (2*beta)  (negative: binding)."""
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-    x = _stability(alpha1, alpha2, phi)
-    return math.log1p(-x) / (2.0 * beta)
 
 
 def pair_correlators(alpha1: float, alpha2: float, phi: float,
@@ -169,24 +137,3 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     fourth = (fourth[0] - s1s2[0] ** 2, fourth[1])
     return {"s1s1": s1s1, "s2s2": s2s2, "s1s2": s1s2, "fourth": fourth}
 
-
-def resonant_kernel(alpha1: float, alpha2: float, m: float,
-                    beta: float) -> float:
-    """Resonant kernel of two equal-frequency discrete oscillators,
-    (m / (2*sinh(beta*m/2)))**2 * alpha1 * alpha2.
-
-    This is the weight that multiplies the frequency-matching delta in
-    the discrete-line friction force; it is exposed for analysis only,
-    since an exact line-line resonance is not numerically evaluable (the
-    continuous-spectrum overlap kernels replace it everywhere else).
-    """
-    if not m > 0.0:
-        raise DomainError("m must be > 0")
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-    x = 0.5 * beta * m
-    if x > 350.0:
-        s = m * math.exp(-x)
-    else:
-        s = m / (2.0 * math.sinh(x))
-    return s * s * alpha1 * alpha2

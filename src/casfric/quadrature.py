@@ -1,4 +1,4 @@
-"""Deterministic error-controlled integration and infinite-sum engines.
+"""Deterministic error-controlled integration engines.
 
 Finite intervals use an adaptive Gauss-Kronrod 7/15 rule with worst-panel
 bisection; the refinement order is a fixed function of the inputs, so
@@ -6,8 +6,7 @@ results are bit-identical run to run regardless of caller threading.
 Semi-infinite integrals are handled by geometric segment doubling with a
 tail extrapolation from the observed segment decay; thermal and
 exponential-weight integrands converge in a handful of segments, while
-power-law tails still shrink geometrically per doubling.  Matsubara-style
-sums pair +n with -n and close the tail with a fitted power-law integral.
+power-law tails still shrink geometrically per doubling.
 
 Integrands must be numpy-vectorized: ``f`` receives an ndarray of
 abscissae and returns an ndarray of the same shape.
@@ -258,68 +257,3 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
     converged = all_converged and total_err <= spec.target(total)
     return IntegralResult(total, total_err, evals, converged)
 
-
-def matsubara_sum(g: Callable[[int], float], beta: float,
-                  spec: QuadratureSpec | None = None) -> IntegralResult:
-    """(1/beta) * sum over all integers n of g(n).
-
-    Terms are paired as n and -n before accumulation (every kernel in
-    this package is even in the frequency index), and the remainder past
-    the last checkpoint is closed with the midpoint integral of a
-    power-law fitted to the observed term decay.  A tail that fails to
-    decay faster than 1/n is flagged as divergent.
-    """
-    if spec is None:
-        spec = default_spec()
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-
-    partial = float(g(0))
-    evals = 1
-    checkpoints = [2 ** k for k in range(6, 21)]
-    prev_total = None
-    prev_abs_term = None
-    prev_n = None
-    n = 0
-    result_err = math.inf
-    converged = False
-    total = partial / beta
-
-    for ncp in checkpoints:
-        while n < ncp:
-            n += 1
-            partial += float(g(n)) + float(g(-n))
-            evals += 2
-        t_n = float(g(n)) + float(g(-n))
-        abs_t = abs(t_n)
-
-        if abs_t == 0.0:
-            total = partial / beta
-            result_err = 0.0
-            converged = True
-            break
-
-        if prev_abs_term is not None and prev_abs_term > 0.0:
-            p_hat = math.log(prev_abs_term / abs_t) / math.log(n / prev_n)
-        else:
-            p_hat = None
-
-        if p_hat is not None and p_hat > 1.05:
-            scale = abs_t * (n ** p_hat)
-            tail = scale * (n + 0.5) ** (1.0 - p_hat) / (p_hat - 1.0)
-            tail = math.copysign(tail, t_n)
-        else:
-            tail = 0.0
-
-        total = (partial + tail) / beta
-        if prev_total is not None:
-            delta = abs(total - prev_total)
-            result_err = delta + 0.05 * abs(tail) / beta
-            if delta <= 0.5 * spec.target(total) and p_hat is not None:
-                converged = p_hat > 1.05
-                break
-        prev_total = total
-        prev_abs_term = abs_t
-        prev_n = n
-
-    return IntegralResult(total, result_err, evals, converged)

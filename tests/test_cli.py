@@ -297,6 +297,16 @@ class TestSpectra:
             "spectra", "--config", path, "--m-grid", "0.1:5:5"])
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["a:b:3", "0.1:5:2.5", "1:2:x",
+                                      "0.1:inf:3"])
+    def test_bad_m_grid_is_config_error(self, tmp_path, capsys, grid):
+        path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))
+        code, out, err = run_cli(capsys, [
+            "spectra", "--config", path, "--m-grid", grid])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: --m-grid: ")
+
 
 VALIDATE_LINES = [
     ("PASS", "1a", "0.5%"), ("PASS", "1b", "1%"),

@@ -219,6 +219,68 @@ class TestTabulated:
             dl.eps_imaginary(GOLD, 2.0), rel=2e-4)
 
 
+# 24 samples from m = 0; the oracle and broadening tests below use it.
+_M = np.linspace(0.0, 4.0, 24)
+TABLE = dl.Tabulated(_M, 0.1 * _M * np.exp(-((_M - 1.5) / 0.8) ** 2))
+
+
+class TestSurfaceResponse:
+    def test_table_against_mpmath(self):
+        # per-segment quadrature of the piecewise-linear integrand
+        # S(m') * 2 m' / (zeta + m'**2), split at the near-pole m' = m
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(zeta, split=None):
+            total = 0
+            with mpmath.workdps(30):
+                for m1, m2, v1, v2 in zip(TABLE.m_ev[:-1], TABLE.m_ev[1:],
+                                          TABLE.values[:-1], TABLE.values[1:]):
+                    m1, m2, v1, v2 = map(mpmath.mpf, (m1, m2, v1, v2))
+                    slope = (v2 - v1) / (m2 - m1)
+                    pts = [m1] + ([mpmath.mpf(split)] if split is not None
+                                  and m1 < split < m2 else []) + [m2]
+                    total += mpmath.quad(lambda x: (v1 + slope * (x - m1))
+                                         * 2 * x / (zeta + x * x), pts)
+                return complex(total)
+
+        for k in (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
+            ref = oracle(mpmath.mpf(k) ** 2).real
+            assert abs(dl.dense_alpha(TABLE, k) - ref) <= 1e-12 * abs(ref)
+        for gamma in (1e-3, 0.1):
+            for m in (0.05, 1.5, 3.99, 4.0, 6.0, 40.0):
+                ref = oracle(mpmath.mpc(-mpmath.mpf(m) ** 2, gamma), split=m)
+                got = dl.dense_alpha_retarded(TABLE, m, gamma)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("model, m, beside", [(GOLD, 6.3, 100.0),
+                                                  (TABLE, 1.0, 40.0)])
+    def test_value_independent_of_other_energies(self, model, m, beside):
+        alone = dl.dense_alpha_retarded(model, m)
+        assert dl.dense_alpha_retarded(model, np.array([m, beside]))[0] == alone
+
+    def test_blocks_match_single_points(self):
+        # enough energies to span several blocks, near and far from the table
+        m = np.linspace(0.01, 20.0, 6000)
+        many = dl.dense_alpha_retarded(TABLE, m)
+        for i in list(range(0, m.size, 397)) + [m.size - 1]:
+            assert many[i] == dl.dense_alpha_retarded(TABLE, m[i])
+
+    def test_table_needs_positive_gamma(self):
+        with pytest.raises(DomainError):
+            dl.dense_alpha_retarded(TABLE, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            dl.eps_retarded(TABLE, 1.0, 0.0)
+
+    def test_default_gamma_depends_on_model_only(self):
+        assert dl.default_gamma(TABLE) == 1e-6 * 4.0
+        assert dl.default_gamma(dl.Plasma(9.0)) == pytest.approx(1e-6 * EP,
+                                                                 rel=1e-15)
+        assert dl.default_gamma(dl.Drude(9.0, 0.0)) == \
+            dl.default_gamma(dl.Plasma(9.0))
+        assert dl.default_gamma(GOLD) == 0.0
+        assert dl.default_gamma(dl.Vacuum()) == 0.0
+
+
 def test_medium_spec_density_validation():
     with pytest.raises(DomainError):
         dl.MediumSpec(GOLD, density_per_nm3=0.0)

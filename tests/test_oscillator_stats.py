@@ -96,59 +96,7 @@ class TestImaginaryTime:
             assert inv == pytest.approx(direct, rel=1e-8)
 
 
-class TestPairConvolution:
-    def test_vanishing_polarizability(self):
-        o1 = osc.OscillatorSpec(1.0, 1.0)
-        o2 = osc.OscillatorSpec(1e-12, 2.0)
-        res = osc.pair_convolution(o1, o2, 0.0, 1.0)
-        assert abs(res.value) < 1e-11
-
-    def test_classical_limit_dominated_by_zero_mode(self):
-        # beta*w << 1: the n = 0 term alpha1*alpha2/beta dominates
-        b = 1e-3
-        o = osc.OscillatorSpec(1.0, 1.0)
-        res = osc.pair_convolution(o, o, 0.0, b)
-        brute = sum(osc.gtilde(o, 2 * math.pi * n / b) ** 2
-                    for n in range(-200000, 200001)) / b
-        assert res.value == pytest.approx(brute, rel=1e-6)
-        assert res.value == pytest.approx(1.0 / b, rel=1e-2)
-
-    def test_matches_imaginary_time_product(self):
-        # oracle: direct lambda-integral of g1*g2*e^{iK lambda}
-        o1 = osc.OscillatorSpec(0.8, 1.3)
-        o2 = osc.OscillatorSpec(1.1, 0.9)
-        b = 2.0
-        for n in (0, 1, 3):
-            k = 2.0 * math.pi * n / b
-            conv = osc.pair_convolution(o1, o2, k, b)
-
-            def f(lam):
-                lam = np.atleast_1d(np.asarray(lam, dtype=float))
-                return np.array([osc.g_imaginary_time(o1, float(x), b)
-                                 * osc.g_imaginary_time(o2, float(x), b)
-                                 * math.cos(k * float(x)) for x in lam])
-
-            direct = integrate_finite(f, 0.0, b, TIGHT)
-            assert conv.value == pytest.approx(direct.value, rel=1e-8)
-
-
 class TestPairStatistics:
-    def test_free_energy_no_interaction(self):
-        assert osc.pair_free_energy(1.0, 2.0, 0.0, 1.0) == 0.0
-
-    def test_free_energy_hand_value(self):
-        # ln(1 - 1/4)/(2 beta): binding lowers the free energy
-        val = osc.pair_free_energy(1.0, 1.0, 0.5, 1.0)
-        assert val == pytest.approx(0.5 * math.log(0.75), rel=1e-14)
-        assert val < 0.0
-        assert abs(val) == pytest.approx(0.1438, abs=5e-5)
-
-    def test_free_energy_small_coupling_series(self):
-        a1, a2, phi, b = 0.9, 1.2, 1e-4, 2.0
-        expected = -a1 * a2 * phi * phi / (2.0 * b)
-        assert osc.pair_free_energy(a1, a2, phi, b) == pytest.approx(
-            expected, rel=1e-6)
-
     def test_correlators_free(self):
         assert osc.pair_correlators(1.0, 2.0, 0.0, 1.0) == (1.0, 2.0, 0.0)
 
@@ -167,7 +115,7 @@ class TestPairStatistics:
         with pytest.raises(StabilityError):
             osc.pair_correlators(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(StabilityError):
-            osc.pair_free_energy(2.0, 2.0, 0.5, 1.0)
+            osc.sample_pair_correlators(2.0, 2.0, 0.5, 1.0, n_samples=10, seed=0)
 
     def test_fourth_moment_hand_value(self):
         t11, t12, total = osc.pair_fourth_moment(1.0, 1.0, 0.5, 1.0)
@@ -215,19 +163,3 @@ class TestPairStatistics:
         # connected estimator already removed one <s1 s2>^2
         assert abs(mean4 - (b1 * b2 + b12 * b12)) < 3.5 * err4
 
-
-class TestResonantKernel:
-    def test_classical_limit(self):
-        # beta*m << 1: kernel -> alpha1*alpha2/beta^2
-        b, m = 1e-4, 1.0
-        val = osc.resonant_kernel(2.0, 3.0, m, b)
-        assert val == pytest.approx(6.0 / b ** 2, rel=1e-7)
-
-    def test_quantum_quenching(self):
-        b, m = 50.0, 1.0
-        val = osc.resonant_kernel(1.0, 1.0, m, b)
-        assert val == pytest.approx(m * m * math.exp(-b * m), rel=1e-10)
-
-    def test_hand_value(self):
-        assert osc.resonant_kernel(1.0, 1.0, 1.0, 2.0) == pytest.approx(
-            (1.0 / (2.0 * math.sinh(1.0))) ** 2, rel=1e-14)

@@ -5,8 +5,7 @@ import pytest
 
 from casfric.errors import DomainError
 from casfric.quadrature import (IntegralResult, QuadratureSpec, default_spec,
-                                integrate_finite, integrate_semi_infinite,
-                                matsubara_sum)
+                                integrate_finite, integrate_semi_infinite)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -116,44 +115,6 @@ class TestSemiInfinite:
                                       QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8,
                                                      max_subdivisions=2000))
         assert not res.converged
-
-
-class TestMatsubaraSum:
-    def test_single_term(self):
-        res = matsubara_sum(lambda n: 2.0 if n == 0 else 0.0, beta=2.0)
-        assert res.converged
-        assert res.value == pytest.approx(1.0, abs=1e-15)
-
-    def test_lorentzian_series(self):
-        # sum over all n of 1/(1+n^2) = pi*coth(pi); brute-force partial
-        # sums to 1e6 agree with the closed form to 1e-6, the accelerated
-        # engine must do at least as well
-        res = matsubara_sum(lambda n: 1.0 / (1.0 + n * n), beta=1.0,
-                            spec=QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9))
-        exact = math.pi / math.tanh(math.pi)
-        assert res.converged
-        assert res.value == pytest.approx(exact, abs=1e-7)
-
-    def test_against_bruteforce_oracle(self):
-        beta = 0.7
-
-        def g(n):
-            return 1.0 / (1.0 + 0.3 * n * n)
-
-        brute = (g(0) + sum(g(n) + g(-n) for n in range(1, 2_000_000))) / beta
-        res = matsubara_sum(g, beta)
-        # brute force truncates at 2e6 with a ~1/N tail of its own
-        assert res.value == pytest.approx(brute, rel=1e-5)
-
-    def test_divergent_flagged(self):
-        res = matsubara_sum(lambda n: 1.0 / (1.0 + abs(n)), beta=1.0)
-        assert not res.converged
-
-    def test_exponential_terms(self):
-        res = matsubara_sum(lambda n: math.exp(-abs(n)), beta=1.0)
-        exact = 1.0 + 2.0 / (math.e - 1.0)
-        assert res.converged
-        assert res.value == pytest.approx(exact, rel=1e-9)
 
 
 def test_default_spec_env_override(monkeypatch):
