@@ -20,14 +20,16 @@ The thermal overlap kernel is
 over excitation energies m (eV).  For the dense route, the coupling of
 the two surfaces across the gap can screen the spectral product by the
 induced-correlation denominator 1 - A1*A2*exp(-2u) per transverse mode
-u = q*d; ``denominators="keep"`` retains that screening as the
+u = q*d.  ``denominators="keep"`` retains that screening as the
 squared-modulus factor |1 - A1*A2*e^{-2u}|^{-2} on the bilinear spectral
-product (raising the force by about zeta(3) = 1.202 for good metals,
-through the geometric-series weight sum over n of n * (e^{-2u})^n),
-while the default ``denominators="drop"`` treats the whole cross-gap
-interaction as the perturbation, reducing the kernel to the bare product
-of single-surface spectra — the election under which the closed form
-below is exact.
+product; its average over the transverse weight (8/3) u^3 e^{-2u} is the
+closed form Im Li4(z)/Im z at z = A1*A2 (``_screening_factor``), so the
+screened kernel is one overlap integral like the bare one.  For good
+metals it raises the force by about zeta(3) = 1.202, the real-axis limit
+Li3(z)/z at z -> 1.  The default ``denominators="drop"`` treats the whole
+cross-gap interaction as the perturbation, reducing the kernel to the
+bare product of single-surface spectra — the election under which the
+closed form below is exact.
 """
 
 from __future__ import annotations
@@ -44,12 +46,18 @@ from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
                          Tabulated, Vacuum, dense_alpha_retarded,
                          spectral_density)
 from .errors import DomainError, UnsupportedModelError
+from .polylog import LI4_REL_ERR, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
-                         integrate_finite, integrate_semi_infinite)
+                         integrate_finite)
 
 DenominatorMode = Literal["drop", "keep"]
 
 _OPPOSES = "opposes the relative velocity (x direction)"
+
+# Size, relative to max(|z|, 1), of the complex step that takes
+# Im Li4(z)/Im z to its real-axis limit: far below any departure from
+# the axis that changes the ratio in double precision.
+_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,8 @@ class FrictionResult:
     units are Pa for the plate routes and N for the hybrid particle
     route, recorded in ``force_units``.  ``h0`` and ``g`` satisfy
     force = g * v * h0 in SI.  ``quadrature_error`` is the relative
-    error estimate of the numeric route (0 for closed forms).
+    error estimate of the numeric route (0 for closed forms), and
+    ``evaluations`` the number of integrand evaluations it took.
     """
 
     force: float
@@ -90,6 +99,7 @@ class FrictionResult:
     quadrature_error: float
     route: str
     converged: bool = True
+    evaluations: int = 0
     direction: str = _OPPOSES
     note: str | None = None
 
@@ -230,16 +240,15 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
     retarded branch, which enhances soft modes (small u) and carries the
     coupled-surface resonances.  Units: J*s in the density-scaled
     normalization whose density factors cancel against the geometric
-    factor of the plate force.
+    factor of the plate force.  No force route integrates this over u:
+    ``_screening_factor`` does that in closed form, and this kernel is
+    its mode-resolved oracle.
     """
     if not u > 0.0:
         raise DomainError("u must be > 0")
-    s1 = spectral_density(model1).require_continuous("the dense kernel")
-    s2 = spectral_density(model2).require_continuous("the dense kernel")
-    if denominators == "drop":
-        extra = None
-        hints = [s1.peak_hint, s2.peak_hint]
-    elif denominators == "keep":
+    _check_denominators(denominators)
+    extra, hints = None, ()
+    if denominators == "keep":
         x = math.exp(-2.0 * u)
 
         def extra(m):
@@ -247,13 +256,46 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
             a2 = dense_alpha_retarded(model2, m)
             return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
 
-        hints = [s1.peak_hint, s2.peak_hint] + _pair_splits(model1, model2, u)
-    else:
-        raise DomainError(f"denominators must be 'drop' or 'keep', got {denominators!r}")
+        hints = _pair_splits(model1, model2, u)
+    return _dense_overlap(model1, model2, temperature_k, spec, extra, hints)
 
+
+def _check_denominators(denominators) -> None:
+    if denominators not in ("drop", "keep"):
+        raise DomainError(
+            f"denominators must be 'drop' or 'keep', got {denominators!r}")
+
+
+def _dense_overlap(model1: PermittivityModel, model2: PermittivityModel,
+                   temperature_k: float, spec: QuadratureSpec | None,
+                   extra_factor=None, extra_hints=()) -> IntegralResult:
+    """Overlap of the two single-surface spectra, times ``extra_factor``."""
+    s1 = spectral_density(model1).require_continuous("the dense kernel")
+    s2 = spectral_density(model2).require_continuous("the dense kernel")
     return h0_overlap(s1.value, s2.value, temperature_k,
-                      peak_hints=hints, support_max=_joint_support(s1, s2),
-                      spec=spec, extra_factor=extra)
+                      peak_hints=[s1.peak_hint, s2.peak_hint, *extra_hints],
+                      support_max=_joint_support(s1, s2), spec=spec,
+                      extra_factor=extra_factor)
+
+
+def _screening_factor(z):
+    """Cross-gap screening averaged over the transverse modes,
+
+        (8/3) * integral over u > 0 of u^3 e^{-2u} |1 - z e^{-2u}|^{-2} du
+            = Im Li4(z) / Im z,
+
+    by partial fractions in e^{-2u}, for an array of z = A1*A2.  On the
+    real axis up to z = 1 the ratio is its limit Li3(z)/z, taken by a
+    complex step of relative size _STEP: 1 at z = 0 (vacuum), zeta(3) at
+    z = 1.  A real z > 1 puts a non-integrable pole at u = ln(z)/2 and
+    gives inf.
+    """
+    z = np.asarray(z, dtype=complex)
+    pole = (z.imag == 0.0) & (z.real > 1.0)
+    step = _STEP * np.maximum(np.abs(z), 1.0)
+    on_axis = ((np.abs(z.imag) < step) & (z.real <= 1.0)) | pole
+    y = np.where(on_axis, step, z.imag)
+    return np.where(pole, np.inf, li4(z.real + 1j * y).imag / y)
 
 
 def plane_spectral_products(model1: PermittivityModel,
@@ -282,52 +324,30 @@ def plane_spectral_products(model1: PermittivityModel,
 
 def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
               spec: QuadratureSpec | None) -> IntegralResult:
-    """Density-scaled H0 of the plate pair: for "drop" the transverse
-    weight integrates to exactly one; for "keep" the nested integral
-    (8/3) * int u**3 e^{-2u} H0(u) du is evaluated."""
-    drop = h0_dense_at_u(system.medium1.model, system.medium2.model,
-                         system.T_K, u=1.0, denominators="drop", spec=spec)
-    if denominators == "drop":
-        return drop
+    """Density-scaled H0 of the plate pair, one overlap integral over m.
+
+    The transverse weight (8/3) u^3 e^{-2u} integrates to exactly one
+    for "drop"; for "keep" its integral against the screening is the
+    closed-form ``_screening_factor`` of z = A1*A2.  The relative error
+    bound of Li4 is added to the quadrature error, and a relative
+    tolerance below it cannot converge.
+    """
+    _check_denominators(denominators)
     if spec is None:
         spec = default_spec()
-    if drop.value == 0.0:
-        return drop
-    inner_spec = QuadratureSpec(abs_tol=spec.abs_tol,
-                                rel_tol=max(spec.rel_tol, 1e-9),
-                                max_subdivisions=spec.max_subdivisions)
-    evals = drop.evaluations
-    inner_converged = True
-    worst_inner_rel = 0.0
-    scale = drop.value  # outer integrand expressed in units of the bare kernel
+    model1, model2 = system.medium1.model, system.medium2.model
+    if denominators == "drop":
+        return _dense_overlap(model1, model2, system.T_K, spec)
 
-    def outer(u_vals):
-        nonlocal evals, inner_converged, worst_inner_rel
-        u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
-        out = np.empty_like(u_vals)
-        for i, u in enumerate(u_vals):
-            if u <= 0.0:
-                out[i] = 0.0
-                continue
-            inner = h0_dense_at_u(system.medium1.model, system.medium2.model,
-                                  system.T_K, float(u),
-                                  denominators="keep", spec=inner_spec)
-            evals += inner.evaluations
-            inner_converged = inner_converged and inner.converged
-            if inner.value != 0.0:
-                worst_inner_rel = max(worst_inner_rel,
-                                      inner.error_estimate / abs(inner.value))
-            out[i] = (8.0 / 3.0) * u ** 3 * math.exp(-2.0 * u) \
-                * inner.value / scale
-        return out
+    def screening(m):
+        return _screening_factor(dense_alpha_retarded(model1, m)
+                                 * dense_alpha_retarded(model2, m))
 
-    res = integrate_semi_infinite(outer, decay_scale=0.5, spec=QuadratureSpec(
-        abs_tol=spec.abs_tol, rel_tol=max(spec.rel_tol, 1e-7),
-        max_subdivisions=spec.max_subdivisions))
-    value = res.value * scale
-    err = (res.error_estimate + worst_inner_rel * abs(res.value)) * abs(scale)
-    return IntegralResult(value, err, evals + res.evaluations,
-                          res.converged and inner_converged)
+    res = _dense_overlap(model1, model2, system.T_K, spec, screening)
+    return IntegralResult(res.value,
+                          res.error_estimate + LI4_REL_ERR * abs(res.value),
+                          res.evaluations,
+                          res.converged and LI4_REL_ERR <= spec.rel_tol)
 
 
 def _rel_err(res: IntegralResult) -> float:
@@ -342,7 +362,7 @@ def friction_dense(system: PlateSystem,
     Only the permittivities enter: the number densities cancel between
     the geometric factor and the density-scaled overlap kernel, so the
     result is invariant under any bookkeeping density.  Non-convergence
-    of the nested quadrature is reported on the result, never silently.
+    of the quadrature is reported on the result, never silently.
     """
     h0 = _dense_h0(system, denominators, spec)
     d_m = system.d_nm * units.NM_TO_M
@@ -351,6 +371,7 @@ def friction_dense(system: PlateSystem,
     return FrictionResult(force=force, force_units="Pa", h0=h0.value, g=g,
                           quadrature_error=_rel_err(h0), route="dense-full",
                           converged=h0.converged,
+                          evaluations=h0.evaluations,
                           note=f"denominators={denominators}")
 
 
@@ -437,7 +458,7 @@ def friction_dilute(system: PlateSystem,
     force = g * system.v_m_per_s * h0.value
     return FrictionResult(force=force, force_units="Pa", h0=h0.value, g=g,
                           quadrature_error=_rel_err(h0), route="dilute",
-                          converged=h0.converged)
+                          converged=h0.converged, evaluations=h0.evaluations)
 
 
 def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
@@ -477,4 +498,4 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     force = g * v_m_per_s * h0.value
     return FrictionResult(force=force, force_units="N", h0=h0.value, g=g,
                           quadrature_error=_rel_err(h0), route="hybrid",
-                          converged=h0.converged)
+                          converged=h0.converged, evaluations=h0.evaluations)

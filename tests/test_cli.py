@@ -47,6 +47,18 @@ class TestCompute:
         assert record["result"]["force_units"] == "Pa"
         assert record["result"]["route"] == "drude-closed-form"
 
+    def test_keep_record_keys(self, tmp_path, capsys):
+        cfg = gold_config(route="dense-full", denominators="keep")
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert sorted(result) == ["G", "H0", "converged", "direction", "force",
+                                  "force_units", "note", "quadrature_error",
+                                  "route"]
+        assert result["converged"] is True
+        assert result["note"] == "denominators=keep"
+
     def test_zero_velocity(self, tmp_path, capsys):
         cfg = gold_config()
         cfg["system"]["v_m_per_s"] = 0.0

@@ -6,9 +6,11 @@ import pytest
 from casfric import friction as fr
 from casfric import units
 from casfric.dielectric import (Drude, MediumSpec, Plasma, Tabulated, Vacuum,
+                                dense_alpha, dense_alpha_retarded,
                                 spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
-from casfric.quadrature import QuadratureSpec
+from casfric.polylog import LI4_REL_ERR
+from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 
 GOLD = Drude(9.0, 0.035)
 EP = math.sqrt(0.5) * 9.0
@@ -22,6 +24,39 @@ def gold_system(d_nm=10.0, v=100.0, t=300.0):
 def linear_table(slope, m_max=80.0, n=4000):
     m = np.linspace(0.0, m_max, n)
     return Tabulated(m, slope * m)
+
+
+def bump_plate(n):
+    """Surface spectrum of one Lorentzian at 1.2 eV, 0.4 eV wide, on n
+    samples over [0, 4] eV, scaled to a static response A(0) = 0.5."""
+    m = np.linspace(0.0, 4.0, n)
+    v = 1.0 / (1.0 + ((m - 1.2) / 0.4) ** 2)
+    v[0] = 0.0
+    return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
+
+
+def nested_keep_h0(model1, model2, t_k):
+    """Oracle of the screened kernel: the transverse-mode integral
+    (8/3) * int u^3 e^{-2u} H0(u) du done numerically over the
+    mode-resolved kernel, inner rel_tol 1e-9 and outer 1e-7."""
+    scale = fr.h0_dense_at_u(model1, model2, t_k, 1.0, "drop").value
+    inner_spec = QuadratureSpec(rel_tol=1e-9)
+    inner_converged = []
+
+    def outer(u_vals):
+        out = np.empty(len(u_vals))
+        for i, u in enumerate(u_vals):
+            inner = fr.h0_dense_at_u(model1, model2, t_k, float(u), "keep",
+                                     spec=inner_spec)
+            inner_converged.append(inner.converged)
+            out[i] = (8.0 / 3.0) * u ** 3 * math.exp(-2.0 * u) \
+                * inner.value / scale
+        return out
+
+    res = integrate_semi_infinite(outer, decay_scale=0.5,
+                                  spec=QuadratureSpec(rel_tol=1e-7))
+    assert res.converged and all(inner_converged)
+    return res.value * scale
 
 
 class TestClosedForm:
@@ -124,6 +159,24 @@ class TestDenseRoute:
             abs_tol=1e-302, rel_tol=1e-300))
         assert math.isfinite(res.force) or not res.converged
 
+    def test_keep_tight_tolerance_finite_but_not_converged(self):
+        # the Li4 factor is good to LI4_REL_ERR, not to 1e-16
+        res = fr.friction_dense(gold_system(), "keep", spec=QuadratureSpec(
+            abs_tol=1e-18, rel_tol=1e-16))
+        assert not res.converged
+        assert res.quadrature_error >= LI4_REL_ERR
+        assert res.force == pytest.approx(
+            fr.friction_dense(gold_system(), "keep").force, rel=1e-8)
+
+    def test_keep_unreachable_tolerance_not_converged(self):
+        res = fr.friction_dense(gold_system(), "keep", spec=QuadratureSpec(
+            abs_tol=1e-302, rel_tol=1e-300))
+        assert not res.converged
+
+    def test_unknown_denominators_rejected(self):
+        with pytest.raises(DomainError):
+            fr.friction_dense(gold_system(), "both")
+
     def test_system_validation(self):
         with pytest.raises(DomainError):
             fr.PlateSystem(GOLD_MED, GOLD_MED, 0.0, 100.0, 300.0)
@@ -131,6 +184,80 @@ class TestDenseRoute:
             fr.PlateSystem(GOLD_MED, GOLD_MED, 10.0, -1.0, 300.0)
         with pytest.raises(DomainError):
             fr.PlateSystem(GOLD_MED, GOLD_MED, 10.0, 100.0, 0.0)
+
+
+class TestScreenedClosedForm:
+    """``denominators="keep"``: the closed-form transverse-mode average
+    Im Li4(z)/Im z against the nested u-integral and its own limits."""
+
+    @pytest.mark.parametrize("case", ["gold", "mixed-drude", "tabulated"])
+    def test_keep_matches_nested_oracle(self, case):
+        model1, model2, t_k = {
+            "gold": (GOLD, GOLD, 300.0),
+            "mixed-drude": (GOLD, Drude(5.0, 0.1), 300.0),
+            "tabulated": (bump_plate(24), GOLD, 150.0),
+        }[case]
+        keep = fr.friction_dense(fr.PlateSystem(
+            MediumSpec(model1), MediumSpec(model2), 10.0, 100.0, t_k), "keep")
+        assert keep.converged
+        assert keep.h0 == pytest.approx(nested_keep_h0(model1, model2, t_k),
+                                        rel=1e-8)
+
+    def test_evaluation_counts(self):
+        drop = fr.friction_dense(gold_system(), "drop")
+        assert drop.evaluations == fr.h0_dense_at_u(
+            GOLD, GOLD, 300.0, 1.0, "drop").evaluations
+        assert fr.friction_drude_closed_form(gold_system()).evaluations == 0
+        gold = fr.friction_dense(gold_system(), "keep")
+        assert 0 < gold.evaluations <= 1000  # nested u-integral: 119,238
+        table = fr.friction_dense(fr.PlateSystem(
+            MediumSpec(bump_plate(400)), GOLD_MED, 10.0, 100.0, 300.0), "keep")
+        assert table.converged
+        assert 0 < table.evaluations <= 2000
+
+    def test_factor_at_zero_and_one(self):
+        assert fr._screening_factor(np.array([0j]))[0] == 1.0
+        assert fr._screening_factor(np.array([1 + 0j]))[0] == pytest.approx(
+            1.2020569031595942, rel=1e-15)
+
+    def test_factor_purely_imaginary_response(self):
+        # equal Drude plates at the surface-plasmon energy: A is purely
+        # imaginary, so z = A**2 is real and negative with Im z = 0
+        a = dense_alpha_retarded(GOLD, np.array([
+            spectral_density(GOLD).peak_hint]))
+        z = a * a
+        assert z.imag[0] == 0.0 and z.real[0] < -1e4
+        mpmath = pytest.importorskip("mpmath")
+        x = float(z.real[0])
+        with mpmath.workdps(30):
+            ref = float(mpmath.polylog(3, x) / x)
+        assert fr._screening_factor(z)[0] == pytest.approx(ref, rel=1e-13)
+
+    def test_factor_near_real_axis(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in (-3e4, -1.5, -1.0, -0.6, 0.3, 0.9, 0.999, 1.0):
+            for d in (1e-3, 1e-8, 1e-14, 1e-25, 0.0):
+                with mpmath.workdps(40):
+                    if d == 0.0:
+                        ref = mpmath.polylog(3, x) / x
+                    else:
+                        ref = mpmath.im(mpmath.polylog(
+                            4, mpmath.mpc(x, x * d))) / (x * d)
+                got = fr._screening_factor(np.array([complex(x, x * d)]))[0]
+                assert got == pytest.approx(float(ref), rel=LI4_REL_ERR)
+
+    def test_real_z_above_one_is_a_pole(self):
+        z = np.array([1.0 + 1e-15, 1.5, 2.0, 1e3])
+        for zz in (z + 0j, z - 0j, np.array([complex(x, -0.0) for x in z])):
+            assert np.all(np.isinf(fr._screening_factor(zz)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_pole_makes_keep_unconverged(self, monkeypatch):
+        monkeypatch.setattr(fr, "dense_alpha_retarded",
+                            lambda model, m: np.full(np.shape(m), 1.2 + 0j))
+        res = fr.friction_dense(gold_system(), "keep")
+        assert not res.converged
+        assert not math.isfinite(res.force)
 
 
 class TestH0Kernels:
@@ -228,6 +355,12 @@ class TestDilute:
             MediumSpec(tab, 1e-9), MediumSpec(tab, 0.01), 10.0, 100.0, 300.0))
         assert tiny.force == pytest.approx(1e-7 * base.force, rel=1e-9)
 
+    def test_reports_evaluations(self):
+        sd = spectral_density(self.probe_table())
+        med = MediumSpec(self.probe_table(), density_per_nm3=0.01)
+        res = fr.friction_dilute(fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
+        assert res.evaluations == fr.h0_dilute(sd, sd, 300.0).evaluations > 0
+
     def test_requires_densities(self):
         tab = self.probe_table()
         with pytest.raises(DomainError):
@@ -266,6 +399,10 @@ class TestHybrid:
         f1 = fr.friction_hybrid(self.probe(), GOLD, 1.0, 50.0, 300.0)
         f2 = fr.friction_hybrid(self.probe(), GOLD, 1.0, 100.0, 300.0)
         assert f2.force == pytest.approx(2.0 * f1.force, rel=1e-14)
+
+    def test_reports_evaluations(self):
+        res = fr.friction_hybrid(self.probe(), GOLD, 1.0, 100.0, 300.0)
+        assert res.evaluations > 0
 
     def test_plasma_plate_rejected(self):
         with pytest.raises(DeltaLineError):
