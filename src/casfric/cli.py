@@ -416,8 +416,6 @@ def cmd_spectra(args) -> int:
         raise ConfigError([("--u", "must be > 0")])
     s1 = spectral_density(cfg["medium1"].model)
     s2 = spectral_density(cfg["medium2"].model)
-    s1.require_continuous("spectra output")
-    s2.require_continuous("spectra output")
     v1 = np.asarray(s1.value(grid), dtype=float)
     v2 = np.asarray(s2.value(grid), dtype=float)
     columns = ["m_ev", "spectral1", "spectral2", "product_11", "product_12"]

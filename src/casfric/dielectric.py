@@ -313,44 +313,19 @@ def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None)
 
 
 @dataclass(frozen=True)
-class DeltaLine:
-    """A discrete spectral line: position m0 (eV) and weight w such that the
-    reconstructed response is A(K) = 2*m0*w / (K**2 + m0**2)."""
-
-    position_ev: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class SpectralDensity:
-    """Spectral density of a response function over m = hbar*omega.
+    """Continuous spectral density of a response function over
+    m = hbar*omega.
 
-    ``value(m)`` is the continuous part (vectorized); for the undamped
-    plasma the whole strength sits in ``line`` and the continuous part is
-    zero — consumers that need a continuum must check :meth:`continuous`.
-    ``peak_hint`` marks the sharpest feature for quadrature splitting and
-    ``support_max`` bounds the support for tabulated data (None = infinite).
+    ``value(m)`` is vectorized; ``peak_hint`` marks the sharpest feature
+    for quadrature splitting and ``support_max`` bounds the support (the
+    top of a table, else infinite).  A discrete line has no such density:
+    :func:`spectral_density` raises instead of returning one.
     """
 
     value: Callable
     peak_hint: float
-    line: DeltaLine | None = None
-    support_max: float | None = None
-    label: str = ""
-
-    @property
-    def continuous(self) -> bool:
-        return self.line is None
-
-    def require_continuous(self, context: str = "this operation"):
-        if not self.continuous:
-            raise DeltaLineError(
-                f"{context} needs a continuous spectral density, but "
-                f"{self.label or 'the model'} carries a discrete line at "
-                f"{self.line.position_ev:.6g} eV; a single line would "
-                "contribute only through an exact two-frequency resonance, "
-                "not a spectral overlap")
-        return self
+    support_max: float = math.inf
 
 
 def drude_spectral_value(model: Drude, m):
@@ -368,25 +343,24 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
     """Spectral density of the surface response A.
 
     Drude: closed form, sharply peaked at e_p = hbar*omega_p/sqrt(2) for
-    small damping.  Plasma: a pure line at e_p (flagged, not broadened).
-    Tabulated: the interpolant itself.  Vacuum: identically zero.
+    small damping.  Tabulated: the interpolant itself.  Vacuum:
+    identically zero.  Plasma and undamped Drude carry their whole
+    strength in one line at e_p, which contributes only through an exact
+    two-frequency resonance, not a spectral overlap: DeltaLineError.
     """
     if isinstance(model, Vacuum):
         return SpectralDensity(value=lambda m: np.zeros_like(np.asarray(m, dtype=float)),
-                               peak_hint=1.0, label="vacuum")
-    if isinstance(model, Plasma):
-        ep = math.sqrt(_ep2(model))
-        return SpectralDensity(
-            value=lambda m: np.zeros_like(np.asarray(m, dtype=float)),
-            peak_hint=ep,
-            line=DeltaLine(position_ev=ep, weight=0.5 * ep),
-            label="plasma line")
+                               peak_hint=1.0)
+    if isinstance(model, Plasma) or (isinstance(model, Drude)
+                                     and model.damping_ev == 0.0):
+        raise DeltaLineError(
+            f"{model!r} has no continuous spectral density: its whole "
+            f"strength is one discrete line at {math.sqrt(_ep2(model)):.6g} "
+            "eV, which contributes only through an exact two-frequency "
+            "resonance, not a spectral overlap")
     if isinstance(model, Drude):
-        if model.damping_ev == 0.0:
-            return spectral_density(Plasma(model.plasma_energy_ev))
-        ep = math.sqrt(_ep2(model))
         return SpectralDensity(value=lambda m: drude_spectral_value(model, m),
-                               peak_hint=ep, label="drude")
+                               peak_hint=math.sqrt(_ep2(model)))
     if isinstance(model, Tabulated):
         m_grid = model.m_ev
         vals = model.values
@@ -397,7 +371,7 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
                              left=0.0, right=0.0)
 
         return SpectralDensity(value=interp, peak_hint=peak,
-                               support_max=float(m_grid[-1]), label="tabulated")
+                               support_max=float(m_grid[-1]))
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 

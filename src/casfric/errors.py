@@ -18,9 +18,10 @@ class StabilityError(DomainError):
 
 
 class DeltaLineError(CasfricError, ValueError):
-    """A continuous spectral density was required but the model carries a
-    discrete line (undamped plasma).  Friction integrals over a single
-    line would need a resonance delta instead of a spectral overlap."""
+    """The model's whole spectral strength is one discrete line (Plasma,
+    undamped Drude), so it has no continuous spectral density.  Friction
+    integrals over a single line would need a resonance delta instead of
+    a spectral overlap."""
 
 
 class UnsupportedModelError(CasfricError, TypeError):

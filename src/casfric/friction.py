@@ -30,6 +30,13 @@ Li3(z)/z at z -> 1.  The default ``denominators="drop"`` treats the whole
 cross-gap interaction as the perturbation, reducing the kernel to the
 bare product of single-surface spectra — the election under which the
 closed form below is exact.
+
+Every numeric route takes its H0 from one :func:`h0_overlap` call on two
+:class:`~casfric.dielectric.SpectralDensity` objects, and every route
+assembles its result as F = G * v * H0 in one place (``_result``); the
+closed form passes its H0 as an exact integral.  Plasma and undamped
+Drude media have no continuous spectral density: they raise
+:class:`~casfric.errors.DeltaLineError`.
 """
 
 from __future__ import annotations
@@ -111,41 +118,35 @@ def _csch2_half(x):
     return np.sinh(np.minimum(0.5 * np.asarray(x, dtype=float), 700.0)) ** -2.0
 
 
-def _joint_support(*densities: SpectralDensity) -> float | None:
-    """Upper end of the common support of the densities (None: unbounded)."""
-    bounds = [s.support_max for s in densities if s.support_max is not None]
-    return min(bounds) if bounds else None
+def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
+               temperature_k: float, spec: QuadratureSpec | None = None,
+               extra_factor=None, extra_hints=()) -> IntegralResult:
+    """Thermal spectral-overlap integral shared by every H0 route,
 
+        (pi*beta*hbar/2) * integral of S1(m) S2(m) / sinh(beta*m/2)**2 dm,
 
-def h0_overlap(value1, value2, temperature_k: float,
-               peak_hints=(), support_max: float | None = None,
-               spec: QuadratureSpec | None = None,
-               extra_factor=None) -> IntegralResult:
-    """Thermal spectral-overlap integral shared by every H0 route.
-
-    value1/value2 are vectorized spectral densities of m (any consistent
+    over the common support of the two densities (any consistent
     normalization; the caller owns the bookkeeping).  ``extra_factor``,
-    when given, multiplies the integrand (used for cross-gap screening).
-    The integrand is rescaled by its probed peak before adaptive
-    integration so that the tolerance spec stays meaningful for the
-    physically tiny magnitudes involved (~hbar), and the integration is
-    truncated where the exponential thermal envelope provably kills the
-    integrand; the bound is checked, not assumed.
+    when given, multiplies the integrand (cross-gap screening), and
+    ``extra_hints`` add split points to the two densities' peaks.  The
+    integrand is rescaled by its probed peak before adaptive integration
+    so that the tolerance spec stays meaningful for the physically tiny
+    magnitudes involved (~hbar), and the integration is truncated where
+    the exponential thermal envelope provably kills the integrand; the
+    bound is checked, not assumed.
     """
     if spec is None:
         spec = default_spec()
     beta = units.beta(temperature_k)
-    hints = [h for h in peak_hints if h is not None and h > 0.0]
-    m_cap = max(40.0 / beta, *(10.0 * h for h in hints)) if hints \
-        else 40.0 / beta
-    if support_max is not None:
-        m_cap = min(m_cap, support_max)
+    hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
+    m_cap = min(max(40.0 / beta, *(10.0 * h for h in hints)),
+                s1.support_max, s2.support_max)
 
     pref = 0.5 * math.pi * beta * units.HBAR_JS
 
     def integrand(m):
         m = np.asarray(m, dtype=float)
-        out = pref * value1(m) * value2(m) * _csch2_half(beta * m)
+        out = pref * s1.value(m) * s2.value(m) * _csch2_half(beta * m)
         if extra_factor is not None:
             out = out * extra_factor(m)
         return out
@@ -192,22 +193,6 @@ def h0_overlap(value1, value2, temperature_k: float,
                                    or tail_bound <= spec.target(res.value))
     return IntegralResult(res.value * scale, err * scale,
                           res.evaluations + len(probe_grid) + 1, converged)
-
-
-def h0_dilute(spec1: SpectralDensity, spec2: SpectralDensity,
-              temperature_k: float,
-              spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Thermal overlap kernel for two per-particle spectral densities.
-
-    Both densities must be continuous: a discrete line would contribute
-    only through an exact two-line resonance, which is rejected with an
-    explanatory error instead of being faked by a broadened width.
-    """
-    spec1.require_continuous("the dilute overlap kernel")
-    spec2.require_continuous("the dilute overlap kernel")
-    return h0_overlap(spec1.value, spec2.value, temperature_k,
-                      peak_hints=(spec1.peak_hint, spec2.peak_hint),
-                      support_max=_joint_support(spec1, spec2), spec=spec)
 
 
 def _pair_splits(model1, model2, u: float):
@@ -257,25 +242,14 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
             return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
 
         hints = _pair_splits(model1, model2, u)
-    return _dense_overlap(model1, model2, temperature_k, spec, extra, hints)
+    return h0_overlap(spectral_density(model1), spectral_density(model2),
+                      temperature_k, spec, extra, hints)
 
 
 def _check_denominators(denominators) -> None:
     if denominators not in ("drop", "keep"):
         raise DomainError(
             f"denominators must be 'drop' or 'keep', got {denominators!r}")
-
-
-def _dense_overlap(model1: PermittivityModel, model2: PermittivityModel,
-                   temperature_k: float, spec: QuadratureSpec | None,
-                   extra_factor=None, extra_hints=()) -> IntegralResult:
-    """Overlap of the two single-surface spectra, times ``extra_factor``."""
-    s1 = spectral_density(model1).require_continuous("the dense kernel")
-    s2 = spectral_density(model2).require_continuous("the dense kernel")
-    return h0_overlap(s1.value, s2.value, temperature_k,
-                      peak_hints=[s1.peak_hint, s2.peak_hint, *extra_hints],
-                      support_max=_joint_support(s1, s2), spec=spec,
-                      extra_factor=extra_factor)
 
 
 def _screening_factor(z):
@@ -336,22 +310,35 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     if spec is None:
         spec = default_spec()
     model1, model2 = system.medium1.model, system.medium2.model
+    s1, s2 = spectral_density(model1), spectral_density(model2)
     if denominators == "drop":
-        return _dense_overlap(model1, model2, system.T_K, spec)
+        return h0_overlap(s1, s2, system.T_K, spec)
 
     def screening(m):
         return _screening_factor(dense_alpha_retarded(model1, m)
                                  * dense_alpha_retarded(model2, m))
 
-    res = _dense_overlap(model1, model2, system.T_K, spec, screening)
+    res = h0_overlap(s1, s2, system.T_K, spec, screening)
     return IntegralResult(res.value,
                           res.error_estimate + LI4_REL_ERR * abs(res.value),
                           res.evaluations,
                           res.converged and LI4_REL_ERR <= spec.rel_tol)
 
 
-def _rel_err(res: IntegralResult) -> float:
-    return res.error_estimate / abs(res.value) if res.value != 0.0 else 0.0
+def _plate_g(d_nm: float) -> float:
+    """Geometric factor 3 / (32 pi d**4) of two half-planes (m^-4)."""
+    return 3.0 / (32.0 * math.pi * (d_nm * units.NM_TO_M) ** 4)
+
+
+def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
+            force_units: str, note: str | None = None) -> FrictionResult:
+    """F = g * v * H0, with the relative error, convergence and cost of H0."""
+    value = h0.value
+    return FrictionResult(
+        force=g * v_m_per_s * value, force_units=force_units, h0=value, g=g,
+        quadrature_error=h0.error_estimate / abs(value) if value != 0.0 else 0.0,
+        route=route, converged=h0.converged, evaluations=h0.evaluations,
+        note=note)
 
 
 def friction_dense(system: PlateSystem,
@@ -364,15 +351,9 @@ def friction_dense(system: PlateSystem,
     result is invariant under any bookkeeping density.  Non-convergence
     of the quadrature is reported on the result, never silently.
     """
-    h0 = _dense_h0(system, denominators, spec)
-    d_m = system.d_nm * units.NM_TO_M
-    g = 3.0 / (32.0 * math.pi * d_m ** 4)
-    force = g * system.v_m_per_s * h0.value
-    return FrictionResult(force=force, force_units="Pa", h0=h0.value, g=g,
-                          quadrature_error=_rel_err(h0), route="dense-full",
-                          converged=h0.converged,
-                          evaluations=h0.evaluations,
-                          note=f"denominators={denominators}")
+    return _result("dense-full", _plate_g(system.d_nm), system.v_m_per_s,
+                   _dense_h0(system, denominators, spec), "Pa",
+                   note=f"denominators={denominators}")
 
 
 def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
@@ -393,25 +374,20 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
 
     ep2 = 0.5 * m1.plasma_energy_ev ** 2
     sigma = m1.damping_ev
-    d_m = system.d_nm * units.NM_TO_M
-    g = 3.0 / (32.0 * math.pi * d_m ** 4)
     note = None
     if sigma == 0.0:
-        return FrictionResult(force=0.0, force_units="Pa", h0=0.0, g=g,
-                              quadrature_error=0.0, route="drude-closed-form",
-                              note="zero damping: no dissipation channel, "
-                                   "the first-order force vanishes")
-    if sigma > 0.1 * math.sqrt(ep2):
+        note = ("zero damping: no dissipation channel, the first-order "
+                "force vanishes")
+    elif sigma > 0.1 * math.sqrt(ep2):
         note = ("damping is not small against the surface resonance "
                 "energy; the closed form is outside its validity regime")
         warnings.warn(note, stacklevel=2)
 
     kt = units.thermal_energy(system.T_K)
     h0 = (2.0 * math.pi / 3.0) * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2
-    force = g * system.v_m_per_s * h0
-    return FrictionResult(force=force, force_units="Pa", h0=h0, g=g,
-                          quadrature_error=0.0, route="drude-closed-form",
-                          note=note)
+    return _result("drude-closed-form", _plate_g(system.d_nm),
+                   system.v_m_per_s, IntegralResult(h0, 0.0, 0, True), "Pa",
+                   note)
 
 
 def _per_particle_density(medium: MediumSpec, role: str) -> SpectralDensity:
@@ -422,11 +398,8 @@ def _per_particle_density(medium: MediumSpec, role: str) -> SpectralDensity:
     (the undamped line is discrete; the damped one diverges at zero
     frequency before screening).
     """
-    model = medium.model
-    if isinstance(model, Tabulated):
-        return spectral_density(model)
-    if isinstance(model, Vacuum):
-        return spectral_density(model)
+    if isinstance(medium.model, (Tabulated, Vacuum)):
+        return spectral_density(medium.model)
     raise UnsupportedModelError(
         f"{role} needs a per-particle spectral density; supply tabulated "
         "data (nm^3 per sample).  Free-electron models are only meaningful "
@@ -447,18 +420,14 @@ def friction_dilute(system: PlateSystem,
             raise DomainError(f"dilute route requires {name}.density_per_nm3")
     s1 = _per_particle_density(system.medium1, "dilute medium1")
     s2 = _per_particle_density(system.medium2, "dilute medium2")
-    h0 = h0_dilute(s1, s2, system.T_K, spec=spec)
-
     rho1 = system.medium1.density_per_nm3
     rho2 = system.medium2.density_per_nm3
-    d_m = system.d_nm * units.NM_TO_M
     # rho [nm^-3] times per-particle volume [nm^3] is dimensionless, so
     # the only length converted is the gap.
+    d_m = system.d_nm * units.NM_TO_M
     g = 3.0 * math.pi * rho1 * rho2 / (8.0 * d_m ** 4)
-    force = g * system.v_m_per_s * h0.value
-    return FrictionResult(force=force, force_units="Pa", h0=h0.value, g=g,
-                          quadrature_error=_rel_err(h0), route="dilute",
-                          converged=h0.converged, evaluations=h0.evaluations)
+    return _result("dilute", g, system.v_m_per_s,
+                   h0_overlap(s1, s2, system.T_K, spec), "Pa")
 
 
 def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
@@ -482,20 +451,13 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     if v_m_per_s < 0.0:
         raise DomainError("v_m_per_s must be >= 0")
     s_probe = _per_particle_density(probe, "the hybrid probe")
-    s_plate = spectral_density(plate).require_continuous("the hybrid plate")
-
-    def plate_half(m):
-        return 0.5 * s_plate.value(m)
-
-    h0 = h0_overlap(s_probe.value, plate_half, temperature_k,
-                    peak_hints=(s_probe.peak_hint, s_plate.peak_hint),
-                    support_max=_joint_support(s_probe, s_plate), spec=spec)
+    s_plate = spectral_density(plate)
     # nm^3 from the probe spectrum against the nm^-5 gap power: net nm^-2,
     # converted to SI through the single z0 conversion below.
     z0_m = z0_nm * units.NM_TO_M
-    nm3_to_m3 = units.NM_TO_M ** 3
-    g = 3.0 / (2.0 * z0_m ** 5) * nm3_to_m3
-    force = g * v_m_per_s * h0.value
-    return FrictionResult(force=force, force_units="N", h0=h0.value, g=g,
-                          quadrature_error=_rel_err(h0), route="hybrid",
-                          converged=h0.converged, evaluations=h0.evaluations)
+    g = 3.0 / (2.0 * z0_m ** 5) * units.NM_TO_M ** 3
+    # H0 carries the plate spectrum at half weight; halving is exact.
+    h0 = h0_overlap(s_probe, s_plate, temperature_k, spec)
+    return _result("hybrid", g, v_m_per_s,
+                   IntegralResult(0.5 * h0.value, 0.5 * h0.error_estimate,
+                                  h0.evaluations, h0.converged), "N")

@@ -129,15 +129,13 @@ class TestSpectralDensity:
             assert float(sd.value(0.0)) == 0.0
 
     def test_plasma_is_delta_line(self):
-        sd = dl.spectral_density(dl.Plasma(9.0))
-        assert not sd.continuous
-        assert sd.line.position_ev == pytest.approx(EP, rel=1e-14)
-        assert sd.line.weight == pytest.approx(0.5 * EP, rel=1e-14)
-        with pytest.raises(DeltaLineError):
-            sd.require_continuous()
+        # the whole strength is one line at e_p, named in the error
+        with pytest.raises(DeltaLineError, match=r"Plasma\(.*6\.36396 eV"):
+            dl.spectral_density(dl.Plasma(9.0))
 
     def test_drude_zero_damping_is_line(self):
-        assert not dl.spectral_density(dl.Drude(9.0, 0.0)).continuous
+        with pytest.raises(DeltaLineError, match=r"Drude\(.*6\.36396 eV"):
+            dl.spectral_density(dl.Drude(9.0, 0.0))
 
     def test_sum_rule(self):
         # integral of value(m)/m^2 over d(m^2) equals the static response

@@ -264,7 +264,7 @@ class TestH0Kernels:
     def test_zero_spectrum_gives_zero(self):
         s0 = spectral_density(Vacuum())
         s_gold = spectral_density(GOLD)
-        res = fr.h0_dilute(s0, s_gold, 300.0)
+        res = fr.h0_overlap(s0, s_gold, 300.0)
         assert res.value == 0.0
         assert res.converged
 
@@ -272,7 +272,7 @@ class TestH0Kernels:
         # two linear densities D*m: H0 = (2 pi hbar / beta^2) D^2 pi^2/3
         slope = 2.75e-4
         sd = spectral_density(linear_table(slope))
-        res = fr.h0_dilute(sd, sd, 300.0)
+        res = fr.h0_overlap(sd, sd, 300.0)
         beta = units.beta(300.0)
         expected = (2.0 * math.pi * units.HBAR_JS / beta ** 2
                     * slope ** 2 * math.pi ** 2 / 3.0)
@@ -284,7 +284,7 @@ class TestH0Kernels:
         # generic kernel reproduces the linear-approximation closed form
         # to well under a percent at room temperature
         sd = spectral_density(GOLD)
-        res = fr.h0_dilute(sd, sd, 300.0)
+        res = fr.h0_overlap(sd, sd, 300.0)
         beta = units.beta(300.0)
         closed = (2.0 * math.pi / 3.0) * units.HBAR_JS \
             * (0.035 / beta) ** 2 / EP ** 4
@@ -297,10 +297,8 @@ class TestH0Kernels:
         assert w[2] == 0.0
 
     def test_delta_line_rejected(self):
-        line = spectral_density(Plasma(9.0))
-        cont = spectral_density(GOLD)
-        with pytest.raises(DeltaLineError):
-            fr.h0_dilute(line, cont, 300.0)
+        with pytest.raises(DeltaLineError, match="6.36396"):
+            fr.h0_dense_at_u(Plasma(9.0), GOLD, 300.0, 1.0)
 
     def test_h0_dense_at_u_constant_without_denominators(self):
         vals = [fr.h0_dense_at_u(GOLD, GOLD, 300.0, u, "drop").value
@@ -322,8 +320,8 @@ class TestH0Kernels:
 
     def test_thermal_quenching_quadratic_in_t(self):
         sd = spectral_density(linear_table(1e-3))
-        h_300 = fr.h0_dilute(sd, sd, 300.0).value
-        h_30 = fr.h0_dilute(sd, sd, 30.0).value
+        h_300 = fr.h0_overlap(sd, sd, 300.0).value
+        h_30 = fr.h0_overlap(sd, sd, 30.0).value
         assert h_300 / h_30 == pytest.approx(100.0, rel=1e-6)
 
 
@@ -359,7 +357,7 @@ class TestDilute:
         sd = spectral_density(self.probe_table())
         med = MediumSpec(self.probe_table(), density_per_nm3=0.01)
         res = fr.friction_dilute(fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
-        assert res.evaluations == fr.h0_dilute(sd, sd, 300.0).evaluations > 0
+        assert res.evaluations == fr.h0_overlap(sd, sd, 300.0).evaluations > 0
 
     def test_requires_densities(self):
         tab = self.probe_table()
@@ -415,10 +413,8 @@ class TestHybrid:
         # the hybrid one (which absorbs the factor 1/2 per plate density)
         probe_value = 5e-5
         m = np.linspace(0.0, 60.0, 4000)
-        h_hybrid = fr.h0_overlap(
-            lambda mm: probe_value * np.asarray(mm, dtype=float),
-            lambda mm: 0.5 * spectral_density(GOLD).value(mm),
-            300.0, peak_hints=(EP,), support_max=60.0).value
+        h_hybrid = fr.friction_hybrid(MediumSpec(Tabulated(m, probe_value * m)),
+                                      GOLD, 1.0, 100.0, 300.0).h0
         ratios = []
         for rho1 in (1e-1, 1e-2, 1e-3):
             scaled = Tabulated(m, 2.0 * math.pi * rho1 * probe_value * m)
