@@ -67,7 +67,12 @@ def _check_keys(obj, path, allowed):
 def _number(obj, path, positive=False, non_negative=False):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         _fail(path, "must be a number")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(path, "must be a finite number")
     if positive and not v > 0.0:
         _fail(path, "must be > 0")
     if non_negative and v < 0.0:
@@ -151,16 +156,16 @@ def parse_run_config(obj, path=""):
     v = _number(system.get("v_m_per_s"), path + ".system.v_m_per_s",
                 non_negative=True)
     t = _number(system.get("T_K"), path + ".system.T_K", positive=True)
-    d_nm = system.get("d_nm")
-    z0_nm = system.get("z0_nm")
-    if route == "hybrid":
-        if z0_nm is None:
-            _fail(path + ".system.z0_nm", "is required for the hybrid route")
-        z0_nm = _number(z0_nm, path + ".system.z0_nm", positive=True)
-    else:
-        if d_nm is None:
-            _fail(path + ".system.d_nm", "is required for plate routes")
-        d_nm = _number(d_nm, path + ".system.d_nm", positive=True)
+    # the hybrid route reads its gap from z0_nm, the plate routes from d_nm
+    gap, unread = ("z0_nm", "d_nm") if route == "hybrid" else ("d_nm", "z0_nm")
+    if unread in system:
+        _fail(f"{path}.system.{unread}",
+              f"is not read by the {route} route; its gap is {gap}")
+    if system.get(gap) is None:
+        _fail(f"{path}.system.{gap}", "is required for the hybrid route"
+              if route == "hybrid" else "is required for plate routes")
+    gaps = {"d_nm": None, "z0_nm": None}
+    gaps[gap] = _number(system[gap], f"{path}.system.{gap}", positive=True)
 
     denominators = obj.get("denominators", "drop")
     if denominators not in ("drop", "keep"):
@@ -179,7 +184,7 @@ def parse_run_config(obj, path=""):
         if out_format is not None and out_format not in ("csv", "json"):
             _fail(path + ".output.format", "must be 'csv' or 'json'")
 
-    return {"medium1": med1, "medium2": med2, "d_nm": d_nm, "z0_nm": z0_nm,
+    return {"medium1": med1, "medium2": med2, **gaps,
             "v_m_per_s": v, "T_K": t, "route": route,
             "denominators": denominators, "quadrature": qspec,
             "out_path": out_path, "out_format": out_format, "raw": obj}
@@ -230,7 +235,7 @@ def parse_sweep_config(obj):
 def _apply_axis(cfg, axis, value):
     out = dict(cfg)
     if axis == "d":
-        out["d_nm"] = value
+        out["z0_nm" if cfg["route"] == "hybrid" else "d_nm"] = value
     elif axis == "v":
         out["v_m_per_s"] = value
     elif axis == "T":
@@ -360,6 +365,8 @@ def cmd_compare(args) -> int:
     m1, m2 = cfg["medium1"].model, cfg["medium2"].model
     if not (isinstance(m1, Drude) and isinstance(m2, Drude)):
         raise ConfigError([(".system", "compare requires drude media")])
+    if cfg["d_nm"] is None:
+        raise ConfigError([(".route", "compare requires a plate route")])
     system = PlateSystem(cfg["medium1"], cfg["medium2"], cfg["d_nm"],
                          cfg["v_m_per_s"], cfg["T_K"])
     ours = friction_drude_closed_form(system)

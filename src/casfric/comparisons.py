@@ -90,17 +90,3 @@ def vp_friction(inp: VPInput) -> tuple[float, float]:
     coeff = 0.3 * units.HBAR_JS / inp.d_m ** 4 * (kt / energy_scale) ** 2
     return coeff, coeff * inp.v_m_per_s
 
-
-def zeta3_factor(tol: float = 1e-10) -> float:
-    """zeta(3) = sum 1/n^3 = 1.2020569..., by direct summation with a
-    midpoint-integral tail bound below ``tol``."""
-    if not tol > 0.0:
-        raise DomainError("tol must be > 0")
-    # tail after N terms is < 1/(2 N^2); midpoint closure is accurate to
-    # O(N^-4), far below it.
-    n_terms = max(int(math.sqrt(0.5 / tol)) + 1, 10)
-    total = 0.0
-    for n in range(1, n_terms + 1):
-        total += 1.0 / (n * n * n)
-    total += 0.5 / (n_terms + 0.5) ** 2
-    return total

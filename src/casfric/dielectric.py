@@ -33,6 +33,11 @@ class Vacuum:
     """eps = 1 everywhere."""
 
 
+def _check_plasma_energy(energy_ev: float) -> None:
+    if not 0.0 < energy_ev < math.inf:
+        raise DomainError("plasma_energy_ev must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class Plasma:
     """Collisionless free-electron response, eps = 1 - (omega_p/omega)**2.
@@ -43,8 +48,7 @@ class Plasma:
     plasma_energy_ev: float
 
     def __post_init__(self):
-        if not self.plasma_energy_ev > 0.0:
-            raise DomainError("plasma_energy_ev must be > 0")
+        _check_plasma_energy(self.plasma_energy_ev)
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,9 @@ class Drude:
     damping_ev: float
 
     def __post_init__(self):
-        if not self.plasma_energy_ev > 0.0:
-            raise DomainError("plasma_energy_ev must be > 0")
-        if self.damping_ev < 0.0:
-            raise DomainError("damping_ev must be >= 0")
+        _check_plasma_energy(self.plasma_energy_ev)
+        if not 0.0 <= self.damping_ev < math.inf:
+            raise DomainError("damping_ev must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class Tabulated:
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
             raise DomainError("tabulated model needs two same-length 1-D columns "
                               "with at least 2 samples")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+            raise DomainError("tabulated columns must be finite")
         if not np.all(np.diff(m) > 0.0):
             raise DomainError("tabulated m grid must be strictly increasing")
         if m[0] < 0.0:
@@ -111,8 +116,9 @@ class MediumSpec:
     density_per_nm3: float | None = None
 
     def __post_init__(self):
-        if self.density_per_nm3 is not None and not self.density_per_nm3 > 0.0:
-            raise DomainError("density_per_nm3 must be > 0 when given")
+        if self.density_per_nm3 is not None \
+                and not 0.0 < self.density_per_nm3 < math.inf:
+            raise DomainError("density_per_nm3 must be finite and > 0 when given")
 
 
 def load_tabulated(path) -> Tabulated:
@@ -126,8 +132,15 @@ def load_tabulated(path) -> Tabulated:
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise DomainError(f"{path}:{lineno}: expected two columns, got {raw!r}")
-            ms.append(float(parts[0]))
-            vs.append(float(parts[1]))
+            try:
+                m, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                m = v = math.nan
+            if not (math.isfinite(m) and math.isfinite(v)):
+                raise DomainError(f"{path}:{lineno}: expected two finite numbers, "
+                                  f"got {raw!r}")
+            ms.append(m)
+            vs.append(v)
     return Tabulated(np.array(ms), np.array(vs))
 
 
@@ -209,36 +222,6 @@ def _surface_response(model: PermittivityModel, zeta: np.ndarray) -> np.ndarray:
     if isinstance(model, Tabulated):
         return _tabulated_response(model, zeta)
     raise UnsupportedModelError(f"unknown model {model!r}")
-
-
-def eps_imaginary(model: PermittivityModel, k):
-    """Permittivity on the imaginary frequency axis, eps(K) for K in eV.
-
-    Even in K and >= 1 for every supported model.  For the free-electron
-    models the K -> 0 limit diverges (perfect static screening); +inf is
-    returned there.  Accepts scalars or arrays.
-    """
-    k_arr = np.abs(np.asarray(k, dtype=float))
-    scalar = k_arr.ndim == 0
-    k_arr = np.atleast_1d(k_arr)
-
-    if isinstance(model, Vacuum):
-        out = np.ones_like(k_arr)
-    elif isinstance(model, Plasma):
-        with np.errstate(divide="ignore"):
-            out = 1.0 + 2.0 * _ep2(model) / k_arr ** 2
-    elif isinstance(model, Drude):
-        denom = k_arr ** 2 + model.damping_ev * k_arr
-        with np.errstate(divide="ignore"):
-            out = 1.0 + 2.0 * _ep2(model) / denom
-    elif isinstance(model, Tabulated):
-        a = dense_alpha(model, k_arr)
-        if np.any(a >= 1.0):
-            raise DomainError("tabulated response reaches A >= 1; eps undefined")
-        out = (1.0 + a) / (1.0 - a)
-    else:
-        raise UnsupportedModelError(f"unknown model {model!r}")
-    return float(out[0]) if scalar else out
 
 
 def default_gamma(model: PermittivityModel) -> float:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -79,12 +79,22 @@ class PlateSystem:
     T_K: float
 
     def __post_init__(self):
-        if not self.d_nm > 0.0:
-            raise DomainError("d_nm must be > 0")
-        if self.v_m_per_s < 0.0:
-            raise DomainError("v_m_per_s must be >= 0 (magnitude)")
-        if not self.T_K > 0.0:
-            raise DomainError("T_K must be > 0")
+        _check_motion("d_nm", self.d_nm, self.v_m_per_s, self.T_K)
+
+
+def _check_motion(gap_name: str, gap_nm: float, v_m_per_s: float,
+                  temperature_k: float) -> None:
+    """A finite gap > 0, speed >= 0 and temperature > 0."""
+    for name, x in ((gap_name, gap_nm), ("v_m_per_s", v_m_per_s),
+                    ("T_K", temperature_k)):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
+    if not gap_nm > 0.0:
+        raise DomainError(f"{gap_name} must be > 0")
+    if v_m_per_s < 0.0:
+        raise DomainError("v_m_per_s must be >= 0 (magnitude)")
+    if not temperature_k > 0.0:
+        raise DomainError("T_K must be > 0")
 
 
 @dataclass(frozen=True)
@@ -303,8 +313,9 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     The transverse weight (8/3) u^3 e^{-2u} integrates to exactly one
     for "drop"; for "keep" its integral against the screening is the
     closed-form ``_screening_factor`` of z = A1*A2.  The relative error
-    bound of Li4 is added to the quadrature error, and a relative
-    tolerance below it cannot converge.
+    bound of Li4 is added to the quadrature error, so "keep" integrates
+    at a relative tolerance no tighter than that bound and converges
+    only where the sum meets the requested one.
     """
     _check_denominators(denominators)
     if spec is None:
@@ -318,21 +329,37 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
         return _screening_factor(dense_alpha_retarded(model1, m)
                                  * dense_alpha_retarded(model2, m))
 
-    res = h0_overlap(s1, s2, system.T_K, spec, screening)
-    return IntegralResult(res.value,
-                          res.error_estimate + LI4_REL_ERR * abs(res.value),
-                          res.evaluations,
-                          res.converged and LI4_REL_ERR <= spec.rel_tol)
+    res = h0_overlap(s1, s2, system.T_K,
+                     replace(spec, rel_tol=max(spec.rel_tol, LI4_REL_ERR)),
+                     screening)
+    err = res.error_estimate + LI4_REL_ERR * abs(res.value)
+    return IntegralResult(res.value, err, res.evaluations,
+                          res.converged and err <= spec.rel_tol * abs(res.value))
+
+
+def _gap_power(gap_nm: float, power: int) -> float:
+    """(gap in m) ** power, which must stay inside the float range."""
+    try:
+        out = (gap_nm * units.NM_TO_M) ** power
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise DomainError(f"gap {gap_nm!r} nm is out of range: (gap in m)**"
+                          f"{power} leaves the float range")
+    return out
 
 
 def _plate_g(d_nm: float) -> float:
     """Geometric factor 3 / (32 pi d**4) of two half-planes (m^-4)."""
-    return 3.0 / (32.0 * math.pi * (d_nm * units.NM_TO_M) ** 4)
+    return 3.0 / (32.0 * math.pi * _gap_power(d_nm, 4))
 
 
 def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
             force_units: str, note: str | None = None) -> FrictionResult:
     """F = g * v * H0, with the relative error, convergence and cost of H0."""
+    if not math.isfinite(g):
+        raise DomainError(f"the geometric factor of the {route} route "
+                          "overflows")
     value = h0.value
     return FrictionResult(
         force=g * v_m_per_s * value, force_units=force_units, h0=value, g=g,
@@ -362,9 +389,11 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
         F = (hbar * v / (4 d**4)) * (k_B T)**2 (hbar*nu)**2 / (hbar*omega_p)**4
 
     Exact consequence of the linear small-m spectral slope; valid while
-    the damping is small against the surface resonance energy (warned
-    otherwise, since the spectral weight then leaks out of the linear
-    region).
+    the damping is small against the surface resonance energy e_p and
+    k_B T is below 0.02 e_p, where the thermal window stays inside the
+    linear region (the force is then within 1.3 % of the dense "drop"
+    route; warned otherwise, since the error past that grows and depends
+    on the damping).
     """
     m1, m2 = system.medium1.model, system.medium2.model
     if not (isinstance(m1, Drude) and isinstance(m2, Drude)):
@@ -374,16 +403,22 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
 
     ep2 = 0.5 * m1.plasma_energy_ev ** 2
     sigma = m1.damping_ev
+    kt = units.thermal_energy(system.T_K)
+    outside = []
+    if sigma > 0.1 * math.sqrt(ep2):
+        outside.append("damping is not small against the surface resonance "
+                       "energy")
+    if kt > 0.02 * math.sqrt(ep2):
+        outside.append("k_B*T exceeds 0.02 of the surface resonance energy")
     note = None
     if sigma == 0.0:
         note = ("zero damping: no dissipation channel, the first-order "
                 "force vanishes")
-    elif sigma > 0.1 * math.sqrt(ep2):
-        note = ("damping is not small against the surface resonance "
-                "energy; the closed form is outside its validity regime")
+    elif outside:
+        note = "; ".join(outside + ["the closed form is outside its "
+                                    "validity regime"])
         warnings.warn(note, stacklevel=2)
 
-    kt = units.thermal_energy(system.T_K)
     h0 = (2.0 * math.pi / 3.0) * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2
     return _result("drude-closed-form", _plate_g(system.d_nm),
                    system.v_m_per_s, IntegralResult(h0, 0.0, 0, True), "Pa",
@@ -424,8 +459,7 @@ def friction_dilute(system: PlateSystem,
     rho2 = system.medium2.density_per_nm3
     # rho [nm^-3] times per-particle volume [nm^3] is dimensionless, so
     # the only length converted is the gap.
-    d_m = system.d_nm * units.NM_TO_M
-    g = 3.0 * math.pi * rho1 * rho2 / (8.0 * d_m ** 4)
+    g = 3.0 * math.pi * rho1 * rho2 / (8.0 * _gap_power(system.d_nm, 4))
     return _result("dilute", g, system.v_m_per_s,
                    h0_overlap(s1, s2, system.T_K, spec), "Pa")
 
@@ -446,16 +480,12 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     The kernel does not vary with the transverse mode in this limit, so
     no mode-resolved nesting is needed.
     """
-    if not z0_nm > 0.0:
-        raise DomainError("z0_nm must be > 0")
-    if v_m_per_s < 0.0:
-        raise DomainError("v_m_per_s must be >= 0")
+    _check_motion("z0_nm", z0_nm, v_m_per_s, temperature_k)
     s_probe = _per_particle_density(probe, "the hybrid probe")
     s_plate = spectral_density(plate)
     # nm^3 from the probe spectrum against the nm^-5 gap power: net nm^-2,
     # converted to SI through the single z0 conversion below.
-    z0_m = z0_nm * units.NM_TO_M
-    g = 3.0 / (2.0 * z0_m ** 5) * units.NM_TO_M ** 3
+    g = 3.0 / (2.0 * _gap_power(z0_nm, 5)) * units.NM_TO_M ** 3
     # H0 carries the plate spectrum at half weight; halving is exact.
     h0 = h0_overlap(s_probe, s_plate, temperature_k, spec)
     return _result("hybrid", g, v_m_per_s,

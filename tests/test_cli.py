@@ -31,6 +31,24 @@ def gold_config(route="drude-closed-form", **overrides):
     return cfg
 
 
+def hybrid_config(tmp_path):
+    """A linear per-particle probe spectrum 1 nm above gold."""
+    table = tmp_path / "probe.txt"
+    m = np.linspace(0.0, 60.0, 600)
+    table.write_text("\n".join(f"{mi} {5e-5 * mi}" for mi in m))
+    return {
+        "system": {
+            "medium1": {"model": "tabulated", "path": str(table),
+                        "density_per_nm3": 0.01},
+            "medium2": {"preset": "gold"},
+            "z0_nm": 1.0,
+            "v_m_per_s": 100.0,
+            "T_K": 300.0,
+        },
+        "route": "hybrid",
+    }
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -124,26 +142,51 @@ class TestCompute:
         assert code == 2
 
     def test_hybrid_route(self, tmp_path, capsys):
-        table = tmp_path / "probe.txt"
-        m = np.linspace(0.0, 60.0, 600)
-        table.write_text("\n".join(f"{mi} {5e-5 * mi}" for mi in m))
-        cfg = {
-            "system": {
-                "medium1": {"model": "tabulated", "path": str(table),
-                            "density_per_nm3": 0.01},
-                "medium2": {"preset": "gold"},
-                "z0_nm": 1.0,
-                "v_m_per_s": 100.0,
-                "T_K": 300.0,
-            },
-            "route": "hybrid",
-        }
-        path = write_json(tmp_path, "cfg.json", cfg)
+        path = write_json(tmp_path, "cfg.json", hybrid_config(tmp_path))
         code, out, _ = run_cli(capsys, ["compute", "--config", path])
         assert code == 0
         record = json.loads(out)
         assert record["result"]["force_units"] == "N"
         assert record["result"]["force"] > 0
+
+
+    @pytest.mark.parametrize("route, key", [("hybrid", "d_nm"),
+                                            ("dense-full", "z0_nm"),
+                                            ("drude-closed-form", "z0_nm")])
+    def test_gap_key_the_route_does_not_read(self, tmp_path, capsys, route,
+                                             key):
+        cfg = hybrid_config(tmp_path) if route == "hybrid" \
+            else gold_config(route=route)
+        cfg["system"][key] = 5.0
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: .system.{key}: is not read by "
+                              f"the {route} route")
+
+    @pytest.mark.parametrize("key, literal", [
+        ("v_m_per_s", "NaN"), ("d_nm", "Infinity"), ("T_K", "-Infinity"),
+        ("d_nm", "1" + "0" * 400)])
+    def test_non_finite_number_exit2(self, tmp_path, capsys, key, literal):
+        text = json.dumps(gold_config(route="dense-full"))
+        text = re.sub(f'"{key}": [^,}}]+', f'"{key}": {literal}', text)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["compute", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"config error: .system.{key}: must be a finite number\n"
+
+    @pytest.mark.parametrize("row", ["1.0 abc", "1.0 nan", "inf 0.2"])
+    def test_bad_table_number_exit3(self, tmp_path, capsys, row):
+        table = tmp_path / "plate.txt"
+        table.write_text(f"0.0 0.0\n{row}\n2.0 0.1\n")
+        cfg = gold_config(route="dense-full")
+        cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err == (f"physics error: {table}:2: expected two finite "
+                       f"numbers, got '{row}\\n'\n")
 
 
 class TestSweep:
@@ -211,6 +254,28 @@ class TestSweep:
         rows = json.loads(out)
         assert [r["d"] for r in rows] == [50.0, 5.0, 20.0]
 
+    def test_hybrid_gap_sweep_moves_z0(self, tmp_path, capsys):
+        cfg = {"base": hybrid_config(tmp_path), "axis": "d",
+               "values": [1.0, 1.5, 2.5]}
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path])
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["d"] for r in rows] == [1.0, 1.5, 2.5]
+        for row in rows[1:]:
+            assert row["force"] * row["d"] ** 5 == pytest.approx(
+                rows[0]["force"], rel=1e-12)
+
+    def test_overflowing_gap_is_row_error(self, tmp_path, capsys):
+        cfg = self.sweep_config(values=[10.0, 1e308])
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (3, "")
+        rows = json.loads(out)
+        assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
+        assert rows[1]["error"] == ("gap 1e+308 nm is out of range: "
+                                    "(gap in m)**4 leaves the float range")
+
     def test_bad_axis_exit2(self, tmp_path, capsys):
         cfg = self.sweep_config(axis="separation")
         path = write_json(tmp_path, "sweep.json", cfg)
@@ -257,6 +322,14 @@ class TestCompare:
         assert rec["force_Pa"] == pytest.approx(3.2422e12, rel=1e-3)
         assert rec["ratio_to_pendry"] * rec["pendry_force_Pa"] == \
             pytest.approx(rec["force_Pa"], rel=1e-12)
+
+    def test_requires_plate_route(self, tmp_path, capsys):
+        cfg = gold_config(route="hybrid")
+        cfg["system"]["z0_nm"] = cfg["system"].pop("d_nm")
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == "config error: .route: compare requires a plate route\n"
 
     def test_requires_drude(self, tmp_path, capsys):
         cfg = gold_config()

@@ -12,45 +12,6 @@ EP = math.sqrt(0.5) * 9.0  # surface resonance energy, e_p = 6.3640 eV
 EP2 = 40.5
 
 
-class TestEpsImaginary:
-    def test_vacuum(self):
-        assert dl.eps_imaginary(dl.Vacuum(), 0.37) == 1.0
-
-    def test_drude_hand_value(self):
-        # 1 + 2*e_p^2/(K^2 + sigma*K) at K = 1 with e_p^2 = 40.5
-        assert dl.eps_imaginary(GOLD, 1.0) == pytest.approx(1.0 + 81.0 / 1.035,
-                                                            rel=1e-14)
-
-    def test_drude_zero_damping_equals_plasma(self):
-        nodamp = dl.Drude(9.0, 0.0)
-        plasma = dl.Plasma(9.0)
-        for k in (0.3, 1.0, 5.0, 40.0):
-            assert dl.eps_imaginary(nodamp, k) == dl.eps_imaginary(plasma, k)
-        assert dl.eps_imaginary(plasma, 1.0) == pytest.approx(82.0, rel=1e-14)
-
-    def test_zero_frequency_diverges(self):
-        assert dl.eps_imaginary(dl.Plasma(9.0), 0.0) == math.inf
-        assert dl.eps_imaginary(GOLD, 0.0) == math.inf
-
-    def test_even_in_k(self):
-        rng = np.random.default_rng(5)
-        for k in rng.uniform(0.01, 30.0, 50):
-            for model in (GOLD, dl.Plasma(9.0), dl.Vacuum()):
-                assert dl.eps_imaginary(model, k) == dl.eps_imaginary(model, -k)
-
-    def test_drude_to_plasma_continuity(self):
-        # pointwise convergence, error linear in the damping
-        plasma = dl.Plasma(9.0)
-        for k in (0.5, 2.0, 11.0):
-            vals = [dl.eps_imaginary(dl.Drude(9.0, damp), k)
-                    for damp in (1e-2, 1e-4, 1e-6)]
-            target = dl.eps_imaginary(plasma, k)
-            errs = [abs(v - target) / target for v in vals]
-            assert errs[2] < errs[1] < errs[0]
-            assert errs[1] == pytest.approx(1e-2 * errs[0], rel=0.05)
-            assert errs[2] < 5e-6
-
-
 class TestReflectionAndDenseAlpha:
     def test_vacuum_zero(self):
         assert dl.dense_alpha(dl.Vacuum(), 1.0) == 0.0
@@ -72,10 +33,36 @@ class TestReflectionAndDenseAlpha:
                 EP2 / (k * k + EP2), rel=1e-14)
 
     def test_matches_eps_route(self):
-        for k in (0.2, 1.0, 6.0):
-            eps = dl.eps_imaginary(GOLD, k)
-            assert dl.dense_alpha(GOLD, k) == pytest.approx(
+        for m in (0.2, 1.0, 6.0):
+            eps = dl.eps_retarded(GOLD, m)
+            assert dl.dense_alpha_retarded(GOLD, m) == pytest.approx(
                 (eps - 1.0) / (eps + 1.0), rel=1e-12)
+
+    def test_drude_zero_damping_equals_plasma(self):
+        nodamp = dl.Drude(9.0, 0.0)
+        plasma = dl.Plasma(9.0)
+        for k in (0.3, 1.0, 5.0, 40.0):
+            assert dl.dense_alpha(nodamp, k) == dl.dense_alpha(plasma, k)
+        assert dl.dense_alpha(plasma, 1.0) == pytest.approx(EP2 / 41.5,
+                                                            rel=1e-14)
+
+    def test_even_in_k(self):
+        rng = np.random.default_rng(5)
+        for k in rng.uniform(0.01, 30.0, 50):
+            for model in (GOLD, dl.Plasma(9.0), dl.Vacuum()):
+                assert dl.dense_alpha(model, k) == dl.dense_alpha(model, -k)
+
+    def test_drude_to_plasma_continuity(self):
+        # pointwise convergence, error linear in the damping
+        plasma = dl.Plasma(9.0)
+        for k in (0.5, 2.0, 11.0):
+            vals = [dl.dense_alpha(dl.Drude(9.0, damp), k)
+                    for damp in (1e-2, 1e-4, 1e-6)]
+            target = dl.dense_alpha(plasma, k)
+            errs = [abs(v - target) / target for v in vals]
+            assert errs[2] < errs[1] < errs[0]
+            assert errs[1] == pytest.approx(1e-2 * errs[0], rel=0.05)
+            assert errs[2] < 5e-6
 
 
 class TestRetarded:
@@ -213,8 +200,24 @@ class TestTabulated:
     def test_eps_from_table(self):
         m = np.linspace(1e-4, 400.0, 60000)
         tab = dl.Tabulated(m, dl.spectral_density(GOLD).value(m))
-        assert dl.eps_imaginary(tab, 2.0) == pytest.approx(
-            dl.eps_imaginary(GOLD, 2.0), rel=2e-4)
+        assert dl.eps_retarded(tab, 2.0, 1e-4) == pytest.approx(
+            dl.eps_retarded(GOLD, 2.0, 1e-4), rel=2e-4)
+
+    @pytest.mark.parametrize("m, v", [
+        ([0.0, 1.0, np.inf], [0.0, 0.1, 0.2]),
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.2]),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 0.2])])
+    def test_non_finite_entries_rejected(self, m, v):
+        with pytest.raises(DomainError, match="finite"):
+            dl.Tabulated(np.array(m), np.array(v))
+
+    @pytest.mark.parametrize("row", ["1.0 abc", "nan 0.1", "1.5 inf"])
+    def test_bad_number_names_the_line(self, tmp_path, row):
+        path = tmp_path / "table.txt"
+        path.write_text(f"0.5 0.1\n{row}\n2.0 0.2\n")
+        with pytest.raises(DomainError, match=f"table.txt:2: expected two "
+                                              "finite numbers"):
+            dl.load_tabulated(path)
 
 
 # 24 samples from m = 0; the oracle and broadening tests below use it.
@@ -282,4 +285,15 @@ class TestSurfaceResponse:
 def test_medium_spec_density_validation():
     with pytest.raises(DomainError):
         dl.MediumSpec(GOLD, density_per_nm3=0.0)
+    with pytest.raises(DomainError):
+        dl.MediumSpec(GOLD, density_per_nm3=math.inf)
     assert dl.MediumSpec(GOLD).density_per_nm3 is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dl.Drude(math.nan, 0.035), lambda: dl.Drude(math.inf, 0.035),
+    lambda: dl.Drude(9.0, math.nan), lambda: dl.Drude(9.0, math.inf),
+    lambda: dl.Plasma(math.nan), lambda: dl.Plasma(math.inf)])
+def test_free_electron_models_reject_non_finite(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ class TestClosedForm:
             fr.friction_drude_closed_form(
                 fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
 
+    def test_hot_plates_outside_thermal_regime(self):
+        # k_B T / e_p = 0.041 for gold at 3000 K, past the 0.02 bound
+        with pytest.warns(UserWarning, match="k_B\\*T"):
+            res = fr.friction_drude_closed_form(gold_system(t=3000.0))
+        assert "k_B*T exceeds 0.02" in res.note
+        assert "outside its validity regime" in res.note
+
+    def test_room_temperature_gold_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fr.friction_drude_closed_form(gold_system())
+        assert res.note is None
+
     def test_g_h0_consistency(self):
         res = fr.friction_drude_closed_form(gold_system())
         assert res.force == pytest.approx(res.g * 100.0 * res.h0, rel=1e-14)
@@ -169,9 +183,29 @@ class TestDenseRoute:
             fr.friction_dense(gold_system(), "keep").force, rel=1e-8)
 
     def test_keep_unreachable_tolerance_not_converged(self):
+        # integrated at the Li4 bound instead of exhausting the budget
         res = fr.friction_dense(gold_system(), "keep", spec=QuadratureSpec(
             abs_tol=1e-302, rel_tol=1e-300))
         assert not res.converged
+        assert res.evaluations <= 2000
+        at_bound = fr.friction_dense(gold_system(), "keep", spec=QuadratureSpec(
+            abs_tol=1e-302, rel_tol=LI4_REL_ERR))
+        assert res.h0 == at_bound.h0
+
+    def test_keep_tolerance_at_li4_bound_not_converged(self):
+        # the quadrature error comes on top of the Li4 bound
+        res = fr.friction_dense(gold_system(), "keep", spec=QuadratureSpec(
+            abs_tol=1e-302, rel_tol=1e-13))
+        assert res.quadrature_error > 1e-13
+        assert not res.converged
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-12, 2e-13])
+    def test_keep_converged_meets_rel_tol(self, rel_tol):
+        for model in (GOLD, Drude(5.0, 0.1)):
+            res = fr.friction_dense(fr.PlateSystem(
+                GOLD_MED, MediumSpec(model), 10.0, 100.0, 300.0), "keep",
+                spec=QuadratureSpec(abs_tol=1e-302, rel_tol=rel_tol))
+            assert res.quadrature_error <= rel_tol or not res.converged
 
     def test_unknown_denominators_rejected(self):
         with pytest.raises(DomainError):
@@ -184,6 +218,29 @@ class TestDenseRoute:
             fr.PlateSystem(GOLD_MED, GOLD_MED, 10.0, -1.0, 300.0)
         with pytest.raises(DomainError):
             fr.PlateSystem(GOLD_MED, GOLD_MED, 10.0, 100.0, 0.0)
+
+    @pytest.mark.parametrize("d, v, t", [
+        (math.nan, 100.0, 300.0), (math.inf, 100.0, 300.0),
+        (10.0, math.nan, 300.0), (10.0, math.inf, 300.0),
+        (10.0, 100.0, math.nan), (10.0, 100.0, math.inf)])
+    def test_non_finite_system_rejected(self, d, v, t):
+        with pytest.raises(DomainError, match="must be finite"):
+            fr.PlateSystem(GOLD_MED, GOLD_MED, d, v, t)
+
+    @pytest.mark.parametrize("d_nm", [1e308, 1e-300])
+    @pytest.mark.parametrize("route", ["drop", "closed", "dilute"])
+    def test_gap_outside_float_range_rejected(self, route, d_nm):
+        if route == "dilute":
+            tab = MediumSpec(linear_table(5e-5, m_max=60.0), 0.01)
+            call = lambda: fr.friction_dilute(  # noqa: E731
+                fr.PlateSystem(tab, tab, d_nm, 100.0, 300.0))
+        elif route == "closed":
+            call = lambda: fr.friction_drude_closed_form(  # noqa: E731
+                gold_system(d_nm=d_nm))
+        else:
+            call = lambda: fr.friction_dense(gold_system(d_nm=d_nm))  # noqa: E731
+        with pytest.raises(DomainError, match="float range"):
+            call()
 
 
 class TestScreenedClosedForm:
@@ -359,6 +416,11 @@ class TestDilute:
         res = fr.friction_dilute(fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
         assert res.evaluations == fr.h0_overlap(sd, sd, 300.0).evaluations > 0
 
+    def test_geometric_factor_overflow_rejected(self):
+        med = MediumSpec(self.probe_table(), density_per_nm3=1e200)
+        with pytest.raises(DomainError, match="geometric factor"):
+            fr.friction_dilute(fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
+
     def test_requires_densities(self):
         tab = self.probe_table()
         with pytest.raises(DomainError):
@@ -402,6 +464,13 @@ class TestHybrid:
         res = fr.friction_hybrid(self.probe(), GOLD, 1.0, 100.0, 300.0)
         assert res.evaluations > 0
 
+    @pytest.mark.parametrize("z0, v, t", [
+        (math.inf, 100.0, 300.0), (1.0, math.nan, 300.0),
+        (1.0, 100.0, math.inf), (1e-60, 100.0, 300.0)])
+    def test_bad_numbers_rejected(self, z0, v, t):
+        with pytest.raises(DomainError):
+            fr.friction_hybrid(self.probe(), GOLD, z0, v, t)
+
     def test_plasma_plate_rejected(self):
         with pytest.raises(DeltaLineError):
             fr.friction_hybrid(self.probe(), Plasma(9.0), 1.0, 100.0, 300.0)
@@ -441,3 +510,44 @@ class TestSpectralProducts:
         m = np.array([0.5, 2.0])
         s11, s22, _ = fr.plane_spectral_products(GOLD, GOLD, m, u=0.7)
         assert np.allclose(s11, s22)
+
+
+def _draw_route(rng, route):
+    """A seeded system on one route: (call of gap and speed, gap)."""
+    d1 = Drude(float(rng.uniform(3.0, 15.0)), float(rng.uniform(0.005, 0.2)))
+    d2 = Drude(float(rng.uniform(3.0, 15.0)), float(rng.uniform(0.005, 0.2)))
+    t_k = float(rng.uniform(50.0, 600.0))
+    probe = linear_table(float(rng.uniform(1e-5, 1e-4)), m_max=60.0, n=400)
+    if route == "hybrid":
+        return lambda gap, v: fr.friction_hybrid(  # noqa: E731
+            MediumSpec(probe), d1, gap, v, t_k)
+    if route == "dilute":
+        media = (MediumSpec(probe, float(rng.uniform(0.01, 0.1))),
+                 MediumSpec(bump_plate(36), float(rng.uniform(0.01, 0.1))))
+        return lambda gap, v: fr.friction_dilute(  # noqa: E731
+            fr.PlateSystem(*media, gap, v, t_k))
+    if route == "closed":
+        return lambda gap, v: fr.friction_drude_closed_form(  # noqa: E731
+            fr.PlateSystem(MediumSpec(d1), MediumSpec(d1), gap, v, t_k))
+    return lambda gap, v: fr.friction_dense(  # noqa: E731
+        fr.PlateSystem(MediumSpec(d1), MediumSpec(d2), gap, v, t_k), route)
+
+
+@pytest.mark.filterwarnings("ignore:k_B")
+@pytest.mark.parametrize("route", ["drop", "keep", "closed", "dilute",
+                                   "hybrid"])
+def test_force_factorizes(route):
+    """F = g * v * H0 exactly, H0 the same for every gap, F exactly
+    linear in v, on seeded draws of each route."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        call = _draw_route(rng, route)
+        gaps = rng.uniform(0.5, 50.0, 3)
+        v = float(rng.uniform(1.0, 1000.0))
+        results = [call(float(gap), v) for gap in gaps]
+        for res in results:
+            assert res.force == res.g * v * res.h0
+            assert res.h0 == results[0].h0 and res.h0 > 0.0
+        double = call(float(gaps[0]), 2.0 * v)
+        assert double.force == 2.0 * results[0].force
+        assert call(float(gaps[0]), 0.0).force == 0.0
