@@ -9,8 +9,7 @@ oracles and literature benchmarks wired into a validation CLI.
 from . import comparisons, dielectric, electrostatics, friction, geometry
 from . import oscillator_stats, presets, quadrature, units, validation
 from .errors import (CasfricError, ConfigError, DeltaLineError, DomainError,
-                     NonConvergenceError, StabilityError,
-                     UnsupportedModelError)
+                     StabilityError, UnsupportedModelError)
 
 __version__ = "0.1.0"
 
@@ -18,6 +17,6 @@ __all__ = [
     "units", "quadrature", "dielectric", "oscillator_stats", "geometry",
     "friction", "electrostatics", "comparisons", "presets", "validation",
     "CasfricError", "ConfigError", "DeltaLineError", "DomainError",
-    "NonConvergenceError", "StabilityError", "UnsupportedModelError",
+    "StabilityError", "UnsupportedModelError",
     "__version__",
 ]

@@ -9,10 +9,11 @@ Subcommands:
     validate
 
 Configs are JSON; the schema is validated up front with field-path
-diagnostics and unknown keys are rejected.  Exit codes: 0 success,
-2 configuration error, 3 physics-domain error, 4 numeric
-non-convergence.  The only environment variable consulted is
-CASFRIC_QUAD_TOL (default quadrature relative tolerance).
+diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
+undamped Drude model.  Exit codes: 0 success, 2 configuration error,
+3 physics-domain error, 4 a result that did not converge.  The only
+environment variable consulted is CASFRIC_QUAD_TOL (default quadrature
+relative tolerance).
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import comparisons, units, validation
-from .dielectric import (Drude, MediumSpec, Plasma, Vacuum,
-                         load_tabulated, spectral_density)
-from .errors import (CasfricError, ConfigError, NonConvergenceError)
+from .dielectric import (Drude, MediumSpec, Vacuum, load_tabulated,
+                         spectral_density)
+from .errors import CasfricError, ConfigError
 from .friction import (FrictionResult, PlateSystem, friction_dense,
                        friction_dilute, friction_drude_closed_form,
                        friction_hybrid, plane_spectral_products)
@@ -94,8 +96,8 @@ def parse_medium(obj, path):
             model = Vacuum()
         elif kind == "plasma":
             _check_keys(obj, path, {"model", "plasma_energy_ev", "density_per_nm3"})
-            model = Plasma(_number(obj.get("plasma_energy_ev"),
-                                   path + ".plasma_energy_ev", positive=True))
+            model = Drude(_number(obj.get("plasma_energy_ev"),
+                                  path + ".plasma_energy_ev", positive=True), 0.0)
         elif kind == "drude":
             _check_keys(obj, path, {"model", "plasma_energy_ev", "damping_ev",
                                     "density_per_nm3"})
@@ -244,22 +246,10 @@ def _apply_axis(cfg, axis, value):
         field = "damping_ev" if axis == "damping" else "plasma_energy_ev"
         for key in ("medium1", "medium2"):
             med = out[key]
-            model = med.model
-            if not isinstance(model, (Drude, Plasma)):
+            if not isinstance(med.model, Drude):
                 raise ConfigError([(f".system.{key}",
                                     f"axis {axis!r} needs a drude/plasma model")])
-            if isinstance(model, Plasma):
-                if field == "damping_ev":
-                    raise ConfigError([(f".system.{key}",
-                                        "axis 'damping' needs a drude model")])
-                new = Plasma(value)
-            else:
-                new = Drude(value if field == "plasma_energy_ev"
-                            else model.plasma_energy_ev,
-                            value if field == "damping_ev"
-                            else model.damping_ev)
-            out[key] = MediumSpec(model=new,
-                                  density_per_nm3=med.density_per_nm3)
+            out[key] = replace(med, model=replace(med.model, **{field: value}))
     return out
 
 
@@ -363,8 +353,8 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
     m1, m2 = cfg["medium1"].model, cfg["medium2"].model
-    if not (isinstance(m1, Drude) and isinstance(m2, Drude)):
-        raise ConfigError([(".system", "compare requires drude media")])
+    if not all(isinstance(m, Drude) and m.damping_ev > 0.0 for m in (m1, m2)):
+        raise ConfigError([(".system", "compare requires damped drude media")])
     if cfg["d_nm"] is None:
         raise ConfigError([(".route", "compare requires a plate route")])
     system = PlateSystem(cfg["medium1"], cfg["medium2"], cfg["d_nm"],
@@ -497,9 +487,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
     except CasfricError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

@@ -33,37 +33,21 @@ class Vacuum:
     """eps = 1 everywhere."""
 
 
-def _check_plasma_energy(energy_ev: float) -> None:
-    if not 0.0 < energy_ev < math.inf:
-        raise DomainError("plasma_energy_ev must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class Plasma:
-    """Collisionless free-electron response, eps = 1 - (omega_p/omega)**2.
-
-    ``plasma_energy_ev`` is hbar*omega_p.
-    """
-
-    plasma_energy_ev: float
-
-    def __post_init__(self):
-        _check_plasma_energy(self.plasma_energy_ev)
-
-
 @dataclass(frozen=True)
 class Drude:
-    """Damped free-electron response.
+    """Free-electron response.
 
     ``plasma_energy_ev`` is hbar*omega_p, ``damping_ev`` is hbar*nu.  With
-    damping_ev = 0 this reduces exactly to :class:`Plasma`.
+    damping_ev = 0 it is the collisionless plasma response,
+    eps = 1 - (omega_p/omega)**2.
     """
 
     plasma_energy_ev: float
     damping_ev: float
 
     def __post_init__(self):
-        _check_plasma_energy(self.plasma_energy_ev)
+        if not 0.0 < self.plasma_energy_ev < math.inf:
+            raise DomainError("plasma_energy_ev must be finite and > 0")
         if not 0.0 <= self.damping_ev < math.inf:
             raise DomainError("damping_ev must be finite and >= 0")
 
@@ -101,7 +85,7 @@ class Tabulated:
         object.__setattr__(self, "values", v)
 
 
-PermittivityModel = Union[Vacuum, Plasma, Drude, Tabulated]
+PermittivityModel = Union[Vacuum, Drude, Tabulated]
 
 
 @dataclass(frozen=True)
@@ -214,11 +198,10 @@ def _surface_response(model: PermittivityModel, zeta: np.ndarray) -> np.ndarray:
     -m**2 + i*gamma on the retarded branch."""
     if isinstance(model, Vacuum):
         return np.zeros(zeta.shape, dtype=complex)
-    if isinstance(model, (Plasma, Drude)):
+    if isinstance(model, Drude):
         ep2 = _ep2(model)
-        sigma = model.damping_ev if isinstance(model, Drude) else 0.0
         # principal sqrt: |K| on the imaginary axis, -> +i*m as gamma -> 0
-        return ep2 / (zeta + ep2 + sigma * np.sqrt(zeta))
+        return ep2 / (zeta + ep2 + model.damping_ev * np.sqrt(zeta))
     if isinstance(model, Tabulated):
         return _tabulated_response(model, zeta)
     raise UnsupportedModelError(f"unknown model {model!r}")
@@ -227,12 +210,11 @@ def _surface_response(model: PermittivityModel, zeta: np.ndarray) -> np.ndarray:
 def default_gamma(model: PermittivityModel) -> float:
     """Retarded-branch broadening when none is given, from the model alone
     (so A at one energy does not depend on the others evaluated with it):
-    1e-6 * top of the grid for a table, 1e-6 * e_p for a line (plasma,
-    undamped Drude), 0 (the exact limit) for a damped Drude model."""
+    1e-6 * top of the grid for a table, 1e-6 * e_p for the line of an
+    undamped Drude model, 0 (the exact limit) for a damped one."""
     if isinstance(model, Tabulated):
         return 1e-6 * float(model.m_ev[-1])
-    if isinstance(model, Plasma) or (isinstance(model, Drude)
-                                     and model.damping_ev == 0.0):
+    if isinstance(model, Drude) and model.damping_ev == 0.0:
         return 1e-6 * math.sqrt(_ep2(model))
     return 0.0
 
@@ -283,12 +265,9 @@ def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None)
 
     if isinstance(model, Vacuum):
         return complex(1.0, 0.0)
-    if isinstance(model, (Plasma, Drude)):
-        ep2 = _ep2(model)
-        sigma = model.damping_ev if isinstance(model, Drude) else 0.0
+    if isinstance(model, Drude):
         k2 = complex(-m * m, gamma)
-        abs_k = cmath.sqrt(k2)
-        return 1.0 + 2.0 * ep2 / (k2 + sigma * abs_k)
+        return 1.0 + 2.0 * _ep2(model) / (k2 + model.damping_ev * cmath.sqrt(k2))
     if isinstance(model, Tabulated):
         a = dense_alpha_retarded(model, m, gamma)
         return (1.0 + a) / (1.0 - a)
@@ -327,15 +306,14 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
 
     Drude: closed form, sharply peaked at e_p = hbar*omega_p/sqrt(2) for
     small damping.  Tabulated: the interpolant itself.  Vacuum:
-    identically zero.  Plasma and undamped Drude carry their whole
-    strength in one line at e_p, which contributes only through an exact
+    identically zero.  An undamped Drude model carries its whole strength
+    in one line at e_p, which contributes only through an exact
     two-frequency resonance, not a spectral overlap: DeltaLineError.
     """
     if isinstance(model, Vacuum):
         return SpectralDensity(value=lambda m: np.zeros_like(np.asarray(m, dtype=float)),
                                peak_hint=1.0)
-    if isinstance(model, Plasma) or (isinstance(model, Drude)
-                                     and model.damping_ev == 0.0):
+    if isinstance(model, Drude) and model.damping_ev == 0.0:
         raise DeltaLineError(
             f"{model!r} has no continuous spectral density: its whole "
             f"strength is one discrete line at {math.sqrt(_ep2(model)):.6g} "
@@ -361,8 +339,8 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
 def surface_plasmon_frequency(model: PermittivityModel) -> float:
     """Energy hbar*omega of surface charge waves on a plasma half-space,
     hbar*omega_p/sqrt(2): the pole of A where eps = -1."""
-    if not isinstance(model, Plasma):
+    if not (isinstance(model, Drude) and model.damping_ev == 0.0):
         raise UnsupportedModelError(
-            "surface_plasmon_frequency is defined for the undamped plasma "
-            f"model, got {type(model).__name__}")
+            "surface_plasmon_frequency is defined for an undamped Drude "
+            f"model, got {model!r}")
     return model.plasma_energy_ev / math.sqrt(2.0)

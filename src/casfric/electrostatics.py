@@ -121,25 +121,6 @@ def boundary_residuals(cfg: LayeredConfig, sol: BoundarySolution) -> np.ndarray:
     return out
 
 
-def potential_profile(cfg: LayeredConfig, sol: BoundarySolution,
-                      z_nm: float) -> float:
-    """Piecewise potential at height z (per transverse mode), including
-    the 2*pi/q * e^{q z0} prefactor of the source kernel."""
-    q = cfg.q_per_nm
-    z0 = cfg.z0_nm
-    pref = 2.0 * math.pi / q * math.exp(q * z0)
-    if z_nm < z0:
-        core = math.exp(-2.0 * q * z0) * math.exp(q * z_nm) / cfg.eps1 \
-            + sol.b * math.exp(q * z_nm)
-    elif z_nm < 0.0:
-        core = math.exp(-q * z_nm) / cfg.eps1 + sol.b * math.exp(q * z_nm)
-    elif z_nm < cfg.d_nm:
-        core = sol.c * math.exp(-q * z_nm) + sol.c1 * math.exp(q * z_nm)
-    else:
-        core = sol.d * math.exp(-q * z_nm)
-    return pref * core
-
-
 def denominator_check(cfg: LayeredConfig) -> tuple[float, float]:
     """(denominator extracted from the solved D, direct formula value).
 

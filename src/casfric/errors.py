@@ -1,7 +1,8 @@
 """Typed errors shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
-physics-domain violations exit 3, numeric non-convergence exit 4.
+physics-domain violations exit 3.  Numeric non-convergence is not an
+error but a result flagged ``converged=False``, which exits 4.
 """
 
 
@@ -18,10 +19,10 @@ class StabilityError(DomainError):
 
 
 class DeltaLineError(CasfricError, ValueError):
-    """The model's whole spectral strength is one discrete line (Plasma,
-    undamped Drude), so it has no continuous spectral density.  Friction
-    integrals over a single line would need a resonance delta instead of
-    a spectral overlap."""
+    """The model's whole spectral strength is one discrete line (an
+    undamped Drude model), so it has no continuous spectral density.
+    Friction integrals over a single line would need a resonance delta
+    instead of a spectral overlap."""
 
 
 class UnsupportedModelError(CasfricError, TypeError):
@@ -40,8 +41,3 @@ class ConfigError(CasfricError, ValueError):
         self.errors = list(errors)
         msg = "; ".join(f"{p or '.'}: {m}" for p, m in self.errors)
         super().__init__(msg)
-
-
-class NonConvergenceError(CasfricError, ArithmeticError):
-    """A quadrature or sum failed to reach its tolerance and the caller
-    required a converged value."""

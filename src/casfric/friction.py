@@ -34,8 +34,8 @@ closed form below is exact.
 Every numeric route takes its H0 from one :func:`h0_overlap` call on two
 :class:`~casfric.dielectric.SpectralDensity` objects, and every route
 assembles its result as F = G * v * H0 in one place (``_result``); the
-closed form passes its H0 as an exact integral.  Plasma and undamped
-Drude media have no continuous spectral density: they raise
+closed form passes its H0 as an exact integral.  Undamped Drude media
+have no continuous spectral density: they raise
 :class:`~casfric.errors.DeltaLineError`.
 """
 

@@ -1,7 +1,6 @@
 """Spatial kernels and geometric factors for plate friction.
 
-Real-space dipole interaction tensors, the transverse Fourier kernel of
-the Coulomb potential, and the three volume-integrated factors:
+The three volume-integrated factors of the squared dipole force tensor:
 
     g_perp(z)            ~ z**-6   (pair of particles, transverse average)
     g_halfplane(rho, z0) ~ z0**-5  (particle above a half-plane)
@@ -22,55 +21,6 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import IntegralResult, QuadratureSpec, \
     integrate_semi_infinite
-
-
-def dipole_tensor(r) -> np.ndarray:
-    """Dipole-dipole interaction tensor -(3 x_i x_j / r**5 - delta_ij / r**3).
-
-    Symmetric and traceless; equals diag(1, 1, -2)/z**3 on the z axis.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise DomainError("r must be a 3-vector")
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise DomainError("dipole tensor is singular at zero separation")
-    return -(3.0 * np.outer(r, r) / rn ** 5 - np.eye(3) / rn ** 3)
-
-
-def force_tensor(r) -> np.ndarray:
-    """Gradient of the dipole tensor, T[l, i, j] = d psi_ij / d x_l:
-
-        T_lij = 15 x_i x_j x_l / r**7
-                - 3 (delta_ij x_l + delta_il x_j + delta_jl x_i) / r**5
-
-    Symmetric in (i, j); homogeneous of degree -4.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise DomainError("r must be a 3-vector")
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise DomainError("force tensor is singular at zero separation")
-    eye = np.eye(3)
-    t = 15.0 * np.einsum("i,j,l->lij", r, r, r) / rn ** 7
-    t -= 3.0 * (np.einsum("ij,l->lij", eye, r)
-                + np.einsum("il,j->lij", eye, r)
-                + np.einsum("jl,i->lij", eye, r)) / rn ** 5
-    return t
-
-
-def coulomb_kernel_hat(z: float, k_perp: float) -> float:
-    """Transverse-Fourier Coulomb kernel 2*pi*exp(-q*|z|)/q with q = k_perp.
-
-    This is the 1/r potential transformed in the two in-plane directions;
-    the z dependence is a pure decaying exponential on either side of the
-    source, which is what makes every plate integral a 1-D exponential
-    integral.
-    """
-    if not k_perp > 0.0:
-        raise DomainError("k_perp = 0 is a singular transverse mode")
-    return 2.0 * math.pi * math.exp(-k_perp * abs(z)) / k_perp
 
 
 def g_perp(z: float) -> float:

@@ -101,15 +101,6 @@ class IntegralResult:
     evaluations: int
     converged: bool
 
-    def require_converged(self, what: str = "integral") -> "IntegralResult":
-        from .errors import NonConvergenceError
-
-        if not self.converged:
-            raise NonConvergenceError(
-                f"{what} did not converge: value={self.value!r} "
-                f"error_estimate={self.error_estimate!r}")
-        return self
-
 
 def _panel(f, a: float, b: float):
     """One G7/K15 evaluation on [a, b] -> (k15, |k15-g7|)."""

@@ -16,7 +16,6 @@ from .errors import DomainError
 # package's reference figures.
 HBAR_JS = 1.054571817e-34  # J s
 BOLTZMANN_EV_PER_K = 8.617333262e-5  # eV / K
-VACUUM_PERMITTIVITY_SI = 8.8541878128e-12  # A s / (V m)
 ELEMENTARY_CHARGE_C = 1.602176634e-19  # C
 
 # hbar expressed in eV s; exact quotient of the two defining constants.

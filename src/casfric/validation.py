@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import comparisons, electrostatics, geometry, units
-from .dielectric import (Drude, MediumSpec, Plasma, dense_alpha,
+from .dielectric import (Drude, MediumSpec, dense_alpha,
                          dense_alpha_retarded, drude_spectral_value,
                          eps_retarded, spectral_density,
                          surface_plasmon_frequency)
@@ -261,7 +261,7 @@ def check_boundary() -> list[CheckResult]:
     out.append(CheckResult("7c", "vacuum limit D=1, B=0 exact",
                            exact, vac.d, 1.0, "exact"))
 
-    plasma = Plasma(9.0)
+    plasma = Drude(9.0, 0.0)
     sp = surface_plasmon_frequency(plasma)
     eps_sp = eps_retarded(plasma, sp, 1e-9)
     out.append(CheckResult("7d", "surface-mode pole eps(+sp) = -1",

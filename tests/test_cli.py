@@ -114,9 +114,12 @@ class TestCompute:
         cfg["system"]["medium1"] = {"model": "plasma", "plasma_energy_ev": 9.0}
         cfg["system"]["medium2"] = {"model": "plasma", "plasma_energy_ev": 9.0}
         path = write_json(tmp_path, "cfg.json", cfg)
-        code, _, err = run_cli(capsys, ["compute", "--config", path])
-        assert code == 3
-        assert "line" in err
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: Drude(plasma_energy_ev=9.0, "
+                              "damping_ev=0.0) has no continuous spectral "
+                              "density: its whole strength is one discrete "
+                              "line at 6.36396 eV")
 
     def test_schema_violation_exit2(self, tmp_path, capsys):
         cfg = gold_config()
@@ -282,6 +285,28 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--config", path])
         assert code == 2
 
+    def plasma_damping_sweep(self, tmp_path, capsys, model):
+        medium = {"model": model, "plasma_energy_ev": 9.0}
+        if model == "drude":
+            medium["damping_ev"] = 0.035
+        cfg = self.sweep_config(axis="damping", values=[0.035, 0.0, 0.07])
+        cfg["base"]["system"]["medium1"] = medium
+        cfg["base"]["system"]["medium2"] = dict(medium)
+        path = write_json(tmp_path, f"{model}.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        return code, json.loads(out), err
+
+    def test_damping_sweep_on_plasma_base(self, tmp_path, capsys):
+        # a plasma medium is Drude(e_p, 0): the sweep sets its damping
+        code, rows, err = self.plasma_damping_sweep(tmp_path, capsys, "plasma")
+        assert (code, err) == (3, "")
+        _, drude_rows, _ = self.plasma_damping_sweep(tmp_path, capsys, "drude")
+        assert [rows[0], rows[2]] == [drude_rows[0], drude_rows[2]]
+        assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
+        assert rows[1]["force"] == ""
+        assert rows[1]["error"].startswith("Drude(plasma_energy_ev=9.0, "
+                                           "damping_ev=0.0) has no continuous")
+
     def test_axis_not_fitting_the_medium_exit2(self, tmp_path, capsys):
         cfg = self.sweep_config(axis="damping", values=[0.01, 0.02])
         cfg["base"]["system"]["medium1"] = {"model": "vacuum"}
@@ -338,6 +363,18 @@ class TestCompare:
         code, _, err = run_cli(capsys, ["compare", "--config", path])
         assert code == 2
 
+    @pytest.mark.parametrize("medium", [
+        {"model": "drude", "plasma_energy_ev": 9.0, "damping_ev": 0},
+        {"model": "plasma", "plasma_energy_ev": 9.0}])
+    def test_undamped_medium_is_config_error(self, tmp_path, capsys, medium):
+        cfg = gold_config()
+        cfg["system"]["medium1"] = cfg["system"]["medium2"] = medium
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == ("config error: .system: compare requires damped "
+                       "drude media\n")
+
 
 class TestSpectra:
     def test_gold_grid_peaks_at_surface_resonance(self, tmp_path, capsys):
@@ -378,9 +415,11 @@ class TestSpectra:
         cfg = gold_config(route="dense-full")
         cfg["system"]["medium1"] = {"model": "plasma", "plasma_energy_ev": 9.0}
         path = write_json(tmp_path, "cfg.json", cfg)
-        code, _, err = run_cli(capsys, [
+        code, out, err = run_cli(capsys, [
             "spectra", "--config", path, "--m-grid", "0.1:5:5"])
-        assert code == 3
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: Drude(plasma_energy_ev=9.0, "
+                              "damping_ev=0.0) has no continuous")
 
     @pytest.mark.parametrize("grid", ["a:b:3", "0.1:5:2.5", "1:2:x",
                                       "0.1:inf:3"])

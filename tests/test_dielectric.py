@@ -10,6 +10,7 @@ from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 GOLD = dl.Drude(plasma_energy_ev=9.0, damping_ev=0.035)
 EP = math.sqrt(0.5) * 9.0  # surface resonance energy, e_p = 6.3640 eV
 EP2 = 40.5
+PLASMA = dl.Drude(plasma_energy_ev=9.0, damping_ev=0.0)  # collisionless
 
 
 class TestReflectionAndDenseAlpha:
@@ -18,7 +19,7 @@ class TestReflectionAndDenseAlpha:
 
     def test_conductor_limit(self):
         assert dl.dense_alpha(GOLD, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert dl.dense_alpha(dl.Plasma(9.0), 1e-9) == pytest.approx(1.0, rel=1e-12)
+        assert dl.dense_alpha(PLASMA, 1e-9) == pytest.approx(1.0, rel=1e-12)
 
     def test_drude_closed_form(self):
         # e_p^2/(K^2 + e_p^2 + sigma K) by hand at K = 1
@@ -29,7 +30,7 @@ class TestReflectionAndDenseAlpha:
         # plasma response equals a single oscillator at the surface
         # resonance: A = e_p^2/(K^2 + e_p^2)
         for k in (0.1, 1.0, 7.0):
-            assert dl.dense_alpha(dl.Plasma(9.0), k) == pytest.approx(
+            assert dl.dense_alpha(PLASMA, k) == pytest.approx(
                 EP2 / (k * k + EP2), rel=1e-14)
 
     def test_matches_eps_route(self):
@@ -39,26 +40,26 @@ class TestReflectionAndDenseAlpha:
                 (eps - 1.0) / (eps + 1.0), rel=1e-12)
 
     def test_drude_zero_damping_equals_plasma(self):
-        nodamp = dl.Drude(9.0, 0.0)
-        plasma = dl.Plasma(9.0)
+        # A from the collisionless permittivity eps = 1 + (hbar*omega_p/K)**2
         for k in (0.3, 1.0, 5.0, 40.0):
-            assert dl.dense_alpha(nodamp, k) == dl.dense_alpha(plasma, k)
-        assert dl.dense_alpha(plasma, 1.0) == pytest.approx(EP2 / 41.5,
+            eps = 1.0 + (9.0 / k) ** 2
+            assert dl.dense_alpha(PLASMA, k) == pytest.approx(
+                (eps - 1.0) / (eps + 1.0), rel=1e-14)
+        assert dl.dense_alpha(PLASMA, 1.0) == pytest.approx(EP2 / 41.5,
                                                             rel=1e-14)
 
     def test_even_in_k(self):
         rng = np.random.default_rng(5)
         for k in rng.uniform(0.01, 30.0, 50):
-            for model in (GOLD, dl.Plasma(9.0), dl.Vacuum()):
+            for model in (GOLD, PLASMA, dl.Vacuum()):
                 assert dl.dense_alpha(model, k) == dl.dense_alpha(model, -k)
 
     def test_drude_to_plasma_continuity(self):
         # pointwise convergence, error linear in the damping
-        plasma = dl.Plasma(9.0)
         for k in (0.5, 2.0, 11.0):
             vals = [dl.dense_alpha(dl.Drude(9.0, damp), k)
                     for damp in (1e-2, 1e-4, 1e-6)]
-            target = dl.dense_alpha(plasma, k)
+            target = dl.dense_alpha(PLASMA, k)
             errs = [abs(v - target) / target for v in vals]
             assert errs[2] < errs[1] < errs[0]
             assert errs[1] == pytest.approx(1e-2 * errs[0], rel=0.05)
@@ -74,7 +75,7 @@ class TestRetarded:
             assert dl.eps_retarded(GOLD, m).imag <= 0.0
 
     def test_plasma_surface_pole(self):
-        eps = dl.eps_retarded(dl.Plasma(9.0), EP, gamma=1e-10)
+        eps = dl.eps_retarded(PLASMA, EP, gamma=1e-10)
         assert eps == pytest.approx(-1.0 + 0.0j, abs=1e-8)
 
     def test_drude_peak_against_closed_spectrum(self):
@@ -117,12 +118,14 @@ class TestSpectralDensity:
 
     def test_plasma_is_delta_line(self):
         # the whole strength is one line at e_p, named in the error
-        with pytest.raises(DeltaLineError, match=r"Plasma\(.*6\.36396 eV"):
-            dl.spectral_density(dl.Plasma(9.0))
+        with pytest.raises(DeltaLineError, match=r"^Drude\(plasma_energy_ev="
+                           r"9\.0, damping_ev=0\.0\) .* line at 6\.36396 eV"):
+            dl.spectral_density(PLASMA)
 
     def test_drude_zero_damping_is_line(self):
-        with pytest.raises(DeltaLineError, match=r"Drude\(.*6\.36396 eV"):
-            dl.spectral_density(dl.Drude(9.0, 0.0))
+        # the line sits at e_p = hbar*omega_p/sqrt(2) whatever omega_p is
+        with pytest.raises(DeltaLineError, match=r"line at 2\.12132 eV"):
+            dl.spectral_density(dl.Drude(3.0, 0.0))
 
     def test_sum_rule(self):
         # integral of value(m)/m^2 over d(m^2) equals the static response
@@ -152,14 +155,14 @@ class TestSpectralDensity:
             assert res.value == pytest.approx(dl.dense_alpha(GOLD, k), rel=1e-7)
 
     def test_surface_plasmon_frequency(self):
-        assert dl.surface_plasmon_frequency(dl.Plasma(9.0)) == pytest.approx(
+        assert dl.surface_plasmon_frequency(PLASMA) == pytest.approx(
             6.364, abs=5e-4)
-        assert dl.surface_plasmon_frequency(dl.Plasma(math.sqrt(2.0))) == \
-            pytest.approx(1.0, rel=1e-14)
-        with pytest.raises(UnsupportedModelError):
+        assert dl.surface_plasmon_frequency(dl.Drude(math.sqrt(2.0), 0.0)) \
+            == pytest.approx(1.0, rel=1e-14)
+        with pytest.raises(UnsupportedModelError, match="undamped Drude"):
             dl.surface_plasmon_frequency(GOLD)
         with pytest.raises(DomainError):
-            dl.Plasma(0.0)
+            dl.Drude(0.0, 0.0)
 
 
 class TestTabulated:
@@ -274,10 +277,7 @@ class TestSurfaceResponse:
 
     def test_default_gamma_depends_on_model_only(self):
         assert dl.default_gamma(TABLE) == 1e-6 * 4.0
-        assert dl.default_gamma(dl.Plasma(9.0)) == pytest.approx(1e-6 * EP,
-                                                                 rel=1e-15)
-        assert dl.default_gamma(dl.Drude(9.0, 0.0)) == \
-            dl.default_gamma(dl.Plasma(9.0))
+        assert dl.default_gamma(PLASMA) == pytest.approx(1e-6 * EP, rel=1e-15)
         assert dl.default_gamma(GOLD) == 0.0
         assert dl.default_gamma(dl.Vacuum()) == 0.0
 
@@ -293,7 +293,7 @@ def test_medium_spec_density_validation():
 @pytest.mark.parametrize("make", [
     lambda: dl.Drude(math.nan, 0.035), lambda: dl.Drude(math.inf, 0.035),
     lambda: dl.Drude(9.0, math.nan), lambda: dl.Drude(9.0, math.inf),
-    lambda: dl.Plasma(math.nan), lambda: dl.Plasma(math.inf)])
+    lambda: dl.Drude(math.nan, 0.0), lambda: dl.Drude(math.inf, 0.0)])
 def test_free_electron_models_reject_non_finite(make):
     with pytest.raises(DomainError, match="finite"):
         make()

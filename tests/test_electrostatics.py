@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from casfric import electrostatics as el
-from casfric.dielectric import Plasma, eps_retarded, surface_plasmon_frequency
+from casfric.dielectric import Drude, eps_retarded, surface_plasmon_frequency
 from casfric.errors import DomainError
-from casfric.geometry import coulomb_kernel_hat
 
 
 def test_vacuum_limit_exact():
@@ -15,14 +14,6 @@ def test_vacuum_limit_exact():
     assert sol.b == 0.0
     assert sol.c == 1.0
     assert sol.c1 == 0.0
-
-
-def test_vacuum_reproduces_free_kernel():
-    cfg = el.LayeredConfig(1.0, 1.0, 2.0, 1.3, z0_nm=-0.7)
-    sol = el.solve_layers(cfg)
-    for z in (-2.0, -0.2, 0.5, 1.5, 2.5, 4.0):
-        assert el.potential_profile(cfg, sol, z) == pytest.approx(
-            coulomb_kernel_hat(z - cfg.z0_nm, cfg.q_per_nm), rel=1e-12)
 
 
 def test_conductor_limit_excludes_field():
@@ -65,24 +56,6 @@ def test_boundary_residuals_random():
     assert worst < 1e-12
 
 
-def test_potential_continuity_at_interfaces():
-    cfg = el.LayeredConfig(4.0, 7.0, 1.5, 0.9, z0_nm=-0.4)
-    sol = el.solve_layers(cfg)
-    eps = 1e-11
-    for z in (cfg.z0_nm, 0.0, cfg.d_nm):
-        lo = el.potential_profile(cfg, sol, z - eps)
-        hi = el.potential_profile(cfg, sol, z + eps)
-        assert hi == pytest.approx(lo, rel=1e-9)
-
-
-def test_potential_decays_past_second_plane():
-    cfg = el.LayeredConfig(4.0, 7.0, 1.5, 0.9)
-    sol = el.solve_layers(cfg)
-    v1 = el.potential_profile(cfg, sol, 2.0)
-    v2 = el.potential_profile(cfg, sol, 3.0)
-    assert v2 == pytest.approx(v1 * math.exp(-cfg.q_per_nm), rel=1e-12)
-
-
 def test_denominator_check_hand_value():
     # eps = 3 gives A = 1/2; qd = 1/2 -> 1 - e^{-1}/4
     from_d, direct = el.denominator_check(el.LayeredConfig(3.0, 3.0, 0.5, 1.0))
@@ -109,7 +82,7 @@ def test_surface_mode_pole_divergence():
     # at the surface-mode frequency eps -> -1: for decoupled planes the
     # reflected coefficients blow up, while a finite gap keeps the
     # transmission denominator finite
-    plasma = Plasma(9.0)
+    plasma = Drude(9.0, 0.0)
     sp = surface_plasmon_frequency(plasma)
     assert abs(eps_retarded(plasma, sp, 1e-10) + 1.0) < 1e-7
 

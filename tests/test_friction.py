@@ -6,7 +6,7 @@ import pytest
 
 from casfric import friction as fr
 from casfric import units
-from casfric.dielectric import (Drude, MediumSpec, Plasma, Tabulated, Vacuum,
+from casfric.dielectric import (Drude, MediumSpec, Tabulated, Vacuum,
                                 dense_alpha, dense_alpha_retarded,
                                 spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
@@ -16,6 +16,7 @@ from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 GOLD = Drude(9.0, 0.035)
 EP = math.sqrt(0.5) * 9.0
 GOLD_MED = MediumSpec(GOLD)
+PLASMA = Drude(9.0, 0.0)  # collisionless: one line at EP
 
 
 def gold_system(d_nm=10.0, v=100.0, t=300.0):
@@ -150,7 +151,7 @@ class TestDenseRoute:
         assert res.converged
 
     def test_plasma_rejected_as_line(self):
-        med = MediumSpec(Plasma(9.0))
+        med = MediumSpec(PLASMA)
         with pytest.raises(DeltaLineError):
             fr.friction_dense(fr.PlateSystem(med, med, 10.0, 100.0, 300.0))
 
@@ -355,7 +356,7 @@ class TestH0Kernels:
 
     def test_delta_line_rejected(self):
         with pytest.raises(DeltaLineError, match="6.36396"):
-            fr.h0_dense_at_u(Plasma(9.0), GOLD, 300.0, 1.0)
+            fr.h0_dense_at_u(PLASMA, GOLD, 300.0, 1.0)
 
     def test_h0_dense_at_u_constant_without_denominators(self):
         vals = [fr.h0_dense_at_u(GOLD, GOLD, 300.0, u, "drop").value
@@ -473,7 +474,7 @@ class TestHybrid:
 
     def test_plasma_plate_rejected(self):
         with pytest.raises(DeltaLineError):
-            fr.friction_hybrid(self.probe(), Plasma(9.0), 1.0, 100.0, 300.0)
+            fr.friction_hybrid(self.probe(), PLASMA, 1.0, 100.0, 300.0)
 
     def test_dense_embedding_limit(self):
         # a dilute probe medium embedded in the dense pipeline via the

@@ -10,86 +10,45 @@ from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
-def random_rotation(rng):
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1
-    return q
-
-
-class TestDipoleTensor:
-    def test_axial_separation(self):
-        z = 2.0
-        psi = geo.dipole_tensor([0.0, 0.0, z])
-        assert np.allclose(psi, np.diag([1.0, 1.0, -2.0]) / z ** 3)
-
-    def test_traceless_symmetric(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            r = rng.uniform(-2.0, 2.0, 3)
-            if np.linalg.norm(r) < 0.1:
-                continue
-            psi = geo.dipole_tensor(r)
-            assert abs(np.trace(psi)) < 1e-12 * np.abs(psi).max()
-            assert np.allclose(psi, psi.T)
-
-    def test_rotation_equivariance(self):
-        rng = np.random.default_rng(12)
-        r = np.array([0.7, -1.1, 0.4])
-        for _ in range(5):
-            rot = random_rotation(rng)
-            lhs = geo.dipole_tensor(rot @ r)
-            rhs = rot @ geo.dipole_tensor(r) @ rot.T
-            assert np.allclose(lhs, rhs, rtol=1e-12)
-
-    def test_singular_origin(self):
-        with pytest.raises(DomainError):
-            geo.dipole_tensor([0.0, 0.0, 0.0])
+def dipole_tensor(r):
+    """-(3 x_i x_j / r**5 - delta_ij / r**3): the interaction whose
+    gradient is the force tensor behind geo._g11."""
+    r = np.asarray(r, dtype=float)
+    rn = float(np.linalg.norm(r))
+    return -(3.0 * np.outer(r, r) / rn ** 5 - np.eye(3) / rn ** 3)
 
 
 class TestForceTensor:
+    """geo._g11(x, y, z) = sum over (i, j) of (d psi_ij / dx)**2, the
+    integrand of the real-space g_perp route."""
+
     def test_finite_difference_oracle(self):
-        r = np.array([1.0, 2.0, 3.0])
-        t = geo.force_tensor(r)
-        h = 1e-6
-        for axis in range(3):
-            dr = np.zeros(3)
-            dr[axis] = h
-            fd = (geo.dipole_tensor(r + dr) - geo.dipole_tensor(r - dr)) / (2 * h)
-            assert np.allclose(t[axis], fd, rtol=1e-6, atol=1e-9)
+        for r in ([1.0, 2.0, 3.0], [-0.4, 0.9, 0.5], [2.0, 0.0, 1.0]):
+            r = np.array(r)
+            dr = np.array([1e-6, 0.0, 0.0])
+            t1 = (dipole_tensor(r + dr) - dipole_tensor(r - dr)) / 2e-6
+            assert float(geo._g11(*r)) == pytest.approx(np.sum(t1 ** 2),
+                                                        rel=1e-8)
 
     def test_scaling_degree(self):
         r = np.array([0.4, -0.9, 1.3])
         for s in (0.5, 2.0, 10.0):
-            assert np.allclose(geo.force_tensor(s * r),
-                               geo.force_tensor(r) / s ** 4, rtol=1e-12)
-
-    def test_symmetric_in_ij(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            r = rng.uniform(0.3, 2.0, 3)
-            t = geo.force_tensor(r)
-            assert np.allclose(t, np.transpose(t, (0, 2, 1)))
+            assert float(geo._g11(*(s * r))) == pytest.approx(
+                float(geo._g11(*r)) / s ** 8, rel=1e-12)
 
     def test_g11_nonnegative(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            r = rng.uniform(0.2, 2.0, 3)
-            t = geo.force_tensor(r)
-            assert float(np.sum(t[0] ** 2)) >= 0.0
+        x, y = rng.uniform(-2.0, 2.0, (2, 20))
+        g = geo._g11(x, y, 0.7)
+        assert np.all(g >= 0.0)
+        for i in range(20):
+            assert g[i] == geo._g11(x[i], y[i], 0.7)
 
 
 class TestCoulombKernel:
-    def test_contact_value(self):
-        assert geo.coulomb_kernel_hat(0.0, 2.0) == pytest.approx(math.pi,
-                                                                 rel=1e-14)
-
-    def test_decay(self):
-        assert geo.coulomb_kernel_hat(40.0, 1.0) < 1e-15
-
-    def test_zero_mode_rejected(self):
-        with pytest.raises(DomainError):
-            geo.coulomb_kernel_hat(1.0, 0.0)
+    """The transverse Fourier kernel (2 pi/q) e^{-q|z|} of the Coulomb
+    potential, whose exponential z dependence makes every plate integral
+    a 1-D exponential integral."""
 
     def test_fourier_pair_with_3d_kernel(self):
         # transforming the transverse kernel back over z must give the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casfric.errors import DomainError
-from casfric.quadrature import (IntegralResult, QuadratureSpec, default_spec,
+from casfric.quadrature import (QuadratureSpec, default_spec,
                                 integrate_finite, integrate_semi_infinite)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
@@ -125,10 +125,3 @@ def test_default_spec_env_override(monkeypatch):
     monkeypatch.delenv("CASFRIC_QUAD_TOL")
     assert default_spec().rel_tol == 1e-8
 
-
-def test_require_converged_raises():
-    from casfric.errors import NonConvergenceError
-
-    bad = IntegralResult(1.0, 1.0, 15, converged=False)
-    with pytest.raises(NonConvergenceError):
-        bad.require_converged()

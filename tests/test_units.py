@@ -44,6 +44,5 @@ def test_constants_quoted_precision():
     assert units.HBAR_JS == pytest.approx(1.054571e-34, rel=1e-6)
     assert units.HBAR_JS == pytest.approx(1.054e-34, rel=1e-3)
     assert units.BOLTZMANN_EV_PER_K == pytest.approx(8.617333e-5, rel=1e-7)
-    assert units.VACUUM_PERMITTIVITY_SI == pytest.approx(8.854e-12, rel=1e-4)
     # hbar in eV s is the exact quotient with the elementary charge
     assert units.HBAR_EV_S == pytest.approx(6.582119569e-16, rel=1e-9)
