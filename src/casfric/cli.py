@@ -35,7 +35,7 @@ from .errors import CasfricError, ConfigError
 from .friction import (FrictionResult, PlateSystem, friction_dense,
                        friction_dilute, friction_drude_closed_form,
                        friction_hybrid, plane_spectral_products)
-from .presets import get_preset
+from .presets import conductivity, get_preset
 from .quadrature import QuadratureSpec, default_spec
 
 EXIT_OK = 0
@@ -82,10 +82,18 @@ def _number(obj, path, positive=False, non_negative=False):
     return v
 
 
+def _integer(obj, path):
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
+        _fail(path, "must be a positive integer")
+    return obj
+
+
 def parse_medium(obj, path):
     _expect_object(obj, path)
     if "preset" in obj:
         _check_keys(obj, path, {"preset", "density_per_nm3"})
+        if not isinstance(obj["preset"], str):
+            _fail(path + ".preset", "must be a preset name string")
         model = get_preset(obj["preset"]).model
     else:
         if "model" not in obj:
@@ -109,9 +117,11 @@ def parse_medium(obj, path):
             _check_keys(obj, path, {"model", "path", "density_per_nm3"})
             if not isinstance(obj.get("path"), str):
                 _fail(path + ".path", "must be a file path string")
+            if "\0" in obj["path"]:
+                _fail(path + ".path", "cannot read table: embedded null byte")
             try:
                 model = load_tabulated(obj["path"])
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 _fail(path + ".path", f"cannot read table: {exc}")
         else:
             _fail(path + ".model",
@@ -132,9 +142,8 @@ def parse_quadrature(obj, path):
                       positive=True)
     rel_tol = _number(obj.get("rel_tol", base.rel_tol), path + ".rel_tol",
                       positive=True)
-    max_sub = obj.get("max_subdivisions", base.max_subdivisions)
-    if not isinstance(max_sub, int) or max_sub < 1:
-        _fail(path + ".max_subdivisions", "must be a positive integer")
+    max_sub = _integer(obj.get("max_subdivisions", base.max_subdivisions),
+                       path + ".max_subdivisions")
     return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol,
                           max_subdivisions=max_sub)
 
@@ -142,7 +151,7 @@ def parse_quadrature(obj, path):
 def parse_run_config(obj, path=""):
     _expect_object(obj, path or ".")
     _check_keys(obj, path or ".", {"system", "route", "denominators",
-                                   "quadrature", "output"})
+                                   "quadrature"})
     route = obj.get("route")
     if route not in ROUTES:
         _fail(path + ".route", f"must be one of {ROUTES}")
@@ -174,22 +183,9 @@ def parse_run_config(obj, path=""):
         _fail(path + ".denominators", "must be 'drop' or 'keep'")
 
     qspec = parse_quadrature(obj.get("quadrature"), path + ".quadrature")
-
-    output = obj.get("output")
-    out_path = None
-    out_format = None
-    if output is not None:
-        _expect_object(output, path + ".output")
-        _check_keys(output, path + ".output", {"path", "format"})
-        out_path = output.get("path")
-        out_format = output.get("format")
-        if out_format is not None and out_format not in ("csv", "json"):
-            _fail(path + ".output.format", "must be 'csv' or 'json'")
-
     return {"medium1": med1, "medium2": med2, **gaps,
             "v_m_per_s": v, "T_K": t, "route": route,
-            "denominators": denominators, "quadrature": qspec,
-            "out_path": out_path, "out_format": out_format, "raw": obj}
+            "denominators": denominators, "quadrature": qspec, "raw": obj}
 
 
 def parse_sweep_config(obj):
@@ -208,9 +204,7 @@ def parse_sweep_config(obj):
         _check_keys(values, ".values", {"min", "max", "count", "scale"})
         lo = _number(values.get("min"), ".values.min")
         hi = _number(values.get("max"), ".values.max")
-        count = values.get("count")
-        if not isinstance(count, int) or count < 1:
-            _fail(".values.count", "must be a positive integer")
+        count = _integer(values.get("count"), ".values.count")
         scale = values.get("scale", "linear")
         if scale not in ("linear", "log"):
             _fail(".values.scale", "must be 'linear' or 'log'")
@@ -316,8 +310,7 @@ def cmd_compute(args) -> int:
     result = run_config(cfg)
     record = result_record(cfg, result)
     res = record["result"]
-    _write(args.format or cfg["out_format"] or "json",
-           args.out or cfg["out_path"], _RESULT_COLUMNS,
+    _write(args.format or "json", args.out, _RESULT_COLUMNS,
            [[res[c] for c in _RESULT_COLUMNS]], payload=record)
     return EXIT_OK if result.converged else EXIT_NONCONV
 
@@ -361,7 +354,7 @@ def cmd_compare(args) -> int:
                          cfg["v_m_per_s"], cfg["T_K"])
     ours = friction_drude_closed_form(system)
     d_m = cfg["d_nm"] * units.NM_TO_M
-    sigma_over_eps0 = m1.plasma_energy_ev ** 2 / (units.HBAR_EV_S * m1.damping_ev)
+    sigma_over_eps0 = conductivity(m1)
     pend = comparisons.pendry_force(comparisons.PendryInput(
         sigma_over_eps0, d_m, cfg["v_m_per_s"]))
     ratio = comparisons.ratio_to_pendry(cfg["T_K"], cfg["v_m_per_s"], d_m)
@@ -440,7 +433,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([("--config", f"cannot read: {exc}")])
     except json.JSONDecodeError as exc:
         raise ConfigError([("--config", f"invalid JSON: {exc}")])

@@ -70,8 +70,8 @@ def g_perp_realspace(z: float, spec: QuadratureSpec | None = None) -> IntegralRe
     the squared force tensor in polar coordinates.
 
     The angular integral is a low-order trigonometric polynomial, exact
-    under a 64-point trapezoid; the radial tail falls off as rho**-9 and
-    is finished by the geometric-segment integrator.
+    under a 64-point trapezoid; the radial integrand falls off as rho**-9,
+    and its tail beyond 10 z is integrated on a map onto [0, 1).
     """
     if not z > 0.0:
         raise DomainError("z must be > 0")

@@ -38,14 +38,14 @@ def _drude_from_conductivity(plasma_energy_ev: float,
     return Drude(plasma_energy_ev=plasma_energy_ev, damping_ev=damping_ev)
 
 
-def _conductivity(model: Drude) -> float:
+def conductivity(model: Drude) -> float:
     """omega_p^2/nu in 1/s for a damped free-electron model."""
     return model.plasma_energy_ev ** 2 / (units.HBAR_EV_S * model.damping_ev)
 
 
 GOLD = Preset(name="gold",
               model=Drude(plasma_energy_ev=9.0, damping_ev=0.035),
-              conductivity_over_eps0=_conductivity(
+              conductivity_over_eps0=conductivity(
                   Drude(plasma_energy_ev=9.0, damping_ev=0.035)),
               d_nm=10.0, v_m_per_s=100.0, T_K=300.0)
 

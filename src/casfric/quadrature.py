@@ -3,10 +3,9 @@
 Finite intervals use an adaptive Gauss-Kronrod 7/15 rule with worst-panel
 bisection; the refinement order is a fixed function of the inputs, so
 results are bit-identical run to run regardless of caller threading.
-Semi-infinite integrals are handled by geometric segment doubling with a
-tail extrapolation from the observed segment decay; thermal and
-exponential-weight integrands converge in a handful of segments, while
-power-law tails still shrink geometrically per doubling.
+Semi-infinite integrals are two calls of the same rule: a head interval
+as it stands, and the tail mapped onto [0, 1), so the tail error is
+measured like any other panel error.
 
 Integrands must be numpy-vectorized: ``f`` receives an ndarray of
 abscissae and returns an ndarray of the same shape.
@@ -187,64 +186,35 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
                             split_points: Iterable[float] = ()) -> IntegralResult:
     """Integral of ``f`` over [0, inf) for decaying integrands.
 
-    ``decay_scale`` is the characteristic scale on which f falls off; the
-    first segment spans ten such scales and subsequent segments double in
-    width until their contribution is negligible.  The neglected tail is
-    bounded by geometric extrapolation of the observed segment decay and
-    folded into the error estimate; an integrand whose segments stop
-    shrinking is flagged as non-convergent instead of silently truncated.
+    The head [0, L], L = max(10 ``decay_scale``, last split point), is
+    integrated as it stands; the tail [L, inf) is mapped onto [0, 1) by
+    x = L + s*t/(1-t), s = ``decay_scale`` (QUADPACK's QAGI).  Value, error
+    and evaluations are the sums of the two.  A tail that does not decay is
+    flagged non-convergent: its bisection runs towards t = 1 until the
+    budget runs out or the map turns non-finite.
     """
     if spec is None:
         spec = default_spec()
     if not decay_scale > 0.0:
         raise DomainError("decay_scale must be > 0")
 
-    splits = sorted(s for s in set(float(s) for s in split_points) if s > 0.0)
-    seg_spec = QuadratureSpec(abs_tol=0.25 * spec.abs_tol,
-                              rel_tol=0.25 * spec.rel_tol,
-                              max_subdivisions=spec.max_subdivisions)
+    # The map resolves x only to ulp(t)*s/(1-t)**2, too coarse for a narrow
+    # feature far out, so split points stay in the head.
+    splits = [10.0 * decay_scale] + [float(s) for s in split_points]
+    head_end = max(splits)
 
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    all_converged = True
+    def tail(t):
+        # Nodes of panels bisected towards t = 1 can round to 1, where the
+        # map is infinite: the non-finite value flags the result.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / (1.0 - t)
+            return decay_scale * w * w * f(head_end + decay_scale * t * w)
 
-    lo = 0.0
-    width = 10.0 * decay_scale
-    seg_values = []
-    small_streak = 0
-    tail_bound = math.inf
-    max_segments = 48
-
-    for _ in range(max_segments):
-        hi = lo + width
-        inner = [s for s in splits if lo < s < hi]
-        res = integrate_finite(f, lo, hi, seg_spec, split_points=inner)
-        evals += res.evaluations
-        total += res.value
-        total_err += res.error_estimate
-        all_converged = all_converged and res.converged
-        seg_values.append(res.value)
-
-        target = spec.target(total)
-        if abs(res.value) < 0.1 * target:
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 2:
-            # Tail bound from the observed geometric decay of segments.
-            prev, last = seg_values[-2], seg_values[-1]
-            ratio = abs(last) / abs(prev) if prev != 0.0 else 0.0
-            ratio = min(ratio, 0.75)
-            tail_bound = abs(last) * ratio / (1.0 - ratio)
-            break
-        lo = hi
-        width *= 2.0
-    else:
-        return IntegralResult(total, total_err + abs(seg_values[-1]),
-                              evals, False)
-
-    total_err += tail_bound
-    converged = all_converged and total_err <= spec.target(total)
-    return IntegralResult(total, total_err, evals, converged)
-
+    parts = (integrate_finite(f, 0.0, head_end, spec, split_points=splits),
+             integrate_finite(tail, 0.0, 1.0, spec))
+    total = sum(p.value for p in parts)
+    total_err = sum(p.error_estimate for p in parts)
+    converged = (all(p.converged for p in parts) and math.isfinite(total)
+                 and total_err <= spec.target(total))
+    return IntegralResult(total, total_err, sum(p.evaluations for p in parts),
+                          converged)

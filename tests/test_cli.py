@@ -192,6 +192,53 @@ class TestCompute:
                        f"numbers, got '{row}\\n'\n")
 
 
+class TestMalformedInput:
+    """Malformed input exits 2 naming its field, never with a traceback."""
+
+    CASES = {
+        "preset-list": (".system.medium1.preset",
+                        "must be a preset name string"),
+        "config-not-utf8": ("--config", "cannot read: 'utf-8' codec"),
+        "table-not-utf8": (".system.medium1.path",
+                           "cannot read table: 'utf-8' codec"),
+        "table-path-nul": (".system.medium1.path",
+                           "cannot read table: embedded null byte"),
+        "max-subdivisions-bool": (".quadrature.max_subdivisions",
+                                  "must be a positive integer"),
+        "count-bool": (".values.count", "must be a positive integer"),
+        "output-block": (".", "unknown keys ['output']"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit2(self, tmp_path, capsys, case):
+        cfg = gold_config(route="dense-full")
+        system = cfg["system"]
+        if case == "preset-list":
+            system["medium1"] = {"preset": ["gold"]}
+        elif case == "table-not-utf8":
+            table = tmp_path / "plate.txt"
+            table.write_bytes(b"0.0 0.0\n# \xff\n2.0 0.1\n")
+            system["medium1"] = {"model": "tabulated", "path": str(table)}
+        elif case == "table-path-nul":
+            system["medium1"] = {"model": "tabulated", "path": "plate\u0000.txt"}
+        elif case == "max-subdivisions-bool":
+            cfg["quadrature"] = {"max_subdivisions": True}
+        elif case == "output-block":
+            cfg["output"] = {"format": "csv", "path": str(tmp_path / "o.csv")}
+        command = "compute"
+        if case == "count-bool":
+            command = "sweep"
+            cfg = {"base": cfg, "axis": "d",
+                   "values": {"min": 5.0, "max": 50.0, "count": True}}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        if case == "config-not-utf8":
+            (tmp_path / "cfg.json").write_bytes(b'{"route": "\xff"}')
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert (code, out) == (2, "")
+        field, message = self.CASES[case]
+        assert err.startswith(f"config error: {field}: {message}")
+
+
 class TestSweep:
     def sweep_config(self, **kw):
         cfg = {

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ class TestSemiInfinite:
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_power_law_tail(self):
-        # segments shrink geometrically even for 1/x^4 decay
+        # the mapped tail of a 1/x^4 decay vanishes smoothly at t = 1
         res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x) ** 4, 1.0, TIGHT)
         assert res.converged
         assert res.value == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -115,6 +116,36 @@ class TestSemiInfinite:
                                       QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8,
                                                      max_subdivisions=2000))
         assert not res.converged
+
+    def test_slow_power_law_tail(self):
+        # 1/x^2 decay: the mapped tail is a smooth rational function of t
+        res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x) ** 2, 1.0,
+                                      QuadratureSpec(abs_tol=1e-14,
+                                                     rel_tol=1e-13))
+        assert res.converged
+        assert abs(res.value - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("center", [50.0, 10.0],
+                             ids=["beyond-head", "at-head-end"])
+    def test_narrow_line_behind_split_point(self, center):
+        # a 1e-6 wide line at 50 decay scales, where without the split the
+        # subdivision budget runs out, and at 10, the default end of the head
+        width = 1e-6
+
+        def f(x):
+            return np.exp(-x) + width / ((x - center) ** 2 + width ** 2) / math.pi
+
+        exact = 1.0 + (0.5 + math.atan(center / width) / math.pi)
+        res = integrate_semi_infinite(f, 1.0, TIGHT, split_points=[center])
+        assert res.converged
+        assert abs(res.value - exact) <= res.error_estimate
+
+    def test_nondecaying_flagged_without_warning(self):
+        for f in (np.ones_like, lambda x: 1.0 / np.sqrt(1.0 + x)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = integrate_semi_infinite(f, 1.0)
+            assert not res.converged
 
 
 def test_default_spec_env_override(monkeypatch):
