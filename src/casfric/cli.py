@@ -94,7 +94,11 @@ def parse_medium(obj, path):
         _check_keys(obj, path, {"preset", "density_per_nm3"})
         if not isinstance(obj["preset"], str):
             _fail(path + ".preset", "must be a preset name string")
-        model = get_preset(obj["preset"]).model
+        try:
+            model = get_preset(obj["preset"]).model
+        except ConfigError as exc:
+            raise ConfigError([(path + ".preset", msg)
+                               for _, msg in exc.errors]) from None
     else:
         if "model" not in obj:
             _fail(path, "missing 'model' (or 'preset')")
@@ -213,9 +217,9 @@ def parse_sweep_config(obj):
         if scale == "log":
             if not lo > 0.0:
                 _fail(".values.min", "must be > 0 for log scale")
-            vals = list(np.geomspace(lo, hi, count))
+            vals = np.geomspace(lo, hi, count).tolist()
         else:
-            vals = list(np.linspace(lo, hi, count))
+            vals = np.linspace(lo, hi, count).tolist()
     else:
         _fail(".values", "must be a list of numbers or {min,max,count,scale}")
     may_be_zero = axis in ("v", "damping")

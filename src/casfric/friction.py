@@ -166,14 +166,16 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # probe also locates the dominant feature so the adaptive rule starts
     # with panel edges bracketing it (a single wide panel would step
     # straight over a narrow thermal peak and "converge" on zero).
+    # The last point, just past the cap, is the height of the tail bound
+    # below; it rides in the probe's integrand call but not in its maximum.
     probe_grid = np.array(sorted(
         list(m_cap * np.geomspace(1e-9, 1.0, 97))
         + [k / beta for k in range(1, 9) if k / beta < m_cap]
         + [h for h in hints if h < m_cap]))
-    probe_vals = integrand(probe_grid)
+    vals = integrand(np.append(probe_grid, m_cap * (1.0 + 1e-9)))
+    probe_vals, tail_val, evals = vals[:-1], float(vals[-1]), len(vals)
     scale = float(np.max(np.abs(probe_vals)))
     if scale == 0.0 or not math.isfinite(scale):
-        evals = len(probe_grid)
         if not math.isfinite(scale):
             return IntegralResult(math.nan, math.inf, evals, False)
         return IntegralResult(0.0, 0.0, evals, True)
@@ -196,13 +198,12 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # the spectral product is bounded near the cap for every decaying
     # density handled here; float underflow makes this zero at practical
     # temperatures, but verify rather than assume.
-    tail_height = float(integrand(np.array([m_cap * (1.0 + 1e-9)]))[0]) / scale
-    tail_bound = abs(tail_height) / beta * 2.0
+    tail_bound = abs(tail_val / scale) / beta * 2.0
     err = res.error_estimate + tail_bound
     converged = res.converged and (res.value == 0.0
                                    or tail_bound <= spec.target(res.value))
     return IntegralResult(res.value * scale, err * scale,
-                          res.evaluations + len(probe_grid) + 1, converged)
+                          res.evaluations + evals, converged)
 
 
 def _pair_splits(model1, model2, u: float):

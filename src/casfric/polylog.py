@@ -76,6 +76,10 @@ _ZETA = _with_odd_tail(_ZETA_HEAD, _ZETA_ODD)
 _ETA = _with_odd_tail(_ETA_HEAD, _ETA_ODD)
 # 1/k**4 for k = 1..40: the tail at |z| = 1/2 is below 1e-18 of the sum.
 _POWER = np.concatenate([[0.0], 1.0 / np.arange(1.0, 41.0) ** 4])
+# Rows per matrix-vector product of a series: OpenBLAS hands a product of
+# more than 4096 entries to its thread pool, whose idle threads then spin
+# on the CPU through the rest of the caller's work.
+_SERIES_ROWS = 64
 
 
 def _series(coefs, x):
@@ -84,7 +88,10 @@ def _series(coefs, x):
     polar-form power would not)."""
     n = len(coefs) - 1
     powers = np.cumprod(np.broadcast_to(x[:, None], (x.size, n)), axis=1)
-    return coefs[0] + powers @ coefs[1:]
+    out = np.empty(x.size, dtype=powers.dtype)
+    for lo in range(0, x.size, _SERIES_ROWS):
+        out[lo:lo + _SERIES_ROWS] = powers[lo:lo + _SERIES_ROWS] @ coefs[1:]
+    return coefs[0] + out
 
 
 def _near_zero(z):

@@ -7,8 +7,11 @@ Semi-infinite integrals are two calls of the same rule: a head interval
 as it stands, and the tail mapped onto [0, 1), so the tail error is
 measured like any other panel error.
 
-Integrands must be numpy-vectorized: ``f`` receives an ndarray of
-abscissae and returns an ndarray of the same shape.
+Each pass of the rule is one integrand call: the first evaluates every
+initial panel, each later one the two halves of the panel it bisects.
+So ``f`` receives one 1-D ndarray of 15*k abscissae per call, k varying
+between calls, and must return an ndarray of the same shape whose every
+entry depends only on the abscissa at its position (elementwise).
 """
 
 from __future__ import annotations
@@ -101,17 +104,25 @@ class IntegralResult:
     converged: bool
 
 
-def _panel(f, a: float, b: float):
-    """One G7/K15 evaluation on [a, b] -> (k15, |k15-g7|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XGK
+def _panels(f, lo, hi):
+    """G7/K15 on the panels [lo[i], hi[i]], all 15*len(lo) nodes in one
+    call of ``f`` -> [(k15, |k15-g7|), ...] as Python floats."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = (mid[:, None] + half[:, None] * _XGK).ravel()
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise DomainError("integrand must return an array matching its input")
-    k15 = half * float(np.dot(_WGK, y))
-    g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
+    # One dot per panel: a matrix product would sum in another order, and
+    # a panel's sums would then depend on the panels evaluated with it.
+    out = []
+    for h, row in zip(half.tolist(), y.reshape(-1, 15)):
+        k15 = h * float(np.dot(_WGK, row))
+        g7 = h * float(np.dot(_WG, row[_GAUSS_IDX]))
+        out.append((k15, abs(k15 - g7)))
+    return out
 
 
 def integrate_finite(f: Callable, a: float, b: float,
@@ -142,8 +153,8 @@ def integrate_finite(f: Callable, a: float, b: float,
     total = 0.0
     total_err = 0.0
     evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:],
+                                  _panels(f, edges[:-1], edges[1:])):
         evals += 15
         total += val
         total_err += err
@@ -166,8 +177,7 @@ def integrate_finite(f: Callable, a: float, b: float,
             if stuck_err > spec.target(total):
                 break
             continue
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
+        (v1, e1), (v2, e2) = _panels(f, (lo, mid), (mid, hi))
         evals += 30
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err

@@ -198,6 +198,9 @@ class TestMalformedInput:
     CASES = {
         "preset-list": (".system.medium1.preset",
                         "must be a preset name string"),
+        "preset-unknown": (".system.medium2.preset",
+                           "unknown preset 'silver'; available: "
+                           "['gold', 'pendry97']"),
         "config-not-utf8": ("--config", "cannot read: 'utf-8' codec"),
         "table-not-utf8": (".system.medium1.path",
                            "cannot read table: 'utf-8' codec"),
@@ -215,6 +218,8 @@ class TestMalformedInput:
         system = cfg["system"]
         if case == "preset-list":
             system["medium1"] = {"preset": ["gold"]}
+        elif case == "preset-unknown":
+            system["medium2"] = {"preset": "silver"}
         elif case == "table-not-utf8":
             table = tmp_path / "plate.txt"
             table.write_bytes(b"0.0 0.0\n# \xff\n2.0 0.1\n")
@@ -248,6 +253,13 @@ class TestSweep:
         }
         cfg.update(kw)
         return cfg
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_values_are_plain_floats(self, scale):
+        # a numpy gap would make every force of the row a numpy scalar
+        sweep = cli.parse_sweep_config(self.sweep_config(
+            values={"min": 5.0, "max": 50.0, "count": 3, "scale": scale}))
+        assert [type(v) for v in sweep["values"]] == [float] * 3
 
     def test_gap_sweep_power_law(self, tmp_path, capsys):
         path = write_json(tmp_path, "sweep.json", self.sweep_config())

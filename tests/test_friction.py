@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -552,3 +553,41 @@ def test_force_factorizes(route):
         double = call(float(gaps[0]), 2.0 * v)
         assert double.force == 2.0 * results[0].force
         assert call(float(gaps[0]), 0.0).force == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:k_B")
+@pytest.mark.parametrize("route", ["drop", "keep", "closed", "dilute",
+                                   "hybrid"])
+def test_result_fields_are_plain(route):
+    """Every field is a plain Python scalar: the CLI writes results with
+    json, which rejects numpy booleans that == comparisons accept."""
+    res = _draw_route(np.random.default_rng(5), route)(10.0, 100.0)
+    assert res.converged
+    assert [type(getattr(res, name)) for name in (
+        "force", "h0", "g", "quadrature_error", "converged",
+        "evaluations")] == [float, float, float, float, bool, int]
+
+
+@pytest.mark.parametrize("denominators", ["drop", "keep"])
+def test_two_spectral_calls_per_force(monkeypatch, denominators):
+    """Each density is evaluated once by the probe (with the tail-bound
+    point) and once by the single pass of the adaptive rule on gold."""
+    densities = []
+    real = fr.spectral_density
+
+    def counted_density(model):
+        sd = real(model)
+        calls = []
+        densities.append(calls)
+
+        def value(m):
+            calls.append(len(m))
+            return sd.value(m)
+
+        return dataclasses.replace(sd, value=value)
+
+    monkeypatch.setattr(fr, "spectral_density", counted_density)
+    res = fr.friction_dense(gold_system(), denominators)
+    assert res.converged
+    assert [len(calls) for calls in densities] == [2, 2]
+    assert [sum(calls) for calls in densities] == [res.evaluations] * 2

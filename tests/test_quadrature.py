@@ -1,3 +1,5 @@
+import dataclasses
+import heapq
 import math
 import warnings
 
@@ -5,10 +7,97 @@ import numpy as np
 import pytest
 
 from casfric.errors import DomainError
-from casfric.quadrature import (QuadratureSpec, default_spec,
+from casfric.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, IntegralResult,
+                                QuadratureSpec, default_spec,
                                 integrate_finite, integrate_semi_infinite)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+
+
+def panel_by_panel(f, a, b, spec, split_points=()):
+    """Oracle of the batched engine: the same G7/K15 rule and worst-first
+    bisection with one integrand call per panel, as the engine was
+    written before it evaluated a whole pass in one call."""
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        y = np.asarray(f(mid + half * _XGK), dtype=float)
+        k15 = half * float(np.dot(_WGK, y))
+        g7 = half * float(np.dot(_WG, y[_GAUSS_IDX]))
+        return k15, abs(k15 - g7)
+
+    edges = [a] + sorted(s for s in set(map(float, split_points))
+                         if a < s < b) + [b]
+    heap, total, total_err, evals = [], 0.0, 0.0, 0
+    for counter, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        val, err = panel(lo, hi)
+        evals += 15
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
+    counter = len(heap)
+    n_panels = len(heap)
+    stuck_err = 0.0
+    while total_err > spec.target(total) and n_panels < spec.max_subdivisions:
+        if not heap:
+            break
+        _, _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            stuck_err += err
+            total_err = stuck_err + sum(item[5] for item in heap)
+            if stuck_err > spec.target(total):
+                break
+            continue
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
+        evals += 30
+        total += (v1 + v2) - val
+        total_err += (e1 + e2) - err
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
+        counter += 2
+        n_panels += 1
+    converged = math.isfinite(total) and total_err <= spec.target(total)
+    return IntegralResult(total, total_err, evals, converged)
+
+
+def fields(res):
+    """Type and exact spelling of every field; nan-safe, unlike ==."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(res)]
+
+
+def assert_plain(res):
+    """Every IntegralResult field is a plain Python scalar, so results
+    serialize with json and compare without numpy."""
+    assert [type(v) for v in dataclasses.astuple(res)] == [float, float, int,
+                                                           bool]
+
+
+def lorentz(center, width):
+    def f(x):
+        return width / ((x - center) ** 2 + width ** 2) / math.pi
+    return f
+
+
+def inverse_abs(x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.abs(x)
+
+
+# (integrand, a, b, spec, split points): the engine must reproduce the
+# oracle field for field on each.
+ORACLE_CASES = {
+    "polynomial": (lambda x: x ** 3 - 2.0 * x, 0.0, 2.0, TIGHT, ()),
+    "sharp-peak-split": (lorentz(0.3333, 1e-7), 0.0, 1.0, TIGHT, (0.3333,)),
+    "many-bisections": (lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0,
+                        QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14), ()),
+    "budget-exhausted": (lambda x: np.exp(np.sin(5.0 * x)), 0.0, 4.0,
+                         QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
+                                        max_subdivisions=3), ()),
+    "non-finite": (inverse_abs, -1.0, 1.0, TIGHT, ()),
+}
 
 
 class TestFinite:
@@ -82,6 +171,56 @@ class TestFinite:
                                  spec(n)).error_estimate
                 for n in (1, 2, 4, 8, 16, 32)]
         assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errs, errs[1:]))
+
+
+class TestBatchedPasses:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_panel_by_panel_oracle(self, case):
+        f, a, b, spec, splits = ORACLE_CASES[case]
+        res = integrate_finite(f, a, b, spec, split_points=splits)
+        assert fields(res) == fields(panel_by_panel(f, a, b, spec, splits))
+        assert_plain(res)
+
+    def test_oracle_cases_reach_their_regime(self):
+        runs = {case: integrate_finite(f, a, b, spec, split_points=splits)
+                for case, (f, a, b, spec, splits) in ORACLE_CASES.items()}
+        assert runs["polynomial"].evaluations == 15
+        assert runs["sharp-peak-split"].converged
+        assert runs["many-bisections"].evaluations > 30 * 40
+        assert runs["budget-exhausted"].evaluations == 15 + 2 * 30
+        assert not runs["budget-exhausted"].converged
+        assert not runs["non-finite"].converged
+        assert math.isnan(runs["non-finite"].error_estimate)
+
+    @pytest.mark.parametrize("case", ["sharp-peak-split", "many-bisections",
+                                      "budget-exhausted"])
+    def test_one_call_per_pass(self, case):
+        f, a, b, spec, splits = ORACLE_CASES[case]
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.shape)
+            return f(x)
+
+        res = integrate_finite(counted, a, b, spec, split_points=splits)
+        n_initial = 1 + len(splits)
+        bisections = (res.evaluations - 15 * n_initial) // 30
+        assert sizes == [(15 * n_initial,)] + [(30,)] * bisections
+
+    @pytest.mark.parametrize("bad", [lambda x: 1.0, lambda x: x[:-1]],
+                             ids=["scalar", "wrong-length"])
+    def test_integrand_must_match_its_input(self, bad):
+        with pytest.raises(DomainError, match="matching its input"):
+            integrate_finite(bad, 0.0, 1.0)
+
+    def test_plain_types_from_numpy_endpoints(self):
+        assert_plain(integrate_finite(np.sin, np.float64(0.0),
+                                      np.float64(math.pi)))
+        assert_plain(integrate_semi_infinite(lambda x: np.exp(-x),
+                                             np.float64(1.0)))
+        assert_plain(integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 1.0,
+                                             QuadratureSpec(
+                                                 max_subdivisions=50)))
 
 
 class TestSemiInfinite:
