@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -303,8 +304,11 @@ def _write(fmt, out_path, columns, rows, payload=None):
         writer.writerows(rows)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError([("--out", f"cannot write: {exc}")]) from None
     else:
         sys.stdout.write(text)
 
@@ -443,7 +447,11 @@ def _load_json(path):
         raise ConfigError([("--config", f"invalid JSON: {exc}")])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing keeps no state in the parser, and building it costs more than
+    a closed-form command."""
     parser = argparse.ArgumentParser(
         prog="casfric",
         description="Casimir friction between polarizable media")

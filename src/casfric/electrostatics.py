@@ -8,6 +8,9 @@ and of eps * d(potential)/dz at z = 0 and z = d.
 
 The closed-form coefficients are the production path; a generic 4x4
 linear solve of the same boundary conditions is kept as an oracle.  The
+closed-form functions broadcast: a ``LayeredConfig`` whose fields are
+arrays describes that many configurations at once, and every result is
+then an array of the broadcast shape (a float for scalar fields).  The
 denominator of the transmitted amplitude, 1 - A1*A2*exp(-2qd) with
 A = (eps-1)/(eps+1), is exactly the induced-correlation denominator of
 the coupled half-plane correlators, which is what this module certifies.
@@ -26,7 +29,9 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class LayeredConfig:
     """Fixed-mode configuration: permittivities, gap d (nm), transverse
-    wavenumber q (nm^-1), and source height z0 < 0 (nm)."""
+    wavenumber q (nm^-1), and source height z0 < 0 (nm).  Fields may be
+    scalars or arrays that broadcast together; each check applies to
+    every element."""
 
     eps1: float
     eps2: float
@@ -35,20 +40,21 @@ class LayeredConfig:
     z0_nm: float = -1.0
 
     def __post_init__(self):
-        if not self.d_nm > 0.0:
+        if not np.all(self.d_nm > 0.0):
             raise DomainError("d_nm must be > 0")
-        if not self.q_per_nm > 0.0:
+        if not np.all(self.q_per_nm > 0.0):
             raise DomainError("q_per_nm must be > 0")
-        if not self.z0_nm < 0.0:
+        if not np.all(self.z0_nm < 0.0):
             raise DomainError("the source must sit at z0 < 0")
-        if self.eps1 == -1.0 or self.eps2 == -1.0:
+        if np.any(self.eps1 == -1.0) or np.any(self.eps2 == -1.0):
             raise DomainError("eps = -1 is the surface-mode pole; the "
                               "boundary system is singular there")
 
 
 @dataclass(frozen=True)
 class BoundarySolution:
-    """Coefficients of the piecewise potential (see module docstring)."""
+    """Coefficients of the piecewise potential (see module docstring);
+    arrays when the config's fields are."""
 
     b: float
     c: float
@@ -56,7 +62,12 @@ class BoundarySolution:
     d: float
 
 
-def _amplitudes(cfg: LayeredConfig) -> tuple[float, float]:
+def _plain(x):
+    """A 0-d result as a Python float, an array result unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _amplitudes(cfg: LayeredConfig):
     a1 = (cfg.eps1 - 1.0) / (cfg.eps1 + 1.0)
     a2 = (cfg.eps2 - 1.0) / (cfg.eps2 + 1.0)
     return a1, a2
@@ -71,15 +82,16 @@ def solve_layers(cfg: LayeredConfig) -> BoundarySolution:
     B = A1/eps1 - ((eps2-1)/(eps1+1)) D e^{-2qd}
     """
     a1, a2 = _amplitudes(cfg)
-    x = math.exp(-2.0 * cfg.q_per_nm * cfg.d_nm)
+    x = np.exp(-2.0 * cfg.q_per_nm * cfg.d_nm)
     denom = (cfg.eps1 + 1.0) * (cfg.eps2 + 1.0) * (1.0 - a1 * a2 * x)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise DomainError("singular boundary system (coupled surface mode)")
     d_coef = 4.0 / denom
     c = 0.5 * (1.0 + cfg.eps2) * d_coef
     c1 = 0.5 * (1.0 - cfg.eps2) * d_coef * x
     b = a1 / cfg.eps1 - (cfg.eps2 - 1.0) / (cfg.eps1 + 1.0) * d_coef * x
-    return BoundarySolution(b=b, c=c, c1=c1, d=d_coef)
+    return BoundarySolution(b=_plain(b), c=_plain(c), c1=_plain(c1),
+                            d=_plain(d_coef))
 
 
 def solve_layers_linear(cfg: LayeredConfig) -> BoundarySolution:
@@ -104,24 +116,20 @@ def solve_layers_linear(cfg: LayeredConfig) -> BoundarySolution:
 
 def boundary_residuals(cfg: LayeredConfig, sol: BoundarySolution) -> np.ndarray:
     """Relative residuals of the four matching conditions (each scaled by
-    the magnitude of its largest term)."""
+    the magnitude of its largest term), along the last axis: shape (4,)
+    for a scalar config, (..., 4) for an array one."""
     e1, e2 = cfg.eps1, cfg.eps2
-    em = math.exp(-cfg.q_per_nm * cfg.d_nm)
-    ep = math.exp(+cfg.q_per_nm * cfg.d_nm)
-    rows = [
-        (1.0 / e1 + sol.b, sol.c + sol.c1),
-        (e1 * (1.0 / e1 - sol.b), sol.c - sol.c1),
-        (sol.c * em + sol.c1 * ep, sol.d * em),
-        (sol.c * em - sol.c1 * ep, e2 * sol.d * em),
-    ]
-    out = np.empty(4)
-    for i, (lhs, rhs) in enumerate(rows):
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        out[i] = abs(lhs - rhs) / scale
-    return out
+    em = np.exp(-cfg.q_per_nm * cfg.d_nm)
+    ep = np.exp(+cfg.q_per_nm * cfg.d_nm)
+    lhs = np.stack([1.0 / e1 + sol.b, e1 * (1.0 / e1 - sol.b),
+                    sol.c * em + sol.c1 * ep, sol.c * em - sol.c1 * ep], axis=-1)
+    rhs = np.stack([sol.c + sol.c1, sol.c - sol.c1, sol.d * em,
+                    e2 * sol.d * em], axis=-1)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return np.abs(lhs - rhs) / scale
 
 
-def denominator_check(cfg: LayeredConfig) -> tuple[float, float]:
+def denominator_check(cfg: LayeredConfig):
     """(denominator extracted from the solved D, direct formula value).
 
     Both are 1 - A1*A2*exp(-2qd); their agreement certifies that the
@@ -131,5 +139,5 @@ def denominator_check(cfg: LayeredConfig) -> tuple[float, float]:
     sol = solve_layers(cfg)
     a1, a2 = _amplitudes(cfg)
     from_d = 4.0 / ((cfg.eps1 + 1.0) * (cfg.eps2 + 1.0) * sol.d)
-    direct = 1.0 - a1 * a2 * math.exp(-2.0 * cfg.q_per_nm * cfg.d_nm)
-    return from_d, direct
+    direct = 1.0 - a1 * a2 * np.exp(-2.0 * cfg.q_per_nm * cfg.d_nm)
+    return _plain(from_d), _plain(direct)

@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 
+# Rows of normals per block of sample_pair_correlators: the working set
+# of a block (a few arrays of this length) stays within a few MiB.
+_BLOCK_ROWS = 1 << 15
+
 
 @dataclass(frozen=True)
 class OscillatorSpec:
@@ -46,26 +50,32 @@ def gtilde(osc: OscillatorSpec, k) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def g_imaginary_time(osc: OscillatorSpec, lam: float, beta: float) -> float:
+def g_imaginary_time(osc: OscillatorSpec, lam, beta: float):
     """Imaginary-time correlator <s(lambda) s(0)> of one oscillator:
 
         g(lambda) = (alpha*w0/2) * cosh((beta/2 - lambda)*w0) / sinh(beta*w0/2)
 
     valid for 0 <= lambda <= beta (the periodic extension is not
     implemented).  At lambda = 0 this is (alpha*w0/2)*coth(beta*w0/2).
+    ``lam`` may be a scalar (float returned) or an array (array of the
+    same shape returned, elementwise).
     """
     if not beta > 0.0:
         raise DomainError("beta must be > 0")
-    if lam < 0.0 or lam > beta:
-        raise DomainError(f"lambda must lie in [0, beta], got {lam!r}")
+    lam = np.asarray(lam, dtype=float)
+    outside = ~((lam >= 0.0) & (lam <= beta))  # nan is outside too
+    if outside.any():
+        raise DomainError(f"lambda must lie in [0, beta], got {lam[outside]!r}")
     w = osc.eigen_energy_ev
     x = beta * w / 2.0
     # cosh((beta/2 - lam)*w)/sinh(x) in overflow-safe form.
     y = (beta / 2.0 - lam) * w
     if x > 350.0:
         # exp-scaled: cosh(y)/sinh(x) ~ (e^{y-x} + e^{-y-x})
-        return 0.5 * osc.alpha_static * w * (math.exp(y - x) + math.exp(-y - x))
-    return 0.5 * osc.alpha_static * w * math.cosh(y) / math.sinh(x)
+        out = 0.5 * osc.alpha_static * w * (np.exp(y - x) + np.exp(-y - x))
+    else:
+        out = 0.5 * osc.alpha_static * w * np.cosh(y) / math.sinh(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def _stability(alpha1: float, alpha2: float, phi: float) -> float:
@@ -112,28 +122,42 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
 
     Returns a dict of estimates with standard errors:
     keys 's1s1', 's2s2', 's1s2', 'fourth' map to (mean, stderr) of the
-    beta-scaled moments.
+    beta-scaled moments.  The ``(n_samples, 2)`` normals are drawn in
+    blocks of ``_BLOCK_ROWS`` rows (the same stream as one draw), and
+    each block's mean and sum of squared deviations are merged by the
+    pairwise update of Chan, Golub & LeVeque (1979), so memory does not
+    grow with ``n_samples``.
     """
     x = _stability(alpha1, alpha2, phi)
     if not beta > 0.0:
         raise DomainError("beta must be > 0")
+    if n_samples < 2:
+        raise DomainError("n_samples must be >= 2 for a standard error")
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],
                     [alpha1 * alpha2 * phi, alpha2]]) / (beta * (1.0 - x))
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, 2))
-    s = z @ chol.T
-
-    def stat(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
-    s1s1 = stat(beta * s[:, 0] ** 2)
-    s2s2 = stat(beta * s[:, 1] ** 2)
-    s1s2 = stat(beta * s[:, 0] * s[:, 1])
-    prod = beta * s[:, 0] * s[:, 1]
-    fourth = stat(prod * prod)
+    # Running count, means and sums of squared deviations of the four
+    # sampled moments beta*s1^2, beta*s2^2, beta*s1*s2, (beta*s1*s2)^2.
+    n = 0
+    mean = np.zeros(4)
+    m2 = np.zeros(4)
+    for lo in range(0, n_samples, _BLOCK_ROWS):
+        z = rng.standard_normal((min(_BLOCK_ROWS, n_samples - lo), 2))
+        s1, s2 = chol @ z.T
+        prod = beta * s1 * s2
+        v = np.stack([beta * s1 ** 2, beta * s2 ** 2, prod, prod * prod])
+        nb = v.shape[1]
+        mean_b = v.mean(axis=1)
+        m2_b = ((v - mean_b[:, None]) ** 2).sum(axis=1)
+        delta = mean_b - mean
+        total = n + nb
+        mean = mean + delta * (nb / total)
+        m2 = m2 + m2_b + delta * delta * (n * nb / total)
+        n = total
+    stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    s1s1, s2s2, s1s2, fourth = ((float(m), float(e)) for m, e in zip(mean, stderr))
     # connected part: subtract <s1 s2>^2 (propagating its error is
     # negligible next to the fourth-moment spread)
     fourth = (fourth[0] - s1s2[0] ** 2, fourth[1])
     return {"s1s1": s1s1, "s2s2": s2s2, "s1s2": s1s2, "fourth": fourth}
-

@@ -72,26 +72,24 @@ def _with_odd_tail(head, odd):
     return c
 
 
-_ZETA = _with_odd_tail(_ZETA_HEAD, _ZETA_ODD)
-_ETA = _with_odd_tail(_ETA_HEAD, _ETA_ODD)
+# Complex, so that the series' product needs no cast.
+_ZETA = _with_odd_tail(_ZETA_HEAD, _ZETA_ODD).astype(complex)
+_ETA = _with_odd_tail(_ETA_HEAD, _ETA_ODD).astype(complex)
 # 1/k**4 for k = 1..40: the tail at |z| = 1/2 is below 1e-18 of the sum.
-_POWER = np.concatenate([[0.0], 1.0 / np.arange(1.0, 41.0) ** 4])
-# Rows per matrix-vector product of a series: OpenBLAS hands a product of
-# more than 4096 entries to its thread pool, whose idle threads then spin
-# on the CPU through the rest of the caller's work.
-_SERIES_ROWS = 64
+_POWER = np.concatenate([[0.0], 1.0 / np.arange(1.0, 41.0) ** 4]).astype(complex)
 
 
 def _series(coefs, x):
     """sum of coefs[k] * x**k over k, the powers by one cumulative
     product (repeated multiplication keeps a small Im x exact, where a
-    polar-form power would not)."""
+    polar-form power would not).  ``einsum`` reduces each row on its
+    own, without BLAS, so the value at one x does not depend on the
+    other entries of ``x``.  A BLAS product blocks its rows by their
+    count, and hands a large product to a thread pool that keeps
+    spinning after it."""
     n = len(coefs) - 1
     powers = np.cumprod(np.broadcast_to(x[:, None], (x.size, n)), axis=1)
-    out = np.empty(x.size, dtype=powers.dtype)
-    for lo in range(0, x.size, _SERIES_ROWS):
-        out[lo:lo + _SERIES_ROWS] = powers[lo:lo + _SERIES_ROWS] @ coefs[1:]
-    return coefs[0] + out
+    return coefs[0] + np.einsum("ij,j->i", powers, coefs[1:])
 
 
 def _near_zero(z):

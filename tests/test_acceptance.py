@@ -13,6 +13,7 @@ strict expected failures: the faithful assertions stay in place and the
 suite will flag any change in that status.
 """
 
+import numpy as np
 import pytest
 
 from casfric import geometry, validation
@@ -85,3 +86,17 @@ def test_fault_injection_flips_only_the_right_criteria():
     assert by_id["2"].passed       # pure math untouched
     assert by_id["7a"].passed
     assert by_id["1c"].passed      # ratio window is parameter-insensitive
+
+
+def test_criterion_7_draws_match_per_config_draws():
+    # the one-shot draw of criterion 7 takes, bit for bit, the values of
+    # 1000 rounds of two permittivities then one q*d
+    e1, e2, qd = validation._boundary_draws(np.random.default_rng(20240817))
+    rng = np.random.default_rng(20240817)
+    rounds = []
+    for _ in range(1000):
+        eps = rng.uniform(1.0, 100.0, 2)
+        rounds.append((eps[0], eps[1], rng.uniform(0.01, 10.0)))
+    old = np.array(rounds)
+    for new, column in zip((e1, e2, qd), old.T):
+        assert np.array_equal(new.view(np.int64), column.view(np.int64))

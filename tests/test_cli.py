@@ -210,6 +210,13 @@ class TestMalformedInput:
                                   "must be a positive integer"),
         "count-bool": (".values.count", "must be a positive integer"),
         "output-block": (".", "unknown keys ['output']"),
+        "out-missing-dir": ("--out", "cannot write: [Errno 2] No such file "
+                            "or directory"),
+        "out-is-dir": ("--out", "cannot write: [Errno 21] Is a directory"),
+        "sweep-out-missing-dir": ("--out", "cannot write: [Errno 2] No such "
+                                  "file or directory"),
+        "sweep-out-is-dir": ("--out", "cannot write: [Errno 21] Is a "
+                             "directory"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -235,10 +242,18 @@ class TestMalformedInput:
             command = "sweep"
             cfg = {"base": cfg, "axis": "d",
                    "values": {"min": 5.0, "max": 50.0, "count": True}}
+        elif case.startswith("sweep-"):
+            command = "sweep"
+            cfg = {"base": cfg, "axis": "d", "values": [10.0, 20.0]}
+        extra = []
+        if case.endswith("out-missing-dir"):
+            extra = ["--out", str(tmp_path / "missing" / "out.json")]
+        elif case.endswith("out-is-dir"):
+            extra = ["--out", str(tmp_path)]
         path = write_json(tmp_path, "cfg.json", cfg)
         if case == "config-not-utf8":
             (tmp_path / "cfg.json").write_bytes(b'{"route": "\xff"}')
-        code, out, err = run_cli(capsys, [command, "--config", path])
+        code, out, err = run_cli(capsys, [command, "--config", path, *extra])
         assert (code, out) == (2, "")
         field, message = self.CASES[case]
         assert err.startswith(f"config error: {field}: {message}")
@@ -519,6 +534,42 @@ class TestValidate:
         assert out[-1] == ("24/26 checks passed "
                            "(2 known-inconsistent benchmark figures)")
         assert code == 1
+
+
+class TestParser:
+    """The parser is built once and shared by every ``main`` call."""
+
+    def test_same_parser_across_calls(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        path = write_json(tmp_path, "cfg.json", gold_config())
+        assert run_cli(capsys, ["compute", "--config", path])[0] == 0
+        assert cli.build_parser() is parser
+
+    def test_usage_error_after_a_command_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", gold_config())
+        assert run_cli(capsys, ["compute", "--config", path])[0] == 0
+        for argv, message in ((["compute"], "the following arguments are "
+                               "required: --config"),
+                              (["bogus"], "invalid choice: 'bogus'")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: casfric")
+            assert message in err
+
+    def test_defaults_do_not_leak_between_commands(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", gold_config())
+        spectra = ["spectra", "--config", path, "--m-grid", "0.1:5:3"]
+        code, first, _ = run_cli(capsys, spectra)
+        assert code == 0 and first.startswith("m_ev,")
+        assert run_cli(capsys, ["compute", "--config", path, "--format",
+                                "csv"])[0] == 0
+        assert run_cli(capsys, spectra) == (0, first, "")
+
+    def test_validate_twice_prints_identical_text(self, capsys):
+        first = run_cli(capsys, ["validate"])
+        assert run_cli(capsys, ["validate"]) == first
 
 
 class TestQuadTolEnvironment:

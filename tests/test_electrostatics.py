@@ -99,6 +99,53 @@ def test_surface_mode_pole_divergence():
     assert math.isfinite(from_d) and abs(direct) > 1e-3
 
 
+def random_configs(n):
+    rng = np.random.default_rng(53)
+    return (rng.uniform(1.0, 100.0, n), rng.uniform(1.0, 100.0, n),
+            rng.uniform(0.3, 3.0, n), rng.uniform(0.01, 10.0, n),
+            -rng.uniform(0.1, 3.0, n))
+
+
+def test_array_config_equals_scalar_calls():
+    # one call over arrays of configs gives, element by element, the
+    # values of the scalar calls
+    fields = random_configs(200)
+    cfg = el.LayeredConfig(*fields)
+    sol = el.solve_layers(cfg)
+    res = el.boundary_residuals(cfg, sol)
+    from_d, direct = el.denominator_check(cfg)
+    assert res.shape == (200, 4)
+    for i, scalars in enumerate(zip(*(f.tolist() for f in fields))):
+        one = el.LayeredConfig(*scalars)
+        one_sol = el.solve_layers(one)
+        for attr in ("b", "c", "c1", "d"):
+            assert getattr(sol, attr)[i] == pytest.approx(
+                getattr(one_sol, attr), rel=1e-15, abs=1e-300)
+        assert res[i] == pytest.approx(el.boundary_residuals(one, one_sol),
+                                       rel=1e-15, abs=1e-30)
+        one_from_d, one_direct = el.denominator_check(one)
+        assert from_d[i] == pytest.approx(one_from_d, rel=1e-15)
+        assert direct[i] == pytest.approx(one_direct, rel=1e-15)
+
+
+def test_scalar_config_gives_floats():
+    cfg = el.LayeredConfig(2.0, 3.0, 1.0, 1.0)
+    sol = el.solve_layers(cfg)
+    assert all(type(getattr(sol, a)) is float for a in ("b", "c", "c1", "d"))
+    assert all(type(x) is float for x in el.denominator_check(cfg))
+    assert el.boundary_residuals(cfg, sol).shape == (4,)
+
+
+@pytest.mark.parametrize("field, bad", [("eps1", -1.0), ("d_nm", 0.0),
+                                        ("q_per_nm", -2.0), ("z0_nm", 0.5)])
+def test_array_config_rejects_one_bad_element(field, bad):
+    fields = dict(zip(("eps1", "eps2", "d_nm", "q_per_nm", "z0_nm"),
+                      random_configs(5)))
+    fields[field][3] = bad
+    with pytest.raises(DomainError):
+        el.LayeredConfig(**fields)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         el.LayeredConfig(2.0, 2.0, -1.0, 1.0)

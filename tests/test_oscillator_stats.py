@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ class TestImaginaryTime:
             osc.g_imaginary_time(o, -0.1, 1.0)
         with pytest.raises(DomainError):
             osc.g_imaginary_time(o, 1.1, 1.0)
+
+    @pytest.mark.parametrize("w, beta", [(1.5, 2.0), (2.0, 400.0)])
+    def test_array_equals_scalar_calls(self, w, beta):
+        # x = beta*w/2 is 1.5 (cosh branch) and 400 (exp-scaled branch)
+        o = osc.OscillatorSpec(0.7, w)
+        lam = np.concatenate([[0.0, beta],
+                              np.random.default_rng(3).uniform(0.0, beta, 60)])
+        values = osc.g_imaginary_time(o, lam, beta)
+        assert values.shape == lam.shape
+        scalars = [osc.g_imaginary_time(o, float(x), beta) for x in lam]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
+
+    def test_array_with_one_point_outside_raises(self):
+        o = osc.OscillatorSpec(1.0, 1.0)
+        for bad in (-1e-12, 1.0 + 1e-12, math.nan):
+            with pytest.raises(DomainError):
+                osc.g_imaginary_time(o, np.array([0.0, 0.5, bad, 1.0]), 1.0)
+            with pytest.raises(DomainError):
+                osc.g_imaginary_time(o, bad, 1.0)
 
     def test_forward_transform_pair(self):
         # integral over [0, beta] of g(lambda) cos(K lambda) equals the
@@ -153,6 +174,30 @@ class TestPairStatistics:
         mean4, err4 = est["fourth"]
         assert abs(mean4 - osc.pair_fourth_moment(a1, a2, phi, b)[2]) < 3.0 * err4
 
+    @pytest.mark.parametrize("n_samples", [10, osc._BLOCK_ROWS + 1, 1_000_000])
+    def test_streaming_matches_one_shot(self, n_samples):
+        est = osc.sample_pair_correlators(1.4, 0.8, 0.35, 1.3,
+                                          n_samples=n_samples, seed=7)
+        ref = one_shot_pair_correlators(1.4, 0.8, 0.35, 1.3, n_samples, 7)
+        assert est.keys() == ref.keys()
+        for key, (mean, err) in ref.items():
+            assert est[key][0] == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert est[key][1] == pytest.approx(err, rel=1e-12, abs=0.0)
+
+    def test_streaming_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            osc.sample_pair_correlators(1.0, 1.0, 0.5, 1.0,
+                                        n_samples=1_000_000, seed=20240817)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+    def test_too_few_samples(self):
+        with pytest.raises(DomainError):
+            osc.sample_pair_correlators(1.0, 1.0, 0.5, 1.0, n_samples=1, seed=0)
+
     def test_wick_factorization(self):
         # <s1^2 s2^2> = <s1^2><s2^2> + 2<s1 s2>^2 for the Gaussian weight
         a1, a2, phi, b = 1.4, 0.8, 0.35, 1.0
@@ -163,3 +208,21 @@ class TestPairStatistics:
         # connected estimator already removed one <s1 s2>^2
         assert abs(mean4 - (b1 * b2 + b12 * b12)) < 3.5 * err4
 
+
+
+def one_shot_pair_correlators(alpha1, alpha2, phi, beta, n_samples, seed):
+    """Oracle: every sample held at once, moments by np.mean and np.std."""
+    x = alpha1 * alpha2 * phi * phi
+    cov = np.array([[alpha1, alpha1 * alpha2 * phi],
+                    [alpha1 * alpha2 * phi, alpha2]]) / (beta * (1.0 - x))
+    s = np.random.default_rng(seed).standard_normal((n_samples, 2)) \
+        @ np.linalg.cholesky(cov).T
+
+    def stat(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
+
+    prod = beta * s[:, 0] * s[:, 1]
+    s1s2 = stat(prod)
+    fourth = stat(prod * prod)
+    return {"s1s1": stat(beta * s[:, 0] ** 2), "s2s2": stat(beta * s[:, 1] ** 2),
+            "s1s2": s1s2, "fourth": (fourth[0] - s1s2[0] ** 2, fourth[1])}

@@ -74,3 +74,12 @@ def test_u_space_identity(z):
     assert res.converged
     closed = li4(np.array([z]))[0].imag / z.imag
     assert res.value == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("size", [1, 15])
+def test_li4_is_elementwise(size):
+    """The value at a point does not depend on which points share its call."""
+    z = oracle_grid()
+    whole = li4(z)
+    sliced = np.concatenate([li4(z[i:i + size]) for i in range(0, z.size, size)])
+    assert np.array_equal(whole.view(float), sliced.view(float))
