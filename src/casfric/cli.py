@@ -11,9 +11,9 @@ Subcommands:
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
 undamped Drude model.  Exit codes: 0 success, 2 configuration error,
-3 physics-domain error, 4 a result that did not converge.  The only
-environment variable consulted is CASFRIC_QUAD_TOL (default quadrature
-relative tolerance).
+3 physics-domain error, 4 a result that did not converge.  No
+environment variable is read: quadrature tolerances come from a config's
+``quadrature`` block or the library defaults.
 """
 
 from __future__ import annotations
@@ -268,25 +268,18 @@ def run_config(cfg) -> FrictionResult:
     return friction_drude_closed_form(system)
 
 
-def result_record(cfg, result: FrictionResult):
-    return {
-        "config": cfg["raw"],
-        "result": {
-            "force": result.force,
-            "force_units": result.force_units,
-            "direction": result.direction,
-            "H0": result.h0,
-            "G": result.g,
+def _result_fields(result: FrictionResult) -> dict:
+    """The output fields of one result, keyed by column name."""
+    return {"route": result.route, "force": result.force,
+            "force_units": result.force_units, "direction": result.direction,
+            "H0": result.h0, "G": result.g,
             "quadrature_error": result.quadrature_error,
-            "route": result.route,
-            "converged": result.converged,
-            "note": result.note,
-        },
-    }
+            "converged": result.converged, "note": result.note}
 
 
-_RESULT_COLUMNS = ["route", "force", "force_units", "H0", "G",
-                   "quadrature_error", "converged"]
+# The fields in a row of a compute or sweep table, after its first column.
+_ROW_FIELDS = ("force", "force_units", "H0", "G", "quadrature_error",
+               "converged")
 
 
 def _write(fmt, out_path, columns, rows, payload=None):
@@ -316,17 +309,17 @@ def _write(fmt, out_path, columns, rows, payload=None):
 def cmd_compute(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
     result = run_config(cfg)
-    record = result_record(cfg, result)
-    res = record["result"]
-    _write(args.format or "json", args.out, _RESULT_COLUMNS,
-           [[res[c] for c in _RESULT_COLUMNS]], payload=record)
+    fields = _result_fields(result)
+    columns = ["route", *_ROW_FIELDS]
+    _write(args.format or "json", args.out, columns,
+           [[fields[c] for c in columns]],
+           payload={"config": cfg["raw"], "result": fields})
     return EXIT_OK if result.converged else EXIT_NONCONV
 
 
 def cmd_sweep(args) -> int:
     sweep = parse_sweep_config(_load_json(args.config))
-    columns = [sweep["axis"], "force", "force_units", "H0", "G",
-               "quadrature_error", "converged", "error"]
+    columns = [sweep["axis"], *_ROW_FIELDS, "error"]
     rows = []
     any_physics = False
     any_nonconv = False
@@ -334,14 +327,13 @@ def cmd_sweep(args) -> int:
         try:
             cfg = _apply_axis(sweep["base"], sweep["axis"], value)
             result = run_config(cfg)
-            rows.append([value, result.force, result.force_units, result.h0,
-                         result.g, result.quadrature_error, result.converged,
-                         ""])
+            fields = _result_fields(result)
+            rows.append([value, *(fields[c] for c in _ROW_FIELDS), ""])
             any_nonconv = any_nonconv or not result.converged
         except ConfigError:
             raise  # the same for every row: exit 2, not a row error
         except CasfricError as exc:
-            rows.append([value, "", "", "", "", "", "", str(exc)])
+            rows.append([value, *[""] * len(_ROW_FIELDS), str(exc)])
             any_physics = True
     _write(args.format or "json", args.out, columns, rows)
     if any_physics:
@@ -363,11 +355,10 @@ def cmd_compare(args) -> int:
     ours = friction_drude_closed_form(system)
     d_m = cfg["d_nm"] * units.NM_TO_M
     sigma_over_eps0 = conductivity(m1)
-    pend = comparisons.pendry_force(comparisons.PendryInput(
-        sigma_over_eps0, d_m, cfg["v_m_per_s"]))
+    pend = comparisons.pendry_force(sigma_over_eps0, d_m, cfg["v_m_per_s"])
     ratio = comparisons.ratio_to_pendry(cfg["T_K"], cfg["v_m_per_s"], d_m)
-    vp_coeff, vp_force = comparisons.vp_friction(comparisons.VPInput(
-        sigma_over_eps0, d_m, cfg["T_K"], cfg["v_m_per_s"]))
+    vp_coeff, vp_force = comparisons.vp_friction(
+        sigma_over_eps0, d_m, cfg["T_K"], cfg["v_m_per_s"])
     record = {
         "config": cfg["raw"],
         "comparison": {
@@ -410,8 +401,8 @@ def cmd_spectra(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
     grid = _parse_m_grid(args.m_grid)
     u = args.u
-    if not u > 0.0:
-        raise ConfigError([("--u", "must be > 0")])
+    if not (math.isfinite(u) and u > 0.0):
+        raise ConfigError([("--u", "must be a finite number > 0")])
     s1 = spectral_density(cfg["medium1"].model)
     s2 = spectral_density(cfg["medium2"].model)
     v1 = np.asarray(s1.value(grid), dtype=float)

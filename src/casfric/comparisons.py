@@ -18,49 +18,21 @@ force of :mod:`casfric.friction`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import units
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class PendryInput:
-    """Constant-conductivity plate pair: sigma/eps0 in 1/s, gap d in m,
-    velocity v in m/s."""
-
-    conductivity_over_eps0: float
-    d_m: float
-    v_m_per_s: float
-
-    def __post_init__(self):
-        if not (self.conductivity_over_eps0 > 0.0 and self.d_m > 0.0
-                and self.v_m_per_s > 0.0):
-            raise DomainError("all Pendry inputs must be > 0")
-
-
-@dataclass(frozen=True)
-class VPInput:
-    """Volokitin-Persson metal pair: 4*pi*sigma (Gaussian) in 1/s, gap d
-    in m, temperature in K, velocity in m/s."""
-
-    four_pi_sigma: float
-    d_m: float
-    T_K: float
-    v_m_per_s: float
-
-    def __post_init__(self):
-        if not (self.four_pi_sigma > 0.0 and self.d_m > 0.0
-                and self.T_K > 0.0 and self.v_m_per_s > 0.0):
-            raise DomainError("all VP inputs must be > 0")
-
-
-def pendry_force(inp: PendryInput) -> float:
-    """Zero-temperature constant-conductivity friction (Pa), cubic in v:
+def pendry_force(conductivity_over_eps0: float, d_m: float,
+                 v_m_per_s: float) -> float:
+    """Zero-temperature friction (Pa) of a constant-conductivity plate
+    pair, sigma/eps0 in 1/s, gap in m, velocity in m/s; cubic in v:
     F_P = 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6)."""
-    s = inp.conductivity_over_eps0
-    return 5.0 * units.HBAR_JS * inp.v_m_per_s ** 3 / (
-        256.0 * math.pi ** 2 * s * s * inp.d_m ** 6)
+    if not (conductivity_over_eps0 > 0.0 and d_m > 0.0 and v_m_per_s > 0.0):
+        raise DomainError("all Pendry inputs must be > 0")
+    s = conductivity_over_eps0
+    return 5.0 * units.HBAR_JS * v_m_per_s ** 3 / (
+        256.0 * math.pi ** 2 * s * s * d_m ** 6)
 
 
 def ratio_to_pendry(temperature_k: float, v_m_per_s: float, d_m: float) -> float:
@@ -78,15 +50,21 @@ def ratio_to_pendry(temperature_k: float, v_m_per_s: float, d_m: float) -> float
     return (64.0 * math.pi ** 2 / 5.0) * (kt / motion_quantum) ** 2
 
 
-def vp_friction(inp: VPInput) -> tuple[float, float]:
-    """Volokitin-Persson evanescent friction: (coefficient, force).
+def vp_friction(four_pi_sigma: float, d_m: float, temperature_k: float,
+                v_m_per_s: float) -> tuple[float, float]:
+    """Volokitin-Persson evanescent friction of a metal pair: (coefficient,
+    force), from 4*pi*sigma (Gaussian) in 1/s, gap in m, temperature in K
+    and velocity in m/s.
 
     coefficient ~ 0.3 (hbar/d^4) (k_B T / (4 pi hbar sigma))**2 in
     kg s^-1 m^-2; force = coefficient * v in Pa.  The 0.3 prefactor is
     the published approximation and is kept as quoted.
     """
-    kt = units.thermal_energy(inp.T_K)
-    energy_scale = units.HBAR_EV_S * inp.four_pi_sigma  # eV
-    coeff = 0.3 * units.HBAR_JS / inp.d_m ** 4 * (kt / energy_scale) ** 2
-    return coeff, coeff * inp.v_m_per_s
+    if not (four_pi_sigma > 0.0 and d_m > 0.0 and temperature_k > 0.0
+            and v_m_per_s > 0.0):
+        raise DomainError("all VP inputs must be > 0")
+    kt = units.thermal_energy(temperature_k)
+    energy_scale = units.HBAR_EV_S * four_pi_sigma  # eV
+    coeff = 0.3 * units.HBAR_JS / d_m ** 4 * (kt / energy_scale) ** 2
+    return coeff, coeff * v_m_per_s
 

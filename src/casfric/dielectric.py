@@ -106,7 +106,9 @@ class MediumSpec:
 
 
 def load_tabulated(path) -> Tabulated:
-    """Read a two-column text file (m_eV, spectral_value); '#' comments."""
+    """Read a two-column text file (m_eV, spectral_value); '#' comments.
+    Errors name the file: a bad row as ``path:line``, a bad table as
+    ``path``."""
     ms, vs = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -125,7 +127,10 @@ def load_tabulated(path) -> Tabulated:
                                   f"got {raw!r}")
             ms.append(m)
             vs.append(v)
-    return Tabulated(np.array(ms), np.array(vs))
+    try:
+        return Tabulated(np.array(ms), np.array(vs))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _ep2(model) -> float:

@@ -4,7 +4,9 @@ Half-plane 1 (permittivity eps1) fills z < 0, half-plane 2 (eps2) fills
 z > d, vacuum in between; a unit charge sits at z0 < 0.  Working per
 transverse mode q, the potential is a piecewise combination of e^{+qz}
 and e^{-qz} whose coefficients follow from continuity of the potential
-and of eps * d(potential)/dz at z = 0 and z = d.
+and of eps * d(potential)/dz at z = 0 and z = d.  The source height
+enters every coefficient as the same factor e^{q z0}, which is divided
+out, so z0 is not an input.
 
 The closed-form coefficients are the production path; a generic 4x4
 linear solve of the same boundary conditions is kept as an oracle.  The
@@ -28,24 +30,20 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class LayeredConfig:
-    """Fixed-mode configuration: permittivities, gap d (nm), transverse
-    wavenumber q (nm^-1), and source height z0 < 0 (nm).  Fields may be
-    scalars or arrays that broadcast together; each check applies to
-    every element."""
+    """Fixed-mode configuration: permittivities, gap d (nm) and transverse
+    wavenumber q (nm^-1).  Fields may be scalars or arrays that broadcast
+    together; each check applies to every element."""
 
     eps1: float
     eps2: float
     d_nm: float
     q_per_nm: float
-    z0_nm: float = -1.0
 
     def __post_init__(self):
         if not np.all(self.d_nm > 0.0):
             raise DomainError("d_nm must be > 0")
         if not np.all(self.q_per_nm > 0.0):
             raise DomainError("q_per_nm must be > 0")
-        if not np.all(self.z0_nm < 0.0):
-            raise DomainError("the source must sit at z0 < 0")
         if np.any(self.eps1 == -1.0) or np.any(self.eps2 == -1.0):
             raise DomainError("eps = -1 is the surface-mode pole; the "
                               "boundary system is singular there")

@@ -87,9 +87,9 @@ def _stability(alpha1: float, alpha2: float, phi: float) -> float:
     return x
 
 
-def pair_correlators(alpha1: float, alpha2: float, phi: float,
-                     beta: float) -> tuple[float, float, float]:
-    """Scaled second moments of the coupled pair:
+def pair_correlators(alpha1: float, alpha2: float,
+                     phi: float) -> tuple[float, float, float]:
+    """Scaled second moments of the coupled pair, the same at every beta:
 
         beta<s_a**2> = alpha_a / (1 - alpha1*alpha2*phi**2)
         beta<s1 s2>  = alpha1*alpha2*phi / (1 - alpha1*alpha2*phi**2)
@@ -97,19 +97,16 @@ def pair_correlators(alpha1: float, alpha2: float, phi: float,
     Returned as (beta<s1^2>, beta<s2^2>, beta<s1 s2>).  The cross term is
     odd in phi; only its square enters any downstream quantity.
     """
-    x = _stability(alpha1, alpha2, phi)
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
-    denom = 1.0 - x
+    denom = 1.0 - _stability(alpha1, alpha2, phi)
     return (alpha1 / denom, alpha2 / denom, alpha1 * alpha2 * phi / denom)
 
 
-def pair_fourth_moment(alpha1: float, alpha2: float, phi: float,
-                       beta: float) -> tuple[float, float, float]:
+def pair_fourth_moment(alpha1: float, alpha2: float,
+                       phi: float) -> tuple[float, float, float]:
     """Connected fourth moment beta**2*(<s1 s2 s1 s2> - <s1 s2>**2),
     decomposed into its in-plane product term <s1^2><s2^2> and the
     cross-plane term <s1 s2>^2, returned as (term11, term12, sum)."""
-    b1, b2, b12 = pair_correlators(alpha1, alpha2, phi, beta)
+    b1, b2, b12 = pair_correlators(alpha1, alpha2, phi)
     term11 = b1 * b2
     term12 = b12 * b12
     return (term11, term12, term11 + term12)

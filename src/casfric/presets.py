@@ -25,17 +25,9 @@ from .errors import ConfigError
 class Preset:
     name: str
     model: Drude
-    conductivity_over_eps0: float  # omega_p^2 / nu, 1/s
     d_nm: float
     v_m_per_s: float
     T_K: float
-
-
-def _drude_from_conductivity(plasma_energy_ev: float,
-                             conductivity_over_eps0: float) -> Drude:
-    damping_ev = plasma_energy_ev ** 2 / (units.HBAR_EV_S
-                                          * conductivity_over_eps0)
-    return Drude(plasma_energy_ev=plasma_energy_ev, damping_ev=damping_ev)
 
 
 def conductivity(model: Drude) -> float:
@@ -45,13 +37,11 @@ def conductivity(model: Drude) -> float:
 
 GOLD = Preset(name="gold",
               model=Drude(plasma_energy_ev=9.0, damping_ev=0.035),
-              conductivity_over_eps0=conductivity(
-                  Drude(plasma_energy_ev=9.0, damping_ev=0.035)),
               d_nm=10.0, v_m_per_s=100.0, T_K=300.0)
 
 PENDRY97 = Preset(name="pendry97",
-                  model=_drude_from_conductivity(9.0, 1.12e10),
-                  conductivity_over_eps0=1.12e10,
+                  model=Drude(plasma_energy_ev=9.0, damping_ev=9.0 ** 2 / (
+                      units.HBAR_EV_S * 1.12e10)),
                   d_nm=0.1, v_m_per_s=1.0, T_K=300.0)
 
 PRESETS = {p.name: p for p in (GOLD, PENDRY97)}

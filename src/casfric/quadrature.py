@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -51,8 +50,6 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
-_ENV_TOL = "CASFRIC_QUAD_TOL"
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -73,25 +70,8 @@ class QuadratureSpec:
 
 
 def default_spec() -> QuadratureSpec:
-    """Default tolerances, honoring the CASFRIC_QUAD_TOL override.
-
-    The environment variable, when set, is read as the relative
-    tolerance; the absolute tolerance is set two decades tighter.  A
-    value that is not a finite number > 0 is a configuration error.
-    """
-    env = os.environ.get(_ENV_TOL)
-    if env is None:
-        return QuadratureSpec()
-    try:
-        rel = float(env)
-        if not (math.isfinite(rel) and rel > 0.0):
-            raise ValueError(env)
-        # DomainError is a ValueError too: the absolute tolerance of a
-        # subnormal value underflows to 0.
-        return QuadratureSpec(abs_tol=rel * 1e-2, rel_tol=rel)
-    except ValueError:
-        raise ConfigError([(_ENV_TOL, f"must be a finite number > 0, "
-                                      f"got {env!r}")]) from None
+    """The tolerances of an integral called without a ``spec``."""
+    return QuadratureSpec()
 
 
 @dataclass

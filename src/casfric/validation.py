@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .friction import (PlateSystem, friction_dense,
 from .oscillator_stats import (OscillatorSpec, g_imaginary_time, gtilde,
                                pair_correlators, pair_fourth_moment,
                                sample_pair_correlators)
-from .presets import GOLD, PENDRY97, Preset
+from .presets import GOLD, PENDRY97, conductivity
 from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 
 
@@ -59,28 +59,11 @@ def _rel(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
 
 
-def _gold(perturb: dict | None) -> Preset:
-    gold = GOLD
-    if perturb:
-        model = gold.model
-        if "gold_plasma_energy_ev" in perturb:
-            model = Drude(perturb["gold_plasma_energy_ev"], model.damping_ev)
-        if "gold_damping_ev" in perturb:
-            model = Drude(model.plasma_energy_ev, perturb["gold_damping_ev"])
-        gold = replace(gold, model=model)
-    return gold
-
-
-def _gold_system(perturb: dict | None) -> PlateSystem:
-    gold = _gold(perturb)
-    med = MediumSpec(gold.model)
-    return PlateSystem(med, med, d_nm=gold.d_nm, v_m_per_s=gold.v_m_per_s,
-                       T_K=gold.T_K)
-
-
-def check_gold_force(perturb: dict | None = None) -> list[CheckResult]:
+def check_gold_force() -> list[CheckResult]:
     """Criterion 1: gold plate-plate force through all three routes."""
-    sys_gold = _gold_system(perturb)
+    med = MediumSpec(GOLD.model)
+    sys_gold = PlateSystem(med, med, d_nm=GOLD.d_nm, v_m_per_s=GOLD.v_m_per_s,
+                           T_K=GOLD.T_K)
     out = []
     cf = friction_drude_closed_form(sys_gold)
     out.append(CheckResult("1a", "gold closed-form force (Pa)",
@@ -155,10 +138,9 @@ def check_pendry() -> list[CheckResult]:
     r = comparisons.ratio_to_pendry(300.0, 100.0, 10e-9)
     out.append(CheckResult("4a", "thermal/cubic force ratio",
                            _rel(r, 1.95e9) <= 5e-3, r, 1.95e9, "0.5%"))
-    inp = comparisons.PendryInput(PENDRY97.conductivity_over_eps0,
+    fp = comparisons.pendry_force(conductivity(PENDRY97.model),
                                   PENDRY97.d_nm * units.NM_TO_M,
                                   PENDRY97.v_m_per_s)
-    fp = comparisons.pendry_force(inp)
     out.append(CheckResult(
         "4b", "cubic-in-v benchmark force (Pa)",
         _rel(fp, 1.6e3) <= 1e-2, fp, 1.6e3, "1%",
@@ -186,8 +168,8 @@ def check_vp() -> list[CheckResult]:
     """Criterion 5: evanescent-wave benchmark ratio ~ 1.2."""
     gold = GOLD
     d_m = gold.d_nm * units.NM_TO_M
-    _, fvp = comparisons.vp_friction(comparisons.VPInput(
-        gold.conductivity_over_eps0, d_m, gold.T_K, gold.v_m_per_s))
+    _, fvp = comparisons.vp_friction(conductivity(gold.model), d_m,
+                                     gold.T_K, gold.v_m_per_s)
     med = MediumSpec(gold.model)
     ours = friction_drude_closed_form(
         PlateSystem(med, med, gold.d_nm, gold.v_m_per_s, gold.T_K)).force
@@ -299,8 +281,8 @@ def check_oscillators() -> list[CheckResult]:
     phi = 0.5
     est = sample_pair_correlators(alpha1, alpha2, phi, 1.0,
                                   n_samples=1_000_000, seed=20240817)
-    exact = pair_correlators(alpha1, alpha2, phi, 1.0)
-    exact4 = pair_fourth_moment(alpha1, alpha2, phi, 1.0)[2]
+    exact = pair_correlators(alpha1, alpha2, phi)
+    exact4 = pair_fourth_moment(alpha1, alpha2, phi)[2]
     checks = [("s1s1", exact[0]), ("s2s2", exact[1]), ("s1s2", exact[2]),
               ("fourth", exact4)]
     worst_sigma = 0.0
@@ -391,11 +373,10 @@ def check_scaling() -> list[CheckResult]:
     return out
 
 
-def run_all(perturb: dict | None = None) -> list[CheckResult]:
-    """Run all acceptance checks; ``perturb`` is a fault-injection hook
-    for the gold parameters (testing that exactly the right criteria fail)."""
+def run_all() -> list[CheckResult]:
+    """Run all acceptance checks."""
     results = []
-    results += check_gold_force(perturb)
+    results += check_gold_force()
     results += check_thermal_integral()
     results += check_geometry()
     results += check_pendry()

@@ -13,10 +13,13 @@ strict expected failures: the faithful assertions stay in place and the
 suite will flag any change in that status.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from casfric import geometry, validation
+from casfric.dielectric import Drude
 from casfric.quadrature import QuadratureSpec
 
 CRITERIA = ("1a", "1b", "1c", "2", "3a", "3b", "3c", "3d", "4a", "4b", "4c",
@@ -79,13 +82,14 @@ def test_criterion_3_halfplane_and_plate_factors(results):
     assert uspace.value == pytest.approx(quadrature, rel=1e-6)
 
 
-def test_fault_injection_flips_only_the_right_criteria():
-    results = validation.run_all(perturb={"gold_plasma_energy_ev": 9.9})
-    by_id = {r.criterion: r for r in results}
-    assert not by_id["1a"].passed  # closed form now off target
-    assert by_id["2"].passed       # pure math untouched
-    assert by_id["7a"].passed
-    assert by_id["1c"].passed      # ratio window is parameter-insensitive
+def test_fault_injection_flips_only_the_right_criteria(monkeypatch):
+    gold = validation.GOLD
+    monkeypatch.setattr(validation, "GOLD",
+                        dataclasses.replace(gold, model=Drude(9.9, 0.035)))
+    results = validation.run_all()
+    # only the closed form's absolute target moves; ratios, identities and
+    # power laws hold for any metal, and 4b/4c fail as they always do
+    assert {r.criterion for r in results if not r.passed} == {"1a", "4b", "4c"}
 
 
 def test_criterion_7_draws_match_per_config_draws():

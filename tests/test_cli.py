@@ -191,6 +191,27 @@ class TestCompute:
         assert err == (f"physics error: {table}:2: expected two finite "
                        f"numbers, got '{row}\\n'\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0 0.0\n", "tabulated model needs two same-length 1-D columns "
+                      "with at least 2 samples"),
+        ("0.0 0.0\n2.0 0.1\n1.0 0.2\n",
+         "tabulated m grid must be strictly increasing"),
+        ("0.0 0.0\n1.0 -0.1\n2.0 0.1\n",
+         "tabulated spectral values must be >= 0"),
+        ("0.0 0.3\n1.0 0.2\n2.0 0.1\n",
+         "a tabulated density must vanish at m = 0")],
+        ids=["one-row", "non-increasing", "negative", "nonzero-at-0"])
+    def test_bad_table_names_its_file_exit3(self, tmp_path, capsys, rows,
+                                            message):
+        table = tmp_path / "plate.txt"
+        table.write_text(rows)
+        cfg = gold_config(route="dense-full")
+        cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err == f"physics error: {table}: {message}\n"
+
 
 class TestMalformedInput:
     """Malformed input exits 2 naming its field, never with a traceback."""
@@ -217,6 +238,8 @@ class TestMalformedInput:
                                   "file or directory"),
         "sweep-out-is-dir": ("--out", "cannot write: [Errno 21] Is a "
                              "directory"),
+        "spectra-u-overflow": ("--u", "must be a finite number > 0"),
+        "spectra-u-zero": ("--u", "must be a finite number > 0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -246,7 +269,11 @@ class TestMalformedInput:
             command = "sweep"
             cfg = {"base": cfg, "axis": "d", "values": [10.0, 20.0]}
         extra = []
-        if case.endswith("out-missing-dir"):
+        if case.startswith("spectra-"):
+            command = "spectra"
+            u = "1e400" if case.endswith("overflow") else "0"
+            extra = ["--m-grid", "0.1:5:3", "--u", u]
+        elif case.endswith("out-missing-dir"):
             extra = ["--out", str(tmp_path / "missing" / "out.json")]
         elif case.endswith("out-is-dir"):
             extra = ["--out", str(tmp_path)]
@@ -573,18 +600,24 @@ class TestParser:
 
 
 class TestQuadTolEnvironment:
+    """CASFRIC_QUAD_TOL, whatever its value, changes no output: no
+    environment variable is read."""
+
     @pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf",
                                        "1e-323"])
     @pytest.mark.parametrize("command", ["compute", "sweep"])
-    def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch,
-                                       command, value):
+    def test_value_changes_nothing(self, tmp_path, capsys, monkeypatch,
+                                   command, value):
         cfg = gold_config(route="dense-full")
         if command == "sweep":
             cfg = {"base": cfg, "axis": "d", "values": [10.0, 20.0]}
         path = write_json(tmp_path, "cfg.json", cfg)
+        unset = run_cli(capsys, [command, "--config", path])
         monkeypatch.setenv("CASFRIC_QUAD_TOL", value)
-        code, out, err = run_cli(capsys, [command, "--config", path])
-        assert code == 2
-        assert out == ""
-        assert err == ("config error: CASFRIC_QUAD_TOL: must be a finite "
-                       f"number > 0, got '{value}'\n")
+        assert run_cli(capsys, [command, "--config", path]) == unset
+
+    def test_validate_prints_the_unset_text(self, capsys, monkeypatch):
+        # a tight value used to tighten criteria 1b/1c/9a-9c and fail 1c
+        unset = run_cli(capsys, ["validate"])
+        monkeypatch.setenv("CASFRIC_QUAD_TOL", "1e-13")
+        assert run_cli(capsys, ["validate"]) == unset

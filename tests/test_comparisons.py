@@ -7,30 +7,30 @@ from casfric import units
 from casfric.dielectric import Drude, MediumSpec
 from casfric.errors import DomainError
 from casfric.friction import PlateSystem, friction_drude_closed_form
-from casfric.presets import GOLD, PENDRY97, get_preset
+from casfric.presets import GOLD, PENDRY97, conductivity, get_preset
 
 
 class TestPendryForce:
     def test_benchmark_parameters(self):
         # sigma/eps0 = 1.12e10/s, d = 1e-10 m, v = 1 m/s; the exact
         # formula gives 1.664e3 Pa (the published rounded figure is 1.6e3)
-        f = cmp.pendry_force(cmp.PendryInput(1.12e10, 1e-10, 1.0))
+        f = cmp.pendry_force(1.12e10, 1e-10, 1.0)
         assert f == pytest.approx(1663.68, rel=1e-4)
         assert f == pytest.approx(1.6e3, rel=0.05)
 
     def test_cubic_in_velocity(self):
-        base = cmp.pendry_force(cmp.PendryInput(1.12e10, 1e-10, 1.0))
-        doubled = cmp.pendry_force(cmp.PendryInput(1.12e10, 1e-10, 2.0))
+        base = cmp.pendry_force(1.12e10, 1e-10, 1.0)
+        doubled = cmp.pendry_force(1.12e10, 1e-10, 2.0)
         assert doubled == pytest.approx(8.0 * base, rel=1e-14)
 
     def test_inverse_square_in_conductivity(self):
-        base = cmp.pendry_force(cmp.PendryInput(1.12e10, 1e-10, 1.0))
-        doubled = cmp.pendry_force(cmp.PendryInput(2.24e10, 1e-10, 1.0))
+        base = cmp.pendry_force(1.12e10, 1e-10, 1.0)
+        doubled = cmp.pendry_force(2.24e10, 1e-10, 1.0)
         assert doubled == pytest.approx(base / 4.0, rel=1e-14)
 
     def test_gap_power(self):
-        base = cmp.pendry_force(cmp.PendryInput(1.12e10, 1e-10, 1.0))
-        wider = cmp.pendry_force(cmp.PendryInput(1.12e10, 2e-10, 1.0))
+        base = cmp.pendry_force(1.12e10, 1e-10, 1.0)
+        wider = cmp.pendry_force(1.12e10, 2e-10, 1.0)
         assert wider == pytest.approx(base / 64.0, rel=1e-14)
 
 
@@ -51,8 +51,7 @@ class TestRatio:
         # ratio * F_P must equal the closed-form force for matched inputs
         pre = PENDRY97
         d_m = pre.d_nm * units.NM_TO_M
-        fp = cmp.pendry_force(cmp.PendryInput(pre.conductivity_over_eps0,
-                                              d_m, pre.v_m_per_s))
+        fp = cmp.pendry_force(conductivity(pre.model), d_m, pre.v_m_per_s)
         ratio = cmp.ratio_to_pendry(pre.T_K, pre.v_m_per_s, d_m)
         med = MediumSpec(pre.model)
         import warnings
@@ -74,8 +73,8 @@ class TestVolokitinPersson:
     def test_gold_ratio(self):
         gold = GOLD
         d_m = gold.d_nm * units.NM_TO_M
-        coeff, force = cmp.vp_friction(cmp.VPInput(
-            gold.conductivity_over_eps0, d_m, gold.T_K, gold.v_m_per_s))
+        coeff, force = cmp.vp_friction(conductivity(gold.model), d_m,
+                                       gold.T_K, gold.v_m_per_s)
         med = MediumSpec(gold.model)
         ours = friction_drude_closed_form(
             PlateSystem(med, med, gold.d_nm, gold.v_m_per_s, gold.T_K)).force
@@ -83,12 +82,12 @@ class TestVolokitinPersson:
         assert force == pytest.approx(coeff * gold.v_m_per_s, rel=1e-15)
 
     def test_zero_velocity_would_vanish(self):
-        coeff, force = cmp.vp_friction(cmp.VPInput(3.5e18, 1e-8, 300.0, 1e-30))
+        coeff, force = cmp.vp_friction(3.5e18, 1e-8, 300.0, 1e-30)
         assert force == pytest.approx(coeff * 1e-30, rel=1e-15)
 
     def test_coefficient_gap_power(self):
-        c1, _ = cmp.vp_friction(cmp.VPInput(3.5e18, 1e-8, 300.0, 100.0))
-        c2, _ = cmp.vp_friction(cmp.VPInput(3.5e18, 2e-8, 300.0, 100.0))
+        c1, _ = cmp.vp_friction(3.5e18, 1e-8, 300.0, 100.0)
+        c2, _ = cmp.vp_friction(3.5e18, 2e-8, 300.0, 100.0)
         assert c1 / c2 == pytest.approx(16.0, rel=1e-12)
 
 
@@ -112,9 +111,9 @@ class TestZeta3:
 class TestInputs:
     def test_validation(self):
         with pytest.raises(DomainError):
-            cmp.PendryInput(0.0, 1e-10, 1.0)
+            cmp.pendry_force(0.0, 1e-10, 1.0)
         with pytest.raises(DomainError):
-            cmp.VPInput(1e10, 1e-8, -1.0, 1.0)
+            cmp.vp_friction(1e10, 1e-8, -1.0, 1.0)
         with pytest.raises(DomainError):
             cmp.ratio_to_pendry(300.0, 0.0, 1e-9)
 
@@ -122,8 +121,8 @@ class TestInputs:
         assert get_preset("gold").model.plasma_energy_ev == 9.0
         assert get_preset("gold").model.damping_ev == 0.035
         # gold conductivity scale ~ 3.5e18/s
-        assert GOLD.conductivity_over_eps0 == pytest.approx(3.5e18, rel=0.01)
-        assert PENDRY97.conductivity_over_eps0 == 1.12e10
+        assert conductivity(GOLD.model) == pytest.approx(3.5e18, rel=0.01)
+        assert conductivity(PENDRY97.model) == 1.12e10
         from casfric.errors import ConfigError
         with pytest.raises(ConfigError):
             get_preset("unobtainium")

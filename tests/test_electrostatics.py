@@ -35,8 +35,7 @@ def test_closed_vs_linear_random_configs():
     for _ in range(200):
         cfg = el.LayeredConfig(rng.uniform(1.0, 100.0),
                                rng.uniform(1.0, 100.0),
-                               1.0, rng.uniform(0.01, 10.0),
-                               z0_nm=-rng.uniform(0.1, 3.0))
+                               1.0, rng.uniform(0.01, 10.0))
         closed = el.solve_layers(cfg)
         linear = el.solve_layers_linear(cfg)
         for attr in ("b", "c", "c1", "d"):
@@ -102,8 +101,7 @@ def test_surface_mode_pole_divergence():
 def random_configs(n):
     rng = np.random.default_rng(53)
     return (rng.uniform(1.0, 100.0, n), rng.uniform(1.0, 100.0, n),
-            rng.uniform(0.3, 3.0, n), rng.uniform(0.01, 10.0, n),
-            -rng.uniform(0.1, 3.0, n))
+            rng.uniform(0.3, 3.0, n), rng.uniform(0.01, 10.0, n))
 
 
 def test_array_config_equals_scalar_calls():
@@ -137,9 +135,9 @@ def test_scalar_config_gives_floats():
 
 
 @pytest.mark.parametrize("field, bad", [("eps1", -1.0), ("d_nm", 0.0),
-                                        ("q_per_nm", -2.0), ("z0_nm", 0.5)])
+                                        ("q_per_nm", -2.0)])
 def test_array_config_rejects_one_bad_element(field, bad):
-    fields = dict(zip(("eps1", "eps2", "d_nm", "q_per_nm", "z0_nm"),
+    fields = dict(zip(("eps1", "eps2", "d_nm", "q_per_nm"),
                       random_configs(5)))
     fields[field][3] = bad
     with pytest.raises(DomainError):
@@ -151,7 +149,5 @@ def test_config_validation():
         el.LayeredConfig(2.0, 2.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         el.LayeredConfig(2.0, 2.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        el.LayeredConfig(2.0, 2.0, 1.0, 1.0, z0_nm=0.5)
     with pytest.raises(DomainError):
         el.LayeredConfig(-1.0, 2.0, 1.0, 1.0)

@@ -119,32 +119,32 @@ class TestImaginaryTime:
 
 class TestPairStatistics:
     def test_correlators_free(self):
-        assert osc.pair_correlators(1.0, 2.0, 0.0, 1.0) == (1.0, 2.0, 0.0)
+        assert osc.pair_correlators(1.0, 2.0, 0.0) == (1.0, 2.0, 0.0)
 
     def test_correlators_hand_value(self):
-        b1, b2, b12 = osc.pair_correlators(1.0, 1.0, 0.5, 1.0)
+        b1, b2, b12 = osc.pair_correlators(1.0, 1.0, 0.5)
         assert (b1, b2, b12) == pytest.approx((4 / 3, 4 / 3, 2 / 3), rel=1e-14)
 
     def test_cross_correlator_odd_in_phi(self):
-        plus = osc.pair_correlators(1.0, 1.5, 0.4, 1.0)
-        minus = osc.pair_correlators(1.0, 1.5, -0.4, 1.0)
+        plus = osc.pair_correlators(1.0, 1.5, 0.4)
+        minus = osc.pair_correlators(1.0, 1.5, -0.4)
         assert plus[0] == minus[0]
         assert plus[1] == minus[1]
         assert plus[2] == -minus[2]
 
     def test_instability_raises(self):
         with pytest.raises(StabilityError):
-            osc.pair_correlators(1.0, 1.0, 1.0, 1.0)
+            osc.pair_correlators(1.0, 1.0, 1.0)
         with pytest.raises(StabilityError):
             osc.sample_pair_correlators(2.0, 2.0, 0.5, 1.0, n_samples=10, seed=0)
 
     def test_fourth_moment_hand_value(self):
-        t11, t12, total = osc.pair_fourth_moment(1.0, 1.0, 0.5, 1.0)
+        t11, t12, total = osc.pair_fourth_moment(1.0, 1.0, 0.5)
         assert (t11, t12, total) == pytest.approx(
             (16 / 9, 4 / 9, 20 / 9), rel=1e-14)
 
     def test_fourth_moment_free(self):
-        t11, t12, total = osc.pair_fourth_moment(1.3, 0.7, 0.0, 1.0)
+        t11, t12, total = osc.pair_fourth_moment(1.3, 0.7, 0.0)
         assert t11 == pytest.approx(1.3 * 0.7, rel=1e-14)
         assert t12 == 0.0
 
@@ -158,7 +158,7 @@ class TestPairStatistics:
 
         h = 1e-5
         d2 = (lnz(phi + h) - 2.0 * lnz(phi) + lnz(phi - h)) / h ** 2
-        total = osc.pair_fourth_moment(a1, a2, phi, b)[2]
+        total = osc.pair_fourth_moment(a1, a2, phi)[2]
         assert total == pytest.approx(d2, rel=1e-5)
 
     def test_monte_carlo_oracle(self):
@@ -166,13 +166,13 @@ class TestPairStatistics:
         a1, a2, phi, b = 1.0, 1.0, 0.5, 1.0
         est = osc.sample_pair_correlators(a1, a2, phi, b,
                                           n_samples=1_000_000, seed=20240817)
-        exact = osc.pair_correlators(a1, a2, phi, b)
+        exact = osc.pair_correlators(a1, a2, phi)
         for key, target in (("s1s1", exact[0]), ("s2s2", exact[1]),
                             ("s1s2", exact[2])):
             mean, err = est[key]
             assert abs(mean - target) < 3.0 * err
         mean4, err4 = est["fourth"]
-        assert abs(mean4 - osc.pair_fourth_moment(a1, a2, phi, b)[2]) < 3.0 * err4
+        assert abs(mean4 - osc.pair_fourth_moment(a1, a2, phi)[2]) < 3.0 * err4
 
     @pytest.mark.parametrize("n_samples", [10, osc._BLOCK_ROWS + 1, 1_000_000])
     def test_streaming_matches_one_shot(self, n_samples):
@@ -203,7 +203,7 @@ class TestPairStatistics:
         a1, a2, phi, b = 1.4, 0.8, 0.35, 1.0
         est = osc.sample_pair_correlators(a1, a2, phi, b,
                                           n_samples=500_000, seed=7)
-        b1, b2, b12 = osc.pair_correlators(a1, a2, phi, b)
+        b1, b2, b12 = osc.pair_correlators(a1, a2, phi)
         mean4, err4 = est["fourth"]
         # connected estimator already removed one <s1 s2>^2
         assert abs(mean4 - (b1 * b2 + b12 * b12)) < 3.5 * err4

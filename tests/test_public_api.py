@@ -56,3 +56,18 @@ def test_every_public_name_is_reached():
     # an oracle that the package starts to reach leaves the allowlist
     assert unreached == {f"{module}:{name}"
                          for module, name in ORACLES}
+
+
+def test_no_module_reads_the_environment():
+    # a force depends on its arguments only: no module reads os.environ
+    # or os.getenv, whether as an attribute or imported by name
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in readers]
+    assert found == []

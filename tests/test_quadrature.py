@@ -287,11 +287,7 @@ class TestSemiInfinite:
             assert not res.converged
 
 
-def test_default_spec_env_override(monkeypatch):
+def test_default_spec_ignores_environment(monkeypatch):
     monkeypatch.setenv("CASFRIC_QUAD_TOL", "1e-6")
-    spec = default_spec()
-    assert spec.rel_tol == 1e-6
-    assert spec.abs_tol == 1e-8
-    monkeypatch.delenv("CASFRIC_QUAD_TOL")
-    assert default_spec().rel_tol == 1e-8
+    assert default_spec() == QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
 
