@@ -348,6 +348,9 @@ def cmd_compare(args) -> int:
     m1, m2 = cfg["medium1"].model, cfg["medium2"].model
     if not all(isinstance(m, Drude) and m.damping_ev > 0.0 for m in (m1, m2)):
         raise ConfigError([(".system", "compare requires damped drude media")])
+    if m1 != m2:
+        raise ConfigError([(".system", "compare requires identical media: "
+                            "medium1 and medium2 differ")])
     if cfg["d_nm"] is None:
         raise ConfigError([(".route", "compare requires a plate route")])
     system = PlateSystem(cfg["medium1"], cfg["medium2"], cfg["d_nm"],

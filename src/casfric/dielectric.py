@@ -139,7 +139,9 @@ def _ep2(model) -> float:
 
 
 # Most (zeta, column) pairs the tabulated kernel holds in one numpy block.
-_BLOCK_PAIRS = 2 ** 16
+# Each temporary of a block is then 128 KiB and stays in cache, so the cost
+# per energy does not grow with the number of energies evaluated together.
+_BLOCK_PAIRS = 2 ** 13
 # The differenced logarithms lose precision as |zeta| / m_top**2 grows
 # (~1e-13 relative at 16, ~1e-12 at 100); past _FAR_RATIO the 15-point
 # Kronrod rule per segment, >= 3 m_top from the poles, is exact to rounding.

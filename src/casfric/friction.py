@@ -66,6 +66,9 @@ _OPPOSES = "opposes the relative velocity (x direction)"
 # the axis that changes the ratio in double precision.
 _STEP = 1e-30
 
+# Geometric probe sweep of h0_overlap in units of its cap, 1e-9 to 1.
+_PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
+
 
 @dataclass(frozen=True)
 class PlateSystem:
@@ -169,7 +172,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # The last point, just past the cap, is the height of the tail bound
     # below; it rides in the probe's integrand call but not in its maximum.
     probe_grid = np.array(sorted(
-        list(m_cap * np.geomspace(1e-9, 1.0, 97))
+        list(m_cap * _PROBE_UNIT)
         + [k / beta for k in range(1, 9) if k / beta < m_cap]
         + [h for h in hints if h < m_cap]))
     vals = integrand(np.append(probe_grid, m_cap * (1.0 + 1e-9)))
@@ -362,8 +365,11 @@ def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
         raise DomainError(f"the geometric factor of the {route} route "
                           "overflows")
     value = h0.value
+    force = g * v_m_per_s * value
+    if math.isfinite(value) and not math.isfinite(force):
+        raise DomainError(f"the {route} force leaves the float range")
     return FrictionResult(
-        force=g * v_m_per_s * value, force_units=force_units, h0=value, g=g,
+        force=force, force_units=force_units, h0=value, g=g,
         quadrature_error=h0.error_estimate / abs(value) if value != 0.0 else 0.0,
         route=route, converged=h0.converged, evaluations=h0.evaluations,
         note=note)
@@ -405,6 +411,10 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
     ep2 = 0.5 * m1.plasma_energy_ev ** 2
     sigma = m1.damping_ev
     kt = units.thermal_energy(system.T_K)
+    try:
+        h0 = (2.0 * math.pi / 3.0) * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2
+    except OverflowError:
+        raise DomainError("the closed-form H0 leaves the float range") from None
     outside = []
     if sigma > 0.1 * math.sqrt(ep2):
         outside.append("damping is not small against the surface resonance "
@@ -420,7 +430,6 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
                                     "validity regime"])
         warnings.warn(note, stacklevel=2)
 
-    h0 = (2.0 * math.pi / 3.0) * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2
     return _result("drude-closed-form", _plate_g(system.d_nm),
                    system.v_m_per_s, IntegralResult(h0, 0.0, 0, True), "Pa",
                    note)

@@ -7,8 +7,15 @@ Semi-infinite integrals are two calls of the same rule: a head interval
 as it stands, and the tail mapped onto [0, 1), so the tail error is
 measured like any other panel error.
 
-Each pass of the rule is one integrand call: the first evaluates every
-initial panel, each later one the two halves of the panel it bisects.
+The integrand is called once for all initial panels, then each time
+the loop pops a panel whose halves are not yet known.  That call holds
+its halves and those of the next panels on the heap that the loop is
+certain to bisect before it could stop (look-ahead).  The loop still
+pops, sums and pushes one panel at a time in worst-first order, so
+value, error and convergence do not depend on the look-ahead.
+``evaluations`` counts the points evaluated.  It exceeds the count of
+panel-by-panel bisection only where a guess goes unused: a narrow peak
+found late can raise the target past a panel already evaluated ahead.
 So ``f`` receives one 1-D ndarray of 15*k abscissae per call, k varying
 between calls, and must return an ndarray of the same shape whose every
 entry depends only on the abscissa at its position (elementwise).
@@ -19,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -105,6 +113,59 @@ def _panels(f, lo, hi):
     return out
 
 
+# The look-ahead stops at panels whose error is below this share of the
+# error of the panel being bisected.  Those lie many passes ahead, and by
+# then the refinement may have found mass the coarse panels missed and
+# raised the target past them.
+_LOOK_AHEAD_SHARE = 1e-2
+# It also stops after walking this many heap panels.  Panels queued by an
+# earlier pass head the pop order and are walked again at each pass, so a
+# longer walk costs more time than the calls it saves.
+_LOOK_AHEAD_WALK = 16
+
+
+def _pop_order(heap):
+    """The items of ``heap`` in the order heappop would return them,
+    without popping: a frontier heap walks the tree of ``heap`` from its
+    root, so taking k items costs O(k log k) whatever the heap size."""
+    frontier = [(heap[0], 0)] if heap else []
+    while frontier:
+        item, i = heapq.heappop(frontier)
+        yield item
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(heap):
+                heapq.heappush(frontier, (heap[child], child))
+
+
+def _certain_bisections(heap, pending, books, stuck_err, target, floor,
+                        room):
+    """Up to ``room`` panels among the first _LOOK_AHEAD_WALK of ``heap``
+    that worst-first bisection is certain to split at ``target``, in pop
+    order, with errors no smaller than ``floor`` and not already in
+    ``pending``.
+
+    ``books`` is the error the loop holds once the panel it bisects now
+    is taken off.  Each later pop takes one error off and each bisection
+    adds two, so while ``books`` less the errors popped before a panel
+    stays above ``target``, the loop cannot stop before reaching it.
+    Unsplittable panels are skipped, unless retiring them could end the
+    loop first.
+    """
+    out = []
+    stuck = stuck_err
+    for _, _, lo, hi, _, err in islice(_pop_order(heap), _LOOK_AHEAD_WALK):
+        if books <= target or err < floor or len(out) >= room:
+            break
+        if not lo < 0.5 * (lo + hi) < hi:
+            stuck += err
+            if stuck > target:
+                break
+        elif (lo, hi) not in pending:
+            out.append((lo, hi))
+        books -= err
+    return out
+
+
 def integrate_finite(f: Callable, a: float, b: float,
                      spec: QuadratureSpec | None = None,
                      split_points: Iterable[float] = ()) -> IntegralResult:
@@ -143,6 +204,8 @@ def integrate_finite(f: Callable, a: float, b: float,
 
     n_panels = len(edges) - 1
     stuck_err = 0.0
+    # Halves of panels evaluated ahead of their bisection, keyed by (lo, hi).
+    halves = {}
 
     while total_err > spec.target(total) and n_panels < spec.max_subdivisions:
         if not heap:
@@ -157,8 +220,21 @@ def integrate_finite(f: Callable, a: float, b: float,
             if stuck_err > spec.target(total):
                 break
             continue
-        (v1, e1), (v2, e2) = _panels(f, (lo, mid), (mid, hi))
-        evals += 30
+        if (lo, hi) not in halves:
+            room = spec.max_subdivisions - n_panels - 1 - len(halves)
+            batch = [(lo, hi)] + _certain_bisections(
+                heap, halves, total_err - err, stuck_err, spec.target(total),
+                _LOOK_AHEAD_SHARE * err, room)
+            half_lo, half_hi = [], []
+            for p, q in batch:
+                m = 0.5 * (p + q)
+                half_lo += (p, m)
+                half_hi += (m, q)
+            pairs = _panels(f, half_lo, half_hi)
+            evals += 15 * len(pairs)
+            for i, key in enumerate(batch):
+                halves[key] = pairs[2 * i:2 * i + 2]
+        (v1, e1), (v2, e2) = halves.pop((lo, hi))
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))

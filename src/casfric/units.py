@@ -10,6 +10,8 @@ is formed.  Joules enter only through hbar in that prefactor.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 
 # CODATA values; truncation matches the precision used elsewhere in the
@@ -34,9 +36,17 @@ def thermal_energy(temperature_k: float) -> float:
     """
     if not temperature_k > 0.0:
         raise DomainError(f"temperature must be > 0 K, got {temperature_k!r}")
-    return BOLTZMANN_EV_PER_K * temperature_k
+    kt = BOLTZMANN_EV_PER_K * temperature_k
+    if kt == 0.0:
+        raise DomainError(f"temperature {temperature_k!r} K is out of range: "
+                          "k_B*T underflows to 0")
+    return kt
 
 
 def beta(temperature_k: float) -> float:
     """Inverse thermal energy 1/(k_B*T) in 1/eV."""
-    return 1.0 / thermal_energy(temperature_k)
+    out = 1.0 / thermal_energy(temperature_k)
+    if math.isinf(out):
+        raise DomainError(f"temperature {temperature_k!r} K is out of range: "
+                          "1/(k_B*T) overflows")
+    return out

@@ -477,6 +477,57 @@ class TestCompare:
                        "drude media\n")
 
 
+    def test_different_media_is_config_error(self, tmp_path, capsys):
+        cfg = gold_config()
+        cfg["system"]["medium2"] = {"model": "drude", "plasma_energy_ev": 12.3,
+                                    "damping_ev": 0.2}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == ("config error: .system: compare requires identical "
+                       "media: medium1 and medium2 differ\n")
+
+
+class TestFloatEdge:
+    """Inputs that pass the schema but whose derived quantities leave the
+    float range: a typed error and exit 3, never a traceback."""
+
+    @pytest.mark.parametrize("command, route, key, value, message", [
+        ("compute", "dense-full", "T_K", 5e-324,
+         "temperature 5e-324 K is out of range: k_B*T underflows to 0"),
+        ("compute", "drude-closed-form", "T_K", 1e308,
+         "the closed-form H0 leaves the float range"),
+        ("compute", "dense-full", "v_m_per_s", 1e308,
+         "the dense-full force leaves the float range"),
+        ("compare", "drude-closed-form", "v_m_per_s", 1e-300,
+         "the ratio to Pendry's force leaves the float range"),
+        ("compare", "drude-closed-form", "v_m_per_s", 1e200,
+         "Pendry's force leaves the float range"),
+        ("compare", "drude-closed-form", "v_m_per_s", 1e308,
+         "the drude-closed-form force leaves the float range"),
+    ], ids=["compute-T-tiny", "closed-form-T-huge", "compute-v-huge",
+            "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge"])
+    def test_exit3_one_line(self, tmp_path, capsys, command, route, key,
+                            value, message):
+        cfg = gold_config(route=route)
+        cfg["system"][key] = value
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path])
+        assert (code, out) == (3, "")
+        assert err == f"physics error: {message}\n"
+
+    def test_sweep_row_error(self, tmp_path, capsys):
+        cfg = {"base": gold_config(route="dense-full"), "axis": "T",
+               "values": [300.0, 5e-324]}
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (3, "")
+        rows = json.loads(out)
+        assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
+        assert rows[1]["error"] == ("temperature 5e-324 K is out of range: "
+                                    "k_B*T underflows to 0")
+
+
 class TestSpectra:
     def test_gold_grid_peaks_at_surface_resonance(self, tmp_path, capsys):
         path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))

@@ -117,6 +117,16 @@ class TestInputs:
         with pytest.raises(DomainError):
             cmp.ratio_to_pendry(300.0, 0.0, 1e-9)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: cmp.vp_friction(1.0, 1e-9, 1e308, 1.0),
+         "the Volokitin-Persson coefficient"),
+        (lambda: cmp.vp_friction(1e10, 1e-9, 300.0, 1e308),
+         "the Volokitin-Persson force"),
+    ], ids=["coefficient", "force"])
+    def test_float_range(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} leaves the float range$"):
+            call()
+
     def test_presets(self):
         assert get_preset("gold").model.plasma_energy_ev == 9.0
         assert get_preset("gold").model.damping_ev == 0.035

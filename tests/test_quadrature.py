@@ -16,8 +16,8 @@ TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 def panel_by_panel(f, a, b, spec, split_points=()):
     """Oracle of the batched engine: the same G7/K15 rule and worst-first
-    bisection with one integrand call per panel, as the engine was
-    written before it evaluated a whole pass in one call."""
+    bisection with one integrand call per panel and no look-ahead, as
+    the engine was written before it evaluated several panels a call."""
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
@@ -97,6 +97,13 @@ ORACLE_CASES = {
                          QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
                                         max_subdivisions=3), ()),
     "non-finite": (inverse_abs, -1.0, 1.0, TIGHT, ()),
+    # A line on a bisection edge at rel_tol 1e-12: the running error sum
+    # drifts from the sum of the panel errors by rounding, and the
+    # look-ahead must follow the running sum.
+    "peak-on-an-edge": (lambda x: np.exp(-x) + 1e-6 / ((x - 0.25) ** 2
+                                                      + 1e-12),
+                        0.0, 1.0, QuadratureSpec(abs_tol=1e-300,
+                                                 rel_tol=1e-12), ()),
 }
 
 
@@ -187,14 +194,26 @@ class TestBatchedPasses:
         assert runs["polynomial"].evaluations == 15
         assert runs["sharp-peak-split"].converged
         assert runs["many-bisections"].evaluations > 30 * 40
+        assert runs["peak-on-an-edge"].converged
         assert runs["budget-exhausted"].evaluations == 15 + 2 * 30
         assert not runs["budget-exhausted"].converged
         assert not runs["non-finite"].converged
         assert math.isnan(runs["non-finite"].error_estimate)
 
-    @pytest.mark.parametrize("case", ["sharp-peak-split", "many-bisections",
-                                      "budget-exhausted"])
-    def test_one_call_per_pass(self, case):
+    # Panels per integrand call: the initial panels, then each pass the
+    # panel bisected together with the panels looked ahead.
+    PANELS_PER_CALL = {
+        "polynomial": [1],
+        "sharp-peak-split": [2, 2] + [1] * 19 + [2] + [1] * 20 + [2],
+        "many-bisections": [1] + [1] * 11 + [2] * 6 + [3] * 6 + [1] * 4,
+        "budget-exhausted": [1, 1, 1],
+        "non-finite": [1],
+        "peak-on-an-edge": ([1, 1, 1, 2] + [1] * 14 + [2] + [1] * 13
+                            + [2, 1, 2, 12, 4]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_calls_per_pass(self, case):
         f, a, b, spec, splits = ORACLE_CASES[case]
         sizes = []
 
@@ -203,9 +222,15 @@ class TestBatchedPasses:
             return f(x)
 
         res = integrate_finite(counted, a, b, spec, split_points=splits)
-        n_initial = 1 + len(splits)
-        bisections = (res.evaluations - 15 * n_initial) // 30
-        assert sizes == [(15 * n_initial,)] + [(30,)] * bisections
+        first, *rest = self.PANELS_PER_CALL[case]
+        assert sizes == [(15 * first,)] + [(30 * k,) for k in rest]
+        assert first == 1 + len(splits)
+        assert res.evaluations == sum(n for n, in sizes)
+        bisections = (res.evaluations - 15 * first) // 30
+        if case == "many-bisections":
+            assert len(rest) < bisections
+        else:
+            assert len(rest) <= bisections
 
     @pytest.mark.parametrize("bad", [lambda x: 1.0, lambda x: x[:-1]],
                              ids=["scalar", "wrong-length"])
@@ -221,6 +246,103 @@ class TestBatchedPasses:
         assert_plain(integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 1.0,
                                              QuadratureSpec(
                                                  max_subdivisions=50)))
+
+
+def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
+    """exp(-x) plus one to three Lorentzian peaks in [0, 1] of seeded
+    widths and heights, log-uniform over the given decades."""
+    n = int(rng.integers(1, 4))
+    centres = rng.uniform(0.0, 1.0, n)
+    widths = 10.0 ** rng.uniform(*log_widths, n)
+    heights = 10.0 ** rng.uniform(*log_heights, n)
+
+    def f(x):
+        out = np.exp(-x)
+        for c, w, h in zip(centres, widths, heights):
+            out = out + h * w / ((x - c) ** 2 + w * w)
+        return out
+    return f
+
+
+def peaked_cases(seed, count, **ranges):
+    """``count`` seeded (integrand, spec, split points) on [0, 1], with
+    up to three random split points and rel_tol 1e-12 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        f = peaked(rng, **ranges)
+        splits = tuple(rng.uniform(0.0, 1.0, int(rng.integers(0, 4))))
+        spec = QuadratureSpec(abs_tol=1e-300,
+                              rel_tol=10.0 ** rng.uniform(-12.0, -6.0))
+        yield f, spec, splits
+
+
+class TestLookAhead:
+    def test_peaked_integrands_match_oracle(self):
+        for f, spec, splits in peaked_cases(11, 200):
+            res = integrate_finite(f, 0.0, 1.0, spec, split_points=splits)
+            assert fields(res) == fields(panel_by_panel(f, 0.0, 1.0, spec,
+                                                        splits))
+
+    def test_hidden_peaks_cost_points_not_results(self):
+        # A peak 1e-8 wide can hide between the nodes of the coarse panels.
+        # Once found, its mass raises the target, and a panel looked ahead
+        # may then never be bisected: its halves are counted, never summed.
+        wasted = 0
+        for f, spec, splits in peaked_cases(4, 200, log_widths=(-8.0, -0.5),
+                                            log_heights=(-4.0, 4.0)):
+            points = []
+
+            def counted(x):
+                points.append(x.size)
+                return f(x)
+
+            res = integrate_finite(counted, 0.0, 1.0, spec, split_points=splits)
+            oracle = panel_by_panel(f, 0.0, 1.0, spec, splits)
+            assert fields(res)[:2] + fields(res)[3:] == \
+                fields(oracle)[:2] + fields(oracle)[3:]
+            assert res.evaluations == sum(points) >= oracle.evaluations
+            wasted += res.evaluations > oracle.evaluations
+        assert wasted > 0
+
+
+ONE_UP = math.nextafter(1.0, 2.0)
+
+
+class TestStuckPanel:
+    """A panel one ulp wide cannot be bisected: the engine retires it
+    with its error kept on the books."""
+
+    def test_lone_stuck_panel_ends_the_loop(self):
+        f = lambda x: np.where(x < 1.0, 1e10, 0.0)  # noqa: E731
+        res = integrate_finite(f, 1.0, ONE_UP)
+        assert (res.converged, res.evaluations) == (False, 15)
+        assert fields(res) == fields(panel_by_panel(f, 1.0, ONE_UP,
+                                                    default_spec()))
+
+    @pytest.mark.parametrize("height, converged", [(5e4, True), (1e5, False)],
+                             ids=["retired", "ends-the-loop"])
+    def test_never_looked_ahead(self, height, converged):
+        # A cusp at 0.37 drives the bisections; the step at 1 makes the
+        # panel [1, ONE_UP] carry an error of about 1e-17 * height, below
+        # the target 1e-12 ("retired", the loop goes on) or above it
+        # ("ends-the-loop").  Either way it sits among the panels the
+        # look-ahead scans and is never evaluated after the first call.
+        def f(x):
+            return np.sqrt(np.abs(x - 0.37)) + np.where(x < 1.0, height, 0.0)
+
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-300)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = integrate_finite(counted, 0.0, 2.0, spec,
+                               split_points=(1.0, ONE_UP))
+        assert res.converged is converged
+        assert fields(res) == fields(panel_by_panel(f, 0.0, 2.0, spec,
+                                                    (1.0, ONE_UP)))
+        assert not any(np.any((x >= 1.0) & (x <= ONE_UP)) for x in calls[1:])
 
 
 class TestSemiInfinite:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from casfric import units
@@ -32,6 +34,14 @@ def test_nonpositive_temperature_rejected(t):
     with pytest.raises(DomainError):
         units.thermal_energy(t)
     with pytest.raises(DomainError):
+        units.beta(t)
+
+
+@pytest.mark.parametrize("t, message", [
+    (5e-324, "k_B*T underflows to 0"), (1e-310, "1/(k_B*T) overflows")],
+    ids=["underflow", "subnormal"])
+def test_temperature_below_the_float_range(t, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
         units.beta(t)
 
 
