@@ -151,8 +151,14 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     if spec is None:
         spec = default_spec()
     beta = units.beta(temperature_k)
+    # The densities square m, and the integral runs to the thermal window.
+    window = 40.0 / beta
+    if window * window == math.inf:
+        raise DomainError(f"temperature T_K = {temperature_k!r} K is out of "
+                          "range: the thermal window 40*k_B*T squared leaves "
+                          "the float range")
     hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
-    m_cap = min(max(40.0 / beta, *(10.0 * h for h in hints)),
+    m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
 
     pref = 0.5 * math.pi * beta * units.HBAR_JS
@@ -192,8 +198,8 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # first Kronrod pass cannot step over the decay region.
     splits.update(s for s in (2.0 ** k / beta for k in range(-1, 6))
                   if s < m_cap)
-    if 40.0 / beta < m_cap:
-        splits.add(40.0 / beta)
+    if window < m_cap:
+        splits.add(window)
     res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
                            split_points=splits)
 

@@ -11,6 +11,7 @@ retarded branch, in ``friction.plane_spectral_products``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ def gtilde(osc: OscillatorSpec, k) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def g_imaginary_time(osc: OscillatorSpec, lam, beta: float):
+def g_imaginary_time(osc: OscillatorSpec | Sequence[OscillatorSpec], lam,
+                     beta: float | Sequence[float], job=None):
     """Imaginary-time correlator <s(lambda) s(0)> of one oscillator:
 
         g(lambda) = (alpha*w0/2) * cosh((beta/2 - lambda)*w0) / sinh(beta*w0/2)
@@ -59,22 +61,35 @@ def g_imaginary_time(osc: OscillatorSpec, lam, beta: float):
     implemented).  At lambda = 0 this is (alpha*w0/2)*coth(beta*w0/2).
     ``lam`` may be a scalar (float returned) or an array (array of the
     same shape returned, elementwise).
+
+    Batched form: with an integer array ``job`` shaped like ``lam``,
+    ``osc`` and ``beta`` are sequences, and entry i is the correlator of
+    ``osc[job[i]]`` at ``beta[job[i]]``, bit for bit as one call on that
+    oscillator would give it.
     """
-    if not beta > 0.0:
+    if job is None:
+        osc, beta, job = [osc], [beta], 0
+    if not all(b > 0.0 for b in beta):
         raise DomainError("beta must be > 0")
     lam = np.asarray(lam, dtype=float)
-    outside = ~((lam >= 0.0) & (lam <= beta))  # nan is outside too
+    betas = np.array(beta, dtype=float)
+    b = betas[job]
+    outside = ~((lam >= 0.0) & (lam <= b))  # nan is outside too
     if outside.any():
         raise DomainError(f"lambda must lie in [0, beta], got {lam[outside]!r}")
-    w = osc.eigen_energy_ev
-    x = beta * w / 2.0
-    # cosh((beta/2 - lam)*w)/sinh(x) in overflow-safe form.
-    y = (beta / 2.0 - lam) * w
-    if x > 350.0:
-        # exp-scaled: cosh(y)/sinh(x) ~ (e^{y-x} + e^{-y-x})
-        out = 0.5 * osc.alpha_static * w * (np.exp(y - x) + np.exp(-y - x))
-    else:
-        out = 0.5 * osc.alpha_static * w * np.cosh(y) / math.sinh(x)
+    ws = np.array([o.eigen_energy_ev for o in osc])
+    amp = (0.5 * np.array([o.alpha_static for o in osc]) * ws)[job]
+    xs = betas * ws / 2.0
+    # cosh((beta/2 - lam)*w)/sinh(x) in overflow-safe form: past x = 350
+    # exp-scaled, cosh(y)/sinh(x) ~ (e^{y-x} + e^{-y-x}).
+    big = (xs > 350.0)[job]
+    sinh_x = np.array([math.inf if x > 350.0 else math.sinh(x)
+                       for x in xs.tolist()])
+    y = (b / 2.0 - lam) * ws[job]
+    out = amp * np.cosh(np.where(big, 0.0, y)) / sinh_x[job]
+    if np.any(big):
+        x = xs[job]
+        out = np.where(big, amp * (np.exp(y - x) + np.exp(-y - x)), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,19 +149,32 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
                     [alpha1 * alpha2 * phi, alpha2]]) / (beta * (1.0 - x))
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
-    # Running count, means and sums of squared deviations of the four
+    # Block buffers, reused: the normals, the two coordinates and the four
     # sampled moments beta*s1^2, beta*s2^2, beta*s1*s2, (beta*s1*s2)^2.
+    rows = min(_BLOCK_ROWS, n_samples)
+    z_buf = np.empty((rows, 2))
+    s_buf = np.empty((2, rows))
+    v_buf = np.empty((4, rows))
+    # Running count, means and sums of squared deviations of the moments.
     n = 0
     mean = np.zeros(4)
     m2 = np.zeros(4)
     for lo in range(0, n_samples, _BLOCK_ROWS):
-        z = rng.standard_normal((min(_BLOCK_ROWS, n_samples - lo), 2))
-        s1, s2 = chol @ z.T
-        prod = beta * s1 * s2
-        v = np.stack([beta * s1 ** 2, beta * s2 ** 2, prod, prod * prod])
-        nb = v.shape[1]
+        nb = min(_BLOCK_ROWS, n_samples - lo)
+        z, v = z_buf[:nb], v_buf[:, :nb]
+        rng.standard_normal(out=z)
+        s1, s2 = np.matmul(chol, z.T, out=s_buf[:, :nb])
+        np.multiply(s1, s1, out=v[0])
+        v[0] *= beta
+        np.multiply(s2, s2, out=v[1])
+        v[1] *= beta
+        np.multiply(beta, s1, out=v[2])
+        v[2] *= s2
+        np.multiply(v[2], v[2], out=v[3])
         mean_b = v.mean(axis=1)
-        m2_b = ((v - mean_b[:, None]) ** 2).sum(axis=1)
+        v -= mean_b[:, None]
+        v *= v
+        m2_b = v.sum(axis=1)
         delta = mean_b - mean
         total = n + nb
         mean = mean + delta * (nb / total)

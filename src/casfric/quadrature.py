@@ -3,9 +3,9 @@
 Finite intervals use an adaptive Gauss-Kronrod 7/15 rule with worst-panel
 bisection; the refinement order is a fixed function of the inputs, so
 results are bit-identical run to run regardless of caller threading.
-Semi-infinite integrals are two calls of the same rule: a head interval
-as it stands, and the tail mapped onto [0, 1), so the tail error is
-measured like any other panel error.
+Semi-infinite integrals are two integrals of the same rule: a head
+interval as it stands, and the tail mapped onto [0, 1), so the tail
+error is measured like any other panel error.
 
 The integrand is called once for all initial panels, then each time
 the loop pops a panel whose halves are not yet known.  That call holds
@@ -19,6 +19,17 @@ found late can raise the target past a panel already evaluated ahead.
 So ``f`` receives one 1-D ndarray of 15*k abscissae per call, k varying
 between calls, and must return an ndarray of the same shape whose every
 entry depends only on the abscissa at its position (elementwise).
+
+Independent integrals run in lockstep in ``integrate_many`` and
+``integrate_semi_infinite_many``.  Each keeps its own bisection as
+above; each round, one call ``f(x, job)`` evaluates the panels that all
+unfinished integrals request, ``job`` holding the integer index of the
+integral each abscissa belongs to.  That ``f`` must be elementwise in
+both arguments: entry i of its result depends only on ``x[i]`` and
+``job[i]``.  Every result is then ``==`` the one its integral gets
+alone, and the semi-infinite head and tail of one integral are two such
+jobs.  The panel rule sums each panel on its own, so its sums do not
+depend on the panels evaluated with it.
 """
 
 from __future__ import annotations
@@ -103,14 +114,16 @@ def _panels(f, lo, hi):
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise DomainError("integrand must return an array matching its input")
-    # One dot per panel: a matrix product would sum in another order, and
-    # a panel's sums would then depend on the panels evaluated with it.
-    out = []
-    for h, row in zip(half.tolist(), y.reshape(-1, 15)):
-        k15 = h * float(np.dot(_WGK, row))
-        g7 = h * float(np.dot(_WG, row[_GAUSS_IDX]))
-        out.append((k15, abs(k15 - g7)))
-    return out
+    # vecdot sums each row as np.dot sums it alone; a matrix product would
+    # sum in another order.  take() copies the Gauss columns in C order:
+    # as a fancy index, Fortran-ordered, vecdot would sum them otherwise.
+    # The rest is Python float arithmetic, so inf - inf is a silent nan
+    # that flags the result.
+    rows = y.reshape(-1, 15)
+    k15 = np.vecdot(rows, _WGK).tolist()
+    g7 = np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist()
+    return [(h * k, abs(h * k - h * g))
+            for h, k, g in zip(half.tolist(), k15, g7)]
 
 
 # The look-ahead stops at panels whose error is below this share of the
@@ -166,36 +179,33 @@ def _certain_bisections(heap, pending, books, stuck_err, target, floor,
     return out
 
 
-def integrate_finite(f: Callable, a: float, b: float,
-                     spec: QuadratureSpec | None = None,
-                     split_points: Iterable[float] = ()) -> IntegralResult:
-    """Adaptive integral of ``f`` over [a, b].
-
-    Endpoints are never evaluated, so integrable endpoint singularities
-    (1/sqrt(x) and friends) are admissible.  ``split_points`` seeds panel
-    boundaries at known sharp features (peaks, resonances).
-
-    Returns a flagged (converged=False) result rather than a silent wrong
-    value when the subdivision budget is exhausted.
-    """
-    if spec is None:
-        spec = default_spec()
+def _edges(a, b, split_points):
+    """Initial panel edges of [a, b]: a, the split points inside, b."""
     if not a < b:
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
-
     edges = [a]
     for s in sorted(set(float(s) for s in split_points)):
         if a < s < b:
             edges.append(s)
     edges.append(b)
+    return edges
 
+
+def _bisection(edges, spec):
+    """Worst-first bisection of one integral as a generator.
+
+    It yields the panels it needs, as lists ``(lo, hi)`` of their edges,
+    is sent their ``[(k15, err), ...]`` and returns its IntegralResult.
+    The panels of one yield are the initial panels, then the halves of
+    the panel it bisects and of those looked ahead.
+    """
     heap = []
     counter = 0
     total = 0.0
     total_err = 0.0
     evals = 0
-    for lo, hi, (val, err) in zip(edges[:-1], edges[1:],
-                                  _panels(f, edges[:-1], edges[1:])):
+    pairs = yield edges[:-1], edges[1:]
+    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], pairs):
         evals += 15
         total += val
         total_err += err
@@ -230,7 +240,7 @@ def integrate_finite(f: Callable, a: float, b: float,
                 m = 0.5 * (p + q)
                 half_lo += (p, m)
                 half_hi += (m, q)
-            pairs = _panels(f, half_lo, half_hi)
+            pairs = yield half_lo, half_hi
             evals += 15 * len(pairs)
             for i, key in enumerate(batch):
                 halves[key] = pairs[2 * i:2 * i + 2]
@@ -247,6 +257,76 @@ def integrate_finite(f: Callable, a: float, b: float,
     return IntegralResult(total, total_err, evals, converged)
 
 
+def integrate_finite(f: Callable, a: float, b: float,
+                     spec: QuadratureSpec | None = None,
+                     split_points: Iterable[float] = ()) -> IntegralResult:
+    """Adaptive integral of ``f`` over [a, b].
+
+    Endpoints are never evaluated, so integrable endpoint singularities
+    (1/sqrt(x) and friends) are admissible.  ``split_points`` seeds panel
+    boundaries at known sharp features (peaks, resonances).
+
+    Returns a flagged (converged=False) result rather than a silent wrong
+    value when the subdivision budget is exhausted.
+    """
+    if spec is None:
+        spec = default_spec()
+    # Every H0 route runs here: one bisection drives f directly, without
+    # the owner array and concatenation of integrate_many.
+    run = _bisection(_edges(a, b, split_points), spec)
+    try:
+        lo, hi = next(run)
+        while True:
+            lo, hi = run.send(_panels(f, lo, hi))
+    except StopIteration as done:
+        return done.value
+
+
+def _job(a, b, split_points=(), spec=None):
+    """A job of ``integrate_many`` with its defaults filled in."""
+    return a, b, split_points, spec
+
+
+def integrate_many(f: Callable, jobs: Iterable[tuple],
+                   spec: QuadratureSpec | None = None) -> list[IntegralResult]:
+    """Adaptive integrals of ``f`` over many intervals, in lockstep.
+
+    Each job is ``(a, b)``, ``(a, b, split_points)`` or ``(a, b,
+    split_points, spec)``; a job without its own spec takes ``spec``.
+    Each integral runs the bisection of :func:`integrate_finite`, and
+    its result is ``==`` that of ``integrate_finite`` on the same
+    arguments.  Each round, ``f(x, job)`` is called once with the
+    abscissae that all unfinished integrals request, ``job`` holding the
+    index of the job each abscissa belongs to.  Every job is checked
+    before the first call.
+    """
+    if spec is None:
+        spec = default_spec()
+    runs = []
+    for job in jobs:
+        a, b, split_points, job_spec = _job(*job)
+        runs.append(_bisection(_edges(a, b, split_points),
+                               spec if job_spec is None else job_spec))
+    results = [None] * len(runs)
+    wanted = {i: next(run) for i, run in enumerate(runs)}
+    while wanted:
+        lo = [p for req, _ in wanted.values() for p in req]
+        hi = [q for _, req in wanted.values() for q in req]
+        counts = [len(req) for req, _ in wanted.values()]
+        owner = np.repeat(np.fromiter(wanted, dtype=np.intp, count=len(counts)),
+                          [15 * n for n in counts])
+        pairs = _panels(lambda x: f(x, owner), lo, hi)
+        start = 0
+        for i, n in zip(list(wanted), counts):
+            try:
+                wanted[i] = runs[i].send(pairs[start:start + n])
+            except StopIteration as done:
+                results[i] = done.value
+                del wanted[i]
+            start += n
+    return results
+
+
 def integrate_semi_infinite(f: Callable, decay_scale: float,
                             spec: QuadratureSpec | None = None,
                             split_points: Iterable[float] = ()) -> IntegralResult:
@@ -259,28 +339,57 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
     flagged non-convergent: its bisection runs towards t = 1 until the
     budget runs out or the map turns non-finite.
     """
+    return integrate_semi_infinite_many(lambda x, job: f(x),
+                                        [(decay_scale, split_points)], spec)[0]
+
+
+def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
+                                 spec: QuadratureSpec | None = None
+                                 ) -> list[IntegralResult]:
+    """Integrals over [0, inf) of ``f(x, job)``, in lockstep.
+
+    Each job is ``(decay_scale, split_points)`` and is integrated as by
+    :func:`integrate_semi_infinite`, to ``==`` the same result: its head
+    and its mapped tail are two jobs of :func:`integrate_many`, so one
+    call of ``f`` per round holds the heads and tails of every unfinished
+    integral.  ``f`` is called under ``np.errstate(divide="ignore",
+    invalid="ignore")``: a tail node may map to inf.
+    """
     if spec is None:
         spec = default_spec()
-    if not decay_scale > 0.0:
-        raise DomainError("decay_scale must be > 0")
+    finite_jobs, scales, ends = [], [], []
+    for decay_scale, split_points in jobs:
+        if not decay_scale > 0.0:
+            raise DomainError("decay_scale must be > 0")
+        # The map resolves x only to ulp(t)*s/(1-t)**2, too coarse for a
+        # narrow feature far out, so split points stay in the head.
+        splits = [10.0 * decay_scale] + [float(s) for s in split_points]
+        head_end = max(splits)
+        finite_jobs += [(0.0, head_end, splits), (0.0, 1.0)]
+        scales += [1.0, decay_scale]
+        ends += [0.0, head_end]
+    scales = np.array(scales)
+    ends = np.array(ends)
 
-    # The map resolves x only to ulp(t)*s/(1-t)**2, too coarse for a narrow
-    # feature far out, so split points stay in the head.
-    splits = [10.0 * decay_scale] + [float(s) for s in split_points]
-    head_end = max(splits)
-
-    def tail(t):
-        # Nodes of panels bisected towards t = 1 can round to 1, where the
-        # map is infinite: the non-finite value flags the result.
+    def mapped(t, job):
+        # Job 2*i is the head of integral i, as it stands; job 2*i + 1 its
+        # tail.  Nodes of tail panels bisected towards t = 1 can round to
+        # 1, where the map is infinite: the non-finite value flags the
+        # result.
+        tail = (job & 1).astype(bool)
+        s = scales[job]
         with np.errstate(divide="ignore", invalid="ignore"):
             w = 1.0 / (1.0 - t)
-            return decay_scale * w * w * f(head_end + decay_scale * t * w)
+            y = f(np.where(tail, ends[job] + s * t * w, t), job >> 1)
+            return np.where(tail, s * w * w * y, y)
 
-    parts = (integrate_finite(f, 0.0, head_end, spec, split_points=splits),
-             integrate_finite(tail, 0.0, 1.0, spec))
-    total = sum(p.value for p in parts)
-    total_err = sum(p.error_estimate for p in parts)
-    converged = (all(p.converged for p in parts) and math.isfinite(total)
-                 and total_err <= spec.target(total))
-    return IntegralResult(total, total_err, sum(p.evaluations for p in parts),
-                          converged)
+    parts = integrate_many(mapped, finite_jobs, spec)
+    out = []
+    for pair in zip(parts[::2], parts[1::2]):
+        total = sum(p.value for p in pair)
+        total_err = sum(p.error_estimate for p in pair)
+        converged = (all(p.converged for p in pair) and math.isfinite(total)
+                     and total_err <= spec.target(total))
+        out.append(IntegralResult(total, total_err,
+                                  sum(p.evaluations for p in pair), converged))
+    return out

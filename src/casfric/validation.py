@@ -31,7 +31,8 @@ from .oscillator_stats import (OscillatorSpec, g_imaginary_time, gtilde,
                                pair_correlators, pair_fourth_moment,
                                sample_pair_correlators)
 from .presets import GOLD, PENDRY97, conductivity
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import (QuadratureSpec, integrate_many,
+                         integrate_semi_infinite, integrate_semi_infinite_many)
 
 
 @dataclass
@@ -255,24 +256,39 @@ def check_boundary() -> list[CheckResult]:
     return out
 
 
-def check_oscillators() -> list[CheckResult]:
-    """Criterion 8: transform pair, Gaussian pair MC, FD identity."""
-    out = []
+def _transform_draws():
+    """Criterion 8a's 100 seeded draws (oscillator, beta, K = 2 pi n/beta)."""
     rng = np.random.default_rng(11)
-    worst = 0.0
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    draws = []
     for _ in range(100):
         alpha = rng.uniform(0.3, 3.0)
         w = rng.uniform(0.2, 5.0)
         beta = rng.uniform(0.3, 10.0)
         n = int(rng.integers(0, 4))
-        osc = OscillatorSpec(alpha, w)
-        k = 2.0 * math.pi * n / beta
+        draws.append((OscillatorSpec(alpha, w), beta, 2.0 * math.pi * n / beta))
+    return draws
 
-        def f(lam, _o=osc, _b=beta, _k=k):
-            return g_imaginary_time(_o, lam, _b) * np.cos(_k * lam)
 
-        res = integrate_finite(f, 0.0, beta, spec)
+def _transforms(draws):
+    """The integrals of g(lambda) cos(K lambda) over [0, beta] of every
+    draw, in one batch."""
+    oscs = [osc for osc, _, _ in draws]
+    betas = [beta for _, beta, _ in draws]
+    ks = np.array([k for _, _, k in draws])
+
+    def f(lam, job):
+        return g_imaginary_time(oscs, lam, betas, job) * np.cos(ks[job] * lam)
+
+    return integrate_many(f, [(0.0, beta) for beta in betas],
+                          QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11))
+
+
+def check_oscillators() -> list[CheckResult]:
+    """Criterion 8: transform pair, Gaussian pair MC, FD identity."""
+    out = []
+    draws = _transform_draws()
+    worst = 0.0
+    for (osc, _, k), res in zip(draws, _transforms(draws)):
         worst = max(worst, _rel(res.value, gtilde(osc, k)))
     out.append(CheckResult("8a", "imaginary-time transform pair, 100 draws (worst rel)",
                            worst <= 1e-8, worst, 0.0, "1e-8 rel"))
@@ -297,40 +313,56 @@ def check_oscillators() -> list[CheckResult]:
     return out
 
 
-def _fd_identity_check() -> CheckResult:
-    """Fluctuation-dissipation: the response reconstructed from the
-    spectral density, continued back to real frequencies and dressed with
-    coth(beta*m/2), must reproduce the spectral correlation density."""
-    gold = GOLD.model
-    sd = spectral_density(gold)
-    ep = math.sqrt(0.5) * gold.plasma_energy_ev
-    sigma = gold.damping_ev
-    beta = units.beta(300.0)
-    grid = np.geomspace(0.05, 1.8 * ep, 20)
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=40_000)
-    worst = 0.0
-    for m in grid:
-        m = float(m)
+def _fd_jobs():
+    """Criterion 8c's smoothings as (m, gamma, split points): each of the
+    20 grid points m at two broadenings gamma, split around the line of
+    half-width gamma/(2m) that the smoothing puts at m' = m."""
+    ep = math.sqrt(0.5) * GOLD.model.plasma_energy_ev
+    sigma = GOLD.model.damping_ev
+    jobs = []
+    for m in np.geomspace(0.05, 1.8 * ep, 20).tolist():
         # The smoothing error is linear in gamma with coefficient set by
         # the distance to the spectral edge (m**2) or the peak curvature
         # scale (sigma*e_p), whichever is tighter; two broadenings on
         # that scale plus linear extrapolation leave O(1e-8) residuals.
         w_scale = min(m * m, sigma * ep)
-        vals = []
         for gam in (1e-3 * w_scale, 1e-4 * w_scale):
-            def smoothed(mp, _m=m, _g=gam):
-                mp = np.asarray(mp, dtype=float)
-                w = mp * mp - _m * _m
-                return (sd.value(mp) * 2.0 * mp * (_g / math.pi)
-                        / (w * w + _g * _g))
-
             halfwidth = gam / (2.0 * m)
             splits = [m - 20 * halfwidth, m - 5 * halfwidth, m,
                       m + 5 * halfwidth, m + 20 * halfwidth, ep]
-            res = integrate_semi_infinite(smoothed, decay_scale=ep, spec=spec,
-                                          split_points=[s for s in splits if s > 0])
-            vals.append(res.value)
-        extrap = (10.0 * vals[1] - vals[0]) / 9.0
+            jobs.append((m, gam, [s for s in splits if s > 0]))
+    return jobs
+
+
+def _fd_smoothings(jobs):
+    """The spectral density of gold smoothed by a Lorentzian of width
+    gamma in m**2 at every grid point, over [0, inf), in one batch."""
+    sd = spectral_density(GOLD.model)
+    ep = math.sqrt(0.5) * GOLD.model.plasma_energy_ev
+    ms = np.array([m for m, _, _ in jobs])
+    gams = np.array([gam for _, gam, _ in jobs])
+
+    def smoothed(mp, job):
+        m, g = ms[job], gams[job]
+        w = mp * mp - m * m
+        return sd.value(mp) * 2.0 * mp * (g / math.pi) / (w * w + g * g)
+
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=40_000)
+    return integrate_semi_infinite_many(
+        smoothed, [(ep, splits) for _, _, splits in jobs], spec)
+
+
+def _fd_identity_check() -> CheckResult:
+    """Fluctuation-dissipation: the response reconstructed from the
+    spectral density, continued back to real frequencies and dressed with
+    coth(beta*m/2), must reproduce the spectral correlation density."""
+    sd = spectral_density(GOLD.model)
+    beta = units.beta(300.0)
+    jobs = _fd_jobs()
+    res = _fd_smoothings(jobs)
+    worst = 0.0
+    for (m, _, _), coarse, fine in zip(jobs[::2], res[::2], res[1::2]):
+        extrap = (10.0 * fine.value - coarse.value) / 9.0
         coth = 1.0 / math.tanh(0.5 * beta * m)
         lhs = extrap * coth
         rhs = float(sd.value(m)) * coth

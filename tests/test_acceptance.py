@@ -14,13 +14,17 @@ suite will flag any change in that status.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from casfric import geometry, validation
-from casfric.dielectric import Drude
-from casfric.quadrature import QuadratureSpec
+from casfric import geometry, units, validation
+from casfric.dielectric import Drude, spectral_density
+from casfric.oscillator_stats import OscillatorSpec, g_imaginary_time, gtilde
+from casfric.presets import GOLD
+from casfric.quadrature import (QuadratureSpec, integrate_finite,
+                                integrate_semi_infinite)
 
 CRITERIA = ("1a", "1b", "1c", "2", "3a", "3b", "3c", "3d", "4a", "4b", "4c",
             "4d", "5", "6a", "6b", "6c", "7a", "7b", "7c", "7d", "8a", "8b",
@@ -104,3 +108,78 @@ def test_criterion_7_draws_match_per_config_draws():
     old = np.array(rounds)
     for new, column in zip((e1, e2, qd), old.T):
         assert np.array_equal(new.view(np.int64), column.view(np.int64))
+
+
+# Criteria 8a and 8c integrate their families in one batch each.  The
+# oracles are the serial loops, one integral at a time: each batched
+# integral must equal its serial one, and so must the reported worst case.
+
+def serial_transforms():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    results = []
+    for _ in range(100):
+        alpha = rng.uniform(0.3, 3.0)
+        w = rng.uniform(0.2, 5.0)
+        beta = rng.uniform(0.3, 10.0)
+        n = int(rng.integers(0, 4))
+        osc = OscillatorSpec(alpha, w)
+        k = 2.0 * math.pi * n / beta
+
+        def f(lam, _o=osc, _b=beta, _k=k):
+            return g_imaginary_time(_o, lam, _b) * np.cos(_k * lam)
+
+        res = integrate_finite(f, 0.0, beta, spec)
+        results.append(res)
+        worst = max(worst, validation._rel(res.value, gtilde(osc, k)))
+    return results, worst
+
+
+def serial_smoothings():
+    gold = GOLD.model
+    sd = spectral_density(gold)
+    ep = math.sqrt(0.5) * gold.plasma_energy_ev
+    sigma = gold.damping_ev
+    beta = units.beta(300.0)
+    grid = np.geomspace(0.05, 1.8 * ep, 20)
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=40_000)
+    worst = 0.0
+    results = []
+    for m in grid:
+        m = float(m)
+        w_scale = min(m * m, sigma * ep)
+        vals = []
+        for gam in (1e-3 * w_scale, 1e-4 * w_scale):
+            def smoothed(mp, _m=m, _g=gam):
+                mp = np.asarray(mp, dtype=float)
+                w = mp * mp - _m * _m
+                return (sd.value(mp) * 2.0 * mp * (_g / math.pi)
+                        / (w * w + _g * _g))
+
+            halfwidth = gam / (2.0 * m)
+            splits = [m - 20 * halfwidth, m - 5 * halfwidth, m,
+                      m + 5 * halfwidth, m + 20 * halfwidth, ep]
+            res = integrate_semi_infinite(smoothed, decay_scale=ep, spec=spec,
+                                          split_points=[s for s in splits if s > 0])
+            results.append(res)
+            vals.append(res.value)
+        extrap = (10.0 * vals[1] - vals[0]) / 9.0
+        coth = 1.0 / math.tanh(0.5 * beta * m)
+        worst = max(worst, validation._rel(extrap * coth,
+                                           float(sd.value(m)) * coth))
+    return results, worst
+
+
+def test_criterion_8a_batch_equals_serial_integrals(results):
+    serial, worst = serial_transforms()
+    batch = validation._transforms(validation._transform_draws())
+    assert batch == serial
+    assert _check(results, "8a").measured == worst
+
+
+def test_criterion_8c_batch_equals_serial_integrals(results):
+    serial, worst = serial_smoothings()
+    batch = validation._fd_smoothings(validation._fd_jobs())
+    assert batch == serial
+    assert _check(results, "8c").measured == worst

@@ -488,6 +488,9 @@ class TestCompare:
                        "media: medium1 and medium2 differ\n")
 
 
+WINDOW = "the thermal window 40*k_B*T squared leaves the float range"
+
+
 class TestFloatEdge:
     """Inputs that pass the schema but whose derived quantities leave the
     float range: a typed error and exit 3, never a traceback."""
@@ -505,8 +508,13 @@ class TestFloatEdge:
          "Pendry's force leaves the float range"),
         ("compare", "drude-closed-form", "v_m_per_s", 1e308,
          "the drude-closed-form force leaves the float range"),
+        ("compute", "dense-full", "T_K", 1e300,
+         f"temperature T_K = 1e+300 K is out of range: {WINDOW}"),
+        ("compute", "dense-full", "T_K", 1e308,
+         f"temperature T_K = 1e+308 K is out of range: {WINDOW}"),
     ], ids=["compute-T-tiny", "closed-form-T-huge", "compute-v-huge",
-            "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge"])
+            "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge",
+            "dense-T-huge", "dense-T-max"])
     def test_exit3_one_line(self, tmp_path, capsys, command, route, key,
                             value, message):
         cfg = gold_config(route=route)
@@ -518,7 +526,7 @@ class TestFloatEdge:
 
     def test_sweep_row_error(self, tmp_path, capsys):
         cfg = {"base": gold_config(route="dense-full"), "axis": "T",
-               "values": [300.0, 5e-324]}
+               "values": [300.0, 5e-324, 1e300]}
         path = write_json(tmp_path, "sweep.json", cfg)
         code, out, err = run_cli(capsys, ["sweep", "--config", path])
         assert (code, err) == (3, "")
@@ -526,6 +534,8 @@ class TestFloatEdge:
         assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
         assert rows[1]["error"] == ("temperature 5e-324 K is out of range: "
                                     "k_B*T underflows to 0")
+        assert rows[2]["error"] == ("temperature T_K = 1e+300 K is out of "
+                                    f"range: {WINDOW}")
 
 
 class TestSpectra:

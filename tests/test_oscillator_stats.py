@@ -75,6 +75,29 @@ class TestImaginaryTime:
             with pytest.raises(DomainError):
                 osc.g_imaginary_time(o, bad, 1.0)
 
+    def test_batched_equals_one_oscillator_calls(self):
+        # one call over many oscillators, the exp-scaled branch (x = 400)
+        # among them, gives each entry the bits of that oscillator's call
+        rng = np.random.default_rng(7)
+        oscs = [osc.OscillatorSpec(0.7, 1.5), osc.OscillatorSpec(2.0, 2.0),
+                osc.OscillatorSpec(0.3, 4.0)]
+        betas = [2.0, 400.0, 0.5]
+        job = rng.integers(0, 3, 90)
+        lam = rng.uniform(0.0, 1.0, 90) * np.array(betas)[job]
+        values = osc.g_imaginary_time(oscs, lam, betas, job)
+        for j, (o, b) in enumerate(zip(oscs, betas)):
+            alone = osc.g_imaginary_time(o, lam[job == j], b)
+            assert values[job == j].tobytes() == alone.tobytes()
+
+    def test_batched_domain_is_per_job(self):
+        oscs = [osc.OscillatorSpec(1.0, 1.0)] * 2
+        with pytest.raises(DomainError, match="lambda"):
+            osc.g_imaginary_time(oscs, np.array([1.5, 1.5]), [2.0, 1.0],
+                                 np.array([0, 1]))
+        with pytest.raises(DomainError, match="beta"):
+            osc.g_imaginary_time(oscs, np.array([0.5, 0.5]), [2.0, 0.0],
+                                 np.array([0, 1]))
+
     def test_forward_transform_pair(self):
         # integral over [0, beta] of g(lambda) cos(K lambda) equals the
         # closed-form polarizability at each thermal frequency

@@ -8,8 +8,10 @@ import pytest
 
 from casfric.errors import DomainError
 from casfric.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, IntegralResult,
-                                QuadratureSpec, default_spec,
-                                integrate_finite, integrate_semi_infinite)
+                                QuadratureSpec, _panels, default_spec,
+                                integrate_finite, integrate_many,
+                                integrate_semi_infinite,
+                                integrate_semi_infinite_many)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -246,6 +248,133 @@ class TestBatchedPasses:
         assert_plain(integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 1.0,
                                              QuadratureSpec(
                                                  max_subdivisions=50)))
+
+
+def by_job(integrands):
+    """One integrand ``f(x, job)`` that hands each job's abscissae to its
+    own integrand of ``integrands``."""
+    def f(x, job):
+        out = np.empty_like(x)
+        for j in np.unique(job).tolist():
+            out[job == j] = integrands[j](x[job == j])
+        return out
+    return f
+
+
+class TestLockstep:
+    """Many integrals in lockstep: one integrand call per round, each
+    integral as ``integrate_finite`` computes it alone."""
+
+    CASES = sorted(ORACLE_CASES)
+
+    def batch(self, f):
+        return integrate_many(f, [(a, b, splits, spec) for a, b, spec, splits
+                                  in (ORACLE_CASES[c][1:] for c in self.CASES)])
+
+    def test_matches_solo_and_panel_by_panel(self):
+        fs = [ORACLE_CASES[c][0] for c in self.CASES]
+        for case, res in zip(self.CASES, self.batch(by_job(fs))):
+            f, a, b, spec, splits = ORACLE_CASES[case]
+            solo = integrate_finite(f, a, b, spec, split_points=splits)
+            assert fields(res) == fields(solo), case
+            assert fields(res) == fields(panel_by_panel(f, a, b, spec, splits))
+            assert_plain(res)
+
+    def test_one_call_per_round(self):
+        # Round r holds, of each integral still running, the panels of
+        # its r-th call when integrated alone.
+        solo = {case: TestBatchedPasses.PANELS_PER_CALL[case]
+                for case in self.CASES}
+        rounds = []
+
+        def counted(x, job):
+            rounds.append(np.bincount(job, minlength=len(self.CASES)))
+            return by_job([ORACLE_CASES[c][0] for c in self.CASES])(x, job)
+
+        self.batch(counted)
+        assert len(rounds) == max(len(calls) for calls in solo.values())
+        for j, case in enumerate(self.CASES):
+            first, *rest = solo[case]
+            got = [int(r[j]) for r in rounds]
+            want = [15 * first] + [30 * k for k in rest]
+            assert got == want + [0] * (len(rounds) - len(want)), case
+
+    @pytest.mark.parametrize("bad", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)],
+                             ids=["empty", "reversed", "nan"])
+    def test_bad_job_raises_before_any_call(self, bad):
+        calls = []
+        with pytest.raises(DomainError, match="require a < b"):
+            integrate_many(lambda x, job: calls.append(x) or x,
+                           [(0.0, 1.0), bad])
+        assert calls == []
+
+    def test_no_jobs(self):
+        assert integrate_many(lambda x, job: x, []) == []
+
+    def test_semi_infinite_batch_matches_solo(self):
+        # decaying, power-law and non-decaying tails, and a line behind a
+        # split point, in one batch
+        width = 1e-6
+        cases = [
+            (lambda x: np.exp(-x), 1.0, ()),
+            (lambda x: 1.0 / (1.0 + x) ** 4, 2.0, ()),
+            (lambda x: 1.0 / (1.0 + x), 1.0, ()),
+            (np.ones_like, 1.0, ()),
+            (lambda x: np.exp(-x) + width / ((x - 50.0) ** 2 + width ** 2),
+             1.0, (50.0,)),
+        ]
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
+                              max_subdivisions=2000)
+        calls = []
+
+        def f(x, job):
+            calls.append(x.size)
+            return by_job([c[0] for c in cases])(x, job)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = integrate_semi_infinite_many(
+                f, [(scale, splits) for _, scale, splits in cases], spec)
+        for (g, scale, splits), res in zip(cases, batch):
+            solo = integrate_semi_infinite(g, scale, spec, split_points=splits)
+            assert fields(res) == fields(solo)
+        assert sum(calls) == sum(res.evaluations for res in batch)
+        assert [res.converged for res in batch] == [True, True, False, False,
+                                                    True]
+
+    def test_semi_infinite_bad_scale_raises_before_any_call(self):
+        calls = []
+        with pytest.raises(DomainError, match="decay_scale"):
+            integrate_semi_infinite_many(
+                lambda x, job: calls.append(x) or x, [(1.0, ()), (0.0, ())])
+        assert calls == []
+
+
+def test_panels_match_per_row_dot():
+    # The rule sums each panel's row as np.dot sums it alone, whatever
+    # the number of rows evaluated with it.  Rows with inf on a Gauss
+    # node (k15 = g7 = inf: a silent nan error), -inf on a Kronrod node
+    # and nan are among them.
+    rng = np.random.default_rng(5)
+    for n in range(1, 65):
+        rows = (rng.standard_normal((n, 15))
+                * 10.0 ** rng.uniform(-3.0, 3.0, (n, 15)))
+        specials = ((1, np.inf), (0, -np.inf), (7, np.nan))
+        for row, kind in zip(rows, rng.integers(0, 6, n)):
+            if kind < len(specials):
+                row[specials[kind][0]] = specials[kind][1]
+        lo = np.sort(rng.uniform(-5.0, 5.0, n))
+        hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, n)
+        expected = []
+        for p, q, row in zip(lo.tolist(), hi.tolist(), rows):
+            h = 0.5 * (q - p)
+            k15 = h * float(np.dot(_WGK, row))
+            g7 = h * float(np.dot(_WG, row[_GAUSS_IDX]))
+            expected.append((k15, abs(k15 - g7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _panels(lambda x: rows.ravel(), lo, hi)
+        assert repr(got) == repr(expected), n
 
 
 def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
