@@ -68,6 +68,8 @@ _STEP = 1e-30
 
 # Geometric probe sweep of h0_overlap in units of its cap, 1e-9 to 1.
 _PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
+# The point of its tail bound, just past the cap, in the same units.
+_PAST_CAP = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,14 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     if spec is None:
         spec = default_spec()
     beta = units.beta(temperature_k)
-    # The densities square m, and the integral runs to the thermal window.
+    # The integral runs to the thermal window, and the Drude density forms
+    # the fourth power of m, up to the probe point just past the window.
     window = 40.0 / beta
-    if window * window == math.inf:
+    edge = window * _PAST_CAP
+    if (edge * edge) * (edge * edge) == math.inf:
         raise DomainError(f"temperature T_K = {temperature_k!r} K is out of "
-                          "range: the thermal window 40*k_B*T squared leaves "
-                          "the float range")
+                          "range: the fourth power of the thermal window "
+                          "40*k_B*T leaves the float range")
     hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
@@ -181,7 +185,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         list(m_cap * _PROBE_UNIT)
         + [k / beta for k in range(1, 9) if k / beta < m_cap]
         + [h for h in hints if h < m_cap]))
-    vals = integrand(np.append(probe_grid, m_cap * (1.0 + 1e-9)))
+    vals = integrand(np.append(probe_grid, m_cap * _PAST_CAP))
     probe_vals, tail_val, evals = vals[:-1], float(vals[-1]), len(vals)
     scale = float(np.max(np.abs(probe_vals)))
     if scale == 0.0 or not math.isfinite(scale):

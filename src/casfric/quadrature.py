@@ -3,9 +3,10 @@
 Finite intervals use an adaptive Gauss-Kronrod 7/15 rule with worst-panel
 bisection; the refinement order is a fixed function of the inputs, so
 results are bit-identical run to run regardless of caller threading.
-Semi-infinite integrals are two integrals of the same rule: a head
-interval as it stands, and the tail mapped onto [0, 1), so the tail
-error is measured like any other panel error.
+A semi-infinite integral is one integral of the same rule on [-1, L]:
+the head [0, L] as it stands and the tail [L, inf) mapped onto [-1, 0),
+so the tail error is measured like any other panel error and one
+target and one subdivision budget hold for the whole integral.
 
 The integrand is called once for all initial panels, then each time
 the loop pops a panel whose halves are not yet known.  That call holds
@@ -27,8 +28,7 @@ unfinished integrals request, ``job`` holding the integer index of the
 integral each abscissa belongs to.  That ``f`` must be elementwise in
 both arguments: entry i of its result depends only on ``x[i]`` and
 ``job[i]``.  Every result is then ``==`` the one its integral gets
-alone, and the semi-infinite head and tail of one integral are two such
-jobs.  The panel rule sums each panel on its own, so its sums do not
+alone.  The panel rule sums each panel on its own, so its sums do not
 depend on the panels evaluated with it.
 """
 
@@ -282,31 +282,22 @@ def integrate_finite(f: Callable, a: float, b: float,
         return done.value
 
 
-def _job(a, b, split_points=(), spec=None):
-    """A job of ``integrate_many`` with its defaults filled in."""
-    return a, b, split_points, spec
-
-
 def integrate_many(f: Callable, jobs: Iterable[tuple],
                    spec: QuadratureSpec | None = None) -> list[IntegralResult]:
     """Adaptive integrals of ``f`` over many intervals, in lockstep.
 
-    Each job is ``(a, b)``, ``(a, b, split_points)`` or ``(a, b,
-    split_points, spec)``; a job without its own spec takes ``spec``.
-    Each integral runs the bisection of :func:`integrate_finite`, and
-    its result is ``==`` that of ``integrate_finite`` on the same
-    arguments.  Each round, ``f(x, job)`` is called once with the
-    abscissae that all unfinished integrals request, ``job`` holding the
-    index of the job each abscissa belongs to.  Every job is checked
-    before the first call.
+    Each job is ``(a, b, split_points)``, integrated to ``spec``.  Each
+    integral runs the bisection of :func:`integrate_finite`, and its
+    result is ``==`` that of ``integrate_finite`` on the same arguments.
+    Each round, ``f(x, job)`` is called once with the abscissae that all
+    unfinished integrals request, ``job`` holding the index of the job
+    each abscissa belongs to.  Every job is checked before the first
+    call.
     """
     if spec is None:
         spec = default_spec()
-    runs = []
-    for job in jobs:
-        a, b, split_points, job_spec = _job(*job)
-        runs.append(_bisection(_edges(a, b, split_points),
-                               spec if job_spec is None else job_spec))
+    runs = [_bisection(_edges(a, b, split_points), spec)
+            for a, b, split_points in jobs]
     results = [None] * len(runs)
     wanted = {i: next(run) for i, run in enumerate(runs)}
     while wanted:
@@ -332,12 +323,13 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
                             split_points: Iterable[float] = ()) -> IntegralResult:
     """Integral of ``f`` over [0, inf) for decaying integrands.
 
-    The head [0, L], L = max(10 ``decay_scale``, last split point), is
-    integrated as it stands; the tail [L, inf) is mapped onto [0, 1) by
-    x = L + s*t/(1-t), s = ``decay_scale`` (QUADPACK's QAGI).  Value, error
-    and evaluations are the sums of the two.  A tail that does not decay is
-    flagged non-convergent: its bisection runs towards t = 1 until the
-    budget runs out or the map turns non-finite.
+    One adaptive integral over [-1, L] with a split point at 0.  The head
+    [0, L], L = max(10 ``decay_scale``, last split point), is integrated
+    as it stands; the tail [L, inf) is mapped onto [-1, 0) by
+    x = L - s*t/(1+t), s = ``decay_scale`` (QUADPACK's QAGI with t
+    negated).  Split points <= 0 are dropped.  A tail that does not decay
+    is flagged non-convergent: its bisection runs towards t = -1 until
+    the budget runs out or the map turns non-finite.
     """
     return integrate_semi_infinite_many(lambda x, job: f(x),
                                         [(decay_scale, split_points)], spec)[0]
@@ -349,47 +341,32 @@ def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
     """Integrals over [0, inf) of ``f(x, job)``, in lockstep.
 
     Each job is ``(decay_scale, split_points)`` and is integrated as by
-    :func:`integrate_semi_infinite`, to ``==`` the same result: its head
-    and its mapped tail are two jobs of :func:`integrate_many`, so one
-    call of ``f`` per round holds the heads and tails of every unfinished
-    integral.  ``f`` is called under ``np.errstate(divide="ignore",
-    invalid="ignore")``: a tail node may map to inf.
+    :func:`integrate_semi_infinite`, to ``==`` the same result: each is
+    one job of :func:`integrate_many`.  ``f`` is called under
+    ``np.errstate(divide="ignore", invalid="ignore")``: a tail node may
+    map to inf.
     """
-    if spec is None:
-        spec = default_spec()
-    finite_jobs, scales, ends = [], [], []
+    finite_jobs, scales = [], []
     for decay_scale, split_points in jobs:
         if not decay_scale > 0.0:
             raise DomainError("decay_scale must be > 0")
-        # The map resolves x only to ulp(t)*s/(1-t)**2, too coarse for a
+        # The map resolves x only to ulp(t)*s/(1+t)**2, too coarse for a
         # narrow feature far out, so split points stay in the head.
-        splits = [10.0 * decay_scale] + [float(s) for s in split_points]
-        head_end = max(splits)
-        finite_jobs += [(0.0, head_end, splits), (0.0, 1.0)]
-        scales += [1.0, decay_scale]
-        ends += [0.0, head_end]
+        splits = [10.0 * decay_scale] + [s for s in map(float, split_points)
+                                         if s > 0.0]
+        finite_jobs.append((-1.0, max(splits), [0.0] + splits))
+        scales.append(decay_scale)
     scales = np.array(scales)
-    ends = np.array(ends)
+    ends = np.array([head_end for _, head_end, _ in finite_jobs])
 
     def mapped(t, job):
-        # Job 2*i is the head of integral i, as it stands; job 2*i + 1 its
-        # tail.  Nodes of tail panels bisected towards t = 1 can round to
-        # 1, where the map is infinite: the non-finite value flags the
-        # result.
-        tail = (job & 1).astype(bool)
+        # Nodes of tail panels bisected towards t = -1 can round to -1,
+        # where the map is infinite: the non-finite value flags the result.
+        tail = t < 0.0
         s = scales[job]
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1.0 / (1.0 - t)
-            y = f(np.where(tail, ends[job] + s * t * w, t), job >> 1)
+            w = 1.0 / (1.0 + t)
+            y = f(np.where(tail, ends[job] - s * t * w, t), job)
             return np.where(tail, s * w * w * y, y)
 
-    parts = integrate_many(mapped, finite_jobs, spec)
-    out = []
-    for pair in zip(parts[::2], parts[1::2]):
-        total = sum(p.value for p in pair)
-        total_err = sum(p.error_estimate for p in pair)
-        converged = (all(p.converged for p in pair) and math.isfinite(total)
-                     and total_err <= spec.target(total))
-        out.append(IntegralResult(total, total_err,
-                                  sum(p.evaluations for p in pair), converged))
-    return out
+    return integrate_many(mapped, finite_jobs, spec)

@@ -279,7 +279,7 @@ def _transforms(draws):
     def f(lam, job):
         return g_imaginary_time(oscs, lam, betas, job) * np.cos(ks[job] * lam)
 
-    return integrate_many(f, [(0.0, beta) for beta in betas],
+    return integrate_many(f, [(0.0, beta, ()) for beta in betas],
                           QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11))
 
 
@@ -328,9 +328,8 @@ def _fd_jobs():
         w_scale = min(m * m, sigma * ep)
         for gam in (1e-3 * w_scale, 1e-4 * w_scale):
             halfwidth = gam / (2.0 * m)
-            splits = [m - 20 * halfwidth, m - 5 * halfwidth, m,
-                      m + 5 * halfwidth, m + 20 * halfwidth, ep]
-            jobs.append((m, gam, [s for s in splits if s > 0]))
+            jobs.append((m, gam, [m - 20 * halfwidth, m - 5 * halfwidth, m,
+                                  m + 5 * halfwidth, m + 20 * halfwidth, ep]))
     return jobs
 
 

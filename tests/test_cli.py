@@ -488,7 +488,8 @@ class TestCompare:
                        "media: medium1 and medium2 differ\n")
 
 
-WINDOW = "the thermal window 40*k_B*T squared leaves the float range"
+WINDOW = ("the fourth power of the thermal window 40*k_B*T leaves the float "
+          "range")
 
 
 class TestFloatEdge:
@@ -508,13 +509,15 @@ class TestFloatEdge:
          "Pendry's force leaves the float range"),
         ("compare", "drude-closed-form", "v_m_per_s", 1e308,
          "the drude-closed-form force leaves the float range"),
+        ("compute", "dense-full", "T_K", 1e80,
+         f"temperature T_K = 1e+80 K is out of range: {WINDOW}"),
         ("compute", "dense-full", "T_K", 1e300,
          f"temperature T_K = 1e+300 K is out of range: {WINDOW}"),
         ("compute", "dense-full", "T_K", 1e308,
          f"temperature T_K = 1e+308 K is out of range: {WINDOW}"),
     ], ids=["compute-T-tiny", "closed-form-T-huge", "compute-v-huge",
             "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge",
-            "dense-T-huge", "dense-T-max"])
+            "dense-T-1e80", "dense-T-huge", "dense-T-max"])
     def test_exit3_one_line(self, tmp_path, capsys, command, route, key,
                             value, message):
         cfg = gold_config(route=route)
@@ -523,6 +526,23 @@ class TestFloatEdge:
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert (code, out) == (3, "")
         assert err == f"physics error: {message}\n"
+
+    def test_table_at_huge_temperature(self, tmp_path, capsys):
+        # Near m = 0 the thermal weight 1/sinh(beta*m/2)**2 of a table that
+        # ends at 4 eV overflows at 1e150 K: a nan force, were the window
+        # not checked first.
+        table = tmp_path / "plate.txt"
+        m = np.linspace(0.0, 4.0, 60)
+        table.write_text("\n".join(f"{a} {b}" for a, b in
+                                   zip(m, m * np.exp(-(m - 2.0) ** 2))))
+        cfg = gold_config(route="dense-full", denominators="drop")
+        cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
+        cfg["system"]["T_K"] = 1e150
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err == ("physics error: temperature T_K = 1e+150 K is out of "
+                       f"range: {WINDOW}\n")
 
     def test_sweep_row_error(self, tmp_path, capsys):
         cfg = {"base": gold_config(route="dense-full"), "axis": "T",

@@ -267,45 +267,57 @@ class TestLockstep:
 
     CASES = sorted(ORACLE_CASES)
 
-    def batch(self, f):
-        return integrate_many(f, [(a, b, splits, spec) for a, b, spec, splits
-                                  in (ORACLE_CASES[c][1:] for c in self.CASES)])
+    def batches(self):
+        """The cases grouped by spec, in order: one batch per spec."""
+        groups = {}
+        for case in self.CASES:
+            groups.setdefault(ORACLE_CASES[case][3], []).append(case)
+        return groups.items()
+
+    @staticmethod
+    def batch(f, spec, cases):
+        return integrate_many(f, [(a, b, splits) for _, a, b, _, splits
+                                  in map(ORACLE_CASES.get, cases)], spec)
 
     def test_matches_solo_and_panel_by_panel(self):
-        fs = [ORACLE_CASES[c][0] for c in self.CASES]
-        for case, res in zip(self.CASES, self.batch(by_job(fs))):
-            f, a, b, spec, splits = ORACLE_CASES[case]
-            solo = integrate_finite(f, a, b, spec, split_points=splits)
-            assert fields(res) == fields(solo), case
-            assert fields(res) == fields(panel_by_panel(f, a, b, spec, splits))
-            assert_plain(res)
+        assert max(len(cases) for _, cases in self.batches()) > 1
+        for spec, cases in self.batches():
+            fs = [ORACLE_CASES[c][0] for c in cases]
+            for case, res in zip(cases, self.batch(by_job(fs), spec, cases)):
+                f, a, b, _, splits = ORACLE_CASES[case]
+                solo = integrate_finite(f, a, b, spec, split_points=splits)
+                assert fields(res) == fields(solo), case
+                assert fields(res) == fields(panel_by_panel(f, a, b, spec,
+                                                            splits))
+                assert_plain(res)
 
     def test_one_call_per_round(self):
         # Round r holds, of each integral still running, the panels of
         # its r-th call when integrated alone.
-        solo = {case: TestBatchedPasses.PANELS_PER_CALL[case]
-                for case in self.CASES}
-        rounds = []
+        for spec, cases in self.batches():
+            solo = [TestBatchedPasses.PANELS_PER_CALL[c] for c in cases]
+            f = by_job([ORACLE_CASES[c][0] for c in cases])
+            rounds = []
 
-        def counted(x, job):
-            rounds.append(np.bincount(job, minlength=len(self.CASES)))
-            return by_job([ORACLE_CASES[c][0] for c in self.CASES])(x, job)
+            def counted(x, job):
+                rounds.append(np.bincount(job, minlength=len(cases)))
+                return f(x, job)
 
-        self.batch(counted)
-        assert len(rounds) == max(len(calls) for calls in solo.values())
-        for j, case in enumerate(self.CASES):
-            first, *rest = solo[case]
-            got = [int(r[j]) for r in rounds]
-            want = [15 * first] + [30 * k for k in rest]
-            assert got == want + [0] * (len(rounds) - len(want)), case
+            self.batch(counted, spec, cases)
+            assert len(rounds) == max(len(calls) for calls in solo)
+            for j, (case, (first, *rest)) in enumerate(zip(cases, solo)):
+                got = [int(r[j]) for r in rounds]
+                want = [15 * first] + [30 * k for k in rest]
+                assert got == want + [0] * (len(rounds) - len(want)), case
 
-    @pytest.mark.parametrize("bad", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)],
+    @pytest.mark.parametrize("bad", [(1.0, 1.0, ()), (1.0, 0.0, ()),
+                                     (0.0, math.nan, ())],
                              ids=["empty", "reversed", "nan"])
     def test_bad_job_raises_before_any_call(self, bad):
         calls = []
         with pytest.raises(DomainError, match="require a < b"):
             integrate_many(lambda x, job: calls.append(x) or x,
-                           [(0.0, 1.0), bad])
+                           [(0.0, 1.0, ()), bad])
         assert calls == []
 
     def test_no_jobs(self):
@@ -537,6 +549,80 @@ class TestSemiInfinite:
                 res = integrate_semi_infinite(f, 1.0)
             assert not res.converged
 
+
+
+def closed_form_cases(seed, count):
+    """``count`` seeded (integrand, exact integral over [0, inf), decay
+    scale, split points, spec): c*exp(-a*x), (b + x)**-k and
+    x**n * exp(-a*x) in turn, each with a decay scale off its natural one
+    by up to ten times either way, up to two split points in the first
+    20 decay scales and rel_tol 1e-12 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            c, a = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            f = lambda x, c=c, a=a: c * np.exp(-a * x)  # noqa: E731
+            exact, scale = c / a, 1.0 / a
+        elif i % 3 == 1:
+            b, k = 10.0 ** rng.uniform(-1.0, 1.0), int(rng.integers(2, 7))
+            f = lambda x, b=b, k=k: (b + x) ** -k  # noqa: E731
+            exact, scale = b ** (1 - k) / (k - 1), b
+        else:
+            n, a = int(rng.integers(1, 6)), 10.0 ** rng.uniform(-1.0, 1.0)
+            f = lambda x, n=n, a=a: x ** n * np.exp(-a * x)  # noqa: E731
+            exact, scale = math.factorial(n) / a ** (n + 1), 1.0 / a
+        scale *= 10.0 ** rng.uniform(-1.0, 1.0)
+        splits = tuple(rng.uniform(0.0, 20.0 * scale, int(rng.integers(0, 3))))
+        spec = QuadratureSpec(abs_tol=1e-300,
+                              rel_tol=10.0 ** rng.uniform(-12.0, -6.0))
+        yield f, exact, scale, splits, spec
+
+
+def obeys_the_rule(res, spec):
+    """The one convergence rule of every integral of the engine."""
+    return res.converged is (math.isfinite(res.value)
+                             and res.error_estimate <= spec.target(res.value))
+
+
+class TestOneJob:
+    """A semi-infinite integral is one bisection on [-1, L]: the head
+    [0, L] as it stands, the tail mapped onto [-1, 0)."""
+
+    def test_closed_forms(self):
+        for f, exact, scale, splits, spec in closed_form_cases(3, 201):
+            res = integrate_semi_infinite(f, scale, spec, split_points=splits)
+            assert res.converged
+            assert abs(res.value - exact) <= res.error_estimate
+            assert obeys_the_rule(res, spec)
+
+    def test_one_rule_for_every_result(self):
+        # Converged or not: decaying and non-decaying integrands, and
+        # narrow lines beyond the head behind a split point, whose error
+        # estimate may be optimistic but whose flag follows the rule.
+        rng = np.random.default_rng(8)
+        cases = [(lambda x: 1.0 / (1.0 + x), 1.0, (), 2000),
+                 (np.ones_like, 1.0, (), 2000),
+                 (lambda x: 1.0 / np.sqrt(1.0 + x), 1.0, (), 50)]
+        for width, centre in zip(10.0 ** rng.uniform(-6.0, -2.0, 20),
+                                 rng.uniform(10.0, 100.0, 20)):
+            cases.append((lorentz(centre, width), 1.0, (centre,), 10_000))
+        converged = 0
+        for f, scale, splits, budget in cases:
+            spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
+                                  max_subdivisions=budget)
+            res = integrate_semi_infinite(f, scale, spec, split_points=splits)
+            assert obeys_the_rule(res, spec)
+            converged += res.converged
+        assert 0 < converged < len(cases)
+
+    @pytest.mark.parametrize("split", [-0.5, 0.0])
+    def test_split_at_or_below_zero_changes_nothing(self, split):
+        for f, _, scale, splits, spec in closed_form_cases(5, 30):
+            plain = integrate_semi_infinite(f, scale, spec,
+                                            split_points=splits)
+            split_too = integrate_semi_infinite(f, scale, spec,
+                                                split_points=splits + (split,))
+            assert fields(split_too) == fields(plain)
 
 def test_default_spec_ignores_environment(monkeypatch):
     monkeypatch.setenv("CASFRIC_QUAD_TOL", "1e-6")
