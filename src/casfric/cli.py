@@ -36,7 +36,7 @@ from .errors import CasfricError, ConfigError
 from .friction import (FrictionResult, PlateSystem, friction_dense,
                        friction_dilute, friction_drude_closed_form,
                        friction_hybrid, plane_spectral_products)
-from .presets import conductivity, get_preset
+from .presets import PRESETS, conductivity
 from .quadrature import QuadratureSpec, default_spec
 
 EXIT_OK = 0
@@ -93,13 +93,13 @@ def parse_medium(obj, path):
     _expect_object(obj, path)
     if "preset" in obj:
         _check_keys(obj, path, {"preset", "density_per_nm3"})
-        if not isinstance(obj["preset"], str):
+        name = obj["preset"]
+        if not isinstance(name, str):
             _fail(path + ".preset", "must be a preset name string")
-        try:
-            model = get_preset(obj["preset"]).model
-        except ConfigError as exc:
-            raise ConfigError([(path + ".preset", msg)
-                               for _, msg in exc.errors]) from None
+        if name not in PRESETS:
+            _fail(path + ".preset", f"unknown preset {name!r}; available: "
+                  f"{sorted(PRESETS)}")
+        model = PRESETS[name].model
     else:
         if "model" not in obj:
             _fail(path, "missing 'model' (or 'preset')")

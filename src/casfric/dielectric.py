@@ -17,7 +17,6 @@ files in the dilute/hybrid routes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -259,7 +258,8 @@ def dense_alpha_retarded(model: PermittivityModel, m, gamma: float | None = None
 
 
 def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None) -> complex:
-    """Permittivity approaching the real frequency axis from above.
+    """Permittivity approaching the real frequency axis from above,
+    (1 + A) / (1 - A) with A = :func:`dense_alpha_retarded`.
 
     Evaluated at squared frequency -m**2 + i*gamma with m = hbar*omega > 0;
     the imaginary part is <= 0 in this convention, so the spectral density
@@ -267,18 +267,8 @@ def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None)
     """
     if not m > 0.0:
         raise DomainError("m must be > 0")
-    if gamma is None:
-        gamma = default_gamma(model)
-
-    if isinstance(model, Vacuum):
-        return complex(1.0, 0.0)
-    if isinstance(model, Drude):
-        k2 = complex(-m * m, gamma)
-        return 1.0 + 2.0 * _ep2(model) / (k2 + model.damping_ev * cmath.sqrt(k2))
-    if isinstance(model, Tabulated):
-        a = dense_alpha_retarded(model, m, gamma)
-        return (1.0 + a) / (1.0 - a)
-    raise UnsupportedModelError(f"unknown model {model!r}")
+    a = dense_alpha_retarded(model, m, gamma)
+    return (1.0 + a) / (1.0 - a)
 
 
 @dataclass(frozen=True)

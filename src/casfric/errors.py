@@ -36,8 +36,6 @@ class ConfigError(CasfricError, ValueError):
     """
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [("", errors)]
         self.errors = list(errors)
         msg = "; ".join(f"{p or '.'}: {m}" for p, m in self.errors)
         super().__init__(msg)

@@ -2,9 +2,10 @@
 
 Imaginary-frequency polarizabilities, imaginary-time correlators and the
 Gaussian statistics of a coupled pair of oscillators: the transform
-pair, moments and Monte-Carlo cross-check of acceptance criterion 8.
-Everything here is a pure function; the Monte-Carlo cross-check takes an
-explicit seed.  The correlators of two coupled half-planes live on the
+pair, the pair's beta-scaled moments (the same at every beta, so neither
+they nor their Monte-Carlo cross-check of acceptance criterion 8 take
+beta).  Everything here is a pure function; the Monte-Carlo cross-check
+takes an explicit seed.  The correlators of two coupled half-planes live on the
 retarded branch, in ``friction.plane_spectral_products``.
 """
 
@@ -128,29 +129,28 @@ def pair_fourth_moment(alpha1: float, alpha2: float,
 
 
 def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
-                            beta: float, n_samples: int, seed: int):
+                            n_samples: int, seed: int):
     """Monte-Carlo estimate of the pair moments from the bivariate
     Gaussian weight (sign convention of :func:`pair_correlators`).
 
     Returns a dict of estimates with standard errors:
     keys 's1s1', 's2s2', 's1s2', 'fourth' map to (mean, stderr) of the
-    beta-scaled moments.  The ``(n_samples, 2)`` normals are drawn in
+    beta-scaled moments.  These do not depend on beta: the pair is sampled
+    from the beta-scaled covariance of :func:`pair_correlators`.  The ``(n_samples, 2)`` normals are drawn in
     blocks of ``_BLOCK_ROWS`` rows (the same stream as one draw), and
     each block's mean and sum of squared deviations are merged by the
     pairwise update of Chan, Golub & LeVeque (1979), so memory does not
     grow with ``n_samples``.
     """
     x = _stability(alpha1, alpha2, phi)
-    if not beta > 0.0:
-        raise DomainError("beta must be > 0")
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2 for a standard error")
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],
-                    [alpha1 * alpha2 * phi, alpha2]]) / (beta * (1.0 - x))
+                    [alpha1 * alpha2 * phi, alpha2]]) / (1.0 - x)
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     # Block buffers, reused: the normals, the two coordinates and the four
-    # sampled moments beta*s1^2, beta*s2^2, beta*s1*s2, (beta*s1*s2)^2.
+    # sampled moments s1^2, s2^2, s1*s2, (s1*s2)^2.
     rows = min(_BLOCK_ROWS, n_samples)
     z_buf = np.empty((rows, 2))
     s_buf = np.empty((2, rows))
@@ -165,11 +165,8 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
         rng.standard_normal(out=z)
         s1, s2 = np.matmul(chol, z.T, out=s_buf[:, :nb])
         np.multiply(s1, s1, out=v[0])
-        v[0] *= beta
         np.multiply(s2, s2, out=v[1])
-        v[1] *= beta
-        np.multiply(beta, s1, out=v[2])
-        v[2] *= s2
+        np.multiply(s1, s2, out=v[2])
         np.multiply(v[2], v[2], out=v[3])
         mean_b = v.mean(axis=1)
         v -= mean_b[:, None]

@@ -10,6 +10,9 @@ force depends only on their ratio, so the plasma energy is pinned at
 9.0 eV and the (enormous, far-from-small) damping follows.  The default
 geometry/kinematics attached to each preset are the ones its published
 figures quote.
+
+``PRESETS`` maps each name to its preset; the CLI looks a config's
+``"preset"`` up there and reports an unknown name at its field path.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 from . import units
 from .dielectric import Drude
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,3 @@ PENDRY97 = Preset(name="pendry97",
                   d_nm=0.1, v_m_per_s=1.0, T_K=300.0)
 
 PRESETS = {p.name: p for p in (GOLD, PENDRY97)}
-
-
-def get_preset(name: str) -> Preset:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ConfigError([("", f"unknown preset {name!r}; available: "
-                            f"{sorted(PRESETS)}")]) from None

@@ -150,8 +150,7 @@ def _pop_order(heap):
                 heapq.heappush(frontier, (heap[child], child))
 
 
-def _certain_bisections(heap, pending, books, stuck_err, target, floor,
-                        room):
+def _certain_bisections(heap, pending, books, target, floor, room):
     """Up to ``room`` panels among the first _LOOK_AHEAD_WALK of ``heap``
     that worst-first bisection is certain to split at ``target``, in pop
     order, with errors no smaller than ``floor`` and not already in
@@ -161,19 +160,15 @@ def _certain_bisections(heap, pending, books, stuck_err, target, floor,
     is taken off.  Each later pop takes one error off and each bisection
     adds two, so while ``books`` less the errors popped before a panel
     stays above ``target``, the loop cannot stop before reaching it.
-    Unsplittable panels are skipped, unless retiring them could end the
-    loop first.
+    The walk ends at the first unsplittable panel, which the loop retires
+    rather than bisects.
     """
     out = []
-    stuck = stuck_err
     for _, _, lo, hi, _, err in islice(_pop_order(heap), _LOOK_AHEAD_WALK):
-        if books <= target or err < floor or len(out) >= room:
+        if (books <= target or err < floor or len(out) >= room
+                or not lo < 0.5 * (lo + hi) < hi):
             break
-        if not lo < 0.5 * (lo + hi) < hi:
-            stuck += err
-            if stuck > target:
-                break
-        elif (lo, hi) not in pending:
+        if (lo, hi) not in pending:
             out.append((lo, hi))
         books -= err
     return out
@@ -233,7 +228,7 @@ def _bisection(edges, spec):
         if (lo, hi) not in halves:
             room = spec.max_subdivisions - n_panels - 1 - len(halves)
             batch = [(lo, hi)] + _certain_bisections(
-                heap, halves, total_err - err, stuck_err, spec.target(total),
+                heap, halves, total_err - err, spec.target(total),
                 _LOOK_AHEAD_SHARE * err, room)
             half_lo, half_hi = [], []
             for p, q in batch:

@@ -295,7 +295,7 @@ def check_oscillators() -> list[CheckResult]:
 
     alpha1 = alpha2 = 1.0
     phi = 0.5
-    est = sample_pair_correlators(alpha1, alpha2, phi, 1.0,
+    est = sample_pair_correlators(alpha1, alpha2, phi,
                                   n_samples=1_000_000, seed=20240817)
     exact = pair_correlators(alpha1, alpha2, phi)
     exact4 = pair_fourth_moment(alpha1, alpha2, phi)[2]

@@ -7,7 +7,7 @@ from casfric import units
 from casfric.dielectric import Drude, MediumSpec
 from casfric.errors import DomainError
 from casfric.friction import PlateSystem, friction_drude_closed_form
-from casfric.presets import GOLD, PENDRY97, conductivity, get_preset
+from casfric.presets import GOLD, PENDRY97, PRESETS, conductivity
 
 
 class TestPendryForce:
@@ -128,11 +128,8 @@ class TestInputs:
             call()
 
     def test_presets(self):
-        assert get_preset("gold").model.plasma_energy_ev == 9.0
-        assert get_preset("gold").model.damping_ev == 0.035
+        assert PRESETS["gold"].model.plasma_energy_ev == 9.0
+        assert PRESETS["gold"].model.damping_ev == 0.035
         # gold conductivity scale ~ 3.5e18/s
         assert conductivity(GOLD.model) == pytest.approx(3.5e18, rel=0.01)
         assert conductivity(PENDRY97.model) == 1.12e10
-        from casfric.errors import ConfigError
-        with pytest.raises(ConfigError):
-            get_preset("unobtainium")

@@ -159,7 +159,7 @@ class TestPairStatistics:
         with pytest.raises(StabilityError):
             osc.pair_correlators(1.0, 1.0, 1.0)
         with pytest.raises(StabilityError):
-            osc.sample_pair_correlators(2.0, 2.0, 0.5, 1.0, n_samples=10, seed=0)
+            osc.sample_pair_correlators(2.0, 2.0, 0.5, n_samples=10, seed=0)
 
     def test_fourth_moment_hand_value(self):
         t11, t12, total = osc.pair_fourth_moment(1.0, 1.0, 0.5)
@@ -174,7 +174,7 @@ class TestPairStatistics:
     def test_fourth_moment_equals_d2_lnz(self):
         # the connected moment Z''/Z - (Z'/Z)^2 is the second derivative
         # of ln Z in the coupling; finite-difference oracle
-        a1, a2, phi, b = 0.8, 1.1, 0.3, 1.0
+        a1, a2, phi = 0.8, 1.1, 0.3
 
         def lnz(p):
             return -0.5 * math.log(1.0 - a1 * a2 * p * p)
@@ -186,8 +186,8 @@ class TestPairStatistics:
 
     def test_monte_carlo_oracle(self):
         # seeded sampling of the coupled Gaussian weight, 3-sigma gate
-        a1, a2, phi, b = 1.0, 1.0, 0.5, 1.0
-        est = osc.sample_pair_correlators(a1, a2, phi, b,
+        a1, a2, phi = 1.0, 1.0, 0.5
+        est = osc.sample_pair_correlators(a1, a2, phi,
                                           n_samples=1_000_000, seed=20240817)
         exact = osc.pair_correlators(a1, a2, phi)
         for key, target in (("s1s1", exact[0]), ("s2s2", exact[1]),
@@ -199,9 +199,9 @@ class TestPairStatistics:
 
     @pytest.mark.parametrize("n_samples", [10, osc._BLOCK_ROWS + 1, 1_000_000])
     def test_streaming_matches_one_shot(self, n_samples):
-        est = osc.sample_pair_correlators(1.4, 0.8, 0.35, 1.3,
+        est = osc.sample_pair_correlators(1.4, 0.8, 0.35,
                                           n_samples=n_samples, seed=7)
-        ref = one_shot_pair_correlators(1.4, 0.8, 0.35, 1.3, n_samples, 7)
+        ref = one_shot_pair_correlators(1.4, 0.8, 0.35, n_samples, 7)
         assert est.keys() == ref.keys()
         for key, (mean, err) in ref.items():
             assert est[key][0] == pytest.approx(mean, rel=1e-12, abs=0.0)
@@ -210,7 +210,7 @@ class TestPairStatistics:
     def test_streaming_memory_does_not_grow_with_samples(self):
         tracemalloc.start()
         try:
-            osc.sample_pair_correlators(1.0, 1.0, 0.5, 1.0,
+            osc.sample_pair_correlators(1.0, 1.0, 0.5,
                                         n_samples=1_000_000, seed=20240817)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -219,12 +219,12 @@ class TestPairStatistics:
 
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
-            osc.sample_pair_correlators(1.0, 1.0, 0.5, 1.0, n_samples=1, seed=0)
+            osc.sample_pair_correlators(1.0, 1.0, 0.5, n_samples=1, seed=0)
 
     def test_wick_factorization(self):
         # <s1^2 s2^2> = <s1^2><s2^2> + 2<s1 s2>^2 for the Gaussian weight
-        a1, a2, phi, b = 1.4, 0.8, 0.35, 1.0
-        est = osc.sample_pair_correlators(a1, a2, phi, b,
+        a1, a2, phi = 1.4, 0.8, 0.35
+        est = osc.sample_pair_correlators(a1, a2, phi,
                                           n_samples=500_000, seed=7)
         b1, b2, b12 = osc.pair_correlators(a1, a2, phi)
         mean4, err4 = est["fourth"]
@@ -233,19 +233,19 @@ class TestPairStatistics:
 
 
 
-def one_shot_pair_correlators(alpha1, alpha2, phi, beta, n_samples, seed):
+def one_shot_pair_correlators(alpha1, alpha2, phi, n_samples, seed):
     """Oracle: every sample held at once, moments by np.mean and np.std."""
     x = alpha1 * alpha2 * phi * phi
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],
-                    [alpha1 * alpha2 * phi, alpha2]]) / (beta * (1.0 - x))
+                    [alpha1 * alpha2 * phi, alpha2]]) / (1.0 - x)
     s = np.random.default_rng(seed).standard_normal((n_samples, 2)) \
         @ np.linalg.cholesky(cov).T
 
     def stat(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
 
-    prod = beta * s[:, 0] * s[:, 1]
+    prod = s[:, 0] * s[:, 1]
     s1s2 = stat(prod)
     fourth = stat(prod * prod)
-    return {"s1s1": stat(beta * s[:, 0] ** 2), "s2s2": stat(beta * s[:, 1] ** 2),
+    return {"s1s1": stat(s[:, 0] ** 2), "s2s2": stat(s[:, 1] ** 2),
             "s1s2": s1s2, "fourth": (fourth[0] - s1s2[0] ** 2, fourth[1])}
