@@ -174,6 +174,22 @@ def _certain_bisections(heap, pending, books, target, floor, room):
     return out
 
 
+def _fsum(xs):
+    """math.fsum of the list ``xs``, exactly rounded; the plain sum where
+    fsum refuses (inf - inf, or an intermediate overflow)."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
+
+
+def _exact_sums(heap, retired):
+    """The sums of the values and of the errors of the panels on ``heap``
+    and in ``retired``, each by :func:`_fsum`."""
+    return (_fsum([item[4] for item in heap] + [v for v, _ in retired]),
+            _fsum([item[5] for item in heap] + [e for _, e in retired]))
+
+
 def _edges(a, b, split_points):
     """Initial panel edges of [a, b]: a, the split points inside, b."""
     if not a < b:
@@ -193,6 +209,11 @@ def _bisection(edges, spec):
     is sent their ``[(k15, err), ...]`` and returns its IntegralResult.
     The panels of one yield are the initial panels, then the halves of
     the panel it bisects and of those looked ahead.
+
+    Value and error are kept as running sums, which carry the rounding
+    of the large sums of panels since refined away.  So the loop stops
+    only once the exact sums (:func:`_exact_sums`) pass the target too,
+    and it returns them; a non-finite running sum stops it at once.
     """
     heap = []
     counter = 0
@@ -208,21 +229,26 @@ def _bisection(edges, spec):
         counter += 1
 
     n_panels = len(edges) - 1
-    stuck_err = 0.0
+    # (value, error) of the panels too narrow to bisect.
+    retired = []
     # Halves of panels evaluated ahead of their bisection, keyed by (lo, hi).
     halves = {}
 
-    while total_err > spec.target(total) and n_panels < spec.max_subdivisions:
-        if not heap:
-            break
+    while n_panels < spec.max_subdivisions:
+        if not total_err > spec.target(total):
+            if not (math.isfinite(total) and math.isfinite(total_err)):
+                break
+            total, total_err = _exact_sums(heap, retired)
+            if total_err <= spec.target(total):
+                break
         neg_err, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             # Panel no longer splittable in double precision; retire it
-            # but keep its error on the books.
-            stuck_err += err
-            total_err = stuck_err + sum(item[5] for item in heap)
-            if stuck_err > spec.target(total):
+            # but keep its value and error on the books.
+            retired.append((val, err))
+            total, total_err = _exact_sums(heap, retired)
+            if _fsum([e for _, e in retired]) > spec.target(total):
                 break
             continue
         if (lo, hi) not in halves:
@@ -247,6 +273,9 @@ def _bisection(edges, spec):
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
         counter += 1
         n_panels += 1
+    else:
+        # The budget is spent: report the exact sums.
+        total, total_err = _exact_sums(heap, retired)
 
     converged = math.isfinite(total) and total_err <= spec.target(total)
     return IntegralResult(total, total_err, evals, converged)

@@ -19,7 +19,9 @@ TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 def panel_by_panel(f, a, b, spec, split_points=()):
     """Oracle of the batched engine: the same G7/K15 rule and worst-first
     bisection with one integrand call per panel and no look-ahead, as
-    the engine was written before it evaluated several panels a call."""
+    the engine was written before it evaluated several panels a call.
+    It stops only when the exact (math.fsum) sums of the panels pass,
+    and reports them."""
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
@@ -40,16 +42,26 @@ def panel_by_panel(f, a, b, spec, split_points=()):
         heapq.heappush(heap, (-err, counter, lo, hi, val, err))
     counter = len(heap)
     n_panels = len(heap)
-    stuck_err = 0.0
-    while total_err > spec.target(total) and n_panels < spec.max_subdivisions:
-        if not heap:
-            break
+    retired = []
+
+    def exact_sums():
+        panels = [item[4:] for item in heap] + retired
+        return (math.fsum(v for v, _ in panels),
+                math.fsum(e for _, e in panels))
+
+    while n_panels < spec.max_subdivisions:
+        if not total_err > spec.target(total):
+            if not (math.isfinite(total) and math.isfinite(total_err)):
+                break
+            total, total_err = exact_sums()
+            if total_err <= spec.target(total):
+                break
         _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            stuck_err += err
-            total_err = stuck_err + sum(item[5] for item in heap)
-            if stuck_err > spec.target(total):
+            retired.append((val, err))
+            total, total_err = exact_sums()
+            if math.fsum(e for _, e in retired) > spec.target(total):
                 break
             continue
         v1, e1 = panel(lo, mid)
@@ -61,6 +73,8 @@ def panel_by_panel(f, a, b, spec, split_points=()):
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
         counter += 2
         n_panels += 1
+    else:
+        total, total_err = exact_sums()
     converged = math.isfinite(total) and total_err <= spec.target(total)
     return IntegralResult(total, total_err, evals, converged)
 
@@ -100,8 +114,9 @@ ORACLE_CASES = {
                                         max_subdivisions=3), ()),
     "non-finite": (inverse_abs, -1.0, 1.0, TIGHT, ()),
     # A line on a bisection edge at rel_tol 1e-12: the running error sum
-    # drifts from the sum of the panel errors by rounding, and the
-    # look-ahead must follow the running sum.
+    # drifts from the sum of the panel errors by rounding.  The look-ahead
+    # follows the running sum; the loop stops only once the exact sum
+    # passes too.
     "peak-on-an-edge": (lambda x: np.exp(-x) + 1e-6 / ((x - 0.25) ** 2
                                                       + 1e-12),
                         0.0, 1.0, QuadratureSpec(abs_tol=1e-300,
@@ -173,6 +188,23 @@ class TestFinite:
         assert a.error_estimate == b.error_estimate
         assert a.evaluations == b.evaluations
 
+    def test_running_sum_drift_does_not_stop_the_loop(self):
+        # A line 1e-16 wide on a bisection edge: once its early panels are
+        # refined away, the running error sum is off by more than the
+        # target (it ended at -2.2e-11 with converged=True).  The exact
+        # sum of the panel errors decides.
+        def f(x):
+            return np.exp(-x) + 1e-8 / ((x - 0.25) ** 2 + 1e-16)
+
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
+        res = integrate_finite(f, 0.0, 1.0, spec)
+        exact = (1.0 - math.exp(-1.0) + math.atan(0.75e8)
+                 + math.atan(0.25e8))
+        assert res.converged
+        assert 0.0 <= res.error_estimate <= spec.target(res.value)
+        assert abs(res.value - exact) <= res.error_estimate
+        assert fields(res) == fields(panel_by_panel(f, 0.0, 1.0, spec))
+
     def test_refinement_monotone_error(self):
         spec = lambda n: QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
                                         max_subdivisions=n)
@@ -211,7 +243,7 @@ class TestBatchedPasses:
         "budget-exhausted": [1, 1, 1],
         "non-finite": [1],
         "peak-on-an-edge": ([1, 1, 1, 2] + [1] * 14 + [2] + [1] * 13
-                            + [2, 1, 2, 12, 4]),
+                            + [2, 1, 2, 12, 4, 3]),
     }
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
