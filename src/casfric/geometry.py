@@ -8,8 +8,16 @@ The three volume-integrated factors of the squared dipole force tensor:
 
 Each factor has an analytic form and at least one independent quadrature
 route; the routes agree to 1e-6 relative and the tests enforce it.
-Lengths are in nm and densities in nm^-3 throughout; the friction module
-converts to SI exactly once.
+Lengths are in nm and densities in nm^-3 throughout.  The friction
+routes compute their geometric factor G in SI from the same closed
+forms, and the tests hold each to 1e-14 relative of:
+
+    dense   G = g_two_planes(1/(2 pi), 1/(2 pi), d) * 1e36   (m^-4)
+    dilute  G = g_two_planes(rho1, rho2, d) * 1e36            (m^-4)
+    hybrid  G = 2 * g_halfplane(1/(2 pi), z0) * 1e18          (m^-2)
+
+A dense plate enters as a half-plane of density 1/(2 pi), its surface
+response A standing for 2 pi rho alpha.
 """
 
 from __future__ import annotations

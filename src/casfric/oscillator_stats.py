@@ -2,11 +2,12 @@
 
 Imaginary-frequency polarizabilities, imaginary-time correlators and the
 Gaussian statistics of a coupled pair of oscillators: the transform
-pair, the pair's beta-scaled moments (the same at every beta, so neither
-they nor their Monte-Carlo cross-check of acceptance criterion 8 take
-beta).  Everything here is a pure function; the Monte-Carlo cross-check
-takes an explicit seed.  The correlators of two coupled half-planes live on the
-retarded branch, in ``friction.plane_spectral_products``.
+pair, the pair's beta-scaled moments and their Monte-Carlo cross-check
+of acceptance criterion 8.  Those moments are the same at every beta,
+so the pair functions take no beta.  Everything here is a pure
+function; the Monte-Carlo cross-check takes an explicit seed.  The
+correlators of two coupled half-planes live on the retarded branch, in
+``friction.plane_spectral_products``.
 """
 
 from __future__ import annotations
@@ -135,12 +136,12 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
 
     Returns a dict of estimates with standard errors:
     keys 's1s1', 's2s2', 's1s2', 'fourth' map to (mean, stderr) of the
-    beta-scaled moments.  These do not depend on beta: the pair is sampled
-    from the beta-scaled covariance of :func:`pair_correlators`.  The ``(n_samples, 2)`` normals are drawn in
-    blocks of ``_BLOCK_ROWS`` rows (the same stream as one draw), and
-    each block's mean and sum of squared deviations are merged by the
-    pairwise update of Chan, Golub & LeVeque (1979), so memory does not
-    grow with ``n_samples``.
+    beta-scaled moments, sampled from the beta-scaled covariance of
+    :func:`pair_correlators`, so beta does not enter.  The
+    ``(n_samples, 2)`` normals are drawn in blocks of ``_BLOCK_ROWS``
+    rows (the same stream as one draw), and each block's mean and sum of
+    squared deviations are merged by the pairwise update of Chan, Golub &
+    LeVeque (1979), so memory does not grow with ``n_samples``.
     """
     x = _stability(alpha1, alpha2, phi)
     if n_samples < 2:

@@ -20,6 +20,10 @@ found late can raise the target past a panel already evaluated ahead.
 So ``f`` receives one 1-D ndarray of 15*k abscissae per call, k varying
 between calls, and must return an ndarray of the same shape whose every
 entry depends only on the abscissa at its position (elementwise).
+The loop keeps value and error as running sums, which carry the
+rounding of large sums of panels since refined away.  So it stops only
+once the exactly rounded (math.fsum) sums of the panels pass the target
+too, and returns those; a non-finite running sum stops it at once.
 
 Independent integrals run in lockstep in ``integrate_many`` and
 ``integrate_semi_infinite_many``.  Each keeps its own bisection as
@@ -209,11 +213,6 @@ def _bisection(edges, spec):
     is sent their ``[(k15, err), ...]`` and returns its IntegralResult.
     The panels of one yield are the initial panels, then the halves of
     the panel it bisects and of those looked ahead.
-
-    Value and error are kept as running sums, which carry the rounding
-    of the large sums of panels since refined away.  So the loop stops
-    only once the exact sums (:func:`_exact_sums`) pass the target too,
-    and it returns them; a non-finite running sum stops it at once.
     """
     heap = []
     counter = 0

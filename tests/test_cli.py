@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from casfric import cli
+from casfric.dielectric import MediumSpec, load_tabulated
+from casfric.friction import PlateSystem, friction_dense, friction_dilute
+from casfric.presets import GOLD
+from casfric.quadrature import QuadratureSpec
 
 
 def write_json(tmp_path, name, payload):
@@ -284,6 +288,144 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         field, message = self.CASES[case]
         assert err.startswith(f"config error: {field}: {message}")
+
+
+_DELETE = object()
+
+
+def _set(*path, value=_DELETE):
+    """A config edit: set ``value`` at the key path ``path`` of a config,
+    or delete the key there when no value is given."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return cfg
+    return edit
+
+
+def _sweep(**fields):
+    """A d-sweep over the edited config, with ``fields`` replaced; a
+    field set to None is left out."""
+    def edit(cfg):
+        sweep = {"base": cfg, "axis": "d", "values": [10.0, 20.0], **fields}
+        return {k: v for k, v in sweep.items() if v is not None}
+    return edit
+
+
+class TestConfigErrorPaths:
+    """Each schema and argument check ends in exit 2 with one stderr
+    line naming its field path."""
+
+    # id: (command, config edit, extra argv, "field path: message start")
+    CASES = {
+        "config-not-object": ("compute", lambda cfg: [cfg], [],
+                              ".: must be an object"),
+        "system-not-object": ("compute", _set("system", value=5), [],
+                              ".system: must be an object"),
+        "not-a-number": ("compute", _set("system", "T_K", value="300"), [],
+                         ".system.T_K: must be a number"),
+        "negative-speed": ("compute", _set("system", "v_m_per_s",
+                                           value=-1.0), [],
+                           ".system.v_m_per_s: must be >= 0"),
+        "medium-no-model": ("compute", _set("system", "medium1", value={}),
+                            [], ".system.medium1: missing 'model'"),
+        "table-path-not-string": ("compute", _set(
+            "system", "medium1", value={"model": "tabulated", "path": 3}),
+            [], ".system.medium1.path: must be a file path"),
+        "unknown-model": ("compute", _set("system", "medium2",
+                                          value={"model": "silver"}), [],
+                          ".system.medium2.model: must be one of"),
+        "unknown-route": ("compute", _set("route", value="warp"), [],
+                          ".route: must be one of"),
+        "missing-medium2": ("compute", _set("system", "medium2"), [],
+                            ".system.medium2: is required"),
+        "bad-denominators": ("compute", _set("denominators", value="maybe"),
+                             [], ".denominators: must be 'drop'"),
+        "sweep-no-base": ("sweep", _sweep(base=None), [],
+                          ".base: is required"),
+        "sweep-bad-scale": ("sweep", _sweep(values={
+            "min": 5.0, "max": 50.0, "count": 3, "scale": "cubic"}), [],
+            ".values.scale: must be"),
+        "sweep-min-not-below-max": ("sweep", _sweep(values={
+            "min": 5.0, "max": 5.0, "count": 3}), [],
+            ".values: need min < max"),
+        "sweep-log-min-zero": ("sweep", _sweep(values={
+            "min": 0.0, "max": 5.0, "count": 3, "scale": "log"}), [],
+            ".values.min: must be > 0"),
+        "sweep-values-type": ("sweep", _sweep(values="10"), [],
+                              ".values: must be a list"),
+        "sweep-value-out-of-domain": ("sweep", _sweep(values=[10.0, -1.0]),
+                                      [], ".values[1]: out of domain"),
+        "m-grid-two-parts": ("spectra", None, ["--m-grid", "1:2"],
+                             "--m-grid: expected MIN:MAX"),
+        "m-grid-bad-scale": ("spectra", None, ["--m-grid", "1:2:3:cubic"],
+                             "--m-grid: scale must be"),
+        "invalid-json": ("compute", None, [], "--config: invalid JSON"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit2_one_line_with_field(self, tmp_path, capsys, case):
+        command, edit, extra, where = self.CASES[case]
+        cfg = gold_config(route="dense-full")
+        path = write_json(tmp_path, "cfg.json", edit(cfg) if edit else cfg)
+        if case == "invalid-json":
+            (tmp_path / "cfg.json").write_text('{"route": ')
+        code, out, err = run_cli(capsys, [command, "--config", path, *extra])
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert err.startswith(f"config error: {where}")
+
+
+class TestQuadratureBlock:
+    """A config's quadrature block reaches the route it runs."""
+
+    SPEC = {"abs_tol": 1e-14, "rel_tol": 1e-12, "max_subdivisions": 500}
+
+    def test_spec_reaches_the_route(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", gold_config(
+            route="dense-full", quadrature=self.SPEC))
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 0
+        system = PlateSystem(MediumSpec(GOLD.model), MediumSpec(GOLD.model),
+                             10.0, 100.0, 300.0)
+        library = friction_dense(system, spec=QuadratureSpec(**self.SPEC))
+        assert json.loads(out)["result"] == cli._result_fields(library)
+        assert library.quadrature_error != friction_dense(system) \
+            .quadrature_error
+
+    def test_dilute_route(self, tmp_path, capsys):
+        # the hybrid probe on both plates, 1 nm apart
+        cfg = hybrid_config(tmp_path)
+        system = cfg["system"]
+        system.update(medium2=system["medium1"], d_nm=system.pop("z0_nm"))
+        cfg.update(route="dilute", quadrature=self.SPEC)
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 0
+        probe = MediumSpec(load_tabulated(system["medium1"]["path"]), 0.01)
+        library = friction_dilute(PlateSystem(probe, probe, 1.0, 100.0,
+                                              300.0),
+                                  spec=QuadratureSpec(**self.SPEC))
+        assert json.loads(out)["result"] == cli._result_fields(library)
+
+    def test_unconverged_sweep_exits4_with_rows(self, tmp_path, capsys):
+        # one subdivision cannot reach 1e-15: every row is flagged
+        base = gold_config(route="dense-full", quadrature={
+            "abs_tol": 1e-300, "rel_tol": 1e-15, "max_subdivisions": 1})
+        path = write_json(tmp_path, "sweep.json", {
+            "base": base, "axis": "d", "values": [10.0, 20.0]})
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path])
+        assert code == 4
+        rows = json.loads(out)
+        assert [r["d"] for r in rows] == [10.0, 20.0]
+        assert [r["converged"] for r in rows] == [False, False]
+        assert all(math.isfinite(r["force"]) and r["error"] == ""
+                   for r in rows)
 
 
 class TestSweep:

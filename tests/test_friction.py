@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from casfric import friction as fr
+from casfric import geometry as geo
 from casfric import units
 from casfric.dielectric import (Drude, MediumSpec, Tabulated, Vacuum,
                                 dense_alpha, dense_alpha_retarded,
@@ -553,6 +554,34 @@ def test_force_factorizes(route):
         double = call(float(gaps[0]), 2.0 * v)
         assert double.force == 2.0 * results[0].force
         assert call(float(gaps[0]), 0.0).force == 0.0
+
+
+def test_g_is_a_criterion_3_factor():
+    """Each route's G is a closed-form factor of ``geometry`` (checked
+    against its quadrature routes by criterion 3), converted to SI: the
+    dense plates are two half-planes of density 1/(2 pi) (the surface
+    response is 2 pi rho alpha), the dilute plates those of their own
+    densities, both per nm**4 -> per m**4; the hybrid probe sees one
+    such half-plane at half weight, nm**-5 times the probe's nm**3 ->
+    m**-2."""
+    rng = np.random.default_rng(23)
+    probe = linear_table(5e-5, m_max=60.0, n=50)
+    half = 1.0 / (2.0 * math.pi)
+    for gap, rho1, rho2 in 10.0 ** rng.uniform([-1.0, -3.0, -3.0],
+                                               [3.0, 0.0, 0.0], (20, 3)):
+        gap, rho1, rho2 = float(gap), float(rho1), float(rho2)
+        dense = fr.friction_dense(gold_system(d_nm=gap))
+        dilute = fr.friction_dilute(fr.PlateSystem(
+            MediumSpec(probe, rho1), MediumSpec(probe, rho2), gap, 100.0,
+            300.0))
+        hybrid = fr.friction_hybrid(MediumSpec(probe), GOLD, gap, 100.0,
+                                    300.0)
+        assert dense.g == pytest.approx(
+            geo.g_two_planes(half, half, gap) * 1e36, rel=1e-14, abs=0.0)
+        assert dilute.g == pytest.approx(
+            geo.g_two_planes(rho1, rho2, gap) * 1e36, rel=1e-14, abs=0.0)
+        assert hybrid.g == pytest.approx(
+            2.0 * geo.g_halfplane(half, gap) * 1e18, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:k_B")

@@ -71,3 +71,36 @@ def test_no_module_reads_the_environment():
                 found += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name in readers]
     assert found == []
+
+
+# (module, function, parameter) -> why the parameter is not read.  A
+# parameter that is read but cancels from the result (as beta once did in
+# oscillator_stats.sample_pair_correlators) passes this check unseen.
+IDLE_PARAMETERS = {
+    ("cli.py", "cmd_validate", "args"):
+        "every command takes the parsed arguments from main's dispatch",
+    ("quadrature.py", "<lambda>", "job"):
+        "integrate_semi_infinite adapts f(x) to a one-job f(x, job)",
+}
+
+
+def _parameters(node):
+    args = node.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                            *args.kwonlyargs, args.kwarg) if a is not None]
+
+
+def test_every_parameter_is_read():
+    idle = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            idle |= {(path.name, name, p) for p in _parameters(node)
+                     if p not in read}
+    assert idle == set(IDLE_PARAMETERS)

@@ -205,6 +205,22 @@ class TestFinite:
         assert abs(res.value - exact) <= res.error_estimate
         assert fields(res) == fields(panel_by_panel(f, 0.0, 1.0, spec))
 
+    def test_opposite_infinities_on_a_spent_budget(self):
+        # +inf and -inf on a Kronrod-only node of each initial panel, and
+        # no budget to bisect: the exact sums are asked of inf - inf,
+        # which fsum refuses, and the plain sum (nan) is reported.
+        nodes = (0.5 + 0.5 * _XGK[0], 1.5 + 0.5 * _XGK[0])
+
+        def f(x):
+            return np.select([x == nodes[0], x == nodes[1]],
+                             [np.inf, -np.inf], 0.0)
+
+        res = integrate_finite(f, 0.0, 2.0,
+                               QuadratureSpec(max_subdivisions=2),
+                               split_points=(1.0,))
+        assert math.isnan(res.value) and res.error_estimate == math.inf
+        assert not res.converged
+
     def test_refinement_monotone_error(self):
         spec = lambda n: QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
                                         max_subdivisions=n)
