@@ -137,14 +137,15 @@ def _ep2(model) -> float:
     return 0.5 * model.plasma_energy_ev ** 2
 
 
-# Most (zeta, column) pairs the tabulated kernel holds in one numpy block.
-# Each temporary of a block is then 128 KiB and stays in cache, so the cost
-# per energy does not grow with the number of energies evaluated together.
+# Most (zeta, column) pairs the tabulated kernel holds in one numpy block:
+# (zeta, node) pairs of the exact form, whose work array holds 64 bytes a
+# pair, and (zeta, Kronrod node) pairs, 16 bytes a temporary.  Blocks then
+# stay in cache, so the cost per energy does not grow with the number of
+# energies evaluated together; 2**12 to 2**14 time alike on a 400-sample
+# table, while 2**15 slows the Kronrod form ~2.5x.
 _BLOCK_PAIRS = 2 ** 13
-# The differenced logarithms lose precision as |zeta| / m_top**2 grows
-# (~1e-13 relative at 16, ~1e-12 at 100); past _FAR_RATIO the 15-point
-# Kronrod rule per segment, >= 3 m_top from the poles, is exact to rounding.
-_FAR_RATIO = 16.0
+# Smallest positive normal double: floor of the squared distance |s -+ i m|**2.
+_TINY = np.finfo(float).tiny
 
 
 def _by_blocks(z: np.ndarray, width: int, kernel) -> np.ndarray:
@@ -159,25 +160,66 @@ def _by_blocks(z: np.ndarray, width: int, kernel) -> np.ndarray:
 
 def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
     """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm' for complex
-    zeta off the negative real axis (gamma > 0 on the retarded branch keeps
-    every logarithm off its cut).  Exact for the linear interpolant
-    S = a + b*m': a*dlog(zeta + m'**2) + b*(2*dm' - 2*sqrt(zeta)*
-    datan(m'/sqrt(zeta))) per segment, from logarithms taken once per
-    node; zeta = 0 is the static limit."""
+    zeta off the negative real axis, S the linear interpolant a + b*m' of
+    each segment; zeta = 0 is the static limit.
+
+    Exact form.  With s = sqrt(zeta) = x + i*y (principal root) and
+    L+- = log(s +- i*m), the segment integrates to differences of
+    a*log(zeta + m**2) + b*(2m - 2s*atan(m/s)), and
+
+        log(zeta + m**2) = L+ + L-,    atan(m/s) = (i/2) * (L- - L+).
+
+    Neither identity jumps a branch along the table: x > 0 off the cut
+    (gamma > 0 on the retarded branch), so s +- i*m stay in the right
+    half-plane.  Summed by parts over the nodes m_j, with the kinks
+    kink_j = b_j - b_(j-1) (b = 0 outside the table) and d+- = y +- m_j,
+
+        f = 2 sum_k b_k dm_k + S(m_top) (L+ + L-)(m_top) - S(m_0) (L+ + L-)(m_0)
+            + sum_j kink_j [(d+ - i x) L+ - (d- - i x) L-],
+
+    with L+- = log(x**2 + d+-**2) / 2 + i arctan2(d+-, x): two real
+    logarithms and two arctangents per (zeta, node) pair.  The factor
+    (d+- - i x) is as small as |s +- i m_j|, so a node on the pole adds
+    r*log(r) -> 0 without cancellation, and flooring r**2 at _TINY (it
+    underflows once gamma is below ~1e-150) changes nothing.  Each angle
+    is split as copysign(pi/2, d) - atan(x/d): the first parts sum in
+    closed form to pi*(S(m_0) - S(y)) plus end terms and x*pi*S'(y), so
+    the small Im f, which carries the spectrum, is not left over from
+    sums of terms of size pi/2.  At the two ends S jumps to 0 and L- is
+    singular; there y - m is formed from Re zeta + m**2, which is exact
+    on the node for zeta = -m**2 + i*gamma.
+
+    Kronrod form.  The exact form cancels once the pole is far from the
+    table, where the 15-point Kronrod rule on every segment is exact to
+    rounding.  Mirrored onto m' >= 0, the nearer pole is P = |y| + i x.
+    Slide the widest segment along the table to the place nearest P; P is
+    clear of the table when it lies outside the ellipse with foci at that
+    segment's ends through half a width beyond them (Bernstein radius
+    2 + sqrt(3)), i.e. when its distances to the foci sum to at least
+    twice the width.  Every segment fits inside such a slid copy, so each
+    sees the pole at least as far out.
+
+    Each energy is reduced on its own row, so its value never depends on
+    the other energies in the call."""
     m = model.m_ev
-    dm = np.diff(m)
-    b = np.diff(model.values) / dm
-    a = model.values[:-1] - b * m[:-1]
+    v = model.values
+    dm = m[1:] - m[:-1]
+    b = (v[1:] - v[:-1]) / dm
+    a = v[:-1] - b * m[:-1]
     out = np.empty(zeta.shape, dtype=complex)
     static = zeta == 0.0
-    far = np.abs(zeta) > _FAR_RATIO * m[-1] ** 2
+    s = np.sqrt(zeta)
+    y = np.abs(s.imag)
+    width = dm.max()
+    lo = np.minimum(np.maximum(y, m[0]), m[-1] - width) - y
+    far = (np.hypot(lo, s.real) + np.hypot(lo + width, s.real) >= 2.0 * width) & ~static
     near = ~(static | far)
-    if np.any(static):
+    if static.any():
         # A table starting at m = 0 vanishes there, so that segment has a = 0.
         with np.errstate(divide="ignore"):
             log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
         out[static] = np.sum(a * log_term) + np.sum(b * 2.0 * dm)
-    if np.any(far):
+    if far.any():
         x = (0.5 * (m[:-1] + m[1:]))[:, None] + (0.5 * dm)[:, None] * _XGK
         c = ((0.5 * dm)[:, None] * _WGK * 2.0 * x
              * (a[:, None] + b[:, None] * x)).ravel()
@@ -185,14 +227,50 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
         out[far] = _by_blocks(zeta[far], x2.size,
                               lambda zc: np.sum(c / (zc + x2), axis=1))
 
+    signed_m = np.array([m, -m])
+    slope = np.concatenate(([0.0], b, [0.0]))    # S' right of each node
+    kink = slope[1:] - slope[:-1]
+    lin = 2.0 * np.sum(b * dm)
+    # the ends of the table where S does not vanish, with their signs
+    ends = [j for j in (0, m.size - 1) if v[j] != 0.0]
+    end_m, end_w = m[ends], v[ends] * np.where(ends, 1.0, -1.0)
+
     def exact(zc):
         s = np.sqrt(zc)
-        log_term = np.diff(np.log(zc + m ** 2), axis=1)
-        # principal complex arctangent of m/s, written with logarithms
-        atan = 0.5j * np.diff(np.log(1.0 - 1j * (m / s))
-                              - np.log(1.0 + 1j * (m / s)), axis=1)
-        lin_term = 2.0 * dm - 2.0 * s * atan
-        return np.sum(a * log_term, axis=1) + np.sum(b * lin_term, axis=1)
+        # f(conj zeta) = conj f(zeta): work at y = |Im s| >= 0, so d+ >= 0.
+        x, y = s.real, np.abs(s.imag)
+        d = y[:, :, None] + signed_m            # rows of y + m and y - m
+        buf = np.empty((4,) + d.shape)
+        log_r2, small, d_log, d_small = buf
+        np.multiply(d, d, out=log_r2)
+        log_r2 += (x * x + _TINY)[:, :, None]
+        np.log(log_r2, out=log_r2)
+        # arctan2(d, x) = copysign(pi/2, d) - small
+        np.copysign(x[:, :, None], d, out=small)
+        np.arctan2(small, np.abs(d), out=small)
+        np.multiply(d, log_r2, out=d_log)
+        np.multiply(d, small, out=d_small)
+        # sum_j kink_j * (row for +m minus row for -m), per energy
+        sums = np.vecdot(buf, kink)
+        log_r2_k, small_k, d_log_k, d_small_k = sums[..., 0] - sums[..., 1]
+        # S (L+ + L-) at the ends, where the jump of S to 0 makes L- singular:
+        # on the retarded branch y - m there is (x**2 - (Re zeta + m**2)) /
+        # (y + m), exact on the node when zeta = -m**2 + i*gamma.
+        d_end = np.where(zc.real < 0.0, (x * x - (zc.real + end_m ** 2)) / (y + end_m),
+                         y - end_m)
+        log_r2_e = ((log_r2[:, 0, ends] + np.log(x * x + d_end ** 2 + _TINY))
+                    * end_w).sum(axis=1)
+        small_e = ((small[:, 0, ends] + np.arctan2(np.copysign(x, d_end), np.abs(d_end)))
+                   * end_w).sum(axis=1)
+        step_e = ((1.0 + np.copysign(1.0, d_end)) * end_w).sum(axis=1)
+        x, y = x[:, 0], y[:, 0]
+        # The copysign(pi/2, d) parts of the angles, summed over the nodes in
+        # closed form from the value and slope of S at y.
+        re = (0.5 * (d_log_k + log_r2_e) + lin
+              - x * (np.pi * slope[np.searchsorted(m, y, side="right")] + small_k))
+        im = (np.pi * (v[0] - np.interp(y, m, v) + 0.5 * step_e)
+              - d_small_k - 0.5 * x * log_r2_k - small_e)
+        return re + 1j * np.sign(s.imag[:, 0]) * im
 
     out[near] = _by_blocks(zeta[near], m.size, exact)
     return out

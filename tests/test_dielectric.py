@@ -228,33 +228,105 @@ _M = np.linspace(0.0, 4.0, 24)
 TABLE = dl.Tabulated(_M, 0.1 * _M * np.exp(-((_M - 1.5) / 0.8) ** 2))
 
 
+# m = 0 and a geometric grid from 0.02 to 4 eV: segments from 0.008 eV wide
+# near the bottom to 1.13 eV at the top.
+_MG = np.concatenate(([0.0], np.geomspace(0.02, 4.0, 17)))
+UNEVEN = dl.Tabulated(_MG, 0.1 * _MG * np.exp(-((_MG - 1.5) / 0.8) ** 2))
+
+
+def _segments(mpmath, table):
+    """Each segment of ``table`` in mpmath numbers: m1, m2, S(m1), slope."""
+    for m1, m2, v1, v2 in zip(table.m_ev[:-1], table.m_ev[1:],
+                              table.values[:-1], table.values[1:]):
+        m1, m2, v1, v2 = map(mpmath.mpf, (m1, m2, v1, v2))
+        yield m1, m2, v1, (v2 - v1) / (m2 - m1)
+
+
+def _quad_oracle(mpmath, table, zeta, split=None):
+    """Per-segment quadrature of S(m') * 2 m' / (zeta + m'**2), split at
+    the near-pole m' = split."""
+    total = 0
+    with mpmath.workdps(30):
+        for m1, m2, v1, b in _segments(mpmath, table):
+            pts = [m1] + ([mpmath.mpf(split)] if split is not None
+                          and m1 < split < m2 else []) + [m2]
+            total += mpmath.quad(lambda x: (v1 + b * (x - m1)) * 2 * x
+                                 / (zeta + x * x), pts)
+        return complex(total)
+
+
+def _antiderivative_oracle(mpmath, table, zeta):
+    """The segment antiderivative a*log(zeta + m**2) + b*(2m - 2s*atan(m/s))
+    differenced at 40 digits, where its cancellation near the nodes costs
+    nothing; a fast oracle for many energies."""
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(zeta)
+        at = {}
+        for m in table.m_ev:
+            m = mpmath.mpf(m)
+            at[m] = (mpmath.log(zeta + m * m), 2 * m - 2 * s * mpmath.atan(m / s))
+        total = 0
+        for m1, m2, v1, b in _segments(mpmath, table):
+            total += ((v1 - b * m1) * (at[m2][0] - at[m1][0])
+                      + b * (at[m2][1] - at[m1][1]))
+        return complex(total)
+
+
 class TestSurfaceResponse:
     def test_table_against_mpmath(self):
-        # per-segment quadrature of the piecewise-linear integrand
-        # S(m') * 2 m' / (zeta + m'**2), split at the near-pole m' = m
         mpmath = pytest.importorskip("mpmath")
 
         def oracle(zeta, split=None):
-            total = 0
-            with mpmath.workdps(30):
-                for m1, m2, v1, v2 in zip(TABLE.m_ev[:-1], TABLE.m_ev[1:],
-                                          TABLE.values[:-1], TABLE.values[1:]):
-                    m1, m2, v1, v2 = map(mpmath.mpf, (m1, m2, v1, v2))
-                    slope = (v2 - v1) / (m2 - m1)
-                    pts = [m1] + ([mpmath.mpf(split)] if split is not None
-                                  and m1 < split < m2 else []) + [m2]
-                    total += mpmath.quad(lambda x: (v1 + slope * (x - m1))
-                                         * 2 * x / (zeta + x * x), pts)
-                return complex(total)
+            return _quad_oracle(mpmath, TABLE, zeta, split)
+
+        def retarded(m, gamma):
+            return mpmath.mpc(-mpmath.mpf(m) ** 2, gamma)
 
         for k in (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
             ref = oracle(mpmath.mpf(k) ** 2).real
             assert abs(dl.dense_alpha(TABLE, k) - ref) <= 1e-12 * abs(ref)
         for gamma in (1e-3, 0.1):
             for m in (0.05, 1.5, 3.99, 4.0, 6.0, 40.0):
-                ref = oracle(mpmath.mpc(-mpmath.mpf(m) ** 2, gamma), split=m)
+                ref = oracle(retarded(m, gamma), split=m)
                 got = dl.dense_alpha_retarded(TABLE, m, gamma)
                 assert abs(got - ref) <= 1e-12 * abs(ref)
+        # Past the top at the default gamma, where Im A comes from gamma
+        # alone: a tenth and a half of the last segment beyond it, and
+        # 15.9 eV, where Im A must be exact too.
+        h = _M[-1] - _M[-2]
+        for m in (4.0 + 0.1 * h, 4.0 + 0.5 * h, 15.9):
+            ref = oracle(retarded(m, 4e-6))
+            got = dl.dense_alpha_retarded(TABLE, m)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        assert abs(got.imag - ref.imag) <= 1e-12 * abs(ref.imag)
+        # On and 1e-9 beside every interior node at the default gamma,
+        # where zeta + m**2 cancels, also on a geometric grid; the fast
+        # oracle is checked against the quadrature first.
+        for table, m in ((TABLE, _M[5]), (UNEVEN, _MG[5] * (1 + 1e-9))):
+            zeta = retarded(m, dl.default_gamma(table))
+            ref = _quad_oracle(mpmath, table, zeta, split=m)
+            assert abs(_antiderivative_oracle(mpmath, table, zeta) - ref) \
+                <= 1e-15 * abs(ref)
+        for table in (TABLE, UNEVEN):
+            gamma = dl.default_gamma(table)
+            nodes = table.m_ev[1:-1]
+            m = np.concatenate((nodes, nodes * (1 + 1e-9), nodes * (1 - 1e-9)))
+            for mi, got in zip(m, dl.dense_alpha_retarded(table, m)):
+                ref = _antiderivative_oracle(mpmath, table, retarded(mi, gamma))
+                assert abs(got - ref) <= 1e-12 * abs(ref), mi
+        # gamma -> 0 at a node: A -> PV integral of S(m') 2m'/(m'**2 - m**2)
+        # - i*pi*S(m).  |s - i m|**2 underflows there; A must stay finite.
+        with mpmath.workdps(30):
+            m0 = mpmath.mpf(_M[5])
+            s0 = TABLE.values[5]
+            pv = s0 * mpmath.log((mpmath.mpf(_M[-1]) - m0) / m0)
+            for m1, m2, v1, b in _segments(mpmath, TABLE):
+                pv += mpmath.quad(lambda x: (2 * x * (v1 + b * (x - m1)) / (x + m0)
+                                             - s0) / (x - m0), [m1, m2])
+            ref = complex(pv) - 1j * math.pi * s0
+        for gamma in (1e-300, 1e-200):
+            got = dl.dense_alpha_retarded(TABLE, _M[5], gamma)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("model, m, beside", [(GOLD, 6.3, 100.0),
                                                   (TABLE, 1.0, 40.0)])
