@@ -408,11 +408,13 @@ def cmd_spectra(args) -> int:
         raise ConfigError([("--u", "must be a finite number > 0")])
     s1 = spectral_density(cfg["medium1"].model)
     s2 = spectral_density(cfg["medium2"].model)
+    # first, so that an energy out of range stops the command before any
+    # other column is formed from it
+    s11, s22, s12 = plane_spectral_products(cfg["medium1"].model,
+                                            cfg["medium2"].model, grid, u)
     v1 = np.asarray(s1.value(grid), dtype=float)
     v2 = np.asarray(s2.value(grid), dtype=float)
     columns = ["m_ev", "spectral1", "spectral2", "product_11", "product_12"]
-    s11, s22, s12 = plane_spectral_products(cfg["medium1"].model,
-                                            cfg["medium2"].model, grid, u)
     rows = [[float(m), float(a), float(b), float(c11 * c22), float(c12 ** 2)]
             for m, a, b, c11, c22, c12 in zip(grid, v1, v2, s11, s22, s12)]
     _write(args.format or "csv", args.out, columns, rows)

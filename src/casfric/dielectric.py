@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -83,6 +84,12 @@ class Tabulated:
         object.__setattr__(self, "m_ev", m)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def _terms(self) -> "_TableTerms":
+        """The constants of the table's surface response, built on its
+        first response; the spectral routes never build them."""
+        return _TableTerms(self.m_ev, self.values)
+
 
 PermittivityModel = Union[Vacuum, Drude, Tabulated]
 
@@ -137,31 +144,135 @@ def _ep2(model) -> float:
     return 0.5 * model.plasma_energy_ev ** 2
 
 
-# Most (zeta, column) pairs the tabulated kernel holds in one numpy block:
-# (zeta, node) pairs of the exact form, whose work array holds 64 bytes a
-# pair, and (zeta, Kronrod node) pairs, 16 bytes a temporary.  Blocks then
+# Most (energy, column) pairs the tabulated kernel holds in one numpy block:
+# (energy, node) pairs of the exact form, whose work arrays hold 80 bytes a
+# pair, and (energy, Kronrod node) pairs, 16 bytes a temporary.  Blocks then
 # stay in cache, so the cost per energy does not grow with the number of
-# energies evaluated together.  On a 400-sample table 2**14 runs the exact
-# form 10-20 % faster than 2**13, while 2**15 slows the Kronrod form ~2.5x.
-_BLOCK_PAIRS = 2 ** 14
+# energies evaluated together; the energies are split into equal blocks.
+# Against 2**14 this runs the exact form on a 400-sample table ~2x faster
+# (a block of 40 energies took as long as two of 20), and 2**13 would split
+# 195 energies on a 48-sample table in two, ~20 % slower than one block.
+_BLOCK_PAIRS = 10 * 2 ** 10
 # Smallest positive normal double: floor of the squared distance |s -+ i m|**2.
 _TINY = np.finfo(float).tiny
+# Largest energy whose square is finite.
+_M_MAX = math.sqrt(np.finfo(float).max)
 
 
-def _by_blocks(z: np.ndarray, width: int, kernel) -> np.ndarray:
-    """kernel(z[rows, None]) over row blocks of at most _BLOCK_PAIRS
-    (zeta, column) pairs, for a table with ``width`` columns."""
-    out = np.empty(z.shape, dtype=complex)
-    rows = max(1, _BLOCK_PAIRS // width)
-    for lo in range(0, z.size, rows):
-        out[lo:lo + rows] = kernel(z[lo:lo + rows, None])
-    return out
+def _by_blocks(width: int, kernel, *cols) -> np.ndarray:
+    """kernel(*cols) over row blocks of at most _BLOCK_PAIRS (energy,
+    column) pairs, for a table with ``width`` columns; a None column
+    passes as it is."""
+    n = cols[0].size
+    blocks = -(-n * width // _BLOCK_PAIRS)
+    if blocks <= 1:
+        return kernel(*cols)
+    rows = -(-n // blocks)
+    return np.concatenate([
+        kernel(*(c if c is None else c[lo:lo + rows] for c in cols))
+        for lo in range(0, n, rows)])
 
 
-def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
+class _TableTerms:
+    """A table's constants of :func:`_tabulated_response`, built on its
+    first response and kept on the table.  The exact form works on two
+    halves of columns, y + m_j and then y - m_j at every node, each
+    followed by its value at the two ends again: ``kink`` weighs the node
+    columns by +-kink_j, ``weight`` also the ends' columns by S there,
+    with a minus at m_0."""
+
+    def __init__(self, m: np.ndarray, v: np.ndarray):
+        dm = m[1:] - m[:-1]
+        b = (v[1:] - v[:-1]) / dm
+        self.m, self.v = m, v
+        self.width = float(dm.max())
+        self.lin = float(2.0 * np.sum(b * dm))
+        self.slope = np.concatenate(([0.0], b, [0.0]))    # S' right of each node
+        self.pi_slope = np.pi * self.slope
+        kink = self.slope[1:] - self.slope[:-1]
+        self.end_m = m[[0, -1]]
+        self.signed_m = np.concatenate((m, self.end_m, -m, -self.end_m))
+        end_w = np.array([-v[0], v[-1]])
+        self.half_end_w = 0.5 * end_w
+        self.kink = np.array([np.append(kink, [0.0, 0.0]), np.append(-kink, [0.0, 0.0])])
+        self.weight = np.array([np.append(kink, end_w), np.append(-kink, end_w)])
+
+    @cached_property
+    def kronrod(self) -> tuple:
+        """The 15-point Kronrod rule on every segment, as weights c and
+        squared nodes x2: f(zeta) = sum of c / (zeta + x2)."""
+        m, v, b = self.m, self.v, self.slope[1:-1]
+        a = v[:-1] - b * m[:-1]
+        half = 0.5 * (m[1:] - m[:-1])
+        x = (0.5 * (m[:-1] + m[1:]))[:, None] + half[:, None] * _XGK
+        c = (half[:, None] * _WGK * 2.0 * x * (a[:, None] + b[:, None] * x)).ravel()
+        return c, x.ravel() ** 2
+
+    def static(self) -> float:
+        """f(0): a table starting at m = 0 vanishes there, so that
+        segment has a = 0."""
+        m, b = self.m, self.slope[1:-1]
+        a = self.v[:-1] - b * m[:-1]
+        with np.errstate(divide="ignore"):
+            log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
+        return np.sum(a * log_term) + np.sum(b * 2.0 * (m[1:] - m[:-1]))
+
+    def far(self, zeta: np.ndarray) -> np.ndarray:
+        c, x2 = self.kronrod
+        return np.sum(c / (zeta[:, None] + x2), axis=1)
+
+    def exact(self, s: np.ndarray, m) -> np.ndarray:
+        # f(conj zeta) = conj f(zeta): work at y = |Im s| >= 0, so y + m_j >= 0.
+        x, y = s.real, np.abs(s.imag)
+        xx = x * x
+        d = y[:, None] + self.signed_m
+        ends = d[:, -2:]
+        if m is not None:
+            # y - m at the ends, where the jump of S to 0 makes L- singular:
+            # (x**2 + m**2 - m_end**2) / (y + m_end) from zeta = -m**2 + i*gamma,
+            # with m - m_end exact beside the end.  The node columns keep
+            # y - m_j, whose signs the closed-form sums below follow.
+            e, mc = self.end_m, m[:, None]
+            ends[...] = (xx[:, None] + (mc - e) * (mc + e)) / (y[:, None] + e)
+        buf = np.empty((2,) + d.shape)
+        log_r2, small = buf
+        np.multiply(d, d, out=log_r2)
+        log_r2 += (xx + _TINY)[:, None]
+        np.log(log_r2, out=log_r2)
+        # arctan2(d, x) = copysign(pi/2, d) - arctan(x/d), d = +-0 included
+        with np.errstate(divide="ignore"):
+            np.divide(x[:, None], d, out=small)
+        np.arctan(small, out=small)
+        # The copysign(pi/2, d) parts of the angles, summed over the nodes in
+        # closed form from the value and slope of S at y; at an end, half
+        # the jump of S where y - m_end >= +0.
+        jump = (1.0 + np.copysign(1.0, ends)) * self.half_end_w
+        # Per energy and half of the columns, each on its own row: sums of
+        # kink_j (log_r2, small), then, with d set to 1 in the ends' columns,
+        # of kink_j (d log_r2, d small) over the nodes plus S (log_r2, small)
+        # over the ends.
+        halves = buf.reshape(2, s.size, 2, -1)
+        by_kink = np.vecdot(halves, self.kink)
+        d.reshape(halves.shape[1:])[..., -2:] = 1.0
+        buf *= d
+        by_weight = np.vecdot(halves, self.weight)
+        by_kink = by_kink[..., 0] + by_kink[..., 1]
+        by_weight = by_weight[..., 0] + by_weight[..., 1]
+        out = np.empty(s.shape, dtype=complex)
+        out.real = (0.5 * by_weight[0] + self.lin
+                    - x * (self.pi_slope[np.searchsorted(self.m, y, side="right")]
+                           + by_kink[1]))
+        out.imag = np.sign(s.imag) * (
+            np.pi * (self.v[0] - np.interp(y, self.m, self.v) + (jump[:, 0] + jump[:, 1]))
+            - by_weight[1] - 0.5 * x * by_kink[0])
+        return out
+
+
+def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarray:
     """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm' for complex
     zeta off the negative real axis, S the linear interpolant a + b*m' of
-    each segment; zeta = 0 is the static limit.
+    each segment; zeta = 0 is the static limit.  On the retarded branch
+    ``m`` holds the energies of zeta = -m**2 + i*gamma.
 
     Exact form.  With s = sqrt(zeta) = x + i*y (principal root) and
     L+- = log(s +- i*m), the segment integrates to differences of
@@ -177,8 +288,8 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
         f = 2 sum_k b_k dm_k + S(m_top) (L+ + L-)(m_top) - S(m_0) (L+ + L-)(m_0)
             + sum_j kink_j [(d+ - i x) L+ - (d- - i x) L-],
 
-    with L+- = log(x**2 + d+-**2) / 2 + i arctan2(d+-, x): two real
-    logarithms and two arctangents per (zeta, node) pair.  The factor
+    with L+- = log(x**2 + d+-**2) / 2 + i arctan2(d+-, x): one real
+    logarithm and one arctangent per (zeta, node, sign).  The factor
     (d+- - i x) is as small as |s +- i m_j|, so a node on the pole adds
     r*log(r) -> 0 without cancellation, and flooring r**2 at _TINY (it
     underflows once gamma is below ~1e-150) changes nothing.  Each angle
@@ -186,8 +297,10 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
     summed in closed form: pi*(S(m_0) - S(y)) plus the ends' share in
     Im f, -pi*x*S'(y) in Re f.  So the small Im f, which carries the
     spectrum, is not left over from sums of terms of size pi/2.  At the
-    two ends S jumps to 0 and L- is singular; there y - m is formed from
-    Re zeta + m**2, which is exact on the node for zeta = -m**2 + i*gamma.
+    two ends S jumps to 0 and L- is singular; there y - m_end is formed
+    from m**2 - m_end**2 = (m - m_end)(m + m_end), exact beside the end,
+    not from the rounded Re zeta.  The per-table terms (slopes, kinks,
+    ends) are built once, on the table's first response.
 
     Kronrod form.  The exact form cancels once the pole is far from the
     table, where the 15-point Kronrod rule on every segment is exact to
@@ -201,94 +314,45 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray) -> np.ndarray:
 
     Each energy is reduced on its own row, so its value never depends on
     the other energies in the call."""
-    m = model.m_ev
-    v = model.values
-    dm = m[1:] - m[:-1]
-    b = (v[1:] - v[:-1]) / dm
-    a = v[:-1] - b * m[:-1]
-    out = np.empty(zeta.shape, dtype=complex)
-    static = zeta == 0.0
+    terms = model._terms
+    shape = zeta.shape
+    zeta = zeta.ravel()
+    if m is not None:
+        m = m.ravel()
     s = np.sqrt(zeta)
-    y = np.abs(s.imag)
-    width = dm.max()
-    lo = np.minimum(np.maximum(y, m[0]), m[-1] - width) - y
-    far = ((np.hypot(lo, s.real) + np.hypot(lo + width, s.real) >= 2.0 * width)
-           & ~static)
-    near = ~(static | far)
+    x, y = s.real, np.abs(s.imag)
+    width, nodes = terms.width, terms.m
+    lo = np.minimum(np.maximum(y, nodes[0]), nodes[-1] - width) - y
+    near = (np.hypot(lo, x) + np.hypot(lo + width, x) < 2.0 * width) & (zeta != 0.0)
+    if near.all():
+        return _by_blocks(nodes.size, terms.exact, s, m).reshape(shape)
+    static = zeta == 0.0
+    far = ~(near | static)
+    out = np.empty(zeta.shape, dtype=complex)
     if static.any():
-        # A table starting at m = 0 vanishes there, so that segment has a = 0.
-        with np.errstate(divide="ignore"):
-            log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
-        out[static] = np.sum(a * log_term) + np.sum(b * 2.0 * dm)
+        out[static] = terms.static()
     if far.any():
-        x = (0.5 * (m[:-1] + m[1:]))[:, None] + (0.5 * dm)[:, None] * _XGK
-        c = ((0.5 * dm)[:, None] * _WGK * 2.0 * x
-             * (a[:, None] + b[:, None] * x)).ravel()
-        x2 = x.ravel() ** 2
-        out[far] = _by_blocks(zeta[far], x2.size,
-                              lambda zc: np.sum(c / (zc + x2), axis=1))
-
-    signed_m = np.array([m, -m])
-    slope = np.concatenate(([0.0], b, [0.0]))    # S' right of each node
-    kink = slope[1:] - slope[:-1]
-    lin = 2.0 * np.sum(b * dm)
-    # the ends of the table where S does not vanish, with their signs
-    ends = [j for j in (0, m.size - 1) if v[j] != 0.0]
-    end_m, end_w = m[ends], v[ends] * np.where(ends, 1.0, -1.0)
-
-    def exact(zc):
-        s = np.sqrt(zc)
-        # f(conj zeta) = conj f(zeta): work at y = |Im s| >= 0, so d+ >= 0.
-        x, y = s.real, np.abs(s.imag)
-        d = y[:, :, None] + signed_m            # rows of y + m and y - m
-        buf = np.empty((4,) + d.shape)
-        log_r2, small, d_log, d_small = buf
-        np.multiply(d, d, out=log_r2)
-        log_r2 += (x * x + _TINY)[:, :, None]
-        np.log(log_r2, out=log_r2)
-        # arctan2(d, x) = copysign(pi/2, d) - small
-        np.copysign(x[:, :, None], d, out=small)
-        np.arctan2(small, np.abs(d), out=small)
-        np.multiply(d, log_r2, out=d_log)
-        np.multiply(d, small, out=d_small)
-        # sum_j kink_j * (row for +m minus row for -m), per energy
-        sums = np.vecdot(buf, kink)
-        log_r2_k, small_k, d_log_k, d_small_k = sums[..., 0] - sums[..., 1]
-        # S (L+ + L-) at the ends, where the jump of S to 0 makes L- singular:
-        # on the retarded branch y - m there is (x**2 - (Re zeta + m**2)) /
-        # (y + m), exact on the node when zeta = -m**2 + i*gamma.
-        d_end = np.where(zc.real < 0.0, (x * x - (zc.real + end_m ** 2)) / (y + end_m),
-                         y - end_m)
-        log_r2_e = ((log_r2[:, 0, ends] + np.log(x * x + d_end ** 2 + _TINY))
-                    * end_w).sum(axis=1)
-        small_e = ((small[:, 0, ends]
-                    + np.arctan2(np.copysign(x, d_end), np.abs(d_end))) * end_w).sum(axis=1)
-        step_e = ((1.0 + np.copysign(1.0, d_end)) * end_w).sum(axis=1)
-        x, y = x[:, 0], y[:, 0]
-        # The copysign(pi/2, d) parts of the angles, summed over the nodes in
-        # closed form from the value and slope of S at y.
-        re = (0.5 * (d_log_k + log_r2_e) + lin
-              - x * (np.pi * slope[np.searchsorted(m, y, side="right")] + small_k))
-        im = (np.pi * (v[0] - np.interp(y, m, v) + 0.5 * step_e)
-              - d_small_k - 0.5 * x * log_r2_k - small_e)
-        return re + 1j * np.sign(s.imag[:, 0]) * im
-
-    out[near] = _by_blocks(zeta[near], m.size, exact)
-    return out
+        out[far] = _by_blocks(terms.kronrod[0].size, terms.far, zeta[far])
+    if near.any():
+        out[near] = _by_blocks(nodes.size, terms.exact, s[near],
+                               None if m is None else m[near])
+    return out.reshape(shape)
 
 
-def _surface_response(model: PermittivityModel, zeta: np.ndarray) -> np.ndarray:
+def _surface_response(model: PermittivityModel, zeta: np.ndarray,
+                      m=None) -> np.ndarray:
     """A = (eps-1)/(eps+1) as one analytic function of the squared
     frequency, at an array of complex zeta: K**2 on the imaginary axis,
-    -m**2 + i*gamma on the retarded branch."""
-    if isinstance(model, Vacuum):
-        return np.zeros(zeta.shape, dtype=complex)
+    -m**2 + i*gamma on the retarded branch, whose energies ``m`` a table
+    takes as well."""
+    if isinstance(model, Tabulated):
+        return _tabulated_response(model, zeta, m)
     if isinstance(model, Drude):
         ep2 = _ep2(model)
         # principal sqrt: |K| on the imaginary axis, -> +i*m as gamma -> 0
         return ep2 / (zeta + ep2 + model.damping_ev * np.sqrt(zeta))
-    if isinstance(model, Tabulated):
-        return _tabulated_response(model, zeta)
+    if isinstance(model, Vacuum):
+        return np.zeros(zeta.shape, dtype=complex)
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
@@ -322,18 +386,20 @@ def dense_alpha_retarded(model: PermittivityModel, m, gamma: float | None = None
 
     ``gamma`` defaults to :func:`default_gamma`.  ``gamma = 0`` is allowed
     for the closed-form models, where the damping itself supplies the
-    imaginary part (i*sigma*m); a table needs gamma > 0.  Vectorized over m.
+    imaginary part (i*sigma*m); a table needs gamma > 0.  Vectorized over
+    m, which must be > 0 with m**2 inside the float range.
     """
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr <= 0.0):
-        raise DomainError("retarded evaluation requires m > 0")
+    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
+    if m_arr.size and not (m_arr.min() > 0.0 and m_arr.max() <= _M_MAX):
+        raise DomainError("retarded evaluation requires finite m > 0 with "
+                          f"m**2 in the float range (m <= {_M_MAX:.6g} eV)")
     if gamma is None:
         gamma = default_gamma(model)
-    if gamma < 0.0 or (gamma == 0.0 and isinstance(model, Tabulated)):
-        raise DomainError("gamma must be >= 0, and > 0 for a table, whose "
-                          "logarithms diverge at the grid nodes")
-    out = _surface_response(model, np.atleast_1d(-m_arr ** 2 + 1j * gamma))
-    return complex(out[0]) if m_arr.ndim == 0 else out
+    if not 0.0 <= gamma < math.inf or (gamma == 0.0 and isinstance(model, Tabulated)):
+        raise DomainError("gamma must be finite and >= 0, and > 0 for a table, "
+                          "whose logarithms diverge at the grid nodes")
+    out = _surface_response(model, 1j * gamma - m_arr * m_arr, m_arr)
+    return complex(out[0]) if np.ndim(m) == 0 else out
 
 
 def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None) -> complex:

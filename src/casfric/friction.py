@@ -289,10 +289,12 @@ def _screening_factor(z):
     gives inf.
     """
     z = np.asarray(z, dtype=complex)
-    pole = (z.imag == 0.0) & (z.real > 1.0)
     step = _STEP * np.maximum(np.abs(z), 1.0)
-    on_axis = ((np.abs(z.imag) < step) & (z.real <= 1.0)) | pole
-    y = np.where(on_axis, step, z.imag)
+    near_axis = np.abs(z.imag) < step
+    if not near_axis.any():
+        return li4(z).imag / z.imag
+    pole = (z.imag == 0.0) & (z.real > 1.0)
+    y = np.where((near_axis & (z.real <= 1.0)) | pole, step, z.imag)
     return np.where(pole, np.inf, li4(z.real + 1j * y).imag / y)
 
 

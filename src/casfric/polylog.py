@@ -64,68 +64,100 @@ _ETA_ODD = (
 )
 
 
-def _with_odd_tail(head, odd):
-    """Dense coefficients: ``head`` for k = 0..4, then odd[j] at k = 5 + 2j."""
-    c = np.zeros(len(head) + 2 * len(odd) - 1)
-    c[:len(head)] = head
-    c[len(head)::2] = odd
-    return c
+def _even_odd(head, odd, rows):
+    """Columns (even, odd) of ``rows`` rows: the coefficients c_2j and
+    c_(2j+1) of a series in x, ``head`` its c_0..c_4 and odd[j] its
+    c_(5+2j) (its even coefficients past c_4 vanish)."""
+    c = np.zeros(4 + 2 * len(odd))
+    c[:5] = head
+    c[5::2] = odd
+    out = np.zeros((rows, 2))
+    out[:c.size // 2] = c.reshape(-1, 2)
+    return out
 
 
-# Complex, so that the series' product needs no cast.
-_ZETA = _with_odd_tail(_ZETA_HEAD, _ZETA_ODD).astype(complex)
-_ETA = _with_odd_tail(_ETA_HEAD, _ETA_ODD).astype(complex)
-# 1/k**4 for k = 1..40: the tail at |z| = 1/2 is below 1e-18 of the sum.
-_POWER = np.concatenate([[0.0], 1.0 / np.arange(1.0, 41.0) ** 4]).astype(complex)
+# Below this |x**2| the powers past x**4 change the series by less than
+# 1e-18 of the terms kept; dropped, they do not reach the subnormal range,
+# where each multiplication takes ~10x longer.
+_TAIL = 1e-9
+
+# The three series side by side, each as (even, odd) coefficient columns:
+# 1/k**4 for k = 1..40 (the tail at |z| = 1/2 is below 1e-18 of the sum),
+# then zeta, then eta.
+_COEFS = np.zeros((26, 6))
+_COEFS[1:21, 0] = 1.0 / np.arange(2.0, 41.0, 2.0) ** 4
+_COEFS[:20, 1] = 1.0 / np.arange(1.0, 41.0, 2.0) ** 4
+_COEFS[:, 2:4] = _even_odd(_ZETA_HEAD, _ZETA_ODD, 26)
+_COEFS[:, 4:] = _even_odd(_ETA_HEAD, _ETA_ODD, 26)
+
+
+def _log(z, r):
+    """Principal ln z from r = |z|, as a real logarithm and an arctan2:
+    numpy's complex logarithm takes several times longer near |z| = 1."""
+    out = np.empty(z.shape, dtype=complex)
+    np.log(r, out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
 
 
 def _series(coefs, x):
-    """sum of coefs[k] * x**k over k, the powers by one cumulative
-    product (repeated multiplication keeps a small Im x exact, where a
-    polar-form power would not).  ``einsum`` reduces each row on its
-    own, without BLAS, so the value at one x does not depend on the
-    other entries of ``x``.  A BLAS product blocks its rows by their
-    count, and hands a large product to a thread pool that keeps
-    spinning after it."""
-    n = len(coefs) - 1
-    powers = np.cumprod(np.broadcast_to(x[:, None], (x.size, n)), axis=1)
-    return coefs[0] + np.einsum("ij,j->i", powers, coefs[1:])
+    """Column j of sum over k of coefs[k, j] * u**k, u = x**2: the even or
+    the odd coefficients of a series in x (an odd sum is then times x).
 
-
-def _near_zero(z):
-    return _series(_POWER, z)
-
-
-def _beyond_two(z):
-    lg = np.log(-z)
-    return (-_series(_POWER, 1.0 / z) - lg ** 4 / 24.0
-            - math.pi ** 2 * lg ** 2 / 12.0 - 7.0 * math.pi ** 4 / 360.0)
-
-
-def _about_one(z):
-    mu = np.log(z)
-    log_mu = np.log(-np.where(mu == 0.0, 1.0, mu))  # mu**3 ln(-mu) -> 0 at z = 1
-    return _series(_ZETA, mu) + mu ** 3 / 6.0 * (_H3 - log_mu)
-
-
-def _about_minus_one(z):
-    return _series(_ETA, np.log(-z))
+    The powers of u are products of earlier powers, doubling how many are
+    known with each product (repeated multiplication keeps a small Im x
+    exact, where a polar-form power would not).  Past u**2 they are 0
+    where |u| < _TAIL.  ``einsum`` sums each point's real and imaginary
+    parts on their own, over k in order and without BLAS, so the value at
+    one x does not depend on the other entries of ``x``.  A BLAS product
+    blocks its rows by their count, and hands a large product to a thread
+    pool that keeps spinning after it."""
+    u = x * x
+    powers = np.empty((coefs.shape[0], x.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1] = np.where(np.abs(u) < _TAIL, 0.0, u)
+    k = 2
+    while k < powers.shape[0]:
+        j = min(k - 1, powers.shape[0] - k)
+        np.multiply(powers[1:j + 1], powers[k - 1], out=powers[k:k + j])
+        k += j
+    powers[1] = u
+    np.multiply(u, u, out=powers[2])
+    sums = np.einsum("kic,kj->jic", powers.view(float).reshape(-1, x.size, 2),
+                     coefs)
+    return sums.view(complex)[..., 0]
 
 
 def li4(z):
     """Li4(z) for an array (or scalar) of complex z.
 
     The branch cut runs along (1, inf); on it the sign of a zero
-    imaginary part picks the side, as for ``np.log``.  A nan z, which
-    no branch takes, gives nan.
+    imaginary part picks the side, as for ``np.log``.  A nan z gives
+    nan.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.full_like(z, np.nan)
+    shape = z.shape
+    z = z.ravel()
     r = np.abs(z)
     ring = (r > 0.5) & (r < 2.0)
-    for where, branch in ((r <= 0.5, _near_zero), (r >= 2.0, _beyond_two),
-                          (ring & (z.real >= 0.0), _about_one),
-                          (ring & (z.real < 0.0), _about_minus_one)):
-        if where.any():
-            out[where] = branch(z[where])
-    return out
+    far = r >= 2.0
+    neg = z.real < 0.0
+    # Each point's series variable and coefficients: z (or 1/z past
+    # |z| = 2) with 1/k**4, or in the ring ln z with zeta, ln(-z) with eta.
+    # The logarithms of the points that do not use them may be infinite.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.reciprocal(z, out=z.copy(), where=far)
+        np.copyto(x, _log(np.where(neg, -z, z), r), where=ring)
+        kind = ring * (1 + neg)
+        even, odd = _series(_COEFS, x).reshape(3, 2, -1)[kind, :, np.arange(z.size)].T
+        out = even + x * odd
+        if ring.any():
+            # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1; 0 at z = 1
+            size = np.abs(x)
+            log_term = x * x * x / 6.0 * (_H3 - _log(-x, np.where(size == 0.0, 1.0, size)))
+            out = np.where(kind == 1, out + log_term, out)
+        if far.any():
+            lg2 = _log(-z, r) ** 2
+            out = np.where(far, (lg2 + 2.0 * math.pi ** 2) * lg2 / -24.0
+                           - 7.0 * math.pi ** 4 / 360.0 - out, out)
+    return out.reshape(shape)

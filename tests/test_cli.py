@@ -745,6 +745,18 @@ class TestSpectra:
         assert err.startswith("physics error: Drude(plasma_energy_ev=9.0, "
                               "damping_ev=0.0) has no continuous")
 
+    @pytest.mark.parametrize("grid", ["0.5:1e200:3", "1e154:1.35e154:2"])
+    def test_energy_out_of_range_is_physics_error(self, tmp_path, capsys,
+                                                  grid):
+        # m**2 overflowed: nan rows and exit 0, with RuntimeWarnings
+        path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))
+        code, out, err = run_cli(capsys, [
+            "spectra", "--config", path, "--m-grid", grid])
+        assert (code, out) == (3, "")
+        assert err == ("physics error: retarded evaluation requires finite "
+                       "m > 0 with m**2 in the float range (m <= 1.34078e+154 "
+                       "eV)\n")
+
     @pytest.mark.parametrize("grid", ["a:b:3", "0.1:5:2.5", "1:2:x",
                                       "0.1:inf:3"])
     def test_bad_m_grid_is_config_error(self, tmp_path, capsys, grid):

@@ -234,6 +234,12 @@ _MG = np.concatenate(([0.0], np.geomspace(0.02, 4.0, 17)))
 UNEVEN = dl.Tabulated(_MG, 0.1 * _MG * np.exp(-((_MG - 1.5) / 0.8) ** 2))
 
 
+# S does not vanish at either end, and neither end is a power of two, so
+# that -m**2 rounds beside them.
+_ME = np.linspace(0.37, 3.9, 15)
+ENDS = dl.Tabulated(_ME, 0.05 + 0.1 * np.exp(-((_ME - 1.5) / 0.8) ** 2))
+
+
 def _segments(mpmath, table):
     """Each segment of ``table`` in mpmath numbers: m1, m2, S(m1), slope."""
     for m1, m2, v1, v2 in zip(table.m_ev[:-1], table.m_ev[1:],
@@ -346,6 +352,44 @@ class TestSurfaceResponse:
             dl.dense_alpha_retarded(TABLE, 1.0, 0.0)
         with pytest.raises(DomainError):
             dl.eps_retarded(TABLE, 1.0, 0.0)
+
+    @pytest.mark.parametrize("model", [GOLD, PLASMA, TABLE],
+                             ids=["drude", "plasma", "table"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0, 1e200, 1.35e154])
+    def test_energy_out_of_range_rejected(self, model, m):
+        # m = 1e200 gave nan and inf 0, with at most a RuntimeWarning
+        for arg in (m, np.array([1.0, m])):
+            with pytest.raises(DomainError, match=r"m > 0 with m\*\*2 in the "
+                                                  "float range"):
+                dl.dense_alpha_retarded(model, arg)
+        assert math.isfinite(abs(dl.dense_alpha_retarded(model, 1.34e154)))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1e-3])
+    def test_gamma_out_of_range_rejected(self, gamma):
+        for model in (GOLD, TABLE):
+            with pytest.raises(DomainError, match="gamma must be finite"):
+                dl.dense_alpha_retarded(model, 1.0, gamma)
+
+    def test_table_ends_beside_the_pole(self):
+        """1-3 ulp from an end where S jumps to 0, at small gamma, y - m_end
+        comes from (m - m_end)(m + m_end), not from the rounded
+        Re zeta = -m**2 (which moved A by up to 3e-4); the oracle takes
+        the exact m**2."""
+        mpmath = pytest.importorskip("mpmath")
+        for end in (_ME[0], _ME[-1]):
+            m = [end]
+            for side in (-math.inf, math.inf):
+                beside = end
+                for _ in range(3):
+                    beside = math.nextafter(beside, side)
+                    m.append(beside)
+            for gamma in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+                got = dl.dense_alpha_retarded(ENDS, np.array(m), gamma)
+                for mi, a in zip(m, got):
+                    with mpmath.workdps(40):
+                        zeta = mpmath.mpc(-mpmath.mpf(mi) ** 2, gamma)
+                    ref = _antiderivative_oracle(mpmath, ENDS, zeta)
+                    assert abs(a - ref) <= 1e-12 * abs(ref), (mi, gamma)
 
     def test_default_gamma_depends_on_model_only(self):
         assert dl.default_gamma(TABLE) == 1e-6 * 4.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ def bump_plate(n):
     v = 1.0 / (1.0 + ((m - 1.2) / 0.4) ** 2)
     v[0] = 0.0
     return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
+
+
+def two_bump_plate(n):
+    """Lorentzians at 1.2 and 2.0 eV, 0.4 eV wide, on n samples over
+    [0, 4] eV, scaled to A(0) = 0.5; its density does not vanish at 4 eV."""
+    m = np.linspace(0.0, 4.0, n)
+    v = 1.0 / (1.0 + ((m - 1.2) / 0.4) ** 2) + 1.0 / (1.0 + ((m - 2.0) / 0.4) ** 2)
+    v[0] = 0.0
+    return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
+
+
+NEAR_GOLD = Drude(9.1, 0.036)
+# The tolerance of the screened tabulated plates: one probe and one
+# Kronrod pass.
+TABLE_KEEP_SPEC = QuadratureSpec(abs_tol=1e-5, rel_tol=1e-3)
+
+
+def table_system(plate, t_k=150.0):
+    return fr.PlateSystem(MediumSpec(plate), MediumSpec(NEAR_GOLD), 10.0,
+                          100.0, t_k)
 
 
 def nested_keep_h0(model1, model2, t_k):
@@ -597,10 +618,16 @@ def test_result_fields_are_plain(route):
         "evaluations")] == [float, float, float, float, bool, int]
 
 
-@pytest.mark.parametrize("denominators", ["drop", "keep"])
-def test_two_spectral_calls_per_force(monkeypatch, denominators):
+@pytest.mark.parametrize("denominators, system, spec", [
+    ("drop", gold_system(), None), ("keep", gold_system(), None),
+    ("keep", table_system(two_bump_plate(36)), TABLE_KEEP_SPEC)],
+    ids=["drop", "keep", "table-keep"])
+def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
+                                      spec):
     """Each density is evaluated once by the probe (with the tail-bound
-    point) and once by the single pass of the adaptive rule on gold."""
+    point) and once by the single pass of the adaptive rule, on gold and
+    on a 36-sample table against a near-gold plate at 150 K: the screened
+    route's fixed cost per call is paid twice per force."""
     densities = []
     real = fr.spectral_density
 
@@ -616,7 +643,44 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators):
         return dataclasses.replace(sd, value=value)
 
     monkeypatch.setattr(fr, "spectral_density", counted_density)
-    res = fr.friction_dense(gold_system(), denominators)
+    res = fr.friction_dense(system, denominators, spec)
     assert res.converged
     assert [len(calls) for calls in densities] == [2, 2]
     assert [sum(calls) for calls in densities] == [res.evaluations] * 2
+
+
+class TestTableTerms:
+    """A table builds the constants of its surface response on its first
+    response, keeps them, and frees them with itself."""
+
+    def test_results_do_not_depend_on_built_terms(self):
+        """A keep force and the spectra rows are the same, bit for bit, on
+        a fresh table and on one whose terms an earlier call built."""
+        built = two_bump_plate(36)
+        dense_alpha_retarded(built, np.linspace(0.1, 6.0, 7))
+        assert "_terms" in vars(built)
+        m = np.geomspace(1e-3, 8.0, 50)
+        for u in (0.1, 2.0):
+            rows = [fr.plane_spectral_products(plate, NEAR_GOLD, m, u)
+                    for plate in (two_bump_plate(36), built)]
+            assert all(np.array_equal(a, b) for a, b in zip(*rows))
+        keep = [fr.friction_dense(table_system(plate), "keep", TABLE_KEEP_SPEC)
+                for plate in (two_bump_plate(36), built)]
+        assert keep[0] == keep[1]
+
+    def test_spectral_routes_never_build_terms(self):
+        plate, probe = two_bump_plate(36), linear_table(5e-5, m_max=60.0, n=400)
+        assert fr.friction_dense(table_system(plate)).converged
+        assert fr.friction_dilute(fr.PlateSystem(
+            MediumSpec(probe, 0.05), MediumSpec(plate, 0.05), 10.0, 100.0,
+            300.0)).converged
+        assert fr.friction_hybrid(MediumSpec(probe), plate, 10.0, 100.0,
+                                  300.0).converged
+        assert "_terms" not in vars(plate) and "_terms" not in vars(probe)
+
+    def test_terms_freed_with_the_table(self):
+        plate = two_bump_plate(36)
+        fr.friction_dense(table_system(plate), "keep", TABLE_KEEP_SPEC)
+        refs = weakref.ref(plate), weakref.ref(vars(plate)["_terms"])
+        del plate
+        assert [ref() for ref in refs] == [None, None]
