@@ -176,20 +176,21 @@ def _by_blocks(width: int, kernel, *cols) -> np.ndarray:
 class _TableTerms:
     """A table's constants of :func:`_tabulated_response`, built on its
     first response and kept on the table.  The exact form works on two
-    halves of columns, y + m_j and then y - m_j at every node, each
-    followed by its value at the two ends again: ``kink`` weighs the node
-    columns by +-kink_j, ``weight`` also the ends' columns by S there,
-    with a minus at m_0."""
+    halves of columns, y + m_j and then y - m_j over the nodes, each
+    closed by the columns of m_0 and m_top once more; in the second half
+    those two carry y - m_end formed beside the end.  ``kink`` weighs
+    the node columns by +-kink_j, ``weight`` also the closing columns by
+    S at the ends, with a minus at m_0."""
 
     def __init__(self, m: np.ndarray, v: np.ndarray):
         dm = m[1:] - m[:-1]
-        b = (v[1:] - v[:-1]) / dm
         self.m, self.v = m, v
+        self.b = (v[1:] - v[:-1]) / dm
         self.width = float(dm.max())
-        self.lin = float(2.0 * np.sum(b * dm))
-        self.slope = np.concatenate(([0.0], b, [0.0]))    # S' right of each node
-        self.pi_slope = np.pi * self.slope
-        kink = self.slope[1:] - self.slope[:-1]
+        self.lin = float(2.0 * np.sum(self.b * dm))
+        slope = np.concatenate(([0.0], self.b, [0.0]))    # S' right of each node
+        self.pi_slope = np.pi * slope
+        kink = slope[1:] - slope[:-1]
         self.end_m = m[[0, -1]]
         self.signed_m = np.concatenate((m, self.end_m, -m, -self.end_m))
         end_w = np.array([-v[0], v[-1]])
@@ -201,27 +202,29 @@ class _TableTerms:
     def kronrod(self) -> tuple:
         """The 15-point Kronrod rule on every segment, as weights c and
         squared nodes x2: f(zeta) = sum of c / (zeta + x2)."""
-        m, v, b = self.m, self.v, self.slope[1:-1]
-        a = v[:-1] - b * m[:-1]
+        m, b = self.m, self.b
+        a = self.v[:-1] - b * m[:-1]
         half = 0.5 * (m[1:] - m[:-1])
         x = (0.5 * (m[:-1] + m[1:]))[:, None] + half[:, None] * _XGK
         c = (half[:, None] * _WGK * 2.0 * x * (a[:, None] + b[:, None] * x)).ravel()
         return c, x.ravel() ** 2
 
+    def kronrod_sum(self, zeta: np.ndarray) -> np.ndarray:
+        c, x2 = self.kronrod
+        return np.sum(c / (zeta[:, None] + x2), axis=1)
+
     def static(self) -> float:
         """f(0): a table starting at m = 0 vanishes there, so that
         segment has a = 0."""
-        m, b = self.m, self.slope[1:-1]
+        m, b = self.m, self.b
         a = self.v[:-1] - b * m[:-1]
         with np.errstate(divide="ignore"):
             log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
         return np.sum(a * log_term) + np.sum(b * 2.0 * (m[1:] - m[:-1]))
 
-    def far(self, zeta: np.ndarray) -> np.ndarray:
-        c, x2 = self.kronrod
-        return np.sum(c / (zeta[:, None] + x2), axis=1)
-
     def exact(self, s: np.ndarray, m) -> np.ndarray:
+        """The exact form at s = sqrt(zeta), one energy a row; ``m`` the
+        energies on the retarded branch, else None."""
         # f(conj zeta) = conj f(zeta): work at y = |Im s| >= 0, so y + m_j >= 0.
         x, y = s.real, np.abs(s.imag)
         xx = x * x
@@ -332,7 +335,7 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarra
     if static.any():
         out[static] = terms.static()
     if far.any():
-        out[far] = _by_blocks(terms.kronrod[0].size, terms.far, zeta[far])
+        out[far] = _by_blocks(terms.kronrod[0].size, terms.kronrod_sum, zeta[far])
     if near.any():
         out[near] = _by_blocks(nodes.size, terms.exact, s[near],
                                None if m is None else m[near])

@@ -16,6 +16,19 @@ the negative real axis.  There ln z has an imaginary part close to pi,
 so the series in mu loses the small departure from the axis: at
 z = -1 - 1e-14j its Im Li4(z)/Im z is 8 % off.
 
+Layout.  Every series is split into its even and odd powers,
+E(x**2) + x * O(x**2), so one table of the powers of u = x**2 serves
+them all.  Past x**4 the zeta and eta series have odd powers only (zeta
+and eta vanish at the negative even integers), so their 11 and 24 odd
+coefficients take rows u**2 to u**12 and u**2 to u**25.  Each point
+picks its variable x (z, 1/z, ln z or ln(-z)) and its coefficient
+columns; the powers u**k are products of earlier powers (no
+``np.power``, no polar form), with u**k for k > 2 set to 0 where |u| is
+too small for them to count.  The integer powers in the inversion
+formula and the logarithmic term are products as well, and ln z is a
+real logarithm of |z| plus an arctan2.  So a call of any size makes the
+same few dozen numpy calls.
+
 The coefficients are literals (40-digit values rounded to double), so
 the module needs nothing beyond numpy.  Against mpmath the relative
 error is below LI4_REL_ERR on every branch (tests/test_polylog.py).
@@ -100,9 +113,9 @@ def _log(z, r):
     return out
 
 
-def _series(coefs, x):
-    """Column j of sum over k of coefs[k, j] * u**k, u = x**2: the even or
-    the odd coefficients of a series in x (an odd sum is then times x).
+def _series(x):
+    """Column j of sum over k of _COEFS[k, j] * u**k, u = x**2: the even
+    or the odd coefficients of a series in x (an odd sum is then times x).
 
     The powers of u are products of earlier powers, doubling how many are
     known with each product (repeated multiplication keeps a small Im x
@@ -113,7 +126,7 @@ def _series(coefs, x):
     blocks its rows by their count, and hands a large product to a thread
     pool that keeps spinning after it."""
     u = x * x
-    powers = np.empty((coefs.shape[0], x.size), dtype=complex)
+    powers = np.empty((_COEFS.shape[0], x.size), dtype=complex)
     powers[0] = 1.0
     powers[1] = np.where(np.abs(u) < _TAIL, 0.0, u)
     k = 2
@@ -124,7 +137,7 @@ def _series(coefs, x):
     powers[1] = u
     np.multiply(u, u, out=powers[2])
     sums = np.einsum("kic,kj->jic", powers.view(float).reshape(-1, x.size, 2),
-                     coefs)
+                     _COEFS)
     return sums.view(complex)[..., 0]
 
 
@@ -149,7 +162,7 @@ def li4(z):
         x = np.reciprocal(z, out=z.copy(), where=far)
         np.copyto(x, _log(np.where(neg, -z, z), r), where=ring)
         kind = ring * (1 + neg)
-        even, odd = _series(_COEFS, x).reshape(3, 2, -1)[kind, :, np.arange(z.size)].T
+        even, odd = _series(x).reshape(3, 2, -1)[kind, :, np.arange(z.size)].T
         out = even + x * odd
         if ring.any():
             # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1; 0 at z = 1
