@@ -254,7 +254,7 @@ class _TableTerms:
         # kink_j (log_r2, small), then, with d set to 1 in the ends' columns,
         # of kink_j (d log_r2, d small) over the nodes plus S (log_r2, small)
         # over the ends.
-        halves = buf.reshape(2, s.size, 2, -1)
+        halves = buf.reshape(2, s.size, 2, self.m.size + 2)
         by_kink = np.vecdot(halves, self.kink)
         d.reshape(halves.shape[1:])[..., -2:] = 1.0
         buf *= d

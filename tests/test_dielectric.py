@@ -347,6 +347,10 @@ class TestSurfaceResponse:
         for i in list(range(0, m.size, 397)) + [m.size - 1]:
             assert many[i] == dl.dense_alpha_retarded(TABLE, m[i])
 
+    def test_no_energies(self):
+        for model in (GOLD, TABLE):
+            assert dl.dense_alpha_retarded(model, np.array([])).shape == (0,)
+
     def test_table_needs_positive_gamma(self):
         with pytest.raises(DomainError):
             dl.dense_alpha_retarded(TABLE, 1.0, 0.0)
