@@ -145,14 +145,13 @@ def _ep2(model) -> float:
 
 
 # Most (energy, column) pairs the tabulated kernel holds in one numpy block:
-# (energy, node) pairs of the exact form, whose work arrays hold 80 bytes a
+# (energy, node) pairs of the exact form, whose work arrays hold 48 bytes a
 # pair, and (energy, Kronrod node) pairs, 16 bytes a temporary.  Blocks then
 # stay in cache, so the cost per energy does not grow with the number of
 # energies evaluated together; the energies are split into equal blocks.
-# Against 2**14 this runs the exact form on a 400-sample table ~2x faster
-# (a block of 40 energies took as long as two of 20), and 2**13 would split
-# 195 energies on a 48-sample table in two, ~20 % slower than one block.
-_BLOCK_PAIRS = 10 * 2 ** 10
+# On a 400-sample table 2**14 runs the exact form 5-20 % faster than 2**13,
+# while 2**15 slows the Kronrod form ~2.5x.
+_BLOCK_PAIRS = 2 ** 14
 # Smallest positive normal double: floor of the squared distance |s -+ i m|**2.
 _TINY = np.finfo(float).tiny
 # Largest energy whose square is finite.
