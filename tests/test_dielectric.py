@@ -361,7 +361,7 @@ class TestSurfaceResponse:
                              ids=["drude", "plasma", "table"])
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0, 1e200, 1.35e154])
     def test_energy_out_of_range_rejected(self, model, m):
-        # m = 1e200 gave nan and inf 0, with at most a RuntimeWarning
+        # these gave nan, or 0 at m = inf, with at most a RuntimeWarning
         for arg in (m, np.array([1.0, m])):
             with pytest.raises(DomainError, match=r"m > 0 with m\*\*2 in the "
                                                   "float range"):

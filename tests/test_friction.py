@@ -31,22 +31,18 @@ def linear_table(slope, m_max=80.0, n=4000):
     return Tabulated(m, slope * m)
 
 
-def bump_plate(n):
-    """Surface spectrum of one Lorentzian at 1.2 eV, 0.4 eV wide, on n
-    samples over [0, 4] eV, scaled to a static response A(0) = 0.5."""
+def bump_plate(n, centres=(1.2,)):
+    """Surface spectrum of Lorentzians at ``centres`` (eV), 0.4 eV wide, on
+    n samples over [0, 4] eV, scaled to a static response A(0) = 0.5; the
+    density does not vanish at 4 eV."""
     m = np.linspace(0.0, 4.0, n)
-    v = 1.0 / (1.0 + ((m - 1.2) / 0.4) ** 2)
+    v = sum(1.0 / (1.0 + ((m - c) / 0.4) ** 2) for c in centres)
     v[0] = 0.0
     return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
 
 
 def two_bump_plate(n):
-    """Lorentzians at 1.2 and 2.0 eV, 0.4 eV wide, on n samples over
-    [0, 4] eV, scaled to A(0) = 0.5; its density does not vanish at 4 eV."""
-    m = np.linspace(0.0, 4.0, n)
-    v = 1.0 / (1.0 + ((m - 1.2) / 0.4) ** 2) + 1.0 / (1.0 + ((m - 2.0) / 0.4) ** 2)
-    v[0] = 0.0
-    return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
+    return bump_plate(n, (1.2, 2.0))
 
 
 NEAR_GOLD = Drude(9.1, 0.036)
