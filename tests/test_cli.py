@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from casfric import cli
-from casfric.dielectric import MediumSpec, load_tabulated
-from casfric.friction import PlateSystem, friction_dense, friction_dilute
+from casfric.dielectric import MediumSpec, dense_alpha_retarded, load_tabulated
+from casfric.friction import (PlateSystem, friction_dense, friction_dilute,
+                              plane_spectral_products)
 from casfric.presets import GOLD
 from casfric.quadrature import QuadratureSpec
 
@@ -744,6 +745,28 @@ class TestSpectra:
         assert (code, out) == (3, "")
         assert err.startswith("physics error: Drude(plasma_energy_ev=9.0, "
                               "damping_ev=0.0) has no continuous")
+
+    def test_table_rows_do_not_depend_on_built_terms(self, tmp_path, capsys):
+        # the command reads a fresh table; its rows are those of the same
+        # table after an earlier call built its response terms
+        table = tmp_path / "plate.txt"
+        m = np.linspace(0.0, 4.0, 36)
+        table.write_text("\n".join(f"{a} {b}" for a, b in
+                                   zip(m, m * np.exp(-(m - 2.0) ** 2))))
+        cfg = gold_config(route="dense-full")
+        cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, _ = run_cli(capsys, [
+            "spectra", "--config", path, "--m-grid", "0.01:6:40", "--u", "0.5"])
+        assert code == 0
+        built = load_tabulated(table)
+        dense_alpha_retarded(built, np.linspace(0.1, 6.0, 7))
+        s11, s22, s12 = plane_spectral_products(
+            built, GOLD.model, np.linspace(0.01, 6.0, 40), 0.5)
+        rows = [[float(x) for x in row]
+                for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert [row[3:] for row in rows] == [
+            [float(a * b), float(c ** 2)] for a, b, c in zip(s11, s22, s12)]
 
     @pytest.mark.parametrize("grid", ["0.5:1e200:3", "1e154:1.35e154:2"])
     def test_energy_out_of_range_is_physics_error(self, tmp_path, capsys,
