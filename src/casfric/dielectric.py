@@ -156,6 +156,9 @@ _BLOCK_PAIRS = 2 ** 14
 _TINY = np.finfo(float).tiny
 # Largest energy whose square is finite.
 _M_MAX = math.sqrt(np.finfo(float).max)
+# Below this |m| a Drude spectrum's denominator, ~m**4, does not overflow
+# unless e_p or the damping is itself past ~1e76 eV.
+_M_FAR = 1e76
 
 
 def _by_blocks(width: int, kernel, *cols) -> np.ndarray:
@@ -376,9 +379,13 @@ def dense_alpha(model: PermittivityModel, k):
     This dimensionless quantity replaces the density-scaled polarizability
     2*pi*rho*alpha(K) in every dense-media formula; A in [0, 1) for the
     conducting models at K > 0, exactly 0 for vacuum, and -> 1 as K -> 0
-    (perfect-conductor limit).  The real part of A(zeta) at zeta = K**2.
+    (perfect-conductor limit).  The real part of A(zeta) at zeta = K**2,
+    for finite K with K**2 inside the float range.
     """
     k_arr = np.abs(np.asarray(k, dtype=float))
+    if not np.all(k_arr <= _M_MAX):
+        raise DomainError("dense_alpha requires finite K with K**2 in the "
+                          f"float range (|K| <= {_M_MAX:.6g} eV)")
     out = _surface_response(model, np.atleast_1d(k_arr ** 2).astype(complex)).real
     return float(out[0]) if k_arr.ndim == 0 else out
 
@@ -436,13 +443,23 @@ class SpectralDensity:
 
 def drude_spectral_value(model: Drude, m):
     """Closed-form surface spectrum of the damped free-electron model:
-    (e_p**2/pi) * sigma*m / ((e_p**2 - m**2)**2 + (sigma*m)**2)."""
+    (e_p**2/pi) * sigma*m / ((e_p**2 - m**2)**2 + (sigma*m)**2).
+
+    Where the denominator overflows, past |m| ~ 1e77 eV, numerator and
+    denominator are divided by m**4 first."""
     ep2 = _ep2(model)
     sigma = model.damping_ev
     m_arr = np.asarray(m, dtype=float)
     num = (ep2 / math.pi) * sigma * m_arr
-    den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
-    return num / den
+    if not np.abs(m_arr).max(initial=0.0) > _M_FAR:
+        return num / ((ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
+        r = 1.0 / m_arr
+        scaled = ((ep2 / math.pi) * sigma * r * r * r
+                  / ((ep2 * r * r - 1.0) ** 2 + (sigma * r) ** 2))
+        far = np.isinf(den) & np.isfinite(m_arr)
+        return np.where(far, scaled, num / den)[()]
 
 
 def spectral_density(model: PermittivityModel) -> SpectralDensity:

@@ -8,40 +8,37 @@ the head [0, L] as it stands and the tail [L, inf) mapped onto [-1, 0),
 so the tail error is measured like any other panel error and one
 target and one subdivision budget hold for the whole integral.
 
-The integrand is called once for all initial panels, then each time
-the loop pops a panel whose halves are not yet known.  That call holds
-its halves and those of the next panels on the heap that the loop is
-certain to bisect before it could stop (look-ahead).  The loop still
-pops, sums and pushes one panel at a time in worst-first order, so
-value, error and convergence do not depend on the look-ahead.
-``evaluations`` counts the points evaluated.  It exceeds the count of
-panel-by-panel bisection only where a guess goes unused: a narrow peak
-found late can raise the target past a panel already evaluated ahead.
-So ``f`` receives one 1-D ndarray of 15*k abscissae per call, k varying
-between calls, and must return an ndarray of the same shape whose every
-entry depends only on the abscissa at its position (elementwise).
-The loop keeps value and error as running sums, which carry the
-rounding of large sums of panels since refined away.  So it stops only
-once the exactly rounded (math.fsum) sums of the panels pass the target
-too, and returns those; a non-finite running sum stops it at once.
+Bisection runs in passes.  Each pass sorts the panels worst first and
+bisects the prefix that panel-by-panel worst-first bisection (QUADPACK's
+rule) is certain to bisect before it could stop; the integrand is called
+once for all initial panels, then once a pass for all halves.  The
+result is that of panel-by-panel bisection but where a narrow peak,
+found late, raises the target past a panel the same pass bisected, or
+where the budget runs out first: ``evaluations``, the points evaluated,
+is then no lower, and ``converged`` agrees.  So ``f`` receives one 1-D
+ndarray of 15*k abscissae per call, k varying between calls, and must
+return an ndarray of the same shape whose every entry depends only on
+the abscissa at its position (elementwise).  Each pass stops the
+bisection on the exactly rounded (math.fsum) sums of value and error,
+once the error meets the target, a sum is not finite or the budget is
+spent.
 
-Independent integrals run in lockstep in ``integrate_many`` and
-``integrate_semi_infinite_many``.  Each keeps its own bisection as
-above; each round, one call ``f(x, job)`` evaluates the panels that all
-unfinished integrals request, ``job`` holding the integer index of the
-integral each abscissa belongs to.  That ``f`` must be elementwise in
-both arguments: entry i of its result depends only on ``x[i]`` and
-``job[i]``.  Every result is then ``==`` the one its integral gets
-alone.  The panel rule sums each panel on its own, so its sums do not
-depend on the panels evaluated with it.
+Independent integrals run in lockstep in ``integrate_many``, of which
+``integrate_finite`` is the one-job case, and in
+``integrate_semi_infinite_many``.  Each pass, one call ``f(x, job)``
+evaluates the halves of all unfinished integrals, ``job`` holding the
+integer index of the integral each abscissa belongs to.  That ``f`` must
+be elementwise in both arguments: entry i of its result depends only on
+``x[i]`` and ``job[i]``.  Every result is then ``==`` the one its
+integral gets alone.  The panel rule sums each panel on its own, so its
+sums do not depend on the panels evaluated with it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -107,11 +104,11 @@ class IntegralResult:
     converged: bool
 
 
-def _panels(f, lo, hi):
-    """G7/K15 on the panels [lo[i], hi[i]], all 15*len(lo) nodes in one
-    call of ``f`` -> [(k15, |k15-g7|), ...] as Python floats."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _panels(f, edges):
+    """G7/K15 on the panels ``edges``, pairs (lo, hi), all 15*len(edges)
+    nodes in one call of ``f`` -> the panels as (|k15-g7|, lo, hi, k15),
+    the rule's numbers Python floats."""
+    lo, hi = np.array(edges, dtype=float).reshape(-1, 2).T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x = (mid[:, None] + half[:, None] * _XGK).ravel()
@@ -126,56 +123,14 @@ def _panels(f, lo, hi):
     rows = y.reshape(-1, 15)
     k15 = np.vecdot(rows, _WGK).tolist()
     g7 = np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist()
-    return [(h * k, abs(h * k - h * g))
-            for h, k, g in zip(half.tolist(), k15, g7)]
+    return [(abs(h * k - h * g), p, q, h * k)
+            for (p, q), h, k, g in zip(edges, half.tolist(), k15, g7)]
 
 
-# The look-ahead stops at panels whose error is below this share of the
-# error of the panel being bisected.  Those lie many passes ahead, and by
-# then the refinement may have found mass the coarse panels missed and
-# raised the target past them.
-_LOOK_AHEAD_SHARE = 1e-2
-# It also stops after walking this many heap panels.  Panels queued by an
-# earlier pass head the pop order and are walked again at each pass, so a
-# longer walk costs more time than the calls it saves.
-_LOOK_AHEAD_WALK = 16
-
-
-def _pop_order(heap):
-    """The items of ``heap`` in the order heappop would return them,
-    without popping: a frontier heap walks the tree of ``heap`` from its
-    root, so taking k items costs O(k log k) whatever the heap size."""
-    frontier = [(heap[0], 0)] if heap else []
-    while frontier:
-        item, i = heapq.heappop(frontier)
-        yield item
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < len(heap):
-                heapq.heappush(frontier, (heap[child], child))
-
-
-def _certain_bisections(heap, pending, books, target, floor, room):
-    """Up to ``room`` panels among the first _LOOK_AHEAD_WALK of ``heap``
-    that worst-first bisection is certain to split at ``target``, in pop
-    order, with errors no smaller than ``floor`` and not already in
-    ``pending``.
-
-    ``books`` is the error the loop holds once the panel it bisects now
-    is taken off.  Each later pop takes one error off and each bisection
-    adds two, so while ``books`` less the errors popped before a panel
-    stays above ``target``, the loop cannot stop before reaching it.
-    The walk ends at the first unsplittable panel, which the loop retires
-    rather than bisects.
-    """
-    out = []
-    for _, _, lo, hi, _, err in islice(_pop_order(heap), _LOOK_AHEAD_WALK):
-        if (books <= target or err < floor or len(out) >= room
-                or not lo < 0.5 * (lo + hi) < hi):
-            break
-        if (lo, hi) not in pending:
-            out.append((lo, hi))
-        books -= err
-    return out
+# A pass bisects no panel whose error is below this share of the worst.
+# Such a panel lies many passes ahead, and by then the refinement may have
+# found mass the coarse panels missed and raised the target past it.
+_PASS_SHARE = 1e-2
 
 
 def _fsum(xs):
@@ -187,97 +142,56 @@ def _fsum(xs):
         return sum(xs)
 
 
-def _exact_sums(heap, retired):
-    """The sums of the values and of the errors of the panels on ``heap``
-    and in ``retired``, each by :func:`_fsum`."""
-    return (_fsum([item[4] for item in heap] + [v for v, _ in retired]),
-            _fsum([item[5] for item in heap] + [e for _, e in retired]))
-
-
 def _edges(a, b, split_points):
-    """Initial panel edges of [a, b]: a, the split points inside, b."""
+    """Initial panels of [a, b], split at the split points inside, as
+    pairs (lo, hi)."""
     if not a < b:
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
-    edges = [a]
-    for s in sorted(set(float(s) for s in split_points)):
-        if a < s < b:
-            edges.append(s)
-    edges.append(b)
-    return edges
+    edges = [a] + sorted(s for s in set(map(float, split_points))
+                         if a < s < b) + [b]
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _bisection(edges, spec):
-    """Worst-first bisection of one integral as a generator.
+def _bisect(live, retired, spec):
+    """One pass of worst-first bisection of one integral -> the halves,
+    pairs (lo, hi), of the panels it takes off ``live``, [] once done, and
+    the sums of value and error it found before them.
 
-    It yields the panels it needs, as lists ``(lo, hi)`` of their edges,
-    is sent their ``[(k15, err), ...]`` and returns its IntegralResult.
-    The panels of one yield are the initial panels, then the halves of
-    the panel it bisects and of those looked ahead.
+    The pass sorts ``live`` worst first, oldest first among equal errors,
+    and takes the prefix that panel-by-panel bisection is certain to
+    split.  Each bisection takes one error off the books and adds two, so
+    while the error less the errors sorted before a panel stays above the
+    target, that bisection cannot stop before reaching it, unless the
+    target moves.  The prefix also ends at the budget, below _PASS_SHARE
+    of the worst error and at a panel too narrow to bisect.  A worst
+    panel too narrow to bisect is retired, its value and error kept on
+    the books.
     """
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    pairs = yield edges[:-1], edges[1:]
-    for lo, hi, (val, err) in zip(edges[:-1], edges[1:], pairs):
-        evals += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-
-    n_panels = len(edges) - 1
-    # (value, error) of the panels too narrow to bisect.
-    retired = []
-    # Halves of panels evaluated ahead of their bisection, keyed by (lo, hi).
-    halves = {}
-
-    while n_panels < spec.max_subdivisions:
-        if not total_err > spec.target(total):
-            if not (math.isfinite(total) and math.isfinite(total_err)):
+    while True:
+        panels = live + retired
+        total = _fsum([p[3] for p in panels])
+        error = _fsum([p[0] for p in panels])
+        target = spec.target(total)
+        room = spec.max_subdivisions - len(live) - len(retired)
+        if not (error > target and room > 0
+                and math.isfinite(total) and math.isfinite(error)):
+            return [], total, error
+        live.sort(key=itemgetter(0), reverse=True)
+        floor = _PASS_SHARE * live[0][0]
+        halves, books = [], error
+        for err, lo, hi, _ in live:
+            mid = 0.5 * (lo + hi)
+            if (len(halves) == 2 * room or books <= target or err < floor
+                    or not lo < mid < hi):
                 break
-            total, total_err = _exact_sums(heap, retired)
-            if total_err <= spec.target(total):
-                break
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            # Panel no longer splittable in double precision; retire it
-            # but keep its value and error on the books.
-            retired.append((val, err))
-            total, total_err = _exact_sums(heap, retired)
-            if _fsum([e for _, e in retired]) > spec.target(total):
-                break
-            continue
-        if (lo, hi) not in halves:
-            room = spec.max_subdivisions - n_panels - 1 - len(halves)
-            batch = [(lo, hi)] + _certain_bisections(
-                heap, halves, total_err - err, spec.target(total),
-                _LOOK_AHEAD_SHARE * err, room)
-            half_lo, half_hi = [], []
-            for p, q in batch:
-                m = 0.5 * (p + q)
-                half_lo += (p, m)
-                half_hi += (m, q)
-            pairs = yield half_lo, half_hi
-            evals += 15 * len(pairs)
-            for i, key in enumerate(batch):
-                halves[key] = pairs[2 * i:2 * i + 2]
-        (v1, e1), (v2, e2) = halves.pop((lo, hi))
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
-        n_panels += 1
-    else:
-        # The budget is spent: report the exact sums.
-        total, total_err = _exact_sums(heap, retired)
-
-    converged = math.isfinite(total) and total_err <= spec.target(total)
-    return IntegralResult(total, total_err, evals, converged)
+            halves += ((lo, mid), (mid, hi))
+            books -= err
+        if halves:
+            del live[:len(halves) // 2]
+            return halves, total, error
+        retired.append(live.pop(0))
+        if _fsum([p[0] for p in retired]) > target:
+            return [], total, error
 
 
 def integrate_finite(f: Callable, a: float, b: float,
@@ -292,52 +206,43 @@ def integrate_finite(f: Callable, a: float, b: float,
     Returns a flagged (converged=False) result rather than a silent wrong
     value when the subdivision budget is exhausted.
     """
-    if spec is None:
-        spec = default_spec()
-    # Every H0 route runs here: one bisection drives f directly, without
-    # the owner array and concatenation of integrate_many.
-    run = _bisection(_edges(a, b, split_points), spec)
-    try:
-        lo, hi = next(run)
-        while True:
-            lo, hi = run.send(_panels(f, lo, hi))
-    except StopIteration as done:
-        return done.value
+    return integrate_many(lambda x, job: f(x), [(a, b, split_points)],
+                          spec)[0]
 
 
 def integrate_many(f: Callable, jobs: Iterable[tuple],
                    spec: QuadratureSpec | None = None) -> list[IntegralResult]:
     """Adaptive integrals of ``f`` over many intervals, in lockstep.
 
-    Each job is ``(a, b, split_points)``, integrated to ``spec``.  Each
-    integral runs the bisection of :func:`integrate_finite`, and its
-    result is ``==`` that of ``integrate_finite`` on the same arguments.
-    Each round, ``f(x, job)`` is called once with the abscissae that all
-    unfinished integrals request, ``job`` holding the index of the job
+    Each job is ``(a, b, split_points)``, integrated to ``spec`` as by
+    :func:`integrate_finite`, to ``==`` the same result.  Each pass,
+    ``f(x, job)`` is called once with the abscissae of the panels that
+    all unfinished integrals bisect, ``job`` holding the index of the job
     each abscissa belongs to.  Every job is checked before the first
     call.
     """
     if spec is None:
         spec = default_spec()
-    runs = [_bisection(_edges(a, b, split_points), spec)
-            for a, b, split_points in jobs]
-    results = [None] * len(runs)
-    wanted = {i: next(run) for i, run in enumerate(runs)}
-    while wanted:
-        lo = [p for req, _ in wanted.values() for p in req]
-        hi = [q for _, req in wanted.values() for q in req]
-        counts = [len(req) for req, _ in wanted.values()]
-        owner = np.repeat(np.fromiter(wanted, dtype=np.intp, count=len(counts)),
-                          [15 * n for n in counts])
-        pairs = _panels(lambda x: f(x, owner), lo, hi)
+    wanted = [_edges(a, b, split_points) for a, b, split_points in jobs]
+    live = [[] for _ in wanted]
+    retired = [[] for _ in wanted]
+    evals = [0] * len(wanted)
+    results = [None] * len(wanted)
+    job_ids = np.arange(len(wanted))
+    while any(wanted):
+        owner = job_ids.repeat([15 * len(w) for w in wanted])
+        panels = _panels(lambda x: f(x, owner), [e for w in wanted for e in w])
         start = 0
-        for i, n in zip(list(wanted), counts):
-            try:
-                wanted[i] = runs[i].send(pairs[start:start + n])
-            except StopIteration as done:
-                results[i] = done.value
-                del wanted[i]
-            start += n
+        for j, w in enumerate(wanted):
+            if w:
+                live[j] += panels[start:start + len(w)]
+                start += len(w)
+                evals[j] += 15 * len(w)
+                wanted[j], total, error = _bisect(live[j], retired[j], spec)
+                if not wanted[j]:
+                    results[j] = IntegralResult(
+                        total, error, evals[j],
+                        math.isfinite(total) and error <= spec.target(total))
     return results
 
 

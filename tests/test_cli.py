@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -779,6 +780,18 @@ class TestSpectra:
         assert err == ("physics error: retarded evaluation requires finite "
                        "m > 0 with m**2 in the float range (m <= 1.34078e+154 "
                        "eV)\n")
+
+    def test_far_energies_without_warning(self, tmp_path, capsys):
+        # m**2 finite, but a Drude spectrum's denominator overflows: the
+        # rows are 0.0, and no RuntimeWarning reaches stderr
+        path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "spectra", "--config", path, "--m-grid", "0.5:1e154:3"])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [float(row[1]) for row in rows[1:]] == [0.0, 0.0]
 
     @pytest.mark.parametrize("grid", ["a:b:3", "0.1:5:2.5", "1:2:x",
                                       "0.1:inf:3"])

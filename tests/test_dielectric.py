@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ class TestReflectionAndDenseAlpha:
     def test_conductor_limit(self):
         assert dl.dense_alpha(GOLD, 0.0) == pytest.approx(1.0, abs=1e-15)
         assert dl.dense_alpha(PLASMA, 1e-9) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e200,
+                                   [1.0, 1.35e154]])
+    def test_k_outside_the_float_range_raises(self, k):
+        # K**2 must be finite: such K would give nan with RuntimeWarnings
+        for model in (GOLD, TABLE):
+            with pytest.raises(DomainError, match=r"finite K with K\*\*2 in "
+                               r"the float range \(\|K\| <= 1\.34078e\+154"):
+                dl.dense_alpha(model, k)
+        assert dl.dense_alpha(GOLD, 0.0) == 1.0
 
     def test_drude_closed_form(self):
         # e_p^2/(K^2 + e_p^2 + sigma K) by hand at K = 1
@@ -115,6 +126,21 @@ class TestSpectralDensity:
         for model in (GOLD, dl.Vacuum()):
             sd = dl.spectral_density(model)
             assert float(sd.value(0.0)) == 0.0
+
+    @pytest.mark.parametrize("m", [1e76, 1.2e77, 1e100])
+    def test_drude_far_tail_against_mpmath(self, m):
+        # past m ~ 1.2e77 eV the denominator overflows; the value does not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mm, ep2, sigma = mpmath.mpf(m), mpmath.mpf(EP2), mpmath.mpf(0.035)
+            ref = ep2 / mpmath.pi * sigma * mm / ((ep2 - mm * mm) ** 2
+                                                 + (sigma * mm) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl.drude_spectral_value(GOLD, m)
+            grid = dl.drude_spectral_value(GOLD, np.array([EP, m]))
+        assert abs(got - ref) <= 1e-14 * ref
+        assert grid.tolist() == [float(dl.drude_spectral_value(GOLD, EP)), got]
 
     def test_plasma_is_delta_line(self):
         # the whole strength is one line at e_p, named in the error

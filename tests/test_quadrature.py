@@ -113,10 +113,9 @@ ORACLE_CASES = {
                          QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
                                         max_subdivisions=3), ()),
     "non-finite": (inverse_abs, -1.0, 1.0, TIGHT, ()),
-    # A line on a bisection edge at rel_tol 1e-12: the running error sum
-    # drifts from the sum of the panel errors by rounding.  The look-ahead
-    # follows the running sum; the loop stops only once the exact sum
-    # passes too.
+    # A line on a bisection edge at rel_tol 1e-12: a running error sum
+    # would drift from the sum of the panel errors by rounding.  The loop
+    # stops only once the exact sum passes.
     "peak-on-an-edge": (lambda x: np.exp(-x) + 1e-6 / ((x - 0.25) ** 2
                                                       + 1e-12),
                         0.0, 1.0, QuadratureSpec(abs_tol=1e-300,
@@ -251,15 +250,14 @@ class TestBatchedPasses:
         assert math.isnan(runs["non-finite"].error_estimate)
 
     # Panels per integrand call: the initial panels, then each pass the
-    # panel bisected together with the panels looked ahead.
+    # panels it bisects.
     PANELS_PER_CALL = {
         "polynomial": [1],
-        "sharp-peak-split": [2, 2] + [1] * 19 + [2] + [1] * 20 + [2],
+        "sharp-peak-split": [2] + [2] * 21 + [1, 2],
         "many-bisections": [1] + [1] * 11 + [2] * 6 + [3] * 6 + [1] * 4,
         "budget-exhausted": [1, 1, 1],
         "non-finite": [1],
-        "peak-on-an-edge": ([1, 1, 1, 2] + [1] * 14 + [2] + [1] * 13
-                            + [2, 1, 2, 12, 4, 3]),
+        "peak-on-an-edge": [1, 1, 1] + [2] * 18 + [12, 7],
     }
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -281,6 +279,28 @@ class TestBatchedPasses:
             assert len(rest) < bisections
         else:
             assert len(rest) <= bisections
+
+    def test_spent_budget(self):
+        # A pass bisects the panels worst-first bisection would reach with
+        # no budget limit.  Where the budget runs out first, panel-by-panel
+        # bisection may spend its last subdivisions on other panels; both
+        # then flag the result, at the same cost and within their claims.
+        spec = lambda n: QuadratureSpec(abs_tol=1e-300, rel_tol=1e-17,
+                                        max_subdivisions=n)
+        cases = [(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0, ()),
+                 (lambda x: np.exp(np.sin(5.0 * x)), 0.0, 4.0, ()),
+                 (lorentz(0.5, 1e-5), 0.0, 1.0, (0.5,))]
+        differ = 0
+        for f, a, b, splits in cases:
+            for n in range(1, 80):
+                res = integrate_finite(f, a, b, spec(n), split_points=splits)
+                oracle = panel_by_panel(f, a, b, spec(n), splits)
+                assert not res.converged and not oracle.converged
+                assert res.evaluations == oracle.evaluations
+                assert abs(res.value - oracle.value) <= (
+                    res.error_estimate + oracle.error_estimate)
+                differ += fields(res) != fields(oracle)
+        assert differ > 0
 
     @pytest.mark.parametrize("bad", [lambda x: 1.0, lambda x: x[:-1]],
                              ids=["scalar", "wrong-length"])
@@ -431,10 +451,12 @@ def test_panels_match_per_row_dot():
             k15 = h * float(np.dot(_WGK, row))
             g7 = h * float(np.dot(_WG, row[_GAUSS_IDX]))
             expected.append((k15, abs(k15 - g7)))
+        edges = list(zip(lo.tolist(), hi.tolist()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _panels(lambda x: rows.ravel(), lo, hi)
-        assert repr(got) == repr(expected), n
+            got = _panels(lambda x: rows.ravel(), edges)
+        assert [p[1:3] for p in got] == edges
+        assert repr([(k15, err) for err, _, _, k15 in got]) == repr(expected), n
 
 
 def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
@@ -472,26 +494,24 @@ class TestLookAhead:
             assert fields(res) == fields(panel_by_panel(f, 0.0, 1.0, spec,
                                                         splits))
 
-    def test_hidden_peaks_cost_points_not_results(self):
+    def test_hidden_peaks_found_mid_pass(self):
         # A peak 1e-8 wide can hide between the nodes of the coarse panels.
-        # Once found, its mass raises the target, and a panel looked ahead
-        # may then never be bisected: its halves are counted, never summed.
-        wasted = 0
-        for f, spec, splits in peaked_cases(4, 200, log_widths=(-8.0, -0.5),
-                                            log_heights=(-4.0, 4.0)):
-            points = []
-
-            def counted(x):
-                points.append(x.size)
-                return f(x)
-
-            res = integrate_finite(counted, 0.0, 1.0, spec, split_points=splits)
+        # Once a pass finds it, its mass raises the target, and the same
+        # pass may already have bisected a panel that panel-by-panel
+        # bisection, raising the target first, would have left alone.  Only
+        # these results differ from the oracle's, at no fewer points and by
+        # less than the oracle's own error estimate.
+        differ = []
+        for i, (f, spec, splits) in enumerate(peaked_cases(
+                4, 200, log_widths=(-8.0, -0.5), log_heights=(-4.0, 4.0))):
+            res = integrate_finite(f, 0.0, 1.0, spec, split_points=splits)
             oracle = panel_by_panel(f, 0.0, 1.0, spec, splits)
-            assert fields(res)[:2] + fields(res)[3:] == \
-                fields(oracle)[:2] + fields(oracle)[3:]
-            assert res.evaluations == sum(points) >= oracle.evaluations
-            wasted += res.evaluations > oracle.evaluations
-        assert wasted > 0
+            assert res.converged is oracle.converged
+            if fields(res) != fields(oracle):
+                differ.append(i)
+                assert res.evaluations >= oracle.evaluations
+                assert abs(res.value - oracle.value) <= oracle.error_estimate
+        assert differ == [1, 16, 106, 178]
 
 
 ONE_UP = math.nextafter(1.0, 2.0)
@@ -508,18 +528,27 @@ class TestStuckPanel:
         assert fields(res) == fields(panel_by_panel(f, 1.0, ONE_UP,
                                                     default_spec()))
 
-    @pytest.mark.parametrize("height, converged", [(5e4, True), (1e5, False)],
-                             ids=["retired", "ends-the-loop"])
-    def test_never_looked_ahead(self, height, converged):
-        # A cusp at 0.37 drives the bisections; the step at 1 makes the
-        # panel [1, ONE_UP] carry an error of about 1e-17 * height, below
-        # the target 1e-12 ("retired", the loop goes on) or above it
-        # ("ends-the-loop").  Either way it sits among the panels the
-        # look-ahead scans and is never evaluated after the first call.
-        def f(x):
-            return np.sqrt(np.abs(x - 0.37)) + np.where(x < 1.0, height, 0.0)
+    SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-300)
+    HEIGHTS = pytest.mark.parametrize("height, converged",
+                                      [(5e4, True), (1e5, False)],
+                                      ids=["retired", "ends-the-loop"])
 
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-300)
+    @staticmethod
+    def cusp_and_step(height):
+        """A cusp at 0.37, which drives the bisections, plus a step of
+        ``height`` at 1."""
+        return lambda x: (np.sqrt(np.abs(x - 0.37))
+                          + np.where(x < 1.0, height, 0.0))
+
+    @HEIGHTS
+    def test_never_looked_ahead(self, height, converged):
+        # The step at 1 makes the panel [1, ONE_UP] carry an error of about
+        # 1e-17 * height, below the target 1e-12 ("retired", the loop goes
+        # on) or above it ("ends-the-loop").  Either way it sits among the
+        # panels each pass sorts and is never evaluated after the first
+        # call.
+        f = self.cusp_and_step(height)
+        spec = self.SPEC
         calls = []
 
         def counted(x):
@@ -532,6 +561,28 @@ class TestStuckPanel:
         assert fields(res) == fields(panel_by_panel(f, 0.0, 2.0, spec,
                                                     (1.0, ONE_UP)))
         assert not any(np.any((x >= 1.0) & (x <= ONE_UP)) for x in calls[1:])
+
+    @HEIGHTS
+    def test_lockstep_with_a_lone_stuck_panel(self, height, converged):
+        # The lone stuck panel is retired, and ends its job, in the pass
+        # where the cusp job makes its first bisections.
+        stuck = lambda x: np.where(x < 1.0, 1e10, 0.0)  # noqa: E731
+        cusp = self.cusp_and_step(height)
+        jobs = [(1.0, ONE_UP, ()), (0.0, 2.0, (1.0, ONE_UP))]
+        rounds = []
+
+        def f(x, job):
+            rounds.append(np.bincount(job, minlength=2).tolist())
+            return by_job([stuck, cusp])(x, job)
+
+        batch = integrate_many(f, jobs, self.SPEC)
+        for g, (a, b, splits), res in zip((stuck, cusp), jobs, batch):
+            solo = integrate_finite(g, a, b, self.SPEC, split_points=splits)
+            assert fields(res) == fields(solo)
+            assert fields(res) == fields(panel_by_panel(g, a, b, self.SPEC,
+                                                        splits))
+        assert [res.converged for res in batch] == [False, converged]
+        assert rounds[:2] == [[15, 45], [0, 30]]
 
 
 class TestSemiInfinite:
