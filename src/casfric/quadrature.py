@@ -216,10 +216,10 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
 
     Each job is ``(a, b, split_points)``, integrated to ``spec`` as by
     :func:`integrate_finite`, to ``==`` the same result.  Each pass,
-    ``f(x, job)`` is called once with the abscissae of the panels that
-    all unfinished integrals bisect, ``job`` holding the index of the job
-    each abscissa belongs to.  Every job is checked before the first
-    call.
+    ``f(x, job)`` is called once with the abscissae of the panels all
+    unfinished integrals need, first their initial panels, then the
+    halves of those they bisect; ``job`` holds the index of the job each
+    abscissa belongs to.  Every job is checked before the first call.
     """
     if spec is None:
         spec = default_spec()
