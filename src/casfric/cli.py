@@ -6,7 +6,7 @@ Subcommands:
     sweep    --config sweep.json [--format json|csv] [--out PATH]
     compare  --config cfg.json [--format json|csv] [--out PATH]
     spectra  --config cfg.json --m-grid MIN:MAX:COUNT[:log|lin] [--u U] ...
-    validate
+    validate [--format text|json]
 
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -215,12 +215,9 @@ def parse_sweep_config(obj):
             _fail(".values.scale", "must be 'linear' or 'log'")
         if not lo < hi and count > 1:
             _fail(".values", "need min < max")
-        if scale == "log":
-            if not lo > 0.0:
-                _fail(".values.min", "must be > 0 for log scale")
-            vals = np.geomspace(lo, hi, count).tolist()
-        else:
-            vals = np.linspace(lo, hi, count).tolist()
+        if scale == "log" and not lo > 0.0:
+            _fail(".values.min", "must be > 0 for log scale")
+        vals = _grid(lo, hi, count, scale == "log", ".values.count").tolist()
     else:
         _fail(".values", "must be a list of numbers or {min,max,count,scale}")
     may_be_zero = axis in ("v", "damping")
@@ -274,7 +271,8 @@ def _result_fields(result: FrictionResult) -> dict:
             "force_units": result.force_units, "direction": result.direction,
             "H0": result.h0, "G": result.g,
             "quadrature_error": result.quadrature_error,
-            "converged": result.converged, "note": result.note}
+            "converged": result.converged, "evaluations": result.evaluations,
+            "note": result.note}
 
 
 # The fields in a row of a compute or sweep table, after its first column.
@@ -396,8 +394,16 @@ def _parse_m_grid(text):
     if (count < 1 or not lo < hi or not (math.isfinite(lo) and math.isfinite(hi))
             or (scale == "log" and not lo > 0)):
         raise ConfigError([("--m-grid", "need 0 < min < max < inf, count >= 1")])
-    return np.geomspace(lo, hi, count) if scale == "log" \
-        else np.linspace(lo, hi, count)
+    return _grid(lo, hi, count, scale == "log", "--m-grid")
+
+
+def _grid(lo, hi, count, log, path):
+    """``count`` values from lo to hi, evenly or geometrically spaced; a
+    count numpy cannot allocate is a configuration error on ``path``."""
+    try:
+        return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
+    except (ValueError, MemoryError):
+        _fail(path, f"cannot make a grid of {count} values")
 
 
 def cmd_spectra(args) -> int:
@@ -423,13 +429,17 @@ def cmd_spectra(args) -> int:
 
 def cmd_validate(args) -> int:
     results = validation.run_all()
-    for r in results:
-        print(r.line())
     n_fail = sum(1 for r in results if not r.passed)
-    known = sum(1 for r in results
-                if not r.passed and r.criterion in validation.EXPECTED_FAILURES)
-    print(f"{len(results) - n_fail}/{len(results)} checks passed"
-          + (f" ({known} known-inconsistent benchmark figures)" if known else ""))
+    if args.format == "json":
+        print(json.dumps([asdict(r) for r in results], indent=2))
+    else:
+        for r in results:
+            print(r.line())
+        known = sum(1 for r in results if not r.passed
+                    and r.criterion in validation.EXPECTED_FAILURES)
+        print(f"{len(results) - n_fail}/{len(results)} checks passed"
+              + (f" ({known} known-inconsistent benchmark figures)"
+                 if known else ""))
     return EXIT_OK if n_fail == 0 else 1
 
 
@@ -441,6 +451,9 @@ def _load_json(path):
         raise ConfigError([("--config", f"cannot read: {exc}")])
     except json.JSONDecodeError as exc:
         raise ConfigError([("--config", f"invalid JSON: {exc}")])
+    except RecursionError:
+        raise ConfigError([("--config", "invalid JSON: nested too deeply")]) \
+            from None
 
 
 @functools.cache
@@ -468,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="MIN:MAX:COUNT[:log|lin] in eV")
     sp.add_argument("--u", type=float, default=1.0,
                     help="transverse mode u = q*d for the channel products")
-    sub.add_parser("validate", help="run the acceptance checks")
+    vp = sub.add_parser("validate", help="run the acceptance checks")
+    vp.add_argument("--format", choices=("text", "json"), default="text",
+                    help="one line per check, or the check records as JSON")
     return parser
 
 

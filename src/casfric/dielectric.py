@@ -451,8 +451,13 @@ def drude_spectral_value(model: Drude, m):
     sigma = model.damping_ev
     m_arr = np.asarray(m, dtype=float)
     num = (ep2 / math.pi) * sigma * m_arr
-    if not np.abs(m_arr).max(initial=0.0) > _M_FAR:
-        return num / ((ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2)
+    if not np.maximum.reduce(np.abs(m_arr), initial=0.0) > _M_FAR:
+        den = ep2 - m_arr ** 2
+        den **= 2
+        damp = sigma * m_arr
+        den += damp * damp
+        num /= den
+        return num
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
         r = 1.0 / m_arr

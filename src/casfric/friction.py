@@ -70,6 +70,8 @@ _STEP = 1e-30
 _PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
 # The point of its tail bound, just past the cap, in the same units.
 _PAST_CAP = 1.0 + 1e-9
+# Initial panel edges across the thermal window, in units of k_B*T.
+_OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,11 @@ def _csch2_half(x):
     """1/sinh(x/2)**2, vectorized and finite for every x > 0 (no
     cancellation as x -> 0).  The argument is clipped below the overflow
     of sinh, where the weight has long underflowed to 0."""
-    return np.sinh(np.minimum(0.5 * np.asarray(x, dtype=float), 700.0)) ** -2.0
+    out = 0.5 * np.asarray(x, dtype=float)
+    np.minimum(out, 700.0, out=out)
+    np.sinh(out, out=out)
+    out **= -2.0
+    return out
 
 
 def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
@@ -168,10 +174,17 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     pref = 0.5 * math.pi * beta * units.HBAR_JS
 
     def integrand(m):
-        m = np.asarray(m, dtype=float)
-        out = pref * s1.value(m) * s2.value(m) * _csch2_half(beta * m)
+        # pref*S1*S2*csch2(*extra) in this order, each product in place
+        out = pref * s1.value(m)
+        out *= s2.value(m)
+        out *= _csch2_half(beta * m)
         if extra_factor is not None:
-            out = out * extra_factor(m)
+            out *= extra_factor(m)
+        return out
+
+    def scaled(m):
+        out = integrand(m)
+        out /= scale
         return out
 
     # Deterministic probe of the integrand magnitude: geometric sweep of
@@ -181,31 +194,29 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # straight over a narrow thermal peak and "converge" on zero).
     # The last point, just past the cap, is the height of the tail bound
     # below; it rides in the probe's integrand call but not in its maximum.
-    probe_grid = np.array(sorted(
-        list(m_cap * _PROBE_UNIT)
-        + [k / beta for k in range(1, 9) if k / beta < m_cap]
-        + [h for h in hints if h < m_cap]))
-    vals = integrand(np.append(probe_grid, m_cap * _PAST_CAP))
-    probe_vals, tail_val, evals = vals[:-1], float(vals[-1]), len(vals)
-    scale = float(np.max(np.abs(probe_vals)))
+    extra = [k / beta for k in range(1, 9) if k / beta < m_cap]
+    extra += [h for h in hints if h < m_cap]
+    extra.append(m_cap * _PAST_CAP)
+    probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
+    probe_grid[:-1].sort()
+    vals = integrand(probe_grid)
+    tail_val, evals = float(vals[-1]), len(vals)
+    probe_abs = np.abs(vals[:-1])
+    peak = int(probe_abs.argmax())
+    scale = float(probe_abs[peak])
     if scale == 0.0 or not math.isfinite(scale):
         if not math.isfinite(scale):
             return IntegralResult(math.nan, math.inf, evals, False)
         return IntegralResult(0.0, 0.0, evals, True)
 
-    m_star = float(probe_grid[int(np.argmax(np.abs(probe_vals)))])
-    splits = set(h for h in hints if h < m_cap)
-    splits.update(s for s in (0.1 * m_star, m_star, 10.0 * m_star)
-                  if s < m_cap)
-    # Octave edges across the thermal window: every initial panel where
-    # the weight still carries mass is at most an octave wide, so the
-    # first Kronrod pass cannot step over the decay region.
-    splits.update(s for s in (2.0 ** k / beta for k in range(-1, 6))
-                  if s < m_cap)
-    if window < m_cap:
-        splits.add(window)
-    res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
-                           split_points=splits)
+    m_star = float(probe_grid[peak])
+    # Split points past the cap are dropped by the engine.  Octave edges
+    # across the thermal window: every initial panel where the weight
+    # still carries mass is at most an octave wide, so the first Kronrod
+    # pass cannot step over the decay region.
+    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window]
+    splits += [octave / beta for octave in _OCTAVES]
+    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
 
     # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying

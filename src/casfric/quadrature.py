@@ -16,12 +16,10 @@ result is that of panel-by-panel bisection but where a narrow peak,
 found late, raises the target past a panel the same pass bisected, or
 where the budget runs out first: ``evaluations``, the points evaluated,
 is then no lower, and ``converged`` agrees.  So ``f`` receives one 1-D
-ndarray of 15*k abscissae per call, k varying between calls, and must
-return an ndarray of the same shape whose every entry depends only on
-the abscissa at its position (elementwise).  Each pass stops the
-bisection on the exactly rounded (math.fsum) sums of value and error,
-once the error meets the target, a sum is not finite or the budget is
-spent.
+ndarray of 15*k abscissae per call and must return an ndarray of the
+same shape, elementwise.  A pass stops on the exactly rounded
+(math.fsum) sums of value and error: once the error meets the target,
+a sum is not finite or the budget is spent.
 
 Independent integrals run in lockstep in ``integrate_many``, of which
 ``integrate_finite`` is the one-job case, and in
@@ -30,15 +28,15 @@ evaluates the halves of all unfinished integrals, ``job`` holding the
 integer index of the integral each abscissa belongs to.  That ``f`` must
 be elementwise in both arguments: entry i of its result depends only on
 ``x[i]`` and ``job[i]``.  Every result is then ``==`` the one its
-integral gets alone.  The panel rule sums each panel on its own, so its
-sums do not depend on the panels evaluated with it.
+integral gets alone: the panel rule sums each panel on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable
 
 import numpy as np
@@ -104,16 +102,16 @@ class IntegralResult:
     converged: bool
 
 
-def _panels(f, edges):
-    """G7/K15 on the panels ``edges``, pairs (lo, hi), all 15*len(edges)
-    nodes in one call of ``f`` -> the panels as (|k15-g7|, lo, hi, k15),
-    the rule's numbers Python floats."""
-    lo, hi = np.array(edges, dtype=float).reshape(-1, 2).T
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    x = (mid[:, None] + half[:, None] * _XGK).ravel()
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+def _panels(f, lo, hi, job):
+    """G7/K15 on the panels [lo[i], hi[i]], all 15*len(lo) nodes in one
+    call ``f(x, job)`` -> the panels as (|k15-g7|, lo, hi, k15), the
+    rule's numbers Python floats."""
+    a, b = np.array(lo), np.array(hi)
+    half = 0.5 * (b - a)
+    x = half[:, None] * _XGK
+    x += (0.5 * (a + b))[:, None]
+    y = np.asarray(f(x.ravel(), job), dtype=float)
+    if y.shape != (x.size,):
         raise DomainError("integrand must return an array matching its input")
     # vecdot sums each row as np.dot sums it alone; a matrix product would
     # sum in another order.  take() copies the Gauss columns in C order:
@@ -121,10 +119,10 @@ def _panels(f, edges):
     # The rest is Python float arithmetic, so inf - inf is a silent nan
     # that flags the result.
     rows = y.reshape(-1, 15)
-    k15 = np.vecdot(rows, _WGK).tolist()
-    g7 = np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist()
-    return [(abs(h * k - h * g), p, q, h * k)
-            for (p, q), h, k, g in zip(edges, half.tolist(), k15, g7)]
+    h = half.tolist()
+    k15 = list(map(mul, h, np.vecdot(rows, _WGK).tolist()))
+    g7 = map(mul, h, np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist())
+    return list(zip(map(abs, map(sub, k15, g7)), lo, hi, k15))
 
 
 # A pass bisects no panel whose error is below this share of the worst.
@@ -132,30 +130,30 @@ def _panels(f, edges):
 # found mass the coarse panels missed and raised the target past it.
 _PASS_SHARE = 1e-2
 
+_ERROR, _VALUE = itemgetter(0), itemgetter(3)
 
-def _fsum(xs):
-    """math.fsum of the list ``xs``, exactly rounded; the plain sum where
-    fsum refuses (inf - inf, or an intermediate overflow)."""
+
+def _fsum(panels, field):
+    """math.fsum of ``field`` of the panels, exactly rounded; the plain
+    sum where fsum refuses (inf - inf, or an intermediate overflow)."""
     try:
-        return math.fsum(xs)
+        return math.fsum(map(field, panels))
     except (OverflowError, ValueError):
-        return sum(xs)
+        return sum(map(field, panels))
 
 
 def _edges(a, b, split_points):
-    """Initial panels of [a, b], split at the split points inside, as
-    pairs (lo, hi)."""
+    """Edges of the initial panels of [a, b]: a, inner split points, b."""
     if not a < b:
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
-    edges = [a] + sorted(s for s in set(map(float, split_points))
-                         if a < s < b) + [b]
-    return list(zip(edges[:-1], edges[1:]))
+    return [a] + sorted(s for s in set(map(float, split_points))
+                        if a < s < b) + [b]
 
 
 def _bisect(live, retired, spec):
-    """One pass of worst-first bisection of one integral -> the halves,
-    pairs (lo, hi), of the panels it takes off ``live``, [] once done, and
-    the sums of value and error it found before them.
+    """One pass of worst-first bisection of one integral -> the lower and
+    upper ends of the halves of the panels it takes off ``live`` (empty
+    once done), and the sums of value and error it found before them.
 
     The pass sorts ``live`` worst first, oldest first among equal errors,
     and takes the prefix that panel-by-panel bisection is certain to
@@ -168,30 +166,31 @@ def _bisect(live, retired, spec):
     the books.
     """
     while True:
-        panels = live + retired
-        total = _fsum([p[3] for p in panels])
-        error = _fsum([p[0] for p in panels])
+        panels = live + retired if retired else live
+        total = _fsum(panels, _VALUE)
+        error = _fsum(panels, _ERROR)
         target = spec.target(total)
-        room = spec.max_subdivisions - len(live) - len(retired)
+        room = spec.max_subdivisions - len(panels)
         if not (error > target and room > 0
                 and math.isfinite(total) and math.isfinite(error)):
-            return [], total, error
-        live.sort(key=itemgetter(0), reverse=True)
+            return [], [], total, error
+        live.sort(key=_ERROR, reverse=True)
         floor = _PASS_SHARE * live[0][0]
-        halves, books = [], error
-        for err, lo, hi, _ in live:
-            mid = 0.5 * (lo + hi)
-            if (len(halves) == 2 * room or books <= target or err < floor
-                    or not lo < mid < hi):
+        lo, hi, books = [], [], error
+        for err, p, q, _ in live:
+            mid = 0.5 * (p + q)
+            if (len(lo) == 2 * room or books <= target or err < floor
+                    or not p < mid < q):
                 break
-            halves += ((lo, mid), (mid, hi))
+            lo += (p, mid)
+            hi += (mid, q)
             books -= err
-        if halves:
-            del live[:len(halves) // 2]
-            return halves, total, error
+        if lo:
+            del live[:len(lo) // 2]
+            return lo, hi, total, error
         retired.append(live.pop(0))
-        if _fsum([p[0] for p in retired]) > target:
-            return [], total, error
+        if _fsum(retired, _ERROR) > target:
+            return [], [], total, error
 
 
 def integrate_finite(f: Callable, a: float, b: float,
@@ -223,23 +222,24 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
     """
     if spec is None:
         spec = default_spec()
-    wanted = [_edges(a, b, split_points) for a, b, split_points in jobs]
-    live = [[] for _ in wanted]
-    retired = [[] for _ in wanted]
-    evals = [0] * len(wanted)
-    results = [None] * len(wanted)
-    job_ids = np.arange(len(wanted))
-    while any(wanted):
-        owner = job_ids.repeat([15 * len(w) for w in wanted])
-        panels = _panels(lambda x: f(x, owner), [e for w in wanted for e in w])
+    edges = [_edges(a, b, split_points) for a, b, split_points in jobs]
+    wanted_lo, wanted_hi = [e[:-1] for e in edges], [e[1:] for e in edges]
+    live, retired = [[] for _ in edges], [[] for _ in edges]
+    evals, results = [0] * len(edges), [None] * len(edges)
+    job_ids = np.arange(len(edges))
+    while any(wanted_lo):
+        owner = job_ids.repeat([15 * len(lo) for lo in wanted_lo])
+        panels = _panels(f, list(chain.from_iterable(wanted_lo)),
+                         list(chain.from_iterable(wanted_hi)), owner)
         start = 0
-        for j, w in enumerate(wanted):
-            if w:
-                live[j] += panels[start:start + len(w)]
-                start += len(w)
-                evals[j] += 15 * len(w)
-                wanted[j], total, error = _bisect(live[j], retired[j], spec)
-                if not wanted[j]:
+        for j, lo in enumerate(wanted_lo):
+            if lo:
+                live[j] += panels[start:start + len(lo)]
+                start += len(lo)
+                evals[j] += 15 * len(lo)
+                wanted_lo[j], wanted_hi[j], total, error = _bisect(
+                    live[j], retired[j], spec)
+                if not wanted_lo[j]:
                     results[j] = IntegralResult(
                         total, error, evals[j],
                         math.isfinite(total) and error <= spec.target(total))

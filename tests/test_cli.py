@@ -11,6 +11,7 @@ import pytest
 from casfric import cli
 from casfric.dielectric import MediumSpec, dense_alpha_retarded, load_tabulated
 from casfric.friction import (PlateSystem, friction_dense, friction_dilute,
+                              friction_drude_closed_form,
                               plane_spectral_products)
 from casfric.presets import GOLD
 from casfric.quadrature import QuadratureSpec
@@ -77,11 +78,37 @@ class TestCompute:
         code, out, _ = run_cli(capsys, ["compute", "--config", path])
         assert code == 0
         result = json.loads(out)["result"]
-        assert sorted(result) == ["G", "H0", "converged", "direction", "force",
-                                  "force_units", "note", "quadrature_error",
-                                  "route"]
+        assert sorted(result) == ["G", "H0", "converged", "direction",
+                                  "evaluations", "force", "force_units",
+                                  "note", "quadrature_error", "route"]
         assert result["converged"] is True
         assert result["note"] == "denominators=keep"
+
+    @pytest.mark.parametrize("route, denominators", [
+        ("dense-full", "drop"), ("dense-full", "keep"),
+        ("drude-closed-form", "drop")])
+    def test_evaluations_are_the_library_count(self, tmp_path, capsys, route,
+                                               denominators):
+        cfg = gold_config(route=route, denominators=denominators)
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 0
+        system = PlateSystem(MediumSpec(GOLD.model), MediumSpec(GOLD.model),
+                             10.0, 100.0, 300.0)
+        library = (friction_dense(system, denominators)
+                   if route == "dense-full"
+                   else friction_drude_closed_form(system))
+        evaluations = json.loads(out)["result"]["evaluations"]
+        assert evaluations == library.evaluations
+        assert evaluations == (303 if route == "dense-full" else 0)
+        # CSV columns and sweep rows carry no evaluations
+        code, out, _ = run_cli(capsys, ["compute", "--config", path,
+                                        "--format", "csv"])
+        assert "evaluations" not in out
+        path = write_json(tmp_path, "sweep.json", {
+            "base": cfg, "axis": "d", "values": [10.0]})
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path])
+        assert "evaluations" not in json.loads(out)[0]
 
     def test_zero_velocity(self, tmp_path, capsys):
         cfg = gold_config()
@@ -368,6 +395,25 @@ class TestConfigErrorPaths:
         "m-grid-bad-scale": ("spectra", None, ["--m-grid", "1:2:3:cubic"],
                              "--m-grid: scale must be"),
         "invalid-json": ("compute", None, [], "--config: invalid JSON"),
+        # numpy refuses these counts before it allocates anything
+        "sweep-count-too-large": ("sweep", _sweep(values={
+            "min": 1, "max": 2, "count": 10**30}), [],
+            ".values.count: cannot make a grid"),
+        "sweep-log-count-too-large": ("sweep", _sweep(values={
+            "min": 1, "max": 2, "count": 10**30, "scale": "log"}), [],
+            ".values.count: cannot make a grid"),
+        "m-grid-count-too-large": ("spectra", None,
+                                   ["--m-grid", f"1:2:{10**30}"],
+                                   "--m-grid: cannot make a grid"),
+        "m-grid-log-count-too-large": ("spectra", None,
+                                       ["--m-grid", f"1:2:{10**30}:log"],
+                                       "--m-grid: cannot make a grid"),
+        "compute-nested-too-deeply": ("compute", None, [],
+                                      "--config: invalid JSON: nested too "
+                                      "deeply"),
+        "sweep-nested-too-deeply": ("sweep", None, [],
+                                    "--config: invalid JSON: nested too "
+                                    "deeply"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -377,10 +423,32 @@ class TestConfigErrorPaths:
         path = write_json(tmp_path, "cfg.json", edit(cfg) if edit else cfg)
         if case == "invalid-json":
             (tmp_path / "cfg.json").write_text('{"route": ')
+        elif case.endswith("nested-too-deeply"):
+            # past the recursion limit of the JSON decoder
+            (tmp_path / "cfg.json").write_text("[" * 200_000 + "]" * 200_000)
         code, out, err = run_cli(capsys, [command, "--config", path, *extra])
         assert (code, out) == (2, "")
         assert err.endswith("\n") and err.count("\n") == 1
         assert err.startswith(f"config error: {where}")
+
+    @pytest.mark.parametrize("command", ["sweep", "spectra"])
+    def test_grid_out_of_memory(self, tmp_path, capsys, monkeypatch, command):
+        # numpy's MemoryError on a grid it cannot allocate, raised here by
+        # a stand-in so that nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        cfg, extra = gold_config(route="dense-full"), ["--m-grid", "1:2:3"]
+        if command == "sweep":
+            cfg = {"base": cfg, "axis": "d",
+                   "values": {"min": 1, "max": 2, "count": 3}}
+            extra = []
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, [command, "--config", path, *extra])
+        assert (code, out) == (2, "")
+        where = ".values.count" if command == "sweep" else "--m-grid"
+        assert err == f"config error: {where}: cannot make a grid of 3 values\n"
 
 
 class TestQuadratureBlock:
@@ -832,6 +900,22 @@ class TestValidate:
         assert out[-1] == ("24/26 checks passed "
                            "(2 known-inconsistent benchmark figures)")
         assert code == 1
+
+    def test_json_records_match_the_text_lines(self, capsys):
+        text = run_cli(capsys, ["validate"])
+        assert run_cli(capsys, ["validate", "--format", "text"]) == text
+        code, out, _ = run_cli(capsys, ["validate", "--format", "json"])
+        records = json.loads(out)
+        assert code == text[0] == 1
+        lines = text[1].splitlines()[:-1]
+        assert [re.match(r"\[(PASS|FAIL)\] +(\S+) ", line).groups()
+                for line in lines] == [("PASS" if r["passed"] else "FAIL",
+                                        r["criterion"]) for r in records]
+        assert [(r["criterion"], r["tolerance"]) for r in records] \
+            == [(criterion, tol) for _, criterion, tol in VALIDATE_LINES]
+        assert all(sorted(r) == ["criterion", "detail", "expected", "measured",
+                                 "name", "passed", "quadrature_error",
+                                 "tolerance"] for r in records)
 
 
 class TestParser:

@@ -680,3 +680,81 @@ class TestTableTerms:
         refs = weakref.ref(plate), weakref.ref(vars(plate)["_terms"])
         del plate
         assert [ref() for ref in refs] == [None, None]
+
+
+def lorentz_table(n, centre, scale=1.0):
+    """n samples over [0, 4] eV of a Lorentzian 0.4 eV wide at ``centre``
+    (eV), height ``scale``, set to 0 at m = 0: plain arithmetic, no
+    response of its own."""
+    m = np.linspace(0.0, 4.0, n)
+    v = scale / (1.0 + ((m - centre) / 0.4) ** 2)
+    v[0] = 0.0
+    return Tabulated(m, v)
+
+
+def _plates(m1, m2, t_k, d_nm=10.0, densities=(None, None)):
+    return fr.PlateSystem(MediumSpec(m1, densities[0]),
+                          MediumSpec(m2, densities[1]), d_nm, 100.0, t_k)
+
+
+SOFT, STIFF = Drude(5.0, 0.1), Drude(12.0, 0.01)
+
+PINNED_CALLS = {
+    "drop-gold": lambda: fr.friction_dense(_plates(GOLD, GOLD, 300.0), "drop"),
+    "keep-gold": lambda: fr.friction_dense(_plates(GOLD, GOLD, 300.0), "keep"),
+    "drop-drude-pair": lambda: fr.friction_dense(
+        _plates(SOFT, STIFF, 77.0), "drop"),
+    "keep-drude-pair": lambda: fr.friction_dense(
+        _plates(SOFT, STIFF, 900.0, 3.0), "keep"),
+    "drop-table-drude": lambda: fr.friction_dense(
+        _plates(lorentz_table(36, 1.2), GOLD, 150.0), "drop"),
+    "drop-table-drude-hot": lambda: fr.friction_dense(
+        _plates(lorentz_table(400, 2.0), SOFT, 1000.0), "drop"),
+    "drop-table-table": lambda: fr.friction_dense(
+        _plates(lorentz_table(200, 1.2), lorentz_table(48, 2.0), 300.0),
+        "drop"),
+    "dilute": lambda: fr.friction_dilute(_plates(
+        lorentz_table(100, 1.2, 5e-3), lorentz_table(300, 2.0, 2e-3), 300.0,
+        densities=(0.05, 0.02))),
+    "hybrid-drude": lambda: fr.friction_hybrid(
+        MediumSpec(lorentz_table(100, 1.2, 5e-3)), STIFF, 10.0, 100.0, 300.0),
+    "hybrid-table": lambda: fr.friction_hybrid(
+        MediumSpec(lorentz_table(100, 1.2, 5e-3)), lorentz_table(48, 2.0),
+        5.0, 100.0, 150.0),
+}
+
+# float.hex of force, H0 and quadrature_error, and evaluations, of each
+# call above.  Changes that only make the engine cheaper keep every bit;
+# a change that moves these numbers on purpose re-records this table and
+# says so.
+PINNED = {
+    "drop-gold": ("0x1.21868926809dfp-35", "0x1.3ad9d72d46243p-143",
+                  "0x1.2106da5318534p-33", 303),
+    "keep-gold": ("0x1.5c0f5c092ce13p-35", "0x1.7a816b212f0b9p-143",
+                  "0x1.211ca8b41a9cap-33", 303),
+    "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
+                        "0x1.21a544b52a349p-33", 318),
+    "keep-drude-pair": ("0x1.1be22c4653f7bp-24", "0x1.40137b6a51379p-139",
+                        "0x1.11ee10e5b4bd6p-33", 318),
+    "drop-table-drude": ("0x1.0c7c95913ced6p-25", "0x1.23f8c4bbcf06bp-133",
+                         "0x1.4c29134fe14cbp-27", 392),
+    "drop-table-drude-hot": ("0x1.f60b0deb21337p-18",
+                             "0x1.10fa9e5e65122p-125",
+                             "0x1.5590e71f84f89p-27", 4188),
+    "drop-table-table": ("0x1.35e9b4bec23a0p-11", "0x1.51058aec6c7dbp-119",
+                         "0x1.2418f8a1b7694p-27", 1518),
+    "dilute": ("0x1.19aab703b96e0p-31", "0x1.e4ecadfc5b768p-135",
+               "0x1.235af9392a86dp-27", 1428),
+    "hybrid-drude": ("0x1.365a66406109fp-91", "0x1.d1e6ee037a12dp-142",
+                     "0x1.2c00303b1a6fep-27", 1052),
+    "hybrid-table": ("0x1.fe3b05ba4cfa5p-75", "0x1.7efaa14d0acd0p-130",
+                     "0x1.4ca0512ad3d73p-27", 738),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_bits(case):
+    res = PINNED_CALLS[case]()
+    assert res.converged
+    assert (res.force.hex(), res.h0.hex(), res.quadrature_error.hex(),
+            res.evaluations) == PINNED[case]

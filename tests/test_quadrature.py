@@ -434,7 +434,8 @@ def test_panels_match_per_row_dot():
     # The rule sums each panel's row as np.dot sums it alone, whatever
     # the number of rows evaluated with it.  Rows with inf on a Gauss
     # node (k15 = g7 = inf: a silent nan error), -inf on a Kronrod node
-    # and nan are among them.
+    # and nan are among them.  Each panel's nodes are mid + half*_XGK,
+    # bit for bit, and ``job`` reaches f as it was passed.
     rng = np.random.default_rng(5)
     for n in range(1, 65):
         rows = (rng.standard_normal((n, 15))
@@ -445,18 +446,29 @@ def test_panels_match_per_row_dot():
                 row[specials[kind][0]] = specials[kind][1]
         lo = np.sort(rng.uniform(-5.0, 5.0, n))
         hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, n)
-        expected = []
+        expected, nodes = [], []
         for p, q, row in zip(lo.tolist(), hi.tolist(), rows):
             h = 0.5 * (q - p)
             k15 = h * float(np.dot(_WGK, row))
             g7 = h * float(np.dot(_WG, row[_GAUSS_IDX]))
             expected.append((k15, abs(k15 - g7)))
+            nodes.append(0.5 * (p + q) + h * _XGK)
         edges = list(zip(lo.tolist(), hi.tolist()))
+        job = np.arange(15 * n) % 3
+        calls = []
+
+        def f(x, job):
+            calls.append((x.copy(), job))
+            return rows.ravel()
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _panels(lambda x: rows.ravel(), edges)
+            got = _panels(f, lo.tolist(), hi.tolist(), job)
         assert [p[1:3] for p in got] == edges
         assert repr([(k15, err) for err, _, _, k15 in got]) == repr(expected), n
+        [(x, seen_job)] = calls
+        assert x.tobytes() == np.concatenate(nodes).tobytes(), n
+        assert seen_job is job
 
 
 def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
