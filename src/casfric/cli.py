@@ -6,7 +6,7 @@ Subcommands:
     sweep    --config sweep.json [--format json|csv] [--out PATH]
     compare  --config cfg.json [--format json|csv] [--out PATH]
     spectra  --config cfg.json --m-grid MIN:MAX:COUNT[:log|lin] [--u U] ...
-    validate [--format text|json]
+    validate
 
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -429,17 +429,13 @@ def cmd_spectra(args) -> int:
 
 def cmd_validate(args) -> int:
     results = validation.run_all()
+    for r in results:
+        print(r.line())
     n_fail = sum(1 for r in results if not r.passed)
-    if args.format == "json":
-        print(json.dumps([asdict(r) for r in results], indent=2))
-    else:
-        for r in results:
-            print(r.line())
-        known = sum(1 for r in results if not r.passed
-                    and r.criterion in validation.EXPECTED_FAILURES)
-        print(f"{len(results) - n_fail}/{len(results)} checks passed"
-              + (f" ({known} known-inconsistent benchmark figures)"
-                 if known else ""))
+    known = sum(1 for r in results
+                if not r.passed and r.criterion in validation.EXPECTED_FAILURES)
+    print(f"{len(results) - n_fail}/{len(results)} checks passed"
+          + (f" ({known} known-inconsistent benchmark figures)" if known else ""))
     return EXIT_OK if n_fail == 0 else 1
 
 
@@ -481,9 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="MIN:MAX:COUNT[:log|lin] in eV")
     sp.add_argument("--u", type=float, default=1.0,
                     help="transverse mode u = q*d for the channel products")
-    vp = sub.add_parser("validate", help="run the acceptance checks")
-    vp.add_argument("--format", choices=("text", "json"), default="text",
-                    help="one line per check, or the check records as JSON")
+    sub.add_parser("validate", help="run the acceptance checks")
     return parser
 
 

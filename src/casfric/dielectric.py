@@ -451,7 +451,7 @@ def drude_spectral_value(model: Drude, m):
     sigma = model.damping_ev
     m_arr = np.asarray(m, dtype=float)
     num = (ep2 / math.pi) * sigma * m_arr
-    if not np.maximum.reduce(np.abs(m_arr), initial=0.0) > _M_FAR:
+    if not np.maximum.reduce(np.abs(m_arr), axis=None, initial=0.0) > _M_FAR:
         den = ep2 - m_arr ** 2
         den **= 2
         damp = sigma * m_arr

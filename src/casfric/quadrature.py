@@ -106,7 +106,7 @@ def _panels(f, lo, hi, job):
     """G7/K15 on the panels [lo[i], hi[i]], all 15*len(lo) nodes in one
     call ``f(x, job)`` -> the panels as (|k15-g7|, lo, hi, k15), the
     rule's numbers Python floats."""
-    a, b = np.array(lo), np.array(hi)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     half = 0.5 * (b - a)
     x = half[:, None] * _XGK
     x += (0.5 * (a + b))[:, None]

@@ -901,22 +901,6 @@ class TestValidate:
                            "(2 known-inconsistent benchmark figures)")
         assert code == 1
 
-    def test_json_records_match_the_text_lines(self, capsys):
-        text = run_cli(capsys, ["validate"])
-        assert run_cli(capsys, ["validate", "--format", "text"]) == text
-        code, out, _ = run_cli(capsys, ["validate", "--format", "json"])
-        records = json.loads(out)
-        assert code == text[0] == 1
-        lines = text[1].splitlines()[:-1]
-        assert [re.match(r"\[(PASS|FAIL)\] +(\S+) ", line).groups()
-                for line in lines] == [("PASS" if r["passed"] else "FAIL",
-                                        r["criterion"]) for r in records]
-        assert [(r["criterion"], r["tolerance"]) for r in records] \
-            == [(criterion, tol) for _, criterion, tol in VALIDATE_LINES]
-        assert all(sorted(r) == ["criterion", "detail", "expected", "measured",
-                                 "name", "passed", "quadrature_error",
-                                 "tolerance"] for r in records)
-
 
 class TestParser:
     """The parser is built once and shared by every ``main`` call."""

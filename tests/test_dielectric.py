@@ -142,6 +142,17 @@ class TestSpectralDensity:
         assert abs(got - ref) <= 1e-14 * ref
         assert grid.tolist() == [float(dl.drude_spectral_value(GOLD, EP)), got]
 
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+    def test_drude_value_on_a_2d_grid(self, far):
+        # a meshgrid of m gives the values of the same points passed flat
+        m = np.array([[0.0, 1e-3, EP], [3.0, 40.0, 1e77 if far else 1e3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = dl.drude_spectral_value(GOLD, m)
+            flat = dl.drude_spectral_value(GOLD, m.ravel())
+        assert grid.shape == m.shape
+        assert grid.ravel().tolist() == flat.tolist()
+
     def test_plasma_is_delta_line(self):
         # the whole strength is one line at e_p, named in the error
         with pytest.raises(DeltaLineError, match=r"^Drude\(plasma_energy_ev="

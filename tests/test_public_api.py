@@ -94,6 +94,8 @@ def test_no_module_reads_the_environment():
 # parameter that is read but cancels from the result (as beta once did in
 # oscillator_stats.sample_pair_correlators) passes this check unseen.
 IDLE_PARAMETERS = {
+    ("cli.py", "cmd_validate", "args"):
+        "every command takes the parsed arguments from main's dispatch",
     ("quadrature.py", "<lambda>", "job"):
         "integrate_finite and integrate_semi_infinite adapt f(x) to a "
         "one-job f(x, job)",

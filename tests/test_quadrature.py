@@ -316,6 +316,10 @@ class TestBatchedPasses:
         assert_plain(integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 1.0,
                                              QuadratureSpec(
                                                  max_subdivisions=50)))
+        # int endpoints are taken as floats: as int64, b - a would wrap
+        wide = integrate_finite(np.ones_like, -5 * 10**18, 5 * 10**18)
+        assert_plain(wide)
+        assert wide.converged and wide.value == 1e19
 
 
 def by_job(integrands):
