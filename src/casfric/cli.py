@@ -277,7 +277,7 @@ def _result_fields(result: FrictionResult) -> dict:
 
 # The fields in a row of a compute or sweep table, after its first column.
 _ROW_FIELDS = ("force", "force_units", "H0", "G", "quadrature_error",
-               "converged")
+               "converged", "evaluations")
 
 
 def _write(fmt, out_path, columns, rows, payload=None):

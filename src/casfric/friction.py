@@ -34,7 +34,10 @@ closed form below is exact.
 Every numeric route takes its H0 from one :func:`h0_overlap` call on two
 :class:`~casfric.dielectric.SpectralDensity` objects, and every route
 assembles its result as F = G * v * H0 in one place (``_result``); the
-closed form passes its H0 as an exact integral.  Undamped Drude media
+closed form passes its H0 as an exact integral.  The screening of
+"keep" (both surface responses and Li4) costs more per call than the
+spectra it multiplies, so ``h0_overlap`` evaluates it in one call on
+its probe and the first Kronrod pass together.  Undamped Drude media
 have no continuous spectral density: they raise
 :class:`~casfric.errors.DeltaLineError`.
 """
@@ -55,7 +58,7 @@ from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
 from .errors import DomainError, UnsupportedModelError
 from .polylog import LI4_REL_ERR, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
-                         integrate_finite)
+                         initial_nodes, integrate_finite)
 
 DenominatorMode = Literal["drop", "keep"]
 
@@ -155,6 +158,15 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     magnitudes involved (~hbar), and the integration is truncated where
     the exponential thermal envelope provably kills the integrand; the
     bound is checked, not assumed.
+
+    ``extra_factor`` must be elementwise.  It is called once on the probe
+    together with the nodes of the initial panels built around the peak
+    of the bare product S1*S2/sinh**2 on the probe, and then once for
+    each later pass of the adaptive rule.  Where the factor moves the
+    probed peak to another point, the panels are built around that point
+    instead, the factor is evaluated on them as on a later pass, and
+    ``evaluations`` counts the unused nodes too.  Either way the result
+    is that of probing with the factor and then integrating.
     """
     if spec is None:
         spec = default_spec()
@@ -173,19 +185,22 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
 
     pref = 0.5 * math.pi * beta * units.HBAR_JS
 
-    def integrand(m):
-        # pref*S1*S2*csch2(*extra) in this order, each product in place
+    def integrand(m, factor=None):
+        # pref*S1*S2*csch2(*factor) in this order, each product in place
         out = pref * s1.value(m)
         out *= s2.value(m)
         out *= _csch2_half(beta * m)
-        if extra_factor is not None:
-            out *= extra_factor(m)
+        if factor is not None:
+            out *= factor
         return out
 
-    def scaled(m):
-        out = integrand(m)
-        out /= scale
-        return out
+    def splits(m_star):
+        # Split points past the cap are dropped by the engine.  Octave
+        # edges across the thermal window: every initial panel where the
+        # weight still carries mass is at most an octave wide, so the
+        # first Kronrod pass cannot step over the decay region.
+        return [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
+                *(octave / beta for octave in _OCTAVES)]
 
     # Deterministic probe of the integrand magnitude: geometric sweep of
     # the full range plus the thermal scale and the supplied peaks.  The
@@ -200,7 +215,21 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
     probe_grid[:-1].sort()
     vals = integrand(probe_grid)
-    tail_val, evals = float(vals[-1]), len(vals)
+    evals = len(vals)
+    # The factor on the nodes of the engine's first call, if the screened
+    # probe peaks where the bare one does and the panels stay as built.
+    first_pass = []
+    if extra_factor is not None:
+        grid, bare = probe_grid, np.abs(vals[:-1])
+        guess = int(bare.argmax())
+        if 0.0 < bare[guess] < math.inf:
+            grid = np.concatenate((probe_grid, initial_nodes(
+                0.0, m_cap, splits(float(probe_grid[guess])))))
+        factor = extra_factor(grid)
+        vals *= factor[:evals]
+        first_pass.append(factor[evals:])
+        evals = len(factor)
+    tail_val = float(vals[-1])
     probe_abs = np.abs(vals[:-1])
     peak = int(probe_abs.argmax())
     scale = float(probe_abs[peak])
@@ -208,15 +237,21 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         if not math.isfinite(scale):
             return IntegralResult(math.nan, math.inf, evals, False)
         return IntegralResult(0.0, 0.0, evals, True)
+    if first_pass and peak == guess:
+        evals -= len(first_pass[0])
+    else:
+        first_pass.clear()
 
-    m_star = float(probe_grid[peak])
-    # Split points past the cap are dropped by the engine.  Octave edges
-    # across the thermal window: every initial panel where the weight
-    # still carries mass is at most an octave wide, so the first Kronrod
-    # pass cannot step over the decay region.
-    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window]
-    splits += [octave / beta for octave in _OCTAVES]
-    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
+    def scaled(m):
+        factor = None
+        if extra_factor is not None:
+            factor = first_pass.pop() if first_pass else extra_factor(m)
+        out = integrand(m, factor)
+        out /= scale
+        return out
+
+    res = integrate_finite(scaled, 0.0, m_cap, spec,
+                           split_points=splits(float(probe_grid[peak])))
 
     # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying

@@ -101,14 +101,20 @@ class TestCompute:
         evaluations = json.loads(out)["result"]["evaluations"]
         assert evaluations == library.evaluations
         assert evaluations == (303 if route == "dense-full" else 0)
-        # CSV columns and sweep rows carry no evaluations
+        # the CSV row and the sweep rows, JSON and CSV, carry it too
         code, out, _ = run_cli(capsys, ["compute", "--config", path,
                                         "--format", "csv"])
-        assert "evaluations" not in out
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["evaluations"] for row in rows] == [str(evaluations)]
         path = write_json(tmp_path, "sweep.json", {
-            "base": cfg, "axis": "d", "values": [10.0]})
+            "base": cfg, "axis": "d", "values": [10.0, 20.0]})
         code, out, _ = run_cli(capsys, ["sweep", "--config", path])
-        assert "evaluations" not in json.loads(out)[0]
+        assert [row["evaluations"] for row in json.loads(out)] == \
+            [evaluations] * 2
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path,
+                                        "--format", "csv"])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["evaluations"] for row in rows] == [str(evaluations)] * 2
 
     def test_zero_velocity(self, tmp_path, capsys):
         cfg = gold_config()
@@ -127,7 +133,7 @@ class TestCompute:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out_path.read_text())))
         assert rows[0] == ["route", "force", "force_units", "H0", "G",
-                           "quadrature_error", "converged"]
+                           "quadrature_error", "converged", "evaluations"]
         assert float(rows[1][1]) == pytest.approx(3.29e-11, rel=5e-3)
 
     def test_roundtrip_bit_identical(self, tmp_path, capsys):

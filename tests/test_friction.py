@@ -14,7 +14,8 @@ from casfric.dielectric import (Drude, MediumSpec, Tabulated, Vacuum,
                                 spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
 from casfric.polylog import LI4_REL_ERR
-from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
+from casfric.quadrature import (IntegralResult, QuadratureSpec,
+                                integrate_finite, integrate_semi_infinite)
 
 GOLD = Drude(9.0, 0.035)
 EP = math.sqrt(0.5) * 9.0
@@ -78,6 +79,45 @@ def nested_keep_h0(model1, model2, t_k):
                                   spec=QuadratureSpec(rel_tol=1e-7))
     assert res.converged and all(inner_converged)
     return res.value * scale
+
+
+def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
+                         extra_hints=()):
+    """Oracle of ``h0_overlap``: the integrand, factor included, on the
+    probe grid in one call, then the adaptive rule on panels built around
+    the probed peak, the factor evaluated anew on every pass, and the
+    tail bound; the integrand's products in the same order."""
+    if spec is None:
+        spec = QuadratureSpec()
+    beta = units.beta(temperature_k)
+    window = 40.0 / beta
+    hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
+    m_cap = min(max(window, *(10.0 * h for h in hints)),
+                s1.support_max, s2.support_max)
+    pref = 0.5 * math.pi * beta * units.HBAR_JS
+
+    def integrand(m):
+        out = pref * s1.value(m) * s2.value(m) * fr._csch2_half(beta * m)
+        return out if extra_factor is None else out * extra_factor(m)
+
+    grid = sorted([*(m_cap * fr._PROBE_UNIT),
+                   *(k / beta for k in range(1, 9) if k / beta < m_cap),
+                   *(h for h in hints if h < m_cap)])
+    vals = integrand(np.array(grid + [m_cap * fr._PAST_CAP]))
+    peak = int(np.argmax(np.abs(vals[:-1])))
+    scale = float(abs(vals[peak]))
+    assert 0.0 < scale < math.inf
+    m_star = grid[peak]
+    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
+              *(octave / beta for octave in fr._OCTAVES)]
+    res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
+                           split_points=splits)
+    tail_bound = abs(float(vals[-1]) / scale) / beta * 2.0
+    return IntegralResult(
+        res.value * scale, (res.error_estimate + tail_bound) * scale,
+        res.evaluations + len(vals),
+        res.converged and (res.value == 0.0
+                           or tail_bound <= spec.target(res.value)))
 
 
 class TestClosedForm:
@@ -622,10 +662,13 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
                                       spec):
     """Each density is evaluated once by the probe (with the tail-bound
     point) and once by the single pass of the adaptive rule, on gold and
-    on a 36-sample table against a near-gold plate at 150 K: the screened
-    route's fixed cost per call is paid twice per force."""
-    densities = []
+    on a 36-sample table against a near-gold plate at 150 K.  The
+    screening of "keep" (both surface responses and Li4) is evaluated in
+    one call, on the probe and that pass together, so what a call of it
+    costs whatever its size is paid once per force."""
+    densities, screening = [], []
     real = fr.spectral_density
+    real_factor = fr._screening_factor
 
     def counted_density(model):
         sd = real(model)
@@ -638,11 +681,111 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
 
         return dataclasses.replace(sd, value=value)
 
+    def counted_factor(z):
+        screening.append(len(z))
+        return real_factor(z)
+
     monkeypatch.setattr(fr, "spectral_density", counted_density)
+    monkeypatch.setattr(fr, "_screening_factor", counted_factor)
     res = fr.friction_dense(system, denominators, spec)
     assert res.converged
     assert [len(calls) for calls in densities] == [2, 2]
     assert [sum(calls) for calls in densities] == [res.evaluations] * 2
+    assert screening == ([] if denominators == "drop" else [res.evaluations])
+
+
+class TestOneScreeningCall:
+    """``h0_overlap`` evaluates its factor once on the probe and the
+    initial panels around the bare product's peak: the same result as
+    probing and then integrating, and the same cost where the factor
+    leaves the peak where it was."""
+
+    @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
+                                      "keep-table", "keep-table-one-pass"])
+    def test_matches_probe_then_integrate(self, monkeypatch, case):
+        calls = []
+        real = fr.h0_overlap
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fr, "h0_overlap", recorded)
+        if case == "keep-table":
+            fr.friction_dense(_plates(bump_plate(24), GOLD, 150.0), "keep")
+        elif case == "keep-table-one-pass":
+            fr.friction_dense(table_system(two_bump_plate(36)), "keep",
+                              TABLE_KEEP_SPEC)
+        else:
+            PINNED_CALLS[case]()
+        (args,) = calls
+        assert args[4] is not None  # the screening factor
+        got, want = real(*args), probe_then_integrate(*args)
+        assert want.converged
+        assert (got.value, got.error_estimate, got.converged,
+                got.evaluations) == (want.value, want.error_estimate,
+                                     want.converged, want.evaluations)
+
+    def test_factor_moves_the_peak(self):
+        """A narrow factor at 8 k_B*T lifts the gold product there above
+        its bare peak near 0: the panels are built around 8 k_B*T, and
+        the nodes evaluated around the bare peak count as evaluations."""
+        gold = spectral_density(GOLD)
+        beta = units.beta(300.0)
+        sizes = {"got": [], "want": []}
+
+        def bump(name):
+            def factor(m):
+                sizes[name].append(len(m))
+                return 1.0 + 1e3 * np.exp(-((m - 8.0 / beta) * 5.0 * beta) ** 2)
+            return factor
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fr.h0_overlap(gold, gold, 300.0, None, bump("got"))
+        want = probe_then_integrate(gold, gold, 300.0, None, bump("want"))
+        unused = sizes["got"][0] - sizes["want"][0]
+        assert unused > 0 and unused % 15 == 0
+        assert sizes["got"][1:] == sizes["want"][1:]
+        assert want.converged
+        assert (got.value, got.error_estimate, got.converged) == (
+            want.value, want.error_estimate, want.converged)
+        assert got.evaluations == want.evaluations + unused
+
+    def test_screening_factor_is_elementwise(self):
+        """Whether a call takes Li4 off the axis or its real-axis limit is
+        decided per call; one call now spans the probe and the first
+        panels, so the value at each z must not depend on the others."""
+        m = np.geomspace(1e-3, 60.0, 40)
+        z = np.concatenate((dense_alpha_retarded(GOLD, m)
+                            * dense_alpha_retarded(SOFT, m),
+                            [0.3 + 0.2j, -0.7 + 0.9j, 1.5j, -3.0 + 0.1j,
+                             5.0 + 2.0j, 1e3 - 1e2j]))
+        assert np.all(np.abs(z.imag) > fr._STEP * np.maximum(np.abs(z), 1.0))
+        alone = fr._screening_factor(z).tobytes()
+        for other in ([0.5 + 0j], [-2.0 + 1e-40j], [1.0, 3.0, -1e4],
+                      dense_alpha_retarded(GOLD, np.linspace(1.0, 9.0, 200))
+                      ** 2):
+            other = np.asarray(other, dtype=complex)
+            both = fr._screening_factor(np.concatenate((z, other)))
+            assert both[:z.size].tobytes() == alone
+            both = fr._screening_factor(np.concatenate((other, z)))
+            assert both[other.size:].tobytes() == alone
+
+    def test_table_response_is_elementwise(self):
+        """A table's retarded response picks its exact or Kronrod form and
+        its row blocks per call; the value at each m must not depend on
+        the other energies of the call."""
+        plate = two_bump_plate(36)
+        m = np.geomspace(1e-3, 4.0, 30)  # all in the exact form's reach
+        alone = dense_alpha_retarded(plate, m).tobytes()
+        far = np.geomspace(1e3, 1e6, 5)
+        many = np.linspace(0.01, 4.0, 600)  # past one row block
+        for other in (far, many, np.concatenate((far, many))):
+            both = dense_alpha_retarded(plate, np.concatenate((m, other)))
+            assert both[:m.size].tobytes() == alone
+            both = dense_alpha_retarded(plate, np.concatenate((other, m)))
+            assert both[other.size:].tobytes() == alone
 
 
 class TestTableTerms:
