@@ -441,7 +441,7 @@ def cmd_validate(args) -> int:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([("--config", f"cannot read: {exc}")])

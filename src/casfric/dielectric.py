@@ -18,6 +18,7 @@ files in the dilute/hybrid routes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -111,32 +112,75 @@ class MediumSpec:
             raise DomainError("density_per_nm3 must be finite and > 0 when given")
 
 
+# A row of commas and blanks alone, which numpy reads as a blank row once
+# its commas are blanks, and the row loop as a row of no columns.
+_COMMA_ROW = re.compile(r"^[^\S\n]*(?:,[^\S\n]*)+(?:#|$)", re.MULTILINE)
+
+
 def load_tabulated(path) -> Tabulated:
-    """Read a two-column text file (m_eV, spectral_value); '#' comments.
-    Errors name the file: a bad row as ``path:line``, a bad table as
-    ``path``."""
-    ms, vs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{lineno}: expected two columns, got {raw!r}")
-            try:
-                m, v = float(parts[0]), float(parts[1])
-            except ValueError:
-                m = v = math.nan
-            if not (math.isfinite(m) and math.isfinite(v)):
-                raise DomainError(f"{path}:{lineno}: expected two finite numbers, "
-                                  f"got {raw!r}")
-            ms.append(m)
-            vs.append(v)
+    """Read a two-column text file (m_eV, spectral_value) in UTF-8, with
+    or without a byte-order mark: whitespace or commas between numbers,
+    '#' comments, blank lines.  Errors name the file: a bad row as
+    ``path:line``, a bad table as ``path``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    # One numpy parse reads a well-formed table.  The closing row "0 0"
+    # keeps loadtxt from warning on a file without data and turns a row
+    # of any other width into a parse error.  The row loop decides every
+    # other file, giving its arrays or its first bad row: a file with a
+    # row numpy refuses (numpy does not read 1_000 or non-ASCII digits,
+    # float() does), no data, a value not finite or a row of commas.
+    lines = text.replace(",", " ").split("\n")
+    lines.append("0 0")
     try:
-        return Tabulated(np.array(ms), np.array(vs))
+        data = np.loadtxt(lines, comments="#", ndmin=2)
+    except ValueError:
+        data = None
+    del lines    # before the columns are copied: it holds the most memory
+    if data is not None and len(data) > 1 and np.isfinite(data).all() \
+            and not ("," in text and _COMMA_ROW.search(text)):
+        m, v = data[:-1, 0].copy(), data[:-1, 1].copy()
+    else:
+        m, v = _read_rows(path, _file_lines(text))
+    try:
+        return Tabulated(m, v)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
+
+
+def _file_lines(text):
+    """The lines of ``text`` as iterating a text file gives them, split
+    after each "\\n" alone, one at a time: a StringIO would first copy
+    the text at four bytes a character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_rows(path, lines) -> tuple:
+    """The two columns of ``lines``, the file's lines with their "\\n",
+    read row by row with float(); the first bad row, in file order,
+    raises as ``path:line``."""
+    ms, vs = [], []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise DomainError(f"{path}:{lineno}: expected two columns, got {raw!r}")
+        try:
+            m, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            m = v = math.nan
+        if not (math.isfinite(m) and math.isfinite(v)):
+            raise DomainError(f"{path}:{lineno}: expected two finite numbers, "
+                              f"got {raw!r}")
+        ms.append(m)
+        vs.append(v)
+    return np.array(ms), np.array(vs)
 
 
 def _ep2(model) -> float:

@@ -218,6 +218,14 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == f"config error: .system.{key}: must be a finite number\n"
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        plain = write_json(tmp_path, "plain.json", gold_config())
+        marked = tmp_path / "marked.json"
+        marked.write_text("\ufeff" + json.dumps(gold_config()), encoding="utf-8")
+        expected = run_cli(capsys, ["compute", "--config", plain])
+        assert expected[0] == 0
+        assert run_cli(capsys, ["compute", "--config", str(marked)]) == expected
+
     @pytest.mark.parametrize("row", ["1.0 abc", "1.0 nan", "inf 0.2"])
     def test_bad_table_number_exit3(self, tmp_path, capsys, row):
         table = tmp_path / "plate.txt"
@@ -264,6 +272,8 @@ class TestMalformedInput:
         "config-not-utf8": ("--config", "cannot read: 'utf-8' codec"),
         "table-not-utf8": (".system.medium1.path",
                            "cannot read table: 'utf-8' codec"),
+        "table-not-utf8-late": (".system.medium1.path",
+                                "cannot read table: 'utf-8' codec"),
         "table-path-nul": (".system.medium1.path",
                            "cannot read table: embedded null byte"),
         "max-subdivisions-bool": (".quadrature.max_subdivisions",
@@ -289,9 +299,14 @@ class TestMalformedInput:
             system["medium1"] = {"preset": ["gold"]}
         elif case == "preset-unknown":
             system["medium2"] = {"preset": "silver"}
-        elif case == "table-not-utf8":
+        elif case.startswith("table-not-utf8"):
             table = tmp_path / "plate.txt"
-            table.write_bytes(b"0.0 0.0\n# \xff\n2.0 0.1\n")
+            data = b"0.0 0.0\n# \xff\n2.0 0.1\n"
+            if case == "table-not-utf8-late":
+                # a file not UTF-8 past its first 8 KiB exits 2 even
+                # after a bad row: the table is decoded before any row
+                data = b"0.0 abc\n" + b"1.0 0.1\n" * 2000 + b"# \xff\n"
+            table.write_bytes(data)
             system["medium1"] = {"model": "tabulated", "path": str(table)}
         elif case == "table-path-nul":
             system["medium1"] = {"model": "tabulated", "path": "plate\u0000.txt"}

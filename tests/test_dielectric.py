@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 import warnings
 
 import numpy as np
@@ -259,6 +261,201 @@ class TestTabulated:
                                               "finite numbers"):
             dl.load_tabulated(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("\ufeff# m value\n0.5 0.1\n1.0, 0.3\n",
+                        encoding="utf-8")
+        model = dl.load_tabulated(path)
+        assert list(model.m_ev) == [0.5, 1.0]
+        assert list(model.values) == [0.1, 0.3]
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("0.0 0.0\n0.5 0.1\n1.0 nan\n1.5 0.2\n2.0 0.2\n"
+                        "2.5 0.1\n3.0 0.1 7\n")
+        with pytest.raises(DomainError) as err:
+            dl.load_tabulated(path)
+        assert str(err.value) == (f"{path}:3: expected two finite numbers, "
+                                  "got '1.0 nan\\n'")
+
+    def test_bad_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("0.0 0.0\r\n1.0 0.1\r\n2.0 abc")
+        with pytest.raises(DomainError) as err:
+            dl.load_tabulated(path)
+        assert str(err.value) == (f"{path}:3: expected two finite numbers, "
+                                  "got '2.0 abc'")
+
+    @pytest.mark.parametrize("text", ["", "# m value\n\n   # none\n"],
+                             ids=["empty", "comments-only"])
+    def test_no_data_is_a_table_error(self, tmp_path, text):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                dl.load_tabulated(path)
+        assert str(err.value) == (f"{path}: tabulated model needs two "
+                                  "same-length 1-D columns with at least 2 "
+                                  "samples")
+
+    def test_well_formed_table_skips_the_row_loop(self, tmp_path, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("row loop entered")
+
+        m = np.linspace(0.0, 4.0, 50)
+        v = 0.1 * m * np.exp(-m)
+        path = tmp_path / "table.txt"
+        path.write_text("# m_eV, value\n" + "".join(
+            f"{a:.17g}, {b:.17g}  # row {i}\n" for i, (a, b) in
+            enumerate(zip(m, v))))
+        monkeypatch.setattr(dl, "_read_rows", refuse)
+        model = dl.load_tabulated(path)
+        assert model.m_ev.tobytes() == m.tobytes()
+        assert model.values.tobytes() == v.tobytes()
+
+    def test_generated_files_match_the_rowwise_reader(self, tmp_path,
+                                                      monkeypatch):
+        entered = []
+        read_rows = dl._read_rows
+
+        def spy(path, lines):
+            entered.append(path)
+            return read_rows(path, lines)
+
+        monkeypatch.setattr(dl, "_read_rows", spy)
+        rng = random.Random(20)
+        outcomes = collections.Counter()
+        for i in range(800):
+            data, malformed = generated_table(rng)
+            path = tmp_path / f"t{i}.txt"
+            path.write_bytes(data)
+            try:
+                expected = rowwise_load_tabulated(path)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as err:
+                    dl.load_tabulated(path)
+                assert str(err.value) == str(exc), data
+                outcomes["error", malformed] += 1
+            else:
+                got = dl.load_tabulated(path)
+                assert got.m_ev.dtype == got.values.dtype == np.float64
+                assert got.m_ev.tobytes() == expected.m_ev.tobytes(), data
+                assert got.values.tobytes() == expected.values.tobytes(), data
+                outcomes["loaded", malformed] += 1
+            assert (entered[-1:] == [path]) == malformed, data
+        # tables and errors, each by both paths
+        assert min(outcomes.values()) >= 50 and len(outcomes) == 4
+
+
+def rowwise_load_tabulated(path) -> dl.Tabulated:
+    """Oracle of ``load_tabulated``: the row-by-row reader it replaced,
+    one float() per field; the file read as UTF-8 without a byte-order
+    mark."""
+    ms, vs = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise DomainError(f"{path}:{lineno}: expected two columns, got {raw!r}")
+            try:
+                m, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                m = v = math.nan
+            if not (math.isfinite(m) and math.isfinite(v)):
+                raise DomainError(f"{path}:{lineno}: expected two finite numbers, "
+                                  f"got {raw!r}")
+            ms.append(m)
+            vs.append(v)
+    try:
+        return dl.Tabulated(np.array(ms), np.array(vs))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+_SEPARATORS = (" ", "\t", ",", ", ", "\xa0", "\f")
+_OTHER_DIGITS = ("\u0660", "\uff10")    # Arabic-Indic and fullwidth zeros
+_JUNK = ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "abc", "1e", "--1",
+         "0x10", "1.2.3", "\"1\"", "1\x002", "1j", ".")
+
+
+def _written(rng, x) -> tuple:
+    """x >= 0 in one of the forms float() reads, and whether numpy's
+    parser refuses it: 1_000 and non-ASCII digits, each drawn for about
+    one number in 40."""
+    draw = rng.random()
+    if draw < 0.025:
+        token = f"{round(x):_}"
+        return token, "_" in token
+    if draw < 0.05:
+        zero = ord(rng.choice(_OTHER_DIGITS))
+        return "".join(chr(zero + int(c)) if c.isdigit() else c
+                       for c in f"{x:.6g}"), True
+    form = rng.randrange(6)
+    if form == 0:
+        return f"{x:.6g}", False
+    if form == 1:
+        return str(round(x)), False
+    if form == 2:
+        return f"+{x:.4f}".replace("+0.", "+."), False
+    if form == 3:
+        return f"{round(x)}.", False
+    if form == 4:
+        return f"{x:.5{rng.choice('eE')}}", False
+    return f"{x:.17g}", False
+
+
+def generated_table(rng) -> tuple:
+    """A seeded table file as bytes, and whether it is malformed for the
+    numpy parse: a row of 1 or 3 fields, a number numpy refuses or that
+    is not finite, or no data.  Rows of 0-3 fields, separators of space,
+    tab, comma, NBSP and form feed, whole-line and trailing comments,
+    blank lines, LF, CRLF and CR line ends, and a final newline or not.
+    m rises by more than 1 a row, so that rounding keeps it increasing
+    and most well-formed files load."""
+    lines, malformed, data_rows = [], False, 0
+    m = rng.choice([0.0, rng.uniform(1.0, 2.0)])
+    for _ in range(rng.randrange(0, 12)):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(rng.choice(["", "  ", "\t", "# m_eV, value",
+                                     " # 1 2 3", "#"]))
+            continue
+        fields = 2
+        if kind < 0.1:
+            fields = rng.choice([1, 3])
+        elif kind < 0.12:
+            fields = 0
+        tokens = []
+        for _ in range(fields):
+            if rng.random() < 0.01:
+                tokens.append(rng.choice(_JUNK))
+                malformed = True
+            else:
+                value = rng.uniform(0.0, 2000.0) if tokens and m else 0.0
+                token, refused = _written(rng, value if tokens else m)
+                tokens.append(token)
+                malformed |= refused
+        m += rng.uniform(1.01, 400.0)
+        if not fields and rng.random() < 0.3:
+            tokens = [",", ", ,"][rng.randrange(2):]    # a row of no columns
+            malformed = True
+        row = rng.choice(["", " ", "\t"]) + "".join(
+            t + rng.choice(_SEPARATORS) for t in tokens[:-1]) + "".join(tokens[-1:])
+        if rng.random() < 0.1:
+            row += rng.choice([" ", "\t", ""]) + "# note, 1 2"
+        lines.append(row)
+        if fields:
+            data_rows += 1
+            malformed |= fields != 2
+    malformed |= data_rows == 0
+    text = "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8"), malformed
 
 # 24 samples from m = 0; the oracle and broadening tests below use it.
 _M = np.linspace(0.0, 4.0, 24)
