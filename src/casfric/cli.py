@@ -11,7 +11,9 @@ Subcommands:
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
 undamped Drude model.  Exit codes: 0 success, 2 configuration error,
-3 physics-domain error, 4 a result that did not converge.  No
+3 physics-domain error, 4 a result that did not converge, 141 (128 +
+SIGPIPE, as a shell reports a command the signal ends) stdout closed
+before all output was written, as by ``casfric validate | head -1``.  No
 environment variable is read: quadrature tolerances come from a config's
 ``quadrature`` block or the library defaults.
 """
@@ -24,6 +26,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NONCONV = 4
+EXIT_PIPE = 141
 
 ROUTES = ("dilute", "dense-full", "drude-closed-form", "hybrid")
 SWEEP_AXES = ("d", "v", "T", "damping", "plasma_energy")
@@ -493,7 +497,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Buffered output meets a closed reader here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is left in the buffer to devnull,
+        # so that the flush at exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ correlators of two coupled half-planes live on the retarded branch, in
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -129,6 +130,18 @@ def pair_fourth_moment(alpha1: float, alpha2: float,
     return (term11, term12, term11 + term12)
 
 
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an integer >= ``least``; anything else, a float
+    among them, is a DomainError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
                             n_samples: int, seed: int):
     """Monte-Carlo estimate of the pair moments from the bivariate
@@ -137,48 +150,48 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     Returns a dict of estimates with standard errors:
     keys 's1s1', 's2s2', 's1s2', 'fourth' map to (mean, stderr) of the
     beta-scaled moments, sampled from the beta-scaled covariance of
-    :func:`pair_correlators`, so beta does not enter.  The
-    ``(n_samples, 2)`` normals are drawn in blocks of ``_BLOCK_ROWS``
-    rows (the same stream as one draw), and each block's mean and sum of
-    squared deviations are merged by the pairwise update of Chan, Golub &
-    LeVeque (1979), so memory does not grow with ``n_samples``.
+    :func:`pair_correlators`, so beta does not enter.  ``n_samples`` is
+    an integer >= 2 and ``seed`` an integer >= 0.  The ``(n_samples, 2)``
+    normals are drawn in blocks of ``_BLOCK_ROWS`` rows (the same stream
+    as one draw), and each block adds to the sums of v - c and (v - c)**2
+    of every sampled moment v, with c the first block's means (the
+    shifted sums of Chan, Golub & LeVeque, 1983), so memory does not
+    grow with ``n_samples``.
     """
     x = _stability(alpha1, alpha2, phi)
-    if n_samples < 2:
-        raise DomainError("n_samples must be >= 2 for a standard error")
+    n_samples = _whole(n_samples, "n_samples", 2)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],
                     [alpha1 * alpha2 * phi, alpha2]]) / (1.0 - x)
     chol = np.linalg.cholesky(cov)
-    rng = np.random.default_rng(seed)
     # Block buffers, reused: the normals, the two coordinates and the four
     # sampled moments s1^2, s2^2, s1*s2, (s1*s2)^2.
     rows = min(_BLOCK_ROWS, n_samples)
     z_buf = np.empty((rows, 2))
     s_buf = np.empty((2, rows))
     v_buf = np.empty((4, rows))
-    # Running count, means and sums of squared deviations of the moments.
-    n = 0
-    mean = np.zeros(4)
-    m2 = np.zeros(4)
+    shift = None
+    sums = np.zeros(4)
+    squares = np.zeros(4)
     for lo in range(0, n_samples, _BLOCK_ROWS):
         nb = min(_BLOCK_ROWS, n_samples - lo)
         z, v = z_buf[:nb], v_buf[:, :nb]
         rng.standard_normal(out=z)
-        s1, s2 = np.matmul(chol, z.T, out=s_buf[:, :nb])
-        np.multiply(s1, s1, out=v[0])
-        np.multiply(s2, s2, out=v[1])
-        np.multiply(s1, s2, out=v[2])
+        s = np.matmul(chol, z.T, out=s_buf[:, :nb])
+        np.multiply(s, s, out=v[:2])
+        np.multiply(s[0], s[1], out=v[2])
         np.multiply(v[2], v[2], out=v[3])
-        mean_b = v.mean(axis=1)
-        v -= mean_b[:, None]
-        v *= v
-        m2_b = v.sum(axis=1)
-        delta = mean_b - mean
-        total = n + nb
-        mean = mean + delta * (nb / total)
-        m2 = m2 + m2_b + delta * delta * (n * nb / total)
-        n = total
-    stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        if shift is None:
+            shift = v.mean(axis=1)[:, None]
+        v -= shift
+        # numpy's own loops, not BLAS: a threaded BLAS dot on rows this
+        # long wakes worker threads that spin between blocks, doubling
+        # the CPU time for a few percent of wall time.
+        sums += np.einsum("ij->i", v)
+        squares += np.einsum("ij,ij->i", v, v)
+    mean = shift[:, 0] + sums / n_samples
+    m2 = squares - sums * sums / n_samples
+    stderr = np.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
     s1s1, s2s2, s1s2, fourth = ((float(m), float(e)) for m, e in zip(mean, stderr))
     # connected part: subtract <s1 s2>^2 (propagating its error is
     # negligible next to the fourth-moment spread)

@@ -271,7 +271,7 @@ def _transform_draws():
 
 def _transforms(draws):
     """The integrals of g(lambda) cos(K lambda) over [0, beta] of every
-    draw, in one batch."""
+    draw, in one batch, each started on 4 equal panels."""
     oscs = [osc for osc, _, _ in draws]
     betas = [beta for _, beta, _ in draws]
     ks = np.array([k for _, _, k in draws])
@@ -279,7 +279,8 @@ def _transforms(draws):
     def f(lam, job):
         return g_imaginary_time(oscs, lam, betas, job) * np.cos(ks[job] * lam)
 
-    return integrate_many(f, [(0.0, beta, ()) for beta in betas],
+    return integrate_many(f, [(0.0, beta, [beta / 4, beta / 2, 3 * beta / 4])
+                              for beta in betas],
                           QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11))
 
 
@@ -315,10 +316,20 @@ def check_oscillators() -> list[CheckResult]:
 
 def _fd_jobs():
     """Criterion 8c's smoothings as (m, gamma, split points): each of the
-    20 grid points m at two broadenings gamma, split around the line of
-    half-width gamma/(2m) that the smoothing puts at m' = m."""
+    20 grid points m at two broadenings gamma, split at the features the
+    integrand is known to have.  The line of half-width gamma/(2m) that
+    the smoothing puts at m' = m is split at m, m +- 5 and 20 half-widths
+    and on a ladder m +- 2**k (2 half-widths) until it reaches 0 below
+    and passes e_p above; the surface-plasmon peak of width sigma at e_p
+    on the ladder e_p +- 10**k sigma inside (0, 2 e_p).  Split points <= 0
+    are dropped by the integration."""
     ep = math.sqrt(0.5) * GOLD.model.plasma_energy_ev
     sigma = GOLD.model.damping_ev
+    plasmon = [ep]
+    d = sigma
+    while d < ep:
+        plasmon += [ep - d, ep + d]
+        d *= 10.0
     jobs = []
     for m in np.geomspace(0.05, 1.8 * ep, 20).tolist():
         # The smoothing error is linear in gamma with coefficient set by
@@ -328,8 +339,15 @@ def _fd_jobs():
         w_scale = min(m * m, sigma * ep)
         for gam in (1e-3 * w_scale, 1e-4 * w_scale):
             halfwidth = gam / (2.0 * m)
-            jobs.append((m, gam, [m - 20 * halfwidth, m - 5 * halfwidth, m,
-                                  m + 5 * halfwidth, m + 20 * halfwidth, ep]))
+            line = [m - 20 * halfwidth, m - 5 * halfwidth, m,
+                    m + 5 * halfwidth, m + 20 * halfwidth]
+            d = 2.0 * halfwidth
+            while True:
+                line += [m - d, m + d]
+                if m - d <= 0.0 and m + d > ep:
+                    break
+                d *= 2.0
+            jobs.append((m, gam, line + plasmon))
     return jobs
 
 

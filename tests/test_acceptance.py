@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from casfric import geometry, units, validation
+from casfric import geometry, quadrature, units, validation
 from casfric.dielectric import Drude, spectral_density
 from casfric.oscillator_stats import OscillatorSpec, g_imaginary_time, gtilde
 from casfric.presets import GOLD
@@ -111,8 +111,9 @@ def test_criterion_7_draws_match_per_config_draws():
 
 
 # Criteria 8a and 8c integrate their families in one batch each.  The
-# oracles are the serial loops, one integral at a time: each batched
-# integral must equal its serial one, and so must the reported worst case.
+# oracles are the serial loops, one integral at a time, on the same split
+# points: each batched integral must equal its serial one, and so must the
+# reported worst case.
 
 def serial_transforms():
     rng = np.random.default_rng(11)
@@ -130,7 +131,8 @@ def serial_transforms():
         def f(lam, _o=osc, _b=beta, _k=k):
             return g_imaginary_time(_o, lam, _b) * np.cos(_k * lam)
 
-        res = integrate_finite(f, 0.0, beta, spec)
+        res = integrate_finite(f, 0.0, beta, spec,
+                               [beta / 4, beta / 2, 3 * beta / 4])
         results.append(res)
         worst = max(worst, validation._rel(res.value, gtilde(osc, k)))
     return results, worst
@@ -160,6 +162,18 @@ def serial_smoothings():
             halfwidth = gam / (2.0 * m)
             splits = [m - 20 * halfwidth, m - 5 * halfwidth, m,
                       m + 5 * halfwidth, m + 20 * halfwidth, ep]
+            # the line's ladder, out to 0 below and past e_p above
+            d = 2.0 * halfwidth
+            while True:
+                splits += [m - d, m + d]
+                if d >= m and m + d > ep:
+                    break
+                d *= 2.0
+            # the surface-plasmon peak's ladder, inside (0, 2 e_p)
+            d = sigma
+            while d < ep:
+                splits += [ep - d, ep + d]
+                d *= 10.0
             res = integrate_semi_infinite(smoothed, decay_scale=ep, spec=spec,
                                           split_points=[s for s in splits if s > 0])
             results.append(res)
@@ -183,3 +197,30 @@ def test_criterion_8c_batch_equals_serial_integrals(results):
     batch = validation._fd_smoothings(validation._fd_jobs())
     assert batch == serial
     assert _check(results, "8c").measured == worst
+
+
+@pytest.mark.parametrize("batch, calls, evaluations", [
+    pytest.param(lambda: validation._transforms(validation._transform_draws()),
+                 3, 13_200, id="8a"),
+    pytest.param(lambda: validation._fd_smoothings(validation._fd_jobs()),
+                 4, 43_425, id="8c"),
+])
+def test_batched_criteria_integrand_calls_and_evaluations(monkeypatch, batch,
+                                                          calls, evaluations):
+    # Machine-independent cost of the two batches: panels started at the
+    # known features leave few bisection passes.
+    sizes = []
+    engine = quadrature.integrate_many
+
+    def counting(f, jobs, spec=None):
+        def f_counted(x, job):
+            sizes.append(x.size)
+            return f(x, job)
+        return engine(f_counted, jobs, spec)
+
+    monkeypatch.setattr(quadrature, "integrate_many", counting)
+    monkeypatch.setattr(validation, "integrate_many", counting)
+    results = batch()
+    assert all(r.converged for r in results)
+    assert len(sizes) == calls
+    assert sum(sizes) == sum(r.evaluations for r in results) == evaluations

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -921,6 +925,48 @@ class TestValidate:
         assert out[-1] == ("24/26 checks passed "
                            "(2 known-inconsistent benchmark figures)")
         assert code == 1
+
+
+def _validate_process(stdout, unbuffered):
+    """``casfric validate`` in a child process writing to ``stdout``,
+    its stdout line-unbuffered or block-buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "casfric.cli", "validate"],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command quietly: no traceback,
+    no "Exception ignored" line at exit."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    def test_reader_gone_before_the_first_line_exits_141(self, unbuffered):
+        # Unbuffered, the first print meets the closed pipe; buffered,
+        # main's flush does.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _validate_process(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == cli.EXIT_PIPE == 141
+
+    def test_reader_closes_after_one_line(self):
+        # Whether the child writes past the closed reader depends on
+        # timing: it then exits 141, and otherwise with validate's 1.
+        proc = _validate_process(subprocess.PIPE, unbuffered=True)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"[PASS]  1a ")
+        assert err == b""
+        assert proc.returncode in (1, cli.EXIT_PIPE)
 
 
 class TestParser:

@@ -197,11 +197,13 @@ class TestPairStatistics:
         mean4, err4 = est["fourth"]
         assert abs(mean4 - osc.pair_fourth_moment(a1, a2, phi)[2]) < 3.0 * err4
 
-    @pytest.mark.parametrize("n_samples", [10, osc._BLOCK_ROWS + 1, 1_000_000])
-    def test_streaming_matches_one_shot(self, n_samples):
-        est = osc.sample_pair_correlators(1.4, 0.8, 0.35,
-                                          n_samples=n_samples, seed=7)
-        ref = one_shot_pair_correlators(1.4, 0.8, 0.35, n_samples, 7)
+    @pytest.mark.parametrize("args", [
+        pytest.param((1.4, 0.8, 0.35, n, 7), id=str(n))
+        for n in (10, osc._BLOCK_ROWS + 1, 1_000_000)] + [
+        pytest.param((1.0, 1.0, 0.5, 1_000_000, 20240817), id="criterion-8b")])
+    def test_streaming_matches_one_shot(self, args):
+        est = osc.sample_pair_correlators(*args)
+        ref = one_shot_pair_correlators(*args)
         assert est.keys() == ref.keys()
         for key, (mean, err) in ref.items():
             assert est[key][0] == pytest.approx(mean, rel=1e-12, abs=0.0)
@@ -220,6 +222,15 @@ class TestPairStatistics:
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
             osc.sample_pair_correlators(1.0, 1.0, 0.5, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("n_samples, seed", [
+        (1e6, 0), (2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None)],
+        ids=["float-count", "fractional-count", "text-count", "negative-seed",
+             "fractional-seed", "no-seed"])
+    def test_count_and_seed_are_whole_numbers(self, n_samples, seed):
+        with pytest.raises(DomainError):
+            osc.sample_pair_correlators(1.0, 1.0, 0.5, n_samples=n_samples,
+                                        seed=seed)
 
     def test_wick_factorization(self):
         # <s1^2 s2^2> = <s1^2><s2^2> + 2<s1 s2>^2 for the Gaussian weight
