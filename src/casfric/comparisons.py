@@ -23,17 +23,6 @@ from . import units
 from .errors import DomainError
 
 
-def _formed(name: str, formula) -> float:
-    """``formula()``, which must stay inside the float range."""
-    try:
-        out = formula()
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise DomainError(f"{name} leaves the float range")
-    return out
-
-
 def pendry_force(conductivity_over_eps0: float, d_m: float,
                  v_m_per_s: float) -> float:
     """Zero-temperature friction (Pa) of a constant-conductivity plate
@@ -42,8 +31,8 @@ def pendry_force(conductivity_over_eps0: float, d_m: float,
     if not (conductivity_over_eps0 > 0.0 and d_m > 0.0 and v_m_per_s > 0.0):
         raise DomainError("all Pendry inputs must be > 0")
     s = conductivity_over_eps0
-    return _formed("Pendry's force", lambda: 5.0 * units.HBAR_JS * v_m_per_s ** 3
-                   / (256.0 * math.pi ** 2 * s * s * d_m ** 6))
+    return units._formed("Pendry's force", lambda: 5.0 * units.HBAR_JS
+                         * v_m_per_s ** 3 / (256.0 * math.pi ** 2 * s * s * d_m ** 6))
 
 
 def ratio_to_pendry(temperature_k: float, v_m_per_s: float, d_m: float) -> float:
@@ -58,8 +47,8 @@ def ratio_to_pendry(temperature_k: float, v_m_per_s: float, d_m: float) -> float
         raise DomainError("all inputs must be > 0")
     kt = units.thermal_energy(temperature_k)
     motion_quantum = units.HBAR_EV_S * v_m_per_s / d_m
-    return _formed("the ratio to Pendry's force",
-                   lambda: (64.0 * math.pi ** 2 / 5.0) * (kt / motion_quantum) ** 2)
+    return units._formed("the ratio to Pendry's force",
+                         lambda: (64.0 * math.pi ** 2 / 5.0) * (kt / motion_quantum) ** 2)
 
 
 def vp_friction(four_pi_sigma: float, d_m: float, temperature_k: float,
@@ -77,7 +66,7 @@ def vp_friction(four_pi_sigma: float, d_m: float, temperature_k: float,
         raise DomainError("all VP inputs must be > 0")
     kt = units.thermal_energy(temperature_k)
     energy_scale = units.HBAR_EV_S * four_pi_sigma  # eV
-    coeff = _formed("the Volokitin-Persson coefficient",
-                    lambda: 0.3 * units.HBAR_JS / d_m ** 4 * (kt / energy_scale) ** 2)
-    return coeff, _formed("the Volokitin-Persson force", lambda: coeff * v_m_per_s)
+    coeff = units._formed("the Volokitin-Persson coefficient", lambda: 0.3
+                          * units.HBAR_JS / d_m ** 4 * (kt / energy_scale) ** 2)
+    return coeff, units._formed("the Volokitin-Persson force", lambda: coeff * v_m_per_s)
 

@@ -40,17 +40,18 @@ class Drude:
 
     ``plasma_energy_ev`` is hbar*omega_p, ``damping_ev`` is hbar*nu.  With
     damping_ev = 0 it is the collisionless plasma response,
-    eps = 1 - (omega_p/omega)**2.
+    eps = 1 - (omega_p/omega)**2.  Both energies are at most 1e76 eV, which
+    keeps every Drude spectrum and force inside the float range.
     """
 
     plasma_energy_ev: float
     damping_ev: float
 
     def __post_init__(self):
-        if not 0.0 < self.plasma_energy_ev < math.inf:
-            raise DomainError("plasma_energy_ev must be finite and > 0")
-        if not 0.0 <= self.damping_ev < math.inf:
-            raise DomainError("damping_ev must be finite and >= 0")
+        if not 0.0 < self.plasma_energy_ev <= _M_FAR:
+            raise DomainError(f"plasma_energy_ev must be finite and in (0, {_M_FAR:g}] eV")
+        if not 0.0 <= self.damping_ev <= _M_FAR:
+            raise DomainError(f"damping_ev must be finite and in [0, {_M_FAR:g}] eV")
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,8 @@ _BLOCK_PAIRS = 2 ** 14
 _TINY = np.finfo(float).tiny
 # Largest energy whose square is finite.
 _M_MAX = math.sqrt(np.finfo(float).max)
-# Below this |m| a Drude spectrum's denominator, ~m**4, does not overflow
-# unless e_p or the damping is itself past ~1e76 eV.
+# Below this |m| a Drude spectrum's denominator, ~m**4, does not overflow,
+# as ``Drude`` keeps e_p and the damping at or below it too.
 _M_FAR = 1e76
 
 
@@ -494,8 +495,8 @@ def drude_spectral_value(model: Drude, m):
     ep2 = _ep2(model)
     sigma = model.damping_ev
     m_arr = np.asarray(m, dtype=float)
-    num = (ep2 / math.pi) * sigma * m_arr
     if not np.maximum.reduce(np.abs(m_arr), axis=None, initial=0.0) > _M_FAR:
+        num = (ep2 / math.pi) * sigma * m_arr
         den = ep2 - m_arr ** 2
         den **= 2
         damp = sigma * m_arr
@@ -503,6 +504,7 @@ def drude_spectral_value(model: Drude, m):
         num /= den
         return num
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = (ep2 / math.pi) * sigma * m_arr
         den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
         r = 1.0 / m_arr
         scaled = ((ep2 / math.pi) * sigma * r * r * r

@@ -8,8 +8,8 @@ and of eps * d(potential)/dz at z = 0 and z = d.  The source height
 enters every coefficient as the same factor e^{q z0}, which is divided
 out, so z0 is not an input.
 
-The closed-form coefficients are the production path; a generic 4x4
-linear solve of the same boundary conditions is kept as an oracle.  The
+The coefficients are in closed form; the tests check them against a
+generic 4x4 linear solve of the same boundary conditions.  The
 closed-form functions broadcast: a ``LayeredConfig`` whose fields are
 arrays describes that many configurations at once, and every result is
 then an array of the broadcast shape (a float for scalar fields).  The
@@ -20,7 +20,6 @@ the coupled half-plane correlators, which is what this module certifies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,26 +89,6 @@ def solve_layers(cfg: LayeredConfig) -> BoundarySolution:
     b = a1 / cfg.eps1 - (cfg.eps2 - 1.0) / (cfg.eps1 + 1.0) * d_coef * x
     return BoundarySolution(b=_plain(b), c=_plain(c), c1=_plain(c1),
                             d=_plain(d_coef))
-
-
-def solve_layers_linear(cfg: LayeredConfig) -> BoundarySolution:
-    """Oracle route: assemble and solve the raw 4x4 boundary system.
-
-    Unknowns ordered (B, C, C1, D); the e^{+-qd} factors are kept exactly
-    as they appear in the matching conditions.
-    """
-    e1, e2 = cfg.eps1, cfg.eps2
-    em = math.exp(-cfg.q_per_nm * cfg.d_nm)
-    ep = math.exp(+cfg.q_per_nm * cfg.d_nm)
-    mat = np.array([
-        [1.0, -1.0, -1.0, 0.0],
-        [-e1, -1.0, 1.0, 0.0],
-        [0.0, em, ep, -em],
-        [0.0, em, -ep, -e2 * em],
-    ])
-    rhs = np.array([-1.0 / e1, -1.0, 0.0, 0.0])
-    b, c, c1, d_coef = np.linalg.solve(mat, rhs)
-    return BoundarySolution(b=float(b), c=float(c), c1=float(c1), d=float(d_coef))
 
 
 def boundary_residuals(cfg: LayeredConfig, sol: BoundarySolution) -> np.ndarray:

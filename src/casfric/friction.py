@@ -33,8 +33,9 @@ closed form below is exact.
 
 Every numeric route takes its H0 from one :func:`h0_overlap` call on two
 :class:`~casfric.dielectric.SpectralDensity` objects, and every route
-assembles its result as F = G * v * H0 in one place (``_result``); the
-closed form passes its H0 as an exact integral.  The screening of
+assembles its result as F = G * v * H0 in one place (``_result``), with
+G a closed form of :mod:`~casfric.geometry`; the closed form passes its
+H0 as an exact integral.  The screening of
 "keep" (both surface responses and Li4) costs more per call than the
 spectra it multiplies, so ``h0_overlap`` evaluates it in one call on
 its probe and the first Kronrod pass together.  Undamped Drude media
@@ -51,7 +52,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import units
+from . import geometry, units
 from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
                          Tabulated, Vacuum, dense_alpha_retarded,
                          spectral_density)
@@ -75,6 +76,8 @@ _PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
 _PAST_CAP = 1.0 + 1e-9
 # Initial panel edges across the thermal window, in units of k_B*T.
 _OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
+# Density (nm^-3) of the half-plane a dense plate enters as (see geometry).
+_DENSE_DENSITY = 1.0 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,10 @@ class FrictionResult:
 
 
 def _csch2_half(x):
-    """1/sinh(x/2)**2, vectorized and finite for every x > 0 (no
-    cancellation as x -> 0).  The argument is clipped below the overflow
-    of sinh, where the weight has long underflowed to 0."""
+    """1/sinh(x/2)**2, vectorized, with no cancellation as x -> 0.  It is
+    finite for x above about 1.5e-154; below, sinh(x/2)**2 leaves the
+    normal range and the weight overflows.  The argument is clipped below
+    the overflow of sinh, where the weight has long underflowed to 0."""
     out = 0.5 * np.asarray(x, dtype=float)
     np.minimum(out, 700.0, out=out)
     np.sinh(out, out=out)
@@ -399,29 +403,9 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
                           res.converged and err <= spec.rel_tol * abs(res.value))
 
 
-def _gap_power(gap_nm: float, power: int) -> float:
-    """(gap in m) ** power, which must stay inside the float range."""
-    try:
-        out = (gap_nm * units.NM_TO_M) ** power
-    except OverflowError:
-        out = math.inf
-    if not 0.0 < out < math.inf:
-        raise DomainError(f"gap {gap_nm!r} nm is out of range: (gap in m)**"
-                          f"{power} leaves the float range")
-    return out
-
-
-def _plate_g(d_nm: float) -> float:
-    """Geometric factor 3 / (32 pi d**4) of two half-planes (m^-4)."""
-    return 3.0 / (32.0 * math.pi * _gap_power(d_nm, 4))
-
-
 def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
             force_units: str, note: str | None = None) -> FrictionResult:
     """F = g * v * H0, with the relative error, convergence and cost of H0."""
-    if not math.isfinite(g):
-        raise DomainError(f"the geometric factor of the {route} route "
-                          "overflows")
     value = h0.value
     force = g * v_m_per_s * value
     if math.isfinite(value) and not math.isfinite(force):
@@ -443,7 +427,9 @@ def friction_dense(system: PlateSystem,
     result is invariant under any bookkeeping density.  Non-convergence
     of the quadrature is reported on the result, never silently.
     """
-    return _result("dense-full", _plate_g(system.d_nm), system.v_m_per_s,
+    g = geometry.g_two_planes(_DENSE_DENSITY, _DENSE_DENSITY,
+                              system.d_nm * units.NM_TO_M)
+    return _result("dense-full", g, system.v_m_per_s,
                    _dense_h0(system, denominators, spec), "Pa",
                    note=f"denominators={denominators}")
 
@@ -469,10 +455,8 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
     ep2 = 0.5 * m1.plasma_energy_ev ** 2
     sigma = m1.damping_ev
     kt = units.thermal_energy(system.T_K)
-    try:
-        h0 = (2.0 * math.pi / 3.0) * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2
-    except OverflowError:
-        raise DomainError("the closed-form H0 leaves the float range") from None
+    h0 = units._formed("the closed-form H0", lambda: (2.0 * math.pi / 3.0)
+                       * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2)
     outside = []
     if sigma > 0.1 * math.sqrt(ep2):
         outside.append("damping is not small against the surface resonance "
@@ -488,9 +472,10 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
                                     "validity regime"])
         warnings.warn(note, stacklevel=2)
 
-    return _result("drude-closed-form", _plate_g(system.d_nm),
-                   system.v_m_per_s, IntegralResult(h0, 0.0, 0, True), "Pa",
-                   note)
+    g = geometry.g_two_planes(_DENSE_DENSITY, _DENSE_DENSITY,
+                              system.d_nm * units.NM_TO_M)
+    return _result("drude-closed-form", g, system.v_m_per_s,
+                   IntegralResult(h0, 0.0, 0, True), "Pa", note)
 
 
 def _per_particle_density(medium: MediumSpec, role: str) -> SpectralDensity:
@@ -523,11 +508,9 @@ def friction_dilute(system: PlateSystem,
             raise DomainError(f"dilute route requires {name}.density_per_nm3")
     s1 = _per_particle_density(system.medium1, "dilute medium1")
     s2 = _per_particle_density(system.medium2, "dilute medium2")
-    rho1 = system.medium1.density_per_nm3
-    rho2 = system.medium2.density_per_nm3
-    # rho [nm^-3] times per-particle volume [nm^3] is dimensionless, so
-    # the only length converted is the gap.
-    g = 3.0 * math.pi * rho1 * rho2 / (8.0 * _gap_power(system.d_nm, 4))
+    g = geometry.g_two_planes(system.medium1.density_per_nm3,
+                              system.medium2.density_per_nm3,
+                              system.d_nm * units.NM_TO_M)
     return _result("dilute", g, system.v_m_per_s,
                    h0_overlap(s1, s2, system.T_K, spec), "Pa")
 
@@ -551,9 +534,8 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     _check_motion("z0_nm", z0_nm, v_m_per_s, temperature_k)
     s_probe = _per_particle_density(probe, "the hybrid probe")
     s_plate = spectral_density(plate)
-    # nm^3 from the probe spectrum against the nm^-5 gap power: net nm^-2,
-    # converted to SI through the single z0 conversion below.
-    g = 3.0 / (2.0 * _gap_power(z0_nm, 5)) * units.NM_TO_M ** 3
+    g = (2.0 * geometry.g_halfplane(_DENSE_DENSITY, z0_nm * units.NM_TO_M)
+         * units.NM_TO_M ** 3)
     # H0 carries the plate spectrum at half weight; halving is exact.
     h0 = h0_overlap(s_probe, s_plate, temperature_k, spec)
     return _result("hybrid", g, v_m_per_s,

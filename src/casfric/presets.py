@@ -34,7 +34,8 @@ class Preset:
 
 def conductivity(model: Drude) -> float:
     """omega_p^2/nu in 1/s for a damped free-electron model."""
-    return model.plasma_energy_ev ** 2 / (units.HBAR_EV_S * model.damping_ev)
+    return units._formed("the conductivity omega_p**2/nu", lambda: (
+        model.plasma_energy_ev ** 2 / (units.HBAR_EV_S * model.damping_ev)))
 
 
 GOLD = Preset(name="gold",

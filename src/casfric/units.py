@@ -43,6 +43,19 @@ def thermal_energy(temperature_k: float) -> float:
     return kt
 
 
+def _formed(name: str, formula) -> float:
+    """``formula()``, which must stay inside the float range.  A result
+    that overflows, and a division by a power that underflows to 0, are
+    a DomainError naming ``name``."""
+    try:
+        out = formula()
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"{name} leaves the float range")
+    return out
+
+
 def beta(temperature_k: float) -> float:
     """Inverse thermal energy 1/(k_B*T) in 1/eV."""
     out = 1.0 / thermal_energy(temperature_k)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from casfric import geometry, quadrature, units, validation
+from casfric import quadrature, units, validation
 from casfric.dielectric import Drude, spectral_density
 from casfric.oscillator_stats import OscillatorSpec, g_imaginary_time, gtilde
 from casfric.presets import GOLD
@@ -29,8 +29,6 @@ from casfric.quadrature import (QuadratureSpec, integrate_finite,
 CRITERIA = ("1a", "1b", "1c", "2", "3a", "3b", "3c", "3d", "4a", "4b", "4c",
             "4d", "5", "6a", "6b", "6c", "7a", "7b", "7c", "7d", "8a", "8b",
             "8c", "9a", "9b", "9c")
-
-ROUTE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 KNOWN_INCONSISTENT = {
     "4b": "published figure 1.6e3 Pa is inconsistent with the exact formula "
@@ -66,24 +64,6 @@ def test_criterion(results, criterion):
     check = _check(results, criterion)
     print(check.line())
     assert check.passed, check.line()
-
-
-# Criterion 3 names two routes for the transverse and plate-plate factors;
-# validation runs one quadrature route each (3a, 3d).  The second route
-# must agree with the value that record reports.
-
-def test_criterion_3_transverse_factor_two_routes(results):
-    kspace = _check(results, "3a").measured
-    realspace = geometry.g_perp_realspace(1.0, ROUTE_SPEC)
-    assert realspace.converged
-    assert realspace.value == pytest.approx(kspace, rel=1e-6)
-
-
-def test_criterion_3_halfplane_and_plate_factors(results):
-    quadrature = _check(results, "3d").measured
-    uspace = geometry.g_two_planes_uspace(1.0, 1.0, 1.5, ROUTE_SPEC)
-    assert uspace.converged
-    assert uspace.value == pytest.approx(quadrature, rel=1e-6)
 
 
 def test_fault_injection_flips_only_the_right_criteria(monkeypatch):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -614,8 +615,8 @@ class TestSweep:
         assert (code, err) == (3, "")
         rows = json.loads(out)
         assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
-        assert rows[1]["error"] == ("gap 1e+308 nm is out of range: "
-                                    "(gap in m)**4 leaves the float range")
+        assert rows[1]["error"] == ("the geometric factor 3*pi*rho1*rho2/"
+                                    "(8 d**4) leaves the float range")
 
     def test_bad_axis_exit2(self, tmp_path, capsys):
         cfg = self.sweep_config(axis="separation")
@@ -727,6 +728,8 @@ class TestCompare:
 
 WINDOW = ("the fourth power of the thermal window 40*k_B*T leaves the float "
           "range")
+EP_RANGE = "plasma_energy_ev must be finite and in (0, 1e+76] eV"
+DAMPING_RANGE = "damping_ev must be finite and in [0, 1e+76] eV"
 
 
 class TestFloatEdge:
@@ -752,13 +755,29 @@ class TestFloatEdge:
          f"temperature T_K = 1e+300 K is out of range: {WINDOW}"),
         ("compute", "dense-full", "T_K", 1e308,
          f"temperature T_K = 1e+308 K is out of range: {WINDOW}"),
+        *(("compute", route, "media",
+           {"model": "drude", "plasma_energy_ev": ep, "damping_ev": damping},
+           message)
+          for route in ("dense-full", "drude-closed-form")
+          for ep, damping, message in (
+              (1e200, 0.035, EP_RANGE), (1e78, 0.035, EP_RANGE),
+              (1e140, 0.035, EP_RANGE), (0.5, 1e153, DAMPING_RANGE),
+              (0.5, 1e155, DAMPING_RANGE))),
+        ("compare", "drude-closed-form", "media",
+         {"model": "drude", "plasma_energy_ev": 9.0, "damping_ev": 1e-300},
+         "the conductivity omega_p**2/nu leaves the float range"),
     ], ids=["compute-T-tiny", "closed-form-T-huge", "compute-v-huge",
             "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge",
-            "dense-T-1e80", "dense-T-huge", "dense-T-max"])
+            "dense-T-1e80", "dense-T-huge", "dense-T-max",
+            *(f"{route}-{name}" for route in ("dense", "closed-form")
+              for name in ("ep-1e200", "ep-1e78", "ep-1e140",
+                           "damping-1e153", "damping-1e155")),
+            "compare-conductivity-huge"])
     def test_exit3_one_line(self, tmp_path, capsys, command, route, key,
                             value, message):
         cfg = gold_config(route=route)
-        cfg["system"][key] = value
+        for field in ("medium1", "medium2") if key == "media" else (key,):
+            cfg["system"][field] = value
         path = write_json(tmp_path, "cfg.json", cfg)
         code, out, err = run_cli(capsys, [command, "--config", path])
         assert (code, out) == (3, "")
@@ -793,6 +812,85 @@ class TestFloatEdge:
                                     "k_B*T underflows to 0")
         assert rows[2]["error"] == ("temperature T_K = 1e+300 K is out of "
                                     f"range: {WINDOW}")
+
+    @pytest.mark.filterwarnings("ignore:.*outside its validity regime")
+    def test_seeded_configs_exit_cleanly(self, tmp_path, capsys):
+        """1,500 seeded configs across the float range, on every route,
+        through compute, sweep and spectra: e_p and damping 10^U(-3, 308)
+        eV, gaps 10^U(-320, 308) nm, T 10^U(-3, 308) K and v 10^U(-3,
+        308) m/s.  Each exits 0, 2, 3 or 4 with no traceback and no
+        RuntimeWarning (an error under pytest).  Exit 2 or 3 prints one
+        stderr line, except a sweep whose errors are in its rows."""
+        rng = random.Random(20261019)
+        m = np.linspace(0.0, 4.0, 30)
+        shape = m * np.exp(-(m - 2.0) ** 2)
+        for name, scale in (("probe.txt", 5e-5), ("plate.txt", 1.0)):
+            (tmp_path / name).write_text(
+                "\n".join(f"{a} {b}" for a, b in zip(m, scale * shape)))
+
+        def log_u(lo, hi):
+            return 10.0 ** rng.uniform(lo, hi)
+
+        def medium(kind):
+            if kind == "drude":
+                return {"model": "drude", "plasma_energy_ev": log_u(-3, 308),
+                        "damping_ev": log_u(-3, 308)}
+            if kind == "plasma":
+                return {"model": "plasma", "plasma_energy_ev": log_u(-3, 308)}
+            table = {"model": "tabulated", "path": str(tmp_path / kind)}
+            if kind == "probe.txt":
+                table["density_per_nm3"] = log_u(-3, 3)
+            return table
+
+        def run_config():
+            route = rng.choice(cli.ROUTES)
+            if route == "dilute":
+                media = medium("probe.txt"), medium("probe.txt")
+            elif route == "hybrid":
+                media = (medium("probe.txt"),
+                         medium(rng.choice(("drude", "plate.txt"))))
+            elif route == "drude-closed-form":
+                first = medium("drude")
+                media = first, (first if rng.random() < 0.8
+                                else medium("drude"))
+            else:
+                media = (medium(rng.choice(("drude", "plasma", "plate.txt"))),
+                         medium(rng.choice(("drude", "plate.txt"))))
+            cfg = {"system": {
+                "medium1": media[0], "medium2": media[1],
+                "z0_nm" if route == "hybrid" else "d_nm": log_u(-320, 308),
+                "v_m_per_s": log_u(-3, 308), "T_K": log_u(-3, 308)},
+                "route": route}
+            if route == "dense-full":
+                cfg["denominators"] = rng.choice(("drop", "keep"))
+            return cfg
+
+        seen = set()
+        for _ in range(1500):
+            command = rng.choice(("compute", "sweep", "spectra"))
+            cfg = run_config()
+            argv = [command, "--config", str(tmp_path / "cfg.json")]
+            if command == "sweep":
+                axis = rng.choice(cli.SWEEP_AXES)
+                lo = -320 if axis == "d" else -3
+                cfg = {"base": cfg, "axis": axis,
+                       "values": [log_u(lo, 308) for _ in range(3)]}
+            elif command == "spectra":
+                lo = log_u(-3, 308)
+                argv += ["--m-grid", f"{lo!r}:{lo * log_u(0.01, 3)!r}:5:log",
+                         "--u", repr(log_u(-3, 3))]
+            write_json(tmp_path, "cfg.json", cfg)
+            code, _, err = run_cli(capsys, argv)
+            seen.add(code)
+            context = (argv, cfg, err)
+            assert code in (0, 2, 3, 4), context
+            if code in (0, 4) or (code == 3 and command == "sweep"
+                                  and err == ""):
+                assert err == "", context
+            else:
+                kind = "config" if code == 2 else "physics"
+                assert re.fullmatch(f"{kind} error: [^\n]+\n", err), context
+        assert {0, 2, 3} <= seen
 
 
 class TestSpectra:

@@ -647,7 +647,10 @@ def test_medium_spec_density_validation():
 @pytest.mark.parametrize("make", [
     lambda: dl.Drude(math.nan, 0.035), lambda: dl.Drude(math.inf, 0.035),
     lambda: dl.Drude(9.0, math.nan), lambda: dl.Drude(9.0, math.inf),
-    lambda: dl.Drude(math.nan, 0.0), lambda: dl.Drude(math.inf, 0.0)])
+    lambda: dl.Drude(math.nan, 0.0), lambda: dl.Drude(math.inf, 0.0),
+    # past 1e76 eV a spectrum or a closed-form force leaves the float range
+    lambda: dl.Drude(1e200, 0.035), lambda: dl.Drude(1.0000000000000002e76, 0.0),
+    lambda: dl.Drude(0.5, 1e153), lambda: dl.Drude(9.0, 2e76)])
 def test_free_electron_models_reject_non_finite(make):
     with pytest.raises(DomainError, match="finite"):
         make()

@@ -614,13 +614,12 @@ def test_force_factorizes(route):
 
 
 def test_g_is_a_criterion_3_factor():
-    """Each route's G is a closed-form factor of ``geometry`` (checked
-    against its quadrature routes by criterion 3), converted to SI: the
+    """Each route's G is a closed form of ``geometry`` (checked against
+    its quadrature routes by criterion 3), called with the gap in m: the
     dense plates are two half-planes of density 1/(2 pi) (the surface
     response is 2 pi rho alpha), the dilute plates those of their own
-    densities, both per nm**4 -> per m**4; the hybrid probe sees one
-    such half-plane at half weight, nm**-5 times the probe's nm**3 ->
-    m**-2."""
+    densities; the hybrid probe sees one such half-plane at half weight,
+    its spectrum's nm**3 converted to m**3."""
     rng = np.random.default_rng(23)
     probe = linear_table(5e-5, m_max=60.0, n=50)
     half = 1.0 / (2.0 * math.pi)
@@ -633,12 +632,11 @@ def test_g_is_a_criterion_3_factor():
             300.0))
         hybrid = fr.friction_hybrid(MediumSpec(probe), GOLD, gap, 100.0,
                                     300.0)
-        assert dense.g == pytest.approx(
-            geo.g_two_planes(half, half, gap) * 1e36, rel=1e-14, abs=0.0)
-        assert dilute.g == pytest.approx(
-            geo.g_two_planes(rho1, rho2, gap) * 1e36, rel=1e-14, abs=0.0)
-        assert hybrid.g == pytest.approx(
-            2.0 * geo.g_halfplane(half, gap) * 1e18, rel=1e-14, abs=0.0)
+        gap_m = gap * units.NM_TO_M
+        assert dense.g == geo.g_two_planes(half, half, gap_m)
+        assert dilute.g == geo.g_two_planes(rho1, rho2, gap_m)
+        assert hybrid.g == (2.0 * geo.g_halfplane(half, gap_m)
+                            * units.NM_TO_M ** 3)
 
 
 @pytest.mark.filterwarnings("ignore:k_B")
