@@ -21,7 +21,6 @@ environment variable is read: quadrature tolerances come from a config's
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -293,6 +292,8 @@ def _write(fmt, out_path, columns, rows, payload=None):
             payload = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
+        import csv  # only a CSV table needs it: kept off a JSON run's start
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

@@ -892,6 +892,64 @@ class TestFloatEdge:
                 assert re.fullmatch(f"{kind} error: [^\n]+\n", err), context
         assert {0, 2, 3} <= seen
 
+    @pytest.mark.filterwarnings("ignore:.*outside its validity regime")
+    def test_seeded_compare_configs_exit_cleanly(self, tmp_path, capsys):
+        """600 seeded ``compare`` configs: one damped Drude medium for both
+        plates, e_p and damping 10^U(-3, 308) eV, gaps 10^U(-320, 308)
+        nm, T 10^U(-3, 308) K and v 10^U(-3, 308) m/s; in half the
+        configs every value is 10^U(-3, 3) instead, where compare
+        mostly succeeds.  One in five takes a differing or undamped
+        second medium or the hybrid route, each a config error unless a
+        medium is out of range.  Exit codes and stderr as above."""
+        rng = random.Random(20261020)
+
+        def log_u(lo, hi):
+            return 10.0 ** rng.uniform(lo, hi)
+
+        def drude(top):
+            return {"model": "drude", "plasma_energy_ev": log_u(-3, top),
+                    "damping_ev": log_u(-3, top)}
+
+        path = tmp_path / "cfg.json"
+        seen = set()
+        for _ in range(600):
+            top, gap_low = rng.choice(((308, -320), (3, -3)))
+            first = drude(top)
+            second, route, gap = first, "drude-closed-form", "d_nm"
+            flaw = rng.choice(("differ", "undamped", "hybrid", *[None] * 12))
+            if flaw == "differ":
+                second = drude(top)
+            elif flaw == "undamped":
+                second = rng.choice((
+                    {"model": "plasma", "plasma_energy_ev": log_u(-3, top)},
+                    dict(first, damping_ev=0.0)))
+            elif flaw == "hybrid":
+                route, gap = "hybrid", "z0_nm"
+            else:
+                route = rng.choice(("drude-closed-form", "dense-full"))
+            cfg = {"system": {
+                "medium1": first, "medium2": second, gap: log_u(gap_low, top),
+                "v_m_per_s": log_u(-3, top), "T_K": log_u(-3, top)},
+                "route": route}
+            path.write_text(json.dumps(cfg))
+            argv = ["compare", "--config", str(path),
+                    "--format", rng.choice(("json", "csv"))]
+            code, _, err = run_cli(capsys, argv)
+            seen.add(code)
+            context = (argv, cfg, err)
+            # a Drude energy past 1e76 eV exits 3 before compare's checks
+            if flaw is not None and all(
+                    value <= 1e76 for medium in (first, second)
+                    for key, value in medium.items() if key.endswith("_ev")):
+                assert code == 2, context
+            assert code in (0, 2, 3, 4), context
+            if code in (0, 4):
+                assert err == "", context
+            else:
+                kind = "config" if code == 2 else "physics"
+                assert re.fullmatch(f"{kind} error: [^\n]+\n", err), context
+        assert {0, 2, 3} <= seen
+
 
 class TestSpectra:
     def test_gold_grid_peaks_at_surface_resonance(self, tmp_path, capsys):

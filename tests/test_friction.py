@@ -175,6 +175,20 @@ class TestClosedForm:
         res = fr.friction_drude_closed_form(gold_system())
         assert res.force == pytest.approx(res.g * 100.0 * res.h0, rel=1e-14)
 
+    @pytest.mark.parametrize("t_k, tol", [(30.0, 1e-4), (100.0, 1e-4),
+                                          (300.0, 1e-3)])
+    def test_leading_correction(self, t_k, tol):
+        # The closed form falls short of the dense drop route by
+        # (32 pi^2/5) (k_B T / e_p)^2 to leading order, e_p = hbar*omega_p
+        # (with e_sp = e_p/sqrt(2) in its place the ratio would be 0.5).
+        dense = fr.friction_dense(gold_system(t=t_k), "drop",
+                                  QuadratureSpec(1e-300, 1e-12))
+        closed = fr.friction_drude_closed_form(gold_system(t=t_k))
+        assert dense.converged
+        term = 32.0 * math.pi ** 2 / 5.0 \
+            * (units.thermal_energy(t_k) / GOLD.plasma_energy_ev) ** 2
+        assert abs((1.0 - closed.force / dense.force) / term - 1.0) <= tol
+
 
 class TestDenseRoute:
     def test_drop_matches_closed_form(self):
@@ -301,6 +315,51 @@ class TestDenseRoute:
             call = lambda: fr.friction_dense(gold_system(d_nm=d_nm))  # noqa: E731
         with pytest.raises(DomainError, match="float range"):
             call()
+
+
+class TestNarrowLine:
+    """A nearly undamped Drude pair at 3000 K, 10 nm, 100 m/s, ``drop``:
+    the surface-plasmon line at e_sp = 3/sqrt(2) eV is 1e-6 eV wide, far
+    narrower than any panel the probe builds.  The oracle splits the
+    overlap integral at e_sp +- 10^k * gamma, k = 0..4."""
+
+    MEDIUM = Drude(3.0, 1e-6)
+
+    def system(self):
+        med = MediumSpec(self.MEDIUM)
+        return fr.PlateSystem(med, med, 10.0, 100.0, 3000.0)
+
+    def oracle(self, spec=None):
+        """(force, its claimed absolute error) of G*v*H0 with the line
+        bracketed."""
+        e_sp = self.MEDIUM.plasma_energy_ev / math.sqrt(2.0)
+        gamma = self.MEDIUM.damping_ev
+        s = spectral_density(self.MEDIUM)
+        h0 = fr.h0_overlap(s, s, 3000.0, spec, extra_hints=[
+            e_sp + sign * 10.0 ** k * gamma for k in range(5)
+            for sign in (-1.0, 1.0)])
+        assert h0.converged
+        g = geo.g_two_planes(fr._DENSE_DENSITY, fr._DENSE_DENSITY, 1e-8)
+        return g * 100.0 * h0.value, g * 100.0 * h0.error_estimate
+
+    def test_oracle(self):
+        force, err = self.oracle()
+        tight, tight_err = self.oracle(QuadratureSpec(1e-300, 1e-11))
+        assert force == pytest.approx(74.84484, rel=1e-6)
+        assert abs(force - tight) <= err + tight_err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: the probe steps over the line; default spec: "
+        "1.37e-6 Pa, converged, quadrature_error 0.995; tight spec: "
+        "37.42 Pa, half the force, claimed 9.7e-11"))
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec(1e-300, 1e-10)],
+                             ids=["default", "tight"])
+    def test_converged_result_is_honest(self, spec):
+        force, err = self.oracle()
+        res = fr.friction_dense(self.system(), "drop", spec)
+        if res.converged:
+            assert abs(res.force - force) \
+                <= res.quadrature_error * force + err
 
 
 class TestScreenedClosedForm:

@@ -3,6 +3,9 @@ package itself, unless it is the independent oracle of a check."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -136,3 +139,54 @@ def test_benchmark_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert friction.h0_overlap is original
+
+
+# Run in a fresh interpreter: whether a module has loaded depends on what
+# the process imported before.
+FRESH_IMPORT = r"""
+import importlib.util, re, sys, types
+import casfric.cli
+
+spans_path = sys.argv[1]
+with open(spans_path, encoding="utf-8") as fh:
+    read = set(re.findall(r'sys\.modules\["casfric\.(\w+)"\]', fh.read()))
+assert {"friction", "cli", "validation"} <= read, read
+spec = importlib.util.spec_from_file_location("spans", spans_path)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+read |= set(spans.WHOLE_MODULES)
+missing = [n for n in read if f"casfric.{n}" not in sys.modules]
+assert not missing, missing
+
+# the modules only validate and compare use are registered, not run
+deferred = ("validation", "comparisons", "electrostatics", "oscillator_stats")
+for name in deferred:
+    module = sys.modules[f"casfric.{name}"]
+    assert type(module) is not types.ModuleType, name
+    assert isinstance(module, types.ModuleType), name
+assert "csv" not in sys.modules
+
+friction = sys.modules["casfric.friction"]
+original = friction.h0_overlap
+tracer = spans.Tracer()
+try:
+    tracer.install()
+    assert friction.h0_overlap is not original
+finally:
+    tracer.uninstall()
+assert friction.h0_overlap is original
+assert callable(casfric.validation.run_all)
+assert all(type(sys.modules[f"casfric.{n}"]) is types.ModuleType
+           for n in deferred)
+"""
+
+
+def test_fresh_import_defers_the_validate_modules():
+    # perfbench/spans.py reads these modules from sys.modules right after
+    # importing casfric.cli, in a process that has loaded nothing else
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT, str(SPANS)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
