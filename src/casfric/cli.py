@@ -10,7 +10,9 @@ Subcommands:
 
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
-undamped Drude model.  Exit codes: 0 success, 2 configuration error,
+undamped Drude model.  A parsed config holds one ``PlateSystem``, and
+``run_config`` is the one place that calls a route: ``compute``, each
+sweep row and ``compare`` all take their force from it.  Exit codes: 0 success, 2 configuration error,
 3 physics-domain error, 4 a result that did not converge, 141 (128 +
 SIGPIPE, as a shell reports a command the signal ends) stdout closed
 before all output was written, as by ``casfric validate | head -1``.  No
@@ -48,7 +50,10 @@ EXIT_NONCONV = 4
 EXIT_PIPE = 141
 
 ROUTES = ("dilute", "dense-full", "drude-closed-form", "hybrid")
-SWEEP_AXES = ("d", "v", "T", "damping", "plasma_energy")
+# The field each sweep axis sets: of the system, or of both media's model.
+_AXIS_FIELDS = {"d": "d_nm", "v": "v_m_per_s", "T": "T_K",
+                "damping": "damping_ev", "plasma_energy": "plasma_energy_ev"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +188,15 @@ def parse_run_config(obj, path=""):
     if system.get(gap) is None:
         _fail(f"{path}.system.{gap}", "is required for the hybrid route"
               if route == "hybrid" else "is required for plate routes")
-    gaps = {"d_nm": None, "z0_nm": None}
-    gaps[gap] = _number(system[gap], f"{path}.system.{gap}", positive=True)
+    d = _number(system[gap], f"{path}.system.{gap}", positive=True)
 
     denominators = obj.get("denominators", "drop")
     if denominators not in ("drop", "keep"):
         _fail(path + ".denominators", "must be 'drop' or 'keep'")
 
     qspec = parse_quadrature(obj.get("quadrature"), path + ".quadrature")
-    return {"medium1": med1, "medium2": med2, **gaps,
-            "v_m_per_s": v, "T_K": t, "route": route,
+    # on the hybrid route d_nm holds z0, medium1 is the probe, medium2 the plate
+    return {"system": PlateSystem(med1, med2, d, v, t), "route": route,
             "denominators": denominators, "quadrature": qspec, "raw": obj}
 
 
@@ -207,6 +211,8 @@ def parse_sweep_config(obj):
         _fail(".axis", f"must be one of {SWEEP_AXES}")
     values = obj.get("values")
     if isinstance(values, list):
+        if not values:
+            _fail(".values", "must hold at least one value")
         vals = [_number(v, f".values[{i}]") for i, v in enumerate(values)]
     elif isinstance(values, dict):
         _check_keys(values, ".values", {"min", "max", "count", "scale"})
@@ -234,37 +240,30 @@ def parse_sweep_config(obj):
 # execution
 
 def _apply_axis(cfg, axis, value):
-    out = dict(cfg)
-    if axis == "d":
-        out["z0_nm" if cfg["route"] == "hybrid" else "d_nm"] = value
-    elif axis == "v":
-        out["v_m_per_s"] = value
-    elif axis == "T":
-        out["T_K"] = value
-    else:
-        field = "damping_ev" if axis == "damping" else "plasma_energy_ev"
+    system, field = cfg["system"], _AXIS_FIELDS[axis]
+    if axis in ("damping", "plasma_energy"):
+        media = {}
         for key in ("medium1", "medium2"):
-            med = out[key]
+            med = getattr(system, key)
             if not isinstance(med.model, Drude):
                 raise ConfigError([(f".system.{key}",
                                     f"axis {axis!r} needs a drude/plasma model")])
-            out[key] = replace(med, model=replace(med.model, **{field: value}))
-    return out
+            media[key] = replace(med, model=replace(med.model, **{field: value}))
+        return {**cfg, "system": replace(system, **media)}
+    return {**cfg, "system": replace(system, **{field: value})}
 
 
 def run_config(cfg) -> FrictionResult:
-    route = cfg["route"]
+    system, route, spec = cfg["system"], cfg["route"], cfg["quadrature"]
     if route == "hybrid":
-        return friction_hybrid(cfg["medium1"], cfg["medium2"].model,
-                               cfg["z0_nm"], cfg["v_m_per_s"], cfg["T_K"],
-                               spec=cfg["quadrature"])
-    system = PlateSystem(cfg["medium1"], cfg["medium2"], cfg["d_nm"],
-                         cfg["v_m_per_s"], cfg["T_K"])
+        return friction_hybrid(system.medium1, system.medium2.model,
+                               system.d_nm, system.v_m_per_s, system.T_K,
+                               spec=spec)
     if route == "dilute":
-        return friction_dilute(system, spec=cfg["quadrature"])
+        return friction_dilute(system, spec=spec)
     if route == "dense-full":
         return friction_dense(system, denominators=cfg["denominators"],
-                              spec=cfg["quadrature"])
+                              spec=spec)
     return friction_drude_closed_form(system)
 
 
@@ -348,23 +347,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
-    m1, m2 = cfg["medium1"].model, cfg["medium2"].model
+    system = cfg["system"]
+    m1, m2 = system.medium1.model, system.medium2.model
     if not all(isinstance(m, Drude) and m.damping_ev > 0.0 for m in (m1, m2)):
         raise ConfigError([(".system", "compare requires damped drude media")])
     if m1 != m2:
         raise ConfigError([(".system", "compare requires identical media: "
                             "medium1 and medium2 differ")])
-    if cfg["d_nm"] is None:
+    if cfg["route"] == "hybrid":
         raise ConfigError([(".route", "compare requires a plate route")])
-    system = PlateSystem(cfg["medium1"], cfg["medium2"], cfg["d_nm"],
-                         cfg["v_m_per_s"], cfg["T_K"])
-    ours = friction_drude_closed_form(system)
-    d_m = cfg["d_nm"] * units.NM_TO_M
+    ours = run_config(cfg)
+    d_m, v, t = system.d_nm * units.NM_TO_M, system.v_m_per_s, system.T_K
     sigma_over_eps0 = conductivity(m1)
-    pend = comparisons.pendry_force(sigma_over_eps0, d_m, cfg["v_m_per_s"])
-    ratio = comparisons.ratio_to_pendry(cfg["T_K"], cfg["v_m_per_s"], d_m)
-    vp_coeff, vp_force = comparisons.vp_friction(
-        sigma_over_eps0, d_m, cfg["T_K"], cfg["v_m_per_s"])
+    pend = comparisons.pendry_force(sigma_over_eps0, d_m, v)
+    ratio = comparisons.ratio_to_pendry(t, v, d_m)
+    vp_coeff, vp_force = comparisons.vp_friction(sigma_over_eps0, d_m, t, v)
     record = {
         "config": cfg["raw"],
         "comparison": {
@@ -380,7 +377,7 @@ def cmd_compare(args) -> int:
     cols = sorted(record["comparison"])
     _write(args.format or "json", args.out, cols,
            [[record["comparison"][c] for c in cols]], payload=record)
-    return EXIT_OK
+    return EXIT_OK if ours.converged else EXIT_NONCONV
 
 
 def _parse_m_grid(text):
@@ -396,8 +393,7 @@ def _parse_m_grid(text):
     scale = parts[3] if len(parts) == 4 else "lin"
     if scale not in ("lin", "log"):
         raise ConfigError([("--m-grid", "scale must be lin or log")])
-    if (count < 1 or not lo < hi or not (math.isfinite(lo) and math.isfinite(hi))
-            or (scale == "log" and not lo > 0)):
+    if count < 1 or not 0.0 < lo < hi < math.inf:
         raise ConfigError([("--m-grid", "need 0 < min < max < inf, count >= 1")])
     return _grid(lo, hi, count, scale == "log", "--m-grid")
 
@@ -417,12 +413,11 @@ def cmd_spectra(args) -> int:
     u = args.u
     if not (math.isfinite(u) and u > 0.0):
         raise ConfigError([("--u", "must be a finite number > 0")])
-    s1 = spectral_density(cfg["medium1"].model)
-    s2 = spectral_density(cfg["medium2"].model)
+    m1, m2 = cfg["system"].medium1.model, cfg["system"].medium2.model
+    s1, s2 = spectral_density(m1), spectral_density(m2)
     # first, so that an energy out of range stops the command before any
     # other column is formed from it
-    s11, s22, s12 = plane_spectral_products(cfg["medium1"].model,
-                                            cfg["medium2"].model, grid, u)
+    s11, s22, s12 = plane_spectral_products(m1, m2, grid, u)
     v1 = np.asarray(s1.value(grid), dtype=float)
     v2 = np.asarray(s2.value(grid), dtype=float)
     columns = ["m_ev", "spectral1", "spectral2", "product_11", "product_12"]

@@ -10,9 +10,9 @@ force of :mod:`casfric.friction`:
   * The Volokitin-Persson evanescent-wave friction coefficient
     gamma ~ 0.3 (hbar/d^4) (k_B T / (4 pi hbar sigma_G))^2 with the
     Gaussian-units conductivity 4 pi sigma_G = omega_p^2/nu; their linear
-    force gamma*v is directly comparable to ours and exceeds it by the
-    fixed factor 0.3*4 = 1.2, consistent with the zeta(3) = 1.202...
-    enhancement that the screened-denominator route supplies.
+    force gamma*v exceeds our bare (closed-form) force by the fixed factor
+    0.3*4 = 1.2, the zeta(3) = 1.202... enhancement that the screened
+    denominators supply: the dense ``keep`` force meets it within 0.3 %.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -656,6 +657,93 @@ class TestSweep:
         assert err == ("config error: .system.medium1: axis 'damping' "
                        "needs a drude/plasma model\n")
 
+    def test_empty_value_list_exit2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "sweep.json", self.sweep_config(values=[]))
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == "config error: .values: must hold at least one value\n"
+
+
+# Each axis on each route that accepts it, with values that run, values
+# that fail and, through a one-subdivision quadrature, rows that do not
+# converge.
+SWEEP_VALUES = {"d": [10.0, 3.0, 1e308], "v": [0.0, 100.0, 1e307],
+                "T": [30.0, 300.0, 1e300], "damping": [0.035, 0.0, 1e80],
+                "plasma_energy": [9.0, 5.0, 1e80]}
+
+
+def _sweep_bases(tmp_path):
+    drude = {"model": "drude", "plasma_energy_ev": 9.0, "damping_ev": 0.035}
+    hybrid = hybrid_config(tmp_path)
+    probe = hybrid["system"]["medium1"]
+    dilute = copy.deepcopy(hybrid)
+    dilute["system"].update(medium2=probe, d_nm=dilute["system"].pop("z0_nm"))
+    dilute["route"] = "dilute"
+    plate = {"system": {"medium1": drude, "medium2": drude, "d_nm": 10.0,
+                        "v_m_per_s": 100.0, "T_K": 300.0}}
+    stiff = {"abs_tol": 1e-300, "rel_tol": 1e-15, "max_subdivisions": 1}
+    return {
+        "closed-form": dict(plate, route="drude-closed-form"),
+        "drop": dict(plate, route="dense-full"),
+        "keep": dict(plate, route="dense-full", denominators="keep"),
+        "keep-stiff": dict(plate, route="dense-full", denominators="keep",
+                           quadrature=stiff),
+        "dilute": dilute,
+        "hybrid": hybrid,
+        "hybrid-stiff": dict(hybrid, quadrature=stiff),
+    }
+
+
+def _set_axis(cfg, axis, value):
+    """``cfg`` with the field of ``axis`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    system = cfg["system"]
+    if axis in ("damping", "plasma_energy"):
+        for key in ("medium1", "medium2"):
+            system[key][f"{axis}_ev"] = value
+    else:
+        key = {"v": "v_m_per_s", "T": "T_K"}.get(axis)
+        system[key or ("z0_nm" if cfg["route"] == "hybrid" else "d_nm")] = value
+    return cfg
+
+
+class TestSweepRowsAreCompute:
+    @pytest.mark.filterwarnings("ignore:.*outside its validity regime")
+    @pytest.mark.parametrize("base,axis", [
+        (base, axis) for base in ("closed-form", "drop", "keep", "keep-stiff")
+        for axis in cli.SWEEP_AXES] + [
+        (base, axis) for base in ("dilute", "hybrid", "hybrid-stiff")
+        for axis in ("d", "v", "T")])
+    def test_every_row_is_compute_on_its_value(self, tmp_path, capsys, base,
+                                               axis):
+        cfg = _sweep_bases(tmp_path)[base]
+        values = SWEEP_VALUES[axis]
+        path = write_json(tmp_path, "sweep.json",
+                          {"base": cfg, "axis": axis, "values": values})
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert err == ""
+        rows = json.loads(out)
+        codes = set()
+        for value, row in zip(values, rows, strict=True):
+            path = write_json(tmp_path, "cfg.json", _set_axis(cfg, axis, value))
+            row_code, row_out, row_err = run_cli(capsys, [
+                "compute", "--config", path])
+            codes.add(row_code)
+            expected = {axis: value, "error": ""}
+            if row_code == 3:
+                assert row_err.startswith("physics error: ")
+                expected.update({c: "" for c in cli._ROW_FIELDS},
+                                error=row_err[len("physics error: "):-1])
+            else:
+                assert row_code in (0, 4)
+                result = json.loads(row_out)["result"]
+                expected.update({c: result[c] for c in cli._ROW_FIELDS})
+            assert row == expected, value
+        assert 3 in codes
+        assert code == 3
+        if base.endswith("stiff"):
+            assert 4 in codes
+
 
 class TestCompare:
     def test_gold_comparison(self, tmp_path, capsys):
@@ -724,6 +812,48 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == ("config error: .system: compare requires identical "
                        "media: medium1 and medium2 differ\n")
+
+    @pytest.mark.parametrize("route,denominators", [
+        ("drude-closed-form", "drop"), ("dense-full", "drop"),
+        ("dense-full", "keep")])
+    def test_force_is_the_routes_force(self, tmp_path, capsys, route,
+                                       denominators):
+        path = write_json(tmp_path, "cfg.json", gold_config(
+            route=route, denominators=denominators))
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        force = json.loads(out)["result"]["force"]
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["comparison"]["force_Pa"] == force
+
+    def test_screened_route_meets_volokitin_persson(self, tmp_path, capsys):
+        # the 1.2 of the bare force is the zeta(3) of the screened one
+        ratios = {}
+        for denominators in ("drop", "keep"):
+            path = write_json(tmp_path, "cfg.json", gold_config(
+                route="dense-full", denominators=denominators))
+            code, out, _ = run_cli(capsys, ["compare", "--config", path])
+            assert code == 0
+            ratios[denominators] = json.loads(out)["comparison"]["vp_over_ours"]
+        assert ratios["drop"] == pytest.approx(1.19937, abs=5e-6)
+        assert 0.99 <= ratios["keep"] <= 1.01
+
+    def test_unconverged_route_exits4_with_record(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", gold_config(
+            route="dense-full", denominators="keep", quadrature={
+                "rel_tol": 1e-300, "abs_tol": 1e-300, "max_subdivisions": 50}))
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 4
+        force = json.loads(out)["result"]["force"]
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, err) == (4, "")
+        assert json.loads(out)["comparison"]["force_Pa"] == force
+
+    def test_dilute_route_exits_as_compute(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", gold_config(route="dilute"))
+        expected = run_cli(capsys, ["compute", "--config", path])
+        assert expected[0] == 3
+        assert run_cli(capsys, ["compare", "--config", path]) == expected
 
 
 WINDOW = ("the fourth power of the thermal window 40*k_B*T leaves the float "
@@ -1051,6 +1181,18 @@ class TestSpectra:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: --m-grid: ")
+
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3", "0:1:3:lin",
+                                      "0:1:3:log"])
+    def test_m_grid_min_not_positive_is_config_error(self, tmp_path, capsys,
+                                                      grid):
+        path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))
+        # one argument, so that argparse does not read "-1:1:3" as an option
+        code, out, err = run_cli(capsys, [
+            "spectra", "--config", path, f"--m-grid={grid}"])
+        assert (code, out) == (2, "")
+        assert err == ("config error: --m-grid: need 0 < min < max < inf, "
+                       "count >= 1\n")
 
 
 VALIDATE_LINES = [

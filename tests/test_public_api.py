@@ -141,6 +141,46 @@ def test_benchmark_tracer_installs_and_restores():
     assert friction.h0_overlap is original
 
 
+def test_benchmark_tracer_records_every_route(tmp_path):
+    # a traced force call reads the route's parameters by name
+    # (system, probe, plate, temperature_k, denominators, spec) and
+    # quadrature.default_spec: renaming one breaks only traced runs
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    table = tmp_path / "probe.txt"
+    table.write_text("0 0\n5 1e-4\n10 2e-4\n")
+    gold = {"preset": "gold"}
+    probe = {"model": "tabulated", "path": str(table), "density_per_nm3": 0.01}
+    configs = [casfric.cli.parse_run_config({
+        "system": {"medium1": medium1, "medium2": medium2, gap: 10.0,
+                   "v_m_per_s": 100.0, "T_K": 300.0}, "route": route})
+        for route, medium1, medium2, gap in (
+            ("dense-full", gold, gold, "d_nm"),
+            ("drude-closed-form", gold, gold, "d_nm"),
+            ("dilute", probe, probe, "d_nm"), ("hybrid", probe, gold, "z0_nm"))]
+    originals = {name: getattr(friction, name)
+                 for name in ("h0_overlap", *spans.FORCE_CALLS)}
+    run_config = casfric.cli.run_config
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        for cfg in configs:
+            casfric.cli.run_config(cfg)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert [key[0] for key in tracer.force_keys] == [
+        "friction_dense", "friction_drude_closed_form", "friction_dilute",
+        "friction_hybrid"]
+    metrics = tracer.layer_metrics()
+    assert metrics["friction.h0_overlap.calls"] == 3
+    assert metrics["cli.run_config.calls"] == 4
+    assert {name: getattr(friction, name) for name in originals} == originals
+    assert casfric.cli.run_config is run_config
+
+
 # Run in a fresh interpreter: whether a module has loaded depends on what
 # the process imported before.
 FRESH_IMPORT = r"""
