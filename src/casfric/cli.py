@@ -193,6 +193,9 @@ def parse_run_config(obj, path=""):
     denominators = obj.get("denominators", "drop")
     if denominators not in ("drop", "keep"):
         _fail(path + ".denominators", "must be 'drop' or 'keep'")
+    if denominators == "keep" and route != "dense-full":
+        _fail(path + ".denominators", f"'keep' is not read by the {route} "
+              "route; only dense-full screens")
 
     qspec = parse_quadrature(obj.get("quadrature"), path + ".quadrature")
     # on the hybrid route d_nm holds z0, medium1 is the probe, medium2 the plate

@@ -269,23 +269,6 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
                           res.evaluations + evals, converged)
 
 
-def _pair_splits(model1, model2, u: float):
-    """Inner-integral split hints: single-surface peaks plus the coupled
-    surface-mode locations e_p*sqrt(1 -+ e^{-u}) of conducting media."""
-    hints = []
-    x = math.exp(-u)
-    for model in (model1, model2):
-        if isinstance(model, Drude):
-            ep = math.sqrt(0.5) * model.plasma_energy_ev
-            hints.append(ep)
-            lo = ep * math.sqrt(max(1.0 - x, 0.0))
-            hi = ep * math.sqrt(1.0 + x)
-            if lo > 0.0:
-                hints.append(lo)
-            hints.append(hi)
-    return hints
-
-
 def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
                   temperature_k: float, u: float,
                   denominators: DenominatorMode = "keep",
@@ -306,7 +289,7 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
     if not u > 0.0:
         raise DomainError("u must be > 0")
     _check_denominators(denominators)
-    extra, hints = None, ()
+    extra = None
     if denominators == "keep":
         x = math.exp(-2.0 * u)
 
@@ -315,9 +298,8 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
             a2 = dense_alpha_retarded(model2, m)
             return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
 
-        hints = _pair_splits(model1, model2, u)
     return h0_overlap(spectral_density(model1), spectral_density(model2),
-                      temperature_k, spec, extra, hints)
+                      temperature_k, spec, extra)
 
 
 def _check_denominators(denominators) -> None:

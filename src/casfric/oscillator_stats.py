@@ -80,19 +80,13 @@ def g_imaginary_time(osc: OscillatorSpec | Sequence[OscillatorSpec], lam,
     outside = ~((lam >= 0.0) & (lam <= b))  # nan is outside too
     if outside.any():
         raise DomainError(f"lambda must lie in [0, beta], got {lam[outside]!r}")
-    ws = np.array([o.eigen_energy_ev for o in osc])
-    amp = (0.5 * np.array([o.alpha_static for o in osc]) * ws)[job]
-    xs = betas * ws / 2.0
-    # cosh((beta/2 - lam)*w)/sinh(x) in overflow-safe form: past x = 350
-    # exp-scaled, cosh(y)/sinh(x) ~ (e^{y-x} + e^{-y-x}).
-    big = (xs > 350.0)[job]
-    sinh_x = np.array([math.inf if x > 350.0 else math.sinh(x)
-                       for x in xs.tolist()])
-    y = (b / 2.0 - lam) * ws[job]
-    out = amp * np.cosh(np.where(big, 0.0, y)) / sinh_x[job]
-    if np.any(big):
-        x = xs[job]
-        out = np.where(big, amp * (np.exp(y - x) + np.exp(-y - x)), out)
+    w = np.array([o.eigen_energy_ev for o in osc])[job]
+    amp = 0.5 * np.array([o.alpha_static for o in osc])[job] * w
+    x = b * w / 2.0
+    y = (b / 2.0 - lam) * w
+    # cosh(y)/sinh(x) = (e^{y-x} + e^{-y-x})/(1 - e^{-2x}): with |y| <= x
+    # no exponent is positive, so nothing overflows at any x.
+    out = amp * (np.exp(y - x) + np.exp(-y - x)) / -np.expm1(-2.0 * x)
     return float(out) if out.ndim == 0 else out
 
 

@@ -478,6 +478,56 @@ class TestConfigErrorPaths:
         assert err == f"config error: {where}: cannot make a grid of 3 values\n"
 
 
+class TestDenominatorsNeedTheDenseRoute:
+    """Only dense-full screens: ``"keep"`` on any other route is a
+    configuration error, and ``"drop"`` is accepted everywhere."""
+
+    @staticmethod
+    def config(tmp_path, route, denominators):
+        if route == "drude-closed-form":
+            cfg = gold_config()
+        else:
+            cfg = hybrid_config(tmp_path)
+            if route == "dilute":
+                system = cfg["system"]
+                system["medium2"] = system["medium1"]
+                system["d_nm"] = system.pop("z0_nm")
+                cfg["route"] = "dilute"
+        cfg["denominators"] = denominators
+        return cfg
+
+    @pytest.mark.parametrize("route", ["drude-closed-form", "dilute", "hybrid"])
+    @pytest.mark.parametrize("denominators", ["drop", "keep"])
+    def test_compute(self, tmp_path, capsys, route, denominators):
+        path = write_json(tmp_path, "cfg.json",
+                          self.config(tmp_path, route, denominators))
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        if denominators == "drop":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["result"]["route"] == route
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"config error: .denominators: 'keep' is not read "
+                           f"by the {route} route; only dense-full screens\n")
+
+    def test_sweep_base(self, tmp_path, capsys):
+        cfg = {"base": self.config(tmp_path, "hybrid", "keep"), "axis": "d",
+               "values": [1.0, 2.0]}
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: .base.denominators: 'keep' is "
+                              "not read by the hybrid route")
+
+    def test_compare(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json",
+                          self.config(tmp_path, "drude-closed-form", "keep"))
+        code, out, err = run_cli(capsys, ["compare", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: .denominators: 'keep' is not "
+                              "read by the drude-closed-form route")
+
+
 class TestQuadratureBlock:
     """A config's quadrature block reaches the route it runs."""
 

@@ -362,6 +362,44 @@ class TestNarrowLine:
                 <= res.quadrature_error * force + err
 
 
+class TestNarrowCoupledLine:
+    """The mode-resolved kernel ``h0_dense_at_u`` with ``keep`` against an
+    oracle split around every line of the screened product: the surface
+    plasmon e_sp and the coupled modes e_sp*sqrt(1 -+ e^{-u}), each
+    bracketed at +- 10^k * gamma, k = 0..5."""
+
+    @staticmethod
+    def oracle(model, t_k, u):
+        x = math.exp(-2.0 * u)
+
+        def screening(m):
+            a = dense_alpha_retarded(model, m)
+            return 1.0 / np.abs(1.0 - a * a * x) ** 2
+
+        e_sp = model.plasma_energy_ev / math.sqrt(2.0)
+        centres = [e_sp * math.sqrt(1.0 + sign * math.exp(-u))
+                   for sign in (-1.0, 0.0, 1.0)]
+        s = spectral_density(model)
+        h0 = fr.h0_overlap(
+            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000), screening, [
+                c + sign * 10.0 ** k * model.damping_ev
+                for c in centres for k in range(6) for sign in (-1.0, 1.0)])
+        assert h0.converged
+        return h0
+
+    @pytest.mark.parametrize("model,t_k,u", [
+        (Drude(3.0, 1e-6), 1000.0, 2.0),
+        (Drude(3.0, 1e-6), 3000.0, 2.0),
+        (GOLD, 300.0, 0.3),
+    ], ids=["narrow-1000K", "narrow-3000K", "gold"])
+    def test_claimed_error_is_honest(self, model, t_k, u):
+        h0 = fr.h0_dense_at_u(model, model, t_k, u, "keep")
+        oracle = self.oracle(model, t_k, u)
+        assert h0.converged
+        assert abs(h0.value - oracle.value) \
+            <= h0.error_estimate + oracle.error_estimate
+
+
 class TestScreenedClosedForm:
     """``denominators="keep"``: the closed-form transverse-mode average
     Im Li4(z)/Im z against the nested u-integral and its own limits."""

@@ -57,7 +57,7 @@ class TestImaginaryTime:
 
     @pytest.mark.parametrize("w, beta", [(1.5, 2.0), (2.0, 400.0)])
     def test_array_equals_scalar_calls(self, w, beta):
-        # x = beta*w/2 is 1.5 (cosh branch) and 400 (exp-scaled branch)
+        # x = beta*w/2 is 1.5 and 400, where 1 - e^{-2x} rounds to 1
         o = osc.OscillatorSpec(0.7, w)
         lam = np.concatenate([[0.0, beta],
                               np.random.default_rng(3).uniform(0.0, beta, 60)])
@@ -97,6 +97,58 @@ class TestImaginaryTime:
         with pytest.raises(DomainError, match="beta"):
             osc.g_imaginary_time(oscs, np.array([0.5, 0.5]), [2.0, 0.0],
                                  np.array([0, 1]))
+
+    # x = beta*w0/2 from near 0 to past the float range of e^{-x}, and
+    # lambda/beta.
+    MP_XS = (1e-6, 1e-3, 1.0, 349.9, 350.1, 700.0, 1e4)
+    MP_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @staticmethod
+    def mp_correlator(o, lam, beta):
+        """(alpha*w0/2)*cosh((beta/2 - lam)*w0)/sinh(beta*w0/2) to 30
+        digits on the float inputs, rounded to a float."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            b, w = mpmath.mpf(beta), mpmath.mpf(o.eigen_energy_ev)
+            return float(mpmath.mpf(o.alpha_static) * w / 2
+                         * mpmath.cosh((b / 2 - mpmath.mpf(lam)) * w)
+                         / mpmath.sinh(b * w / 2))
+
+    def check_against_mp(self, got, o, lam, beta):
+        """Relative error within 4*(1 + x) ulps: the exponent
+        (beta/2 - lam)*w0 is rounded, an error that grows like x*eps.
+        Where the exact value lies below the float range, 0."""
+        exact = self.mp_correlator(o, lam, beta)
+        if exact == 0.0:
+            assert got == 0.0
+            return True
+        x = beta * o.eigen_energy_ev / 2.0
+        assert abs(got - exact) <= 4.0 * (1.0 + x) * np.finfo(float).eps \
+            * exact
+        return False
+
+    def test_matches_mpmath(self):
+        o = osc.OscillatorSpec(0.7, 1.5)
+        underflows = 0
+        for x in self.MP_XS:
+            beta = 2.0 * x / 1.5
+            for f in self.MP_FRACTIONS:
+                lam = f * beta
+                got = osc.g_imaginary_time(o, lam, beta)
+                underflows += self.check_against_mp(got, o, lam, beta)
+        assert underflows == 3  # x = 1e4 at beta/4, beta/2, 3*beta/4
+
+    def test_batched_matches_mpmath(self):
+        oscs = [osc.OscillatorSpec(0.3 + i, 0.5 + 0.25 * i)
+                for i in range(len(self.MP_XS))]
+        betas = [2.0 * x / o.eigen_energy_ev for x, o in zip(self.MP_XS, oscs)]
+        job = np.repeat(np.arange(len(oscs)), len(self.MP_FRACTIONS))
+        lam = np.tile(self.MP_FRACTIONS, len(oscs)) * np.array(betas)[job]
+        values = osc.g_imaginary_time(oscs, lam, betas, job)
+        underflows = sum(
+            self.check_against_mp(float(v), oscs[j], float(t), betas[j])
+            for v, t, j in zip(values, lam, job))
+        assert underflows == 3
 
     def test_forward_transform_pair(self):
         # integral over [0, beta] of g(lambda) cos(K lambda) equals the
