@@ -148,15 +148,14 @@ def _csch2_half(x):
 
 def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
                temperature_k: float, spec: QuadratureSpec | None = None,
-               extra_factor=None, extra_hints=()) -> IntegralResult:
+               extra_factor=None) -> IntegralResult:
     """Thermal spectral-overlap integral shared by every H0 route,
 
         (pi*beta*hbar/2) * integral of S1(m) S2(m) / sinh(beta*m/2)**2 dm,
 
     over the common support of the two densities (any consistent
     normalization; the caller owns the bookkeeping).  ``extra_factor``,
-    when given, multiplies the integrand (cross-gap screening), and
-    ``extra_hints`` add split points to the two densities' peaks.  The
+    when given, multiplies the integrand (cross-gap screening).  The
     integrand is rescaled by its probed peak before adaptive integration
     so that the tolerance spec stays meaningful for the physically tiny
     magnitudes involved (~hbar), and the integration is truncated where
@@ -183,7 +182,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         raise DomainError(f"temperature T_K = {temperature_k!r} K is out of "
                           "range: the fourth power of the thermal window "
                           "40*k_B*T leaves the float range")
-    hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
+    hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
 
@@ -283,8 +282,8 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
     coupled-surface resonances.  Units: J*s in the density-scaled
     normalization whose density factors cancel against the geometric
     factor of the plate force.  No force route integrates this over u:
-    ``_screening_factor`` does that in closed form, and this kernel is
-    its mode-resolved oracle.
+    ``_screening_factor`` does that in closed form.  No check uses this
+    kernel as an oracle either; the benchmark's tracer still wraps it.
     """
     if not u > 0.0:
         raise DomainError("u must be > 0")
@@ -354,6 +353,14 @@ def plane_spectral_products(model1: PermittivityModel,
     return (-h11.imag / math.pi, -h22.imag / math.pi, -h12.imag / math.pi)
 
 
+def _static_alpha(model: PermittivityModel) -> float:
+    """A(0) as ``dense_alpha(model, 0.0)`` gives it: one closed-form sum
+    for a table, exactly 1 for a Drude model and 0 for vacuum."""
+    if isinstance(model, Tabulated):
+        return model._terms.static()
+    return 1.0 if isinstance(model, Drude) else 0.0
+
+
 def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
               spec: QuadratureSpec | None) -> IntegralResult:
     """Density-scaled H0 of the plate pair, one overlap integral over m.
@@ -364,6 +371,10 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     bound of Li4 is added to the quadrature error, so "keep" integrates
     at a relative tolerance no tighter than that bound and converges
     only where the sum meets the requested one.
+
+    As m -> 0, z tends to the real z(0) = A1(0)*A2(0); past 1 the kernel
+    is infinite, with the screening's pole at u = ln(z(0))/2: a
+    ``DomainError``.  Only a table can push z(0) past 1.
     """
     _check_denominators(denominators)
     if spec is None:
@@ -372,6 +383,12 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     s1, s2 = spectral_density(model1), spectral_density(model2)
     if denominators == "drop":
         return h0_overlap(s1, s2, system.T_K, spec)
+    z0 = _static_alpha(model1) * _static_alpha(model2)
+    if z0 > 1.0:
+        raise DomainError(
+            f"denominators='keep' needs z(0) = A1(0)*A2(0) <= 1, got "
+            f"z(0) = {z0:.6g}: the screening has a non-integrable pole "
+            f"at u = ln(z(0))/2 = {0.5 * math.log(z0):.6g}")
 
     def screening(m):
         return _screening_factor(dense_alpha_retarded(model1, m)

@@ -528,6 +528,41 @@ class TestDenominatorsNeedTheDenseRoute:
                               "read by the drude-closed-form route")
 
 
+class TestInfiniteScreenedKernel:
+    """A table whose static response A(0) = 1.121 faces gold in ``keep``:
+    z(0) = 1.121 > 1 puts a pole in the screening, a physics error."""
+
+    @staticmethod
+    def config(tmp_path):
+        m = np.linspace(0.0, 4.0, 400)
+        table = tmp_path / "kinked.txt"
+        table.write_text("\n".join(
+            f"{a!r} {b!r}" for a, b in zip(m.tolist(), (
+                m * np.exp(-(m - 2.0) ** 2 / 0.1)).tolist())))
+        cfg = gold_config(route="dense-full", denominators="keep")
+        cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
+        cfg["system"]["T_K"] = 150.0
+        return cfg
+
+    def test_compute(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", self.config(tmp_path))
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: denominators='keep' needs "
+                              "z(0) = A1(0)*A2(0) <= 1, got z(0) = 1.121")
+
+    def test_temperature_sweep(self, tmp_path, capsys):
+        cfg = {"base": self.config(tmp_path), "axis": "T",
+               "values": [150.0, 300.0]}
+        path = write_json(tmp_path, "sweep.json", cfg)
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (3, "")
+        rows = json.loads(out)
+        assert [r["T"] for r in rows] == [150.0, 300.0]
+        assert all("z(0) = 1.121" in r["error"] and r["force"] == ""
+                   for r in rows)
+
+
 class TestQuadratureBlock:
     """A config's quadrature block reaches the route it runs."""
 

@@ -57,19 +57,34 @@ def table_system(plate, t_k=150.0):
                           100.0, t_k)
 
 
+def mode_factor(model1, model2, u):
+    """The screening |1 - A1*A2*e^{-2u}|^{-2} of transverse mode u, on
+    the retarded branch, elementwise in m."""
+    x = math.exp(-2.0 * u)
+
+    def factor(m):
+        a1 = dense_alpha_retarded(model1, m)
+        a2 = dense_alpha_retarded(model2, m)
+        return 1.0 / np.abs(1.0 - a1 * a2 * x) ** 2
+
+    return factor
+
+
 def nested_keep_h0(model1, model2, t_k):
     """Oracle of the screened kernel: the transverse-mode integral
     (8/3) * int u^3 e^{-2u} H0(u) du done numerically over the
-    mode-resolved kernel, inner rel_tol 1e-9 and outer 1e-7."""
-    scale = fr.h0_dense_at_u(model1, model2, t_k, 1.0, "drop").value
+    mode-resolved kernel H0(u), the overlap times ``mode_factor``, inner
+    rel_tol 1e-9 and outer 1e-7."""
+    s1, s2 = spectral_density(model1), spectral_density(model2)
+    scale = probe_then_integrate(s1, s2, t_k).value
     inner_spec = QuadratureSpec(rel_tol=1e-9)
     inner_converged = []
 
     def outer(u_vals):
         out = np.empty(len(u_vals))
         for i, u in enumerate(u_vals):
-            inner = fr.h0_dense_at_u(model1, model2, t_k, float(u), "keep",
-                                     spec=inner_spec)
+            inner = probe_then_integrate(s1, s2, t_k, inner_spec,
+                                         mode_factor(model1, model2, u))
             inner_converged.append(inner.converged)
             out[i] = (8.0 / 3.0) * u ** 3 * math.exp(-2.0 * u) \
                 * inner.value / scale
@@ -81,12 +96,22 @@ def nested_keep_h0(model1, model2, t_k):
     return res.value * scale
 
 
+# The probe of ``probe_then_integrate``: a geometric sweep of 97 points
+# from 1e-9 to 1 of the cap, the tail-bound point just past the cap, and
+# octave split points across the thermal window in units of k_B*T.
+PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
+PAST_CAP = 1.0 + 1e-9
+OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
+
+
 def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
                          extra_hints=()):
     """Oracle of ``h0_overlap``: the integrand, factor included, on the
     probe grid in one call, then the adaptive rule on panels built around
     the probed peak, the factor evaluated anew on every pass, and the
-    tail bound; the integrand's products in the same order."""
+    tail bound; the integrand's products in the same order.
+    ``extra_hints`` add split points to the two densities' peaks, as the
+    line-bracketing oracles below pass them."""
     if spec is None:
         spec = QuadratureSpec()
     beta = units.beta(temperature_k)
@@ -100,16 +125,16 @@ def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
         out = pref * s1.value(m) * s2.value(m) * fr._csch2_half(beta * m)
         return out if extra_factor is None else out * extra_factor(m)
 
-    grid = sorted([*(m_cap * fr._PROBE_UNIT),
+    grid = sorted([*(m_cap * PROBE_UNIT),
                    *(k / beta for k in range(1, 9) if k / beta < m_cap),
                    *(h for h in hints if h < m_cap)])
-    vals = integrand(np.array(grid + [m_cap * fr._PAST_CAP]))
+    vals = integrand(np.array(grid + [m_cap * PAST_CAP]))
     peak = int(np.argmax(np.abs(vals[:-1])))
     scale = float(abs(vals[peak]))
     assert 0.0 < scale < math.inf
     m_star = grid[peak]
     splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
-              *(octave / beta for octave in fr._OCTAVES)]
+              *(octave / beta for octave in OCTAVES)]
     res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
                            split_points=splits)
     tail_bound = abs(float(vals[-1]) / scale) / beta * 2.0
@@ -335,7 +360,7 @@ class TestNarrowLine:
         e_sp = self.MEDIUM.plasma_energy_ev / math.sqrt(2.0)
         gamma = self.MEDIUM.damping_ev
         s = spectral_density(self.MEDIUM)
-        h0 = fr.h0_overlap(s, s, 3000.0, spec, extra_hints=[
+        h0 = probe_then_integrate(s, s, 3000.0, spec, extra_hints=[
             e_sp + sign * 10.0 ** k * gamma for k in range(5)
             for sign in (-1.0, 1.0)])
         assert h0.converged
@@ -370,18 +395,13 @@ class TestNarrowCoupledLine:
 
     @staticmethod
     def oracle(model, t_k, u):
-        x = math.exp(-2.0 * u)
-
-        def screening(m):
-            a = dense_alpha_retarded(model, m)
-            return 1.0 / np.abs(1.0 - a * a * x) ** 2
-
         e_sp = model.plasma_energy_ev / math.sqrt(2.0)
         centres = [e_sp * math.sqrt(1.0 + sign * math.exp(-u))
                    for sign in (-1.0, 0.0, 1.0)]
         s = spectral_density(model)
-        h0 = fr.h0_overlap(
-            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000), screening, [
+        h0 = probe_then_integrate(
+            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000),
+            mode_factor(model, model, u), [
                 c + sign * 10.0 ** k * model.damping_ev
                 for c in centres for k in range(6) for sign in (-1.0, 1.0)])
         assert h0.converged
@@ -472,6 +492,62 @@ class TestScreenedClosedForm:
         res = fr.friction_dense(gold_system(), "keep")
         assert not res.converged
         assert not math.isfinite(res.force)
+
+
+def kinked_table(a0=None):
+    """The 400-sample kinked table m*exp(-(m-2)**2/0.1) on [0, 4] eV,
+    static response A(0) = 1.121, or scaled to A(0) = ``a0``."""
+    m = np.linspace(0.0, 4.0, 400)
+    v = m * np.exp(-(m - 2.0) ** 2 / 0.1)
+    if a0 is not None:
+        v *= a0 / dense_alpha(Tabulated(m, v), 0.0)
+    return Tabulated(m, v)
+
+
+class TestStaticCoupling:
+    """``keep`` needs z(0) = A1(0)*A2(0) <= 1: past it the screening has a
+    non-integrable pole at u = ln(z(0))/2 and the kernel is infinite."""
+
+    def test_static_alpha_is_dense_alpha_at_zero(self):
+        for model in (GOLD, Drude(3.0, 1e-6), PLASMA, Vacuum(),
+                      bump_plate(24), kinked_table()):
+            assert fr._static_alpha(model) == dense_alpha(model, 0.0)
+
+    def test_kinked_table_against_gold_raises(self):
+        table = kinked_table()
+        assert dense_alpha(table, 0.0) == pytest.approx(1.121, abs=5e-4)
+        system = fr.PlateSystem(MediumSpec(table), GOLD_MED, 10.0, 100.0,
+                                150.0)
+        with pytest.raises(DomainError, match=(
+                r"z\(0\) = 1\.121\d*: .* pole at u = ln\(z\(0\)\)/2 "
+                r"= 0\.0571")):
+            fr.friction_dense(system, "keep")
+        assert fr.friction_dense(system, "drop").converged
+
+    def test_z0_is_the_product(self):
+        # A(0) = 1.2 is admissible against 0.8 (z(0) = 0.96), not 0.9
+        def pair(a0):
+            return fr.PlateSystem(MediumSpec(kinked_table(1.2)),
+                                  MediumSpec(kinked_table(a0)), 10.0, 100.0,
+                                  150.0)
+
+        assert fr.friction_dense(pair(0.8), "keep").converged
+        with pytest.raises(DomainError, match=r"z\(0\) = 1\.08"):
+            fr.friction_dense(pair(0.9), "keep")
+
+    def test_z0_of_one_is_allowed(self):
+        # S = m/2 on [0, 1] eV: A(0) = 2 * int S/m dm = 1 exactly
+        table = Tabulated(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+        assert dense_alpha(table, 0.0) == 1.0
+        res = fr.friction_dense(fr.PlateSystem(
+            MediumSpec(table), GOLD_MED, 10.0, 100.0, 150.0), "keep")
+        assert math.isfinite(res.force) and res.force > 0.0
+
+    def test_kinked_half_converges(self):
+        res = fr.friction_dense(fr.PlateSystem(
+            MediumSpec(kinked_table(0.5)), GOLD_MED, 10.0, 100.0, 150.0),
+            "keep")
+        assert res.converged and res.force > 0.0
 
 
 class TestH0Kernels:

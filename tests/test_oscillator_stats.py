@@ -76,8 +76,9 @@ class TestImaginaryTime:
                 osc.g_imaginary_time(o, bad, 1.0)
 
     def test_batched_equals_one_oscillator_calls(self):
-        # one call over many oscillators, the exp-scaled branch (x = 400)
-        # among them, gives each entry the bits of that oscillator's call
+        # one call over many oscillators, x = 400 among them (where
+        # 1 - e^{-2x} rounds to 1), gives each entry the bits of that
+        # oscillator's call
         rng = np.random.default_rng(7)
         oscs = [osc.OscillatorSpec(0.7, 1.5), osc.OscillatorSpec(2.0, 2.0),
                 osc.OscillatorSpec(0.3, 4.0)]

@@ -16,10 +16,10 @@ from casfric import friction
 SRC = Path(casfric.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# (module, name) -> the check it is the oracle of
+# (module, name) -> why it stays though the package does not reach it
 ORACLES = {
     ("friction.py", "h0_dense_at_u"):
-        "nested screened kernel in test_friction (perfbench traces it too)",
+        "traced by perfbench/spans.py; no check uses it",
 }
 
 
