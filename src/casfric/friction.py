@@ -162,14 +162,16 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     the exponential thermal envelope provably kills the integrand; the
     bound is checked, not assumed.
 
-    ``extra_factor`` must be elementwise.  It is called once on the probe
-    together with the nodes of the initial panels built around the peak
-    of the bare product S1*S2/sinh**2 on the probe, and then once for
-    each later pass of the adaptive rule.  Where the factor moves the
-    probed peak to another point, the panels are built around that point
-    instead, the factor is evaluated on them as on a later pass, and
-    ``evaluations`` counts the unused nodes too.  Either way the result
-    is that of probing with the factor and then integrating.
+    ``extra_factor`` must be elementwise.  One rule places the initial
+    panels, factor or no factor: around the peak of the bare product
+    S1*S2/sinh**2 on the probe.  The factor is called once on the probe
+    together with the nodes of those panels, and then once for each
+    later pass of the adaptive rule; every value it returns is used, and
+    ``evaluations`` counts each point once.  The scale and the tail bound
+    come from the probe with the factor.  Where the factor leaves the
+    probed peak where it was, the result is that of probing with the
+    factor and then integrating, bit for bit; where it moves the peak,
+    only the panels the rule starts from differ.
     """
     if spec is None:
         spec = default_spec()
@@ -188,22 +190,12 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
 
     pref = 0.5 * math.pi * beta * units.HBAR_JS
 
-    def integrand(m, factor=None):
-        # pref*S1*S2*csch2(*factor) in this order, each product in place
+    def integrand(m):
+        # pref*S1*S2*csch2 in this order, each product in place
         out = pref * s1.value(m)
         out *= s2.value(m)
         out *= _csch2_half(beta * m)
-        if factor is not None:
-            out *= factor
         return out
-
-    def splits(m_star):
-        # Split points past the cap are dropped by the engine.  Octave
-        # edges across the thermal window: every initial panel where the
-        # weight still carries mass is at most an octave wide, so the
-        # first Kronrod pass cannot step over the decay region.
-        return [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
-                *(octave / beta for octave in _OCTAVES)]
 
     # Deterministic probe of the integrand magnitude: geometric sweep of
     # the full range plus the thermal scale and the supplied peaks.  The
@@ -218,43 +210,36 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
     probe_grid[:-1].sort()
     vals = integrand(probe_grid)
-    evals = len(vals)
-    # The factor on the nodes of the engine's first call, if the screened
-    # probe peaks where the bare one does and the panels stay as built.
+    # Split points past the cap are dropped by the engine.  Octave edges
+    # across the thermal window: every initial panel where the weight
+    # still carries mass is at most an octave wide, so the first Kronrod
+    # pass cannot step over the decay region.
+    m_star = float(probe_grid[int(np.abs(vals[:-1]).argmax())])
+    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
+              *(octave / beta for octave in _OCTAVES)]
+    # The factor on the nodes of the engine's first call.
     first_pass = []
     if extra_factor is not None:
-        grid, bare = probe_grid, np.abs(vals[:-1])
-        guess = int(bare.argmax())
-        if 0.0 < bare[guess] < math.inf:
-            grid = np.concatenate((probe_grid, initial_nodes(
-                0.0, m_cap, splits(float(probe_grid[guess])))))
-        factor = extra_factor(grid)
-        vals *= factor[:evals]
-        first_pass.append(factor[evals:])
-        evals = len(factor)
+        factor = extra_factor(np.concatenate(
+            (probe_grid, initial_nodes(0.0, m_cap, splits))))
+        first_pass.append(factor[len(vals):])
+        vals *= factor[:len(vals)]
     tail_val = float(vals[-1])
-    probe_abs = np.abs(vals[:-1])
-    peak = int(probe_abs.argmax())
-    scale = float(probe_abs[peak])
+    scale = float(np.abs(vals[:-1]).max())
     if scale == 0.0 or not math.isfinite(scale):
+        evals = len(vals) + sum(map(len, first_pass))
         if not math.isfinite(scale):
             return IntegralResult(math.nan, math.inf, evals, False)
         return IntegralResult(0.0, 0.0, evals, True)
-    if first_pass and peak == guess:
-        evals -= len(first_pass[0])
-    else:
-        first_pass.clear()
 
     def scaled(m):
-        factor = None
+        out = integrand(m)
         if extra_factor is not None:
-            factor = first_pass.pop() if first_pass else extra_factor(m)
-        out = integrand(m, factor)
+            out *= first_pass.pop() if first_pass else extra_factor(m)
         out /= scale
         return out
 
-    res = integrate_finite(scaled, 0.0, m_cap, spec,
-                           split_points=splits(float(probe_grid[peak])))
+    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
 
     # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying
@@ -265,7 +250,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     converged = res.converged and (res.value == 0.0
                                    or tail_bound <= spec.target(res.value))
     return IntegralResult(res.value * scale, err * scale,
-                          res.evaluations + evals, converged)
+                          res.evaluations + len(vals), converged)
 
 
 def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,

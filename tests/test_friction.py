@@ -865,15 +865,35 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
     assert screening == ([] if denominators == "drop" else [res.evaluations])
 
 
-class TestOneScreeningCall:
-    """``h0_overlap`` evaluates its factor once on the probe and the
-    initial panels around the bare product's peak: the same result as
-    probing and then integrating, and the same cost where the factor
-    leaves the peak where it was."""
+def counted_overlap(s1, s2, temperature_k, spec, extra_factor):
+    """``h0_overlap`` on these arguments -> its result, the number of
+    calls of ``s1.value`` and the sizes of the calls of the factor."""
+    density, screening = [], []
 
-    @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
-                                      "keep-table", "keep-table-one-pass"])
-    def test_matches_probe_then_integrate(self, monkeypatch, case):
+    def value(m):
+        density.append(len(m))
+        return s1.value(m)
+
+    def factor(m):
+        screening.append(len(m))
+        return extra_factor(m)
+
+    res = fr.h0_overlap(dataclasses.replace(s1, value=value), s2,
+                        temperature_k, spec, factor)
+    return res, len(density), screening
+
+
+class TestOneScreeningCall:
+    """``h0_overlap`` builds its initial panels around the bare product's
+    peak and calls its factor once per pass of the adaptive rule, the
+    first time on the probe and those panels together.  No value of the
+    factor is discarded: its call sizes sum to ``evaluations``.  Where
+    the factor leaves the probed peak where it was, the result is that
+    of probing with the factor and then integrating."""
+
+    @staticmethod
+    def overlap_args(monkeypatch, call):
+        """The arguments of the one ``h0_overlap`` call of ``call()``."""
         calls = []
         real = fr.h0_overlap
 
@@ -882,46 +902,78 @@ class TestOneScreeningCall:
             return real(*args)
 
         monkeypatch.setattr(fr, "h0_overlap", recorded)
-        if case == "keep-table":
-            fr.friction_dense(_plates(bump_plate(24), GOLD, 150.0), "keep")
-        elif case == "keep-table-one-pass":
-            fr.friction_dense(table_system(two_bump_plate(36)), "keep",
-                              TABLE_KEEP_SPEC)
-        else:
-            PINNED_CALLS[case]()
+        call()
         (args,) = calls
         assert args[4] is not None  # the screening factor
-        got, want = real(*args), probe_then_integrate(*args)
+        return args
+
+    @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
+                                      "keep-table", "keep-table-one-pass"])
+    def test_matches_probe_then_integrate(self, monkeypatch, case):
+        if case == "keep-table-one-pass":
+            args = self.overlap_args(monkeypatch, lambda: fr.friction_dense(
+                table_system(two_bump_plate(36)), "keep", TABLE_KEEP_SPEC))
+        else:
+            args = self.overlap_args(monkeypatch, PINNED_CALLS[case])
+        got, want = fr.h0_overlap(*args), probe_then_integrate(*args)
         assert want.converged
         assert (got.value, got.error_estimate, got.converged,
                 got.evaluations) == (want.value, want.error_estimate,
                                      want.converged, want.evaluations)
 
+    @pytest.mark.parametrize("case, passes, evaluations", [
+        ("keep-gold", 1, 303), ("keep-table", 4, 392)])
+    def test_one_call_per_pass(self, monkeypatch, case, passes, evaluations):
+        res, density, screening = counted_overlap(
+            *self.overlap_args(monkeypatch, PINNED_CALLS[case]))
+        assert res.converged
+        assert len(screening) == density - 1 == passes
+        assert sum(screening) == res.evaluations == evaluations
+
     def test_factor_moves_the_peak(self):
         """A narrow factor at 8 k_B*T lifts the gold product there above
-        its bare peak near 0: the panels are built around 8 k_B*T, and
-        the nodes evaluated around the bare peak count as evaluations."""
+        its bare peak near 0.  The panels stay around the bare peak, the
+        factor's values on them are used, and the value stays within the
+        two error estimates of probing with the factor and integrating."""
         gold = spectral_density(GOLD)
         beta = units.beta(300.0)
-        sizes = {"got": [], "want": []}
 
-        def bump(name):
-            def factor(m):
-                sizes[name].append(len(m))
-                return 1.0 + 1e3 * np.exp(-((m - 8.0 / beta) * 5.0 * beta) ** 2)
-            return factor
+        def bump(m):
+            return 1.0 + 1e3 * np.exp(-((m - 8.0 / beta) * 5.0 * beta) ** 2)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fr.h0_overlap(gold, gold, 300.0, None, bump("got"))
-        want = probe_then_integrate(gold, gold, 300.0, None, bump("want"))
-        unused = sizes["got"][0] - sizes["want"][0]
-        assert unused > 0 and unused % 15 == 0
-        assert sizes["got"][1:] == sizes["want"][1:]
-        assert want.converged
-        assert (got.value, got.error_estimate, got.converged) == (
-            want.value, want.error_estimate, want.converged)
-        assert got.evaluations == want.evaluations + unused
+            got, density, screening = counted_overlap(gold, gold, 300.0, None,
+                                                      bump)
+        want = probe_then_integrate(gold, gold, 300.0, None, bump)
+        assert len(screening) == density - 1
+        assert sum(screening) == got.evaluations == 573
+        assert got.converged and want.converged
+        assert abs(got.value - want.value) <= (got.error_estimate
+                                               + want.error_estimate)
+
+    def test_zero_scale_counts_every_point(self, monkeypatch):
+        """A vacuum partner makes the screened probe zero: the result
+        returns early and counts every point the factor saw."""
+        res, density, screening = counted_overlap(
+            *self.overlap_args(monkeypatch, lambda: fr.friction_dense(
+                _plates(GOLD, Vacuum(), 300.0), "keep")))
+        assert (res.value, res.converged) == (0.0, True)
+        assert (density, len(screening)) == (1, 1)
+        assert sum(screening) == res.evaluations
+
+    def test_non_finite_scale_counts_every_point(self):
+        """A factor that is infinite at one probe point, k_B*T, makes the
+        scale infinite: the result is flagged and counts every point the
+        factor saw."""
+        gold = spectral_density(GOLD)
+        kt = 1.0 / units.beta(300.0)
+        res, density, screening = counted_overlap(
+            gold, gold, 300.0, None,
+            lambda m: np.where(m == kt, math.inf, 1.0))
+        assert math.isnan(res.value) and not res.converged
+        assert (density, len(screening)) == (1, 1)
+        assert sum(screening) == res.evaluations
 
     def test_screening_factor_is_elementwise(self):
         """Whether a call takes Li4 off the axis or its real-axis limit is
@@ -1020,6 +1072,8 @@ PINNED_CALLS = {
         _plates(SOFT, STIFF, 77.0), "drop"),
     "keep-drude-pair": lambda: fr.friction_dense(
         _plates(SOFT, STIFF, 900.0, 3.0), "keep"),
+    "keep-table": lambda: fr.friction_dense(
+        _plates(bump_plate(24), GOLD, 150.0), "keep"),
     "drop-table-drude": lambda: fr.friction_dense(
         _plates(lorentz_table(36, 1.2), GOLD, 150.0), "drop"),
     "drop-table-drude-hot": lambda: fr.friction_dense(
@@ -1053,6 +1107,8 @@ PINNED = {
                         "0x1.21a544b52a349p-33", 318),
     "keep-drude-pair": ("0x1.1be22c4653f7bp-24", "0x1.40137b6a51379p-139",
                         "0x1.11ee10e5b4bd6p-33", 318),
+    "keep-table": ("0x1.6ed5f299147b0p-28", "0x1.8eec72f2f088ep-136",
+                   "0x1.b53190d528c43p-30", 392),
     "drop-table-drude": ("0x1.0c7c95913ced6p-25", "0x1.23f8c4bbcf06bp-133",
                          "0x1.4c29134fe14cbp-27", 392),
     "drop-table-drude-hot": ("0x1.f60b0deb21337p-18",
