@@ -4,7 +4,7 @@ Models are evaluated primarily on the imaginary frequency axis K = i*hbar*omega
 (in eV), where the response is real, smooth and ideal for quadrature.  Dense
 media enter every friction formula only through the electrostatic surface
 response A = (eps-1)/(eps+1), one analytic function of the squared frequency
-zeta: K**2 on the imaginary axis, -m**2 + i*gamma (see :func:`default_gamma`)
+zeta: K**2 on the imaginary axis, -m**2 + i*gamma (see :func:`_broadening`)
 on the retarded branch that carries the spectrum over energies m = hbar*omega.
 
 Normalization: the "dense" spectral density carried by this module is the
@@ -58,7 +58,7 @@ class Drude:
 class Tabulated:
     """Spectral density sampled on a grid of excitation energies.
 
-    ``m_ev`` strictly increasing, ``values`` >= 0.  Interpolation is linear
+    ``m_ev`` strictly increasing to at most 1e76 eV, ``values`` >= 0.  Interpolation is linear
     in m and the density is taken to vanish outside the tabulated range.
     The value convention depends on the consuming route: dimensionless
     surface spectrum for dense plates, per-particle nm^3 for dilute media.
@@ -79,12 +79,17 @@ class Tabulated:
             raise DomainError("tabulated m grid must be strictly increasing")
         if m[0] < 0.0:
             raise DomainError("tabulated m grid must be non-negative")
+        if m[-1] > _M_FAR:
+            raise DomainError(f"tabulated m grid must end at or below {_M_FAR:g} eV")
         if m[0] == 0.0 and v[0] != 0.0:
             raise DomainError("a tabulated density must vanish at m = 0")
         if np.any(v < 0.0):
             raise DomainError("tabulated spectral values must be >= 0")
         object.__setattr__(self, "m_ev", m)
         object.__setattr__(self, "values", v)
+        if not _broadening(self) > 0.0:
+            raise DomainError("tabulated m grid ends too low: its broadening "
+                              "1e-6*m_top is 0")
 
     @cached_property
     def _terms(self) -> "_TableTerms":
@@ -233,6 +238,7 @@ class _TableTerms:
         dm = m[1:] - m[:-1]
         self.m, self.v = m, v
         self.b = (v[1:] - v[:-1]) / dm
+        self.a = v[:-1] - self.b * m[:-1]
         self.width = float(dm.max())
         self.lin = float(2.0 * np.sum(self.b * dm))
         slope = np.concatenate(([0.0], self.b, [0.0]))    # S' right of each node
@@ -249,8 +255,7 @@ class _TableTerms:
     def kronrod(self) -> tuple:
         """The 15-point Kronrod rule on every segment, as weights c and
         squared nodes x2: f(zeta) = sum of c / (zeta + x2)."""
-        m, b = self.m, self.b
-        a = self.v[:-1] - b * m[:-1]
+        m, a, b = self.m, self.a, self.b
         half = 0.5 * (m[1:] - m[:-1])
         x = (0.5 * (m[:-1] + m[1:]))[:, None] + half[:, None] * _XGK
         c = (half[:, None] * _WGK * 2.0 * x * (a[:, None] + b[:, None] * x)).ravel()
@@ -260,14 +265,14 @@ class _TableTerms:
         c, x2 = self.kronrod
         return np.sum(c / (zeta[:, None] + x2), axis=1)
 
+    @cached_property
     def static(self) -> float:
         """f(0): a table starting at m = 0 vanishes there, so that
         segment has a = 0."""
-        m, b = self.m, self.b
-        a = self.v[:-1] - b * m[:-1]
+        m = self.m
         with np.errstate(divide="ignore"):
             log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
-        return np.sum(a * log_term) + np.sum(b * 2.0 * (m[1:] - m[:-1]))
+        return float(np.sum(self.a * log_term)) + self.lin
 
     def exact(self, s: np.ndarray, m) -> np.ndarray:
         """The exact form at s = sqrt(zeta), one energy a row; ``m`` the
@@ -380,7 +385,7 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarra
     far = ~(near | static)
     out = np.empty(zeta.shape, dtype=complex)
     if static.any():
-        out[static] = terms.static()
+        out[static] = terms.static
     if far.any():
         out[far] = _by_blocks(terms.kronrod[0].size, terms.kronrod_sum, zeta[far])
     if near.any():
@@ -406,9 +411,9 @@ def _surface_response(model: PermittivityModel, zeta: np.ndarray,
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 
-def default_gamma(model: PermittivityModel) -> float:
-    """Retarded-branch broadening when none is given, from the model alone
-    (so A at one energy does not depend on the others evaluated with it):
+def _broadening(model: PermittivityModel) -> float:
+    """The retarded branch's broadening gamma, from the model alone (so A
+    at one energy does not depend on the others evaluated with it):
     1e-6 * top of the grid for a table, 1e-6 * e_p for the line of an
     undamped Drude model, 0 (the exact limit) for a damped one."""
     if isinstance(model, Tabulated):
@@ -435,28 +440,20 @@ def dense_alpha(model: PermittivityModel, k):
     return float(out[0]) if k_arr.ndim == 0 else out
 
 
-def dense_alpha_retarded(model: PermittivityModel, m, gamma: float | None = None):
-    """A continued to the retarded branch, A(-m**2 + i*gamma).
-
-    ``gamma`` defaults to :func:`default_gamma`.  ``gamma = 0`` is allowed
-    for the closed-form models, where the damping itself supplies the
-    imaginary part (i*sigma*m); a table needs gamma > 0.  Vectorized over
+def dense_alpha_retarded(model: PermittivityModel, m):
+    """A continued to the retarded branch, A(-m**2 + i*gamma), at the
+    model's own broadening gamma (:func:`_broadening`).  Vectorized over
     m, which must be > 0 with m**2 inside the float range.
     """
     m_arr = np.atleast_1d(np.asarray(m, dtype=float))
     if m_arr.size and not (m_arr.min() > 0.0 and m_arr.max() <= _M_MAX):
         raise DomainError("retarded evaluation requires finite m > 0 with "
                           f"m**2 in the float range (m <= {_M_MAX:.6g} eV)")
-    if gamma is None:
-        gamma = default_gamma(model)
-    if not 0.0 <= gamma < math.inf or (gamma == 0.0 and isinstance(model, Tabulated)):
-        raise DomainError("gamma must be finite and >= 0, and > 0 for a table, "
-                          "whose logarithms diverge at the grid nodes")
-    out = _surface_response(model, 1j * gamma - m_arr * m_arr, m_arr)
+    out = _surface_response(model, 1j * _broadening(model) - m_arr * m_arr, m_arr)
     return complex(out[0]) if np.ndim(m) == 0 else out
 
 
-def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None) -> complex:
+def eps_retarded(model: PermittivityModel, m: float) -> complex:
     """Permittivity approaching the real frequency axis from above,
     (1 + A) / (1 - A) with A = :func:`dense_alpha_retarded`.
 
@@ -464,9 +461,7 @@ def eps_retarded(model: PermittivityModel, m: float, gamma: float | None = None)
     the imaginary part is <= 0 in this convention, so the spectral density
     -Im[...]/pi is non-negative.
     """
-    if not m > 0.0:
-        raise DomainError("m must be > 0")
-    a = dense_alpha_retarded(model, m, gamma)
+    a = dense_alpha_retarded(model, m)
     return (1.0 + a) / (1.0 - a)
 
 

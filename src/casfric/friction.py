@@ -74,6 +74,11 @@ _STEP = 1e-30
 _PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
 # The point of its tail bound, just past the cap, in the same units.
 _PAST_CAP = 1.0 + 1e-9
+# Lowest beta*m_cap h0_overlap accepts: 1/sinh(beta*m/2)**2 is finite for
+# beta*m above 1.5e-154; barring a lower peak hint, the probe and the first
+# pass evaluate no m below 4.2e-13*m_cap (a Kronrod node of the panel below
+# a tenth of the lowest probe point); 2**-40 leaves room for 40 bisections.
+_BETA_CAP_MIN = 1.5e-154 / (4.2e-13 * 2.0 ** -40)
 # Initial panel edges across the thermal window, in units of k_B*T.
 _OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
 # Density (nm^-3) of the half-plane a dense plate enters as (see geometry).
@@ -187,6 +192,10 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
+    if beta * m_cap < _BETA_CAP_MIN:
+        raise DomainError(f"the spectral support ends at {m_cap!r} eV, too far "
+                          f"below k_B*T at T_K = {temperature_k!r} K: the "
+                          "thermal weight 1/sinh(m/(2*k_B*T))**2 overflows on it")
 
     pref = 0.5 * math.pi * beta * units.HBAR_JS
 
@@ -342,7 +351,7 @@ def _static_alpha(model: PermittivityModel) -> float:
     """A(0) as ``dense_alpha(model, 0.0)`` gives it: one closed-form sum
     for a table, exactly 1 for a Drude model and 0 for vacuum."""
     if isinstance(model, Tabulated):
-        return model._terms.static()
+        return model._terms.static
     return 1.0 if isinstance(model, Drude) else 0.0
 
 

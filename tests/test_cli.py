@@ -563,6 +563,76 @@ class TestInfiniteScreenedKernel:
                    for r in rows)
 
 
+class TestTableEnergyRange:
+    """Tables whose energies leave the range the forces can be formed on
+    end in one line and exit 3, with no RuntimeWarning."""
+
+    @staticmethod
+    def config(tmp_path, route, rows, denominators="drop"):
+        table = tmp_path / "table.txt"
+        table.write_text("".join(f"{m!r} {v!r}\n" for m, v in rows))
+        medium = {"model": "tabulated", "path": str(table)}
+        cfg = gold_config(route=route, denominators=denominators)
+        if route == "dilute":
+            medium["density_per_nm3"] = 1.0
+            cfg["system"]["medium2"] = medium
+        cfg["system"]["medium1"] = medium
+        return write_json(tmp_path, "cfg.json", cfg)
+
+    @staticmethod
+    def compute(capsys, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(capsys, ["compute", "--config", path])
+
+    @pytest.mark.parametrize("route", ["dilute", "dense-full"])
+    @pytest.mark.parametrize("top", [1e-146, 1e-148])
+    def test_support_far_below_k_t(self, tmp_path, capsys, route, top):
+        # 1/sinh(m/(2 k_B T))**2 overflows below m ~ 3e-154 k_B T: the
+        # force was inf or nan, with RuntimeWarnings and exit 4
+        path = self.config(tmp_path, route, [(0.0, 0.0), (top / 2, 1e-3), (top, 0.0)])
+        code, out, err = self.compute(capsys, path)
+        assert (code, out) == (3, "")
+        assert err == (f"physics error: the spectral support ends at {top!r} eV, "
+                       "too far below k_B*T at T_K = 300.0 K: the thermal weight "
+                       "1/sinh(m/(2*k_B*T))**2 overflows on it\n")
+
+    @pytest.mark.parametrize("route, force", [
+        ("dilute", "0x1.df9d8de36fb13p+410"), ("dense-full", "0x1.0beab664794c1p-29")])
+    def test_support_inside_the_bound_keeps_its_force(self, tmp_path, capsys,
+                                                      route, force):
+        path = self.config(tmp_path, route, [(0.0, 0.0), (5e-131, 1e-3), (1e-130, 0.0)])
+        code, out, err = self.compute(capsys, path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["force"] == float.fromhex(force)
+
+    @pytest.mark.parametrize("denominators", ["drop", "keep"])
+    def test_grid_past_1e76_ev(self, tmp_path, capsys, denominators):
+        # under keep, m**2 overflowed in A(0): "z(0) = inf" with a RuntimeWarning
+        path = self.config(tmp_path, "dense-full",
+                           [(0.0, 0.0), (1e150, 1e-3), (1e200, 0.0)], denominators)
+        code, out, err = self.compute(capsys, path)
+        assert (code, out) == (3, "")
+        assert err == (f"physics error: {tmp_path / 'table.txt'}: tabulated m "
+                       "grid must end at or below 1e+76 eV\n")
+
+    def test_grid_too_low_for_its_broadening(self, tmp_path, capsys):
+        # the broadening 1e-6*m_top rounds to 0
+        path = self.config(tmp_path, "dense-full", [(0.0, 0.0), (1e-318, 1e-3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "spectra", "--config", path, "--m-grid", "0.5:2:2"])
+        assert (code, out) == (3, "")
+        assert err == (f"physics error: {tmp_path / 'table.txt'}: tabulated m grid "
+                       "ends too low: its broadening 1e-6*m_top is 0\n")
+
+    def test_grid_ending_at_1e76_ev_loads(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("0 0\n1 1e-3\n1e76 0\n")
+        assert load_tabulated(table).m_ev[-1] == 1e76
+
+
 class TestQuadratureBlock:
     """A config's quadrature block reaches the route it runs."""
 

@@ -16,6 +16,13 @@ EP2 = 40.5
 PLASMA = dl.Drude(plasma_energy_ev=9.0, damping_ev=0.0)  # collisionless
 
 
+def at_gamma(model, m, gamma):
+    """A(-m**2 + i*gamma) at a chosen broadening, through the private
+    kernel: the public response takes the model's own."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    return dl._surface_response(model, 1j * gamma - m * m, m)
+
+
 class TestReflectionAndDenseAlpha:
     def test_vacuum_zero(self):
         assert dl.dense_alpha(dl.Vacuum(), 1.0) == 0.0
@@ -88,7 +95,8 @@ class TestRetarded:
             assert dl.eps_retarded(GOLD, m).imag <= 0.0
 
     def test_plasma_surface_pole(self):
-        eps = dl.eps_retarded(PLASMA, EP, gamma=1e-10)
+        a = at_gamma(PLASMA, EP, 1e-10)[0]
+        eps = (1.0 + a) / (1.0 - a)
         assert eps == pytest.approx(-1.0 + 0.0j, abs=1e-8)
 
     def test_drude_peak_against_closed_spectrum(self):
@@ -98,13 +106,13 @@ class TestRetarded:
         m = EP
         vals = []
         for gamma in (1e-5 * EP, 1e-6 * EP):
-            a = dl.dense_alpha_retarded(GOLD, m, gamma)
+            a = at_gamma(GOLD, m, gamma)[0]
             vals.append(-a.imag / math.pi)
         extrap = (10.0 * vals[1] - vals[0]) / 9.0
         assert extrap == pytest.approx(float(sd.value(m)), rel=1e-6)
 
     def test_gamma_zero_closed_form(self):
-        a = dl.dense_alpha_retarded(GOLD, 1.0, 0.0)
+        a = dl.dense_alpha_retarded(GOLD, 1.0)
         assert a == pytest.approx(40.5 / (40.5 - 1.0 + 0.035j), rel=1e-14)
 
     def test_rejects_nonpositive_m(self):
@@ -234,16 +242,17 @@ class TestTabulated:
         for k in (0.5, 3.0, 12.0):
             assert dl.dense_alpha(tab, k) == pytest.approx(
                 dl.dense_alpha(GOLD, k), rel=2e-5)
-        a_tab = dl.dense_alpha_retarded(tab, 2.0, 1e-4)
-        a_ref = dl.dense_alpha_retarded(GOLD, 2.0, 1e-4)
+        a_tab = at_gamma(tab, 2.0, 1e-4)[0]
+        a_ref = at_gamma(GOLD, 2.0, 1e-4)[0]
         assert a_tab.real == pytest.approx(a_ref.real, rel=1e-4)
         assert a_tab.imag == pytest.approx(a_ref.imag, rel=1e-3)
 
     def test_eps_from_table(self):
         m = np.linspace(1e-4, 400.0, 60000)
         tab = dl.Tabulated(m, dl.spectral_density(GOLD).value(m))
-        assert dl.eps_retarded(tab, 2.0, 1e-4) == pytest.approx(
-            dl.eps_retarded(GOLD, 2.0, 1e-4), rel=2e-4)
+        a_tab, a_ref = at_gamma(tab, 2.0, 1e-4)[0], at_gamma(GOLD, 2.0, 1e-4)[0]
+        assert (1.0 + a_tab) / (1.0 - a_tab) == pytest.approx(
+            (1.0 + a_ref) / (1.0 - a_ref), rel=2e-4)
 
     @pytest.mark.parametrize("m, v", [
         ([0.0, 1.0, np.inf], [0.0, 0.1, 0.2]),
@@ -528,9 +537,9 @@ class TestSurfaceResponse:
         for gamma in (1e-3, 0.1):
             for m in (0.05, 1.5, 3.99, 4.0, 6.0, 40.0):
                 ref = oracle(retarded(m, gamma), split=m)
-                got = dl.dense_alpha_retarded(TABLE, m, gamma)
+                got = at_gamma(TABLE, m, gamma)[0]
                 assert abs(got - ref) <= 1e-12 * abs(ref)
-        # Past the top at the default gamma, where Im A comes from gamma
+        # Past the top at the table's broadening, where Im A comes from gamma
         # alone: a tenth and a half of the last segment beyond it, and
         # 15.9 eV, where Im A must be exact too.
         h = _M[-1] - _M[-2]
@@ -539,16 +548,16 @@ class TestSurfaceResponse:
             got = dl.dense_alpha_retarded(TABLE, m)
             assert abs(got - ref) <= 1e-12 * abs(ref)
         assert abs(got.imag - ref.imag) <= 1e-12 * abs(ref.imag)
-        # On and 1e-9 beside every interior node at the default gamma,
+        # On and 1e-9 beside every interior node at the table's broadening,
         # where zeta + m**2 cancels, also on a geometric grid; the fast
         # oracle is checked against the quadrature first.
         for table, m in ((TABLE, _M[5]), (UNEVEN, _MG[5] * (1 + 1e-9))):
-            zeta = retarded(m, dl.default_gamma(table))
+            zeta = retarded(m, dl._broadening(table))
             ref = _quad_oracle(mpmath, table, zeta, split=m)
             assert abs(_antiderivative_oracle(mpmath, table, zeta) - ref) \
                 <= 1e-15 * abs(ref)
         for table in (TABLE, UNEVEN):
-            gamma = dl.default_gamma(table)
+            gamma = dl._broadening(table)
             nodes = table.m_ev[1:-1]
             m = np.concatenate((nodes, nodes * (1 + 1e-9), nodes * (1 - 1e-9)))
             for mi, got in zip(m, dl.dense_alpha_retarded(table, m)):
@@ -565,7 +574,7 @@ class TestSurfaceResponse:
                                              - s0) / (x - m0), [m1, m2])
             ref = complex(pv) - 1j * math.pi * s0
         for gamma in (1e-300, 1e-200):
-            got = dl.dense_alpha_retarded(TABLE, _M[5], gamma)
+            got = at_gamma(TABLE, _M[5], gamma)[0]
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("model, m, beside", [(GOLD, 6.3, 100.0),
@@ -585,12 +594,6 @@ class TestSurfaceResponse:
         for model in (GOLD, TABLE):
             assert dl.dense_alpha_retarded(model, np.array([])).shape == (0,)
 
-    def test_table_needs_positive_gamma(self):
-        with pytest.raises(DomainError):
-            dl.dense_alpha_retarded(TABLE, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            dl.eps_retarded(TABLE, 1.0, 0.0)
-
     @pytest.mark.parametrize("model", [GOLD, PLASMA, TABLE],
                              ids=["drude", "plasma", "table"])
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0, 1e200, 1.35e154])
@@ -601,12 +604,6 @@ class TestSurfaceResponse:
                                                   "float range"):
                 dl.dense_alpha_retarded(model, arg)
         assert math.isfinite(abs(dl.dense_alpha_retarded(model, 1.34e154)))
-
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1e-3])
-    def test_gamma_out_of_range_rejected(self, gamma):
-        for model in (GOLD, TABLE):
-            with pytest.raises(DomainError, match="gamma must be finite"):
-                dl.dense_alpha_retarded(model, 1.0, gamma)
 
     def test_table_ends_beside_the_pole(self):
         """1-3 ulp from an end where S jumps to 0, at small gamma, y - m_end
@@ -622,7 +619,7 @@ class TestSurfaceResponse:
                     beside = math.nextafter(beside, side)
                     m.append(beside)
             for gamma in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
-                got = dl.dense_alpha_retarded(ENDS, np.array(m), gamma)
+                got = at_gamma(ENDS, m, gamma)
                 for mi, a in zip(m, got):
                     with mpmath.workdps(40):
                         zeta = mpmath.mpc(-mpmath.mpf(mi) ** 2, gamma)
@@ -630,10 +627,10 @@ class TestSurfaceResponse:
                     assert abs(a - ref) <= 1e-12 * abs(ref), (mi, gamma)
 
     def test_default_gamma_depends_on_model_only(self):
-        assert dl.default_gamma(TABLE) == 1e-6 * 4.0
-        assert dl.default_gamma(PLASMA) == pytest.approx(1e-6 * EP, rel=1e-15)
-        assert dl.default_gamma(GOLD) == 0.0
-        assert dl.default_gamma(dl.Vacuum()) == 0.0
+        assert dl._broadening(TABLE) == 1e-6 * 4.0
+        assert dl._broadening(PLASMA) == pytest.approx(1e-6 * EP, rel=1e-15)
+        assert dl._broadening(GOLD) == 0.0
+        assert dl._broadening(dl.Vacuum()) == 0.0
 
 
 def test_medium_spec_density_validation():
