@@ -62,14 +62,17 @@ class Tabulated:
     in m and the density is taken to vanish outside the tabulated range.
     The value convention depends on the consuming route: dimensionless
     surface spectrum for dense plates, per-particle nm^3 for dilute media.
+    The model computes on its own float copies of the two columns, which
+    its fields show as read-only views, so the constants it builds from
+    them on first use cannot go stale.
     """
 
     m_ev: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m_ev, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        m = np.array(self.m_ev, dtype=float)
+        v = np.array(self.values, dtype=float)
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
             raise DomainError("tabulated model needs two same-length 1-D columns "
                               "with at least 2 samples")
@@ -85,8 +88,13 @@ class Tabulated:
             raise DomainError("a tabulated density must vanish at m = 0")
         if np.any(v < 0.0):
             raise DomainError("tabulated spectral values must be >= 0")
-        object.__setattr__(self, "m_ev", m)
-        object.__setattr__(self, "values", v)
+        # np.interp copies a read-only array on every call, so the model
+        # computes on the writable copies and shows read-only views.
+        object.__setattr__(self, "_columns", (m, v))
+        for name, col in (("m_ev", m), ("values", v)):
+            view = col.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
         if not _broadening(self) > 0.0:
             raise DomainError("tabulated m grid ends too low: its broadening "
                               "1e-6*m_top is 0")
@@ -95,7 +103,19 @@ class Tabulated:
     def _terms(self) -> "_TableTerms":
         """The constants of the table's surface response, built on its
         first response; the spectral routes never build them."""
-        return _TableTerms(self.m_ev, self.values)
+        return _TableTerms(*self._columns)
+
+    @cached_property
+    def _density(self) -> "SpectralDensity":
+        """The table's :func:`spectral_density`, built on its first use."""
+        m_grid, vals = self._columns
+
+        def interp(m):
+            return np.interp(m, m_grid, vals, left=0.0, right=0.0)
+
+        return SpectralDensity(value=interp,
+                               peak_hint=float(m_grid[int(np.argmax(vals))]),
+                               support_max=float(m_grid[-1]))
 
 
 PermittivityModel = Union[Vacuum, Drude, Tabulated]
@@ -145,7 +165,7 @@ def load_tabulated(path) -> Tabulated:
     del lines    # before the columns are copied: it holds the most memory
     if data is not None and len(data) > 1 and np.isfinite(data).all() \
             and not ("," in text and _COMMA_ROW.search(text)):
-        m, v = data[:-1, 0].copy(), data[:-1, 1].copy()
+        m, v = data[:-1, 0], data[:-1, 1]
     else:
         m, v = _read_rows(path, _file_lines(text))
     try:
@@ -206,6 +226,9 @@ _BLOCK_PAIRS = 2 ** 14
 _TINY = np.finfo(float).tiny
 # Largest energy whose square is finite.
 _M_MAX = math.sqrt(np.finfo(float).max)
+# Largest |slope| * max(m_top, 1 eV) of a table whose surface response is
+# formed, leaving room for pi*slope and the kinks.
+_SLOPE_ROOM = np.finfo(float).max / 4.0
 # Below this |m| a Drude spectrum's denominator, ~m**4, does not overflow,
 # as ``Drude`` keeps e_p and the damping at or below it too.
 _M_FAR = 1e76
@@ -236,8 +259,19 @@ class _TableTerms:
 
     def __init__(self, m: np.ndarray, v: np.ndarray):
         dm = m[1:] - m[:-1]
+        dv = v[1:] - v[:-1]
+        # Each constant formed from a slope b stays in the float range:
+        # pi*b, the kinks (differences of two slopes) and b*m on the table.
+        limit = _SLOPE_ROOM / max(1.0, float(m[-1]))
+        if np.any(np.abs(dv) > limit * dm):
+            slope = max(abs(p) / q for p, q in zip(dv.tolist(), dm.tolist()))
+            raise DomainError(
+                f"the tabulated density is too steep for its surface response: "
+                f"its slope {slope:.6g} per eV, times max(m_top, 1 eV), exceeds "
+                f"{_SLOPE_ROOM:.6g}, so the response's constants leave the "
+                "float range")
         self.m, self.v = m, v
-        self.b = (v[1:] - v[:-1]) / dm
+        self.b = dv / dm
         self.a = v[:-1] - self.b * m[:-1]
         self.width = float(dm.max())
         self.lin = float(2.0 * np.sum(self.b * dm))
@@ -268,10 +302,11 @@ class _TableTerms:
     @cached_property
     def static(self) -> float:
         """f(0): a table starting at m = 0 vanishes there, so that
-        segment has a = 0."""
+        segment has a = 0.  The logarithms are of m, not of m**2, which
+        underflows to 0 on nodes below ~1.5e-162 eV."""
         m = self.m
         with np.errstate(divide="ignore"):
-            log_term = np.where(m[:-1] > 0.0, np.diff(np.log(m ** 2)), 0.0)
+            log_term = np.where(m[:-1] > 0.0, 2.0 * np.diff(np.log(m)), 0.0)
         return float(np.sum(self.a * log_term)) + self.lin
 
     def exact(self, s: np.ndarray, m) -> np.ndarray:
@@ -512,7 +547,8 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
     """Spectral density of the surface response A.
 
     Drude: closed form, sharply peaked at e_p = hbar*omega_p/sqrt(2) for
-    small damping.  Tabulated: the interpolant itself.  Vacuum:
+    small damping.  Tabulated: the interpolant itself, built once per
+    table and kept on it.  Vacuum:
     identically zero.  An undamped Drude model carries its whole strength
     in one line at e_p, which contributes only through an exact
     two-frequency resonance, not a spectral overlap: DeltaLineError.
@@ -530,16 +566,7 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
         return SpectralDensity(value=lambda m: drude_spectral_value(model, m),
                                peak_hint=math.sqrt(_ep2(model)))
     if isinstance(model, Tabulated):
-        m_grid = model.m_ev
-        vals = model.values
-        peak = float(m_grid[int(np.argmax(vals))])
-
-        def interp(m):
-            return np.interp(np.asarray(m, dtype=float), m_grid, vals,
-                             left=0.0, right=0.0)
-
-        return SpectralDensity(value=interp, peak_hint=peak,
-                               support_max=float(m_grid[-1]))
+        return model._density
     raise UnsupportedModelError(f"unknown model {model!r}")
 
 

@@ -79,6 +79,10 @@ _PAST_CAP = 1.0 + 1e-9
 # pass evaluate no m below 4.2e-13*m_cap (a Kronrod node of the panel below
 # a tenth of the lowest probe point); 2**-40 leaves room for 40 bisections.
 _BETA_CAP_MIN = 1.5e-154 / (4.2e-13 * 2.0 ** -40)
+# Lowest beta*h it accepts of a positive peak hint h: a hint is a probe
+# point and a split point, so the same holds with h in place of the lowest
+# probe point 1e-9*m_cap.
+_BETA_HINT_MIN = 1e-9 * _BETA_CAP_MIN
 # Initial panel edges across the thermal window, in units of k_B*T.
 _OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
 # Density (nm^-3) of the half-plane a dense plate enters as (see geometry).
@@ -139,15 +143,20 @@ class FrictionResult:
     note: str | None = None
 
 
+# The constants of the overlap integrand's passes as 0-d arrays: numpy
+# converts a Python float operand anew on every ufunc call.
+_HALF, _CLIP, _M2 = np.array(0.5), np.array(700.0), np.array(-2.0)
+
+
 def _csch2_half(x):
     """1/sinh(x/2)**2, vectorized, with no cancellation as x -> 0.  It is
     finite for x above about 1.5e-154; below, sinh(x/2)**2 leaves the
     normal range and the weight overflows.  The argument is clipped below
     the overflow of sinh, where the weight has long underflowed to 0."""
-    out = 0.5 * np.asarray(x, dtype=float)
-    np.minimum(out, 700.0, out=out)
+    out = np.multiply(_HALF, x, dtype=float)
+    np.minimum(out, _CLIP, out=out)
     np.sinh(out, out=out)
-    out **= -2.0
+    out **= _M2
     return out
 
 
@@ -196,14 +205,22 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         raise DomainError(f"the spectral support ends at {m_cap!r} eV, too far "
                           f"below k_B*T at T_K = {temperature_k!r} K: the "
                           "thermal weight 1/sinh(m/(2*k_B*T))**2 overflows on it")
+    for h in hints:
+        if beta * h < _BETA_HINT_MIN:
+            raise DomainError(f"the spectral peak hint at {h!r} eV is too far "
+                              f"below k_B*T at T_K = {temperature_k!r} K: the "
+                              "thermal weight 1/sinh(m/(2*k_B*T))**2 overflows "
+                              "beside it")
 
-    pref = 0.5 * math.pi * beta * units.HBAR_JS
+    # 0-d arrays, like the constants of _csch2_half.
+    pref = np.array(0.5 * math.pi * beta * units.HBAR_JS)
+    beta_arr = np.array(beta)
 
     def integrand(m):
         # pref*S1*S2*csch2 in this order, each product in place
         out = pref * s1.value(m)
         out *= s2.value(m)
-        out *= _csch2_half(beta * m)
+        out *= _csch2_half(beta_arr * m)
         return out
 
     # Deterministic probe of the integrand magnitude: geometric sweep of
@@ -235,6 +252,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         vals *= factor[:len(vals)]
     tail_val = float(vals[-1])
     scale = float(np.abs(vals[:-1]).max())
+    scale_arr = np.array(scale)
     if scale == 0.0 or not math.isfinite(scale):
         evals = len(vals) + sum(map(len, first_pass))
         if not math.isfinite(scale):
@@ -245,7 +263,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         out = integrand(m)
         if extra_factor is not None:
             out *= first_pass.pop() if first_pass else extra_factor(m)
-        out /= scale
+        out /= scale_arr
         return out
 
     res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
@@ -378,7 +396,7 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     if denominators == "drop":
         return h0_overlap(s1, s2, system.T_K, spec)
     z0 = _static_alpha(model1) * _static_alpha(model2)
-    if z0 > 1.0:
+    if not z0 <= 1.0:
         raise DomainError(
             f"denominators='keep' needs z(0) = A1(0)*A2(0) <= 1, got "
             f"z(0) = {z0:.6g}: the screening has a non-integrable pole "

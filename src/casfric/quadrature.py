@@ -244,9 +244,15 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
     evals, results = [0] * len(edges), [None] * len(edges)
     job_ids = np.arange(len(edges))
     while any(wanted_lo):
-        owner = job_ids.repeat([15 * len(lo) for lo in wanted_lo])
-        panels = _panels(f, list(chain.from_iterable(wanted_lo)),
-                         list(chain.from_iterable(wanted_hi)), owner)
+        if len(edges) == 1:
+            # A lone integral: its own panel lists, every node its own.
+            ends = wanted_lo[0], wanted_hi[0]
+            owner = np.zeros(15 * len(ends[0]), dtype=job_ids.dtype)
+        else:
+            ends = (list(chain.from_iterable(wanted_lo)),
+                    list(chain.from_iterable(wanted_hi)))
+            owner = job_ids.repeat([15 * len(lo) for lo in wanted_lo])
+        panels = _panels(f, *ends, owner)
         start = 0
         for j, lo in enumerate(wanted_lo):
             if lo:

@@ -606,6 +606,38 @@ class TestTableEnergyRange:
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["force"] == float.fromhex(force)
 
+    def test_peak_hint_far_below_k_t(self, tmp_path, capsys):
+        # the table's peak at 1e-200 eV is a probe point: the weight
+        # overflowed there, giving force nan with a RuntimeWarning
+        path = self.config(tmp_path, "dense-full", [(1e-200, 1e-3), (1.0, 0.0)])
+        code, out, err = self.compute(capsys, path)
+        assert (code, out) == (3, "")
+        assert err == ("physics error: the spectral peak hint at 1e-200 eV is "
+                       "too far below k_B*T at T_K = 300.0 K: the thermal "
+                       "weight 1/sinh(m/(2*k_B*T))**2 overflows beside it\n")
+
+    @pytest.mark.parametrize("rows, slope", [
+        ([(0.0, 0.0), (1e-300, 1e8), (1.0, 0.0)], "1e+308"),
+        ([(0.0, 0.0), (0.01, 1e306), (1.0, 0.0)], "1e+308"),
+        ([(0.0, 0.0), (0.5, 1.7e308), (1.0, 0.0)], "inf")])
+    def test_slope_past_the_float_range(self, tmp_path, capsys, rows, slope):
+        # under keep, pi*slope overflowed: "z(0) = inf" with RuntimeWarnings
+        path = self.config(tmp_path, "dense-full", rows, "keep")
+        code, out, err = self.compute(capsys, path)
+        assert (code, out) == (3, "")
+        assert err == ("physics error: the tabulated density is too steep for "
+                       f"its surface response: its slope {slope} per eV, times "
+                       "max(m_top, 1 eV), exceeds 4.49423e+307, so the "
+                       "response's constants leave the float range\n")
+
+    def test_steep_slope_under_drop(self, tmp_path, capsys):
+        # drop forms no response constants: the same table keeps its force
+        path = self.config(tmp_path, "dense-full",
+                           [(0.0, 0.0), (0.01, 1e306), (1.0, 0.0)])
+        code, out, err = self.compute(capsys, path)
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["result"]["force"])
+
     @pytest.mark.parametrize("denominators", ["drop", "keep"])
     def test_grid_past_1e76_ev(self, tmp_path, capsys, denominators):
         # under keep, m**2 overflowed in A(0): "z(0) = inf" with a RuntimeWarning

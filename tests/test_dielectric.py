@@ -254,6 +254,38 @@ class TestTabulated:
         assert (1.0 + a_tab) / (1.0 - a_tab) == pytest.approx(
             (1.0 + a_ref) / (1.0 - a_ref), rel=2e-4)
 
+    def test_columns_are_read_only_copies(self):
+        # the caller's arrays are copied: writing to them after the first
+        # response leaves the table's results as they were
+        m, v = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.4, 0.1, 0.0])
+        model = dl.Tabulated(m, v)
+        grid = np.array([0.5, 1.5, 2.5])
+
+        def results():
+            return (dl.spectral_density(model).value(grid),
+                    dl.dense_alpha_retarded(model, grid),
+                    dl.dense_alpha(model, grid))
+
+        before = results()
+        m[1:3] = [0.1, 0.2]
+        v[1:3] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(before, results()))
+        for col in (model.m_ev, model.values):
+            with pytest.raises(ValueError, match="read-only"):
+                col[1] = 0.5
+        assert list(model.m_ev) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_density_built_once(self):
+        model = dl.Tabulated(np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.3, 0.2]))
+        sd = dl.spectral_density(model)
+        assert dl.spectral_density(model) is sd
+        grid = np.linspace(0.0, 3.0, 13)
+        assert np.array_equal(sd.value(grid), np.interp(
+            grid, [0.5, 1.0, 2.0], [0.1, 0.3, 0.2], left=0.0, right=0.0))
+        # scalars and lists are still accepted
+        assert sd.value(1.0) == 0.3 and sd.value(1) == 0.3
+        assert list(sd.value([1.0, 3.0])) == [0.3, 0.0]
+
     @pytest.mark.parametrize("m, v", [
         ([0.0, 1.0, np.inf], [0.0, 0.1, 0.2]),
         ([0.0, 1.0, 2.0], [0.0, np.nan, 0.2]),

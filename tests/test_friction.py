@@ -543,6 +543,16 @@ class TestStaticCoupling:
             MediumSpec(table), GOLD_MED, 10.0, 100.0, 150.0), "keep")
         assert math.isfinite(res.force) and res.force > 0.0
 
+    def test_static_alpha_of_tiny_nodes(self):
+        # m**2 underflowed to 0 on nodes below ~1.5e-162 eV: z(0) was nan
+        # after "invalid value encountered in subtract"
+        table = Tabulated(np.array([1e-171, 1e-170, 2e-170]),
+                          np.array([0.0, 1e-3, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a0 = dense_alpha(table, 0.0)
+            assert math.isfinite(a0) and a0 == fr._static_alpha(table)
+
     def test_kinked_half_converges(self):
         res = fr.friction_dense(fr.PlateSystem(
             MediumSpec(kinked_table(0.5)), GOLD_MED, 10.0, 100.0, 150.0),
@@ -585,6 +595,18 @@ class TestH0Kernels:
         assert w[0] == pytest.approx(4e40, rel=1e-12)
         assert w[1] == pytest.approx(math.sinh(0.5) ** -2, rel=1e-14)
         assert w[2] == 0.0
+
+    def test_peak_hint_far_below_k_t_raises(self):
+        # the hint is a probe and split point: the weight overflowed beside
+        # it, giving force nan and converged=False with a RuntimeWarning
+        table = Tabulated(np.array([1e-200, 1.0]), np.array([1e-3, 0.0]))
+        system = fr.PlateSystem(MediumSpec(table), GOLD_MED, 10.0, 100.0, 300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=(
+                    r"the spectral peak hint at 1e-200 eV is too far below "
+                    r"k_B\*T at T_K = 300\.0 K")):
+                fr.friction_dense(system, "drop")
 
     def test_delta_line_rejected(self):
         with pytest.raises(DeltaLineError, match="6.36396"):
