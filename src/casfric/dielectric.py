@@ -214,6 +214,15 @@ def _ep2(model) -> float:
     return 0.5 * model.plasma_energy_ev ** 2
 
 
+def _drude_constants(model: Drude) -> tuple:
+    """e_p**2, the damping and (e_p**2/pi) * damping as 0-d arrays: numpy
+    converts a Python float operand anew on every ufunc call, and an
+    array once made it takes as it is."""
+    ep2 = _ep2(model)
+    return tuple(map(np.array, (ep2, model.damping_ev,
+                                (ep2 / math.pi) * model.damping_ev)))
+
+
 # Most (energy, column) pairs the tabulated kernel holds in one numpy block:
 # (energy, node) pairs of the exact form, whose work arrays hold 48 bytes a
 # pair, and (energy, Kronrod node) pairs, 16 bytes a temporary.  Blocks then
@@ -303,11 +312,17 @@ class _TableTerms:
     def static(self) -> float:
         """f(0): a table starting at m = 0 vanishes there, so that
         segment has a = 0.  The logarithms are of m, not of m**2, which
-        underflows to 0 on nodes below ~1.5e-162 eV."""
+        underflows to 0 on nodes below ~1.5e-162 eV.  A sum that leaves
+        the float range is a DomainError, not an infinite A(0)."""
         m = self.m
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_term = np.where(m[:-1] > 0.0, 2.0 * np.diff(np.log(m)), 0.0)
-        return float(np.sum(self.a * log_term)) + self.lin
+            static = float(np.sum(self.a * log_term)) + self.lin
+        if not math.isfinite(static):
+            raise DomainError(
+                "the tabulated density's static response A(0), the integral "
+                "of 2*S(m)/m, leaves the float range")
+        return static
 
     def exact(self, s: np.ndarray, m) -> np.ndarray:
         """The exact form at s = sqrt(zeta), one energy a row; ``m`` the
@@ -522,11 +537,16 @@ def drude_spectral_value(model: Drude, m):
 
     Where the denominator overflows, past |m| ~ 1e77 eV, numerator and
     denominator are divided by m**4 first."""
-    ep2 = _ep2(model)
-    sigma = model.damping_ev
+    return _drude_spectrum(_drude_constants(model), m)
+
+
+def _drude_spectrum(constants: tuple, m):
+    """:func:`drude_spectral_value` from the model's ``_drude_constants``,
+    which a Drude spectral density forms once."""
+    ep2, sigma, coef = constants
     m_arr = np.asarray(m, dtype=float)
     if not np.maximum.reduce(np.abs(m_arr), axis=None, initial=0.0) > _M_FAR:
-        num = (ep2 / math.pi) * sigma * m_arr
+        num = coef * m_arr
         den = ep2 - m_arr ** 2
         den **= 2
         damp = sigma * m_arr
@@ -534,10 +554,10 @@ def drude_spectral_value(model: Drude, m):
         num /= den
         return num
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        num = (ep2 / math.pi) * sigma * m_arr
+        num = coef * m_arr
         den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
         r = 1.0 / m_arr
-        scaled = ((ep2 / math.pi) * sigma * r * r * r
+        scaled = (coef * r * r * r
                   / ((ep2 * r * r - 1.0) ** 2 + (sigma * r) ** 2))
         far = np.isinf(den) & np.isfinite(m_arr)
         return np.where(far, scaled, num / den)[()]
@@ -563,7 +583,8 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
             "eV, which contributes only through an exact two-frequency "
             "resonance, not a spectral overlap")
     if isinstance(model, Drude):
-        return SpectralDensity(value=lambda m: drude_spectral_value(model, m),
+        constants = _drude_constants(model)
+        return SpectralDensity(value=lambda m: _drude_spectrum(constants, m),
                                peak_hint=math.sqrt(_ep2(model)))
     if isinstance(model, Tabulated):
         return model._density

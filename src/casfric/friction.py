@@ -59,7 +59,7 @@ from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
 from .errors import DomainError, UnsupportedModelError
 from .polylog import LI4_REL_ERR, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
-                         initial_nodes, integrate_finite)
+                         integrate_finite)
 
 DenominatorMode = Literal["drop", "keep"]
 
@@ -178,14 +178,17 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
 
     ``extra_factor`` must be elementwise.  One rule places the initial
     panels, factor or no factor: around the peak of the bare product
-    S1*S2/sinh**2 on the probe.  The factor is called once on the probe
-    together with the nodes of those panels, and then once for each
-    later pass of the adaptive rule; every value it returns is used, and
-    ``evaluations`` counts each point once.  The scale and the tail bound
-    come from the probe with the factor.  Where the factor leaves the
-    probed peak where it was, the result is that of probing with the
-    factor and then integrating, bit for bit; where it moves the peak,
-    only the panels the rule starts from differ.
+    S1*S2/sinh**2 on the probe.  The factor is called once a pass of the
+    adaptive rule, the first time inside the engine's first integrand
+    call, on the probe followed by the nodes of those panels; every value
+    it returns is used, and ``evaluations`` counts each point once.  The
+    scale and the tail bound come from the probe with the factor, settled
+    in that first call before the bare integrand is evaluated on the
+    nodes; where the probed peak is 0 or not finite, that call returns
+    zeros, the engine stops after it and the result returns early.
+    Where the factor leaves the probed peak where it was, the result is
+    that of probing with the factor and then integrating, bit for bit;
+    where it moves the peak, only the panels the rule starts from differ.
     """
     if spec is None:
         spec = default_spec()
@@ -243,30 +246,45 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     m_star = float(probe_grid[int(np.abs(vals[:-1]).argmax())])
     splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
               *(octave / beta for octave in _OCTAVES)]
-    # The factor on the nodes of the engine's first call.
-    first_pass = []
-    if extra_factor is not None:
-        factor = extra_factor(np.concatenate(
-            (probe_grid, initial_nodes(0.0, m_cap, splits))))
-        first_pass.append(factor[len(vals):])
-        vals *= factor[:len(vals)]
-    tail_val = float(vals[-1])
-    scale = float(np.abs(vals[:-1]).max())
-    scale_arr = np.array(scale)
-    if scale == 0.0 or not math.isfinite(scale):
-        evals = len(vals) + sum(map(len, first_pass))
-        if not math.isfinite(scale):
-            return IntegralResult(math.nan, math.inf, evals, False)
-        return IntegralResult(0.0, 0.0, evals, True)
+    n_probe = evals = vals.size
+    scale = tail_val = scale_arr = None
+
+    def settle():
+        """The scale and the tail value from the probe -> False where its
+        peak is 0 or not finite, for which the result returns early."""
+        nonlocal scale, tail_val, scale_arr
+        tail_val = float(vals[-1])
+        scale = float(np.abs(vals[:-1]).max())
+        scale_arr = np.array(scale)
+        return 0.0 < scale < math.inf
 
     def scaled(m):
-        out = integrand(m)
-        if extra_factor is not None:
-            out *= first_pass.pop() if first_pass else extra_factor(m)
+        if scale is None:
+            # The engine's first call, on the nodes of its initial panels:
+            # the factor on the probe and those nodes at once, then the
+            # scale from the screened probe, then the bare integrand.
+            # Without a scale, a zero integrand ends the engine's run.
+            factor = extra_factor(np.concatenate((probe_grid, m)))
+            np.multiply(vals, factor[:n_probe], out=vals)
+            if not settle():
+                return np.zeros_like(m)
+            out = integrand(m)
+            out *= factor[n_probe:]
+        else:
+            out = integrand(m)
+            if extra_factor is not None:
+                out *= extra_factor(m)
         out /= scale_arr
         return out
 
-    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
+    # Without a factor the scale is settled from the bare probe here.
+    if extra_factor is not None or settle():
+        res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
+        evals += res.evaluations
+    if not 0.0 < scale < math.inf:
+        if math.isfinite(scale):
+            return IntegralResult(0.0, 0.0, evals, True)
+        return IntegralResult(math.nan, math.inf, evals, False)
 
     # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying
@@ -276,8 +294,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     err = res.error_estimate + tail_bound
     converged = res.converged and (res.value == 0.0
                                    or tail_bound <= spec.target(res.value))
-    return IntegralResult(res.value * scale, err * scale,
-                          res.evaluations + len(vals), converged)
+    return IntegralResult(res.value * scale, err * scale, evals, converged)
 
 
 def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
@@ -332,10 +349,13 @@ def _screening_factor(z):
     gives inf.
     """
     z = np.asarray(z, dtype=complex)
+    # No point lies near the axis when the least |Im z| clears the step of
+    # the largest |z|; only otherwise are the steps formed point by point.
+    if (np.abs(z.imag).min(initial=math.inf)
+            >= _STEP * max(np.abs(z).max(initial=0.0), 1.0)):
+        return li4(z).imag / z.imag
     step = _STEP * np.maximum(np.abs(z), 1.0)
     near_axis = np.abs(z.imag) < step
-    if not near_axis.any():
-        return li4(z).imag / z.imag
     pole = (z.imag == 0.0) & (z.real > 1.0)
     y = np.where((near_axis & (z.real <= 1.0)) | pole, step, z.imag)
     return np.where(pole, np.inf, li4(z.real + 1j * y).imag / y)
@@ -406,9 +426,9 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
         return _screening_factor(dense_alpha_retarded(model1, m)
                                  * dense_alpha_retarded(model2, m))
 
-    res = h0_overlap(s1, s2, system.T_K,
-                     replace(spec, rel_tol=max(spec.rel_tol, LI4_REL_ERR)),
-                     screening)
+    inner = (spec if spec.rel_tol >= LI4_REL_ERR
+             else replace(spec, rel_tol=LI4_REL_ERR))
+    res = h0_overlap(s1, s2, system.T_K, inner, screening)
     err = res.error_estimate + LI4_REL_ERR * abs(res.value)
     return IntegralResult(res.value, err, res.evaluations,
                           res.converged and err <= spec.rel_tol * abs(res.value))

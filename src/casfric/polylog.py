@@ -26,8 +26,18 @@ columns; the powers u**k are products of earlier powers (no
 ``np.power``, no polar form), with u**k for k > 2 set to 0 where |u| is
 too small for them to count.  The integer powers in the inversion
 formula and the logarithmic term are products as well, and ln z is a
-real logarithm of |z| plus an arctan2.  So a call of any size makes the
-same few dozen numpy calls.
+real logarithm of |z| plus an arctan2, one for the ring and the
+inversion formula together; the even and odd sums are picked with one
+flat index, and the inversion formula is formed on the points past
+|z| = 2 only.  So a call of any size makes the same few dozen numpy
+calls.
+
+Every complex product is formed out of place, its operands in a fixed
+order.  With numpy 2.4 on an AVX-512 host, a*b and b*a differ in the
+last bit on about a third of entries, so an in-place ``b *= a`` in
+place of ``a * b`` changes the result; keeping the form of each product
+also keeps the value at one z independent of the other points of its
+call (tests/test_polylog.py checks both on pinned grids).
 
 The coefficients are literals (40-digit values rounded to double), so
 the module needs nothing beyond numpy.  Against mpmath the relative
@@ -56,7 +66,6 @@ _ZETA_ODD = (
     3.643877167529437e-18, -5.977486811666558e-20, 1.0233713055515067e-21,
     -1.8145595613834747e-23,
 )
-_H3 = 11.0 / 6.0
 
 # Series about z = -1: -eta(4-k)/k! for k = 0..4, then for the odd
 # k = 5, 7, ..., 51.
@@ -92,7 +101,7 @@ def _even_odd(head, odd, rows):
 # Below this |x**2| the powers past x**4 change the series by less than
 # 1e-18 of the terms kept; dropped, they do not reach the subnormal range,
 # where each multiplication takes ~10x longer.
-_TAIL = 1e-9
+_TAIL = np.array(1e-9)
 
 # The three series side by side, each as (even, odd) coefficient columns:
 # 1/k**4 for k = 1..40 (the tail at |z| = 1/2 is below 1e-18 of the sum),
@@ -102,6 +111,17 @@ _COEFS[1:21, 0] = 1.0 / np.arange(2.0, 41.0, 2.0) ** 4
 _COEFS[:20, 1] = 1.0 / np.arange(1.0, 41.0, 2.0) ** 4
 _COEFS[:, 2:4] = _even_odd(_ZETA_HEAD, _ZETA_ODD, 26)
 _COEFS[:, 4:] = _even_odd(_ETA_HEAD, _ETA_ODD, 26)
+
+
+# li4's constants as 0-d arrays: numpy converts a Python float operand
+# anew on every ufunc call.  H_3 = 11/6 is the harmonic number of the
+# series about z = 1; 2 pi**2, -24 and 7 pi**4/360 are the inversion
+# formula's.
+_ZERO, _HALF, _ONE, _TWO, _SIX, _M24 = map(np.array,
+                                            (0.0, 0.5, 1.0, 2.0, 6.0, -24.0))
+_H3 = np.array(11.0 / 6.0)
+_TWO_PI2 = np.array(2.0 * math.pi ** 2)
+_INV_TERM = np.array(7.0 * math.pi ** 4 / 360.0)
 
 
 def _log(z, r):
@@ -128,7 +148,7 @@ def _series(x):
     u = x * x
     powers = np.empty((_COEFS.shape[0], x.size), dtype=complex)
     powers[0] = 1.0
-    powers[1] = np.where(np.abs(u) < _TAIL, 0.0, u)
+    powers[1] = np.where(np.abs(u) < _TAIL, _ZERO, u)
     k = 2
     while k < powers.shape[0]:
         j = min(k - 1, powers.shape[0] - k)
@@ -151,26 +171,33 @@ def li4(z):
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = z.ravel()
+    n = z.size
     r = np.abs(z)
-    ring = (r > 0.5) & (r < 2.0)
-    far = r >= 2.0
-    neg = z.real < 0.0
+    far = r >= _TWO
+    ring = (r > _HALF) & (r < _TWO)
+    neg = z.real < _ZERO
     # Each point's series variable and coefficients: z (or 1/z past
     # |z| = 2) with 1/k**4, or in the ring ln z with zeta, ln(-z) with eta.
-    # The logarithms of the points that do not use them may be infinite.
+    # One logarithm serves the ring and the inversion formula: of -z where
+    # Re z < 0 or |z| >= 2, else of z.  The logarithms of the points that
+    # do not use them may be infinite.
     with np.errstate(divide="ignore", invalid="ignore"):
+        lg = _log(np.where(neg | far, -z, z), r)
         x = np.reciprocal(z, out=z.copy(), where=far)
-        np.copyto(x, _log(np.where(neg, -z, z), r), where=ring)
+        np.copyto(x, lg, where=ring)
         kind = ring * (1 + neg)
-        even, odd = _series(x).reshape(3, 2, -1)[kind, :, np.arange(z.size)].T
-        out = even + x * odd
+        # Row 2*kind of the sums holds a point's even sum and the next row
+        # its odd sum: one flat index, and n past it, picks both.
+        even = kind * (2 * n) + np.arange(n)
+        sums = _series(x).ravel()
+        out = sums.take(even) + x * sums.take(even + n)
         if ring.any():
             # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1; 0 at z = 1
             size = np.abs(x)
-            log_term = x * x * x / 6.0 * (_H3 - _log(-x, np.where(size == 0.0, 1.0, size)))
-            out = np.where(kind == 1, out + log_term, out)
+            size = np.where(size == _ZERO, _ONE, size)
+            log_term = x * x * x / _SIX * (_H3 - _log(-x, size))
+            np.add(out, log_term, out=out, where=kind == 1)
         if far.any():
-            lg2 = _log(-z, r) ** 2
-            out = np.where(far, (lg2 + 2.0 * math.pi ** 2) * lg2 / -24.0
-                           - 7.0 * math.pi ** 4 / 360.0 - out, out)
+            lg2 = lg[far] ** 2
+            out[far] = (lg2 + _TWO_PI2) * lg2 / _M24 - _INV_TERM - out[far]
     return out.reshape(shape)

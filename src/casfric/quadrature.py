@@ -11,15 +11,17 @@ target and one subdivision budget hold for the whole integral.
 Bisection runs in passes.  Each pass sorts the panels worst first and
 bisects the prefix that panel-by-panel worst-first bisection (QUADPACK's
 rule) is certain to bisect before it could stop; the integrand is called
-once for all initial panels, at ``initial_nodes``, then once a pass for
-all halves.  The result is that of panel-by-panel bisection but where a
-narrow peak, found late, raises the target past a panel the same pass
-bisected, or where the budget runs out first: ``evaluations``, the
-points evaluated, is then no lower, and ``converged`` agrees.  So ``f``
-receives one 1-D ndarray of 15*k abscissae per call and must return an
-ndarray of the same shape, elementwise.  A pass stops on the exactly
-rounded (math.fsum) sums of value and error: once the error meets the
-target, a sum is not finite or the budget is spent.
+once for all initial panels, then once a pass for all halves.  An
+integrand that needs other points evaluated beside the initial panels
+(``friction.h0_overlap`` and its probe) takes them in that first call.
+The result is that of panel-by-panel bisection but where a narrow peak,
+found late, raises the target past a panel the same pass bisected, or
+where the budget runs out first: ``evaluations``, the points evaluated,
+is then no lower, and ``converged`` agrees.  So ``f`` receives one 1-D
+ndarray of 15*k abscissae per call and must return an ndarray of the
+same shape, elementwise.  A pass stops on the exactly rounded
+(math.fsum) sums of value and error: once the error meets the target, a
+sum is not finite or the budget is spent.
 
 Independent integrals run in lockstep in ``integrate_many``, of which
 ``integrate_finite`` is the one-job case, and in
@@ -67,6 +69,9 @@ _WG = np.array([
     0.38183005050511894, 0.27970539148927664, 0.12948496616886969,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# 0.5 as a 0-d array: numpy converts a Python float operand anew on every
+# ufunc call.
+_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,9 @@ def _nodes(lo, hi):
     """Half-widths of the panels [lo[i], hi[i]] and their nodes
     mid + half*_XGK, panel after panel in one flat array."""
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    half = 0.5 * (b - a)
+    half = _HALF * (b - a)
     x = half[:, None] * _XGK
-    x += (0.5 * (a + b))[:, None]
+    x += (_HALF * (a + b))[:, None]
     return half, x.ravel()
 
 
@@ -155,15 +160,6 @@ def _edges(a, b, split_points):
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
     return [a] + sorted(s for s in set(map(float, split_points))
                         if a < s < b) + [b]
-
-
-def initial_nodes(a: float, b: float,
-                  split_points: Iterable[float] = ()) -> np.ndarray:
-    """The abscissae of the first call ``f`` receives from
-    ``integrate_finite(f, a, b, spec, split_points)``, bit for bit: the
-    nodes of the initial panels, whatever ``spec``."""
-    edges = _edges(a, b, split_points)
-    return _nodes(edges[:-1], edges[1:])[1]
 
 
 def _bisect(live, retired, spec):

@@ -630,6 +630,16 @@ class TestTableEnergyRange:
                        "max(m_top, 1 eV), exceeds 4.49423e+307, so the "
                        "response's constants leave the float range\n")
 
+    def test_static_response_past_the_float_range(self, tmp_path, capsys):
+        # under keep, A(0) overflowed: "z(0) = inf" with a RuntimeWarning
+        path = self.config(tmp_path, "dense-full",
+                           [(1.0, 1.7e308), (2.0, 1.7e308)], "keep")
+        code, out, err = self.compute(capsys, path)
+        assert (code, out) == (3, "")
+        assert err == ("physics error: the tabulated density's static "
+                       "response A(0), the integral of 2*S(m)/m, leaves the "
+                       "float range\n")
+
     def test_steep_slope_under_drop(self, tmp_path, capsys):
         # drop forms no response constants: the same table keeps its force
         path = self.config(tmp_path, "dense-full",

@@ -683,3 +683,19 @@ def test_medium_spec_density_validation():
 def test_free_electron_models_reject_non_finite(make):
     with pytest.raises(DomainError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("size", [1, 15])
+@pytest.mark.parametrize("model", [GOLD, dl.Drude(4.0, 0.2), PLASMA, TABLE,
+                                   ENDS], ids=["gold", "soft", "plasma",
+                                               "table", "ends"])
+def test_retarded_response_is_elementwise(model, size):
+    """The value at an energy does not depend on which energies share its
+    call, across the surface resonance, both table forms and a table's
+    ends: the screening evaluates A on the probe and the first panels
+    together, and any other set of energies."""
+    m = np.concatenate((np.geomspace(1e-3, 40.0, 200), _ME, [EP, 1e3, 1e6]))
+    whole = dl.dense_alpha_retarded(model, m)
+    sliced = np.concatenate([dl.dense_alpha_retarded(model, m[i:i + size])
+                             for i in range(0, m.size, size)])
+    assert np.array_equal(whole.view(float), sliced.view(float))

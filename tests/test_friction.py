@@ -952,6 +952,45 @@ class TestOneScreeningCall:
         assert len(screening) == density - 1 == passes
         assert sum(screening) == res.evaluations == evaluations
 
+    @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
+                                      "keep-table"])
+    def test_first_factor_call_rides_in_the_first_pass(self, monkeypatch,
+                                                       case):
+        """Recorded through wrappers: inside the engine's first integrand
+        call, the factor receives the probe grid (the first call of a
+        density) followed by that call's nodes, bit for bit, and only
+        then does the bare integrand reach those nodes."""
+        s1, s2, t_k, spec, factor = self.overlap_args(monkeypatch,
+                                                      PINNED_CALLS[case])
+        events = []
+
+        def value(m):
+            events.append(("density", m.copy()))
+            return s1.value(m)
+
+        def recorded_factor(m):
+            events.append(("factor", m.copy()))
+            return factor(m)
+
+        real_integrate = fr.integrate_finite
+
+        def integrate(f, *args, **kwargs):
+            def recorded(x):
+                events.append(("engine", x.copy()))
+                return f(x)
+
+            return real_integrate(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(fr, "integrate_finite", integrate)
+        res = fr.h0_overlap(dataclasses.replace(s1, value=value), s2, t_k,
+                            spec, recorded_factor)
+        assert res.converged
+        assert [kind for kind, _ in events[:4]] == [
+            "density", "engine", "factor", "density"]
+        probe, nodes, first_factor, first_density = (x for _, x in events[:4])
+        assert first_factor.tobytes() == np.concatenate((probe, nodes)).tobytes()
+        assert first_density.tobytes() == nodes.tobytes()
+
     def test_factor_moves_the_peak(self):
         """A narrow factor at 8 k_B*T lifts the gold product there above
         its bare peak near 0.  The panels stay around the bare peak, the
@@ -1153,3 +1192,46 @@ def test_pinned_bits(case):
     assert res.converged
     assert (res.force.hex(), res.h0.hex(), res.quadrature_error.hex(),
             res.evaluations) == PINNED[case]
+
+
+def screened_drude_pairs():
+    """Twelve seeded ``keep`` Drude pairs from the benchmark's ranges:
+    plasma 3-15 eV, damping 5-200 meV (log-uniform), d 2-50 nm, with T
+    geometric from 30 to 1000 K."""
+    rng = np.random.default_rng(2030)
+    lg = math.log(0.005), math.log(0.2)
+    systems = []
+    for t in np.geomspace(30.0, 1000.0, 12).tolist():
+        ep1, ep2 = rng.uniform(3.0, 15.0, 2).tolist()
+        g1, g2 = np.exp(rng.uniform(*lg, 2)).tolist()
+        systems.append(_plates(Drude(ep1, g1), Drude(ep2, g2), t,
+                               rng.uniform(2.0, 50.0)))
+    return systems
+
+
+# float.hex of force, H0 and quadrature_error, and evaluations, of
+# ``screened_drude_pairs`` under keep, recorded as PINNED is.
+SCREENED_DRUDE_PINNED = [
+    ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f15a83fb547p-33", 318),
+    ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec1f350c1d1p-33", 318),
+    ("0x1.ddc3ea4ed8f5ep-51", "0x1.69ee5675145f8p-152", "0x1.21ef6e2bfbd38p-33", 318),
+    ("0x1.29c4735949a14p-50", "0x1.a9d0f5c2f69aep-150", "0x1.21e162c3c1f74p-33", 318),
+    ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dc982b62a56p-33", 318),
+    ("0x1.8f8fcca1b1ff7p-39", "0x1.2f393f06ac729p-142", "0x1.2173c2aebc334p-33", 318),
+    ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67b2b5dfd1p-33", 318),
+    ("0x1.59cbbd355f785p-39", "0x1.dc2aa588e87e0p-144", "0x1.1fadfda226c91p-33", 318),
+    ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6d4fbb0984p-33", 318),
+    ("0x1.52d0d6c1bf70dp-36", "0x1.50fec57684617p-143", "0x1.203abb8fdf70cp-33", 318),
+    ("0x1.b6c7ec149a0b0p-38", "0x1.d207b6ae7a16cp-142", "0x1.1e4ce17c3941fp-33", 318),
+    ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8ade6c14bcp-33", 318),
+]
+
+
+def test_screened_drude_pinned_bits():
+    got = []
+    for system in screened_drude_pairs():
+        res = fr.friction_dense(system, "keep")
+        assert res.converged
+        got.append((res.force.hex(), res.h0.hex(), res.quadrature_error.hex(),
+                    res.evaluations))
+    assert got == SCREENED_DRUDE_PINNED

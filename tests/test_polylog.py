@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from casfric.dielectric import Drude, dense_alpha_retarded
 from casfric.polylog import LI4_REL_ERR, li4
 from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 
@@ -83,3 +85,39 @@ def test_li4_is_elementwise(size):
     whole = li4(z)
     sliced = np.concatenate([li4(z[i:i + size]) for i in range(0, z.size, size)])
     assert np.array_equal(whole.view(float), sliced.view(float))
+
+
+def drude_pair_z():
+    """z = A1*A2 on the retarded branch at 300 energies from 1e-4 to 40 eV
+    for 40 seeded Drude pairs from the benchmark's ranges: plasma 3-15 eV,
+    damping 5-200 meV (log-uniform)."""
+    rng = np.random.default_rng(30)
+    lg = math.log(0.005), math.log(0.2)
+    m = np.geomspace(1e-4, 40.0, 300)
+    zs = []
+    for _ in range(40):
+        d1 = Drude(rng.uniform(3.0, 15.0), math.exp(rng.uniform(*lg)))
+        d2 = Drude(rng.uniform(3.0, 15.0), math.exp(rng.uniform(*lg)))
+        zs.append(dense_alpha_retarded(d1, m) * dense_alpha_retarded(d2, m))
+    return np.concatenate(zs)
+
+
+# sha256 of li4's bytes on each grid.  Changes that only make li4 cheaper
+# keep every bit.  Recorded with numpy 2.4.6 on an x86-64 Intel Xeon with
+# AVX-512, like test_friction's PINNED: a complex product may round
+# differently on another CPU or numpy build, and a mismatch there alone
+# means re-recording, not a regression.
+PINNED_SHA256 = {
+    "oracle": "f13b2ac02114288b49363a7a52e7802110895f08483797b4b768471ea9e565e7",
+    "drude-pairs": "4f7b584870333178551757366e3200034381c9ec0b0e6e3ec6e2352703d7e8a0",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PINNED_SHA256))
+def test_pinned_bits(grid):
+    z = oracle_grid() if grid == "oracle" else drude_pair_z()
+    r = np.abs(z)
+    # the far branch and the ring's series about z = -1 are both reached
+    assert np.any(r >= 2.0)
+    assert np.any((r > 0.5) & (r < 2.0) & (z.real < 0.0))
+    assert hashlib.sha256(li4(z).tobytes()).hexdigest() == PINNED_SHA256[grid]

@@ -9,8 +9,8 @@ import pytest
 from casfric.errors import DomainError
 from casfric.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, IntegralResult,
                                 QuadratureSpec, _panels, default_spec,
-                                initial_nodes, integrate_finite,
-                                integrate_many, integrate_semi_infinite,
+                                integrate_finite, integrate_many,
+                                integrate_semi_infinite,
                                 integrate_semi_infinite_many)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
@@ -473,22 +473,6 @@ def test_panels_match_per_row_dot():
         [(x, seen_job)] = calls
         assert x.tobytes() == np.concatenate(nodes).tobytes(), n
         assert seen_job is job
-
-
-@pytest.mark.parametrize("a, b, splits", [
-    (0.0, 1.0, ()), (0.0, 63.6, [6.36, 0.1, 6.36, 1.0, 40.0, 636.0, -1.0]),
-    (-5, 5, [0, 2, 2.5]), (1e-300, 1e300, np.geomspace(1e-200, 1e200, 9))])
-def test_initial_nodes_are_the_first_call(a, b, splits):
-    # Split points out of range or repeated, int ends and an array of
-    # splits: the nodes are those the engine evaluates first, bit for bit.
-    calls = []
-
-    def f(x):
-        calls.append(x.copy())
-        return np.ones_like(x)
-
-    integrate_finite(f, a, b, TIGHT, split_points=splits)
-    assert initial_nodes(a, b, splits).tobytes() == calls[0].tobytes()
 
 
 def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
