@@ -36,9 +36,9 @@ Every numeric route takes its H0 from one :func:`h0_overlap` call on two
 assembles its result as F = G * v * H0 in one place (``_result``), with
 G a closed form of :mod:`~casfric.geometry`; the closed form passes its
 H0 as an exact integral.  The screening of
-"keep" (both surface responses and Li4) costs more per call than the
-spectra it multiplies, so ``h0_overlap`` evaluates it in one call on
-its probe and the first Kronrod pass together.  Undamped Drude media
+"keep" (both surface responses and Li4) costs more per point than the
+spectra it multiplies, so ``h0_overlap`` evaluates it once a Kronrod
+pass, on the nodes alone, and never on its probe.  Undamped Drude media
 have no continuous spectral density: they raise
 :class:`~casfric.errors.DeltaLineError`.
 """
@@ -128,7 +128,8 @@ class FrictionResult:
     route, recorded in ``force_units``.  ``h0`` and ``g`` satisfy
     force = g * v * h0 in SI.  ``quadrature_error`` is the relative
     error estimate of the numeric route (0 for closed forms), and
-    ``evaluations`` the number of integrand evaluations it took.
+    ``evaluations`` the number of integrand evaluations it took, each
+    abscissa counted once, the points of the bare probe included.
     """
 
     force: float
@@ -170,25 +171,23 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     over the common support of the two densities (any consistent
     normalization; the caller owns the bookkeeping).  ``extra_factor``,
     when given, multiplies the integrand (cross-gap screening).  The
-    integrand is rescaled by its probed peak before adaptive integration
-    so that the tolerance spec stays meaningful for the physically tiny
-    magnitudes involved (~hbar), and the integration is truncated where
-    the exponential thermal envelope provably kills the integrand; the
-    bound is checked, not assumed.
+    integrand is rescaled by its sampled peak (see below) before adaptive
+    integration so that the tolerance spec stays meaningful for the
+    physically tiny magnitudes involved (~hbar), and the integration is
+    truncated where the exponential thermal envelope provably kills the
+    integrand; the bound is checked, not assumed.
 
-    ``extra_factor`` must be elementwise.  One rule places the initial
-    panels, factor or no factor: around the peak of the bare product
-    S1*S2/sinh**2 on the probe.  The factor is called once a pass of the
-    adaptive rule, the first time inside the engine's first integrand
-    call, on the probe followed by the nodes of those panels; every value
-    it returns is used, and ``evaluations`` counts each point once.  The
-    scale and the tail bound come from the probe with the factor, settled
-    in that first call before the bare integrand is evaluated on the
-    nodes; where the probed peak is 0 or not finite, that call returns
-    zeros, the engine stops after it and the result returns early.
-    Where the factor leaves the probed peak where it was, the result is
-    that of probing with the factor and then integrating, bit for bit;
-    where it moves the peak, only the panels the rule starts from differ.
+    ``extra_factor`` must be elementwise.  The probe is bare, factor or
+    no factor: it places the initial panels around the peak of
+    S1*S2/sinh**2.  The factor is called once a pass of the adaptive
+    rule, never on the probe; the first time inside the engine's first
+    integrand call, on the nodes of those panels followed by the
+    tail-bound point.  The scale is then the peak |value| of the
+    screened integrand on those nodes, and the tail value the bare one
+    times the factor there; where that peak is 0 or not finite, the call
+    returns zeros, the engine stops after it and the result returns
+    early.  Without a factor, both come from the bare probe.
+    ``evaluations`` counts each abscissa once, the probe's included.
     """
     if spec is None:
         spec = default_spec()
@@ -226,10 +225,10 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         out *= _csch2_half(beta_arr * m)
         return out
 
-    # Deterministic probe of the integrand magnitude: geometric sweep of
-    # the full range plus the thermal scale and the supplied peaks.  The
-    # probe also locates the dominant feature so the adaptive rule starts
-    # with panel edges bracketing it (a single wide panel would step
+    # Deterministic probe of the bare integrand's magnitude: geometric
+    # sweep of the full range plus the thermal scale and the supplied
+    # peaks.  The probe locates the dominant feature so the adaptive rule
+    # starts with panel edges bracketing it (a single wide panel would step
     # straight over a narrow thermal peak and "converge" on zero).
     # The last point, just past the cap, is the height of the tail bound
     # below; it rides in the probe's integrand call but not in its maximum.
@@ -246,39 +245,36 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     m_star = float(probe_grid[int(np.abs(vals[:-1]).argmax())])
     splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
               *(octave / beta for octave in _OCTAVES)]
-    n_probe = evals = vals.size
-    scale = tail_val = scale_arr = None
+    evals = vals.size
+    tail_val, scale, scale_arr = float(vals[-1]), None, None
 
-    def settle():
-        """The scale and the tail value from the probe -> False where its
-        peak is 0 or not finite, for which the result returns early."""
-        nonlocal scale, tail_val, scale_arr
-        tail_val = float(vals[-1])
-        scale = float(np.abs(vals[:-1]).max())
+    def settle(peak_vals):
+        """The scale from the peak of |peak_vals| -> False where it is 0
+        or not finite, for which the result returns early."""
+        nonlocal scale, scale_arr
+        scale = float(np.abs(peak_vals).max())
         scale_arr = np.array(scale)
         return 0.0 < scale < math.inf
 
     def scaled(m):
-        if scale is None:
-            # The engine's first call, on the nodes of its initial panels:
-            # the factor on the probe and those nodes at once, then the
-            # scale from the screened probe, then the bare integrand.
+        nonlocal tail_val
+        out = integrand(m)
+        if extra_factor is not None and scale is None:
+            # The engine's first call: the factor on its nodes and the tail
+            # point at once, then the scale from the screened nodes.
             # Without a scale, a zero integrand ends the engine's run.
-            factor = extra_factor(np.concatenate((probe_grid, m)))
-            np.multiply(vals, factor[:n_probe], out=vals)
-            if not settle():
+            factor = extra_factor(np.append(m, probe_grid[-1]))
+            out *= factor[:-1]
+            tail_val *= float(factor[-1])
+            if not settle(out):
                 return np.zeros_like(m)
-            out = integrand(m)
-            out *= factor[n_probe:]
-        else:
-            out = integrand(m)
-            if extra_factor is not None:
-                out *= extra_factor(m)
+        elif extra_factor is not None:
+            out *= extra_factor(m)
         out /= scale_arr
         return out
 
     # Without a factor the scale is settled from the bare probe here.
-    if extra_factor is not None or settle():
+    if extra_factor is not None or settle(vals[:-1]):
         res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
         evals += res.evaluations
     if not 0.0 < scale < math.inf:

@@ -13,7 +13,8 @@ bisects the prefix that panel-by-panel worst-first bisection (QUADPACK's
 rule) is certain to bisect before it could stop; the integrand is called
 once for all initial panels, then once a pass for all halves.  An
 integrand that needs other points evaluated beside the initial panels
-(``friction.h0_overlap`` and its probe) takes them in that first call.
+(``friction.h0_overlap``'s screening, at its tail-bound point) takes
+them in that first call.
 The result is that of panel-by-panel bisection but where a narrow peak,
 found late, raises the target past a panel the same pass bisected, or
 where the budget runs out first: ``evaluations``, the points evaluated,

@@ -106,12 +106,15 @@ OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
 
 def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
                          extra_hints=()):
-    """Oracle of ``h0_overlap``: the integrand, factor included, on the
-    probe grid in one call, then the adaptive rule on panels built around
-    the probed peak, the factor evaluated anew on every pass, and the
-    tail bound; the integrand's products in the same order.
-    ``extra_hints`` add split points to the two densities' peaks, as the
-    line-bracketing oracles below pass them."""
+    """Independent oracle of the overlap integral, built to bracket
+    narrow lines: the integrand, factor included, on its own probe grid
+    in one call, then the adaptive rule on panels built around that
+    probed peak, the factor evaluated anew on every pass, and the tail
+    bound.  ``extra_hints`` add split points to the two densities' peaks,
+    as the line-bracketing oracles below pass them.  It is no replica of
+    ``h0_overlap``, which probes the bare product and takes its scale and
+    tail value from the screened nodes of its first pass: with a factor
+    the two agree to rounding, not bit for bit."""
     if spec is None:
         spec = QuadratureSpec()
     beta = units.beta(temperature_k)
@@ -418,6 +421,42 @@ class TestNarrowCoupledLine:
         assert h0.converged
         assert abs(h0.value - oracle.value) \
             <= h0.error_estimate + oracle.error_estimate
+
+
+class TestNarrowScreenedLine:
+    """The screened force of a nearly undamped Drude pair (``keep``, 10 nm,
+    100 m/s) against an oracle with the screening factor, split around
+    the surface plasmon e_p/sqrt(2) and the plasma energy e_p, each
+    bracketed at +- 10^k * gamma, k = 0..5."""
+
+    MEDIUM = Drude(3.0, 1e-6)
+
+    def oracle(self, t_k):
+        model = self.MEDIUM
+        s = spectral_density(model)
+
+        def screening(m):
+            return fr._screening_factor(dense_alpha_retarded(model, m)
+                                        * dense_alpha_retarded(model, m))
+
+        h0 = probe_then_integrate(
+            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000), screening, [
+                c + sign * 10.0 ** k * model.damping_ev
+                for c in (model.plasma_energy_ev / math.sqrt(2.0),
+                          model.plasma_energy_ev)
+                for k in range(6) for sign in (-1.0, 1.0)])
+        assert h0.converged
+        return h0
+
+    @pytest.mark.parametrize("t_k", [1000.0, 3000.0], ids=["1000K", "3000K"])
+    def test_converged_result_is_honest(self, t_k):
+        med = MediumSpec(self.MEDIUM)
+        res = fr.friction_dense(fr.PlateSystem(med, med, 10.0, 100.0, t_k),
+                                "keep")
+        oracle = self.oracle(t_k)
+        assert res.converged
+        assert abs(res.h0 - oracle.value) \
+            <= res.quadrature_error * res.h0 + oracle.error_estimate
 
 
 class TestScreenedClosedForm:
@@ -857,8 +896,9 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
     point) and once by the single pass of the adaptive rule, on gold and
     on a 36-sample table against a near-gold plate at 150 K.  The
     screening of "keep" (both surface responses and Li4) is evaluated in
-    one call, on the probe and that pass together, so what a call of it
-    costs whatever its size is paid once per force."""
+    one call, on that pass's 195 nodes and the tail-bound point, so what
+    a call of it costs whatever its size is paid once per force, and
+    never on the probe."""
     densities, screening = [], []
     real = fr.spectral_density
     real_factor = fr._screening_factor
@@ -884,12 +924,12 @@ def test_two_spectral_calls_per_force(monkeypatch, denominators, system,
     assert res.converged
     assert [len(calls) for calls in densities] == [2, 2]
     assert [sum(calls) for calls in densities] == [res.evaluations] * 2
-    assert screening == ([] if denominators == "drop" else [res.evaluations])
+    assert screening == ([] if denominators == "drop" else [196])
 
 
 def counted_overlap(s1, s2, temperature_k, spec, extra_factor):
-    """``h0_overlap`` on these arguments -> its result, the number of
-    calls of ``s1.value`` and the sizes of the calls of the factor."""
+    """``h0_overlap`` on these arguments -> its result and the sizes of
+    the calls of ``s1.value`` and of the factor."""
     density, screening = [], []
 
     def value(m):
@@ -902,16 +942,27 @@ def counted_overlap(s1, s2, temperature_k, spec, extra_factor):
 
     res = fr.h0_overlap(dataclasses.replace(s1, value=value), s2,
                         temperature_k, spec, factor)
-    return res, len(density), screening
+    return res, density, screening
+
+
+def one_factor_call_a_pass(res, density, screening):
+    """The call structure of ``h0_overlap`` with a factor: the density
+    once on the bare probe, then once a pass; the factor once a pass, the
+    first time on that pass's nodes and the tail-bound point; each
+    abscissa counted once in ``evaluations``."""
+    probe, first, *later = density
+    assert screening == [first + 1, *later]
+    assert res.evaluations == sum(density)
 
 
 class TestOneScreeningCall:
-    """``h0_overlap`` builds its initial panels around the bare product's
-    peak and calls its factor once per pass of the adaptive rule, the
-    first time on the probe and those panels together.  No value of the
-    factor is discarded: its call sizes sum to ``evaluations``.  Where
-    the factor leaves the probed peak where it was, the result is that
-    of probing with the factor and then integrating."""
+    """``h0_overlap`` probes the bare product, builds its initial panels
+    around its peak and calls its factor once per pass of the adaptive
+    rule, the first time on that pass's nodes and the tail-bound point,
+    never on the probe.  The scale is the peak of the screened integrand
+    on those nodes, the tail value the bare one times the factor there.
+    Where the factor leaves the peak where it was, the result is that of
+    probing with the factor and then integrating, to rounding."""
 
     @staticmethod
     def overlap_args(monkeypatch, call):
@@ -937,11 +988,13 @@ class TestOneScreeningCall:
                 table_system(two_bump_plate(36)), "keep", TABLE_KEEP_SPEC))
         else:
             args = self.overlap_args(monkeypatch, PINNED_CALLS[case])
-        got, want = fr.h0_overlap(*args), probe_then_integrate(*args)
+        got, density, screening = counted_overlap(*args)
+        want = probe_then_integrate(*args)
+        one_factor_call_a_pass(got, density, screening)
         assert want.converged
-        assert (got.value, got.error_estimate, got.converged,
-                got.evaluations) == (want.value, want.error_estimate,
-                                     want.converged, want.evaluations)
+        assert (got.converged, got.evaluations) == (want.converged,
+                                                    want.evaluations)
+        assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
 
     @pytest.mark.parametrize("case, passes, evaluations", [
         ("keep-gold", 1, 303), ("keep-table", 4, 392)])
@@ -949,17 +1002,19 @@ class TestOneScreeningCall:
         res, density, screening = counted_overlap(
             *self.overlap_args(monkeypatch, PINNED_CALLS[case]))
         assert res.converged
-        assert len(screening) == density - 1 == passes
-        assert sum(screening) == res.evaluations == evaluations
+        assert len(screening) == len(density) - 1 == passes
+        one_factor_call_a_pass(res, density, screening)
+        assert res.evaluations == evaluations
 
     @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
                                       "keep-table"])
     def test_first_factor_call_rides_in_the_first_pass(self, monkeypatch,
                                                        case):
-        """Recorded through wrappers: inside the engine's first integrand
-        call, the factor receives the probe grid (the first call of a
-        density) followed by that call's nodes, bit for bit, and only
-        then does the bare integrand reach those nodes."""
+        """Recorded through wrappers: the probe (the first call of a
+        density) is bare; inside the engine's first integrand call the
+        bare integrand reaches that call's nodes, and then the factor
+        receives exactly those nodes followed by the tail-bound point,
+        the probe's last, bit for bit, and no other probe point."""
         s1, s2, t_k, spec, factor = self.overlap_args(monkeypatch,
                                                       PINNED_CALLS[case])
         events = []
@@ -986,16 +1041,17 @@ class TestOneScreeningCall:
                             spec, recorded_factor)
         assert res.converged
         assert [kind for kind, _ in events[:4]] == [
-            "density", "engine", "factor", "density"]
-        probe, nodes, first_factor, first_density = (x for _, x in events[:4])
-        assert first_factor.tobytes() == np.concatenate((probe, nodes)).tobytes()
+            "density", "engine", "density", "factor"]
+        probe, nodes, first_density, first_factor = (x for _, x in events[:4])
         assert first_density.tobytes() == nodes.tobytes()
+        assert first_factor.tobytes() == np.append(nodes, probe[-1]).tobytes()
 
     def test_factor_moves_the_peak(self):
         """A narrow factor at 8 k_B*T lifts the gold product there above
         its bare peak near 0.  The panels stay around the bare peak, the
-        factor's values on them are used, and the value stays within the
-        two error estimates of probing with the factor and integrating."""
+        factor is called once a pass on them, and the value stays within
+        the two error estimates of probing with the factor and
+        integrating."""
         gold = spectral_density(GOLD)
         beta = units.beta(300.0)
 
@@ -1007,39 +1063,40 @@ class TestOneScreeningCall:
             got, density, screening = counted_overlap(gold, gold, 300.0, None,
                                                       bump)
         want = probe_then_integrate(gold, gold, 300.0, None, bump)
-        assert len(screening) == density - 1
-        assert sum(screening) == got.evaluations == 573
+        one_factor_call_a_pass(got, density, screening)
+        assert got.evaluations == 573
         assert got.converged and want.converged
         assert abs(got.value - want.value) <= (got.error_estimate
                                                + want.error_estimate)
 
     def test_zero_scale_counts_every_point(self, monkeypatch):
-        """A vacuum partner makes the screened probe zero: the result
-        returns early and counts every point the factor saw."""
+        """A vacuum partner makes the screened first-pass nodes zero: the
+        result returns early after that pass and counts every point the
+        probe and that pass evaluated."""
         res, density, screening = counted_overlap(
             *self.overlap_args(monkeypatch, lambda: fr.friction_dense(
                 _plates(GOLD, Vacuum(), 300.0), "keep")))
         assert (res.value, res.converged) == (0.0, True)
-        assert (density, len(screening)) == (1, 1)
-        assert sum(screening) == res.evaluations
+        assert (len(density), len(screening)) == (2, 1)
+        one_factor_call_a_pass(res, density, screening)
 
     def test_non_finite_scale_counts_every_point(self):
-        """A factor that is infinite at one probe point, k_B*T, makes the
-        scale infinite: the result is flagged and counts every point the
-        factor saw."""
+        """A factor that is infinite below k_B*T, on nodes of the first
+        pass, makes the scale infinite: the result is flagged after that
+        pass and counts every point the probe and that pass evaluated."""
         gold = spectral_density(GOLD)
         kt = 1.0 / units.beta(300.0)
         res, density, screening = counted_overlap(
             gold, gold, 300.0, None,
-            lambda m: np.where(m == kt, math.inf, 1.0))
+            lambda m: np.where(m < kt, math.inf, 1.0))
         assert math.isnan(res.value) and not res.converged
-        assert (density, len(screening)) == (1, 1)
-        assert sum(screening) == res.evaluations
+        assert (len(density), len(screening)) == (2, 1)
+        one_factor_call_a_pass(res, density, screening)
 
     def test_screening_factor_is_elementwise(self):
         """Whether a call takes Li4 off the axis or its real-axis limit is
-        decided per call; one call now spans the probe and the first
-        panels, so the value at each z must not depend on the others."""
+        decided per call; one call spans the first panels and the tail
+        point, so the value at each z must not depend on the others."""
         m = np.geomspace(1e-3, 60.0, 40)
         z = np.concatenate((dense_alpha_retarded(GOLD, m)
                             * dense_alpha_retarded(SOFT, m),
@@ -1162,14 +1219,14 @@ PINNED_CALLS = {
 PINNED = {
     "drop-gold": ("0x1.21868926809dfp-35", "0x1.3ad9d72d46243p-143",
                   "0x1.2106da5318534p-33", 303),
-    "keep-gold": ("0x1.5c0f5c092ce13p-35", "0x1.7a816b212f0b9p-143",
-                  "0x1.211ca8b41a9cap-33", 303),
+    "keep-gold": ("0x1.5c0f5c092ce12p-35", "0x1.7a816b212f0b8p-143",
+                  "0x1.211cb1265686dp-33", 303),
     "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
                         "0x1.21a544b52a349p-33", 318),
-    "keep-drude-pair": ("0x1.1be22c4653f7bp-24", "0x1.40137b6a51379p-139",
-                        "0x1.11ee10e5b4bd6p-33", 318),
-    "keep-table": ("0x1.6ed5f299147b0p-28", "0x1.8eec72f2f088ep-136",
-                   "0x1.b53190d528c43p-30", 392),
+    "keep-drude-pair": ("0x1.1be22c4653f7cp-24", "0x1.40137b6a5137ap-139",
+                        "0x1.11ee10a7cf390p-33", 318),
+    "keep-table": ("0x1.6ed5f299147b1p-28", "0x1.8eec72f2f088fp-136",
+                   "0x1.b5318df01b6e0p-30", 392),
     "drop-table-drude": ("0x1.0c7c95913ced6p-25", "0x1.23f8c4bbcf06bp-133",
                          "0x1.4c29134fe14cbp-27", 392),
     "drop-table-drude-hot": ("0x1.f60b0deb21337p-18",
@@ -1212,18 +1269,18 @@ def screened_drude_pairs():
 # float.hex of force, H0 and quadrature_error, and evaluations, of
 # ``screened_drude_pairs`` under keep, recorded as PINNED is.
 SCREENED_DRUDE_PINNED = [
-    ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f15a83fb547p-33", 318),
-    ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec1f350c1d1p-33", 318),
-    ("0x1.ddc3ea4ed8f5ep-51", "0x1.69ee5675145f8p-152", "0x1.21ef6e2bfbd38p-33", 318),
-    ("0x1.29c4735949a14p-50", "0x1.a9d0f5c2f69aep-150", "0x1.21e162c3c1f74p-33", 318),
-    ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dc982b62a56p-33", 318),
-    ("0x1.8f8fcca1b1ff7p-39", "0x1.2f393f06ac729p-142", "0x1.2173c2aebc334p-33", 318),
-    ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67b2b5dfd1p-33", 318),
-    ("0x1.59cbbd355f785p-39", "0x1.dc2aa588e87e0p-144", "0x1.1fadfda226c91p-33", 318),
-    ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6d4fbb0984p-33", 318),
-    ("0x1.52d0d6c1bf70dp-36", "0x1.50fec57684617p-143", "0x1.203abb8fdf70cp-33", 318),
-    ("0x1.b6c7ec149a0b0p-38", "0x1.d207b6ae7a16cp-142", "0x1.1e4ce17c3941fp-33", 318),
-    ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8ade6c14bcp-33", 318),
+    ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f1708ff9801p-33", 318),
+    ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec2738e61a3p-33", 318),
+    ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef81d618ae0p-33", 318),
+    ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e1577824c82p-33", 318),
+    ("0x1.b103d85b6aa55p-35", "0x1.694625a73146bp-146", "0x1.21dca81485406p-33", 318),
+    ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173cba2a3113p-33", 318),
+    ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d6837021594p-33", 318),
+    ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadfda2079f8p-33", 318),
+    ("0x1.d79fcde8d1d06p-35", "0x1.b3cd0ccf1e22cp-141", "0x1.1bd6db4407e2bp-33", 318),
+    ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203acc396b3bfp-33", 318),
+    ("0x1.b6c7ec149a0b0p-38", "0x1.d207b6ae7a16cp-142", "0x1.1e4cdeea252b0p-33", 318),
+    ("0x1.8db93ab15310fp-39", "0x1.edc59d401121fp-140", "0x1.15e8b864f19aep-33", 318),
 ]
 
 
