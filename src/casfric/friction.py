@@ -35,10 +35,11 @@ Every numeric route takes its H0 from one :func:`h0_overlap` call on two
 :class:`~casfric.dielectric.SpectralDensity` objects, and every route
 assembles its result as F = G * v * H0 in one place (``_result``), with
 G a closed form of :mod:`~casfric.geometry`; the closed form passes its
-H0 as an exact integral.  The screening of
-"keep" (both surface responses and Li4) costs more per point than the
-spectra it multiplies, so ``h0_overlap`` evaluates it once a Kronrod
-pass, on the nodes alone, and never on its probe.  Undamped Drude media
+H0 as an exact integral.  Every route, "keep" included, takes its scale
+and tail value from the engine's first pass; the screening of "keep"
+(both surface responses and Li4), which costs more per point than the
+spectra it multiplies, is evaluated once a Kronrod pass, on the nodes
+alone, and never on the bare probe.  Undamped Drude media
 have no continuous spectral density: they raise
 :class:`~casfric.errors.DeltaLineError`.
 """
@@ -177,29 +178,21 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     truncated where the exponential thermal envelope provably kills the
     integrand; the bound is checked, not assumed.
 
-    ``extra_factor`` must be elementwise.  The probe is bare, factor or
-    no factor: it places the initial panels around the peak of
-    S1*S2/sinh**2.  The factor is called once a pass of the adaptive
-    rule, never on the probe; the first time inside the engine's first
-    integrand call, on the nodes of those panels followed by the
-    tail-bound point.  The scale is then the peak |value| of the
-    screened integrand on those nodes, and the tail value the bare one
-    times the factor there; where that peak is 0 or not finite, the call
-    returns zeros, the engine stops after it and the result returns
-    early.  Without a factor, both come from the bare probe.
+    Every route runs one flow.  A bare probe of S1*S2/sinh**2 places the
+    initial panels around its peak; it holds no tail point and sets no
+    scale.  The engine's first integrand call evaluates the integrand,
+    times ``extra_factor`` if given (which must be elementwise), on the
+    nodes of those panels followed by the tail-bound point.  It takes the
+    tail value from that last point and the scale from the peak |value|
+    on the nodes; where that peak is 0 or not finite, it returns zeros,
+    the engine stops after it and the result returns early.  Each later
+    pass evaluates the integrand, and the factor, once on its nodes.
     ``evaluations`` counts each abscissa once, the probe's included.
     """
     if spec is None:
         spec = default_spec()
     beta = units.beta(temperature_k)
-    # The integral runs to the thermal window, and the Drude density forms
-    # the fourth power of m, up to the probe point just past the window.
     window = 40.0 / beta
-    edge = window * _PAST_CAP
-    if (edge * edge) * (edge * edge) == math.inf:
-        raise DomainError(f"temperature T_K = {temperature_k!r} K is out of "
-                          "range: the fourth power of the thermal window "
-                          "40*k_B*T leaves the float range")
     hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
@@ -230,53 +223,41 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # peaks.  The probe locates the dominant feature so the adaptive rule
     # starts with panel edges bracketing it (a single wide panel would step
     # straight over a narrow thermal peak and "converge" on zero).
-    # The last point, just past the cap, is the height of the tail bound
-    # below; it rides in the probe's integrand call but not in its maximum.
     extra = [k / beta for k in range(1, 9) if k / beta < m_cap]
     extra += [h for h in hints if h < m_cap]
-    extra.append(m_cap * _PAST_CAP)
     probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
-    probe_grid[:-1].sort()
+    probe_grid.sort()
     vals = integrand(probe_grid)
     # Split points past the cap are dropped by the engine.  Octave edges
     # across the thermal window: every initial panel where the weight
     # still carries mass is at most an octave wide, so the first Kronrod
     # pass cannot step over the decay region.
-    m_star = float(probe_grid[int(np.abs(vals[:-1]).argmax())])
+    m_star = float(probe_grid[int(np.abs(vals).argmax())])
     splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
               *(octave / beta for octave in _OCTAVES)]
-    evals = vals.size
-    tail_val, scale, scale_arr = float(vals[-1]), None, None
-
-    def settle(peak_vals):
-        """The scale from the peak of |peak_vals| -> False where it is 0
-        or not finite, for which the result returns early."""
-        nonlocal scale, scale_arr
-        scale = float(np.abs(peak_vals).max())
-        scale_arr = np.array(scale)
-        return 0.0 < scale < math.inf
+    tail_val = scale = scale_arr = None
 
     def scaled(m):
-        nonlocal tail_val
+        nonlocal tail_val, scale, scale_arr
+        # The engine's first call also takes the tail point and settles
+        # the scale; without one, a zero integrand ends the engine's run.
+        first = scale is None
+        if first:
+            m = np.append(m, m_cap * _PAST_CAP)
         out = integrand(m)
-        if extra_factor is not None and scale is None:
-            # The engine's first call: the factor on its nodes and the tail
-            # point at once, then the scale from the screened nodes.
-            # Without a scale, a zero integrand ends the engine's run.
-            factor = extra_factor(np.append(m, probe_grid[-1]))
-            out *= factor[:-1]
-            tail_val *= float(factor[-1])
-            if not settle(out):
-                return np.zeros_like(m)
-        elif extra_factor is not None:
+        if extra_factor is not None:
             out *= extra_factor(m)
+        if first:
+            tail_val, out = float(out[-1]), out[:-1]
+            scale = float(np.abs(out).max())
+            scale_arr = np.array(scale)
+            if not 0.0 < scale < math.inf:
+                return np.zeros_like(out)
         out /= scale_arr
         return out
 
-    # Without a factor the scale is settled from the bare probe here.
-    if extra_factor is not None or settle(vals[:-1]):
-        res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
-        evals += res.evaluations
+    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
+    evals = vals.size + res.evaluations + 1  # the tail point counted once
     if not 0.0 < scale < math.inf:
         if math.isfinite(scale):
             return IntegralResult(0.0, 0.0, evals, True)

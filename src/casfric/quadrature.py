@@ -13,8 +13,8 @@ bisects the prefix that panel-by-panel worst-first bisection (QUADPACK's
 rule) is certain to bisect before it could stop; the integrand is called
 once for all initial panels, then once a pass for all halves.  An
 integrand that needs other points evaluated beside the initial panels
-(``friction.h0_overlap``'s screening, at its tail-bound point) takes
-them in that first call.
+(every overlap's tail point in ``friction.h0_overlap``) takes them in
+that first call.
 The result is that of panel-by-panel bisection but where a narrow peak,
 found late, raises the target past a panel the same pass bisected, or
 where the budget runs out first: ``evaluations``, the points evaluated,
@@ -84,10 +84,11 @@ class QuadratureSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be finite and > 0")
+        budget = self.max_subdivisions
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise DomainError("max_subdivisions must be an int >= 1")
 
     def target(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))

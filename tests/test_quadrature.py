@@ -739,6 +739,19 @@ class TestOneJob:
                                                 split_points=splits + (split,))
             assert fields(split_too) == fields(plain)
 
+@pytest.mark.parametrize("field, value", [
+    *((tol, value) for tol in ("abs_tol", "rel_tol")
+      for value in (math.nan, 0.0, -1.0, math.inf)),
+    *(("max_subdivisions", value)
+      for value in (math.nan, 0, -1, math.inf, 2.5, True))])
+def test_spec_rejects_bad_tolerance_or_budget(field, value):
+    """A tolerance must be finite and > 0: an infinite one would accept
+    the first pass of any integral as converged.  The budget must be an
+    int >= 1, bool excluded, as the CLI's quadrature block demands."""
+    with pytest.raises(DomainError, match="tolerances|max_subdivisions"):
+        QuadratureSpec(**{field: value})
+
+
 def test_default_spec_ignores_environment(monkeypatch):
     monkeypatch.setenv("CASFRIC_QUAD_TOL", "1e-6")
     assert default_spec() == QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
