@@ -75,15 +75,6 @@ _STEP = 1e-30
 _PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
 # The point of its tail bound, just past the cap, in the same units.
 _PAST_CAP = 1.0 + 1e-9
-# Lowest beta*m_cap h0_overlap accepts: 1/sinh(beta*m/2)**2 is finite for
-# beta*m above 1.5e-154; barring a lower peak hint, the probe and the first
-# pass evaluate no m below 4.2e-13*m_cap (a Kronrod node of the panel below
-# a tenth of the lowest probe point); 2**-40 leaves room for 40 bisections.
-_BETA_CAP_MIN = 1.5e-154 / (4.2e-13 * 2.0 ** -40)
-# Lowest beta*h it accepts of a positive peak hint h: a hint is a probe
-# point and a split point, so the same holds with h in place of the lowest
-# probe point 1e-9*m_cap.
-_BETA_HINT_MIN = 1e-9 * _BETA_CAP_MIN
 # Initial panel edges across the thermal window, in units of k_B*T.
 _OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
 # Density (nm^-3) of the half-plane a dense plate enters as (see geometry).
@@ -153,8 +144,9 @@ _HALF, _CLIP, _M2 = np.array(0.5), np.array(700.0), np.array(-2.0)
 def _csch2_half(x):
     """1/sinh(x/2)**2, vectorized, with no cancellation as x -> 0.  It is
     finite for x above about 1.5e-154; below, sinh(x/2)**2 leaves the
-    normal range and the weight overflows.  The argument is clipped below
-    the overflow of sinh, where the weight has long underflowed to 0."""
+    normal range and the weight is inf, which ``h0_overlap`` finds in its
+    result.  The argument is clipped below the overflow of sinh, where the
+    weight has long underflowed to 0."""
     out = np.multiply(_HALF, x, dtype=float)
     np.minimum(out, _CLIP, out=out)
     np.sinh(out, out=out)
@@ -184,10 +176,15 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     times ``extra_factor`` if given (which must be elementwise), on the
     nodes of those panels followed by the tail-bound point.  It takes the
     tail value from that last point and the scale from the peak |value|
-    on the nodes; where that peak is 0 or not finite, it returns zeros,
-    the engine stops after it and the result returns early.  Each later
-    pass evaluates the integrand, and the factor, once on its nodes.
-    ``evaluations`` counts each abscissa once, the probe's included.
+    on the nodes; where that peak is 0 or not finite, it returns zeros
+    and the engine stops after it.  Each later pass evaluates the
+    integrand, and the factor, once on its nodes.  ``evaluations`` counts
+    each abscissa once, the probe's included.  A zero scale gives an
+    exact zero.  Overflow is found, not predicted: the weight is inf for
+    beta*m below about 1.5e-154, and a density or the factor can overflow
+    too, so the probe and the engine run with numpy's floating-point
+    warnings off, and a scale, H0 or error that is not finite raises a
+    :class:`~casfric.errors.DomainError` naming T_K.
     """
     if spec is None:
         spec = default_spec()
@@ -196,16 +193,6 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
-    if beta * m_cap < _BETA_CAP_MIN:
-        raise DomainError(f"the spectral support ends at {m_cap!r} eV, too far "
-                          f"below k_B*T at T_K = {temperature_k!r} K: the "
-                          "thermal weight 1/sinh(m/(2*k_B*T))**2 overflows on it")
-    for h in hints:
-        if beta * h < _BETA_HINT_MIN:
-            raise DomainError(f"the spectral peak hint at {h!r} eV is too far "
-                              f"below k_B*T at T_K = {temperature_k!r} K: the "
-                              "thermal weight 1/sinh(m/(2*k_B*T))**2 overflows "
-                              "beside it")
 
     # 0-d arrays, like the constants of _csch2_half.
     pref = np.array(0.5 * math.pi * beta * units.HBAR_JS)
@@ -218,23 +205,6 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         out *= _csch2_half(beta_arr * m)
         return out
 
-    # Deterministic probe of the bare integrand's magnitude: geometric
-    # sweep of the full range plus the thermal scale and the supplied
-    # peaks.  The probe locates the dominant feature so the adaptive rule
-    # starts with panel edges bracketing it (a single wide panel would step
-    # straight over a narrow thermal peak and "converge" on zero).
-    extra = [k / beta for k in range(1, 9) if k / beta < m_cap]
-    extra += [h for h in hints if h < m_cap]
-    probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
-    probe_grid.sort()
-    vals = integrand(probe_grid)
-    # Split points past the cap are dropped by the engine.  Octave edges
-    # across the thermal window: every initial panel where the weight
-    # still carries mass is at most an octave wide, so the first Kronrod
-    # pass cannot step over the decay region.
-    m_star = float(probe_grid[int(np.abs(vals).argmax())])
-    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
-              *(octave / beta for octave in _OCTAVES)]
     tail_val = scale = scale_arr = None
 
     def scaled(m):
@@ -256,12 +226,28 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
         out /= scale_arr
         return out
 
-    res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
+    # Deterministic probe of the bare integrand's magnitude: geometric
+    # sweep of the full range plus the thermal scale and the supplied
+    # peaks.  The probe locates the dominant feature so the adaptive rule
+    # starts with panel edges bracketing it (a single wide panel would step
+    # straight over a narrow thermal peak and "converge" on zero).
+    extra = [k / beta for k in range(1, 9) if k / beta < m_cap]
+    extra += [h for h in hints if h < m_cap]
+    probe_grid = np.concatenate((m_cap * _PROBE_UNIT, extra))
+    probe_grid.sort()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = integrand(probe_grid)
+        # Split points past the cap are dropped by the engine.  Octave
+        # edges across the thermal window: every initial panel where the
+        # weight still carries mass is at most an octave wide, so the
+        # first Kronrod pass cannot step over the decay region.
+        m_star = float(probe_grid[int(np.abs(vals).argmax())])
+        splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
+                  *(octave / beta for octave in _OCTAVES)]
+        res = integrate_finite(scaled, 0.0, m_cap, spec, split_points=splits)
     evals = vals.size + res.evaluations + 1  # the tail point counted once
-    if not 0.0 < scale < math.inf:
-        if math.isfinite(scale):
-            return IntegralResult(0.0, 0.0, evals, True)
-        return IntegralResult(math.nan, math.inf, evals, False)
+    if scale == 0.0:
+        return IntegralResult(0.0, 0.0, evals, True)
 
     # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying
@@ -269,9 +255,13 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     # temperatures, but verify rather than assume.
     tail_bound = abs(tail_val / scale) / beta * 2.0
     err = res.error_estimate + tail_bound
+    value, err = res.value * scale, err * scale
+    if not all(map(math.isfinite, (scale, value, err))):
+        raise DomainError(f"the overlap integrand leaves the float range at "
+                          f"T_K = {temperature_k!r} K")
     converged = res.converged and (res.value == 0.0
                                    or tail_bound <= spec.target(res.value))
-    return IntegralResult(res.value * scale, err * scale, evals, converged)
+    return IntegralResult(value, err, evals, converged)
 
 
 def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
@@ -416,7 +406,7 @@ def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
     """F = g * v * H0, with the relative error, convergence and cost of H0."""
     value = h0.value
     force = g * v_m_per_s * value
-    if math.isfinite(value) and not math.isfinite(force):
+    if not math.isfinite(force):
         raise DomainError(f"the {route} force leaves the float range")
     return FrictionResult(
         force=force, force_units=force_units, h0=value, g=g,
