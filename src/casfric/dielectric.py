@@ -284,15 +284,25 @@ class _TableTerms:
         self.a = v[:-1] - self.b * m[:-1]
         self.width = float(dm.max())
         self.lin = float(2.0 * np.sum(self.b * dm))
-        slope = np.concatenate(([0.0], self.b, [0.0]))    # S' right of each node
+        n = m.size
+        slope = np.zeros(n + 1)    # S' right of each node
+        slope[1:-1] = self.b
         self.pi_slope = np.pi * slope
-        kink = slope[1:] - slope[:-1]
         self.end_m = m[[0, -1]]
-        self.signed_m = np.concatenate((m, self.end_m, -m, -self.end_m))
-        end_w = np.array([-v[0], v[-1]])
-        self.half_end_w = 0.5 * end_w
-        self.kink = np.array([np.append(kink, [0.0, 0.0]), np.append(-kink, [0.0, 0.0])])
-        self.weight = np.array([np.append(kink, end_w), np.append(-kink, end_w)])
+        # Each constant is one preallocated array, its halves and closing
+        # columns written by slices.
+        self.signed_m = np.empty(2 * n + 4)
+        self.signed_m[:n] = m
+        self.signed_m[n:n + 2] = self.end_m
+        np.negative(self.signed_m[:n + 2], out=self.signed_m[n + 2:])
+        self.kink = np.zeros((2, n + 2))
+        np.subtract(slope[1:], slope[:-1], out=self.kink[0, :n])
+        np.negative(self.kink[0, :n], out=self.kink[1, :n])
+        self.weight = np.empty((2, n + 2))
+        self.weight[:, :n] = self.kink[:, :n]
+        self.weight[:, n] = -v[0]
+        self.weight[:, n + 1] = v[-1]
+        self.half_end_w = 0.5 * self.weight[0, n:]
 
     @cached_property
     def kronrod(self) -> tuple:
@@ -316,7 +326,8 @@ class _TableTerms:
         the float range is a DomainError, not an infinite A(0)."""
         m = self.m
         with np.errstate(divide="ignore", over="ignore"):
-            log_term = np.where(m[:-1] > 0.0, 2.0 * np.diff(np.log(m)), 0.0)
+            lg = np.log(m)
+            log_term = np.where(m[:-1] > 0.0, 2.0 * (lg[1:] - lg[:-1]), 0.0)
             static = float(np.sum(self.a * log_term)) + self.lin
         if not math.isfinite(static):
             raise DomainError(
@@ -499,8 +510,15 @@ def dense_alpha_retarded(model: PermittivityModel, m):
     if m_arr.size and not (m_arr.min() > 0.0 and m_arr.max() <= _M_MAX):
         raise DomainError("retarded evaluation requires finite m > 0 with "
                           f"m**2 in the float range (m <= {_M_MAX:.6g} eV)")
-    out = _surface_response(model, 1j * _broadening(model) - m_arr * m_arr, m_arr)
+    out = _alpha_retarded(model, m_arr)
     return complex(out[0]) if np.ndim(m) == 0 else out
+
+
+def _alpha_retarded(model: PermittivityModel, m: np.ndarray) -> np.ndarray:
+    """:func:`dense_alpha_retarded` on a float array ``m``, without its
+    check of the energies: an m whose square overflows gives an A that
+    is not finite."""
+    return _surface_response(model, 1j * _broadening(model) - m * m, m)
 
 
 def eps_retarded(model: PermittivityModel, m: float) -> complex:

@@ -55,10 +55,10 @@ import numpy as np
 
 from . import geometry, units
 from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
-                         Tabulated, Vacuum, dense_alpha_retarded,
-                         spectral_density)
+                         Tabulated, Vacuum, _alpha_retarded,
+                         dense_alpha_retarded, spectral_density)
 from .errors import DomainError, UnsupportedModelError
-from .polylog import LI4_REL_ERR, li4
+from .polylog import LI4_REL_ERR, _li4, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
                          integrate_finite)
 
@@ -316,12 +316,13 @@ def _screening_factor(z):
     gives inf.
     """
     z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
     # No point lies near the axis when the least |Im z| clears the step of
     # the largest |z|; only otherwise are the steps formed point by point.
     if (np.abs(z.imag).min(initial=math.inf)
-            >= _STEP * max(np.abs(z).max(initial=0.0), 1.0)):
-        return li4(z).imag / z.imag
-    step = _STEP * np.maximum(np.abs(z), 1.0)
+            >= _STEP * max(r.max(initial=0.0), 1.0)):
+        return _li4(z, r).imag / z.imag
+    step = _STEP * np.maximum(r, 1.0)
     near_axis = np.abs(z.imag) < step
     pole = (z.imag == 0.0) & (z.real > 1.0)
     y = np.where((near_axis & (z.real <= 1.0)) | pole, step, z.imag)
@@ -389,9 +390,13 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
             f"z(0) = {z0:.6g}: the screening has a non-integrable pole "
             f"at u = ln(z(0))/2 = {0.5 * math.log(z0):.6g}")
 
+    # The engine's nodes lie in (0, m_cap*(1 + 1e-9)], so A is formed on
+    # them unchecked.  A node whose square overflows (a cap past 1.34e154
+    # eV) gives an A that is not finite, which the overlap reports as
+    # leaving the float range.
     def screening(m):
-        return _screening_factor(dense_alpha_retarded(model1, m)
-                                 * dense_alpha_retarded(model2, m))
+        return _screening_factor(_alpha_retarded(model1, m)
+                                 * _alpha_retarded(model2, m))
 
     inner = (spec if spec.rel_tol >= LI4_REL_ERR
              else replace(spec, rel_tol=LI4_REL_ERR))

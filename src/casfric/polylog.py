@@ -135,7 +135,8 @@ def _log(z, r):
 
 def _series(x):
     """Column j of sum over k of _COEFS[k, j] * u**k, u = x**2: the even
-    or the odd coefficients of a series in x (an odd sum is then times x).
+    or the odd coefficients of a series in x (an odd sum is then times x),
+    and u.
 
     The powers of u are products of earlier powers, doubling how many are
     known with each product (repeated multiplication keeps a small Im x
@@ -158,7 +159,7 @@ def _series(x):
     np.multiply(u, u, out=powers[2])
     sums = np.einsum("kic,kj->jic", powers.view(float).reshape(-1, x.size, 2),
                      _COEFS)
-    return sums.view(complex)[..., 0]
+    return sums.view(complex)[..., 0], u
 
 
 def li4(z):
@@ -169,12 +170,17 @@ def li4(z):
     nan.
     """
     z = np.asarray(z, dtype=complex)
+    return _li4(z, np.abs(z))
+
+
+def _li4(z, r):
+    """:func:`li4` of a complex array ``z`` whose moduli ``r`` =
+    ``np.abs(z)`` the caller has formed already."""
     shape = z.shape
-    z = z.ravel()
+    z, r = z.ravel(), r.ravel()
     n = z.size
-    r = np.abs(z)
     far = r >= _TWO
-    ring = (r > _HALF) & (r < _TWO)
+    ring = (r > _HALF) ^ far
     neg = z.real < _ZERO
     # Each point's series variable and coefficients: z (or 1/z past
     # |z| = 2) with 1/k**4, or in the ring ln z with zeta, ln(-z) with eta.
@@ -187,15 +193,17 @@ def li4(z):
         np.copyto(x, lg, where=ring)
         kind = ring * (1 + neg)
         # Row 2*kind of the sums holds a point's even sum and the next row
-        # its odd sum: one flat index, and n past it, picks both.
+        # its odd sum: one flat index picks the even sums, and the same
+        # index n further on the odd ones.
         even = kind * (2 * n) + np.arange(n)
-        sums = _series(x).ravel()
-        out = sums.take(even) + x * sums.take(even + n)
+        sums, u = _series(x)
+        sums = sums.ravel()
+        out = sums.take(even) + x * sums[n:].take(even)
         if ring.any():
             # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1; 0 at z = 1
             size = np.abs(x)
             size = np.where(size == _ZERO, _ONE, size)
-            log_term = x * x * x / _SIX * (_H3 - _log(-x, size))
+            log_term = u * x / _SIX * (_H3 - _log(-x, size))
             np.add(out, log_term, out=out, where=kind == 1)
         if far.any():
             lg2 = lg[far] ** 2

@@ -665,6 +665,61 @@ class TestSurfaceResponse:
         assert dl._broadening(dl.Vacuum()) == 0.0
 
 
+def concatenated_terms(m, v) -> dict:
+    """A table's response constants as np.append, np.concatenate and
+    np.diff build them: the reference the preallocated construction must
+    reproduce bit for bit."""
+    dm = m[1:] - m[:-1]
+    dv = v[1:] - v[:-1]
+    b = dv / dm
+    a = v[:-1] - b * m[:-1]
+    lin = float(2.0 * np.sum(b * dm))
+    slope = np.concatenate(([0.0], b, [0.0]))
+    kink = slope[1:] - slope[:-1]
+    end_m = m[[0, -1]]
+    end_w = np.array([-v[0], v[-1]])
+    with np.errstate(divide="ignore", over="ignore"):
+        log_term = np.where(m[:-1] > 0.0, 2.0 * np.diff(np.log(m)), 0.0)
+        static = float(np.sum(a * log_term)) + lin
+    return {"m": m, "v": v, "b": b, "a": a, "width": float(dm.max()),
+            "lin": lin, "pi_slope": np.pi * slope, "end_m": end_m,
+            "signed_m": np.concatenate((m, end_m, -m, -end_m)),
+            "half_end_w": 0.5 * end_w,
+            "kink": np.array([np.append(kink, [0.0, 0.0]),
+                              np.append(-kink, [0.0, 0.0])]),
+            "weight": np.array([np.append(kink, end_w),
+                                np.append(-kink, end_w)]),
+            "static": static}
+
+
+@pytest.mark.parametrize("start", [0.0, 0.3], ids=["from-0", "from-0.3"])
+@pytest.mark.parametrize("n", [2, 3, 24, 36, 48, 400, 4000])
+def test_table_terms_match_concatenated_build(n, start):
+    """Every constant of a seeded table's response, and A(0), has the
+    value bits, dtype and shape of the concatenated build; zeros in the
+    density put signed zeros in the kinks and the end weights."""
+    rng = np.random.default_rng([n, int(start > 0.0)])
+    m = start + np.cumsum(rng.uniform(0.01, 0.2, n))
+    v = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+    if start == 0.0:
+        m -= m[0]
+        v[0] = 0.0
+    table = dl.Tabulated(m, v)
+    terms = table._terms
+    terms.static
+    got = vars(terms)
+    want = concatenated_terms(*table._columns)
+    assert set(got) == set(want)
+    for name, ref in want.items():
+        value = got[name]
+        assert type(value) is type(ref), name
+        if isinstance(ref, float):
+            assert value.hex() == ref.hex(), name
+        else:
+            assert (value.dtype, value.shape) == (ref.dtype, ref.shape), name
+            assert value.tobytes() == ref.tobytes(), name
+
+
 def test_medium_spec_density_validation():
     with pytest.raises(DomainError):
         dl.MediumSpec(GOLD, density_per_nm3=0.0)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from casfric import dielectric
 from casfric import friction as fr
 from casfric import geometry as geo
 from casfric import units
@@ -13,7 +14,7 @@ from casfric.dielectric import (Drude, MediumSpec, Tabulated, Vacuum,
                                 dense_alpha, dense_alpha_retarded,
                                 spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
-from casfric.polylog import LI4_REL_ERR
+from casfric.polylog import LI4_REL_ERR, li4
 from casfric.quadrature import (IntegralResult, QuadratureSpec,
                                 integrate_finite, integrate_semi_infinite)
 
@@ -555,12 +556,47 @@ class TestScreenedClosedForm:
     def test_pole_makes_keep_raise(self, monkeypatch):
         # z = 1.44 on every node: the factor and the scale are inf, which
         # the overlap reports without a RuntimeWarning
-        monkeypatch.setattr(fr, "dense_alpha_retarded",
+        monkeypatch.setattr(fr, "_alpha_retarded",
                             lambda model, m: np.full(np.shape(m), 1.2 + 0j))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=OUT_OF_RANGE_300K):
                 fr.friction_dense(gold_system(), "keep")
+
+    @pytest.mark.parametrize("case", ["table", "drude-pair"])
+    def test_responses_once_a_pass_on_the_nodes(self, case, monkeypatch):
+        """``keep`` forms A on the engine's nodes as they are: one
+        ``_surface_response`` call per medium in each pass (one screening
+        call), and none through ``dense_alpha_retarded``, which checks its
+        energies."""
+        medium1, medium2, t_k = {
+            "table": (MediumSpec(bump_plate(36)), MediumSpec(NEAR_GOLD), 150.0),
+            "drude-pair": (GOLD_MED, MediumSpec(Drude(5.0, 0.1)), 300.0),
+        }[case]
+        calls, passes = [], []
+        respond, screen = dielectric._surface_response, fr._screening_factor
+
+        def counted_response(model, zeta, m=None):
+            calls.append((len(passes), id(model)))
+            return respond(model, zeta, m)
+
+        def counted_screening(z):
+            passes.append(z.size)
+            return screen(z)
+
+        def refused(model, m):
+            raise AssertionError("dense_alpha_retarded called")
+
+        monkeypatch.setattr(dielectric, "_surface_response", counted_response)
+        monkeypatch.setattr(fr, "_screening_factor", counted_screening)
+        monkeypatch.setattr(fr, "dense_alpha_retarded", refused)
+        monkeypatch.setattr(dielectric, "dense_alpha_retarded", refused)
+        # a tight tolerance, so that the engine bisects after its first pass
+        fr.friction_dense(fr.PlateSystem(medium1, medium2, 10.0, 100.0, t_k),
+                          "keep", QuadratureSpec(1e-300, 1e-12))
+        assert len(passes) >= 2
+        assert calls == [(p, id(medium.model)) for p in range(len(passes))
+                         for medium in (medium1, medium2)]
 
 
 def kinked_table(a0=None):
@@ -1156,6 +1192,20 @@ class TestOneScreeningCall:
             assert both[:z.size].tobytes() == alone
             both = fr._screening_factor(np.concatenate((other, z)))
             assert both[other.size:].tobytes() == alone
+
+    def test_off_axis_factor_is_li4_over_im_z(self):
+        """Off the axis the factor hands Li4 the |z| it has formed; its
+        bits are those of li4, which forms |z| itself, over Im z."""
+        rng = np.random.default_rng(34)
+        z = 10.0 ** rng.uniform(-8.0, 8.0, 600) \
+            * np.exp(1j * rng.uniform(0.1, 3.0, 600))
+        z = np.concatenate((z, z.conj(), [0.5j, -0.5j, 2j, -2j, 0.5 + 0.5j,
+                                          -2.0 + 2.0j, 1e8j, 1e-9j]))
+        # every point clears the step of the largest |z|
+        assert np.abs(z.imag).min() >= fr._STEP * np.abs(z).max()
+        want = li4(z).imag / z.imag
+        got = fr._screening_factor(z)
+        assert got.tobytes() == want.tobytes()
 
     def test_table_response_is_elementwise(self):
         """A table's retarded response picks its exact or Kronrod form and
