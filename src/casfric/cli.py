@@ -316,7 +316,7 @@ def cmd_compute(args) -> int:
     result = run_config(cfg)
     fields = _result_fields(result)
     columns = ["route", *_ROW_FIELDS]
-    _write(args.format or "json", args.out, columns,
+    _write(args.format, args.out, columns,
            [[fields[c] for c in columns]],
            payload={"config": cfg["raw"], "result": fields})
     return EXIT_OK if result.converged else EXIT_NONCONV
@@ -340,7 +340,7 @@ def cmd_sweep(args) -> int:
         except CasfricError as exc:
             rows.append([value, *[""] * len(_ROW_FIELDS), str(exc)])
             any_physics = True
-    _write(args.format or "json", args.out, columns, rows)
+    _write(args.format, args.out, columns, rows)
     if any_physics:
         return EXIT_PHYSICS
     if any_nonconv:
@@ -378,7 +378,7 @@ def cmd_compare(args) -> int:
         },
     }
     cols = sorted(record["comparison"])
-    _write(args.format or "json", args.out, cols,
+    _write(args.format, args.out, cols,
            [[record["comparison"][c] for c in cols]], payload=record)
     return EXIT_OK if ours.converged else EXIT_NONCONV
 
@@ -426,7 +426,7 @@ def cmd_spectra(args) -> int:
     columns = ["m_ev", "spectral1", "spectral2", "product_11", "product_12"]
     rows = [[float(m), float(a), float(b), float(c11 * c22), float(c12 ** 2)]
             for m, a, b, c11, c22, c12 in zip(grid, v1, v2, s11, s22, s12)]
-    _write(args.format or "csv", args.out, columns, rows)
+    _write(args.format, args.out, columns, rows)
     return EXIT_OK
 
 
@@ -465,17 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Casimir friction between polarizable media")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, default_format=None):
+    def add_io(p, default_format):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--format", choices=("json", "csv"),
                        default=default_format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    add_io(sub.add_parser("compute", help="one friction evaluation"))
-    add_io(sub.add_parser("sweep", help="1-D parameter sweep"))
-    add_io(sub.add_parser("compare", help="benchmark comparison record"))
+    add_io(sub.add_parser("compute", help="one friction evaluation"), "json")
+    add_io(sub.add_parser("sweep", help="1-D parameter sweep"), "json")
+    add_io(sub.add_parser("compare", help="benchmark comparison record"),
+           "json")
     sp = sub.add_parser("spectra", help="spectral densities on an m grid")
-    add_io(sp, default_format="csv")
+    add_io(sp, "csv")
     sp.add_argument("--m-grid", required=True,
                     help="MIN:MAX:COUNT[:log|lin] in eV")
     sp.add_argument("--u", type=float, default=1.0,

@@ -238,8 +238,8 @@ _M_MAX = math.sqrt(np.finfo(float).max)
 # Largest |slope| * max(m_top, 1 eV) of a table whose surface response is
 # formed, leaving room for pi*slope and the kinks.
 _SLOPE_ROOM = np.finfo(float).max / 4.0
-# Below this |m| a Drude spectrum's denominator, ~m**4, does not overflow,
-# as ``Drude`` keeps e_p and the damping at or below it too.
+# Largest plasma energy and damping of a Drude model and top of a table's
+# grid: it keeps (e_p**2/pi)*damping and every force finite.
 _M_FAR = 1e76
 
 
@@ -553,32 +553,30 @@ def drude_spectral_value(model: Drude, m):
     """Closed-form surface spectrum of the damped free-electron model:
     (e_p**2/pi) * sigma*m / ((e_p**2 - m**2)**2 + (sigma*m)**2).
 
-    Where the denominator overflows, past |m| ~ 1e77 eV, numerator and
-    denominator are divided by m**4 first."""
-    return _drude_spectrum(_drude_constants(model), m)
+    Within a few ulp wherever m**2 is finite, but for the rounding of
+    e_p**2 - m**2 beside e_p; past |m| = 1.34e154 eV, where m**2
+    overflows, the value is 0.  Raises no floating-point warning at
+    finite m."""
+    with np.errstate(over="ignore"):
+        return _drude_spectrum(_drude_constants(model), m)
 
 
 def _drude_spectrum(constants: tuple, m):
     """:func:`drude_spectral_value` from the model's ``_drude_constants``,
-    which a Drude spectral density forms once."""
+    which a Drude spectral density forms once.
+
+    One formula: with h = hypot(e_p**2 - m**2, sigma*m) the value is
+    coef/h * m/h, taken left to right, since m/h first goes subnormal for
+    tiny m at large e_p.  Its error is a few ulp plus the rounding of
+    e_p**2 - m**2, which the denominator magnifies beside e_p, and grows
+    past that only where coef/h*m is subnormal.  Past |m| = 1.34e154 eV,
+    m**2 overflows (a warning the caller's errstate settles) and the
+    value is 0 where it is ~coef/m**3; no route reads a Drude density
+    there, as S1*S2 underflows."""
     ep2, sigma, coef = constants
-    m_arr = np.asarray(m, dtype=float)
-    if not np.maximum.reduce(np.abs(m_arr), axis=None, initial=0.0) > _M_FAR:
-        num = coef * m_arr
-        den = ep2 - m_arr ** 2
-        den **= 2
-        damp = sigma * m_arr
-        den += damp * damp
-        num /= den
-        return num
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        num = coef * m_arr
-        den = (ep2 - m_arr ** 2) ** 2 + (sigma * m_arr) ** 2
-        r = 1.0 / m_arr
-        scaled = (coef * r * r * r
-                  / ((ep2 * r * r - 1.0) ** 2 + (sigma * r) ** 2))
-        far = np.isinf(den) & np.isfinite(m_arr)
-        return np.where(far, scaled, num / den)[()]
+    m = np.asarray(m, dtype=float)
+    h = np.hypot(ep2 - m * m, sigma * m)
+    return coef / h * m / h
 
 
 def spectral_density(model: PermittivityModel) -> SpectralDensity:

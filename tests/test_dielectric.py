@@ -152,6 +152,40 @@ class TestSpectralDensity:
         assert abs(got - ref) <= 1e-14 * ref
         assert grid.tolist() == [float(dl.drude_spectral_value(GOLD, EP)), got]
 
+    def test_drude_value_on_a_seeded_grid_against_mpmath(self):
+        # 300 seeded points: plasma energy 1e-3-1e76 eV, damping 1e-9-1e76
+        # eV, m over the normal floats whose square is finite or, for a
+        # third of them, beside e_p.  Bound: 4 ulp, plus the rounding of
+        # e_p**2 - m**2 (half an ulp of the larger square in each of e_p**2,
+        # m**2 and their difference) carried through the denominator
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4269)
+        lo, hi = math.log10(np.finfo(float).tiny), math.log10(1.34e154)
+        for i in range(300):
+            plasma, sigma = (10.0 ** rng.uniform((-3.0, -9.0), 76.0)).tolist()
+            ep2 = 0.5 * plasma ** 2
+            if i % 3:
+                m = 10.0 ** rng.uniform(lo, hi)
+            else:
+                m = math.sqrt(ep2) * (1.0 + rng.choice((-1.0, 1.0))
+                                      * 10.0 ** -rng.uniform(1.0, 12.0))
+            got = float(dl.drude_spectral_value(dl.Drude(plasma, sigma), m))
+            with mpmath.workdps(40):
+                mp_ep2 = mpmath.mpf(plasma) ** 2 / 2
+                d = mp_ep2 - mpmath.mpf(m) ** 2
+                den = d * d + (mpmath.mpf(sigma) * m) ** 2
+                ref = float(mp_ep2 / mpmath.pi * sigma * m / den)
+                cancel = float(3 * abs(d) * math.ulp(max(ep2, m * m)) / den)
+            assert abs(got - ref) <= 4 * math.ulp(ref) + cancel * ref, \
+                (plasma, sigma, m)
+
+    @pytest.mark.parametrize("m", [1.35e154, 1e200, 1e300])
+    def test_drude_value_past_the_square_overflow_is_zero(self, m):
+        # where m**2 overflows the value is 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dl.drude_spectral_value(GOLD, m) == 0.0
+
     @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
     def test_drude_value_on_a_2d_grid(self, far):
         # a meshgrid of m gives the values of the same points passed flat
@@ -211,6 +245,12 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             dl.Drude(0.0, 0.0)
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(UnsupportedModelError, match="unknown model"):
+            dl.dense_alpha(object(), 1.0)
+        with pytest.raises(UnsupportedModelError, match="unknown model"):
+            dl.spectral_density(object())
+
 
 class TestTabulated:
     def test_file_roundtrip(self, tmp_path):
@@ -232,6 +272,8 @@ class TestTabulated:
             dl.Tabulated(np.array([1.0, 2.0]), np.array([-0.1, 0.2]))
         with pytest.raises(DomainError):
             dl.Tabulated(np.array([0.0, 1.0]), np.array([0.5, 0.2]))
+        with pytest.raises(DomainError, match="grid must be non-negative"):
+            dl.Tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
     def test_reconstruction_matches_drude(self):
         # table sampled from the closed-form spectrum must reproduce the

@@ -173,3 +173,10 @@ def test_config_validation():
         el.LayeredConfig(2.0, 2.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         el.LayeredConfig(-1.0, 2.0, 1.0, 1.0)
+
+
+def test_singular_boundary_system_raises():
+    # A1 = A2 = 2 at eps = -3 and e^{-2qd} is exactly 0.25, so the
+    # denominator 1 - A1*A2*e^{-2qd} is 0
+    with pytest.raises(DomainError, match="singular boundary system"):
+        el.solve_layers(el.LayeredConfig(-3.0, -3.0, 1.0, math.log(2.0)))

@@ -702,8 +702,8 @@ class TestH0Kernels:
         assert w[2] == 0.0
 
     def test_peak_hint_far_below_k_t_raises(self):
-        # the hint is a probe and split point: the weight overflowed beside
-        # it, giving force nan and converged=False with a RuntimeWarning
+        # the hint is a probe and split point: the weight overflows beside
+        # it, which the overlap reports as a range error, with no warning
         table = Tabulated(np.array([1e-200, 1.0]), np.array([1e-3, 0.0]))
         system = fr.PlateSystem(MediumSpec(table), GOLD_MED, 10.0, 100.0, 300.0)
         with warnings.catch_warnings():
@@ -868,6 +868,12 @@ class TestSpectralProducts:
         m = np.array([0.5, 2.0])
         s11, s22, _ = fr.plane_spectral_products(GOLD, GOLD, m, u=0.7)
         assert np.allclose(s11, s22)
+
+    def test_u_must_be_positive(self):
+        with pytest.raises(DomainError, match="u must be > 0"):
+            fr.plane_spectral_products(GOLD, GOLD, np.array([1.0]), u=0.0)
+        with pytest.raises(DomainError, match="u must be > 0"):
+            fr.h0_dense_at_u(GOLD, GOLD, 300.0, 0.0)
 
 
 def _draw_route(rng, route):
@@ -1312,58 +1318,58 @@ PINNED_CALLS = {
 # AVX512_SPR, the second set under NPY_DISABLE_CPU_FEATURES="AVX512_SPR
 # AVX512_ICL X86_V4", which lowers the level to X86_V3: np.sinh, vecdot
 # and complex products round differently without the AVX-512 kernels,
-# which moves these forces by up to 15,192 ulp (3.4e-12) and leaves every
-# evaluation count as it is.
+# which moves these forces by up to 3 ulp and their quadrature_error by up
+# to 7.4e-7 relatively, and leaves every evaluation count as it is.
 PINNED = {
     ("2.4", "x86_64", "AVX512_SPR"): {
         "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76bp-135",
                    "0x1.235af95a189fap-27", 1428),
         "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
-                            "0x1.21a5473669f27p-33", 318),
+                            "0x1.21a55b40f8d57p-33", 318),
         "drop-gold": ("0x1.21868926809dep-35", "0x1.3ad9d72d46242p-143",
-                      "0x1.2106da23dc72ep-33", 303),
+                      "0x1.2106dd71e5cfbp-33", 303),
         "drop-table-drude": ("0x1.0c7c95913ced5p-25", "0x1.23f8c4bbcf06ap-133",
-                             "0x1.4c29137f74accp-27", 392),
-        "drop-table-drude-hot": ("0x1.f60b0deb21337p-18",
-                                 "0x1.10fa9e5e65122p-125",
-                                 "0x1.5590e72843585p-27", 4188),
+                             "0x1.4c29137f571c6p-27", 392),
+        "drop-table-drude-hot": ("0x1.f60b0deb24e8fp-18",
+                                 "0x1.10fa9e5e67166p-125",
+                                 "0x1.55a173666936ep-27", 4188),
         "drop-table-table": ("0x1.35e9b4bec23a0p-11", "0x1.51058aec6c7dbp-119",
                              "0x1.2418f89a500a3p-27", 1518),
-        "hybrid-drude": ("0x1.365a66406109ep-91", "0x1.d1e6ee037a12bp-142",
-                         "0x1.2c002ffe24e9fp-27", 1052),
+        "hybrid-drude": ("0x1.365a66406109ep-91", "0x1.d1e6ee037a12cp-142",
+                         "0x1.2c003014888c8p-27", 1052),
         "hybrid-table": ("0x1.fe3b05ba4cfa5p-75", "0x1.7efaa14d0acd0p-130",
                          "0x1.4ca05125a96efp-27", 738),
-        "keep-drude-pair": ("0x1.1be22c4653f7cp-24", "0x1.40137b6a5137ap-139",
-                            "0x1.11ee10a7cf390p-33", 318),
+        "keep-drude-pair": ("0x1.1be22c4653f7ap-24", "0x1.40137b6a51378p-139",
+                            "0x1.11ee1c48e55b7p-33", 318),
         "keep-gold": ("0x1.5c0f5c092ce12p-35", "0x1.7a816b212f0b8p-143",
-                      "0x1.211cb1265686dp-33", 303),
+                      "0x1.211cab462d60dp-33", 303),
         "keep-table": ("0x1.6ed5f299147b1p-28", "0x1.8eec72f2f088fp-136",
-                       "0x1.b5318df01b6e0p-30", 392),
+                       "0x1.b5318c1fd776fp-30", 392),
     },
     ("2.4", "x86_64", "X86_V3"): {
         "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76bp-135",
                    "0x1.235af957e8769p-27", 1428),
         "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
-                            "0x1.21a547369d7acp-33", 318),
-        "drop-gold": ("0x1.21868926809dep-35", "0x1.3ad9d72d46242p-143",
-                      "0x1.2106e032ff3dap-33", 303),
+                            "0x1.21a55b40e7a7fp-33", 318),
+        "drop-gold": ("0x1.21868926809dfp-35", "0x1.3ad9d72d46243p-143",
+                      "0x1.2106da23c4f20p-33", 303),
         "drop-table-drude": ("0x1.0c7c95913ced5p-25", "0x1.23f8c4bbcf06ap-133",
-                             "0x1.4c291373b18d2p-27", 392),
+                             "0x1.4c2913964fda7p-27", 392),
         "drop-table-drude-hot": ("0x1.f60b0deb24e8fp-18",
                                  "0x1.10fa9e5e67166p-125",
-                                 "0x1.55a1734500447p-27", 4188),
+                                 "0x1.55a1735a892efp-27", 4188),
         "drop-table-table": ("0x1.35e9b4bec23a0p-11", "0x1.51058aec6c7dbp-119",
                              "0x1.2418f8838caebp-27", 1518),
-        "hybrid-drude": ("0x1.365a66406109fp-91", "0x1.d1e6ee037a12dp-142",
-                         "0x1.2c0030188ea53p-27", 1052),
+        "hybrid-drude": ("0x1.365a66406109ep-91", "0x1.d1e6ee037a12cp-142",
+                         "0x1.2c003014a4fd7p-27", 1052),
         "hybrid-table": ("0x1.fe3b05ba4cfa5p-75", "0x1.7efaa14d0acd0p-130",
                          "0x1.4ca050feb2c61p-27", 738),
         "keep-drude-pair": ("0x1.1be22c4653f7cp-24", "0x1.40137b6a5137ap-139",
-                            "0x1.11ee10a7b77b1p-33", 318),
-        "keep-gold": ("0x1.5c0f5c092ce11p-35", "0x1.7a816b212f0b7p-143",
-                      "0x1.211cb9f667157p-33", 303),
-        "keep-table": ("0x1.6ed5f299147b1p-28", "0x1.8eec72f2f088fp-136",
-                       "0x1.b5318df5f09d3p-30", 392),
+                            "0x1.11ee186855bacp-33", 318),
+        "keep-gold": ("0x1.5c0f5c092ce12p-35", "0x1.7a816b212f0b8p-143",
+                      "0x1.211ca275edd1bp-33", 303),
+        "keep-table": ("0x1.6ed5f299147b0p-28", "0x1.8eec72f2f088ep-136",
+                       "0x1.b5318e5426125p-30", 392),
     },
 }
 # On a target with no recorded set: force and H0 within PIN_ULPS ulp of
@@ -1425,32 +1431,32 @@ def screened_drude_pairs():
 # ``screened_drude_pairs`` under keep, by target, recorded as PINNED is.
 SCREENED_DRUDE_PINNED = {
     ("2.4", "x86_64", "AVX512_SPR"): [
-        ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f1708ff9801p-33", 318),
-        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec2738e61a3p-33", 318),
-        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef81d618ae0p-33", 318),
-        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e1577824c82p-33", 318),
-        ("0x1.b103d85b6aa55p-35", "0x1.694625a73146bp-146", "0x1.21dca81485406p-33", 318),
-        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173cba2a3113p-33", 318),
-        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d6837021594p-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadfda2079f8p-33", 318),
-        ("0x1.d79fcde8d1d06p-35", "0x1.b3cd0ccf1e22cp-141", "0x1.1bd6db4407e2bp-33", 318),
-        ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203acc396b3bfp-33", 318),
-        ("0x1.b6c7ec149a0b0p-38", "0x1.d207b6ae7a16cp-142", "0x1.1e4cdeea252b0p-33", 318),
-        ("0x1.8db93ab15310fp-39", "0x1.edc59d401121fp-140", "0x1.15e8b864f19aep-33", 318),
+        ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f14f7e70674p-33", 318),
+        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec21e13a92bp-33", 318),
+        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef821374e2bp-33", 318),
+        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e16b0f5a34cp-33", 318),
+        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcac2fc661ap-33", 318),
+        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173bf8317a47p-33", 318),
+        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67b08ab0ccp-33", 318),
+        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadf754cce33p-33", 318),
+        ("0x1.d79fcde8d1d06p-35", "0x1.b3cd0ccf1e22cp-141", "0x1.1bd6db6893d9cp-33", 318),
+        ("0x1.52d0d6c1bf70ep-36", "0x1.50fec57684618p-143", "0x1.203ab585bbf31p-33", 318),
+        ("0x1.b6c7ec149a0afp-38", "0x1.d207b6ae7a16bp-142", "0x1.1e4ce8be76233p-33", 318),
+        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8c2e325996p-33", 318),
     ],
     ("2.4", "x86_64", "X86_V3"): [
-        ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f165c4d5a4fp-33", 318),
-        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec31bd59666p-33", 318),
-        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef85b81e81ep-33", 318),
-        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e16b3c562e1p-33", 318),
-        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcb04ac0ae0p-33", 318),
-        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173d19aa7da1p-33", 318),
-        ("0x1.90f291f31926dp-42", "0x1.fcfa8c9af331dp-145", "0x1.20d6880bf67bbp-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadfda201523p-33", 318),
-        ("0x1.d79fcde8d1d06p-35", "0x1.b3cd0ccf1e22cp-141", "0x1.1bd6cfd7986e5p-33", 318),
-        ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203ab4e58b512p-33", 318),
-        ("0x1.b6c7ec149a0b0p-38", "0x1.d207b6ae7a16cp-142", "0x1.1e4ceadc455f6p-33", 318),
-        ("0x1.8db93ab15310ep-39", "0x1.edc59d401121ep-140", "0x1.15e8c2ab32afbp-33", 318),
+        ("0x1.70ea6fca56bf6p-41", "0x1.23623ba4af699p-149", "0x1.21f15a841fbd3p-33", 318),
+        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec29b9d36e7p-33", 318),
+        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef85b7f0dddp-33", 318),
+        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e1792df9de1p-33", 318),
+        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcac2fba102p-33", 318),
+        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173bf8317a47p-33", 318),
+        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67f5f1907dp-33", 318),
+        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadf754bf7efp-33", 318),
+        ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6d48de2187p-33", 318),
+        ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203abf84f403cp-33", 318),
+        ("0x1.b6c7ec149a0afp-38", "0x1.d207b6ae7a16bp-142", "0x1.1e4ce62c49aeep-33", 318),
+        ("0x1.8db93ab15310ep-39", "0x1.edc59d401121ep-140", "0x1.15e8cd294a353p-33", 318),
     ],
 }
 

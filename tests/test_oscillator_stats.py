@@ -49,6 +49,10 @@ class TestImaginaryTime:
                 osc.g_imaginary_time(o, b - lam, b), rel=1e-13)
 
     def test_domain(self):
+        with pytest.raises(DomainError, match="alpha_static"):
+            osc.OscillatorSpec(0.0, 1.0)
+        with pytest.raises(DomainError, match="eigen_energy_ev"):
+            osc.OscillatorSpec(1.0, -1.0)
         o = osc.OscillatorSpec(1.0, 1.0)
         with pytest.raises(DomainError):
             osc.g_imaginary_time(o, -0.1, 1.0)
