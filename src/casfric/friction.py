@@ -138,17 +138,16 @@ class FrictionResult:
 
 # The constants of the overlap integrand's passes as 0-d arrays: numpy
 # converts a Python float operand anew on every ufunc call.
-_HALF, _CLIP, _M2 = np.array(0.5), np.array(700.0), np.array(-2.0)
+_CLIP, _M2 = np.array(700.0), np.array(-2.0)
 
 
 def _csch2_half(x):
-    """1/sinh(x/2)**2, vectorized, with no cancellation as x -> 0.  It is
-    finite for x above about 1.5e-154; below, sinh(x/2)**2 leaves the
-    normal range and the weight is inf, which ``h0_overlap`` finds in its
-    result.  The argument is clipped below the overflow of sinh, where the
-    weight has long underflowed to 0."""
-    out = np.multiply(_HALF, x, dtype=float)
-    np.minimum(out, _CLIP, out=out)
+    """1/sinh(x)**2 of x = beta*m/2, vectorized, with no cancellation as
+    x -> 0.  It is finite for x above about 7.5e-155; below, sinh(x)**2
+    leaves the normal range and the weight is inf, which ``h0_overlap``
+    finds in its result.  x is clipped below the overflow of sinh, where
+    the weight has long underflowed to 0."""
+    out = np.minimum(x, _CLIP)
     np.sinh(out, out=out)
     out **= _M2
     return out
@@ -194,15 +193,15 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
 
-    # 0-d arrays, like the constants of _csch2_half.
+    # 0-d arrays; (beta/2)*m is beta*m halved where the weight is finite.
     pref = np.array(0.5 * math.pi * beta * units.HBAR_JS)
-    beta_arr = np.array(beta)
+    half_beta = np.array(0.5 * beta)
 
     def integrand(m):
         # pref*S1*S2*csch2 in this order, each product in place
         out = pref * s1.value(m)
         out *= s2.value(m)
-        out *= _csch2_half(beta_arr * m)
+        out *= _csch2_half(half_beta * m)
         return out
 
     tail_val = scale = scale_arr = None

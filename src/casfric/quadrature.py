@@ -24,14 +24,14 @@ same shape, elementwise.  A pass stops on the exactly rounded
 (math.fsum) sums of value and error: once the error meets the target, a
 sum is not finite or the budget is spent.
 
-Independent integrals run in lockstep in ``integrate_many``, of which
-``integrate_finite`` is the one-job case, and in
-``integrate_semi_infinite_many``.  Each pass, one call ``f(x, job)``
-evaluates the halves of all unfinished integrals, ``job`` holding the
-integer index of the integral each abscissa belongs to.  That ``f`` must
-be elementwise in both arguments: entry i of its result depends only on
-``x[i]`` and ``job[i]``.  Every result is then ``==`` the one its
-integral gets alone: the panel rule sums each panel on its own.
+Independent integrals run in lockstep in ``integrate_many`` and
+``integrate_semi_infinite_many``; a batch of one runs as a lone integral.
+Each pass, one call ``f(x, job)`` evaluates the halves of all unfinished
+integrals, ``job`` holding the integer index of the integral each
+abscissa belongs to.  That ``f`` must be elementwise in both arguments:
+entry i of its result depends only on ``x[i]`` and ``job[i]``.  Every
+result is then ``==`` the one its integral gets alone: the panel rule
+sums each panel on its own.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ _WG = np.array([
     0.38183005050511894, 0.27970539148927664, 0.12948496616886969,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
-# 0.5 as a 0-d array: numpy converts a Python float operand anew on every
-# ufunc call.
-_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -109,23 +106,16 @@ class IntegralResult:
     converged: bool
 
 
-def _nodes(lo, hi):
-    """Half-widths of the panels [lo[i], hi[i]] and their nodes
-    mid + half*_XGK, panel after panel in one flat array."""
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    half = _HALF * (b - a)
-    x = half[:, None] * _XGK
-    x += (_HALF * (a + b))[:, None]
-    return half, x.ravel()
-
-
-def _panels(f, lo, hi, job):
-    """G7/K15 on the panels [lo[i], hi[i]], all 15*len(lo) nodes in one
-    call ``f(x, job)`` -> the panels as (|k15-g7|, lo, hi, k15), the
-    rule's numbers Python floats."""
-    half, x = _nodes(lo, hi)
-    y = np.asarray(f(x, job), dtype=float)
-    if y.shape != x.shape:
+def _panels(f, lo, hi, *job):
+    """G7/K15 on the panels [lo[i], hi[i]], their nodes mid + half*_XGK
+    panel after panel in one call ``f(x, *job)`` -> the panels as
+    (|k15-g7|, lo, hi, k15), the rule's numbers Python floats."""
+    # Python floats, rounded as numpy rounds: the rule below takes half.
+    half = [0.5 * (q - p) for p, q in zip(lo, hi)]
+    x = np.multiply.outer(half, _XGK)
+    x += np.array([0.5 * (p + q) for p, q in zip(lo, hi)])[:, None]
+    y = np.asarray(f(x.ravel(), *job), dtype=float)
+    if y.shape != (x.size,):
         raise DomainError("integrand must return an array matching its input")
     # vecdot sums each row as np.dot sums it alone; a matrix product would
     # sum in another order.  take() copies the Gauss columns in C order:
@@ -133,9 +123,8 @@ def _panels(f, lo, hi, job):
     # The rest is Python float arithmetic, so inf - inf is a silent nan
     # that flags the result.
     rows = y.reshape(-1, 15)
-    h = half.tolist()
-    k15 = list(map(mul, h, np.vecdot(rows, _WGK).tolist()))
-    g7 = map(mul, h, np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist())
+    k15 = list(map(mul, half, np.vecdot(rows, _WGK).tolist()))
+    g7 = map(mul, half, np.vecdot(rows.take(_GAUSS_IDX, axis=1), _WG).tolist())
     return list(zip(map(abs, map(sub, k15, g7)), lo, hi, k15))
 
 
@@ -160,8 +149,8 @@ def _edges(a, b, split_points):
     """Edges of the initial panels of [a, b]: a, inner split points, b."""
     if not a < b:
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
-    return [a] + sorted(s for s in set(map(float, split_points))
-                        if a < s < b) + [b]
+    return [float(a), *sorted(s for s in set(map(float, split_points))
+                              if a < s < b), float(b)]
 
 
 def _bisect(live, retired, spec):
@@ -207,6 +196,19 @@ def _bisect(live, retired, spec):
             return [], [], total, error
 
 
+def _integrate(f, edges, spec):
+    """One integral of ``f(x)`` over the panels between ``edges``,
+    bisected pass by pass."""
+    lo, hi = edges[:-1], edges[1:]
+    live, retired, evals = [], [], 0
+    while lo:
+        live += _panels(f, lo, hi)
+        evals += 15 * len(lo)
+        lo, hi, total, error = _bisect(live, retired, spec)
+    return IntegralResult(total, error, evals,
+                          math.isfinite(total) and error <= spec.target(total))
+
+
 def integrate_finite(f: Callable, a: float, b: float,
                      spec: QuadratureSpec | None = None,
                      split_points: Iterable[float] = ()) -> IntegralResult:
@@ -219,8 +221,7 @@ def integrate_finite(f: Callable, a: float, b: float,
     Returns a flagged (converged=False) result rather than a silent wrong
     value when the subdivision budget is exhausted.
     """
-    return integrate_many(lambda x, job: f(x), [(a, b, split_points)],
-                          spec)[0]
+    return _integrate(f, _edges(a, b, split_points), spec or default_spec())
 
 
 def integrate_many(f: Callable, jobs: Iterable[tuple],
@@ -237,20 +238,17 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
     if spec is None:
         spec = default_spec()
     edges = [_edges(a, b, split_points) for a, b, split_points in jobs]
+    if len(edges) == 1:
+        return [_integrate(lambda x: f(x, np.zeros(x.shape, dtype=int)),
+                           edges[0], spec)]
     wanted_lo, wanted_hi = [e[:-1] for e in edges], [e[1:] for e in edges]
     live, retired = [[] for _ in edges], [[] for _ in edges]
     evals, results = [0] * len(edges), [None] * len(edges)
     job_ids = np.arange(len(edges))
     while any(wanted_lo):
-        if len(edges) == 1:
-            # A lone integral: its own panel lists, every node its own.
-            ends = wanted_lo[0], wanted_hi[0]
-            owner = np.zeros(15 * len(ends[0]), dtype=job_ids.dtype)
-        else:
-            ends = (list(chain.from_iterable(wanted_lo)),
-                    list(chain.from_iterable(wanted_hi)))
-            owner = job_ids.repeat([15 * len(lo) for lo in wanted_lo])
-        panels = _panels(f, *ends, owner)
+        panels = _panels(f, list(chain.from_iterable(wanted_lo)),
+                         list(chain.from_iterable(wanted_hi)),
+                         job_ids.repeat([15 * len(lo) for lo in wanted_lo]))
         start = 0
         for j, lo in enumerate(wanted_lo):
             if lo:

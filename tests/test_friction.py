@@ -127,9 +127,10 @@ def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
     pref = 0.5 * math.pi * beta * units.HBAR_JS
+    half_beta = 0.5 * beta
 
     def integrand(m):
-        out = pref * s1.value(m) * s2.value(m) * fr._csch2_half(beta * m)
+        out = pref * s1.value(m) * s2.value(m) * fr._csch2_half(half_beta * m)
         return out if extra_factor is None else out * extra_factor(m)
 
     grid = sorted([*(m_cap * PROBE_UNIT),
@@ -245,6 +246,94 @@ def test_high_temperature_limit(model, t_k):
     assert res.converged
     assert abs(res.h0 / want - 1.0) <= (res.quadrature_error
                                        + oracle.error_estimate / oracle.value)
+
+
+def drude_pairs(rng, count):
+    """``count`` Drude pairs drawn from ``rng``: plasma 3-15 eV, damping
+    1e-3-0.3 eV (log-uniform)."""
+    for _ in range(count):
+        ep, gamma = rng.uniform(3.0, 15.0, 2), np.exp(
+            rng.uniform(math.log(1e-3), math.log(0.3), 2))
+        yield Drude(ep[0], gamma[0]), Drude(ep[1], gamma[1])
+
+
+def test_drude_scale_covariance():
+    """Scaling e_p, the damping and T of a Drude pair by 2**k scales every
+    floating-point step of a route exactly.  So H0, quadrature_error,
+    evaluations and converged of drop and keep, and the closed form's H0
+    and note, are those of the unscaled pair, bit for bit.  The spec is
+    relative only: the default abs_tol bounds an integral in eV, so it
+    does not scale (ROADMAP item 3).  At the default spec, drop on
+    Drude(3.7930080967868802, 0.005992837853670594) and
+    Drude(5.7654718946724195, 0.016948616273108345) at 928.6036711832687 K
+    takes 378 evaluations, and scaled by 2**-16 it stops a pass early, at
+    318, with H0 2.3e-9 apart."""
+    rng = np.random.default_rng(14)
+    spec = QuadratureSpec(abs_tol=1e-300)
+
+    def scaled(model, lam):
+        return Drude(model.plasma_energy_ev * lam, model.damping_ev * lam)
+
+    def routes(m1, m2, t_k):
+        out = [dataclasses.astuple(fr.friction_dense(
+            _plates(m1, m2, t_k), mode, spec))[2:]
+            for mode in ("drop", "keep")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            closed = fr.friction_drude_closed_form(_plates(m1, m1, t_k))
+        return out + [(closed.h0, closed.note)]
+
+    for m1, m2 in drude_pairs(rng, 60):
+        t_k, lam = rng.uniform(30.0, 1000.0), 2.0 ** int(rng.integers(-20, 21))
+        want = routes(m1, m2, t_k)
+        got = routes(scaled(m1, lam), scaled(m2, lam), t_k * lam)
+        assert repr(got) == repr(want), (m1, m2, t_k, lam)
+
+
+def drude_slope_and_cubic(model):
+    """s and t of a Drude surface spectrum S(m) = s*m + t*m**3 + ..., from
+    its closed form (e**2/pi) gamma m / ((e**2 - m**2)**2 + (gamma m)**2),
+    e**2 = e_p**2/2."""
+    e2, gamma = 0.5 * model.plasma_energy_ev ** 2, model.damping_ev
+    s = gamma / (math.pi * e2)
+    return s, s * (2.0 * e2 - gamma * gamma) / e2 ** 2
+
+
+# Apery's constant, Li3(1).
+ZETA3 = 1.2020569031595942
+
+
+def low_t_limits(t_k, s1, t1, s2, t2):
+    """H0 as T -> 0 of two media with A(0) = 1 whose spectral densities
+    run s*m + t*m**3 + ...: drop to its first correction,
+    (2 pi**3/3) hbar (k_B T)**2 s1 s2 (1 + (4 pi**2/5) (k_B T)**2
+    (t1/s1 + t2/s2)), and the ratio keep/drop, Li3(A1(0) A2(0)) = zeta(3)."""
+    kt = units.thermal_energy(t_k)
+    drop = (2.0 * math.pi ** 3 / 3.0) * units.HBAR_JS * kt * kt * s1 * s2 \
+        * (1.0 + 0.8 * math.pi ** 2 * kt * kt * (t1 / s1 + t2 / s2))
+    return drop, ZETA3
+
+
+@pytest.mark.parametrize("t_k", [0.1, 0.03])
+def test_low_temperature_limits(t_k):
+    """At the tight spec, drop lies within its claimed error (about 4e-14)
+    of the limit with its correction: the correction is 3e-12 to 1.3e-10
+    at 0.1 K, the next term below 1e-20.  keep/drop at the default spec
+    lies within the two claimed errors (about 1.3e-10 each) of zeta(3):
+    its own correction is of order (k_B T/e_p)**2, below 3e-11 here."""
+    for m1, m2 in drude_pairs(np.random.default_rng(15), 6):
+        drop_h0, ratio = low_t_limits(t_k, *drude_slope_and_cubic(m1),
+                                      *drude_slope_and_cubic(m2))
+        system = _plates(m1, m2, t_k)
+        tight = fr.friction_dense(system, "drop",
+                                  QuadratureSpec(1e-300, 1e-12))
+        assert tight.converged
+        assert abs(tight.h0 - drop_h0) <= tight.quadrature_error * tight.h0
+        drop, keep = (fr.friction_dense(system, mode)
+                      for mode in ("drop", "keep"))
+        assert keep.converged and drop.converged
+        assert abs(keep.h0 / drop.h0 - ratio) <= (
+            keep.quadrature_error + drop.quadrature_error) * ratio
 
 
 class TestDenseRoute:
@@ -696,7 +785,7 @@ class TestH0Kernels:
         assert res.value == pytest.approx(closed, rel=1e-2)
 
     def test_thermal_weight_finite_near_zero(self):
-        w = fr._csch2_half(np.array([1e-20, 1.0, 2000.0]))
+        w = fr._csch2_half(np.array([0.5e-20, 0.5, 1000.0]))
         assert w[0] == pytest.approx(4e40, rel=1e-12)
         assert w[1] == pytest.approx(math.sinh(0.5) ** -2, rel=1e-14)
         assert w[2] == 0.0

@@ -98,8 +98,7 @@ IDLE_PARAMETERS = {
     ("cli.py", "cmd_validate", "args"):
         "every command takes the parsed arguments from main's dispatch",
     ("quadrature.py", "<lambda>", "job"):
-        "integrate_finite and integrate_semi_infinite adapt f(x) to a "
-        "one-job f(x, job)",
+        "integrate_semi_infinite adapts f(x) to a one-job f(x, job)",
 }
 
 

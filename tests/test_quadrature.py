@@ -426,6 +426,43 @@ class TestLockstep:
         assert [res.converged for res in batch] == [True, True, False, False,
                                                     True]
 
+    @staticmethod
+    def assert_tied(f, lone, batch, job, companion):
+        """The integral of ``f``, alone by ``lone(g)`` and by
+        ``batch(g, jobs)`` as ``job``, the only one and then job 0 beside
+        ``companion`` (an integrand and its job): the same fields, and
+        ``f`` sees byte-identical nodes for it, call by call."""
+        nodes = []
+        res = lone(lambda x: nodes.append(x.tobytes()) or f(x))
+        for others in ([], [companion]):
+            seen, per_job = [], by_job([f] + [g for g, _ in others])
+
+            def logged(x, job):
+                seen.append(x[job == 0].tobytes())
+                return per_job(x, job)
+
+            out = batch(logged, [job] + [j for _, j in others])
+            assert fields(out[0]) == fields(res)
+            assert [x for x in seen if x] == nodes
+
+    def test_lone_loop_ties_to_the_lockstep_loop(self):
+        # Seeded peaked integrands and closed-form semi-infinite ones, each
+        # beside the previous draw in its two-job batch.
+        companion = (np.exp, (0.0, 1.0, ()))
+        for f, spec, splits in peaked_cases(12, 200):
+            self.assert_tied(
+                f, lambda g: integrate_finite(g, 0.0, 1.0, spec, splits),
+                lambda g, jobs: integrate_many(g, jobs, spec),
+                (0.0, 1.0, splits), companion)
+            companion = (f, (0.0, 1.0, splits))
+        companion = (lambda x: np.exp(-x), (1.0, ()))
+        for f, _, scale, splits, spec in closed_form_cases(13, 60):
+            self.assert_tied(
+                f, lambda g: integrate_semi_infinite(g, scale, spec, splits),
+                lambda g, jobs: integrate_semi_infinite_many(g, jobs, spec),
+                (scale, splits), companion)
+            companion = (f, (scale, splits))
+
     def test_semi_infinite_bad_scale_raises_before_any_call(self):
         calls = []
         with pytest.raises(DomainError, match="decay_scale"):
