@@ -17,7 +17,9 @@ The thermal overlap kernel is
 
     H0 = (pi*beta*hbar/2) * integral of S1(m) S2(m) / sinh(beta*m/2)**2 dm
 
-over excitation energies m (eV).  For the dense route, the coupling of
+over excitation energies m (eV), integrated as (2*pi*hbar/beta) times
+the integral of (S1/d)(S2/d), d = sinh(beta*m/2)/(beta/2) >= m, so the
+weight cannot overflow near m = 0.  For the dense route, the coupling of
 the two surfaces across the gap can screen the spectral product by the
 induced-correlation denominator 1 - A1*A2*exp(-2u) per transverse mode
 u = q*d.  ``denominators="keep"`` retains that screening as the
@@ -136,40 +138,28 @@ class FrictionResult:
     note: str | None = None
 
 
-# The constants of the overlap integrand's passes as 0-d arrays: numpy
-# converts a Python float operand anew on every ufunc call.
-_CLIP, _M2 = np.array(700.0), np.array(-2.0)
-
-
-def _csch2_half(x):
-    """1/sinh(x)**2 of x = beta*m/2, vectorized, with no cancellation as
-    x -> 0.  It is finite for x above about 7.5e-155; below, sinh(x)**2
-    leaves the normal range and the weight is inf, which ``h0_overlap``
-    finds in its result.  x is clipped below the overflow of sinh, where
-    the weight has long underflowed to 0."""
-    out = np.minimum(x, _CLIP)
-    np.sinh(out, out=out)
-    out **= _M2
-    return out
-
-
 def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
                temperature_k: float, spec: QuadratureSpec | None = None,
                extra_factor=None) -> IntegralResult:
     """Thermal spectral-overlap integral shared by every H0 route,
 
-        (pi*beta*hbar/2) * integral of S1(m) S2(m) / sinh(beta*m/2)**2 dm,
+        (pi*beta*hbar/2) * integral of S1(m) S2(m) / sinh(beta*m/2)**2 dm
+          = (2*pi*hbar/beta) * integral of (S1/d) * (S2/d) dm,
 
-    over the common support of the two densities (any consistent
-    normalization; the caller owns the bookkeeping).  ``extra_factor``,
-    when given, multiplies the integrand (cross-gap screening).  The
-    integrand is rescaled by its sampled peak (see below) before adaptive
-    integration so that the tolerance spec stays meaningful for the
-    physically tiny magnitudes involved (~hbar), and the integration is
-    truncated where the exponential thermal envelope provably kills the
-    integrand; the bound is checked, not assumed.
+    with d = sinh(beta*m/2)/(beta/2) >= m, over the common support of the
+    two densities (any consistent normalization; the caller owns the
+    bookkeeping).  The second form is the integrand: each ratio is
+    bounded by S/m and is 0 where sinh overflows, so no weight overflows
+    where both densities vanish like m; 2*pi*hbar/beta multiplies H0 and
+    its error once, after the engine.  ``extra_factor``, when given,
+    multiplies the integrand (cross-gap screening).  The integrand is
+    rescaled by its sampled peak (see below) before adaptive integration
+    so that the tolerance spec stays meaningful for the physically tiny
+    magnitudes involved (~hbar), and the integration is truncated where
+    the exponential thermal envelope provably kills the integrand; the
+    bound is checked, not assumed.
 
-    Every route runs one flow.  A bare probe of S1*S2/sinh**2 places the
+    Every route runs one flow.  A bare probe of (S1/d)*(S2/d) places the
     initial panels around its peak; it holds no tail point and sets no
     scale.  The engine's first integrand call evaluates the integrand,
     times ``extra_factor`` if given (which must be elementwise), on the
@@ -179,11 +169,11 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     and the engine stops after it.  Each later pass evaluates the
     integrand, and the factor, once on its nodes.  ``evaluations`` counts
     each abscissa once, the probe's included.  A zero scale gives an
-    exact zero.  Overflow is found, not predicted: the weight is inf for
-    beta*m below about 1.5e-154, and a density or the factor can overflow
-    too, so the probe and the engine run with numpy's floating-point
-    warnings off, and a scale, H0 or error that is not finite raises a
-    :class:`~casfric.errors.DomainError` naming T_K.
+    exact zero.  Overflow is found, not predicted: a density product or
+    the factor can leave the float range, and beta*m/2 can underflow to
+    0 (d = 0), so the probe and the engine run with numpy's
+    floating-point warnings off, and a scale, H0 or error that is not
+    finite raises a :class:`~casfric.errors.DomainError` naming T_K.
     """
     if spec is None:
         spec = default_spec()
@@ -193,15 +183,16 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     m_cap = min(max(window, *(10.0 * h for h in hints)),
                 s1.support_max, s2.support_max)
 
-    # 0-d arrays; (beta/2)*m is beta*m halved where the weight is finite.
-    pref = np.array(0.5 * math.pi * beta * units.HBAR_JS)
-    half_beta = np.array(0.5 * beta)
+    half_beta = np.array(0.5 * beta)  # 0-d: no conversion on every call
 
     def integrand(m):
-        # pref*S1*S2*csch2 in this order, each product in place
-        out = pref * s1.value(m)
-        out *= s2.value(m)
-        out *= _csch2_half(half_beta * m)
+        # (S1/d)*(S2/d), d = sinh(beta*m/2)/(beta/2); symmetric in the
+        # two densities, so swapping them leaves every bit
+        d = half_beta * m
+        np.sinh(d, out=d)
+        d /= half_beta
+        out = s1.value(m) / d
+        out *= s2.value(m) / d
         return out
 
     tail_val = scale = scale_arr = None
@@ -248,13 +239,14 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     if scale == 0.0:
         return IntegralResult(0.0, 0.0, evals, True)
 
-    # Tail bound beyond m_cap: the thermal weight is < 4*exp(-beta*m) and
+    # Tail bound beyond m_cap: the thermal weight decays as exp(-beta*m) and
     # the spectral product is bounded near the cap for every decaying
     # density handled here; float underflow makes this zero at practical
     # temperatures, but verify rather than assume.
     tail_bound = abs(tail_val / scale) / beta * 2.0
     err = res.error_estimate + tail_bound
-    value, err = res.value * scale, err * scale
+    pref = 2.0 * math.pi * units.HBAR_JS / beta
+    value, err = res.value * scale * pref, err * scale * pref
     if not all(map(math.isfinite, (scale, value, err))):
         raise DomainError(f"the overlap integrand leaves the float range at "
                           f"T_K = {temperature_k!r} K")

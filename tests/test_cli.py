@@ -578,17 +578,36 @@ def out_of_range(t_k):
     return f"the overlap integrand leaves the float range at T_K = {t_k!r} K"
 
 
+def limits_of(overlap_limits, path):
+    """``overlap_limits`` of the media and temperature of the compute
+    config at ``path``, and the share of the overlap that is its H0: one
+    half on the hybrid route (see friction_hybrid)."""
+    parsed = cli.parse_run_config(json.loads(Path(path).read_text()))
+    system = parsed["system"]
+    limits = overlap_limits(system.T_K, system.medium1.model,
+                            system.medium2.model)
+    return limits, 0.5 if parsed["route"] == "hybrid" else 1.0
+
+
+def assert_meets(result, limit, limits):
+    """H0 of a compute result lies within its claimed error, plus the
+    oracle's, of ``limit``."""
+    assert abs(result["H0"] / limit - 1.0) <= (result["quadrature_error"]
+                                               + limits.rel_err), result
+
+
 class TestTableEnergyRange:
     """Tables whose energies leave the range the forces can be formed on
-    end in one line and exit 3, with no RuntimeWarning."""
+    end in one line and exit 3, with no RuntimeWarning; far below k_B*T
+    they meet the overlap's limits."""
 
     @staticmethod
     def config(tmp_path, route, rows, denominators="drop", density=1.0,
-               t_k=300.0):
+               t_k=300.0, **overrides):
         table = tmp_path / "table.txt"
         table.write_text("".join(f"{m!r} {v!r}\n" for m, v in rows))
         medium = {"model": "tabulated", "path": str(table)}
-        cfg = gold_config(route=route, denominators=denominators)
+        cfg = gold_config(route=route, denominators=denominators, **overrides)
         if route == "dilute":
             medium["density_per_nm3"] = density
             cfg["system"]["medium2"] = medium
@@ -604,41 +623,56 @@ class TestTableEnergyRange:
 
     @pytest.mark.parametrize("route", ["dilute", "dense-full"])
     @pytest.mark.parametrize("top", [1e-146, 1e-148])
-    def test_support_far_below_k_t(self, tmp_path, capsys, request,
-                                   dispatch_target, route, top):
-        # 1/sinh(m/(2 k_B T))**2 overflows below m ~ 3e-154 k_B T: the
-        # force was inf or nan, with RuntimeWarnings and exit 4.  At top =
-        # 1e-148 eV the probe's lowest point, 1e-157 eV, is past that.  At
-        # 1e-146 eV only the first pass's nodes can reach it, and where
-        # they lie turns on the argmax of a probe that is flat near m = 0,
-        # so on the last bits: with numpy 2.4 at dispatch level X86_V3 the
-        # dilute force is computed, not rejected.
-        if (top, route) == (1e-146, "dilute") and dispatch_target == (
-                "2.4", "x86_64", "X86_V3"):
-            request.applymarker(pytest.mark.xfail(
-                strict=True, reason="the overflow edge depends on the "
-                "dispatch target until the thermal weight is bounded"))
+    def test_support_far_below_k_t(self, tmp_path, capsys, overlap_limits,
+                                   route, top):
+        # 1/sinh(m/(2 k_B T))**2 overflowed below m ~ 3e-154 k_B T, which
+        # the probe or the first pass reached: exit 3, or a force, as the
+        # last bits of the probe decided.  The bounded weight computes
+        # them on every target: dilute meets the classical limit, and
+        # dense-full, against gold, the small-support limit.
         path = self.config(tmp_path, route, [(0.0, 0.0), (top / 2, 1e-3), (top, 0.0)])
         code, out, err = self.compute(capsys, path)
-        assert (code, out) == (3, "")
-        assert err == f"physics error: {out_of_range(300.0)}\n"
+        assert (code, err) == (0, "")
+        limits, _ = limits_of(overlap_limits, path)
+        assert_meets(json.loads(out)["result"], limits.classical
+                     if route == "dilute" else limits.small_support, limits)
+
+    # The dilute force under numpy 2.4 at dispatch level X86_V3, 3 ulp
+    # below the AVX512_SPR one the parameter holds (without the AVX-512
+    # kernels np.sinh rounds differently); on other targets only the
+    # limit is checked.
+    X86_V3_FORCE = {"dilute": "0x1.df9d8de36fb14p+410"}
 
     @pytest.mark.parametrize("route, force", [
-        ("dilute", "0x1.df9d8de36fb13p+410"), ("dense-full", "0x1.0beab664794c1p-29")])
-    def test_support_inside_the_bound_keeps_its_force(self, tmp_path, capsys,
-                                                      route, force):
+        ("dilute", "0x1.df9d8de36fb17p+410"), ("dense-full", "0x1.0beab664794c1p-29")])
+    def test_support_inside_the_bound_keeps_its_force(
+            self, tmp_path, capsys, dispatch_target, overlap_limits, route,
+            force):
         path = self.config(tmp_path, route, [(0.0, 0.0), (5e-131, 1e-3), (1e-130, 0.0)])
         code, out, err = self.compute(capsys, path)
         assert (code, err) == (0, "")
-        assert json.loads(out)["result"]["force"] == float.fromhex(force)
+        result = json.loads(out)["result"]
+        want = {("2.4", "x86_64", "AVX512_SPR"): force,
+                ("2.4", "x86_64", "X86_V3"): self.X86_V3_FORCE.get(route, force),
+                }.get(dispatch_target)
+        if want is not None:
+            assert result["force"] == float.fromhex(want)
+        limits, _ = limits_of(overlap_limits, path)
+        assert_meets(result, limits.classical if route == "dilute"
+                     else limits.small_support, limits)
 
-    def test_peak_hint_far_below_k_t(self, tmp_path, capsys):
-        # the table's peak at 1e-200 eV is a probe point: the weight
-        # overflowed there, giving force nan with a RuntimeWarning
-        path = self.config(tmp_path, "dense-full", [(1e-200, 1e-3), (1.0, 0.0)])
+    def test_peak_hint_far_below_k_t(self, tmp_path, capsys, overlap_limits):
+        # the table's peak at 1e-200 eV is a probe point, where the weight
+        # overflowed, giving force nan with a RuntimeWarning.  The
+        # integrand runs as 1/m over 198 decades below k_B*T, which the
+        # default abs_tol passes unresolved (ROADMAP item 3): at a relative
+        # tolerance only, the force meets the oracle.
+        path = self.config(tmp_path, "dense-full", [(1e-200, 1e-3), (1.0, 0.0)],
+                           quadrature={"abs_tol": 1e-300, "rel_tol": 1e-10})
         code, out, err = self.compute(capsys, path)
-        assert (code, out) == (3, "")
-        assert err == f"physics error: {out_of_range(300.0)}\n"
+        assert (code, err) == (0, "")
+        limits, _ = limits_of(overlap_limits, path)
+        assert_meets(json.loads(out)["result"], limits.exact, limits)
 
     @pytest.mark.parametrize("route, rows, t_k", [
         ("dilute", [(0.0, 0.0), (1.0, 1e200), (2.0, 0.0)], 300.0),
@@ -902,8 +936,11 @@ class TestSweep:
 # Each axis on each route that accepts it, with values that run, values
 # that fail and, through a one-subdivision quadrature, rows that do not
 # converge.
+# At 5e-324 K k_B*T underflows: an exit-3 row on every route, since
+# 1e300 K computes where the thermal weight is bounded.
 SWEEP_VALUES = {"d": [10.0, 3.0, 1e308], "v": [0.0, 100.0, 1e307],
-                "T": [30.0, 300.0, 1e300], "damping": [0.035, 0.0, 1e80],
+                "T": [30.0, 300.0, 1e300, 5e-324],
+                "damping": [0.035, 0.0, 1e80],
                 "plasma_energy": [9.0, 5.0, 1e80]}
 
 
@@ -949,8 +986,8 @@ class TestSweepRowsAreCompute:
         for axis in cli.SWEEP_AXES] + [
         (base, axis) for base in ("dilute", "hybrid", "hybrid-stiff")
         for axis in ("d", "v", "T")])
-    def test_every_row_is_compute_on_its_value(self, tmp_path, capsys, base,
-                                               axis):
+    def test_every_row_is_compute_on_its_value(self, tmp_path, capsys,
+                                               overlap_limits, base, axis):
         cfg = _sweep_bases(tmp_path)[base]
         values = SWEEP_VALUES[axis]
         path = write_json(tmp_path, "sweep.json",
@@ -973,6 +1010,10 @@ class TestSweepRowsAreCompute:
                 assert row_code in (0, 4)
                 result = json.loads(row_out)["result"]
                 expected.update({c: result[c] for c in cli._ROW_FIELDS})
+                if value == 1e300:
+                    # k_B*T far above every feature: the classical limit
+                    limits, share = limits_of(overlap_limits, path)
+                    assert_meets(result, share * limits.classical, limits)
             assert row == expected, value
         assert 3 in codes
         assert code == 3
@@ -1097,7 +1138,8 @@ DAMPING_RANGE = "damping_ev must be finite and in [0, 1e+76] eV"
 
 class TestFloatEdge:
     """Inputs that pass the schema but whose derived quantities leave the
-    float range: a typed error and exit 3, never a traceback."""
+    float range: a typed error and exit 3, never a traceback.  Extreme
+    temperatures where only the old thermal weight overflowed compute."""
 
     @pytest.mark.parametrize("command, route, key, value, message", [
         ("compute", "dense-full", "T_K", 5e-324,
@@ -1112,8 +1154,6 @@ class TestFloatEdge:
          "Pendry's force leaves the float range"),
         ("compare", "drude-closed-form", "v_m_per_s", 1e308,
          "the drude-closed-form force leaves the float range"),
-        ("compute", "dense-full", "T_K", 1e300, out_of_range(1e300)),
-        ("compute", "dense-full", "T_K", 1e308, out_of_range(1e308)),
         *(("compute", route, "media",
            {"model": "drude", "plasma_energy_ev": ep, "damping_ev": damping},
            message)
@@ -1127,7 +1167,6 @@ class TestFloatEdge:
          "the conductivity omega_p**2/nu leaves the float range"),
     ], ids=["compute-T-tiny", "closed-form-T-huge", "compute-v-huge",
             "compare-v-tiny", "compare-v-cubed-huge", "compare-v-huge",
-            "dense-T-huge", "dense-T-max",
             *(f"{route}-{name}" for route in ("dense", "closed-form")
               for name in ("ep-1e200", "ep-1e78", "ep-1e140",
                            "damping-1e153", "damping-1e155")),
@@ -1142,10 +1181,23 @@ class TestFloatEdge:
         assert (code, out) == (3, "")
         assert err == f"physics error: {message}\n"
 
-    def test_table_at_huge_temperature(self, tmp_path, capsys):
+    @pytest.mark.parametrize("t_k", [1e300, 1e308],
+                             ids=["dense-T-huge", "dense-T-max"])
+    def test_gold_at_huge_temperature(self, tmp_path, capsys, overlap_limits,
+                                      t_k):
+        # 1/sinh(beta*m/2)**2 overflowed near m = 0 above about 2.1e155 K
+        cfg = gold_config(route="dense-full")
+        cfg["system"]["T_K"] = t_k
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, err) == (0, "")
+        limits, _ = limits_of(overlap_limits, path)
+        assert_meets(json.loads(out)["result"], limits.classical, limits)
+
+    def test_table_at_huge_temperature(self, tmp_path, capsys, overlap_limits):
         # Near m = 0 the thermal weight 1/sinh(beta*m/2)**2 of a table that
-        # ends at 4 eV overflows at 1e150 K: a nan force, were the result
-        # not checked.
+        # ends at 4 eV overflowed at 1e150 K, and the force was a range
+        # error; it meets the classical limit.
         table = tmp_path / "plate.txt"
         m = np.linspace(0.0, 4.0, 60)
         table.write_text("\n".join(f"{a} {b}" for a, b in
@@ -1155,10 +1207,11 @@ class TestFloatEdge:
         cfg["system"]["T_K"] = 1e150
         path = write_json(tmp_path, "cfg.json", cfg)
         code, out, err = run_cli(capsys, ["compute", "--config", path])
-        assert (code, out) == (3, "")
-        assert err == f"physics error: {out_of_range(1e150)}\n"
+        assert (code, err) == (0, "")
+        limits, _ = limits_of(overlap_limits, path)
+        assert_meets(json.loads(out)["result"], limits.classical, limits)
 
-    def test_sweep_row_error(self, tmp_path, capsys):
+    def test_sweep_row_error(self, tmp_path, capsys, overlap_limits):
         cfg = {"base": gold_config(route="dense-full"), "axis": "T",
                "values": [300.0, 5e-324, 1e300]}
         path = write_json(tmp_path, "sweep.json", cfg)
@@ -1168,7 +1221,12 @@ class TestFloatEdge:
         assert rows[0]["error"] == "" and rows[0]["force"] > 0.0
         assert rows[1]["error"] == ("temperature 5e-324 K is out of range: "
                                     "k_B*T underflows to 0")
-        assert rows[2]["error"] == out_of_range(1e300)
+        hot = gold_config(route="dense-full")
+        hot["system"]["T_K"] = 1e300
+        limits, _ = limits_of(overlap_limits,
+                              write_json(tmp_path, "hot.json", hot))
+        assert rows[2]["error"] == ""
+        assert_meets(rows[2], limits.classical, limits)
 
     @pytest.mark.filterwarnings("ignore:.*outside its validity regime")
     def test_seeded_configs_exit_cleanly(self, tmp_path, capsys):

@@ -130,7 +130,10 @@ def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
     half_beta = 0.5 * beta
 
     def integrand(m):
-        out = pref * s1.value(m) * s2.value(m) * fr._csch2_half(half_beta * m)
+        # 1/sinh(x)**2 with x clipped below sinh's overflow, where the
+        # weight has long underflowed to 0
+        csch2 = np.sinh(np.minimum(half_beta * m, 700.0)) ** -2.0
+        out = pref * s1.value(m) * s2.value(m) * csch2
         return out if extra_factor is None else out * extra_factor(m)
 
     grid = sorted([*(m_cap * PROBE_UNIT),
@@ -225,27 +228,35 @@ class TestClosedForm:
 
 @pytest.mark.parametrize("model", [GOLD, Drude(3.0, 0.5)],
                          ids=["gold", "drude-3-0.5"])
-@pytest.mark.parametrize("t_k", [1e80, 1e120, 1e150])
-def test_high_temperature_limit(model, t_k):
+@pytest.mark.parametrize("t_k", [1e80, 1e120, 1e150, 1e200, 1e300, 1e308])
+def test_high_temperature_limit(model, t_k, overlap_limits):
     """For k_B*T far above e_p, 1/sinh(beta*m/2)**2 -> 4/(beta*m)**2 across
-    the spectrum, so H0 -> 2*pi*hbar*k_B*T * integral of S1*S2/m**2 dm.
-    The oracle integrates that over [0, inf), split at e_p, e_p +- gamma
-    and e_p +- 3*gamma; the dense drop route at 10 nm meets it within the
-    sum of the two error estimates."""
-    s = spectral_density(model)
-    ep, gamma = s.peak_hint, model.damping_ev
-    oracle = integrate_semi_infinite(
-        lambda m: (s.value(m) / m) ** 2, decay_scale=ep,
-        spec=QuadratureSpec(1e-300, 1e-12, 200_000),
-        split_points=[ep + k * gamma for k in (-3, -1, 0, 1, 3)])
-    assert oracle.converged
-    want = 2.0 * math.pi * units.HBAR_JS * units.thermal_energy(t_k) \
-        * oracle.value
-    res = fr.friction_dense(fr.PlateSystem(MediumSpec(model), MediumSpec(model),
-                                           10.0, 100.0, t_k), "drop")
+    the spectrum, so H0 -> 2*pi*hbar*k_B*T * integral of S1*S2/m**2 dm, up
+    to the temperature the float range allows; the first omitted term,
+    of relative order (e_p/k_B T)**2, is below 1e-150 here.  The dense
+    drop route meets it within the sum of the two error estimates."""
+    limits = overlap_limits(t_k, model, model)
+    res = fr.friction_dense(_plates(model, model, t_k), "drop")
     assert res.converged
-    assert abs(res.h0 / want - 1.0) <= (res.quadrature_error
-                                       + oracle.error_estimate / oracle.value)
+    assert abs(res.h0 / limits.classical - 1.0) <= (res.quadrature_error
+                                                   + limits.rel_err)
+
+
+@pytest.mark.parametrize("top", [10.0 ** -k for k in range(100, 301, 25)])
+def test_small_support_limit(top, overlap_limits):
+    """A table whose support ends far below k_B*T, against gold, which is
+    linear there: H0 -> pi*hbar*k_B*T * S_gold'(0) * A(0) of the table,
+    for every scale of its grid down to 1e-300 eV; the first omitted
+    terms, of relative order (top/k_B T)**2, are below 1e-190 here."""
+    table = Tabulated(np.array([0.0, 0.5 * top, top]),
+                      np.array([0.0, 1e-3, 0.0]))
+    limits = overlap_limits(300.0, table, GOLD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fr.friction_dense(_plates(table, GOLD, 300.0), "drop")
+    assert res.converged
+    assert abs(res.h0 / limits.small_support - 1.0) <= (res.quadrature_error
+                                                       + limits.rel_err)
 
 
 def drude_pairs(rng, count):
@@ -290,40 +301,59 @@ def test_drude_scale_covariance():
         assert repr(got) == repr(want), (m1, m2, t_k, lam)
 
 
-def drude_slope_and_cubic(model):
-    """s and t of a Drude surface spectrum S(m) = s*m + t*m**3 + ..., from
-    its closed form (e**2/pi) gamma m / ((e**2 - m**2)**2 + (gamma m)**2),
-    e**2 = e_p**2/2."""
-    e2, gamma = 0.5 * model.plasma_energy_ev ** 2, model.damping_ev
-    s = gamma / (math.pi * e2)
-    return s, s * (2.0 * e2 - gamma * gamma) / e2 ** 2
+def test_medium_swap_is_exact():
+    """The overlap integrand (S1/d)*(S2/d) is symmetric bit for bit, so
+    exchanging the two media leaves H0, quadrature_error, evaluations and
+    converged unchanged: drop on 200 seeded Drude pairs, and drop and
+    dilute on 60 seeded pairs of tables of 50 to 800 samples, one or two
+    Lorentzians over about 4 eV, drop also against a Drude plate.  keep
+    is left out: its complex product A1*A2 is not commutative bit for bit
+    on AVX-512 (ROADMAP item 14)."""
+    rng = np.random.default_rng(37)
 
+    def table(scale):
+        n, top = int(rng.integers(50, 801)), rng.uniform(3.9, 4.1)
+        centres = rng.uniform(0.15, 0.6, int(rng.integers(1, 3))) * top
+        m = np.linspace(0.0, top, n)
+        v = sum(1.0 / (1.0 + ((m - c) / (0.1 * top)) ** 2) for c in centres)
+        v[0] = 0.0
+        return Tabulated(m, scale * v)
 
-# Apery's constant, Li3(1).
-ZETA3 = 1.2020569031595942
+    def swapped(route, m1, m2, t_k, densities=(None, None)):
+        out = []
+        for pair, rho in (((m1, m2), densities), ((m2, m1), densities[::-1])):
+            res = route(_plates(*pair, t_k, densities=rho))
+            out.append((res.h0, res.quadrature_error, res.evaluations,
+                        res.converged))
+        return out
 
+    def drop(system):
+        return fr.friction_dense(system, "drop")
 
-def low_t_limits(t_k, s1, t1, s2, t2):
-    """H0 as T -> 0 of two media with A(0) = 1 whose spectral densities
-    run s*m + t*m**3 + ...: drop to its first correction,
-    (2 pi**3/3) hbar (k_B T)**2 s1 s2 (1 + (4 pi**2/5) (k_B T)**2
-    (t1/s1 + t2/s2)), and the ratio keep/drop, Li3(A1(0) A2(0)) = zeta(3)."""
-    kt = units.thermal_energy(t_k)
-    drop = (2.0 * math.pi ** 3 / 3.0) * units.HBAR_JS * kt * kt * s1 * s2 \
-        * (1.0 + 0.8 * math.pi ** 2 * kt * kt * (t1 / s1 + t2 / s2))
-    return drop, ZETA3
+    for m1, m2 in drude_pairs(rng, 200):
+        first, second = swapped(drop, m1, m2, rng.uniform(30.0, 1000.0))
+        assert first == second, (m1, m2)
+    for _ in range(60):
+        t_k, drude = rng.uniform(30.0, 1000.0), next(drude_pairs(rng, 1))[0]
+        plate1, plate2 = table(0.3), table(0.3)
+        for route, m1, m2, rho in (
+                (drop, plate1, plate2, (None, None)),
+                (drop, plate1, drude, (None, None)),
+                (fr.friction_dilute, table(5e-3), table(5e-3), (0.05, 0.02))):
+            first, second = swapped(route, m1, m2, t_k, rho)
+            assert first == second, (route, m1, m2, t_k)
 
 
 @pytest.mark.parametrize("t_k", [0.1, 0.03])
-def test_low_temperature_limits(t_k):
+def test_low_temperature_limits(t_k, overlap_limits):
     """At the tight spec, drop lies within its claimed error (about 4e-14)
     of the limit with its correction: the correction is 3e-12 to 1.3e-10
     at 0.1 K, the next term below 1e-20.  keep/drop at the default spec
     lies within the two claimed errors (about 1.3e-10 each) of zeta(3):
     its own correction is of order (k_B T/e_p)**2, below 3e-11 here."""
     for m1, m2 in drude_pairs(np.random.default_rng(15), 6):
-        drop_h0, ratio = low_t_limits(t_k, *drude_slope_and_cubic(m1),
-                                      *drude_slope_and_cubic(m2))
+        limits = overlap_limits(t_k, m1, m2)
+        drop_h0, ratio = limits.low_t, limits.keep_ratio
         system = _plates(m1, m2, t_k)
         tight = fr.friction_dense(system, "drop",
                                   QuadratureSpec(1e-300, 1e-12))
@@ -784,21 +814,21 @@ class TestH0Kernels:
             * (0.035 / beta) ** 2 / EP ** 4
         assert res.value == pytest.approx(closed, rel=1e-2)
 
-    def test_thermal_weight_finite_near_zero(self):
-        w = fr._csch2_half(np.array([0.5e-20, 0.5, 1000.0]))
-        assert w[0] == pytest.approx(4e40, rel=1e-12)
-        assert w[1] == pytest.approx(math.sinh(0.5) ** -2, rel=1e-14)
-        assert w[2] == 0.0
-
-    def test_peak_hint_far_below_k_t_raises(self):
-        # the hint is a probe and split point: the weight overflows beside
-        # it, which the overlap reports as a range error, with no warning
+    def test_peak_hint_far_below_k_t(self, overlap_limits):
+        # the hint at 1e-200 eV is a probe and split point, where the
+        # weight 1/sinh**2 overflowed.  Below k_B*T the integrand runs as
+        # 1/m over 198 decades, which the default abs_tol passes unresolved
+        # (ROADMAP item 3): at a relative tolerance only, the route meets
+        # the oracle, with no warning.
         table = Tabulated(np.array([1e-200, 1.0]), np.array([1e-3, 0.0]))
-        system = fr.PlateSystem(MediumSpec(table), GOLD_MED, 10.0, 100.0, 300.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=OUT_OF_RANGE_300K):
-                fr.friction_dense(system, "drop")
+            res = fr.friction_dense(_plates(table, GOLD, 300.0), "drop",
+                                    QuadratureSpec(1e-300, 1e-10))
+        limits = overlap_limits(300.0, table, GOLD)
+        assert res.converged
+        assert abs(res.h0 / limits.exact - 1.0) <= (res.quadrature_error
+                                                   + limits.rel_err)
 
     def test_delta_line_rejected(self):
         with pytest.raises(DeltaLineError, match="6.36396"):
@@ -1407,58 +1437,58 @@ PINNED_CALLS = {
 # AVX512_SPR, the second set under NPY_DISABLE_CPU_FEATURES="AVX512_SPR
 # AVX512_ICL X86_V4", which lowers the level to X86_V3: np.sinh, vecdot
 # and complex products round differently without the AVX-512 kernels,
-# which moves these forces by up to 3 ulp and their quadrature_error by up
-# to 7.4e-7 relatively, and leaves every evaluation count as it is.
+# which moves these forces by up to 2 ulp and their quadrature_error by up
+# to 1.1e-6 relatively, and leaves every evaluation count as it is.
 PINNED = {
     ("2.4", "x86_64", "AVX512_SPR"): {
-        "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76bp-135",
-                   "0x1.235af95a189fap-27", 1428),
+        "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76ap-135",
+                   "0x1.235af93821e6bp-27", 1428),
         "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
-                            "0x1.21a55b40f8d57p-33", 318),
-        "drop-gold": ("0x1.21868926809dep-35", "0x1.3ad9d72d46242p-143",
-                      "0x1.2106dd71e5cfbp-33", 303),
-        "drop-table-drude": ("0x1.0c7c95913ced5p-25", "0x1.23f8c4bbcf06ap-133",
-                             "0x1.4c29137f571c6p-27", 392),
-        "drop-table-drude-hot": ("0x1.f60b0deb24e8fp-18",
-                                 "0x1.10fa9e5e67166p-125",
-                                 "0x1.55a173666936ep-27", 4188),
-        "drop-table-table": ("0x1.35e9b4bec23a0p-11", "0x1.51058aec6c7dbp-119",
-                             "0x1.2418f89a500a3p-27", 1518),
-        "hybrid-drude": ("0x1.365a66406109ep-91", "0x1.d1e6ee037a12cp-142",
-                         "0x1.2c003014888c8p-27", 1052),
-        "hybrid-table": ("0x1.fe3b05ba4cfa5p-75", "0x1.7efaa14d0acd0p-130",
-                         "0x1.4ca05125a96efp-27", 738),
-        "keep-drude-pair": ("0x1.1be22c4653f7ap-24", "0x1.40137b6a51378p-139",
-                            "0x1.11ee1c48e55b7p-33", 318),
-        "keep-gold": ("0x1.5c0f5c092ce12p-35", "0x1.7a816b212f0b8p-143",
-                      "0x1.211cab462d60dp-33", 303),
-        "keep-table": ("0x1.6ed5f299147b1p-28", "0x1.8eec72f2f088fp-136",
-                       "0x1.b5318c1fd776fp-30", 392),
+                            "0x1.21a54736b4620p-33", 318),
+        "drop-gold": ("0x1.21868926809dfp-35", "0x1.3ad9d72d46243p-143",
+                      "0x1.2106e323262a9p-33", 303),
+        "drop-table-drude": ("0x1.0c7c95913ced6p-25", "0x1.23f8c4bbcf06bp-133",
+                             "0x1.4c2913a25f675p-27", 392),
+        "drop-table-drude-hot": ("0x1.f60b0deb24e90p-18",
+                                 "0x1.10fa9e5e67167p-125",
+                                 "0x1.55a1735d30b02p-27", 4188),
+        "drop-table-table": ("0x1.35e9b4bec23a2p-11", "0x1.51058aec6c7ddp-119",
+                             "0x1.2418f8a237dbbp-27", 1518),
+        "hybrid-drude": ("0x1.365a6640610a0p-91", "0x1.d1e6ee037a12ep-142",
+                         "0x1.2c00301ebc1c1p-27", 1052),
+        "hybrid-table": ("0x1.fe3b05ba4cfa7p-75", "0x1.7efaa14d0acd1p-130",
+                         "0x1.4ca051234cef5p-27", 738),
+        "keep-drude-pair": ("0x1.1be22c4653f7bp-24", "0x1.40137b6a51379p-139",
+                            "0x1.11ee10a7d2218p-33", 318),
+        "keep-gold": ("0x1.5c0f5c092ce14p-35", "0x1.7a816b212f0bap-143",
+                      "0x1.211ca8562f340p-33", 303),
+        "keep-table": ("0x1.6ed5f299147b3p-28", "0x1.8eec72f2f0891p-136",
+                       "0x1.b5318affe2524p-30", 392),
     },
     ("2.4", "x86_64", "X86_V3"): {
-        "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76bp-135",
-                   "0x1.235af957e8769p-27", 1428),
+        "dilute": ("0x1.19aab703b96e1p-31", "0x1.e4ecadfc5b76ap-135",
+                   "0x1.235af9412d558p-27", 1428),
         "drop-drude-pair": ("0x1.c5d0b0da46542p-39", "0x1.ed82e946aaa2dp-147",
-                            "0x1.21a55b40e7a7fp-33", 318),
+                            "0x1.21a5417ca470ap-33", 318),
         "drop-gold": ("0x1.21868926809dfp-35", "0x1.3ad9d72d46243p-143",
-                      "0x1.2106da23c4f20p-33", 303),
+                      "0x1.2106e3231a6a2p-33", 303),
         "drop-table-drude": ("0x1.0c7c95913ced5p-25", "0x1.23f8c4bbcf06ap-133",
-                             "0x1.4c2913964fda7p-27", 392),
-        "drop-table-drude-hot": ("0x1.f60b0deb24e8fp-18",
-                                 "0x1.10fa9e5e67166p-125",
-                                 "0x1.55a1735a892efp-27", 4188),
-        "drop-table-table": ("0x1.35e9b4bec23a0p-11", "0x1.51058aec6c7dbp-119",
-                             "0x1.2418f8838caebp-27", 1518),
-        "hybrid-drude": ("0x1.365a66406109ep-91", "0x1.d1e6ee037a12cp-142",
-                         "0x1.2c003014a4fd7p-27", 1052),
-        "hybrid-table": ("0x1.fe3b05ba4cfa5p-75", "0x1.7efaa14d0acd0p-130",
-                         "0x1.4ca050feb2c61p-27", 738),
-        "keep-drude-pair": ("0x1.1be22c4653f7cp-24", "0x1.40137b6a5137ap-139",
-                            "0x1.11ee186855bacp-33", 318),
-        "keep-gold": ("0x1.5c0f5c092ce12p-35", "0x1.7a816b212f0b8p-143",
-                      "0x1.211ca275edd1bp-33", 303),
-        "keep-table": ("0x1.6ed5f299147b0p-28", "0x1.8eec72f2f088ep-136",
-                       "0x1.b5318e5426125p-30", 392),
+                             "0x1.4c29138aaa7fcp-27", 392),
+        "drop-table-drude-hot": ("0x1.f60b0deb24e90p-18",
+                                 "0x1.10fa9e5e67167p-125",
+                                 "0x1.55a1734ab8926p-27", 4188),
+        "drop-table-table": ("0x1.35e9b4bec23a2p-11", "0x1.51058aec6c7ddp-119",
+                             "0x1.2418f893afb97p-27", 1518),
+        "hybrid-drude": ("0x1.365a6640610a0p-91", "0x1.d1e6ee037a12ep-142",
+                         "0x1.2c00301e6de1bp-27", 1052),
+        "hybrid-table": ("0x1.fe3b05ba4cfa7p-75", "0x1.7efaa14d0acd1p-130",
+                         "0x1.4ca05102246adp-27", 738),
+        "keep-drude-pair": ("0x1.1be22c4653f7dp-24", "0x1.40137b6a5137bp-139",
+                            "0x1.11ee08e6f1fc7p-33", 318),
+        "keep-gold": ("0x1.5c0f5c092ce14p-35", "0x1.7a816b212f0bap-143",
+                      "0x1.211c9f85e4a0dp-33", 303),
+        "keep-table": ("0x1.6ed5f299147b3p-28", "0x1.8eec72f2f0891p-136",
+                       "0x1.b5318c7812cd8p-30", 392),
     },
 }
 # On a target with no recorded set: force and H0 within PIN_ULPS ulp of
@@ -1520,32 +1550,32 @@ def screened_drude_pairs():
 # ``screened_drude_pairs`` under keep, by target, recorded as PINNED is.
 SCREENED_DRUDE_PINNED = {
     ("2.4", "x86_64", "AVX512_SPR"): [
-        ("0x1.70ea6fca56bf5p-41", "0x1.23623ba4af698p-149", "0x1.21f14f7e70674p-33", 318),
-        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec21e13a92bp-33", 318),
-        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef821374e2bp-33", 318),
-        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e16b0f5a34cp-33", 318),
-        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcac2fc661ap-33", 318),
-        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173bf8317a47p-33", 318),
-        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67b08ab0ccp-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadf754cce33p-33", 318),
-        ("0x1.d79fcde8d1d06p-35", "0x1.b3cd0ccf1e22cp-141", "0x1.1bd6db6893d9cp-33", 318),
-        ("0x1.52d0d6c1bf70ep-36", "0x1.50fec57684618p-143", "0x1.203ab585bbf31p-33", 318),
-        ("0x1.b6c7ec149a0afp-38", "0x1.d207b6ae7a16bp-142", "0x1.1e4ce8be76233p-33", 318),
-        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8c2e325996p-33", 318),
+        ("0x1.70ea6fca56bf7p-41", "0x1.23623ba4af69ap-149", "0x1.21f156d7ae947p-33", 318),
+        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec218b89173p-33", 318),
+        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef762e4c625p-33", 318),
+        ("0x1.29c4735949a15p-50", "0x1.a9d0f5c2f69afp-150", "0x1.21e151d218344p-33", 318),
+        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dca8149e66ep-33", 318),
+        ("0x1.8f8fcca1b1ff4p-39", "0x1.2f393f06ac727p-142", "0x1.2173c2ae92a84p-33", 318),
+        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d683d8447bbp-33", 318),
+        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadfaadeb1aep-33", 318),
+        ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6e4d52a648p-33", 318),
+        ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203acff9435a8p-33", 318),
+        ("0x1.b6c7ec149a0b2p-38", "0x1.d207b6ae7a16ep-142", "0x1.1e4ce1557f02dp-33", 318),
+        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8b865114d4p-33", 318),
     ],
     ("2.4", "x86_64", "X86_V3"): [
-        ("0x1.70ea6fca56bf6p-41", "0x1.23623ba4af699p-149", "0x1.21f15a841fbd3p-33", 318),
-        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec29b9d36e7p-33", 318),
-        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef85b7f0dddp-33", 318),
-        ("0x1.29c4735949a13p-50", "0x1.a9d0f5c2f69adp-150", "0x1.21e1792df9de1p-33", 318),
-        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcac2fba102p-33", 318),
-        ("0x1.8f8fcca1b1ff5p-39", "0x1.2f393f06ac728p-142", "0x1.2173bf8317a47p-33", 318),
-        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67f5f1907dp-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadf754bf7efp-33", 318),
-        ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6d48de2187p-33", 318),
-        ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203abf84f403cp-33", 318),
-        ("0x1.b6c7ec149a0afp-38", "0x1.d207b6ae7a16bp-142", "0x1.1e4ce62c49aeep-33", 318),
-        ("0x1.8db93ab15310ep-39", "0x1.edc59d401121ep-140", "0x1.15e8cd294a353p-33", 318),
+        ("0x1.70ea6fca56bf6p-41", "0x1.23623ba4af699p-149", "0x1.21f15e6c0ee1fp-33", 318),
+        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec1edf93452p-33", 318),
+        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef7df2c4ccfp-33", 318),
+        ("0x1.29c4735949a14p-50", "0x1.a9d0f5c2f69aep-150", "0x1.21e15fc389c46p-33", 318),
+        ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcbc9c76b93p-33", 318),
+        ("0x1.8f8fcca1b1ff4p-39", "0x1.2f393f06ac727p-142", "0x1.2173bcb6a5600p-33", 318),
+        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67fa489ac3p-33", 318),
+        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fae0421c04dap-33", 318),
+        ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6e4d53263ap-33", 318),
+        ("0x1.52d0d6c1bf70dp-36", "0x1.50fec57684617p-143", "0x1.203acca4021d8p-33", 318),
+        ("0x1.b6c7ec149a0b2p-38", "0x1.d207b6ae7a16ep-142", "0x1.1e4ce3c0ce924p-33", 318),
+        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8b864f5601p-33", 318),
     ],
 }
 
