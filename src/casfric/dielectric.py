@@ -517,7 +517,20 @@ def dense_alpha_retarded(model: PermittivityModel, m):
 def _alpha_retarded(model: PermittivityModel, m: np.ndarray) -> np.ndarray:
     """:func:`dense_alpha_retarded` on a float array ``m``, without its
     check of the energies: an m whose square overflows gives an A that
-    is not finite."""
+    is not finite.
+
+    A damped Drude model takes zeta = -m**2 + 0j, whose principal root
+    is exactly i*sqrt(m**2), so the denominator of
+    :func:`_surface_response` is (e_p**2 - m**2) + i*sigma*sqrt(m**2),
+    formed here from real arrays; e_p**2 is divided by it as there.
+    Every bit is that of the complex form, the nan where m**2 overflows
+    included."""
+    if isinstance(model, Drude) and model.damping_ev > 0.0:
+        ep2, m2 = _ep2(model), m * m
+        den = np.empty(m.shape, dtype=complex)
+        np.subtract(ep2, m2, out=den.real)
+        np.multiply(model.damping_ev, np.sqrt(m2), out=den.imag)
+        return ep2 / den
     return _surface_response(model, 1j * _broadening(model) - m * m, m)
 
 

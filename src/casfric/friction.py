@@ -304,7 +304,9 @@ def _screening_factor(z):
     real axis up to z = 1 the ratio is its limit Li3(z)/z, taken by a
     complex step of relative size _STEP: 1 at z = 0 (vacuum), zeta(3) at
     z = 1.  A real z > 1 puts a non-integrable pole at u = ln(z)/2 and
-    gives inf.
+    gives inf.  Where every z is clear of the axis, Li4 runs without an
+    ``np.errstate`` of its own (``polylog._li4``): an infinite z there
+    warns unless the caller settles it, as ``h0_overlap`` does.
     """
     z = np.asarray(z, dtype=complex)
     r = np.abs(z)
@@ -352,6 +354,17 @@ def _static_alpha(model: PermittivityModel) -> float:
     return 1.0 if isinstance(model, Drude) else 0.0
 
 
+def _order_key(model: PermittivityModel) -> tuple:
+    """A model's place in the order of ``_dense_h0``'s z = A1*A2: by type,
+    then a Drude model by (plasma_energy_ev, damping_ev) and a table by
+    its two columns."""
+    if isinstance(model, Tabulated):
+        return type(model).__name__, model.m_ev.tolist(), model.values.tolist()
+    if isinstance(model, Drude):
+        return type(model).__name__, model.plasma_energy_ev, model.damping_ev
+    return (type(model).__name__,)
+
+
 def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
               spec: QuadratureSpec | None) -> IntegralResult:
     """Density-scaled H0 of the plate pair, one overlap integral over m.
@@ -384,10 +397,14 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     # The engine's nodes lie in (0, m_cap*(1 + 1e-9)], so A is formed on
     # them unchecked.  A node whose square overflows (a cap past 1.34e154
     # eV) gives an A that is not finite, which the overlap reports as
-    # leaving the float range.
+    # leaving the float range.  A complex a*b and b*a can differ in the
+    # last bit, so z is formed with the models in one order whichever
+    # plate each is: swapping the plates leaves every bit.
+    first, second = sorted((model1, model2), key=_order_key)
+
     def screening(m):
-        return _screening_factor(_alpha_retarded(model1, m)
-                                 * _alpha_retarded(model2, m))
+        return _screening_factor(_alpha_retarded(first, m)
+                                 * _alpha_retarded(second, m))
 
     inner = (spec if spec.rel_tol >= LI4_REL_ERR
              else replace(spec, rel_tol=LI4_REL_ERR))

@@ -28,9 +28,12 @@ too small for them to count.  The integer powers in the inversion
 formula and the logarithmic term are products as well, and ln z is a
 real logarithm of |z| plus an arctan2, one for the ring and the
 inversion formula together; the even and odd sums are picked with one
-flat index, and the inversion formula is formed on the points past
-|z| = 2 only.  So a call of any size makes the same few dozen numpy
-calls.
+flat index.  The logarithmic term of the series about z = 1 and the
+inversion formula are each formed on their own points alone, taken by
+``np.flatnonzero``, and skipped where a call has none.  So a call of any
+size makes the same few dozen numpy calls.  ``_li4`` enters no
+``np.errstate``: :func:`li4` enters one for it, and the screening of the
+friction kernel runs it inside the one of its overlap integral.
 
 Every complex product is formed out of place, its operands in a fixed
 order.  With numpy 2.4 on an AVX-512 host, a*b and b*a differ in the
@@ -170,12 +173,17 @@ def li4(z):
     nan.
     """
     z = np.asarray(z, dtype=complex)
-    return _li4(z, np.abs(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _li4(z, np.abs(z))
 
 
 def _li4(z, r):
     """:func:`li4` of a complex array ``z`` whose moduli ``r`` =
-    ``np.abs(z)`` the caller has formed already."""
+    ``np.abs(z)`` the caller has formed already.  It enters no
+    ``np.errstate`` of its own: at z = 0 the logarithm of |z| divides by
+    zero, and an infinite z gives inf - inf, so a caller whose z may hold
+    such points runs it under one (:func:`li4` does).  A finite z off 0
+    raises no floating-point warning."""
     shape = z.shape
     z, r = z.ravel(), r.ravel()
     n = z.size
@@ -187,25 +195,27 @@ def _li4(z, r):
     # One logarithm serves the ring and the inversion formula: of -z where
     # Re z < 0 or |z| >= 2, else of z.  The logarithms of the points that
     # do not use them may be infinite.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = _log(np.where(neg | far, -z, z), r)
-        x = np.reciprocal(z, out=z.copy(), where=far)
-        np.copyto(x, lg, where=ring)
-        kind = ring * (1 + neg)
-        # Row 2*kind of the sums holds a point's even sum and the next row
-        # its odd sum: one flat index picks the even sums, and the same
-        # index n further on the odd ones.
-        even = kind * (2 * n) + np.arange(n)
-        sums, u = _series(x)
-        sums = sums.ravel()
-        out = sums.take(even) + x * sums[n:].take(even)
-        if ring.any():
-            # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1; 0 at z = 1
-            size = np.abs(x)
-            size = np.where(size == _ZERO, _ONE, size)
-            log_term = u * x / _SIX * (_H3 - _log(-x, size))
-            np.add(out, log_term, out=out, where=kind == 1)
-        if far.any():
-            lg2 = lg[far] ** 2
-            out[far] = (lg2 + _TWO_PI2) * lg2 / _M24 - _INV_TERM - out[far]
+    lg = _log(np.where(neg | far, -z, z), r)
+    x = np.reciprocal(z, out=z.copy(), where=far)
+    np.copyto(x, lg, where=ring)
+    kind = ring * (1 + neg)
+    # Row 2*kind of the sums holds a point's even sum and the next row
+    # its odd sum: one flat index picks the even sums, and the same
+    # index n further on the odd ones.
+    even = kind * (2 * n) + np.arange(n)
+    sums, u = _series(x)
+    sums = sums.ravel()
+    out = sums.take(even) + x * sums[n:].take(even)
+    # mu**3/6 (H_3 - ln(-mu)) of the series about z = 1, on its points
+    # alone; 0 at z = 1
+    about_one = np.flatnonzero(kind == 1)
+    if about_one.size:
+        mu = x[about_one]
+        size = np.abs(mu)
+        size = np.where(size == _ZERO, _ONE, size)
+        out[about_one] += u[about_one] * mu / _SIX * (_H3 - _log(-mu, size))
+    far = np.flatnonzero(far)
+    if far.size:
+        lg2 = lg[far] ** 2
+        out[far] = (lg2 + _TWO_PI2) * lg2 / _M24 - _INV_TERM - out[far]
     return out.reshape(shape)

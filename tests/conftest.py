@@ -29,10 +29,6 @@ def dispatch_target():
     return f"{major}.{minor}", platform.machine(), level
 
 
-# Apery's constant, Li3(1).
-ZETA3 = 1.2020569031595942
-
-
 def _slope_and_cubic(model):
     """s and t of S(m) = s*m + t*m**3 + ... near m = 0.  A Drude surface
     spectrum (e**2/pi) gamma m / ((e**2 - m**2)**2 + (gamma m)**2),
@@ -44,6 +40,64 @@ def _slope_and_cubic(model):
         return s, s * (2.0 * e2 - gamma * gamma) / e2 ** 2
     m, v = model.m_ev, model.values
     return (float(v[1] / m[1]) if m[0] == 0.0 else 0.0), 0.0
+
+
+def _curvature(model):
+    """c of Re A(m) = A(0) + c*m**2 + ... on the retarded branch, as
+    m -> 0.  A Drude model, A = e**2/(e**2 - m**2 + i gamma m), gives
+    1/e**2 - gamma**2/e**4; a table the finite part of the integral of
+    2 S/m**3, in closed form on each segment a + b*m, where a table
+    starting at m = 0 (a = 0 there) gives -2 b/m_1 for its first.  It is
+    not finite for a table whose nodes leave the float range."""
+    if isinstance(model, Drude):
+        e2, gamma = 0.5 * model.plasma_energy_ev ** 2, model.damping_ev
+        return 1.0 / e2 - (gamma / e2) ** 2
+    m, v = model.m_ev, model.values
+    b = np.diff(v) / np.diff(m)
+    a = v[:-1] - b * m[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_p, inv_q = 1.0 / m[:-1], 1.0 / m[1:]
+        parts = a * (inv_p ** 2 - inv_q ** 2) + 2.0 * b * (inv_p - inv_q)
+        if m[0] == 0.0:
+            parts[0] = -2.0 * b[0] * inv_q[0]
+        return float(np.sum(parts))
+
+
+def _keep_low_t(kt, models, statics):
+    """keep/drop as T -> 0, Li3(z0)/z0 at z0 = A1(0)*A2(0), and the
+    relative (k_B T)**2 term after it.
+
+    With A(m) = A(0) - i pi s m + c m**2 + ... for each medium, z = A1*A2
+    has Re z = z0 + C m**2 and Im z = -pi B m, B = s1 A2(0) + s2 A1(0),
+    C = c1 A2(0) + c2 A1(0) - pi**2 s1 s2.  Near the real axis,
+    Im Li4(z)/Im z = L1(x) - (Im z)**2 L3(x)/6 + ..., x = Re z, with the
+    derivatives of Li4: L1 = Li3/x, L2 = (Li2 - Li3)/x**2 and
+    L3 = (Li1 - 3 Li2 + 2 Li3)/x**3.  So the screening is
+    L1(z0) + (L2(z0) C - pi**2 B**2 L3(z0)/6) m**2 + ..., and the thermal
+    weight of S1 S2 ~ s1 s2 m**2 averages m**2 to (4 pi**2/5) (k_B T)**2.
+    Both are nan unless 0 < z0 <= 1 (keep raises past 1); at z0 = 1, Li1
+    diverges and the term after the limit is not a power of T: inf."""
+    mpmath = pytest.importorskip("mpmath")
+    z0 = statics[0] * statics[1]
+    if not 0.0 < z0 <= 1.0:
+        return math.nan, math.nan
+    (s1, _), (s2, _) = map(_slope_and_cubic, models)
+    c1, c2 = map(_curvature, models)
+    with mpmath.workdps(30):
+        # in mpmath: the square of a steep slope can leave the float range
+        s1, s2, c1, c2 = map(mpmath.mpf, (s1, s2, c1, c2))
+        big_b = s1 * statics[1] + s2 * statics[0]
+        big_c = c1 * statics[1] + c2 * statics[0] - mpmath.pi ** 2 * s1 * s2
+        x = mpmath.mpf(z0)
+        li2, li3 = mpmath.polylog(2, x), mpmath.polylog(3, x)
+        ratio = li3 / x
+        if z0 == 1.0:
+            return float(ratio), math.inf
+        second = (li2 - li3) / x ** 2
+        third = (-mpmath.log(1 - x) - 3 * li2 + 2 * li3) / x ** 3
+        term = (second * big_c - (mpmath.pi * big_b) ** 2 / 6 * third) \
+            * 0.8 * mpmath.pi ** 2 * kt * kt / ratio
+    return float(ratio), float(term)
 
 
 def _features(models):
@@ -93,9 +147,11 @@ class OverlapLimits(NamedTuple):
     exact: float
     low_t: float
     keep_ratio: float
+    keep_next: float
     classical: float
     small_support: float
     rel_err: float
+    keep_err: float
 
 
 def _overlap_limits(t_k, model1, model2):
@@ -107,8 +163,11 @@ def _overlap_limits(t_k, model1, model2):
       x = m/(2 k_B T), the same integral with the weight in [0, 1];
     * low_t: drop as T -> 0, (2 pi**3/3) hbar (k_B T)**2 s1 s2
       (1 + (4 pi**2/5) (k_B T)**2 (t1/s1 + t2/s2));
-    * keep_ratio: keep/drop as T -> 0 for A1(0) = A2(0) = 1 (Drude
-      pairs), Li3(1) = zeta(3);
+    * keep_ratio: keep/drop as T -> 0, Li3(z0)/z0 at z0 = A1(0)*A2(0),
+      zeta(3) for a Drude pair, and keep_next the relative (k_B T)**2
+      term after it (``_keep_low_t``); keep_err bounds the relative
+      error of keep_ratio, which moves by at most 0.37 of the relative
+      errors of A1(0) and A2(0) together;
     * classical: k_B T far above every feature, 2 pi hbar k_B T *
       integral of S1 S2/m**2 dm;
     * small_support: model1's support far below k_B T, where model2 is
@@ -131,15 +190,19 @@ def _overlap_limits(t_k, model1, model2):
         [kt * 2.0 ** k for k in range(-2, 7)])
     classical, classical_err = _ln_m_quadrature(
         lambda m: d1.value(m) / m * (d2.value(m) / m), pair)
-    a1, a1_err = (1.0, 0.0) if isinstance(model1, Drude) else \
-        _ln_m_quadrature(lambda m: 2.0 * d1.value(m) / m, (model1,))
+    (a1, a1_err), (a2, a2_err) = (
+        (1.0, 0.0) if isinstance(model, Drude) else
+        _ln_m_quadrature(lambda m, d=d: 2.0 * d.value(m) / m, (model,))
+        for model, d in ((model1, d1), (model2, d2)))
     (s1, t1), (s2, t2) = _slope_and_cubic(model1), _slope_and_cubic(model2)
     low_t = (2.0 * math.pi ** 3 / 3.0) * units.HBAR_JS * kt * kt * s1 * s2 \
         * (1.0 + 0.8 * math.pi ** 2 * kt * kt * (t1 / s1 + t2 / s2)) \
         if s1 and s2 else 0.0
-    return OverlapLimits(pref * exact, low_t, ZETA3, pref * classical,
-                         0.5 * pref * s2 * a1,
-                         max(exact_err, classical_err, a1_err, 1e-15))
+    keep_ratio, keep_next = _keep_low_t(kt, pair, (a1, a2))
+    return OverlapLimits(pref * exact, low_t, keep_ratio, keep_next,
+                         pref * classical, 0.5 * pref * s2 * a1,
+                         max(exact_err, classical_err, a1_err, 1e-15),
+                         max(a1_err, a2_err, 1e-15))
 
 
 @pytest.fixture(scope="session")

@@ -796,3 +796,40 @@ def test_retarded_response_is_elementwise(model, size):
     sliced = np.concatenate([dl.dense_alpha_retarded(model, m[i:i + size])
                              for i in range(0, m.size, size)])
     assert np.array_equal(whole.view(float), sliced.view(float))
+
+
+def test_drude_real_axis_form_is_the_complex_form():
+    """On the retarded branch a damped Drude model forms its denominator
+    from real arrays (``dielectric._alpha_retarded``).  Its A equals, bit
+    for bit, this copy of the complex form e_p**2/2 over
+    zeta + e_p**2/2 + sigma*sqrt(zeta) at zeta = -m**2 + 0j: e_p from
+    1e-3 to 1e76 eV, sigma from 1e-9 to 1e76 eV, m log-uniform from
+    1e-200 to 1e200 eV, plus energies within 1e-12 relative of
+    e_p/sqrt(2).  Past m = 1.34e154 eV, where m**2 overflows, both are
+    nan, and ``dense_alpha_retarded`` refuses those energies.  Below
+    m ~ 1.5e-154 eV, m**2 is subnormal and sqrt(m**2) is not m, so a real
+    form with sigma*m in place of sigma*sqrt(m**2) fails here."""
+    rng = np.random.default_rng(38)
+    subnormal = 0
+    for _ in range(200):
+        plasma, sigma = 10.0 ** rng.uniform((-3.0, -9.0), 76.0)
+        model = dl.Drude(plasma, sigma)
+        m = np.concatenate((10.0 ** rng.uniform(-200.0, 200.0, 100),
+                            plasma / math.sqrt(2.0)
+                            * (1.0 + rng.uniform(-1e-12, 1e-12, 20))))
+        ep2 = 0.5 * plasma ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            zeta = -m * m + 0j
+            want = ep2 / (zeta + ep2 + sigma * np.sqrt(zeta))
+            got = dl._alpha_retarded(model, m)
+        overflow = m > dl._M_MAX
+        assert np.array_equal(np.isnan(got), overflow)
+        assert np.array_equal(np.isnan(want), overflow)
+        assert np.array_equal(got[~overflow].view(np.uint64),
+                              want[~overflow].view(np.uint64))
+        checked = dl.dense_alpha_retarded(model, m[~overflow])
+        assert np.array_equal(checked.view(np.uint64),
+                              want[~overflow].view(np.uint64))
+        inside = m[~overflow]
+        subnormal += np.count_nonzero(np.sqrt(inside * inside) != inside)
+    assert subnormal > 1000

@@ -301,22 +301,31 @@ def test_drude_scale_covariance():
         assert repr(got) == repr(want), (m1, m2, t_k, lam)
 
 
+def lorentzian_columns(rng):
+    """Columns of a seeded table: 50 to 800 samples over about 4 eV, one
+    or two Lorentzians a tenth of the top wide, cut to 0 at m = 0."""
+    n, top = int(rng.integers(50, 801)), rng.uniform(3.9, 4.1)
+    centres = rng.uniform(0.15, 0.6, int(rng.integers(1, 3))) * top
+    m = np.linspace(0.0, top, n)
+    v = sum(1.0 / (1.0 + ((m - c) / (0.1 * top)) ** 2) for c in centres)
+    v[0] = 0.0
+    return m, v
+
+
 def test_medium_swap_is_exact():
-    """The overlap integrand (S1/d)*(S2/d) is symmetric bit for bit, so
-    exchanging the two media leaves H0, quadrature_error, evaluations and
-    converged unchanged: drop on 200 seeded Drude pairs, and drop and
+    """The overlap integrand (S1/d)*(S2/d) is symmetric bit for bit, and
+    keep forms z = A1*A2 with the two models in one order, so exchanging
+    the two media leaves H0, quadrature_error, evaluations and converged
+    unchanged: drop and keep on 200 seeded Drude pairs, and drop and
     dilute on 60 seeded pairs of tables of 50 to 800 samples, one or two
-    Lorentzians over about 4 eV, drop also against a Drude plate.  keep
-    is left out: its complex product A1*A2 is not commutative bit for bit
-    on AVX-512 (ROADMAP item 14)."""
+    Lorentzians over about 4 eV, drop also against a Drude plate.  keep,
+    whose cost grows with the table, runs on the first 8 of those pairs
+    and their Drude partners, each table scaled to A(0) = 1/1.1, so that
+    z(0) <= 1."""
     rng = np.random.default_rng(37)
 
     def table(scale):
-        n, top = int(rng.integers(50, 801)), rng.uniform(3.9, 4.1)
-        centres = rng.uniform(0.15, 0.6, int(rng.integers(1, 3))) * top
-        m = np.linspace(0.0, top, n)
-        v = sum(1.0 / (1.0 + ((m - c) / (0.1 * top)) ** 2) for c in centres)
-        v[0] = 0.0
+        m, v = lorentzian_columns(rng)
         return Tabulated(m, scale * v)
 
     def swapped(route, m1, m2, t_k, densities=(None, None)):
@@ -330,16 +339,30 @@ def test_medium_swap_is_exact():
     def drop(system):
         return fr.friction_dense(system, "drop")
 
+    def keep(system):
+        return fr.friction_dense(system, "keep")
+
     for m1, m2 in drude_pairs(rng, 200):
-        first, second = swapped(drop, m1, m2, rng.uniform(30.0, 1000.0))
-        assert first == second, (m1, m2)
-    for _ in range(60):
+        t_k = rng.uniform(30.0, 1000.0)
+        for route in (drop, keep):
+            first, second = swapped(route, m1, m2, t_k)
+            assert first == second, (route, m1, m2)
+
+    def below_pole(plate):
+        return Tabulated(plate.m_ev,
+                         plate.values / (1.1 * dense_alpha(plate, 0.0)))
+
+    for i in range(60):
         t_k, drude = rng.uniform(30.0, 1000.0), next(drude_pairs(rng, 1))[0]
         plate1, plate2 = table(0.3), table(0.3)
-        for route, m1, m2, rho in (
-                (drop, plate1, plate2, (None, None)),
-                (drop, plate1, drude, (None, None)),
-                (fr.friction_dilute, table(5e-3), table(5e-3), (0.05, 0.02))):
+        cases = [(drop, plate1, plate2, (None, None)),
+                 (drop, plate1, drude, (None, None)),
+                 (fr.friction_dilute, table(5e-3), table(5e-3), (0.05, 0.02))]
+        if i < 8:
+            plate1, plate2 = below_pole(plate1), below_pole(plate2)
+            cases += [(keep, plate1, plate2, (None, None)),
+                      (keep, plate1, drude, (None, None))]
+        for route, m1, m2, rho in cases:
             first, second = swapped(route, m1, m2, t_k, rho)
             assert first == second, (route, m1, m2, t_k)
 
@@ -364,6 +387,50 @@ def test_low_temperature_limits(t_k, overlap_limits):
         assert keep.converged and drop.converged
         assert abs(keep.h0 / drop.h0 - ratio) <= (
             keep.quadrature_error + drop.quadrature_error) * ratio
+
+
+def low_t_tables(kind):
+    """kinked-0.5, whose density is flat to 1e-17 at m = 0, or four
+    seeded ``lorentzian_columns`` tables, scaled to A(0) from 0.2 to 0.9."""
+    if kind == "kinked-0.5":
+        return [kinked_table(0.5)]
+    rng = np.random.default_rng(15)
+    tables = []
+    for _ in range(4):
+        m, v = lorentzian_columns(rng)
+        a0 = rng.uniform(0.2, 0.9)
+        tables.append(Tabulated(m, v * a0 / dense_alpha(Tabulated(m, v), 0.0)))
+    return tables
+
+
+@pytest.mark.parametrize("t_k", [0.1, 0.03])
+@pytest.mark.parametrize("kind", [
+    "kinked-0.5",
+    pytest.param("seeded", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: a table's response is taken at "
+        "zeta = -m**2 + i*gamma, gamma = 1e-6*m_top; at thermal energies "
+        "m << sqrt(gamma) that is A(i*gamma), not A(-m**2), so keep/drop "
+        "misses the limit by 1.4e-3 to 3.8e-3 at 0.1 and 0.03 K alike, "
+        "against claims of 3e-10; with gamma scaled by 1e-14 each case "
+        "meets it")))])
+def test_keep_low_temperature_limit_for_tables(kind, t_k, overlap_limits):
+    """keep/drop of a table against gold tends to Li3(z0)/z0 as T -> 0,
+    z0 = A1(0)*A2(0) = A_table(0): 1.0744263872 for kinked-0.5.  At the
+    default spec each result lies within the two claimed errors (about
+    1.3e-10 each), the oracle's, and the (k_B T)**2 term after the limit
+    (1.4e-11 for kinked-0.5 at 0.1 K, which it meets to 1e-13)."""
+    for table in low_t_tables(kind):
+        limits = overlap_limits(t_k, table, GOLD)
+        if kind == "kinked-0.5":
+            assert limits.keep_ratio == pytest.approx(1.0744263872, abs=1e-10)
+        system = _plates(table, GOLD, t_k)
+        drop, keep = (fr.friction_dense(system, mode)
+                      for mode in ("drop", "keep"))
+        assert keep.converged and drop.converged
+        ratio = limits.keep_ratio
+        assert abs(keep.h0 / drop.h0 - ratio) <= (
+            keep.quadrature_error + drop.quadrature_error + limits.keep_err
+            + abs(limits.keep_next)) * ratio, table
 
 
 class TestDenseRoute:
@@ -685,19 +752,19 @@ class TestScreenedClosedForm:
     @pytest.mark.parametrize("case", ["table", "drude-pair"])
     def test_responses_once_a_pass_on_the_nodes(self, case, monkeypatch):
         """``keep`` forms A on the engine's nodes as they are: one
-        ``_surface_response`` call per medium in each pass (one screening
-        call), and none through ``dense_alpha_retarded``, which checks its
-        energies."""
+        ``_alpha_retarded`` call per medium in each pass (one screening
+        call), in either order, and none through ``dense_alpha_retarded``,
+        which checks its energies."""
         medium1, medium2, t_k = {
             "table": (MediumSpec(bump_plate(36)), MediumSpec(NEAR_GOLD), 150.0),
             "drude-pair": (GOLD_MED, MediumSpec(Drude(5.0, 0.1)), 300.0),
         }[case]
         calls, passes = [], []
-        respond, screen = dielectric._surface_response, fr._screening_factor
+        respond, screen = fr._alpha_retarded, fr._screening_factor
 
-        def counted_response(model, zeta, m=None):
+        def counted_response(model, m):
             calls.append((len(passes), id(model)))
-            return respond(model, zeta, m)
+            return respond(model, m)
 
         def counted_screening(z):
             passes.append(z.size)
@@ -706,7 +773,7 @@ class TestScreenedClosedForm:
         def refused(model, m):
             raise AssertionError("dense_alpha_retarded called")
 
-        monkeypatch.setattr(dielectric, "_surface_response", counted_response)
+        monkeypatch.setattr(fr, "_alpha_retarded", counted_response)
         monkeypatch.setattr(fr, "_screening_factor", counted_screening)
         monkeypatch.setattr(fr, "dense_alpha_retarded", refused)
         monkeypatch.setattr(dielectric, "dense_alpha_retarded", refused)
@@ -714,8 +781,9 @@ class TestScreenedClosedForm:
         fr.friction_dense(fr.PlateSystem(medium1, medium2, 10.0, 100.0, t_k),
                           "keep", QuadratureSpec(1e-300, 1e-12))
         assert len(passes) >= 2
-        assert calls == [(p, id(medium.model)) for p in range(len(passes))
-                         for medium in (medium1, medium2)]
+        assert sorted(calls) == sorted((p, id(medium.model))
+                                       for p in range(len(passes))
+                                       for medium in (medium1, medium2))
 
 
 def kinked_table(a0=None):
@@ -1553,11 +1621,11 @@ SCREENED_DRUDE_PINNED = {
         ("0x1.70ea6fca56bf7p-41", "0x1.23623ba4af69ap-149", "0x1.21f156d7ae947p-33", 318),
         ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec218b89173p-33", 318),
         ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef762e4c625p-33", 318),
-        ("0x1.29c4735949a15p-50", "0x1.a9d0f5c2f69afp-150", "0x1.21e151d218344p-33", 318),
+        ("0x1.29c4735949a15p-50", "0x1.a9d0f5c2f69afp-150", "0x1.21e154a50513ep-33", 318),
         ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dca8149e66ep-33", 318),
         ("0x1.8f8fcca1b1ff4p-39", "0x1.2f393f06ac727p-142", "0x1.2173c2ae92a84p-33", 318),
-        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d683d8447bbp-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadfaadeb1aep-33", 318),
+        ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d683b5910acp-33", 318),
+        ("0x1.59cbbd355f788p-39", "0x1.dc2aa588e87e3p-144", "0x1.1fadf139d568dp-33", 318),
         ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6e4d52a648p-33", 318),
         ("0x1.52d0d6c1bf70cp-36", "0x1.50fec57684616p-143", "0x1.203acff9435a8p-33", 318),
         ("0x1.b6c7ec149a0b2p-38", "0x1.d207b6ae7a16ep-142", "0x1.1e4ce1557f02dp-33", 318),
@@ -1565,17 +1633,17 @@ SCREENED_DRUDE_PINNED = {
     ],
     ("2.4", "x86_64", "X86_V3"): [
         ("0x1.70ea6fca56bf6p-41", "0x1.23623ba4af699p-149", "0x1.21f15e6c0ee1fp-33", 318),
-        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec1edf93452p-33", 318),
-        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef7df2c4ccfp-33", 318),
+        ("0x1.6727302dc4f6dp-44", "0x1.c458da59bf740p-149", "0x1.21ec2437497c2p-33", 318),
+        ("0x1.ddc3ea4ed8f60p-51", "0x1.69ee5675145f9p-152", "0x1.21ef85b78ae74p-33", 318),
         ("0x1.29c4735949a14p-50", "0x1.a9d0f5c2f69aep-150", "0x1.21e15fc389c46p-33", 318),
         ("0x1.b103d85b6aa53p-35", "0x1.694625a73146ap-146", "0x1.21dcbc9c76b93p-33", 318),
         ("0x1.8f8fcca1b1ff4p-39", "0x1.2f393f06ac727p-142", "0x1.2173bcb6a5600p-33", 318),
         ("0x1.90f291f31926ep-42", "0x1.fcfa8c9af331ep-145", "0x1.20d67fa489ac3p-33", 318),
-        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fae0421c04dap-33", 318),
+        ("0x1.59cbbd355f786p-39", "0x1.dc2aa588e87e1p-144", "0x1.1fadf139dbb63p-33", 318),
         ("0x1.d79fcde8d1d07p-35", "0x1.b3cd0ccf1e22dp-141", "0x1.1bd6e4d53263ap-33", 318),
         ("0x1.52d0d6c1bf70dp-36", "0x1.50fec57684617p-143", "0x1.203acca4021d8p-33", 318),
         ("0x1.b6c7ec149a0b2p-38", "0x1.d207b6ae7a16ep-142", "0x1.1e4ce3c0ce924p-33", 318),
-        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8b864f5601p-33", 318),
+        ("0x1.8db93ab153111p-39", "0x1.edc59d4011221p-140", "0x1.15e8bf63c28a8p-33", 318),
     ],
 }
 
