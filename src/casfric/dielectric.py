@@ -31,18 +31,22 @@ from .quadrature import _WGK, _XGK
 
 @dataclass(frozen=True)
 class Vacuum:
-    """eps = 1 everywhere."""
+    """eps = 1 everywhere: A, and so ``static_response`` A(0), is 0."""
+
+    static_response = 0.0
 
 
 @dataclass(frozen=True)
 class Drude:
-    """Free-electron response.
+    """Free-electron response; ``static_response`` A(0) is exactly 1.
 
     ``plasma_energy_ev`` is hbar*omega_p, ``damping_ev`` is hbar*nu.  With
     damping_ev = 0 it is the collisionless plasma response,
     eps = 1 - (omega_p/omega)**2.  Both energies are at most 1e76 eV, which
     keeps every Drude spectrum and force inside the float range.
     """
+
+    static_response = 1.0
 
     plasma_energy_ev: float
     damping_ev: float
@@ -64,7 +68,7 @@ class Tabulated:
     surface spectrum for dense plates, per-particle nm^3 for dilute media.
     The model computes on its own float copies of the two columns, which
     its fields show as read-only views, so the constants it builds from
-    them on first use cannot go stale.
+    them on first use cannot go stale.  ``static_response`` is A(0).
     """
 
     m_ev: np.ndarray
@@ -104,6 +108,8 @@ class Tabulated:
         """The constants of the table's surface response, built on its
         first response; the spectral routes never build them."""
         return _TableTerms(*self._columns)
+
+    static_response = property(lambda self: self._terms.static)
 
     @cached_property
     def _density(self) -> "SpectralDensity":
@@ -552,13 +558,13 @@ class SpectralDensity:
     m = hbar*omega.
 
     ``value(m)`` is vectorized; ``peak_hint`` marks the sharpest feature
-    for quadrature splitting and ``support_max`` bounds the support (the
-    top of a table, else infinite).  A discrete line has no such density:
-    :func:`spectral_density` raises instead of returning one.
+    for quadrature splitting, 0 (the default) for none; ``support_max``
+    bounds the support (the top of a table, else infinite).  A discrete
+    line has no such density: :func:`spectral_density` raises instead.
     """
 
     value: Callable
-    peak_hint: float
+    peak_hint: float = 0.0
     support_max: float = math.inf
 
 
@@ -597,14 +603,13 @@ def spectral_density(model: PermittivityModel) -> SpectralDensity:
 
     Drude: closed form, sharply peaked at e_p = hbar*omega_p/sqrt(2) for
     small damping.  Tabulated: the interpolant itself, built once per
-    table and kept on it.  Vacuum:
-    identically zero.  An undamped Drude model carries its whole strength
-    in one line at e_p, which contributes only through an exact
-    two-frequency resonance, not a spectral overlap: DeltaLineError.
+    table and kept on it.  Vacuum: identically zero, with no peak hint.
+    An undamped Drude model carries its whole strength in one line at
+    e_p, which contributes only through an exact two-frequency
+    resonance, not a spectral overlap: DeltaLineError.
     """
     if isinstance(model, Vacuum):
-        return SpectralDensity(value=lambda m: np.zeros_like(np.asarray(m, dtype=float)),
-                               peak_hint=1.0)
+        return SpectralDensity(value=lambda m: np.zeros_like(np.asarray(m, dtype=float)))
     if isinstance(model, Drude) and model.damping_ev == 0.0:
         raise DeltaLineError(
             f"{model!r} has no continuous spectral density: its whole "

@@ -41,8 +41,10 @@ H0 as an exact integral.  Every route, "keep" included, takes its scale
 and tail value from the engine's first pass; the screening of "keep"
 (both surface responses and Li4), which costs more per point than the
 spectra it multiplies, is evaluated once a Kronrod pass, on the nodes
-alone, and never on the bare probe.  Undamped Drude media
-have no continuous spectral density: they raise
+alone, and never on the bare probe.  A medium enters only through its
+model's spectral density, response and ``static_response`` A(0); only
+the closed form and the per-particle routes test for Drude.  Undamped
+Drude media have no continuous spectral density: they raise
 :class:`~casfric.errors.DeltaLineError`.
 """
 
@@ -50,15 +52,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Literal
 
 import numpy as np
 
 from . import geometry, units
 from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
-                         Tabulated, Vacuum, _alpha_retarded,
-                         dense_alpha_retarded, spectral_density)
+                         _alpha_retarded, dense_alpha_retarded,
+                         spectral_density)
 from .errors import DomainError, UnsupportedModelError
 from .polylog import LI4_REL_ERR, _li4, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
@@ -180,7 +182,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     beta = units.beta(temperature_k)
     window = 40.0 / beta
     hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
-    m_cap = min(max(window, *(10.0 * h for h in hints)),
+    m_cap = min(max(window, 10.0 * s1.peak_hint, 10.0 * s2.peak_hint),
                 s1.support_max, s2.support_max)
 
     half_beta = np.array(0.5 * beta)  # 0-d: no conversion on every call
@@ -346,23 +348,18 @@ def plane_spectral_products(model1: PermittivityModel,
     return (-h11.imag / math.pi, -h22.imag / math.pi, -h12.imag / math.pi)
 
 
-def _static_alpha(model: PermittivityModel) -> float:
-    """A(0) as ``dense_alpha(model, 0.0)`` gives it: one closed-form sum
-    for a table, exactly 1 for a Drude model and 0 for vacuum."""
-    if isinstance(model, Tabulated):
-        return model._terms.static
-    return 1.0 if isinstance(model, Drude) else 0.0
-
-
-def _order_key(model: PermittivityModel) -> tuple:
-    """A model's place in the order of ``_dense_h0``'s z = A1*A2: by type,
-    then a Drude model by (plasma_energy_ev, damping_ev) and a table by
-    its two columns."""
-    if isinstance(model, Tabulated):
-        return type(model).__name__, model.m_ev.tolist(), model.values.tolist()
-    if isinstance(model, Drude):
-        return type(model).__name__, model.plasma_energy_ev, model.damping_ev
-    return (type(model).__name__,)
+def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> tuple:
+    """The two models in the order of ``_dense_h0``'s z = A1*A2: by type
+    name, then by their dataclass fields.  A model's __dict__ holds its
+    fields alone unless they are columns, beside which a table keeps what
+    it builds from them; columns are read by name and compare as lists."""
+    key1, key2 = type(model1).__name__, type(model2).__name__
+    if key1 == key2:
+        key1, key2 = [*vars(model1).values()], [*vars(model2).values()]
+        if key1 and isinstance(key1[0], np.ndarray):
+            key1, key2 = ([np.asarray(getattr(m, f.name)).tolist()
+                           for f in fields(m)] for m in (model1, model2))
+    return (model2, model1) if key2 < key1 else (model1, model2)
 
 
 def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
@@ -387,7 +384,7 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     s1, s2 = spectral_density(model1), spectral_density(model2)
     if denominators == "drop":
         return h0_overlap(s1, s2, system.T_K, spec)
-    z0 = _static_alpha(model1) * _static_alpha(model2)
+    z0 = model1.static_response * model2.static_response
     if not z0 <= 1.0:
         raise DomainError(
             f"denominators='keep' needs z(0) = A1(0)*A2(0) <= 1, got "
@@ -400,7 +397,7 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
     # leaving the float range.  A complex a*b and b*a can differ in the
     # last bit, so z is formed with the models in one order whichever
     # plate each is: swapping the plates leaves every bit.
-    first, second = sorted((model1, model2), key=_order_key)
+    first, second = _in_order(model1, model2)
 
     def screening(m):
         return _screening_factor(_alpha_retarded(first, m)
@@ -490,14 +487,10 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
 
 
 def _per_particle_density(medium: MediumSpec, role: str) -> SpectralDensity:
-    """Per-particle spectral density (nm^3) of a dilute medium.
-
-    Only tabulated data can supply a genuine per-particle continuum: the
-    free-electron models have no finite per-particle spectral density
-    (the undamped line is discrete; the damped one diverges at zero
-    frequency before screening).
-    """
-    if isinstance(medium.model, (Tabulated, Vacuum)):
+    """Per-particle spectral density (nm^3) of a dilute medium.  A Drude
+    model has none: its undamped line is discrete, and its damped density
+    diverges at zero frequency before screening."""
+    if not isinstance(medium.model, Drude):
         return spectral_density(medium.model)
     raise UnsupportedModelError(
         f"{role} needs a per-particle spectral density; supply tabulated "

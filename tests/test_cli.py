@@ -622,6 +622,21 @@ class TestTableEnergyRange:
             return run_cli(capsys, ["compute", "--config", path])
 
     @pytest.mark.parametrize("route", ["dilute", "dense-full"])
+    def test_two_tables_of_zeros(self, tmp_path, capsys, route):
+        # tables of zeros from m = 0 state no spectral feature, so the
+        # overlap's cap is the thermal window alone: max() of the window
+        # and no hints printed a TypeError traceback and exited 1
+        path = self.config(tmp_path, route, [(0.0, 0.0), (1.0, 0.0)])
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["system"]["medium2"] = cfg["system"]["medium1"]
+        code, out, err = self.compute(capsys,
+                                      write_json(tmp_path, "cfg.json", cfg))
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["H0"], result["converged"]) == (0.0, True)
+
+    @pytest.mark.parametrize("route", ["dilute", "dense-full"])
     @pytest.mark.parametrize("top", [1e-146, 1e-148])
     def test_support_far_below_k_t(self, tmp_path, capsys, overlap_limits,
                                    route, top):

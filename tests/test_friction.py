@@ -301,6 +301,29 @@ def test_drude_scale_covariance():
         assert repr(got) == repr(want), (m1, m2, t_k, lam)
 
 
+@pytest.mark.parametrize("partner", ["drude", "table", "vacuum"])
+def test_vacuum_scale_covariance(partner):
+    """A vacuum medium states no spectral feature, so scaling its
+    partner and T by 2**k leaves every step of the overlap scaled: drop
+    and keep give H0 0.0, converged, in one number of evaluations for
+    every k.  A fixed hint at 1 eV, which vacuum once stated, took 303,
+    302 and 318 evaluations at k = 0, -10 and 10 against the table."""
+    spec = QuadratureSpec(1e-300, 1e-8)
+    models = {"drude": lambda lam: Drude(9.0 * lam, 0.035 * lam),
+              "table": lambda lam: Tabulated(np.array([0.0, 1.0, 4.0]) * lam,
+                                             np.array([0.0, 0.2, 0.0])),
+              "vacuum": lambda lam: Vacuum()}
+    counts = set()
+    for k in (0, -10, 10, -20, 20):
+        lam = 2.0 ** k
+        for mode in ("drop", "keep"):
+            res = fr.friction_dense(_plates(Vacuum(), models[partner](lam),
+                                            300.0 * lam), mode, spec)
+            assert res.h0 == 0.0 and res.converged, (k, mode)
+            counts.add(res.evaluations)
+    assert len(counts) == 1, counts
+
+
 def lorentzian_columns(rng):
     """Columns of a seeded table: 50 to 800 samples over about 4 eV, one
     or two Lorentzians a tenth of the top wide, cut to 0 at m = 0."""
@@ -803,7 +826,7 @@ class TestStaticCoupling:
     def test_static_alpha_is_dense_alpha_at_zero(self):
         for model in (GOLD, Drude(3.0, 1e-6), PLASMA, Vacuum(),
                       bump_plate(24), kinked_table()):
-            assert fr._static_alpha(model) == dense_alpha(model, 0.0)
+            assert model.static_response == dense_alpha(model, 0.0)
 
     def test_kinked_table_against_gold_raises(self):
         table = kinked_table()
@@ -843,7 +866,7 @@ class TestStaticCoupling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a0 = dense_alpha(table, 0.0)
-            assert math.isfinite(a0) and a0 == fr._static_alpha(table)
+            assert math.isfinite(a0) and a0 == table.static_response
 
     def test_kinked_half_converges(self):
         res = fr.friction_dense(fr.PlateSystem(
@@ -859,6 +882,21 @@ class TestH0Kernels:
         res = fr.h0_overlap(s0, s_gold, 300.0)
         assert res.value == 0.0
         assert res.converged
+
+    def test_no_peak_hint_on_either_side(self):
+        # vacuum and a table of zeros from m = 0 state no feature: with no
+        # hint on either side the cap is the thermal window alone, where
+        # max() of the window and no hints raised a TypeError
+        zeros = Tabulated(np.array([0.0, 1.0]), np.zeros(2))
+        s_zeros, s_vacuum = spectral_density(zeros), spectral_density(Vacuum())
+        assert s_zeros.peak_hint == s_vacuum.peak_hint == 0.0
+        for partner in (s_zeros, s_vacuum):
+            res = fr.h0_overlap(s_zeros, partner, 300.0)
+            assert (res.value, res.error_estimate, res.converged) == (
+                0.0, 0.0, True)
+        res = fr.friction_dilute(_plates(zeros, zeros, 300.0,
+                                         densities=(1.0, 1.0)))
+        assert (res.h0, res.converged) == (0.0, True)
 
     def test_linear_spectra_closed_form(self):
         # two linear densities D*m: H0 = (2 pi hbar / beta^2) D^2 pi^2/3

@@ -76,6 +76,16 @@ def test_every_private_name_is_reached():
     assert unreached == set()
 
 
+def test_friction_names_no_model_but_drude():
+    # what a medium states of itself (its density, response and A(0)) is
+    # decided in dielectric; friction names only Drude, which the closed
+    # form and the per-particle routes turn away, imported or not
+    tree = ast.parse((SRC / "friction.py").read_text(encoding="utf-8"))
+    names = _mentions(tree) + Counter(
+        n.name for n in ast.walk(tree) if isinstance(n, ast.alias))
+    assert names["Drude"] > 0
+    assert names["Tabulated"] == names["Vacuum"] == 0
+
 def test_no_module_reads_the_environment():
     # a force depends on its arguments only: no module reads os.environ
     # or os.getenv, whether as an attribute or imported by name
