@@ -1,11 +1,11 @@
 """Material response: permittivity models and spectral densities.
 
-Models are evaluated primarily on the imaginary frequency axis K = i*hbar*omega
-(in eV), where the response is real, smooth and ideal for quadrature.  Dense
-media enter every friction formula only through the electrostatic surface
-response A = (eps-1)/(eps+1), one analytic function of the squared frequency
-zeta: K**2 on the imaginary axis, -m**2 + i*gamma (see :func:`_broadening`)
-on the retarded branch that carries the spectrum over energies m = hbar*omega.
+Every route integrates spectral densities over real energies m = hbar*omega
+(in eV) and forms responses on the retarded branch.  Dense media enter every
+friction formula only through the electrostatic surface response
+A = (eps-1)/(eps+1), one analytic function of the squared frequency zeta:
+-m**2 + i*gamma on that branch (see :func:`_broadening`), and K**2 on the
+imaginary axis, read only by :func:`dense_alpha` (criterion 6a, at K = 0).
 
 Normalization: the "dense" spectral density carried by this module is the
 dimensionless surface-response spectrum (the density-scaled polarizability
@@ -58,7 +58,7 @@ class Drude:
             raise DomainError(f"damping_ev must be finite and in [0, {_M_FAR:g}] eV")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated:
     """Spectral density sampled on a grid of excitation energies.
 

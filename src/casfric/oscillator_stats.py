@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +27,22 @@ _BLOCK_ROWS = 1 << 15
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """A single isotropic harmonic dipole oscillator.
+    """An isotropic harmonic dipole oscillator.
 
     ``alpha_static`` is the zero-frequency polarizability (nm^3 at the
     API, but any fixed volume unit propagates consistently);
-    ``eigen_energy_ev`` is hbar*omega_0.
+    ``eigen_energy_ev`` is hbar*omega_0.  Fields may be scalars or arrays
+    that broadcast together, one oscillator per element; each check
+    applies to every element.
     """
 
     alpha_static: float
     eigen_energy_ev: float
 
     def __post_init__(self):
-        if not self.alpha_static > 0.0:
+        if not np.all(self.alpha_static > 0.0):
             raise DomainError("alpha_static must be > 0")
-        if not self.eigen_energy_ev > 0.0:
+        if not np.all(self.eigen_energy_ev > 0.0):
             raise DomainError("eigen_energy_ev must be > 0")
 
 
@@ -54,34 +55,28 @@ def gtilde(osc: OscillatorSpec, k) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def g_imaginary_time(osc: OscillatorSpec | Sequence[OscillatorSpec], lam,
-                     beta: float | Sequence[float], job=None):
+def g_imaginary_time(osc: OscillatorSpec, lam, beta):
     """Imaginary-time correlator <s(lambda) s(0)> of one oscillator:
 
         g(lambda) = (alpha*w0/2) * cosh((beta/2 - lambda)*w0) / sinh(beta*w0/2)
 
     valid for 0 <= lambda <= beta (the periodic extension is not
     implemented).  At lambda = 0 this is (alpha*w0/2)*coth(beta*w0/2).
-    ``lam`` may be a scalar (float returned) or an array (array of the
-    same shape returned, elementwise).
-
-    Batched form: with an integer array ``job`` shaped like ``lam``,
-    ``osc`` and ``beta`` are sequences, and entry i is the correlator of
-    ``osc[job[i]]`` at ``beta[job[i]]``, bit for bit as one call on that
-    oscillator would give it.
+    ``lam``, ``beta`` and the fields of ``osc`` may be scalars (float
+    returned) or arrays that broadcast together (array returned), each
+    entry bit for bit as its own scalar call.  There is no batched form:
+    an ``OscillatorSpec`` of arrays is the batch.
     """
-    if job is None:
-        osc, beta, job = [osc], [beta], 0
-    if not all(b > 0.0 for b in beta):
+    b = np.asarray(beta, dtype=float)
+    if not (b > 0.0).all():
         raise DomainError("beta must be > 0")
     lam = np.asarray(lam, dtype=float)
-    betas = np.array(beta, dtype=float)
-    b = betas[job]
     outside = ~((lam >= 0.0) & (lam <= b))  # nan is outside too
     if outside.any():
-        raise DomainError(f"lambda must lie in [0, beta], got {lam[outside]!r}")
-    w = np.array([o.eigen_energy_ev for o in osc])[job]
-    amp = 0.5 * np.array([o.alpha_static for o in osc])[job] * w
+        bad = np.broadcast_to(lam, outside.shape)[outside]
+        raise DomainError(f"lambda must lie in [0, beta], got {bad!r}")
+    w = np.asarray(osc.eigen_energy_ev, dtype=float)
+    amp = 0.5 * np.asarray(osc.alpha_static, dtype=float) * w
     x = b * w / 2.0
     y = (b / 2.0 - lam) * w
     # cosh(y)/sinh(x) = (e^{y-x} + e^{-y-x})/(1 - e^{-2x}): with |y| <= x

@@ -267,15 +267,17 @@ def _transform_draws():
 def _transforms(draws):
     """The integrals of g(lambda) cos(K lambda) over [0, beta] of every
     draw, in one batch, each started on 4 equal panels."""
-    oscs = [osc for osc, _, _ in draws]
-    betas = [beta for _, beta, _ in draws]
-    ks = np.array([k for _, _, k in draws])
+    oscs, betas, ks = zip(*draws)
+    alpha, w, betas, ks = np.array([[o.alpha_static for o in oscs],
+                                    [o.eigen_energy_ev for o in oscs], betas, ks],
+                                   dtype=float)
 
     def f(lam, job):
-        return g_imaginary_time(oscs, lam, betas, job) * np.cos(ks[job] * lam)
+        osc = OscillatorSpec(alpha[job], w[job])
+        return g_imaginary_time(osc, lam, betas[job]) * np.cos(ks[job] * lam)
 
     return integrate_many(f, [(0.0, beta, [beta / 4, beta / 2, 3 * beta / 4])
-                              for beta in betas],
+                              for beta in betas.tolist()],
                           QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11))
 
 

@@ -762,6 +762,21 @@ def test_table_terms_match_concatenated_build(n, start):
             assert value.tobytes() == ref.tobytes(), name
 
 
+def test_tables_compare_by_identity():
+    # a table holds ndarray columns, which have no truth value: equality
+    # is identity, so comparing and hashing tables or the media holding
+    # them never raises
+    a = dl.Tabulated([0, 1, 2], [0, 1, 0])
+    b = dl.Tabulated([0, 1, 2], [0, 1, 0])
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) != hash(b)
+    assert len({a, b, a}) == 2
+    assert {a: 1, b: 2}[b] == 2
+    assert dl.MediumSpec(a) != dl.MediumSpec(b)
+    assert dl.MediumSpec(a, 0.5) == dl.MediumSpec(a, 0.5)
+
+
 def test_medium_spec_density_validation():
     with pytest.raises(DomainError):
         dl.MediumSpec(GOLD, density_per_nm3=0.0)

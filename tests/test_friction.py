@@ -124,7 +124,7 @@ def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
     beta = units.beta(temperature_k)
     window = 40.0 / beta
     hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
-    m_cap = min(max(window, *(10.0 * h for h in hints)),
+    m_cap = min(max(window, 10.0 * s1.peak_hint, 10.0 * s2.peak_hint),
                 s1.support_max, s2.support_max)
     pref = 0.5 * math.pi * beta * units.HBAR_JS
     half_beta = 0.5 * beta
@@ -1303,16 +1303,18 @@ class TestOneScreeningCall:
         assert res.evaluations == evaluations
 
     @pytest.mark.parametrize("case", ["keep-gold", "keep-drude-pair",
-                                      "keep-table"])
+                                      "keep-table", "keep-vacuum"])
     def test_first_factor_call_rides_in_the_first_pass(self, monkeypatch,
                                                        case):
         """Recorded through wrappers: the probe (the first call of a
         density) is bare and holds no tail point, since it ends at the
         cap; inside the engine's first integrand call the density and
         then the factor each receive exactly that call's nodes followed
-        by the tail-bound point, the cap times 1 + 1e-9, bit for bit."""
-        s1, s2, t_k, spec, factor = self.overlap_args(monkeypatch,
-                                                      PINNED_CALLS[case])
+        by the tail-bound point, the cap times 1 + 1e-9, bit for bit.
+        Two vacua state no peak, so their cap is the thermal window."""
+        calls = {**PINNED_CALLS, "keep-vacuum": lambda: fr.friction_dense(
+            _plates(Vacuum(), Vacuum(), 300.0), "keep")}
+        s1, s2, t_k, spec, factor = self.overlap_args(monkeypatch, calls[case])
         events = []
 
         def value(m):
@@ -1339,9 +1341,8 @@ class TestOneScreeningCall:
         assert [kind for kind, _ in events[:4]] == [
             "density", "engine", "density", "factor"]
         probe, nodes, first_density, first_factor = (x for _, x in events[:4])
-        hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
-        m_cap = min(max(40.0 / units.beta(t_k), *(10.0 * h for h in hints)),
-                    s1.support_max, s2.support_max)
+        m_cap = min(max(40.0 / units.beta(t_k), 10.0 * s1.peak_hint,
+                        10.0 * s2.peak_hint), s1.support_max, s2.support_max)
         assert probe.max() == m_cap
         first = np.append(nodes, m_cap * PAST_CAP).tobytes()
         assert first_density.tobytes() == first_factor.tobytes() == first

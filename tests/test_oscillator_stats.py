@@ -80,28 +80,36 @@ class TestImaginaryTime:
                 osc.g_imaginary_time(o, bad, 1.0)
 
     def test_batched_equals_one_oscillator_calls(self):
-        # one call over many oscillators, x = 400 among them (where
-        # 1 - e^{-2x} rounds to 1), gives each entry the bits of that
-        # oscillator's call
+        # one call on an OscillatorSpec of arrays, x = 400 among them
+        # (where 1 - e^{-2x} rounds to 1), gives each entry the bits of
+        # the scalar call on its element
         rng = np.random.default_rng(7)
-        oscs = [osc.OscillatorSpec(0.7, 1.5), osc.OscillatorSpec(2.0, 2.0),
-                osc.OscillatorSpec(0.3, 4.0)]
-        betas = [2.0, 400.0, 0.5]
+        alpha, w, betas = (np.array([0.7, 2.0, 0.3]), np.array([1.5, 2.0, 4.0]),
+                           np.array([2.0, 400.0, 0.5]))
         job = rng.integers(0, 3, 90)
-        lam = rng.uniform(0.0, 1.0, 90) * np.array(betas)[job]
-        values = osc.g_imaginary_time(oscs, lam, betas, job)
-        for j, (o, b) in enumerate(zip(oscs, betas)):
-            alone = osc.g_imaginary_time(o, lam[job == j], b)
-            assert values[job == j].tobytes() == alone.tobytes()
+        lam = rng.uniform(0.0, 1.0, 90) * betas[job]
+        values = osc.g_imaginary_time(osc.OscillatorSpec(alpha[job], w[job]),
+                                      lam, betas[job])
+        assert values.shape == lam.shape
+        for v, t, j in zip(values, lam, job):
+            alone = osc.g_imaginary_time(
+                osc.OscillatorSpec(float(alpha[j]), float(w[j])), float(t),
+                float(betas[j]))
+            assert type(alone) is float
+            assert np.float64(alone).tobytes() == v.tobytes()
 
     def test_batched_domain_is_per_job(self):
-        oscs = [osc.OscillatorSpec(1.0, 1.0)] * 2
+        o = osc.OscillatorSpec(np.ones(2), np.ones(2))
         with pytest.raises(DomainError, match="lambda"):
-            osc.g_imaginary_time(oscs, np.array([1.5, 1.5]), [2.0, 1.0],
-                                 np.array([0, 1]))
+            osc.g_imaginary_time(o, np.array([1.5, 1.5]), np.array([2.0, 1.0]))
+        with pytest.raises(DomainError, match="lambda"):
+            osc.g_imaginary_time(o, 1.5, np.array([2.0, 1.0]))
         with pytest.raises(DomainError, match="beta"):
-            osc.g_imaginary_time(oscs, np.array([0.5, 0.5]), [2.0, 0.0],
-                                 np.array([0, 1]))
+            osc.g_imaginary_time(o, np.array([0.5, 0.5]), np.array([2.0, 0.0]))
+        with pytest.raises(DomainError, match="alpha_static"):
+            osc.OscillatorSpec(np.array([1.0, 0.0]), np.ones(2))
+        with pytest.raises(DomainError, match="eigen_energy_ev"):
+            osc.OscillatorSpec(np.ones(2), np.array([1.0, -1.0]))
 
     # x = beta*w0/2 from near 0 to past the float range of e^{-x}, and
     # lambda/beta.
@@ -144,14 +152,19 @@ class TestImaginaryTime:
         assert underflows == 3  # x = 1e4 at beta/4, beta/2, 3*beta/4
 
     def test_batched_matches_mpmath(self):
-        oscs = [osc.OscillatorSpec(0.3 + i, 0.5 + 0.25 * i)
-                for i in range(len(self.MP_XS))]
-        betas = [2.0 * x / o.eigen_energy_ev for x, o in zip(self.MP_XS, oscs)]
-        job = np.repeat(np.arange(len(oscs)), len(self.MP_FRACTIONS))
-        lam = np.tile(self.MP_FRACTIONS, len(oscs)) * np.array(betas)[job]
-        values = osc.g_imaginary_time(oscs, lam, betas, job)
+        n = len(self.MP_XS)
+        o = osc.OscillatorSpec(0.3 + np.arange(n), 0.5 + 0.25 * np.arange(n))
+        betas = 2.0 * np.array(self.MP_XS) / o.eigen_energy_ev
+        job = np.repeat(np.arange(n), len(self.MP_FRACTIONS))
+        lam = np.tile(self.MP_FRACTIONS, n) * betas[job]
+        values = osc.g_imaginary_time(
+            osc.OscillatorSpec(o.alpha_static[job], o.eigen_energy_ev[job]),
+            lam, betas[job])
         underflows = sum(
-            self.check_against_mp(float(v), oscs[j], float(t), betas[j])
+            self.check_against_mp(
+                float(v), osc.OscillatorSpec(float(o.alpha_static[j]),
+                                             float(o.eigen_energy_ev[j])),
+                float(t), float(betas[j]))
             for v, t, j in zip(values, lam, job))
         assert underflows == 3
 

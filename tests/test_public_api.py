@@ -3,6 +3,7 @@ package itself, unless it is the independent oracle of a check."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
-from casfric import friction
+from casfric import friction, oscillator_stats
 
 SRC = Path(casfric.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -85,6 +86,13 @@ def test_friction_names_no_model_but_drude():
         n.name for n in ast.walk(tree) if isinstance(n, ast.alias))
     assert names["Drude"] > 0
     assert names["Tabulated"] == names["Vacuum"] == 0
+
+
+def test_imaginary_time_correlator_has_one_calling_convention():
+    # a batch is an OscillatorSpec of arrays, so there is no job argument
+    params = inspect.signature(oscillator_stats.g_imaginary_time).parameters
+    assert list(params) == ["osc", "lam", "beta"]
+
 
 def test_no_module_reads_the_environment():
     # a force depends on its arguments only: no module reads os.environ
