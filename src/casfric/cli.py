@@ -5,19 +5,26 @@ Subcommands:
     compute  --config cfg.json [--format json|csv] [--out PATH]
     sweep    --config sweep.json [--format json|csv] [--out PATH]
     compare  --config cfg.json [--format json|csv] [--out PATH]
-    spectra  --config cfg.json --m-grid MIN:MAX:COUNT[:log|lin] [--u U] ...
+    spectra  --config cfg.json --m-grid MIN:MAX:COUNT[:log|lin] ...
     validate
 
 Configs are JSON; the schema is validated up front with field-path
 diagnostics and unknown keys are rejected.  A ``"plasma"`` medium is the
 undamped Drude model.  A parsed config holds one ``PlateSystem``, and
 ``run_config`` is the one place that calls a route: ``compute``, each
-sweep row and ``compare`` all take their force from it.  Exit codes: 0 success, 2 configuration error,
-3 physics-domain error, 4 a result that did not converge, 141 (128 +
-SIGPIPE, as a shell reports a command the signal ends) stdout closed
-before all output was written, as by ``casfric validate | head -1``.  No
-environment variable is read: quadrature tolerances come from a config's
-``quadrature`` block or the library defaults.
+sweep row and ``compare`` all take their force from it.  ``spectra``
+prints, at each energy of the grid, the integrand of the configured
+route's H0 (``friction.h0_integrand``): ``m_ev`` (eV), ``spectral1`` and
+``spectral2`` (dimensionless surface spectra, or nm^3 per particle for a
+dilute medium and the hybrid probe), ``thermal_weight`` and
+``screening`` (dimensionless) and ``h0_density`` (H0's units per eV, so
+that its integral over m is H0).  Exit codes: 0 success, 2 configuration
+error, 3 physics-domain error, 4 a result that did not converge, 141
+(128 + SIGPIPE, as a shell reports a command the signal ends) stdout
+closed before all output was written, as by
+``casfric validate | head -1``.  No environment variable is read:
+quadrature tolerances come from a config's ``quadrature`` block or the
+library defaults.
 """
 
 from __future__ import annotations
@@ -34,12 +41,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import comparisons, units, validation
-from .dielectric import (Drude, MediumSpec, Vacuum, load_tabulated,
-                         spectral_density)
+from .dielectric import Drude, MediumSpec, Vacuum, load_tabulated
 from .errors import CasfricError, ConfigError
 from .friction import (FrictionResult, PlateSystem, friction_dense,
                        friction_dilute, friction_drude_closed_form,
-                       friction_hybrid, plane_spectral_products)
+                       friction_hybrid, h0_integrand)
 from .presets import PRESETS, conductivity
 from .quadrature import QuadratureSpec, default_spec
 
@@ -413,20 +419,10 @@ def _grid(lo, hi, count, log, path):
 def cmd_spectra(args) -> int:
     cfg = parse_run_config(_load_json(args.config))
     grid = _parse_m_grid(args.m_grid)
-    u = args.u
-    if not (math.isfinite(u) and u > 0.0):
-        raise ConfigError([("--u", "must be a finite number > 0")])
-    m1, m2 = cfg["system"].medium1.model, cfg["system"].medium2.model
-    s1, s2 = spectral_density(m1), spectral_density(m2)
-    # first, so that an energy out of range stops the command before any
-    # other column is formed from it
-    s11, s22, s12 = plane_spectral_products(m1, m2, grid, u)
-    v1 = np.asarray(s1.value(grid), dtype=float)
-    v2 = np.asarray(s2.value(grid), dtype=float)
-    columns = ["m_ev", "spectral1", "spectral2", "product_11", "product_12"]
-    rows = [[float(m), float(a), float(b), float(c11 * c22), float(c12 ** 2)]
-            for m, a, b, c11, c22, c12 in zip(grid, v1, v2, s11, s22, s12)]
-    _write(args.format, args.out, columns, rows)
+    columns = h0_integrand(cfg["route"], cfg["system"], cfg["denominators"],
+                           grid)
+    _write(args.format, args.out, list(columns),
+           np.column_stack(tuple(columns.values())).tolist())
     return EXIT_OK
 
 
@@ -475,12 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(sub.add_parser("sweep", help="1-D parameter sweep"), "json")
     add_io(sub.add_parser("compare", help="benchmark comparison record"),
            "json")
-    sp = sub.add_parser("spectra", help="spectral densities on an m grid")
+    sp = sub.add_parser("spectra", help="the H0 integrand on an m grid")
     add_io(sp, "csv")
     sp.add_argument("--m-grid", required=True,
                     help="MIN:MAX:COUNT[:log|lin] in eV")
-    sp.add_argument("--u", type=float, default=1.0,
-                    help="transverse mode u = q*d for the channel products")
     sub.add_parser("validate", help="run the acceptance checks")
     return parser
 

@@ -512,12 +512,18 @@ def dense_alpha_retarded(model: PermittivityModel, m):
     model's own broadening gamma (:func:`_broadening`).  Vectorized over
     m, which must be > 0 with m**2 inside the float range.
     """
+    out = _alpha_retarded(model, _retarded_energies(m))
+    return complex(out[0]) if np.ndim(m) == 0 else out
+
+
+def _retarded_energies(m) -> np.ndarray:
+    """m as a 1-d float array of energies on the retarded branch: each
+    > 0 with m**2 inside the float range."""
     m_arr = np.atleast_1d(np.asarray(m, dtype=float))
     if m_arr.size and not (m_arr.min() > 0.0 and m_arr.max() <= _M_MAX):
         raise DomainError("retarded evaluation requires finite m > 0 with "
                           f"m**2 in the float range (m <= {_M_MAX:.6g} eV)")
-    out = _alpha_retarded(model, m_arr)
-    return complex(out[0]) if np.ndim(m) == 0 else out
+    return m_arr
 
 
 def _alpha_retarded(model: PermittivityModel, m: np.ndarray) -> np.ndarray:

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .units import _reals
 
 
 @dataclass(frozen=True)
 class LayeredConfig:
     """Fixed-mode configuration: permittivities, gap d (nm) and transverse
-    wavenumber q (nm^-1).  Fields may be scalars or arrays that broadcast
-    together; each check applies to every element."""
+    wavenumber q (nm^-1).  Fields may be real scalars, arrays or lists
+    that broadcast together; each check applies to every element."""
 
     eps1: float
     eps2: float
@@ -39,6 +40,7 @@ class LayeredConfig:
     q_per_nm: float
 
     def __post_init__(self):
+        _reals(self)
         if not np.all(self.d_nm > 0.0):
             raise DomainError("d_nm must be > 0")
         if not np.all(self.q_per_nm > 0.0):

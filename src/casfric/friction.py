@@ -33,8 +33,10 @@ cross-gap interaction as the perturbation, reducing the kernel to the
 bare product of single-surface spectra — the election under which the
 closed form below is exact.
 
-Every numeric route takes its H0 from one :func:`h0_overlap` call on two
-:class:`~casfric.dielectric.SpectralDensity` objects, and every route
+Every numeric route takes its two densities, screening and weight from
+one place (``_integrand``) and its H0 from one :func:`h0_overlap` call
+on them; :func:`h0_integrand` shows that integrand at given energies.
+Every route
 assembles its result as F = G * v * H0 in one place (``_result``), with
 G a closed form of :mod:`~casfric.geometry`; the closed form passes its
 H0 as an exact integral.  Every route, "keep" included, takes its scale
@@ -59,8 +61,8 @@ import numpy as np
 
 from . import geometry, units
 from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
-                         _alpha_retarded, dense_alpha_retarded,
-                         spectral_density)
+                         _alpha_retarded, _retarded_energies,
+                         dense_alpha_retarded, spectral_density)
 from .errors import DomainError, UnsupportedModelError
 from .polylog import LI4_REL_ERR, _li4, li4
 from .quadrature import (IntegralResult, QuadratureSpec, default_spec,
@@ -185,18 +187,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     m_cap = min(max(window, 10.0 * s1.peak_hint, 10.0 * s2.peak_hint),
                 s1.support_max, s2.support_max)
 
-    half_beta = np.array(0.5 * beta)  # 0-d: no conversion on every call
-
-    def integrand(m):
-        # (S1/d)*(S2/d), d = sinh(beta*m/2)/(beta/2); symmetric in the
-        # two densities, so swapping them leaves every bit
-        d = half_beta * m
-        np.sinh(d, out=d)
-        d /= half_beta
-        out = s1.value(m) / d
-        out *= s2.value(m) / d
-        return out
-
+    integrand = _over_d(s1.value, s2.value, beta)
     tail_val = scale = scale_arr = None
 
     def scaled(m):
@@ -255,6 +246,22 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     converged = res.converged and (res.value == 0.0
                                    or tail_bound <= spec.target(res.value))
     return IntegralResult(value, err, evals, converged)
+
+
+def _over_d(value1, value2, beta: float):
+    """m -> (S1/d)*(S2/d) on a float array m, d = sinh(beta*m/2)/(beta/2),
+    for two density callables; swapping them leaves every bit."""
+    half_beta = np.array(0.5 * beta)  # 0-d: no conversion on every call
+
+    def integrand(m):
+        d = half_beta * m
+        np.sinh(d, out=d)
+        d /= half_beta
+        out = value1(m) / d
+        out *= value2(m) / d
+        return out
+
+    return integrand
 
 
 def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
@@ -324,32 +331,8 @@ def _screening_factor(z):
     return np.where(pole, np.inf, li4(z.real + 1j * y).imag / y)
 
 
-def plane_spectral_products(model1: PermittivityModel,
-                            model2: PermittivityModel,
-                            m, u: float):
-    """Spectral products of the fully dressed coupled-plane correlators.
-
-    Returns (s11, s22, s12) where s_ab = -Im[h_ab]/pi on the retarded
-    branch, with h11 = A1/(1 - A1*A2*e^{-2u}) etc.  These are the
-    channel-resolved spectra exposed for inspection/plotting; the
-    friction integral uses the screened bilinear product (see module
-    docstring) rather than resumming these dressed channels.
-    """
-    if not u > 0.0:
-        raise DomainError("u must be > 0")
-    m = np.asarray(m, dtype=float)
-    a1 = dense_alpha_retarded(model1, m)
-    a2 = dense_alpha_retarded(model2, m)
-    x = math.exp(-2.0 * u)
-    denom = 1.0 - a1 * a2 * x
-    h11 = a1 / denom
-    h22 = a2 / denom
-    h12 = a1 * a2 * math.exp(-u) / denom
-    return (-h11.imag / math.pi, -h22.imag / math.pi, -h12.imag / math.pi)
-
-
 def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> tuple:
-    """The two models in the order of ``_dense_h0``'s z = A1*A2: by type
+    """The two models in the order of the screening's z = A1*A2: by type
     name, then by their dataclass fields.  A model's __dict__ holds its
     fields alone unless they are columns, beside which a table keeps what
     it builds from them; columns are read by name and compare as lists."""
@@ -362,28 +345,34 @@ def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> tuple:
     return (model2, model1) if key2 < key1 else (model1, model2)
 
 
-def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
-              spec: QuadratureSpec | None) -> IntegralResult:
-    """Density-scaled H0 of the plate pair, one overlap integral over m.
-
-    The transverse weight (8/3) u^3 e^{-2u} integrates to exactly one
-    for "drop"; for "keep" its integral against the screening is the
-    closed-form ``_screening_factor`` of z = A1*A2.  The relative error
-    bound of Li4 is added to the quadrature error, so "keep" integrates
-    at a relative tolerance no tighter than that bound and converges
-    only where the sum meets the requested one.
-
-    As m -> 0, z tends to the real z(0) = A1(0)*A2(0); past 1 the kernel
-    is infinite, with the screening's pole at u = ln(z(0))/2: a
-    ``DomainError``.  Only a table can push z(0) past 1.
-    """
+def _integrand(route: str, medium1: MediumSpec, medium2: MediumSpec,
+               denominators: DenominatorMode = "drop") -> tuple:
+    """(S1, S2, factor, weight) of a route, whose H0 is weight times
+    ``h0_overlap(S1, S2, T, spec, factor)``: per-particle densities on
+    the dilute route; the probe's (medium1) and the plate's spectrum at
+    half weight on the hybrid route, where halving is exact; else the
+    surface spectra of the dense pair, whose transverse weight
+    (8/3) u^3 e^{-2u} integrates to one under "drop" and, under "keep",
+    against the screening to the factor ``_screening_factor`` of
+    z = A1*A2.  As m -> 0, z tends to the real z(0) = A1(0)*A2(0), which
+    only a table can push past 1: the kernel is then infinite, with the
+    screening's pole at u = ln(z(0))/2, a ``DomainError``."""
+    if route == "dilute":
+        for name, med in (("medium1", medium1), ("medium2", medium2)):
+            if med.density_per_nm3 is None:
+                raise DomainError(f"dilute route requires {name}.density_per_nm3")
+        return (_per_particle_density(medium1, "dilute medium1"),
+                _per_particle_density(medium2, "dilute medium2"), None, 1.0)
+    if route == "hybrid":
+        return (_per_particle_density(medium1, "the hybrid probe"),
+                spectral_density(medium2.model), None, 0.5)
+    if route not in ("dense-full", "drude-closed-form"):
+        raise DomainError(f"unknown route {route!r}")
     _check_denominators(denominators)
-    if spec is None:
-        spec = default_spec()
-    model1, model2 = system.medium1.model, system.medium2.model
+    model1, model2 = medium1.model, medium2.model
     s1, s2 = spectral_density(model1), spectral_density(model2)
     if denominators == "drop":
-        return h0_overlap(s1, s2, system.T_K, spec)
+        return s1, s2, None, 1.0
     z0 = model1.static_response * model2.static_response
     if not z0 <= 1.0:
         raise DomainError(
@@ -403,12 +392,57 @@ def _dense_h0(system: PlateSystem, denominators: DenominatorMode,
         return _screening_factor(_alpha_retarded(first, m)
                                  * _alpha_retarded(second, m))
 
-    inner = (spec if spec.rel_tol >= LI4_REL_ERR
-             else replace(spec, rel_tol=LI4_REL_ERR))
-    res = h0_overlap(s1, s2, system.T_K, inner, screening)
-    err = res.error_estimate + LI4_REL_ERR * abs(res.value)
-    return IntegralResult(res.value, err, res.evaluations,
-                          res.converged and err <= spec.rel_tol * abs(res.value))
+    return s1, s2, screening, 1.0
+
+
+def _h0(integrand: tuple, temperature_k: float,
+        spec: QuadratureSpec | None) -> IntegralResult:
+    """H0 of an ``_integrand``.  Its only factor is the screening of
+    "keep", whose Li4 error bound is added to the quadrature error: "keep"
+    integrates at a relative tolerance no tighter than that bound and
+    converges only where the sum meets the requested one."""
+    s1, s2, factor, weight = integrand
+    if factor is None:
+        res = h0_overlap(s1, s2, temperature_k, spec)
+    else:
+        if spec is None:
+            spec = default_spec()
+        inner = (spec if spec.rel_tol >= LI4_REL_ERR
+                 else replace(spec, rel_tol=LI4_REL_ERR))
+        res = h0_overlap(s1, s2, temperature_k, inner, factor)
+        err = res.error_estimate + LI4_REL_ERR * abs(res.value)
+        res = IntegralResult(res.value, err, res.evaluations, res.converged
+                             and err <= spec.rel_tol * abs(res.value))
+    return IntegralResult(weight * res.value, weight * res.error_estimate,
+                          res.evaluations, res.converged)
+
+
+def h0_integrand(route: str, system: PlateSystem,
+                 denominators: DenominatorMode, m) -> dict:
+    """A route's H0 integrand at energies m (eV), from the route's own
+    ``_integrand``, as columns: ``m_ev``, the densities ``spectral1`` and
+    ``spectral2``, ``thermal_weight`` (x/sinh x)**2 at x = beta*m/2, the
+    ``screening`` factor (1 but under "keep") and ``h0_density``, in H0's
+    units per eV, whose integral over m is H0.  "drude-closed-form" gives
+    the "drop" columns its closed form approximates.  Each m must be > 0
+    with m**2 in the float range; an H0 density that is not finite is a
+    ``DomainError``."""
+    s1, s2, factor, weight = _integrand(route, system.medium1,
+                                        system.medium2, denominators)
+    m = _retarded_energies(m)
+    beta = units.beta(system.T_K)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        screening = np.ones_like(m) if factor is None else factor(m)
+        density = (2.0 * math.pi * units.HBAR_JS / beta * weight
+                   * _over_d(s1.value, s2.value, beta)(m) * screening)
+        # (m/d)**2 = (x/sinh x)**2: the overlap integrand of S1 = S2 = m
+        thermal = _over_d(np.positive, np.positive, beta)(m)
+    if not np.isfinite(density).all():
+        raise DomainError(f"the H0 density leaves the float range at "
+                          f"T_K = {system.T_K!r} K on this m grid")
+    return {"m_ev": m, "spectral1": s1.value(m), "spectral2": s2.value(m),
+            "thermal_weight": thermal, "screening": screening,
+            "h0_density": density}
 
 
 def _result(route: str, g: float, v_m_per_s: float, h0: IntegralResult,
@@ -437,8 +471,10 @@ def friction_dense(system: PlateSystem,
     """
     g = geometry.g_two_planes(_DENSE_DENSITY, _DENSE_DENSITY,
                               system.d_nm * units.NM_TO_M)
+    integrand = _integrand("dense-full", system.medium1, system.medium2,
+                           denominators)
     return _result("dense-full", g, system.v_m_per_s,
-                   _dense_h0(system, denominators, spec), "Pa",
+                   _h0(integrand, system.T_K, spec), "Pa",
                    note=f"denominators={denominators}")
 
 
@@ -507,16 +543,12 @@ def friction_dilute(system: PlateSystem,
     bilinear in the two densities.  Whether the dilute approximation is
     adequate at the given densities is the caller's responsibility.
     """
-    for name, med in (("medium1", system.medium1), ("medium2", system.medium2)):
-        if med.density_per_nm3 is None:
-            raise DomainError(f"dilute route requires {name}.density_per_nm3")
-    s1 = _per_particle_density(system.medium1, "dilute medium1")
-    s2 = _per_particle_density(system.medium2, "dilute medium2")
+    integrand = _integrand("dilute", system.medium1, system.medium2)
     g = geometry.g_two_planes(system.medium1.density_per_nm3,
                               system.medium2.density_per_nm3,
                               system.d_nm * units.NM_TO_M)
     return _result("dilute", g, system.v_m_per_s,
-                   h0_overlap(s1, s2, system.T_K, spec), "Pa")
+                   _h0(integrand, system.T_K, spec), "Pa")
 
 
 def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
@@ -536,12 +568,8 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     no mode-resolved nesting is needed.
     """
     _check_motion("z0_nm", z0_nm, v_m_per_s, temperature_k)
-    s_probe = _per_particle_density(probe, "the hybrid probe")
-    s_plate = spectral_density(plate)
+    integrand = _integrand("hybrid", probe, MediumSpec(plate))
     g = (2.0 * geometry.g_halfplane(_DENSE_DENSITY, z0_nm * units.NM_TO_M)
          * units.NM_TO_M ** 3)
-    # H0 carries the plate spectrum at half weight; halving is exact.
-    h0 = h0_overlap(s_probe, s_plate, temperature_k, spec)
     return _result("hybrid", g, v_m_per_s,
-                   IntegralResult(0.5 * h0.value, 0.5 * h0.error_estimate,
-                                  h0.evaluations, h0.converged), "N")
+                   _h0(integrand, temperature_k, spec), "N")

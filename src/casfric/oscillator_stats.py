@@ -5,9 +5,7 @@ Gaussian statistics of a coupled pair of oscillators: the transform
 pair, the pair's beta-scaled moments and their Monte-Carlo cross-check
 of acceptance criterion 8.  Those moments are the same at every beta,
 so the pair functions take no beta.  Everything here is a pure
-function; the Monte-Carlo cross-check takes an explicit seed.  The
-correlators of two coupled half-planes live on the retarded branch, in
-``friction.plane_spectral_products``.
+function; the Monte-Carlo cross-check takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
+from .units import _reals
 
 # Rows of normals per block of sample_pair_correlators: the working set
 # of a block (a few arrays of this length) stays within a few MiB.
@@ -31,15 +30,16 @@ class OscillatorSpec:
 
     ``alpha_static`` is the zero-frequency polarizability (nm^3 at the
     API, but any fixed volume unit propagates consistently);
-    ``eigen_energy_ev`` is hbar*omega_0.  Fields may be scalars or arrays
-    that broadcast together, one oscillator per element; each check
-    applies to every element.
+    ``eigen_energy_ev`` is hbar*omega_0.  Fields may be real scalars,
+    arrays or lists that broadcast together, one oscillator per element;
+    each check applies to every element.
     """
 
     alpha_static: float
     eigen_energy_ev: float
 
     def __post_init__(self):
+        _reals(self)
         if not np.all(self.alpha_static > 0.0):
             raise DomainError("alpha_static must be > 0")
         if not np.all(self.eigen_energy_ev > 0.0):

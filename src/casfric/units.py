@@ -11,6 +11,9 @@ is formed.  Joules enter only through hbar in that prefactor.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -63,3 +66,20 @@ def beta(temperature_k: float) -> float:
         raise DomainError(f"temperature {temperature_k!r} K is out of range: "
                           "1/(k_B*T) overflows")
     return out
+
+
+def _reals(obj) -> None:
+    """Store each field of the frozen dataclass ``obj`` as a float, or as
+    a float array where it has dimensions, so that a list computes as the
+    array it holds.  A field that is not real numbers is a DomainError
+    naming it."""
+    for field in fields(obj):
+        try:
+            value = np.asarray(getattr(obj, field.name))
+        except ValueError:  # a ragged list
+            value = np.asarray(None)
+        if value.dtype.kind not in "iuf":
+            raise DomainError(f"{field.name} must be a real number or an "
+                              "array of real numbers")
+        object.__setattr__(obj, field.name, value.astype(float, copy=False)
+                           if value.ndim else float(value))

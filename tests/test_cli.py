@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casfric import cli
-from casfric.dielectric import MediumSpec, dense_alpha_retarded, load_tabulated
+from casfric import cli, units
+from casfric.dielectric import (MediumSpec, dense_alpha_retarded, load_tabulated,
+                                spectral_density)
 from casfric.friction import (PlateSystem, friction_dense, friction_dilute,
-                              friction_drude_closed_form,
-                              plane_spectral_products)
+                              friction_drude_closed_form, h0_integrand)
 from casfric.presets import GOLD
 from casfric.quadrature import QuadratureSpec
 
@@ -302,8 +302,6 @@ class TestMalformedInput:
                                   "file or directory"),
         "sweep-out-is-dir": ("--out", "cannot write: [Errno 21] Is a "
                              "directory"),
-        "spectra-u-overflow": ("--u", "must be a finite number > 0"),
-        "spectra-u-zero": ("--u", "must be a finite number > 0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -338,11 +336,7 @@ class TestMalformedInput:
             command = "sweep"
             cfg = {"base": cfg, "axis": "d", "values": [10.0, 20.0]}
         extra = []
-        if case.startswith("spectra-"):
-            command = "spectra"
-            u = "1e400" if case.endswith("overflow") else "0"
-            extra = ["--m-grid", "0.1:5:3", "--u", u]
-        elif case.endswith("out-missing-dir"):
+        if case.endswith("out-missing-dir"):
             extra = ["--out", str(tmp_path / "missing" / "out.json")]
         elif case.endswith("out-is-dir"):
             extra = ["--out", str(tmp_path)]
@@ -556,6 +550,14 @@ class TestInfiniteScreenedKernel:
     def test_compute(self, tmp_path, capsys):
         path = write_json(tmp_path, "cfg.json", self.config(tmp_path))
         code, out, err = run_cli(capsys, ["compute", "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: denominators='keep' needs "
+                              "z(0) = A1(0)*A2(0) <= 1, got z(0) = 1.121")
+
+    def test_spectra(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json", self.config(tmp_path))
+        code, out, err = run_cli(capsys, [
+            "spectra", "--config", path, "--m-grid", "0.1:5:3"])
         assert (code, out) == (3, "")
         assert err.startswith("physics error: denominators='keep' needs "
                               "z(0) = A1(0)*A2(0) <= 1, got z(0) = 1.121")
@@ -1307,8 +1309,7 @@ class TestFloatEdge:
                        "values": [log_u(lo, 308) for _ in range(3)]}
             elif command == "spectra":
                 lo = log_u(-3, 308)
-                argv += ["--m-grid", f"{lo!r}:{lo * log_u(0.01, 3)!r}:5:log",
-                         "--u", repr(log_u(-3, 3))]
+                argv += ["--m-grid", f"{lo!r}:{lo * log_u(0.01, 3)!r}:5:log"]
             write_json(tmp_path, "cfg.json", cfg)
             code, out, err = run_cli(capsys, argv)
             seen.add(code)
@@ -1445,17 +1446,30 @@ class TestFloatEdge:
         assert {0, 2, 3} <= seen
 
 
+SPECTRA_COLUMNS = ["m_ev", "spectral1", "spectral2", "thermal_weight",
+                   "screening", "h0_density"]
+
+
+def m_cap(system):
+    """The top of ``h0_overlap``'s range for the media and T of
+    ``system``: the thermal window, or ten times the larger peak hint,
+    cut at the supports."""
+    s1, s2 = (spectral_density(medium.model)
+              for medium in (system.medium1, system.medium2))
+    return min(max(40.0 / units.beta(system.T_K), 10.0 * s1.peak_hint,
+                   10.0 * s2.peak_hint), s1.support_max, s2.support_max)
+
+
 class TestSpectra:
     def test_gold_grid_peaks_at_surface_resonance(self, tmp_path, capsys):
         path = write_json(tmp_path, "cfg.json", gold_config(route="dense-full"))
         ep = 9.0 / math.sqrt(2.0)
         code, out, _ = run_cli(capsys, [
             "spectra", "--config", path,
-            "--m-grid", f"0.01:{2 * ep}:101:log", "--u", "1.0"])
+            "--m-grid", f"0.01:{2 * ep}:101:log"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["m_ev", "spectral1", "spectral2", "product_11",
-                           "product_12"]
+        assert rows[0] == SPECTRA_COLUMNS
         data = np.array([[float(x) for x in row] for row in rows[1:]])
         peak_m = data[np.argmax(data[:, 1]), 0]
         assert peak_m == pytest.approx(ep, rel=0.05)
@@ -1478,7 +1492,7 @@ class TestSpectra:
         data = np.array([[float(x) for x in row]
                          for row in list(csv.reader(io.StringIO(out)))[1:]])
         assert np.all(data[:, 1] == 0.0)
-        assert np.all(data[:, 3] == 0.0)
+        assert np.all(data[:, 5] == 0.0)
 
     def test_plasma_rejected(self, tmp_path, capsys):
         cfg = gold_config(route="dense-full")
@@ -1491,26 +1505,30 @@ class TestSpectra:
                               "damping_ev=0.0) has no continuous")
 
     def test_table_rows_do_not_depend_on_built_terms(self, tmp_path, capsys):
-        # the command reads a fresh table; its rows are those of the same
-        # table after an earlier call built its response terms
+        # the command reads a fresh table; under keep its rows, the
+        # screening formed from the table's response included, are those
+        # of the same table after an earlier call built its response terms
         table = tmp_path / "plate.txt"
         m = np.linspace(0.0, 4.0, 36)
+        # scaled to A(0) = 0.883, so that z(0) = A(0) * 1 <= 1 against gold
         table.write_text("\n".join(f"{a} {b}" for a, b in
-                                   zip(m, m * np.exp(-(m - 2.0) ** 2))))
-        cfg = gold_config(route="dense-full")
+                                   zip(m, 0.25 * m * np.exp(-(m - 2.0) ** 2))))
+        cfg = gold_config(route="dense-full", denominators="keep")
         cfg["system"]["medium1"] = {"model": "tabulated", "path": str(table)}
         path = write_json(tmp_path, "cfg.json", cfg)
         code, out, _ = run_cli(capsys, [
-            "spectra", "--config", path, "--m-grid", "0.01:6:40", "--u", "0.5"])
+            "spectra", "--config", path, "--m-grid", "0.01:6:40"])
         assert code == 0
         built = load_tabulated(table)
         dense_alpha_retarded(built, np.linspace(0.1, 6.0, 7))
-        s11, s22, s12 = plane_spectral_products(
-            built, GOLD.model, np.linspace(0.01, 6.0, 40), 0.5)
+        system = PlateSystem(MediumSpec(built), MediumSpec(GOLD.model), 10.0,
+                             100.0, 300.0)
+        columns = h0_integrand("dense-full", system, "keep",
+                               np.linspace(0.01, 6.0, 40))
+        assert np.all(columns["screening"] != 1.0)
         rows = [[float(x) for x in row]
                 for row in list(csv.reader(io.StringIO(out)))[1:]]
-        assert [row[3:] for row in rows] == [
-            [float(a * b), float(c ** 2)] for a, b, c in zip(s11, s22, s12)]
+        assert rows == np.column_stack(list(columns.values())).tolist()
 
     @pytest.mark.parametrize("grid", ["0.5:1e200:3", "1e154:1.35e154:2"])
     def test_energy_out_of_range_is_physics_error(self, tmp_path, capsys,
@@ -1557,6 +1575,83 @@ class TestSpectra:
         assert (code, out) == (2, "")
         assert err == ("config error: --m-grid: need 0 < min < max < inf, "
                        "count >= 1\n")
+
+    @staticmethod
+    def integrand_configs(tmp_path):
+        bases = _sweep_bases(tmp_path)
+        return {"drop": gold_config(route="dense-full"),
+                "keep": gold_config(route="dense-full", denominators="keep"),
+                "dilute": bases["dilute"], "hybrid": bases["hybrid"]}
+
+    @pytest.mark.parametrize("case", ["drop", "keep", "dilute", "hybrid"])
+    def test_h0_density_integrates_to_h0(self, tmp_path, capsys, case):
+        """Composite Simpson over (0, m_cap] of the printed H0 density,
+        refined until two successive grids agree to 1e-9, is compute's H0
+        within its claimed error plus that agreement: on gold drop and
+        keep, a dilute pair of tables and a probe table over gold, whose
+        H0 carries the half weight."""
+        cfg = self.integrand_configs(tmp_path)[case]
+        path = write_json(tmp_path, "cfg.json", cfg)
+        code, out, _ = run_cli(capsys, ["compute", "--config", path])
+        assert code == 0
+        result = json.loads(out)["result"]
+        top = m_cap(cli.parse_run_config(cfg)["system"])
+        lo = 1e-15 * top
+        previous, intervals = None, 128
+        while True:
+            code, out, err = run_cli(capsys, [
+                "spectra", "--config", path,
+                "--m-grid", f"{lo!r}:{top!r}:{intervals + 1}"])
+            assert (code, err) == (0, "")
+            density = np.loadtxt(io.StringIO(out), delimiter=",",
+                                 skiprows=1)[:, 5]
+            value = (top - lo) / intervals / 3.0 * (
+                density[0] + density[-1] + 4.0 * density[1:-1:2].sum()
+                + 2.0 * density[2:-1:2].sum())
+            if previous is not None and abs(value - previous) <= 1e-9 * value:
+                break
+            assert intervals < 2 ** 16
+            previous, intervals = value, 2 * intervals
+        agreement = abs(value - previous) / value
+        assert abs(value / result["H0"] - 1.0) <= (result["quadrature_error"]
+                                                   + agreement)
+
+    def test_closed_form_prints_the_drop_columns(self, tmp_path, capsys):
+        grid = ["--m-grid", "0.001:12:60:log"]
+        closed = write_json(tmp_path, "closed.json", gold_config())
+        drop = write_json(tmp_path, "drop.json",
+                          gold_config(route="dense-full"))
+        code, out, err = run_cli(capsys, ["spectra", "--config", closed, *grid])
+        assert (code, err) == (0, "")
+        assert out.startswith(",".join(SPECTRA_COLUMNS) + "\n")
+        assert run_cli(capsys, ["spectra", "--config", drop, *grid]) == (
+            0, out, "")
+
+    def test_json_rows_are_the_csv_rows(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cfg.json",
+                          gold_config(route="dense-full", denominators="keep"))
+        argv = ["spectra", "--config", path, "--m-grid", "0.01:9:7"]
+        _, out, _ = run_cli(capsys, argv)
+        rows = [[float(x) for x in row]
+                for row in list(csv.reader(io.StringIO(out)))[1:]]
+        code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert strict_json(out) == [dict(zip(SPECTRA_COLUMNS, row))
+                                    for row in rows]
+
+    def test_density_past_the_float_range_is_physics_error(self, tmp_path,
+                                                          capsys):
+        # at 1e308 K, beta*m/2 underflows to 0 at m = 1e-310 eV: d = 0
+        cfg = gold_config(route="dense-full")
+        cfg["system"]["T_K"] = 1e308
+        path = write_json(tmp_path, "cfg.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "spectra", "--config", path, "--m-grid", "1e-310:1:3"])
+        assert (code, out) == (3, "")
+        assert err == ("physics error: the H0 density leaves the float range "
+                       "at T_K = 1e+308 K on this m grid\n")
 
 
 VALIDATE_LINES = [

@@ -166,6 +166,34 @@ def test_array_config_rejects_one_bad_element(field, bad):
         el.LayeredConfig(**fields)
 
 
+def test_list_config_equals_array_config():
+    fields = [f.tolist() for f in random_configs(5)]
+    listed = el.LayeredConfig(*fields)
+    arrays = el.LayeredConfig(*map(np.array, fields))
+    sol, want = el.solve_layers(listed), el.solve_layers(arrays)
+    for attr in ("b", "c", "c1", "d"):
+        assert getattr(sol, attr).tobytes() == getattr(want, attr).tobytes()
+    assert el.boundary_residuals(listed, sol).tobytes() \
+        == el.boundary_residuals(arrays, want).tobytes()
+    assert [x.tobytes() for x in el.denominator_check(listed)] \
+        == [x.tobytes() for x in el.denominator_check(arrays)]
+
+
+def test_listed_pole_is_rejected():
+    # a list once skipped the check: [-1.0] == -1.0 is False
+    with pytest.raises(DomainError, match="surface-mode pole"):
+        el.LayeredConfig([-1.0], 3.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", ["2.0", "gold", None, 2j, [1.0, "a"],
+                                   [[1.0], [1.0, 2.0]]],
+                         ids=["numeric-str", "str", "none", "complex",
+                              "mixed-list", "ragged-list"])
+def test_field_that_is_not_real_numbers_is_rejected(value):
+    with pytest.raises(DomainError, match="d_nm must be a real number"):
+        el.LayeredConfig(2.0, 3.0, value, 1.0)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         el.LayeredConfig(2.0, 2.0, -1.0, 1.0)

@@ -111,6 +111,24 @@ class TestImaginaryTime:
         with pytest.raises(DomainError, match="eigen_energy_ev"):
             osc.OscillatorSpec(np.ones(2), np.array([1.0, -1.0]))
 
+    def test_list_fields_are_the_array_fields(self):
+        alpha, w = [0.5, 1.5, 3.0], [0.2, 1.0, 4.0]
+        listed = osc.OscillatorSpec(alpha, w)
+        arrays = osc.OscillatorSpec(np.array(alpha), np.array(w))
+        assert osc.gtilde(listed, 0.7).tobytes() \
+            == osc.gtilde(arrays, 0.7).tobytes()
+        assert osc.g_imaginary_time(listed, 0.3, 2.0).tobytes() \
+            == osc.g_imaginary_time(arrays, 0.3, 2.0).tobytes()
+        with pytest.raises(DomainError, match="alpha_static must be > 0"):
+            osc.OscillatorSpec([1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("value", ["1.0", None, 1j, [1.0, "a"]],
+                             ids=["str", "none", "complex", "mixed-list"])
+    def test_field_that_is_not_real_numbers_is_rejected(self, value):
+        with pytest.raises(DomainError,
+                           match="eigen_energy_ev must be a real number"):
+            osc.OscillatorSpec(1.0, value)
+
     # x = beta*w0/2 from near 0 to past the float range of e^{-x}, and
     # lambda/beta.
     MP_XS = (1e-6, 1e-3, 1.0, 349.9, 350.1, 700.0, 1e4)
