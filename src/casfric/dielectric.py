@@ -1,11 +1,10 @@
 """Material response: permittivity models and spectral densities.
 
 Every route integrates spectral densities over real energies m = hbar*omega
-(in eV) and forms responses on the retarded branch.  Dense media enter every
-friction formula only through the electrostatic surface response
-A = (eps-1)/(eps+1), one analytic function of the squared frequency zeta:
--m**2 + i*gamma on that branch (see :func:`_broadening`), and K**2 on the
-imaginary axis, read only by :func:`dense_alpha` (criterion 6a, at K = 0).
+(in eV).  Dense media enter every friction formula only through the
+electrostatic surface response A = (eps-1)/(eps+1), formed on the retarded
+branch zeta = -m**2 + i*gamma (see :func:`_broadening`) and nowhere else;
+its static limit A(0) is each model's ``static_response``.
 
 Normalization: the "dense" spectral density carried by this module is the
 dimensionless surface-response spectrum (the density-scaled polarizability
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
+from .units import _real, _reals
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class Drude:
     damping_ev: float
 
     def __post_init__(self):
+        _real("plasma_energy_ev", self.plasma_energy_ev)
+        _real("damping_ev", self.damping_ev)
         if not 0.0 < self.plasma_energy_ev <= _M_FAR:
             raise DomainError(f"plasma_energy_ev must be finite and in (0, {_M_FAR:g}] eV")
         if not 0.0 <= self.damping_ev <= _M_FAR:
@@ -75,6 +77,7 @@ class Tabulated:
     values: np.ndarray
 
     def __post_init__(self):
+        _reals(self)
         m = np.array(self.m_ev, dtype=float)
         v = np.array(self.values, dtype=float)
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
@@ -139,9 +142,10 @@ class MediumSpec:
     density_per_nm3: float | None = None
 
     def __post_init__(self):
-        if self.density_per_nm3 is not None \
-                and not 0.0 < self.density_per_nm3 < math.inf:
-            raise DomainError("density_per_nm3 must be finite and > 0 when given")
+        if self.density_per_nm3 is not None:
+            _real("density_per_nm3", self.density_per_nm3)
+            if not 0.0 < self.density_per_nm3 < math.inf:
+                raise DomainError("density_per_nm3 must be finite and > 0 when given")
 
 
 # A row of commas and blanks alone, which numpy reads as a blank row once
@@ -251,16 +255,14 @@ _M_FAR = 1e76
 
 def _by_blocks(width: int, kernel, *cols) -> np.ndarray:
     """kernel(*cols) over row blocks of at most _BLOCK_PAIRS (energy,
-    column) pairs, for a table with ``width`` columns; a None column
-    passes as it is."""
+    column) pairs, for a table with ``width`` columns."""
     n = cols[0].size
     blocks = -(-n * width // _BLOCK_PAIRS)
     if blocks <= 1:
         return kernel(*cols)
     rows = -(-n // blocks)
-    return np.concatenate([
-        kernel(*(c if c is None else c[lo:lo + rows] for c in cols))
-        for lo in range(0, n, rows)])
+    return np.concatenate([kernel(*(c[lo:lo + rows] for c in cols))
+                           for lo in range(0, n, rows)])
 
 
 class _TableTerms:
@@ -341,21 +343,20 @@ class _TableTerms:
                 "of 2*S(m)/m, leaves the float range")
         return static
 
-    def exact(self, s: np.ndarray, m) -> np.ndarray:
-        """The exact form at s = sqrt(zeta), one energy a row; ``m`` the
-        energies on the retarded branch, else None."""
+    def exact(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The exact form at s = sqrt(zeta), zeta = -m**2 + i*gamma, one
+        energy a row."""
         # f(conj zeta) = conj f(zeta): work at y = |Im s| >= 0, so y + m_j >= 0.
         x, y = s.real, np.abs(s.imag)
         xx = x * x
         d = y[:, None] + self.signed_m
         ends = d[:, -2:]
-        if m is not None:
-            # y - m at the ends, where the jump of S to 0 makes L- singular:
-            # (x**2 + m**2 - m_end**2) / (y + m_end) from zeta = -m**2 + i*gamma,
-            # with m - m_end exact beside the end.  The node columns keep
-            # y - m_j, whose signs the closed-form sums below follow.
-            e, mc = self.end_m, m[:, None]
-            ends[...] = (xx[:, None] + (mc - e) * (mc + e)) / (y[:, None] + e)
+        # y - m at the ends, where the jump of S to 0 makes L- singular:
+        # (x**2 + m**2 - m_end**2) / (y + m_end), with m - m_end exact
+        # beside the end.  The node columns keep y - m_j, whose signs the
+        # closed-form sums below follow.
+        e, mc = self.end_m, m[:, None]
+        ends[...] = (xx[:, None] + (mc - e) * (mc + e)) / (y[:, None] + e)
         buf = np.empty((2,) + d.shape)
         log_r2, small = buf
         np.multiply(d, d, out=log_r2)
@@ -390,11 +391,10 @@ class _TableTerms:
         return out
 
 
-def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarray:
-    """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm' for complex
-    zeta off the negative real axis, S the linear interpolant a + b*m' of
-    each segment; zeta = 0 is the static limit.  On the retarded branch
-    ``m`` holds the energies of zeta = -m**2 + i*gamma.
+def _tabulated_response(model: Tabulated, zeta: np.ndarray, m) -> np.ndarray:
+    """f(zeta) = integral of S(m') * 2 m' / (zeta + m'**2) dm' at
+    zeta = -m**2 + i*gamma, gamma > 0, for the 1-d array of energies
+    ``m``, S the linear interpolant a + b*m' of each segment.
 
     Exact form.  With s = sqrt(zeta) = x + i*y (principal root) and
     L+- = log(s +- i*m), the segment integrates to differences of
@@ -402,10 +402,10 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarra
 
         log(zeta + m**2) = L+ + L-,    atan(m/s) = (i/2) * (L- - L+).
 
-    Neither identity jumps a branch along the table: x > 0 off the cut
-    (gamma > 0 on the retarded branch), so s +- i*m stay in the right
-    half-plane.  Summed by parts over the nodes m_j, with the kinks
-    kink_j = b_j - b_(j-1) (b = 0 outside the table) and d+- = y +- m_j,
+    Neither identity jumps a branch along the table: x > 0 as gamma > 0,
+    so s +- i*m stay in the right half-plane.  Summed by parts over the
+    nodes m_j, with the kinks kink_j = b_j - b_(j-1) (b = 0 outside the
+    table) and d+- = y +- m_j,
 
         f = 2 sum_k b_k dm_k + S(m_top) (L+ + L-)(m_top) - S(m_0) (L+ + L-)(m_0)
             + sum_j kink_j [(d+ - i x) L+ - (d- - i x) L-],
@@ -437,45 +437,19 @@ def _tabulated_response(model: Tabulated, zeta: np.ndarray, m=None) -> np.ndarra
     Each energy is reduced on its own row, so its value never depends on
     the other energies in the call."""
     terms = model._terms
-    shape = zeta.shape
-    zeta = zeta.ravel()
-    if m is not None:
-        m = m.ravel()
     s = np.sqrt(zeta)
     x, y = s.real, np.abs(s.imag)
     width, nodes = terms.width, terms.m
     lo = np.minimum(np.maximum(y, nodes[0]), nodes[-1] - width) - y
-    near = (np.hypot(lo, x) + np.hypot(lo + width, x) < 2.0 * width) & (zeta != 0.0)
+    near = np.hypot(lo, x) + np.hypot(lo + width, x) < 2.0 * width
     if near.all():
-        return _by_blocks(nodes.size, terms.exact, s, m).reshape(shape)
-    static = zeta == 0.0
-    far = ~(near | static)
+        return _by_blocks(nodes.size, terms.exact, s, m)
     out = np.empty(zeta.shape, dtype=complex)
-    if static.any():
-        out[static] = terms.static
-    if far.any():
-        out[far] = _by_blocks(terms.kronrod[0].size, terms.kronrod_sum, zeta[far])
+    far = ~near
+    out[far] = _by_blocks(terms.kronrod[0].size, terms.kronrod_sum, zeta[far])
     if near.any():
-        out[near] = _by_blocks(nodes.size, terms.exact, s[near],
-                               None if m is None else m[near])
-    return out.reshape(shape)
-
-
-def _surface_response(model: PermittivityModel, zeta: np.ndarray,
-                      m=None) -> np.ndarray:
-    """A = (eps-1)/(eps+1) as one analytic function of the squared
-    frequency, at an array of complex zeta: K**2 on the imaginary axis,
-    -m**2 + i*gamma on the retarded branch, whose energies ``m`` a table
-    takes as well."""
-    if isinstance(model, Tabulated):
-        return _tabulated_response(model, zeta, m)
-    if isinstance(model, Drude):
-        ep2 = _ep2(model)
-        # principal sqrt: |K| on the imaginary axis, -> +i*m as gamma -> 0
-        return ep2 / (zeta + ep2 + model.damping_ev * np.sqrt(zeta))
-    if isinstance(model, Vacuum):
-        return np.zeros(zeta.shape, dtype=complex)
-    raise UnsupportedModelError(f"unknown model {model!r}")
+        out[near] = _by_blocks(nodes.size, terms.exact, s[near], m[near])
+    return out
 
 
 def _broadening(model: PermittivityModel) -> float:
@@ -490,26 +464,9 @@ def _broadening(model: PermittivityModel) -> float:
     return 0.0
 
 
-def dense_alpha(model: PermittivityModel, k):
-    """Surface response A(K) = (eps-1)/(eps+1) on the imaginary axis.
-
-    This dimensionless quantity replaces the density-scaled polarizability
-    2*pi*rho*alpha(K) in every dense-media formula; A in [0, 1) for the
-    conducting models at K > 0, exactly 0 for vacuum, and -> 1 as K -> 0
-    (perfect-conductor limit).  The real part of A(zeta) at zeta = K**2,
-    for finite K with K**2 inside the float range.
-    """
-    k_arr = np.abs(np.asarray(k, dtype=float))
-    if not np.all(k_arr <= _M_MAX):
-        raise DomainError("dense_alpha requires finite K with K**2 in the "
-                          f"float range (|K| <= {_M_MAX:.6g} eV)")
-    out = _surface_response(model, np.atleast_1d(k_arr ** 2).astype(complex)).real
-    return float(out[0]) if k_arr.ndim == 0 else out
-
-
 def dense_alpha_retarded(model: PermittivityModel, m):
-    """A continued to the retarded branch, A(-m**2 + i*gamma), at the
-    model's own broadening gamma (:func:`_broadening`).  Vectorized over
+    """The surface response on the retarded branch, A(-m**2 + i*gamma), at
+    the model's own broadening gamma (:func:`_broadening`).  Vectorized over
     m, which must be > 0 with m**2 inside the float range.
     """
     out = _alpha_retarded(model, _retarded_energies(m))
@@ -529,21 +486,27 @@ def _retarded_energies(m) -> np.ndarray:
 def _alpha_retarded(model: PermittivityModel, m: np.ndarray) -> np.ndarray:
     """:func:`dense_alpha_retarded` on a float array ``m``, without its
     check of the energies: an m whose square overflows gives an A that
-    is not finite.
+    is not finite, but -0 for an undamped Drude model.
 
-    A damped Drude model takes zeta = -m**2 + 0j, whose principal root
-    is exactly i*sqrt(m**2), so the denominator of
-    :func:`_surface_response` is (e_p**2 - m**2) + i*sigma*sqrt(m**2),
-    formed here from real arrays; e_p**2 is divided by it as there.
-    Every bit is that of the complex form, the nan where m**2 overflows
-    included."""
-    if isinstance(model, Drude) and model.damping_ev > 0.0:
+    A Drude model divides e_p**2 by (e_p**2 - m**2) + i*sigma*sqrt(m**2),
+    or + i*gamma for an undamped line, formed from real arrays: at every
+    energy :func:`dense_alpha_retarded` accepts, each bit is that of the
+    complex form e_p**2 / (zeta + e_p**2 + sigma*sqrt(zeta)) at
+    zeta = -m**2 + i*gamma (sqrt(zeta) is exactly i*sqrt(m**2) at gamma = 0)."""
+    if isinstance(model, Drude):
         ep2, m2 = _ep2(model), m * m
         den = np.empty(m.shape, dtype=complex)
         np.subtract(ep2, m2, out=den.real)
-        np.multiply(model.damping_ev, np.sqrt(m2), out=den.imag)
+        if model.damping_ev > 0.0:
+            np.multiply(model.damping_ev, np.sqrt(m2), out=den.imag)
+        else:
+            den.imag = _broadening(model)
         return ep2 / den
-    return _surface_response(model, 1j * _broadening(model) - m * m, m)
+    if isinstance(model, Tabulated):
+        return _tabulated_response(model, 1j * _broadening(model) - m * m, m)
+    if isinstance(model, Vacuum):
+        return np.zeros(m.shape, dtype=complex)
+    raise UnsupportedModelError(f"unknown model {model!r}")
 
 
 def eps_retarded(model: PermittivityModel, m: float) -> complex:

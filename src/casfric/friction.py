@@ -107,6 +107,7 @@ def _check_motion(gap_name: str, gap_nm: float, v_m_per_s: float,
     """A finite gap > 0, speed >= 0 and temperature > 0."""
     for name, x in ((gap_name, gap_nm), ("v_m_per_s", v_m_per_s),
                     ("T_K", temperature_k)):
+        units._real(name, x)
         if not math.isfinite(x):
             raise DomainError(f"{name} must be finite, got {x!r}")
     if not gap_nm > 0.0:

@@ -39,12 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DomainError
+from .units import _real
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -81,10 +83,12 @@ class QuadratureSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
+        _real("abs_tol", self.abs_tol)
+        _real("rel_tol", self.rel_tol)
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise DomainError("quadrature tolerances must be finite and > 0")
         budget = self.max_subdivisions
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        if isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 1:
             raise DomainError("max_subdivisions must be an int >= 1")
 
     def target(self, value: float) -> float:
@@ -149,6 +153,9 @@ def _edges(a, b, split_points):
     """Edges of the initial panels of [a, b]: a, inner split points, b."""
     if not a < b:
         raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"require finite ends, got a={a!r}, b={b!r}; "
+                          "integrate_semi_infinite takes [0, inf)")
     return [float(a), *sorted(s for s in set(map(float, split_points))
                               if a < s < b), float(b)]
 

@@ -11,6 +11,7 @@ is formed.  Joules enter only through hbar in that prefactor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -66,6 +67,13 @@ def beta(temperature_k: float) -> float:
         raise DomainError(f"temperature {temperature_k!r} K is out of range: "
                           "1/(k_B*T) overflows")
     return out
+
+
+def _real(name: str, value) -> None:
+    """A DomainError naming ``name`` unless ``value`` is one real number.
+    A float passes on its exact type, before the abstract-class test."""
+    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def _reals(obj) -> None:

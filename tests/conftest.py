@@ -140,6 +140,13 @@ def _ln_m_quadrature(f, models, extra_splits=()):
     return value, res.error_estimate / value
 
 
+def _static_response(model):
+    """A(0) = 2 * integral of S/m dm of a damped Drude model or a table,
+    by ``_ln_m_quadrature``, with its relative error."""
+    density = spectral_density(model)
+    return _ln_m_quadrature(lambda m: 2.0 * density.value(m) / m, (model,))
+
+
 class OverlapLimits(NamedTuple):
     """The overlap H0 of two media (J s) and its limits; see
     ``overlap_limits``."""
@@ -191,9 +198,8 @@ def _overlap_limits(t_k, model1, model2):
     classical, classical_err = _ln_m_quadrature(
         lambda m: d1.value(m) / m * (d2.value(m) / m), pair)
     (a1, a1_err), (a2, a2_err) = (
-        (1.0, 0.0) if isinstance(model, Drude) else
-        _ln_m_quadrature(lambda m, d=d: 2.0 * d.value(m) / m, (model,))
-        for model, d in ((model1, d1), (model2, d2)))
+        (1.0, 0.0) if isinstance(model, Drude) else _static_response(model)
+        for model in pair)
     (s1, t1), (s2, t2) = _slope_and_cubic(model1), _slope_and_cubic(model2)
     low_t = (2.0 * math.pi ** 3 / 3.0) * units.HBAR_JS * kt * kt * s1 * s2 \
         * (1.0 + 0.8 * math.pi ** 2 * kt * kt * (t1 / s1 + t2 / s2)) \
@@ -209,3 +215,9 @@ def _overlap_limits(t_k, model1, model2):
 def overlap_limits():
     """``_overlap_limits``: the test-owned oracle of the overlap H0."""
     return _overlap_limits
+
+
+@pytest.fixture(scope="session")
+def static_response_oracle():
+    """``_static_response``: the test-owned oracle of A(0)."""
+    return _static_response

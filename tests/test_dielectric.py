@@ -16,42 +16,51 @@ EP2 = 40.5
 PLASMA = dl.Drude(plasma_energy_ev=9.0, damping_ev=0.0)  # collisionless
 
 
+def drude_complex_form(model, zeta):
+    """The Drude A as one analytic function of the squared frequency,
+    e_p**2/2 over zeta + e_p**2/2 + sigma*sqrt(zeta): the tests' own
+    copy, against which the real-arithmetic form is checked."""
+    ep2 = 0.5 * model.plasma_energy_ev ** 2
+    return ep2 / (zeta + ep2 + model.damping_ev * np.sqrt(zeta))
+
+
 def at_gamma(model, m, gamma):
-    """A(-m**2 + i*gamma) at a chosen broadening, through the private
-    kernel: the public response takes the model's own."""
+    """A(-m**2 + i*gamma) at a chosen broadening: the public response
+    takes the model's own.  A table goes through the private kernel, a
+    Drude model through the complex form."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    return dl._surface_response(model, 1j * gamma - m * m, m)
+    zeta = 1j * gamma - m * m
+    if isinstance(model, dl.Tabulated):
+        return dl._tabulated_response(model, zeta, m)
+    return drude_complex_form(model, zeta)
 
 
 class TestReflectionAndDenseAlpha:
     def test_vacuum_zero(self):
-        assert dl.dense_alpha(dl.Vacuum(), 1.0) == 0.0
+        assert dl.dense_alpha_retarded(dl.Vacuum(), 1.0) == 0.0
+        assert dl.Vacuum().static_response == 0.0
 
     def test_conductor_limit(self):
-        assert dl.dense_alpha(GOLD, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert dl.dense_alpha(PLASMA, 1e-9) == pytest.approx(1.0, rel=1e-12)
-
-    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1e200,
-                                   [1.0, 1.35e154]])
-    def test_k_outside_the_float_range_raises(self, k):
-        # K**2 must be finite: such K would give nan with RuntimeWarnings
-        for model in (GOLD, TABLE):
-            with pytest.raises(DomainError, match=r"finite K with K\*\*2 in "
-                               r"the float range \(\|K\| <= 1\.34078e\+154"):
-                dl.dense_alpha(model, k)
-        assert dl.dense_alpha(GOLD, 0.0) == 1.0
+        # A(0) = 1, and Re A -> 1 as m -> 0 (the broadening moves it by
+        # (gamma/e_p**2)**2)
+        assert GOLD.static_response == PLASMA.static_response == 1.0
+        for model in (GOLD, PLASMA):
+            assert dl.dense_alpha_retarded(model, 1e-9).real == pytest.approx(
+                1.0, rel=1e-12)
 
     def test_drude_closed_form(self):
-        # e_p^2/(K^2 + e_p^2 + sigma K) by hand at K = 1
-        assert dl.dense_alpha(GOLD, 1.0) == pytest.approx(
-            40.5 / (1.0 + 40.5 + 0.035), rel=1e-14)
+        # e_p^2/(e_p^2 - m^2 + i sigma m) by hand, across the resonance
+        for m in (0.3, EP, 20.0):
+            assert dl.dense_alpha_retarded(GOLD, m) == pytest.approx(
+                EP2 / (EP2 - m * m + 0.035j * m), rel=1e-14)
 
     def test_plasma_oscillator_form(self):
         # plasma response equals a single oscillator at the surface
-        # resonance: A = e_p^2/(K^2 + e_p^2)
-        for k in (0.1, 1.0, 7.0):
-            assert dl.dense_alpha(PLASMA, k) == pytest.approx(
-                EP2 / (k * k + EP2), rel=1e-14)
+        # resonance, broadened by gamma = 1e-6 e_p:
+        # A = e_p^2/(e_p^2 - m^2 + i gamma)
+        for m in (0.1, 1.0, 7.0):
+            assert dl.dense_alpha_retarded(PLASMA, m) == pytest.approx(
+                EP2 / (EP2 - m * m + 1e-6j * EP), rel=1e-14)
 
     def test_matches_eps_route(self):
         for m in (0.2, 1.0, 6.0):
@@ -60,27 +69,21 @@ class TestReflectionAndDenseAlpha:
                 (eps - 1.0) / (eps + 1.0), rel=1e-12)
 
     def test_drude_zero_damping_equals_plasma(self):
-        # A from the collisionless permittivity eps = 1 + (hbar*omega_p/K)**2
-        for k in (0.3, 1.0, 5.0, 40.0):
-            eps = 1.0 + (9.0 / k) ** 2
-            assert dl.dense_alpha(PLASMA, k) == pytest.approx(
-                (eps - 1.0) / (eps + 1.0), rel=1e-14)
-        assert dl.dense_alpha(PLASMA, 1.0) == pytest.approx(EP2 / 41.5,
-                                                            rel=1e-14)
-
-    def test_even_in_k(self):
-        rng = np.random.default_rng(5)
-        for k in rng.uniform(0.01, 30.0, 50):
-            for model in (GOLD, PLASMA, dl.Vacuum()):
-                assert dl.dense_alpha(model, k) == dl.dense_alpha(model, -k)
+        # Re A from the collisionless permittivity eps = 1 - (hbar*omega_p/m)**2;
+        # the broadening moves it by (gamma/(e_p**2 - m**2))**2
+        for m in (0.3, 1.0, 5.0, 40.0):
+            eps = 1.0 - (9.0 / m) ** 2
+            assert dl.dense_alpha_retarded(PLASMA, m).real == pytest.approx(
+                (eps - 1.0) / (eps + 1.0), rel=1e-12)
 
     def test_drude_to_plasma_continuity(self):
-        # pointwise convergence, error linear in the damping
-        for k in (0.5, 2.0, 11.0):
-            vals = [dl.dense_alpha(dl.Drude(9.0, damp), k)
+        # pointwise convergence to the collisionless e_p^2/(e_p^2 - m^2),
+        # error linear in the damping
+        for m in (0.5, 2.0, 11.0):
+            vals = [dl.dense_alpha_retarded(dl.Drude(9.0, damp), m)
                     for damp in (1e-2, 1e-4, 1e-6)]
-            target = dl.dense_alpha(PLASMA, k)
-            errs = [abs(v - target) / target for v in vals]
+            target = EP2 / (EP2 - m * m)
+            errs = [abs(v - target) / abs(target) for v in vals]
             assert errs[2] < errs[1] < errs[0]
             assert errs[1] == pytest.approx(1e-2 * errs[0], rel=0.05)
             assert errs[2] < 5e-6
@@ -220,20 +223,7 @@ class TestSpectralDensity:
                                       spec=QuadratureSpec(1e-12, 1e-10),
                                       split_points=[EP])
         assert res.converged
-        assert res.value == pytest.approx(dl.dense_alpha(GOLD, 0.0), rel=1e-6)
-
-    def test_spectral_reconstruction(self):
-        # A(K) = integral of value(m) * 2m / (K^2 + m^2) dm at several K
-        sd = dl.spectral_density(GOLD)
-        for k in (0.1 * EP, EP, 10.0 * EP):
-            def integrand(m, _k=k):
-                m = np.asarray(m, dtype=float)
-                return sd.value(m) * 2.0 * m / (_k * _k + m * m)
-
-            res = integrate_semi_infinite(integrand, decay_scale=EP,
-                                          spec=QuadratureSpec(1e-12, 1e-10),
-                                          split_points=[EP])
-            assert res.value == pytest.approx(dl.dense_alpha(GOLD, k), rel=1e-7)
+        assert res.value == pytest.approx(GOLD.static_response, rel=1e-6)
 
     def test_surface_plasmon_frequency(self):
         assert dl.surface_plasmon_frequency(PLASMA) == pytest.approx(
@@ -247,7 +237,7 @@ class TestSpectralDensity:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(UnsupportedModelError, match="unknown model"):
-            dl.dense_alpha(object(), 1.0)
+            dl.dense_alpha_retarded(object(), 1.0)
         with pytest.raises(UnsupportedModelError, match="unknown model"):
             dl.spectral_density(object())
 
@@ -277,13 +267,10 @@ class TestTabulated:
 
     def test_reconstruction_matches_drude(self):
         # table sampled from the closed-form spectrum must reproduce the
-        # closed-form response on both axes
+        # closed-form response
         m = np.linspace(1e-4, 400.0, 60000)
         sd = dl.spectral_density(GOLD)
         tab = dl.Tabulated(m, sd.value(m))
-        for k in (0.5, 3.0, 12.0):
-            assert dl.dense_alpha(tab, k) == pytest.approx(
-                dl.dense_alpha(GOLD, k), rel=2e-5)
         a_tab = at_gamma(tab, 2.0, 1e-4)[0]
         a_ref = at_gamma(GOLD, 2.0, 1e-4)[0]
         assert a_tab.real == pytest.approx(a_ref.real, rel=1e-4)
@@ -306,7 +293,7 @@ class TestTabulated:
         def results():
             return (dl.spectral_density(model).value(grid),
                     dl.dense_alpha_retarded(model, grid),
-                    dl.dense_alpha(model, grid))
+                    model.static_response)
 
         before = results()
         m[1:3] = [0.1, 0.2]
@@ -605,9 +592,6 @@ class TestSurfaceResponse:
         def retarded(m, gamma):
             return mpmath.mpc(-mpmath.mpf(m) ** 2, gamma)
 
-        for k in (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
-            ref = oracle(mpmath.mpf(k) ** 2).real
-            assert abs(dl.dense_alpha(TABLE, k) - ref) <= 1e-12 * abs(ref)
         for gamma in (1e-3, 0.1):
             for m in (0.05, 1.5, 3.99, 4.0, 6.0, 40.0):
                 ref = oracle(retarded(m, gamma), split=m)
@@ -814,37 +798,42 @@ def test_retarded_response_is_elementwise(model, size):
 
 
 def test_drude_real_axis_form_is_the_complex_form():
-    """On the retarded branch a damped Drude model forms its denominator
-    from real arrays (``dielectric._alpha_retarded``).  Its A equals, bit
-    for bit, this copy of the complex form e_p**2/2 over
-    zeta + e_p**2/2 + sigma*sqrt(zeta) at zeta = -m**2 + 0j: e_p from
-    1e-3 to 1e76 eV, sigma from 1e-9 to 1e76 eV, m log-uniform from
-    1e-200 to 1e200 eV, plus energies within 1e-12 relative of
-    e_p/sqrt(2).  Past m = 1.34e154 eV, where m**2 overflows, both are
-    nan, and ``dense_alpha_retarded`` refuses those energies.  Below
-    m ~ 1.5e-154 eV, m**2 is subnormal and sqrt(m**2) is not m, so a real
-    form with sigma*m in place of sigma*sqrt(m**2) fails here."""
+    """On the retarded branch a Drude model forms its denominator from
+    real arrays (``dielectric._alpha_retarded``).  Its A equals, bit for
+    bit, the tests' complex form (``drude_complex_form``) at
+    zeta = -m**2 + 0j for a damped model, sigma from 1e-9 to 1e76 eV, and
+    at zeta = -m**2 + i*1e-6*e_p for an undamped one: e_p from 1e-3 to
+    1e76 eV, m log-uniform from 1e-200 to 1e200 eV, plus energies within
+    1e-12 relative of e_p/sqrt(2).  Past m = 1.34e154 eV, where m**2
+    overflows, the complex form is nan, as is the damped real form, while
+    the undamped one is -0; ``dense_alpha_retarded`` refuses those
+    energies.  Below m ~ 1.5e-154 eV, m**2 is subnormal and sqrt(m**2) is
+    not m, so a real form with sigma*m in place of sigma*sqrt(m**2) fails
+    here."""
     rng = np.random.default_rng(38)
     subnormal = 0
     for _ in range(200):
         plasma, sigma = 10.0 ** rng.uniform((-3.0, -9.0), 76.0)
-        model = dl.Drude(plasma, sigma)
         m = np.concatenate((10.0 ** rng.uniform(-200.0, 200.0, 100),
                             plasma / math.sqrt(2.0)
                             * (1.0 + rng.uniform(-1e-12, 1e-12, 20))))
-        ep2 = 0.5 * plasma ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            zeta = -m * m + 0j
-            want = ep2 / (zeta + ep2 + sigma * np.sqrt(zeta))
-            got = dl._alpha_retarded(model, m)
         overflow = m > dl._M_MAX
-        assert np.array_equal(np.isnan(got), overflow)
-        assert np.array_equal(np.isnan(want), overflow)
-        assert np.array_equal(got[~overflow].view(np.uint64),
-                              want[~overflow].view(np.uint64))
-        checked = dl.dense_alpha_retarded(model, m[~overflow])
-        assert np.array_equal(checked.view(np.uint64),
-                              want[~overflow].view(np.uint64))
+        line_width = 1e-6 * math.sqrt(0.5 * plasma ** 2)
+        for model, gamma in ((dl.Drude(plasma, sigma), 0.0),
+                             (dl.Drude(plasma, 0.0), line_width)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = drude_complex_form(model, 1j * gamma - m * m)
+                got = dl._alpha_retarded(model, m)
+            assert np.array_equal(np.isnan(want), overflow)
+            if gamma:
+                assert np.all(np.signbit(got[overflow].real) & (got[overflow] == 0.0))
+            else:
+                assert np.array_equal(np.isnan(got), overflow)
+            assert np.array_equal(got[~overflow].view(np.uint64),
+                                  want[~overflow].view(np.uint64))
+            checked = dl.dense_alpha_retarded(model, m[~overflow])
+            assert np.array_equal(checked.view(np.uint64),
+                                  want[~overflow].view(np.uint64))
         inside = m[~overflow]
         subnormal += np.count_nonzero(np.sqrt(inside * inside) != inside)
     assert subnormal > 1000

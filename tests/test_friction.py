@@ -11,8 +11,7 @@ from casfric import friction as fr
 from casfric import geometry as geo
 from casfric import units
 from casfric.dielectric import (Drude, MediumSpec, Tabulated, Vacuum,
-                                dense_alpha, dense_alpha_retarded,
-                                spectral_density)
+                                dense_alpha_retarded, spectral_density)
 from casfric.errors import (DeltaLineError, DomainError, UnsupportedModelError)
 from casfric.polylog import LI4_REL_ERR, li4
 from casfric.quadrature import (IntegralResult, QuadratureSpec,
@@ -43,7 +42,7 @@ def bump_plate(n, centres=(1.2,)):
     m = np.linspace(0.0, 4.0, n)
     v = sum(1.0 / (1.0 + ((m - c) / 0.4) ** 2) for c in centres)
     v[0] = 0.0
-    return Tabulated(m, v * 0.5 / float(dense_alpha(Tabulated(m, v), 0.0)))
+    return Tabulated(m, v * 0.5 / Tabulated(m, v).static_response)
 
 
 def two_bump_plate(n):
@@ -373,7 +372,7 @@ def test_medium_swap_is_exact():
 
     def below_pole(plate):
         return Tabulated(plate.m_ev,
-                         plate.values / (1.1 * dense_alpha(plate, 0.0)))
+                         plate.values / (1.1 * plate.static_response))
 
     for i in range(60):
         t_k, drude = rng.uniform(30.0, 1000.0), next(drude_pairs(rng, 1))[0]
@@ -422,7 +421,7 @@ def low_t_tables(kind):
     for _ in range(4):
         m, v = lorentzian_columns(rng)
         a0 = rng.uniform(0.2, 0.9)
-        tables.append(Tabulated(m, v * a0 / dense_alpha(Tabulated(m, v), 0.0)))
+        tables.append(Tabulated(m, v * a0 / Tabulated(m, v).static_response))
     return tables
 
 
@@ -815,7 +814,7 @@ def kinked_table(a0=None):
     m = np.linspace(0.0, 4.0, 400)
     v = m * np.exp(-(m - 2.0) ** 2 / 0.1)
     if a0 is not None:
-        v *= a0 / dense_alpha(Tabulated(m, v), 0.0)
+        v *= a0 / Tabulated(m, v).static_response
     return Tabulated(m, v)
 
 
@@ -823,14 +822,17 @@ class TestStaticCoupling:
     """``keep`` needs z(0) = A1(0)*A2(0) <= 1: past it the screening has a
     non-integrable pole at u = ln(z(0))/2 and the kernel is infinite."""
 
-    def test_static_alpha_is_dense_alpha_at_zero(self):
-        for model in (GOLD, Drude(3.0, 1e-6), PLASMA, Vacuum(),
-                      bump_plate(24), kinked_table()):
-            assert model.static_response == dense_alpha(model, 0.0)
+    def test_static_response_is_the_sum_rule(self, static_response_oracle):
+        # A(0) = 2 * integral of S/m dm by the test-owned quadrature in ln m,
+        # within its error, floored at 1e-15 as ``overlap_limits`` floors it
+        for model in (GOLD, Drude(4.0, 0.2), bump_plate(24), kinked_table()):
+            value, rel_err = static_response_oracle(model)
+            assert abs(model.static_response - value) \
+                <= max(rel_err, 1e-15) * value, model
 
     def test_kinked_table_against_gold_raises(self):
         table = kinked_table()
-        assert dense_alpha(table, 0.0) == pytest.approx(1.121, abs=5e-4)
+        assert table.static_response == pytest.approx(1.121, abs=5e-4)
         system = fr.PlateSystem(MediumSpec(table), GOLD_MED, 10.0, 100.0,
                                 150.0)
         with pytest.raises(DomainError, match=(
@@ -853,7 +855,7 @@ class TestStaticCoupling:
     def test_z0_of_one_is_allowed(self):
         # S = m/2 on [0, 1] eV: A(0) = 2 * int S/m dm = 1 exactly
         table = Tabulated(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
-        assert dense_alpha(table, 0.0) == 1.0
+        assert table.static_response == 1.0
         res = fr.friction_dense(fr.PlateSystem(
             MediumSpec(table), GOLD_MED, 10.0, 100.0, 150.0), "keep")
         assert math.isfinite(res.force) and res.force > 0.0
@@ -865,8 +867,7 @@ class TestStaticCoupling:
                           np.array([0.0, 1e-3, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a0 = dense_alpha(table, 0.0)
-            assert math.isfinite(a0) and a0 == table.static_response
+            assert math.isfinite(table.static_response)
 
     def test_kinked_half_converges(self):
         res = fr.friction_dense(fr.PlateSystem(

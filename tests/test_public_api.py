@@ -10,9 +10,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
 from casfric import friction, oscillator_stats
+from casfric.dielectric import Drude, MediumSpec, Tabulated
+from casfric.errors import DomainError
+from casfric.quadrature import QuadratureSpec, integrate_finite
 
 SRC = Path(casfric.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -247,3 +253,45 @@ def test_fresh_import_defers_the_validate_modules():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+_GOLD = Drude(9.0, 0.035)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Drude("9", 0.1), "plasma_energy_ev"),
+    (lambda: Drude(9.0, None), "damping_ev"),
+    (lambda: Drude(True, 0.1), "plasma_energy_ev"),
+    (lambda: MediumSpec(_GOLD, "1"), "density_per_nm3"),
+    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), "10",
+                                  1.0, 300.0), "d_nm"),
+    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0,
+                                  1.0, np.array(300.0)), "T_K"),
+    (lambda: friction.friction_hybrid(MediumSpec(_GOLD), _GOLD, "1", 1.0,
+                                      300.0), "z0_nm"),
+    (lambda: Tabulated(["a", "b"], [0, 1]), "m_ev"),
+    (lambda: Tabulated([0, 1j], [0, 1]), "m_ev"),
+    (lambda: Tabulated([0, 1], [[0], [1, 2]]), "values"),
+    (lambda: QuadratureSpec(abs_tol="1e-10"), "abs_tol"),
+    (lambda: QuadratureSpec(max_subdivisions=np.bool_(True)), "max_subdivisions"),
+], ids=["drude-str", "drude-none", "drude-bool", "medium-density",
+        "plate-gap", "plate-array", "hybrid-height", "table-str",
+        "table-complex", "table-ragged", "spec-tol", "spec-numpy-bool"])
+def test_number_fields_raise_typed_errors(make, field):
+    """A field that is not one real number, or a table column that is
+    not real numbers, is a DomainError naming it, not a TypeError or a
+    ValueError from the comparison or conversion that meets it."""
+    with pytest.raises(DomainError, match=field):
+        make()
+
+
+def test_number_fields_keep_their_bits():
+    # fields are checked, not converted: numpy scalars stay as given, and
+    # a numpy integer budget spends as the int does
+    plasma, damping, budget = np.float64(9.0), np.int64(0), np.int64(3)
+    model = Drude(plasma, damping)
+    assert model.plasma_energy_ev is plasma and model.damping_ev is damping
+    spec = QuadratureSpec(max_subdivisions=budget)
+    assert spec.max_subdivisions is budget
+    assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
+        np.sqrt, 0.0, 1.0, QuadratureSpec(max_subdivisions=3))

@@ -392,6 +392,21 @@ class TestLockstep:
                            [(0.0, 1.0, ()), bad])
         assert calls == []
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (-math.inf, math.inf)],
+                             ids=["to-inf", "from-minus-inf", "both"])
+    def test_infinite_end_raises_before_any_call(self, a, b):
+        # these gave IntegralResult(nan, nan, 15, False) with a
+        # RuntimeWarning: the panel midpoint of an infinite end is not finite
+        calls = []
+        with pytest.raises(DomainError, match=r"require finite ends.*"
+                           r"integrate_semi_infinite"):
+            integrate_finite(lambda x: calls.append(x) or np.exp(-x), a, b)
+        with pytest.raises(DomainError, match="integrate_semi_infinite"):
+            integrate_many(lambda x, job: calls.append(x) or x,
+                           [(0.0, 1.0, ()), (a, b, ())])
+        assert calls == []
+
     def test_no_jobs(self):
         assert integrate_many(lambda x, job: x, []) == []
 
