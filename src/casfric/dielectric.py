@@ -54,9 +54,11 @@ class Drude:
     def __post_init__(self):
         _real("plasma_energy_ev", self.plasma_energy_ev)
         _real("damping_ev", self.damping_ev)
-        if not 0.0 < self.plasma_energy_ev <= _M_FAR:
+        # the bounds compare with the fields as Python floats: 1e76 does
+        # not fit a float32 or float16 field
+        if not 0.0 < float(self.plasma_energy_ev) <= _M_FAR:
             raise DomainError(f"plasma_energy_ev must be finite and in (0, {_M_FAR:g}] eV")
-        if not 0.0 <= self.damping_ev <= _M_FAR:
+        if not 0.0 <= float(self.damping_ev) <= _M_FAR:
             raise DomainError(f"damping_ev must be finite and in [0, {_M_FAR:g}] eV")
 
 
@@ -220,17 +222,17 @@ def _read_rows(path, lines) -> tuple:
 
 
 def _ep2(model) -> float:
-    """Squared surface-oscillator energy e_p**2 = (hbar*omega_p)**2 / 2."""
-    return 0.5 * model.plasma_energy_ev ** 2
+    """Squared surface-oscillator energy e_p**2 = (hbar*omega_p)**2 / 2,
+    in double precision whatever float type the field holds."""
+    return 0.5 * float(model.plasma_energy_ev) ** 2
 
 
 def _drude_constants(model: Drude) -> tuple:
     """e_p**2, the damping and (e_p**2/pi) * damping as 0-d arrays: numpy
     converts a Python float operand anew on every ufunc call, and an
     array once made it takes as it is."""
-    ep2 = _ep2(model)
-    return tuple(map(np.array, (ep2, model.damping_ev,
-                                (ep2 / math.pi) * model.damping_ev)))
+    ep2, sigma = _ep2(model), float(model.damping_ev)
+    return tuple(map(np.array, (ep2, sigma, (ep2 / math.pi) * sigma)))
 
 
 # Most (energy, column) pairs the tabulated kernel holds in one numpy block:
@@ -601,4 +603,4 @@ def surface_plasmon_frequency(model: PermittivityModel) -> float:
         raise UnsupportedModelError(
             "surface_plasmon_frequency is defined for an undamped Drude "
             f"model, got {model!r}")
-    return model.plasma_energy_ev / math.sqrt(2.0)
+    return float(model.plasma_energy_ev) / math.sqrt(2.0)

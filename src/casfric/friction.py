@@ -61,7 +61,7 @@ import numpy as np
 
 from . import geometry, units
 from .dielectric import (Drude, MediumSpec, PermittivityModel, SpectralDensity,
-                         _alpha_retarded, _retarded_energies,
+                         _alpha_retarded, _ep2, _retarded_energies,
                          dense_alpha_retarded, spectral_density)
 from .errors import DomainError, UnsupportedModelError
 from .polylog import LI4_REL_ERR, _li4, li4
@@ -497,8 +497,7 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
     if (m1.plasma_energy_ev, m1.damping_ev) != (m2.plasma_energy_ev, m2.damping_ev):
         raise UnsupportedModelError("closed form requires identical media")
 
-    ep2 = 0.5 * m1.plasma_energy_ev ** 2
-    sigma = m1.damping_ev
+    ep2, sigma = _ep2(m1), float(m1.damping_ev)
     kt = units.thermal_energy(system.T_K)
     h0 = units._formed("the closed-form H0", lambda: (2.0 * math.pi / 3.0)
                        * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2)

@@ -10,7 +10,8 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from casfric import units
 from casfric.dielectric import Drude, spectral_density
-from casfric.quadrature import QuadratureSpec, integrate_finite
+from casfric.quadrature import (IntegralResult, QuadratureSpec,
+                                integrate_finite)
 
 # numpy's x86-64 dispatch levels, highest first.
 _X86_LEVELS = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3", "X86_V2")
@@ -100,51 +101,71 @@ def _keep_low_t(kt, models, statics):
     return float(ratio), float(term)
 
 
-def _features(models):
-    """Nodes of every table and the ladder e_sp + k*gamma, k = 0, +-1,
-    +-3, of every Drude model: the points a tight quadrature splits at."""
-    nodes = []
-    for model in models:
-        if isinstance(model, Drude):
-            e, gamma = spectral_density(model).peak_hint, model.damping_ev
-            nodes += [e + k * gamma for k in (-3, -1, 0, 1, 3)]
-        else:
-            nodes += model.m_ev.tolist()
-    return [x for x in nodes if x > 0.0]
-
-
-def _ln_m_quadrature(f, models, extra_splits=()):
-    """Integral of f(m) dm over the common support of ``models`` as one
-    integral in t = ln(m/hi), at QuadratureSpec(1e-300, 1e-13), split at their
-    features and ``extra_splits``, with its relative error.  It runs to
-    the lowest table top, or to 1e8 of the highest feature, past which a
-    Drude integrand falls as m**-7 or faster; and from the highest first
-    table node, or, where every density starts at m = 0, from lo = 1e-6
-    of the lowest split, where f is constant to O(lo**2) (a table is
-    linear on its first segment), so [0, lo] adds lo*f(lo)."""
-    features = _features(models)
-    nodes = features + list(extra_splits)
+def _split_quadrature(f, models, kt=None, spec=None, extra_splits=()):
+    """Integral of f(m) dm by ``integrate_finite`` in m, at ``spec`` or
+    else QuadratureSpec(1e-300, 1e-13, 100_000), over the common support
+    of Drude or tabulated ``models``: from the highest first table node
+    (or 0) to the lowest table top (or 1e8 of the highest Drude line,
+    past which a Drude integrand falls as m**-4 or faster).  As QUADPACK's
+    QAGP takes break points, it splits at every table node, at e_sp +-
+    10^k * gamma, k = 0..6, of each Drude line, e_sp = e_p/sqrt(2), at
+    k_B*T * 2^k, k = -2..6, at ``extra_splits``, and at every power of ten
+    from the lower end (or the lowest of those points) to the upper.  It
+    integrates f over its largest magnitude on those points, so that
+    abs_tol reads in units of that peak, as in the route, and asserts
+    that it converged: every check needs a converged oracle."""
+    lines = [(model.plasma_energy_ev / math.sqrt(2.0), model.damping_ev)
+             for model in models if isinstance(model, Drude)]
     tables = [model for model in models if not isinstance(model, Drude)]
-    start = max([float(t.m_ev[0]) for t in tables] + [0.0])
-    lo = start or 1e-6 * min(nodes)
-    hi = min([float(t.m_ev[-1]) for t in tables] or [1e8 * max(features)])
-    # t = ln(m/hi) stays small, so the rounding of a node in t moves m by
-    # a few ulp only
-    splits = [math.log(x / hi) for x in nodes if lo < x < hi]
-    res = integrate_finite(lambda t: f(hi * np.exp(t)) * hi * np.exp(t),
-                           math.log(lo / hi), 0.0,
-                           QuadratureSpec(1e-300, 1e-13, 100_000),
-                           split_points=splits)
-    assert res.converged
-    value = res.value + (0.0 if start else lo * float(f(np.array([lo]))[0]))
-    return value, res.error_estimate / value
+    lo = max([float(t.m_ev[0]) for t in tables] + [0.0])
+    hi = min([float(t.m_ev[-1]) for t in tables]
+             or [1e8 * max(e for e, _ in lines)])
+    points = [x for t in tables for x in t.m_ev.tolist()]
+    points += [e + sign * 10.0 ** k * gamma for e, gamma in lines
+               for k in range(7) for sign in (-1.0, 1.0)]
+    points += [kt * 2.0 ** k for k in range(-2, 7)] if kt else []
+    points = [x for x in (*points, *extra_splits) if lo < x < hi]
+    low = lo or min(points, default=hi)
+    points += [10.0 ** k for k in range(math.floor(math.log10(low)),
+                                         math.ceil(math.log10(hi)))
+               if lo < 10.0 ** k < hi]
+    scale = float(np.max(np.abs(f(np.array(points))), initial=0.0)) or 1.0
+    res = integrate_finite(lambda m: f(m) / scale, lo, hi,
+                           spec or QuadratureSpec(1e-300, 1e-13, 100_000),
+                           split_points=points)
+    assert res.converged, res
+    return IntegralResult(res.value * scale, res.error_estimate * scale,
+                          res.evaluations, res.converged)
+
+
+def _overlap_h0(t_k, model1, model2, spec=None, factor=None,
+                extra_splits=()):
+    """H0 = (pi*beta*hbar/2) * integral of S1 S2 factor/sinh(beta*m/2)**2
+    dm of two Drude or tabulated media (factor 1 where None), as 2 pi hbar
+    k_B T * integral of S1/m * S2/m * factor * (x/sinh x)**2 dm,
+    x = m/(2 k_B T), a weight in [0, 1] at every T, by
+    ``_split_quadrature`` -> an ``IntegralResult``."""
+    kt = units.thermal_energy(t_k)
+    pref = 2.0 * math.pi * units.HBAR_JS * kt
+    d1, d2 = spectral_density(model1), spectral_density(model2)
+
+    def integrand(m):
+        # (x/sinh x)**2 as (2x e^-x/(1 - e^-2x))**2, exact as x -> 0
+        x = 0.5 * m / kt
+        out = pref * d1.value(m) / m * (d2.value(m) / m) \
+            * (2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x)) ** 2
+        return out if factor is None else out * factor(m)
+
+    return _split_quadrature(integrand, (model1, model2), kt, spec,
+                             extra_splits)
 
 
 def _static_response(model):
     """A(0) = 2 * integral of S/m dm of a damped Drude model or a table,
-    by ``_ln_m_quadrature``, with its relative error."""
+    by ``_split_quadrature``, with its relative error."""
     density = spectral_density(model)
-    return _ln_m_quadrature(lambda m: 2.0 * density.value(m) / m, (model,))
+    res = _split_quadrature(lambda m: 2.0 * density.value(m) / m, (model,))
+    return res.value, res.error_estimate / res.value
 
 
 class OverlapLimits(NamedTuple):
@@ -162,12 +183,10 @@ class OverlapLimits(NamedTuple):
 
 
 def _overlap_limits(t_k, model1, model2):
-    """H0 = (pi*beta*hbar/2) * integral of S1 S2/sinh(beta*m/2)**2 dm of
-    two Drude or tabulated media, and its limits, with S = s*m + t*m**3
-    + ... near m = 0 and A(0) = 2 * integral of S/m dm:
+    """The overlap H0 of two Drude or tabulated media and its limits, with
+    S = s*m + t*m**3 + ... near m = 0 and A(0) = 2 * integral of S/m dm:
 
-    * exact: 2 pi hbar k_B T * integral of S1 S2/m**2 * (x/sinh x)**2 dm,
-      x = m/(2 k_B T), the same integral with the weight in [0, 1];
+    * exact: H0 itself, ``_overlap_h0``;
     * low_t: drop as T -> 0, (2 pi**3/3) hbar (k_B T)**2 s1 s2
       (1 + (4 pi**2/5) (k_B T)**2 (t1/s1 + t2/s2));
     * keep_ratio: keep/drop as T -> 0, Li3(z0)/z0 at z0 = A1(0)*A2(0),
@@ -180,23 +199,15 @@ def _overlap_limits(t_k, model1, model2):
     * small_support: model1's support far below k_B T, where model2 is
       linear: pi hbar k_B T S2'(0) A1(0).
 
-    The integrals are tight test-owned quadratures in ln m
-    (``_ln_m_quadrature``); rel_err bounds the relative error of each."""
+    The integrals run through ``_split_quadrature``; rel_err bounds the
+    relative error of each."""
     kt = units.thermal_energy(t_k)
     pref = 2.0 * math.pi * units.HBAR_JS * kt
     d1, d2 = spectral_density(model1), spectral_density(model2)
-
-    def weight(m):
-        # (x/sinh x)**2 as (2x e^-x/(1 - e^-2x))**2, exact as x -> 0
-        x = 0.5 * m / kt
-        return (2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x)) ** 2
-
     pair = (model1, model2)
-    exact, exact_err = _ln_m_quadrature(
-        lambda m: d1.value(m) / m * (d2.value(m) / m) * weight(m), pair,
-        [kt * 2.0 ** k for k in range(-2, 7)])
-    classical, classical_err = _ln_m_quadrature(
-        lambda m: d1.value(m) / m * (d2.value(m) / m), pair)
+    exact = _overlap_h0(t_k, model1, model2)
+    classical = _split_quadrature(
+        lambda m: pref * d1.value(m) / m * (d2.value(m) / m), pair)
     (a1, a1_err), (a2, a2_err) = (
         (1.0, 0.0) if isinstance(model, Drude) else _static_response(model)
         for model in pair)
@@ -205,9 +216,11 @@ def _overlap_limits(t_k, model1, model2):
         * (1.0 + 0.8 * math.pi ** 2 * kt * kt * (t1 / s1 + t2 / s2)) \
         if s1 and s2 else 0.0
     keep_ratio, keep_next = _keep_low_t(kt, pair, (a1, a2))
-    return OverlapLimits(pref * exact, low_t, keep_ratio, keep_next,
-                         pref * classical, 0.5 * pref * s2 * a1,
-                         max(exact_err, classical_err, a1_err, 1e-15),
+    return OverlapLimits(exact.value, low_t, keep_ratio, keep_next,
+                         classical.value, 0.5 * pref * s2 * a1,
+                         max(exact.error_estimate / exact.value,
+                             classical.error_estimate / classical.value,
+                             a1_err, 1e-15),
                          max(a1_err, a2_err, 1e-15))
 
 
@@ -215,6 +228,12 @@ def _overlap_limits(t_k, model1, model2):
 def overlap_limits():
     """``_overlap_limits``: the test-owned oracle of the overlap H0."""
     return _overlap_limits
+
+
+@pytest.fixture(scope="session")
+def overlap_h0():
+    """``_overlap_h0``: the test-owned oracle of the overlap H0."""
+    return _overlap_h0
 
 
 @pytest.fixture(scope="session")

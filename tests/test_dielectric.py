@@ -8,7 +8,6 @@ import pytest
 
 from casfric import dielectric as dl
 from casfric.errors import DeltaLineError, DomainError, UnsupportedModelError
-from casfric.quadrature import QuadratureSpec, integrate_semi_infinite
 
 GOLD = dl.Drude(plasma_energy_ev=9.0, damping_ev=0.035)
 EP = math.sqrt(0.5) * 9.0  # surface resonance energy, e_p = 6.3640 eV
@@ -211,19 +210,11 @@ class TestSpectralDensity:
         with pytest.raises(DeltaLineError, match=r"line at 2\.12132 eV"):
             dl.spectral_density(dl.Drude(3.0, 0.0))
 
-    def test_sum_rule(self):
-        # integral of value(m)/m^2 over d(m^2) equals the static response
-        sd = dl.spectral_density(GOLD)
-
-        def integrand(m):
-            m = np.asarray(m, dtype=float)
-            return 2.0 * sd.value(m) / np.maximum(m, 1e-300)
-
-        res = integrate_semi_infinite(integrand, decay_scale=EP,
-                                      spec=QuadratureSpec(1e-12, 1e-10),
-                                      split_points=[EP])
-        assert res.converged
-        assert res.value == pytest.approx(GOLD.static_response, rel=1e-6)
+    def test_sum_rule(self, static_response_oracle):
+        # integral of value(m)/m^2 over d(m^2), by the tests' converged
+        # split quadrature, equals the static response
+        value, _ = static_response_oracle(GOLD)
+        assert value == pytest.approx(GOLD.static_response, rel=1e-6)
 
     def test_surface_plasmon_frequency(self):
         assert dl.surface_plasmon_frequency(PLASMA) == pytest.approx(

@@ -73,86 +73,27 @@ def mode_factor(model1, model2, u):
     return factor
 
 
-def nested_keep_h0(model1, model2, t_k):
+def nested_keep_h0(overlap_h0, model1, model2, t_k):
     """Oracle of the screened kernel: the transverse-mode integral
     (8/3) * int u^3 e^{-2u} H0(u) du done numerically over the
-    mode-resolved kernel H0(u), the overlap times ``mode_factor``, inner
-    rel_tol 1e-9 and outer 1e-7."""
-    s1, s2 = spectral_density(model1), spectral_density(model2)
-    scale = probe_then_integrate(s1, s2, t_k).value
+    mode-resolved kernel H0(u), the ``overlap_h0`` oracle times
+    ``mode_factor``, inner rel_tol 1e-9 and outer 1e-7."""
+    scale = overlap_h0(t_k, model1, model2).value
     inner_spec = QuadratureSpec(rel_tol=1e-9)
-    inner_converged = []
 
     def outer(u_vals):
         out = np.empty(len(u_vals))
         for i, u in enumerate(u_vals):
-            inner = probe_then_integrate(s1, s2, t_k, inner_spec,
-                                         mode_factor(model1, model2, u))
-            inner_converged.append(inner.converged)
+            inner = overlap_h0(t_k, model1, model2, inner_spec,
+                               mode_factor(model1, model2, u))
             out[i] = (8.0 / 3.0) * u ** 3 * math.exp(-2.0 * u) \
                 * inner.value / scale
         return out
 
     res = integrate_semi_infinite(outer, decay_scale=0.5,
                                   spec=QuadratureSpec(rel_tol=1e-7))
-    assert res.converged and all(inner_converged)
+    assert res.converged
     return res.value * scale
-
-
-# The probe of ``probe_then_integrate``: a geometric sweep of 97 points
-# from 1e-9 to 1 of the cap, the tail-bound point just past the cap, and
-# octave split points across the thermal window in units of k_B*T.
-PROBE_UNIT = np.geomspace(1e-9, 1.0, 97)
-PAST_CAP = 1.0 + 1e-9
-OCTAVES = tuple(2.0 ** k for k in range(-1, 6))
-
-
-def probe_then_integrate(s1, s2, temperature_k, spec=None, extra_factor=None,
-                         extra_hints=()):
-    """Independent oracle of the overlap integral, built to bracket
-    narrow lines: the integrand, factor included, on its own probe grid
-    in one call, then the adaptive rule on panels built around that
-    probed peak, the factor evaluated anew on every pass, and the tail
-    bound.  ``extra_hints`` add split points to the two densities' peaks,
-    as the line-bracketing oracles below pass them.  It is no replica of
-    ``h0_overlap``, which probes the bare product and takes its scale and
-    tail value from the nodes of its first pass, factor or no factor: the
-    two agree to rounding, not bit for bit."""
-    if spec is None:
-        spec = QuadratureSpec()
-    beta = units.beta(temperature_k)
-    window = 40.0 / beta
-    hints = [h for h in (s1.peak_hint, s2.peak_hint, *extra_hints) if h > 0.0]
-    m_cap = min(max(window, 10.0 * s1.peak_hint, 10.0 * s2.peak_hint),
-                s1.support_max, s2.support_max)
-    pref = 0.5 * math.pi * beta * units.HBAR_JS
-    half_beta = 0.5 * beta
-
-    def integrand(m):
-        # 1/sinh(x)**2 with x clipped below sinh's overflow, where the
-        # weight has long underflowed to 0
-        csch2 = np.sinh(np.minimum(half_beta * m, 700.0)) ** -2.0
-        out = pref * s1.value(m) * s2.value(m) * csch2
-        return out if extra_factor is None else out * extra_factor(m)
-
-    grid = sorted([*(m_cap * PROBE_UNIT),
-                   *(k / beta for k in range(1, 9) if k / beta < m_cap),
-                   *(h for h in hints if h < m_cap)])
-    vals = integrand(np.array(grid + [m_cap * PAST_CAP]))
-    peak = int(np.argmax(np.abs(vals[:-1])))
-    scale = float(abs(vals[peak]))
-    assert 0.0 < scale < math.inf
-    m_star = grid[peak]
-    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
-              *(octave / beta for octave in OCTAVES)]
-    res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
-                           split_points=splits)
-    tail_bound = abs(float(vals[-1]) / scale) / beta * 2.0
-    return IntegralResult(
-        res.value * scale, (res.error_estimate + tail_bound) * scale,
-        res.evaluations + len(vals),
-        res.converged and (res.value == 0.0
-                           or tail_bound <= spec.target(res.value)))
 
 
 class TestClosedForm:
@@ -550,6 +491,10 @@ class TestDenseRoute:
         with pytest.raises(DomainError):
             fr.friction_dense(gold_system(), "both")
 
+    def test_unknown_route_rejected(self):
+        with pytest.raises(DomainError, match=r"^unknown route 'bogus'$"):
+            fr.h0_integrand("bogus", gold_system(), "drop", np.array([1.0]))
+
     def test_system_validation(self):
         with pytest.raises(DomainError):
             fr.PlateSystem(GOLD_MED, GOLD_MED, 0.0, 100.0, 300.0)
@@ -585,31 +530,21 @@ class TestDenseRoute:
 class TestNarrowLine:
     """A nearly undamped Drude pair at 3000 K, 10 nm, 100 m/s, ``drop``:
     the surface-plasmon line at e_sp = 3/sqrt(2) eV is 1e-6 eV wide, far
-    narrower than any panel the probe builds.  The oracle splits the
-    overlap integral at e_sp +- 10^k * gamma, k = 0..4."""
+    narrower than any panel the probe builds.  The oracle, ``overlap_h0``,
+    splits the overlap integral at e_sp +- 10^k * gamma, k = 0..6."""
 
     MEDIUM = Drude(3.0, 1e-6)
 
-    def system(self):
-        med = MediumSpec(self.MEDIUM)
-        return fr.PlateSystem(med, med, 10.0, 100.0, 3000.0)
-
-    def oracle(self, spec=None):
-        """(force, its claimed absolute error) of G*v*H0 with the line
-        bracketed."""
-        e_sp = self.MEDIUM.plasma_energy_ev / math.sqrt(2.0)
-        gamma = self.MEDIUM.damping_ev
-        s = spectral_density(self.MEDIUM)
-        h0 = probe_then_integrate(s, s, 3000.0, spec, extra_hints=[
-            e_sp + sign * 10.0 ** k * gamma for k in range(5)
-            for sign in (-1.0, 1.0)])
-        assert h0.converged
+    def oracle(self, overlap_h0, spec=QuadratureSpec()):
+        """(force, its claimed absolute error) of G*v*H0, line bracketed."""
+        h0 = overlap_h0(3000.0, self.MEDIUM, self.MEDIUM, spec)
         g = geo.g_two_planes(fr._DENSE_DENSITY, fr._DENSE_DENSITY, 1e-8)
         return g * 100.0 * h0.value, g * 100.0 * h0.error_estimate
 
-    def test_oracle(self):
-        force, err = self.oracle()
-        tight, tight_err = self.oracle(QuadratureSpec(1e-300, 1e-11))
+    def test_oracle(self, overlap_h0):
+        force, err = self.oracle(overlap_h0)
+        tight, tight_err = self.oracle(overlap_h0,
+                                       QuadratureSpec(1e-300, 1e-11))
         assert force == pytest.approx(74.84484, rel=1e-6)
         assert abs(force - tight) <= err + tight_err
 
@@ -619,9 +554,10 @@ class TestNarrowLine:
         "claimed 9.7e-11; the oracle: 74.84484 Pa"))
     @pytest.mark.parametrize("spec", [None, QuadratureSpec(1e-300, 1e-10)],
                              ids=["default", "tight"])
-    def test_converged_result_is_honest(self, spec):
-        force, err = self.oracle()
-        res = fr.friction_dense(self.system(), "drop", spec)
+    def test_converged_result_is_honest(self, overlap_h0, spec):
+        force, err = self.oracle(overlap_h0)
+        res = fr.friction_dense(_plates(self.MEDIUM, self.MEDIUM, 3000.0),
+                                "drop", spec)
         if res.converged:
             assert abs(res.force - force) \
                 <= res.quadrature_error * force + err
@@ -630,31 +566,25 @@ class TestNarrowLine:
 class TestNarrowCoupledLine:
     """The mode-resolved kernel ``h0_dense_at_u`` with ``keep`` against an
     oracle split around every line of the screened product: the surface
-    plasmon e_sp and the coupled modes e_sp*sqrt(1 -+ e^{-u}), each
-    bracketed at +- 10^k * gamma, k = 0..5."""
-
-    @staticmethod
-    def oracle(model, t_k, u):
-        e_sp = model.plasma_energy_ev / math.sqrt(2.0)
-        centres = [e_sp * math.sqrt(1.0 + sign * math.exp(-u))
-                   for sign in (-1.0, 0.0, 1.0)]
-        s = spectral_density(model)
-        h0 = probe_then_integrate(
-            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000),
-            mode_factor(model, model, u), [
-                c + sign * 10.0 ** k * model.damping_ev
-                for c in centres for k in range(6) for sign in (-1.0, 1.0)])
-        assert h0.converged
-        return h0
+    plasmon e_sp, which ``overlap_h0`` brackets at +- 10^k * gamma,
+    k = 0..6, and the coupled modes e_sp*sqrt(1 -+ e^{-u}), each bracketed
+    at +- 10^k * gamma, k = 0..5."""
 
     @pytest.mark.parametrize("model,t_k,u", [
         (Drude(3.0, 1e-6), 1000.0, 2.0),
         (Drude(3.0, 1e-6), 3000.0, 2.0),
         (GOLD, 300.0, 0.3),
     ], ids=["narrow-1000K", "narrow-3000K", "gold"])
-    def test_claimed_error_is_honest(self, model, t_k, u):
+    def test_claimed_error_is_honest(self, overlap_h0, model, t_k, u):
         h0 = fr.h0_dense_at_u(model, model, t_k, u, "keep")
-        oracle = self.oracle(model, t_k, u)
+        e_sp = model.plasma_energy_ev / math.sqrt(2.0)
+        centres = [e_sp * math.sqrt(1.0 + sign * math.exp(-u))
+                   for sign in (-1.0, 1.0)]
+        oracle = overlap_h0(
+            t_k, model, model, QuadratureSpec(1e-300, 1e-11, 200_000),
+            mode_factor(model, model, u), [
+                c + sign * 10.0 ** k * model.damping_ev
+                for c in centres for k in range(6) for sign in (-1.0, 1.0)])
         assert h0.converged
         assert abs(h0.value - oracle.value) \
             <= h0.error_estimate + oracle.error_estimate
@@ -662,35 +592,24 @@ class TestNarrowCoupledLine:
 
 class TestNarrowScreenedLine:
     """The screened force of a nearly undamped Drude pair (``keep``, 10 nm,
-    100 m/s) against an oracle with the screening factor, split around
-    the surface plasmon e_p/sqrt(2) and the plasma energy e_p, each
-    bracketed at +- 10^k * gamma, k = 0..5."""
+    100 m/s) against ``overlap_h0`` with the screening factor, split around
+    the surface plasmon e_p/sqrt(2), bracketed at +- 10^k * gamma,
+    k = 0..6, and the plasma energy e_p, bracketed at k = 0..5."""
 
-    MEDIUM = Drude(3.0, 1e-6)
-
-    def oracle(self, t_k):
-        model = self.MEDIUM
-        s = spectral_density(model)
+    @pytest.mark.parametrize("t_k", [1000.0, 3000.0], ids=["1000K", "3000K"])
+    def test_converged_result_is_honest(self, overlap_h0, t_k):
+        model = Drude(3.0, 1e-6)
+        res = fr.friction_dense(_plates(model, model, t_k), "keep")
 
         def screening(m):
             return fr._screening_factor(dense_alpha_retarded(model, m)
                                         * dense_alpha_retarded(model, m))
 
-        h0 = probe_then_integrate(
-            s, s, t_k, QuadratureSpec(1e-300, 1e-11, 200_000), screening, [
-                c + sign * 10.0 ** k * model.damping_ev
-                for c in (model.plasma_energy_ev / math.sqrt(2.0),
-                          model.plasma_energy_ev)
-                for k in range(6) for sign in (-1.0, 1.0)])
-        assert h0.converged
-        return h0
-
-    @pytest.mark.parametrize("t_k", [1000.0, 3000.0], ids=["1000K", "3000K"])
-    def test_converged_result_is_honest(self, t_k):
-        med = MediumSpec(self.MEDIUM)
-        res = fr.friction_dense(fr.PlateSystem(med, med, 10.0, 100.0, t_k),
-                                "keep")
-        oracle = self.oracle(t_k)
+        oracle = overlap_h0(
+            t_k, model, model, QuadratureSpec(1e-300, 1e-11, 200_000),
+            screening, [model.plasma_energy_ev + sign * 10.0 ** k
+                        * model.damping_ev
+                        for k in range(6) for sign in (-1.0, 1.0)])
         assert res.converged
         assert abs(res.h0 - oracle.value) \
             <= res.quadrature_error * res.h0 + oracle.error_estimate
@@ -701,7 +620,7 @@ class TestScreenedClosedForm:
     Im Li4(z)/Im z against the nested u-integral and its own limits."""
 
     @pytest.mark.parametrize("case", ["gold", "mixed-drude", "tabulated"])
-    def test_keep_matches_nested_oracle(self, case):
+    def test_keep_matches_nested_oracle(self, overlap_h0, case):
         model1, model2, t_k = {
             "gold": (GOLD, GOLD, 300.0),
             "mixed-drude": (GOLD, Drude(5.0, 0.1), 300.0),
@@ -710,7 +629,8 @@ class TestScreenedClosedForm:
         keep = fr.friction_dense(fr.PlateSystem(
             MediumSpec(model1), MediumSpec(model2), 10.0, 100.0, t_k), "keep")
         assert keep.converged
-        assert keep.h0 == pytest.approx(nested_keep_h0(model1, model2, t_k),
+        assert keep.h0 == pytest.approx(nested_keep_h0(overlap_h0, model1, model2,
+                                                       t_k),
                                         rel=1e-8)
 
     def test_evaluation_counts(self):
@@ -823,9 +743,13 @@ class TestStaticCoupling:
     non-integrable pole at u = ln(z(0))/2 and the kernel is infinite."""
 
     def test_static_response_is_the_sum_rule(self, static_response_oracle):
-        # A(0) = 2 * integral of S/m dm by the test-owned quadrature in ln m,
-        # within its error, floored at 1e-15 as ``overlap_limits`` floors it
-        for model in (GOLD, Drude(4.0, 0.2), bump_plate(24), kinked_table()):
+        # A(0) = 2 * integral of S/m dm by the test-owned split quadrature,
+        # within its error, floored at 1e-15 as ``overlap_limits`` floors it.
+        # A Drude model's A(0) is exactly 1, so those cases, lines down to
+        # 1e-4 eV wide among them, check the oracle's own claim.
+        for model in (GOLD, Drude(4.0, 0.2), Drude(3.0, 1e-3),
+                      Drude(15.0, 0.005), Drude(3.0, 1e-4), Drude(3.0, 0.5),
+                      bump_plate(24), kinked_table()):
             value, rel_err = static_response_oracle(model)
             assert abs(model.static_response - value) \
                 <= max(rel_err, 1e-15) * value, model
@@ -1236,6 +1160,54 @@ def one_factor_call_a_pass(res, density, screening):
     assert res.evaluations == sum(density)
 
 
+# The tail-bound point of an overlap, in units of its cap.
+PAST_CAP = 1.0 + 1e-9
+
+
+def probe_then_integrate(s1, s2, temperature_k, spec, extra_factor):
+    """The twin of ``h0_overlap`` that ``test_matches_probe_then_integrate``
+    holds it to: the integrand, factor included, on a probe grid (97
+    points from 1e-9 to 1 of the cap, and k/beta, k = 1..8) in one call,
+    then the adaptive rule on panels built around that probed peak, the
+    factor evaluated anew on every pass, and the tail bound.
+    ``h0_overlap`` probes the bare product instead and takes its scale
+    and tail value from the nodes of its first pass: the two agree to
+    rounding, not bit for bit."""
+    spec = spec or QuadratureSpec()
+    beta = units.beta(temperature_k)
+    window = 40.0 / beta
+    hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
+    m_cap = min(max(window, 10.0 * s1.peak_hint, 10.0 * s2.peak_hint),
+                s1.support_max, s2.support_max)
+    pref = 0.5 * math.pi * beta * units.HBAR_JS
+    half_beta = 0.5 * beta
+
+    def integrand(m):
+        # 1/sinh(x)**2 with x clipped below sinh's overflow, where the
+        # weight has long underflowed to 0
+        csch2 = np.sinh(np.minimum(half_beta * m, 700.0)) ** -2.0
+        return pref * s1.value(m) * s2.value(m) * csch2 * extra_factor(m)
+
+    grid = sorted([*(m_cap * np.geomspace(1e-9, 1.0, 97)),
+                   *(k / beta for k in range(1, 9) if k / beta < m_cap),
+                   *(h for h in hints if h < m_cap)])
+    vals = integrand(np.array(grid + [m_cap * PAST_CAP]))
+    peak = int(np.argmax(np.abs(vals[:-1])))
+    scale = float(abs(vals[peak]))
+    assert 0.0 < scale < math.inf
+    m_star = grid[peak]
+    splits = [*hints, 0.1 * m_star, m_star, 10.0 * m_star, window,
+              *(2.0 ** k / beta for k in range(-1, 6))]
+    res = integrate_finite(lambda m: integrand(m) / scale, 0.0, m_cap, spec,
+                           split_points=splits)
+    tail_bound = abs(float(vals[-1]) / scale) / beta * 2.0
+    return IntegralResult(
+        res.value * scale, (res.error_estimate + tail_bound) * scale,
+        res.evaluations + len(vals),
+        res.converged and (res.value == 0.0
+                           or tail_bound <= spec.target(res.value)))
+
+
 class TestOneScreeningCall:
     """``h0_overlap`` probes the bare product, builds its initial panels
     around its peak and calls its factor once per pass of the adaptive
@@ -1333,12 +1305,12 @@ class TestOneScreeningCall:
         first = np.append(nodes, m_cap * PAST_CAP).tobytes()
         assert first_density.tobytes() == first_factor.tobytes() == first
 
-    def test_factor_moves_the_peak(self):
+    def test_factor_moves_the_peak(self, overlap_h0):
         """A narrow factor at 8 k_B*T lifts the gold product there above
         its bare peak near 0.  The panels stay around the bare peak, the
         factor is called once a pass on them, and the value stays within
-        the two error estimates of probing with the factor and
-        integrating."""
+        the two error estimates of ``overlap_h0`` with the factor, split
+        at 8 k_B*T."""
         gold = spectral_density(GOLD)
         beta = units.beta(300.0)
 
@@ -1349,7 +1321,7 @@ class TestOneScreeningCall:
             warnings.simplefilter("error", RuntimeWarning)
             got, density, screening = counted_overlap(gold, gold, 300.0, None,
                                                       bump)
-        want = probe_then_integrate(gold, gold, 300.0, None, bump)
+        want = overlap_h0(300.0, GOLD, GOLD, QuadratureSpec(), bump)
         one_factor_call_a_pass(got, density, screening)
         assert got.evaluations == 573
         assert got.converged and want.converged

@@ -16,7 +16,8 @@ import pytest
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
 from casfric import friction, oscillator_stats
-from casfric.dielectric import Drude, MediumSpec, Tabulated
+from casfric.dielectric import (Drude, MediumSpec, Tabulated,
+                                surface_plasmon_frequency)
 from casfric.errors import DomainError
 from casfric.quadrature import QuadratureSpec, integrate_finite
 
@@ -291,6 +292,21 @@ def test_number_fields_keep_their_bits():
     plasma, damping, budget = np.float64(9.0), np.int64(0), np.int64(3)
     model = Drude(plasma, damping)
     assert model.plasma_energy_ev is plasma and model.damping_ev is damping
+    for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
+        plasma, damping = kind(9.0), kind(0.035)
+        model = Drude(plasma, damping)
+        assert model.plasma_energy_ev is plasma and model.damping_ev is damping
+        with pytest.raises(DomainError, match="plasma_energy_ev"):
+            Drude(kind(-9.0), damping)
+        # and compute in double precision, as the floats they hold
+        for route in (friction.friction_dense,
+                      friction.friction_drude_closed_form):
+            got, want = (route(friction.PlateSystem(
+                MediumSpec(m), MediumSpec(m), 10.0, 100.0, 300.0)).force
+                for m in (model, Drude(float(plasma), float(damping))))
+            assert got == want
+        assert float(surface_plasmon_frequency(Drude(plasma, 0.0))) \
+            == surface_plasmon_frequency(Drude(float(plasma), 0.0))
     spec = QuadratureSpec(max_subdivisions=budget)
     assert spec.max_subdivisions is budget
     assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
