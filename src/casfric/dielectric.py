@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
-from .units import _real, _reals
+from .units import _real_fields, _reals
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class Drude:
 
     ``plasma_energy_ev`` is hbar*omega_p, ``damping_ev`` is hbar*nu.  With
     damping_ev = 0 it is the collisionless plasma response,
-    eps = 1 - (omega_p/omega)**2.  Both energies are at most 1e76 eV, which
-    keeps every Drude spectrum and force inside the float range.
+    eps = 1 - (omega_p/omega)**2.  Both energies, stored as Python floats,
+    are at most 1e76 eV: every Drude spectrum and force stays in range.
     """
 
     static_response = 1.0
@@ -52,13 +52,10 @@ class Drude:
     damping_ev: float
 
     def __post_init__(self):
-        _real("plasma_energy_ev", self.plasma_energy_ev)
-        _real("damping_ev", self.damping_ev)
-        # the bounds compare with the fields as Python floats: 1e76 does
-        # not fit a float32 or float16 field
-        if not 0.0 < float(self.plasma_energy_ev) <= _M_FAR:
+        _real_fields(self, "plasma_energy_ev", "damping_ev")
+        if not 0.0 < self.plasma_energy_ev <= _M_FAR:
             raise DomainError(f"plasma_energy_ev must be finite and in (0, {_M_FAR:g}] eV")
-        if not 0.0 <= float(self.damping_ev) <= _M_FAR:
+        if not 0.0 <= self.damping_ev <= _M_FAR:
             raise DomainError(f"damping_ev must be finite and in [0, {_M_FAR:g}] eV")
 
 
@@ -145,7 +142,7 @@ class MediumSpec:
 
     def __post_init__(self):
         if self.density_per_nm3 is not None:
-            _real("density_per_nm3", self.density_per_nm3)
+            _real_fields(self, "density_per_nm3")
             if not 0.0 < self.density_per_nm3 < math.inf:
                 raise DomainError("density_per_nm3 must be finite and > 0 when given")
 
@@ -222,16 +219,15 @@ def _read_rows(path, lines) -> tuple:
 
 
 def _ep2(model) -> float:
-    """Squared surface-oscillator energy e_p**2 = (hbar*omega_p)**2 / 2,
-    in double precision whatever float type the field holds."""
-    return 0.5 * float(model.plasma_energy_ev) ** 2
+    """Squared surface-oscillator energy e_p**2 = (hbar*omega_p)**2 / 2."""
+    return 0.5 * model.plasma_energy_ev ** 2
 
 
 def _drude_constants(model: Drude) -> tuple:
     """e_p**2, the damping and (e_p**2/pi) * damping as 0-d arrays: numpy
     converts a Python float operand anew on every ufunc call, and an
     array once made it takes as it is."""
-    ep2, sigma = _ep2(model), float(model.damping_ev)
+    ep2, sigma = _ep2(model), model.damping_ev
     return tuple(map(np.array, (ep2, sigma, (ep2 / math.pi) * sigma)))
 
 
@@ -603,4 +599,4 @@ def surface_plasmon_frequency(model: PermittivityModel) -> float:
         raise UnsupportedModelError(
             "surface_plasmon_frequency is defined for an undamped Drude "
             f"model, got {model!r}")
-    return float(model.plasma_energy_ev) / math.sqrt(2.0)
+    return model.plasma_energy_ev / math.sqrt(2.0)

@@ -99,15 +99,15 @@ class PlateSystem:
     T_K: float
 
     def __post_init__(self):
+        units._real_fields(self, "d_nm", "v_m_per_s", "T_K")
         _check_motion("d_nm", self.d_nm, self.v_m_per_s, self.T_K)
 
 
 def _check_motion(gap_name: str, gap_nm: float, v_m_per_s: float,
                   temperature_k: float) -> None:
-    """A finite gap > 0, speed >= 0 and temperature > 0."""
+    """A finite gap > 0, speed >= 0 and temperature > 0, each a float."""
     for name, x in ((gap_name, gap_nm), ("v_m_per_s", v_m_per_s),
                     ("T_K", temperature_k)):
-        units._real(name, x)
         if not math.isfinite(x):
             raise DomainError(f"{name} must be finite, got {x!r}")
     if not gap_nm > 0.0:
@@ -341,7 +341,7 @@ def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> tuple:
     if key1 == key2:
         key1, key2 = [*vars(model1).values()], [*vars(model2).values()]
         if key1 and isinstance(key1[0], np.ndarray):
-            key1, key2 = ([np.asarray(getattr(m, f.name)).tolist()
+            key1, key2 = ([getattr(m, f.name).tolist()
                            for f in fields(m)] for m in (model1, model2))
     return (model2, model1) if key2 < key1 else (model1, model2)
 
@@ -497,7 +497,7 @@ def friction_drude_closed_form(system: PlateSystem) -> FrictionResult:
     if (m1.plasma_energy_ev, m1.damping_ev) != (m2.plasma_energy_ev, m2.damping_ev):
         raise UnsupportedModelError("closed form requires identical media")
 
-    ep2, sigma = _ep2(m1), float(m1.damping_ev)
+    ep2, sigma = _ep2(m1), m1.damping_ev
     kt = units.thermal_energy(system.T_K)
     h0 = units._formed("the closed-form H0", lambda: (2.0 * math.pi / 3.0)
                        * units.HBAR_JS * (kt * sigma) ** 2 / ep2 ** 2)
@@ -567,6 +567,8 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     The kernel does not vary with the transverse mode in this limit, so
     no mode-resolved nesting is needed.
     """
+    z0_nm, v_m_per_s, temperature_k = map(units._real, ("z0_nm", "v_m_per_s", "T_K"),
+                                          (z0_nm, v_m_per_s, temperature_k))
     _check_motion("z0_nm", z0_nm, v_m_per_s, temperature_k)
     integrand = _integrand("hybrid", probe, MediumSpec(plate))
     g = (2.0 * geometry.g_halfplane(_DENSE_DENSITY, z0_nm * units.NM_TO_M)

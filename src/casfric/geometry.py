@@ -75,7 +75,7 @@ def g_halfplane_quadrature(rho1: float, z0: float,
     _positive("rho1 and z0", rho1, z0)
 
     def integrand(t):
-        z = z0 + np.asarray(t, dtype=float)
+        z = z0 + t
         return rho1 * 15.0 * math.pi / (2.0 * z ** 6)
 
     return integrate_semi_infinite(integrand, decay_scale=z0, spec=spec)
@@ -94,7 +94,7 @@ def g_two_planes_quadrature(rho1: float, rho2: float, d: float,
     _positive("densities and d", rho1, rho2, d)
 
     def integrand(t):
-        z = d + np.asarray(t, dtype=float)
+        z = d + t
         return rho2 * 3.0 * math.pi * rho1 / (2.0 * z ** 5)
 
     return integrate_semi_infinite(integrand, decay_scale=d, spec=spec)

@@ -11,13 +11,12 @@ function; the Monte-Carlo cross-check takes an explicit seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .units import _reals
+from .units import _reals, _whole
 
 # Rows of normals per block of sample_pair_correlators: the working set
 # of a block (a few arrays of this length) stays within a few MiB.
@@ -75,8 +74,8 @@ def g_imaginary_time(osc: OscillatorSpec, lam, beta):
     if outside.any():
         bad = np.broadcast_to(lam, outside.shape)[outside]
         raise DomainError(f"lambda must lie in [0, beta], got {bad!r}")
-    w = np.asarray(osc.eigen_energy_ev, dtype=float)
-    amp = 0.5 * np.asarray(osc.alpha_static, dtype=float) * w
+    w = osc.eigen_energy_ev
+    amp = 0.5 * osc.alpha_static * w
     x = b * w / 2.0
     y = (b / 2.0 - lam) * w
     # cosh(y)/sinh(x) = (e^{y-x} + e^{-y-x})/(1 - e^{-2x}): with |y| <= x
@@ -119,18 +118,6 @@ def pair_fourth_moment(alpha1: float, alpha2: float,
     return (term11, term12, term11 + term12)
 
 
-def _whole(value, name: str, least: int) -> int:
-    """``value`` as an integer >= ``least``; anything else, a float
-    among them, is a DomainError."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise DomainError(f"{name} must be >= {least}, got {n}")
-    return n
-
-
 def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
                             n_samples: int, seed: int):
     """Monte-Carlo estimate of the pair moments from the bivariate
@@ -148,8 +135,8 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     grow with ``n_samples``.
     """
     x = _stability(alpha1, alpha2, phi)
-    n_samples = _whole(n_samples, "n_samples", 2)
-    rng = np.random.default_rng(_whole(seed, "seed", 0))
+    n_samples = _whole("n_samples", n_samples, 2)
+    rng = np.random.default_rng(_whole("seed", seed, 0))
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],
                     [alpha1 * alpha2 * phi, alpha2]]) / (1.0 - x)
     chol = np.linalg.cholesky(cov)

@@ -39,14 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .units import _real
+from .units import _real_fields, _whole
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -83,13 +82,11 @@ class QuadratureSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        _real("abs_tol", self.abs_tol)
-        _real("rel_tol", self.rel_tol)
+        _real_fields(self, "abs_tol", "rel_tol")
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise DomainError("quadrature tolerances must be finite and > 0")
-        budget = self.max_subdivisions
-        if isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 1:
-            raise DomainError("max_subdivisions must be an int >= 1")
+        object.__setattr__(self, "max_subdivisions",
+                           _whole("max_subdivisions", self.max_subdivisions, 1))
 
     def target(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))

@@ -69,11 +69,37 @@ def beta(temperature_k: float) -> float:
     return out
 
 
-def _real(name: str, value) -> None:
-    """A DomainError naming ``name`` unless ``value`` is one real number.
-    A float passes on its exact type, before the abstract-class test."""
-    if not isinstance(value, (float, numbers.Real)) or isinstance(value, bool):
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, or a DomainError naming ``name`` unless
+    it is one real number.  A float passes on its exact type, as it is; an
+    integer past the float range is inf, which every caller refuses."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _real_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as the
+    Python float :func:`_real` makes of it; a float field stays put."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float:
+            object.__setattr__(obj, name, _real(name, value))
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``, or a DomainError naming ``name``:
+    a bool, a float and anything else that is not an integer are refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _reals(obj) -> None:

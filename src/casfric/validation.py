@@ -87,7 +87,6 @@ def check_thermal_integral() -> list[CheckResult]:
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         ex = np.exp(-x)
         return x * x * ex / (1.0 - ex) ** 2
 
@@ -111,7 +110,6 @@ def check_geometry() -> list[CheckResult]:
                            kspace.error_estimate))
 
     def u3(u):
-        u = np.asarray(u, dtype=float)
         return u ** 3 * np.exp(-2.0 * u)
 
     res = integrate_semi_infinite(u3, decay_scale=0.5, spec=spec)
@@ -187,7 +185,6 @@ def check_spectral() -> list[CheckResult]:
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
     def sumrule(m):
-        m = np.asarray(m, dtype=float)
         return 2.0 * sd.value(m) / np.maximum(m, 1e-300)
 
     res = integrate_semi_infinite(sumrule, decay_scale=ep, spec=spec,
@@ -251,29 +248,23 @@ def check_boundary() -> list[CheckResult]:
 
 
 def _transform_draws():
-    """Criterion 8a's 100 seeded draws (oscillator, beta, K = 2 pi n/beta)."""
+    """Criterion 8a's 100 seeded draws as arrays: the oscillators, beta
+    and K = 2 pi n/beta."""
     rng = np.random.default_rng(11)
-    draws = []
-    for _ in range(100):
-        alpha = rng.uniform(0.3, 3.0)
-        w = rng.uniform(0.2, 5.0)
-        beta = rng.uniform(0.3, 10.0)
-        n = int(rng.integers(0, 4))
-        draws.append((OscillatorSpec(alpha, w), beta, 2.0 * math.pi * n / beta))
-    return draws
+    alpha, w, betas, n = np.array([(rng.uniform(0.3, 3.0), rng.uniform(0.2, 5.0),
+                                    rng.uniform(0.3, 10.0), rng.integers(0, 4))
+                                   for _ in range(100)]).T
+    return OscillatorSpec(alpha, w), betas, 2.0 * math.pi * n / betas
 
 
 def _transforms(draws):
     """The integrals of g(lambda) cos(K lambda) over [0, beta] of every
     draw, in one batch, each started on 4 equal panels."""
-    oscs, betas, ks = zip(*draws)
-    alpha, w, betas, ks = np.array([[o.alpha_static for o in oscs],
-                                    [o.eigen_energy_ev for o in oscs], betas, ks],
-                                   dtype=float)
+    osc, betas, ks = draws
 
     def f(lam, job):
-        osc = OscillatorSpec(alpha[job], w[job])
-        return g_imaginary_time(osc, lam, betas[job]) * np.cos(ks[job] * lam)
+        batch = OscillatorSpec(osc.alpha_static[job], osc.eigen_energy_ev[job])
+        return g_imaginary_time(batch, lam, betas[job]) * np.cos(ks[job] * lam)
 
     return integrate_many(f, [(0.0, beta, [beta / 4, beta / 2, 3 * beta / 4])
                               for beta in betas.tolist()],
@@ -283,10 +274,9 @@ def _transforms(draws):
 def check_oscillators() -> list[CheckResult]:
     """Criterion 8: transform pair, Gaussian pair MC, FD identity."""
     out = []
-    draws = _transform_draws()
-    worst = 0.0
-    for (osc, _, k), res in zip(draws, _transforms(draws)):
-        worst = max(worst, _rel(res.value, gtilde(osc, k)))
+    osc, _, ks = draws = _transform_draws()
+    worst = max(map(_rel, [res.value for res in _transforms(draws)],
+                    gtilde(osc, ks).tolist()))
     out.append(CheckResult("8a", "imaginary-time transform pair, 100 draws (worst rel)",
                            worst <= 1e-8, worst, 0.0, "1e-8 rel"))
 

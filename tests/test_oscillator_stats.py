@@ -312,9 +312,10 @@ class TestPairStatistics:
             osc.sample_pair_correlators(1.0, 1.0, 0.5, n_samples=1, seed=0)
 
     @pytest.mark.parametrize("n_samples, seed", [
-        (1e6, 0), (2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None)],
+        (1e6, 0), (2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None),
+        (10, True)],
         ids=["float-count", "fractional-count", "text-count", "negative-seed",
-             "fractional-seed", "no-seed"])
+             "fractional-seed", "no-seed", "bool-seed"])
     def test_count_and_seed_are_whole_numbers(self, n_samples, seed):
         with pytest.raises(DomainError):
             osc.sample_pair_correlators(1.0, 1.0, 0.5, n_samples=n_samples,

@@ -19,6 +19,7 @@ from casfric import friction, oscillator_stats
 from casfric.dielectric import (Drude, MediumSpec, Tabulated,
                                 surface_plasmon_frequency)
 from casfric.errors import DomainError
+from casfric.presets import conductivity
 from casfric.quadrature import QuadratureSpec, integrate_finite
 
 SRC = Path(casfric.__file__).parent
@@ -275,9 +276,12 @@ _GOLD = Drude(9.0, 0.035)
     (lambda: Tabulated([0, 1], [[0], [1, 2]]), "values"),
     (lambda: QuadratureSpec(abs_tol="1e-10"), "abs_tol"),
     (lambda: QuadratureSpec(max_subdivisions=np.bool_(True)), "max_subdivisions"),
+    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), 10 ** 400,
+                                  1.0, 300.0), "d_nm"),
 ], ids=["drude-str", "drude-none", "drude-bool", "medium-density",
         "plate-gap", "plate-array", "hybrid-height", "table-str",
-        "table-complex", "table-ragged", "spec-tol", "spec-numpy-bool"])
+        "table-complex", "table-ragged", "spec-tol", "spec-numpy-bool",
+        "plate-gap-past-float"])
 def test_number_fields_raise_typed_errors(make, field):
     """A field that is not one real number, or a table column that is
     not real numbers, is a DomainError naming it, not a TypeError or a
@@ -287,27 +291,47 @@ def test_number_fields_raise_typed_errors(make, field):
 
 
 def test_number_fields_keep_their_bits():
-    # fields are checked, not converted: numpy scalars stay as given, and
-    # a numpy integer budget spends as the int does
-    plasma, damping, budget = np.float64(9.0), np.int64(0), np.int64(3)
-    model = Drude(plasma, damping)
-    assert model.plasma_energy_ev is plasma and model.damping_ev is damping
-    for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
-        plasma, damping = kind(9.0), kind(0.035)
+    # every number field is stored at construction as the Python float or
+    # int it equals, so a numpy scalar computes as its Python twin does
+    for kind in (np.float64, np.float32, np.float16, np.int64):
+        plasma, damping, density, gap, speed, temp, tol = map(
+            kind, (9, 1, 2, 10, 100, 300, 1))
+        budget = np.int64(3)
         model = Drude(plasma, damping)
-        assert model.plasma_energy_ev is plasma and model.damping_ev is damping
+        system = friction.PlateSystem(MediumSpec(model, density),
+                                      MediumSpec(model), gap, speed, temp)
+        spec = QuadratureSpec(tol, tol, budget)
+        stored = [(model.plasma_energy_ev, plasma), (model.damping_ev, damping),
+                  (system.medium1.density_per_nm3, density),
+                  (system.d_nm, gap), (system.v_m_per_s, speed),
+                  (system.T_K, temp), (spec.abs_tol, tol), (spec.rel_tol, tol)]
+        for field, given in stored:
+            assert type(field) is float and field == float(given)
+        assert type(spec.max_subdivisions) is int and spec.max_subdivisions == 3
+        assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
+            np.sqrt, 0.0, 1.0, QuadratureSpec(1.0, 1.0, 3))
+    table = Tabulated([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])
+    for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
         with pytest.raises(DomainError, match="plasma_energy_ev"):
-            Drude(kind(-9.0), damping)
-        # and compute in double precision, as the floats they hold
-        for route in (friction.friction_dense,
-                      friction.friction_drude_closed_form):
-            got, want = (route(friction.PlateSystem(
-                MediumSpec(m), MediumSpec(m), 10.0, 100.0, 300.0)).force
-                for m in (model, Drude(float(plasma), float(damping))))
-            assert got == want
-        assert float(surface_plasmon_frequency(Drude(plasma, 0.0))) \
-            == surface_plasmon_frequency(Drude(float(plasma), 0.0))
-    spec = QuadratureSpec(max_subdivisions=budget)
-    assert spec.max_subdivisions is budget
-    assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
-        np.sqrt, 0.0, 1.0, QuadratureSpec(max_subdivisions=3))
+            Drude(kind(-9.0), kind(0.035))
+
+        def routes(x):
+            """Each route on the numbers ``x`` makes of the given ones."""
+            model = Drude(x(9.0), x(0.035))
+            plates = friction.PlateSystem(MediumSpec(model), MediumSpec(model),
+                                          x(10.0), x(100.0), x(300.0))
+            dilute = friction.PlateSystem(MediumSpec(table, x(0.01)),
+                                          MediumSpec(table, 0.01), 10.0, 100.0, 300.0)
+            return [friction.friction_dense(plates, "drop"),
+                    friction.friction_dense(plates, "keep"),
+                    friction.friction_drude_closed_form(plates),
+                    friction.friction_dilute(dilute),
+                    friction.friction_hybrid(MediumSpec(table), _GOLD, x(10.0),
+                                             x(100.0), x(300.0)),
+                    conductivity(model),
+                    surface_plasmon_frequency(Drude(x(9.0), 0.0))]
+
+        # repr tells a float32 result from the float it equals, and a float
+        # from any other float
+        got, want = routes(kind), routes(lambda v: float(kind(v)))
+        assert list(map(repr, got)) == list(map(repr, want))
