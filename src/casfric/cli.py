@@ -42,7 +42,7 @@ import numpy as np
 
 from . import comparisons, units, validation
 from .dielectric import Drude, MediumSpec, Vacuum, load_tabulated
-from .errors import CasfricError, ConfigError
+from .errors import CasfricError, ConfigError, DomainError
 from .friction import (FrictionResult, PlateSystem, friction_dense,
                        friction_dilute, friction_drude_closed_form,
                        friction_hybrid, h0_integrand)
@@ -82,12 +82,10 @@ def _check_keys(obj, path, allowed):
 
 
 def _number(obj, path, positive=False, non_negative=False):
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        _fail(path, "must be a number")
     try:
-        v = float(obj)
-    except OverflowError:  # an integer literal beyond the float range
-        v = math.inf
+        v = units._real(path, obj)  # an integer past the float range is inf
+    except DomainError:
+        _fail(path, "must be a number")
     if not math.isfinite(v):
         _fail(path, "must be a finite number")
     if positive and not v > 0.0:
@@ -98,9 +96,10 @@ def _number(obj, path, positive=False, non_negative=False):
 
 
 def _integer(obj, path):
-    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
+    try:
+        return units._whole(path, obj, 1)
+    except DomainError:
         _fail(path, "must be a positive integer")
-    return obj
 
 
 def parse_medium(obj, path):

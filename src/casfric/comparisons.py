@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 from . import units
-from .errors import DomainError
 
 
 def pendry_force(conductivity_over_eps0: float, d_m: float,
@@ -28,9 +27,9 @@ def pendry_force(conductivity_over_eps0: float, d_m: float,
     """Zero-temperature friction (Pa) of a constant-conductivity plate
     pair, sigma/eps0 in 1/s, gap in m, velocity in m/s; cubic in v:
     F_P = 5 hbar v^3 / (2^8 pi^2 (sigma/eps0)^2 d^6)."""
-    if not (conductivity_over_eps0 > 0.0 and d_m > 0.0 and v_m_per_s > 0.0):
-        raise DomainError("all Pendry inputs must be > 0")
-    s = conductivity_over_eps0
+    s = units._positive("conductivity_over_eps0", conductivity_over_eps0)
+    d_m = units._positive("d_m", d_m)
+    v_m_per_s = units._positive("v_m_per_s", v_m_per_s)
     return units._formed("Pendry's force", lambda: 5.0 * units.HBAR_JS
                          * v_m_per_s ** 3 / (256.0 * math.pi ** 2 * s * s * d_m ** 6))
 
@@ -43,9 +42,9 @@ def ratio_to_pendry(temperature_k: float, v_m_per_s: float, d_m: float) -> float
     the squared ratio of thermal quanta to the motion-generated quanta
     hbar*v/d; conductivity cancels.
     """
-    if not (temperature_k > 0.0 and v_m_per_s > 0.0 and d_m > 0.0):
-        raise DomainError("all inputs must be > 0")
     kt = units.thermal_energy(temperature_k)
+    v_m_per_s = units._positive("v_m_per_s", v_m_per_s)
+    d_m = units._positive("d_m", d_m)
     motion_quantum = units.HBAR_EV_S * v_m_per_s / d_m
     return units._formed("the ratio to Pendry's force",
                          lambda: (64.0 * math.pi ** 2 / 5.0) * (kt / motion_quantum) ** 2)
@@ -61,10 +60,10 @@ def vp_friction(four_pi_sigma: float, d_m: float, temperature_k: float,
     kg s^-1 m^-2; force = coefficient * v in Pa.  The 0.3 prefactor is
     the published approximation and is kept as quoted.
     """
-    if not (four_pi_sigma > 0.0 and d_m > 0.0 and temperature_k > 0.0
-            and v_m_per_s > 0.0):
-        raise DomainError("all VP inputs must be > 0")
+    four_pi_sigma = units._positive("four_pi_sigma", four_pi_sigma)
+    d_m = units._positive("d_m", d_m)
     kt = units.thermal_energy(temperature_k)
+    v_m_per_s = units._positive("v_m_per_s", v_m_per_s)
     energy_scale = units.HBAR_EV_S * four_pi_sigma  # eV
     coeff = units._formed("the Volokitin-Persson coefficient", lambda: 0.3
                           * units.HBAR_JS / d_m ** 4 * (kt / energy_scale) ** 2)

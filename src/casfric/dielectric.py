@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
-from .units import _real_fields, _reals
+from .units import _positive_fields, _real_fields, _reals
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ class MediumSpec:
 
     def __post_init__(self):
         if self.density_per_nm3 is not None:
-            _real_fields(self, "density_per_nm3")
-            if not 0.0 < self.density_per_nm3 < math.inf:
-                raise DomainError("density_per_nm3 must be finite and > 0 when given")
+            _positive_fields(self, "density_per_nm3")
 
 
 # A row of commas and blanks alone, which numpy reads as a blank row once

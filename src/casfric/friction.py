@@ -99,23 +99,8 @@ class PlateSystem:
     T_K: float
 
     def __post_init__(self):
-        units._real_fields(self, "d_nm", "v_m_per_s", "T_K")
-        _check_motion("d_nm", self.d_nm, self.v_m_per_s, self.T_K)
-
-
-def _check_motion(gap_name: str, gap_nm: float, v_m_per_s: float,
-                  temperature_k: float) -> None:
-    """A finite gap > 0, speed >= 0 and temperature > 0, each a float."""
-    for name, x in ((gap_name, gap_nm), ("v_m_per_s", v_m_per_s),
-                    ("T_K", temperature_k)):
-        if not math.isfinite(x):
-            raise DomainError(f"{name} must be finite, got {x!r}")
-    if not gap_nm > 0.0:
-        raise DomainError(f"{gap_name} must be > 0")
-    if v_m_per_s < 0.0:
-        raise DomainError("v_m_per_s must be >= 0 (magnitude)")
-    if not temperature_k > 0.0:
-        raise DomainError("T_K must be > 0")
+        units._positive_fields(self, "d_nm", "v_m_per_s", "T_K",
+                               zero=("v_m_per_s",))
 
 
 @dataclass(frozen=True)
@@ -332,18 +317,14 @@ def _screening_factor(z):
     return np.where(pole, np.inf, li4(z.real + 1j * y).imag / y)
 
 
-def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> tuple:
+def _in_order(model1: PermittivityModel, model2: PermittivityModel) -> list:
     """The two models in the order of the screening's z = A1*A2: by type
-    name, then by their dataclass fields.  A model's __dict__ holds its
-    fields alone unless they are columns, beside which a table keeps what
-    it builds from them; columns are read by name and compare as lists."""
-    key1, key2 = type(model1).__name__, type(model2).__name__
-    if key1 == key2:
-        key1, key2 = [*vars(model1).values()], [*vars(model2).values()]
-        if key1 and isinstance(key1[0], np.ndarray):
-            key1, key2 = ([getattr(m, f.name).tolist()
-                           for f in fields(m)] for m in (model1, model2))
-    return (model2, model1) if key2 < key1 else (model1, model2)
+    name, then by their dataclass fields read by name, a float as it is
+    and a column as a list.  What a model caches beside its fields does
+    not enter; equal keys keep the given order."""
+    return sorted((model1, model2), key=lambda m: (
+        type(m).__name__, [np.asarray(getattr(m, f.name)).tolist()
+                           for f in fields(m)]))
 
 
 def _integrand(route: str, medium1: MediumSpec, medium2: MediumSpec,
@@ -567,9 +548,9 @@ def friction_hybrid(probe: MediumSpec, plate: PermittivityModel,
     The kernel does not vary with the transverse mode in this limit, so
     no mode-resolved nesting is needed.
     """
-    z0_nm, v_m_per_s, temperature_k = map(units._real, ("z0_nm", "v_m_per_s", "T_K"),
-                                          (z0_nm, v_m_per_s, temperature_k))
-    _check_motion("z0_nm", z0_nm, v_m_per_s, temperature_k)
+    z0_nm = units._positive("z0_nm", z0_nm)
+    v_m_per_s = units._positive("v_m_per_s", v_m_per_s, zero=True)
+    temperature_k = units._positive("T_K", temperature_k)
     integrand = _integrand("hybrid", probe, MediumSpec(plate))
     g = (2.0 * geometry.g_halfplane(_DENSE_DENSITY, z0_nm * units.NM_TO_M)
          * units.NM_TO_M ** 3)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .units import _reals, _whole
+from .units import _positive, _real, _reals, _whole
 
 # Rows of normals per block of sample_pair_correlators: the working set
 # of a block (a few arrays of this length) stays within a few MiB.
@@ -84,13 +84,19 @@ def g_imaginary_time(osc: OscillatorSpec, lam, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _stability(alpha1: float, alpha2: float, phi: float) -> float:
+def _stability(alpha1: float, alpha2: float, phi: float) -> tuple:
+    """(alpha1, alpha2, phi, alpha1*alpha2*phi**2) as Python floats, each
+    alpha finite and > 0 and phi finite, for a stable pair: x < 1."""
+    alpha1, alpha2 = _positive("alpha1", alpha1), _positive("alpha2", alpha2)
+    phi = _real("phi", phi)
+    if not math.isfinite(phi):
+        raise DomainError(f"phi must be finite, got {phi!r}")
     x = alpha1 * alpha2 * phi * phi
     if x >= 1.0:
         raise StabilityError(
             f"alpha1*alpha2*phi**2 = {x:.6g} >= 1: the coupled Gaussian "
             "pair is unstable (non-normalizable weight)")
-    return x
+    return alpha1, alpha2, phi, x
 
 
 def pair_correlators(alpha1: float, alpha2: float,
@@ -103,7 +109,8 @@ def pair_correlators(alpha1: float, alpha2: float,
     Returned as (beta<s1^2>, beta<s2^2>, beta<s1 s2>).  The cross term is
     odd in phi; only its square enters any downstream quantity.
     """
-    denom = 1.0 - _stability(alpha1, alpha2, phi)
+    alpha1, alpha2, phi, x = _stability(alpha1, alpha2, phi)
+    denom = 1.0 - x
     return (alpha1 / denom, alpha2 / denom, alpha1 * alpha2 * phi / denom)
 
 
@@ -134,7 +141,7 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     shifted sums of Chan, Golub & LeVeque, 1983), so memory does not
     grow with ``n_samples``.
     """
-    x = _stability(alpha1, alpha2, phi)
+    alpha1, alpha2, phi, x = _stability(alpha1, alpha2, phi)
     n_samples = _whole("n_samples", n_samples, 2)
     rng = np.random.default_rng(_whole("seed", seed, 0))
     cov = np.array([[alpha1, alpha1 * alpha2 * phi],

@@ -45,7 +45,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .units import _real_fields, _whole
+from .units import _positive, _positive_fields, _whole
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -82,9 +82,7 @@ class QuadratureSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        _real_fields(self, "abs_tol", "rel_tol")
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise DomainError("quadrature tolerances must be finite and > 0")
+        _positive_fields(self, "abs_tol", "rel_tol")
         object.__setattr__(self, "max_subdivisions",
                            _whole("max_subdivisions", self.max_subdivisions, 1))
 
@@ -298,8 +296,7 @@ def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
     """
     finite_jobs, scales = [], []
     for decay_scale, split_points in jobs:
-        if not decay_scale > 0.0:
-            raise DomainError("decay_scale must be > 0")
+        decay_scale = _positive("decay_scale", decay_scale)
         # The map resolves x only to ulp(t)*s/(1+t)**2, too coarse for a
         # narrow feature far out, so split points stay in the head.
         splits = [10.0 * decay_scale] + [s for s in map(float, split_points)

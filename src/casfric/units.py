@@ -36,11 +36,9 @@ def thermal_energy(temperature_k: float) -> float:
     Parameters
     ----------
     temperature_k : float
-        Temperature in kelvin, > 0.
+        Temperature in kelvin, finite and > 0.
     """
-    if not temperature_k > 0.0:
-        raise DomainError(f"temperature must be > 0 K, got {temperature_k!r}")
-    kt = BOLTZMANN_EV_PER_K * temperature_k
+    kt = BOLTZMANN_EV_PER_K * _positive("temperature_k", temperature_k)
     if kt == 0.0:
         raise DomainError(f"temperature {temperature_k!r} K is out of range: "
                           "k_B*T underflows to 0")
@@ -81,6 +79,28 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def _positive(name: str, value, zero: bool = False) -> float:
+    """``value`` as the Python float :func:`_real` makes of it, or a
+    DomainError naming ``name`` unless it is finite and > 0, or >= 0 with
+    ``zero``.  This is the one check of every bare number argument."""
+    x = value if type(value) is float else _real(name, value)
+    if 0.0 < x < math.inf or zero and x == 0.0:
+        return x
+    raise DomainError(f"{name} must be finite and {'>=' if zero else '>'} 0, "
+                      f"got {value!r}")
+
+
+def _positive_fields(obj, *names: str, zero: tuple = ()) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as the
+    Python float :func:`_positive` makes of it, a field named in ``zero``
+    allowed to be 0; a float field stays put."""
+    for name in names:
+        value = getattr(obj, name)
+        x = _positive(name, value, name in zero)
+        if x is not value:
+            object.__setattr__(obj, name, x)
 
 
 def _real_fields(obj, *names: str) -> None:

@@ -4,6 +4,7 @@ package itself, unless it is the independent oracle of a check."""
 import ast
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -15,12 +16,14 @@ import pytest
 
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
-from casfric import friction, oscillator_stats
+from casfric import comparisons, friction, geometry, oscillator_stats, units
 from casfric.dielectric import (Drude, MediumSpec, Tabulated,
                                 surface_plasmon_frequency)
 from casfric.errors import DomainError
 from casfric.presets import conductivity
-from casfric.quadrature import QuadratureSpec, integrate_finite
+from casfric.quadrature import (QuadratureSpec, integrate_finite,
+                                integrate_semi_infinite,
+                                integrate_semi_infinite_many)
 
 SRC = Path(casfric.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -290,6 +293,110 @@ def test_number_fields_raise_typed_errors(make, field):
         make()
 
 
+_TABLE = Tabulated([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])
+
+# (call of one bare number x, the name of the argument it takes x as)
+_BARE = {
+    "g_perp": (lambda x: geometry.g_perp(x), "z"),
+    "g_perp_kspace": (lambda x: geometry.g_perp_kspace(x), "z"),
+    "g_halfplane-rho1": (lambda x: geometry.g_halfplane(x, 1.0), "rho1"),
+    "g_halfplane-z0": (lambda x: geometry.g_halfplane(1.0, x), "z0"),
+    "g_halfplane_quadrature": (
+        lambda x: geometry.g_halfplane_quadrature(1.0, x), "z0"),
+    "g_two_planes-rho2": (lambda x: geometry.g_two_planes(1.0, x, 1.0), "rho2"),
+    "g_two_planes-d": (lambda x: geometry.g_two_planes(1.0, 1.0, x), "d"),
+    "g_two_planes_quadrature": (
+        lambda x: geometry.g_two_planes_quadrature(x, 1.0, 1.0), "rho1"),
+    "pendry-sigma": (lambda x: comparisons.pendry_force(x, 1e-8, 1.0),
+                     "conductivity_over_eps0"),
+    "pendry-d": (lambda x: comparisons.pendry_force(1e10, x, 1.0), "d_m"),
+    "pendry-v": (lambda x: comparisons.pendry_force(1e10, 1e-8, x), "v_m_per_s"),
+    "ratio-T": (lambda x: comparisons.ratio_to_pendry(x, 1.0, 1e-8),
+                "temperature_k"),
+    "ratio-v": (lambda x: comparisons.ratio_to_pendry(300.0, x, 1e-8),
+                "v_m_per_s"),
+    "ratio-d": (lambda x: comparisons.ratio_to_pendry(300.0, 1.0, x), "d_m"),
+    "vp-sigma": (lambda x: comparisons.vp_friction(x, 1e-8, 300.0, 1.0),
+                 "four_pi_sigma"),
+    "vp-d": (lambda x: comparisons.vp_friction(1e10, x, 300.0, 1.0), "d_m"),
+    "vp-T": (lambda x: comparisons.vp_friction(1e10, 1e-8, x, 1.0),
+             "temperature_k"),
+    "vp-v": (lambda x: comparisons.vp_friction(1e10, 1e-8, 300.0, x),
+             "v_m_per_s"),
+    "thermal_energy": (lambda x: units.thermal_energy(x), "temperature_k"),
+    "beta": (lambda x: units.beta(x), "temperature_k"),
+    "semi-infinite": (lambda x: integrate_semi_infinite(np.exp, x),
+                      "decay_scale"),
+    "semi-infinite-many": (lambda x: integrate_semi_infinite_many(
+        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]), "decay_scale"),
+    "pair-alpha1": (lambda x: oscillator_stats.pair_correlators(x, 1.0, 0.5),
+                    "alpha1"),
+    "pair-alpha2": (lambda x: oscillator_stats.pair_correlators(1.0, x, 0.5),
+                    "alpha2"),
+    "pair-phi": (lambda x: oscillator_stats.pair_correlators(1.0, 1.0, x),
+                 "phi"),
+    "fourth-alpha2": (
+        lambda x: oscillator_stats.pair_fourth_moment(1.0, x, 0.5), "alpha2"),
+    "fourth-phi": (
+        lambda x: oscillator_stats.pair_fourth_moment(1.0, 1.0, x), "phi"),
+    "sample-alpha1": (lambda x: oscillator_stats.sample_pair_correlators(
+        x, 1.0, 0.5, 10, 1), "alpha1"),
+    "sample-phi": (lambda x: oscillator_stats.sample_pair_correlators(
+        1.0, 1.0, x, 10, 1), "phi"),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None, True, math.inf, math.nan],
+                         ids=["str", "none", "bool", "inf", "nan"])
+@pytest.mark.parametrize("case", _BARE)
+def test_bare_numbers_raise_typed_errors(case, value):
+    """A bare number argument that is not one finite real number is a
+    DomainError naming the argument, not a TypeError, a numpy error or a
+    result made of it: phi may take any finite value, the others only
+    one > 0."""
+    call, name = _BARE[case]
+    bound = "" if name == "phi" else " and > 0"
+    with pytest.raises(DomainError, match=rf"^{name} must be (a real number"
+                                          rf"|finite{bound}), got "):
+        call(value)
+
+
+# (call of one number x, the field or argument it takes x as, whether 0
+# is allowed); their types are checked as in test_number_fields_raise_typed_errors
+_RANGED = {
+    "plate-d": (lambda x: friction.PlateSystem(
+        MediumSpec(_GOLD), MediumSpec(_GOLD), x, 1.0, 300.0), "d_nm", False),
+    "plate-v": (lambda x: friction.PlateSystem(
+        MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0, x, 300.0), "v_m_per_s",
+        True),
+    "plate-T": (lambda x: friction.PlateSystem(
+        MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0, 1.0, x), "T_K", False),
+    "hybrid-z0": (lambda x: friction.friction_hybrid(
+        MediumSpec(_TABLE), _GOLD, x, 1.0, 300.0), "z0_nm", False),
+    "hybrid-v": (lambda x: friction.friction_hybrid(
+        MediumSpec(_TABLE), _GOLD, 10.0, x, 300.0), "v_m_per_s", True),
+    "hybrid-T": (lambda x: friction.friction_hybrid(
+        MediumSpec(_TABLE), _GOLD, 10.0, 1.0, x), "T_K", False),
+    "medium-density": (lambda x: MediumSpec(_GOLD, x), "density_per_nm3",
+                       False),
+    "spec-abs_tol": (lambda x: QuadratureSpec(abs_tol=x), "abs_tol", False),
+    "spec-rel_tol": (lambda x: QuadratureSpec(rel_tol=x), "rel_tol", False),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan],
+                         ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("case", _RANGED)
+def test_numbers_out_of_range_raise_one_form(case, value):
+    """A number outside its range is the same DomainError form as a bare
+    argument's, naming the field: finite and > 0, or >= 0 for a speed."""
+    call, name, zero = _RANGED[case]
+    bound = ">=" if zero else ">"
+    with pytest.raises(DomainError,
+                       match=rf"^{name} must be finite and {bound} 0, got "):
+        call(value)
+
+
 def test_number_fields_keep_their_bits():
     # every number field is stored at construction as the Python float or
     # int it equals, so a numpy scalar computes as its Python twin does
@@ -310,7 +417,6 @@ def test_number_fields_keep_their_bits():
         assert type(spec.max_subdivisions) is int and spec.max_subdivisions == 3
         assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
             np.sqrt, 0.0, 1.0, QuadratureSpec(1.0, 1.0, 3))
-    table = Tabulated([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])
     for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
         with pytest.raises(DomainError, match="plasma_energy_ev"):
             Drude(kind(-9.0), kind(0.035))
@@ -320,13 +426,13 @@ def test_number_fields_keep_their_bits():
             model = Drude(x(9.0), x(0.035))
             plates = friction.PlateSystem(MediumSpec(model), MediumSpec(model),
                                           x(10.0), x(100.0), x(300.0))
-            dilute = friction.PlateSystem(MediumSpec(table, x(0.01)),
-                                          MediumSpec(table, 0.01), 10.0, 100.0, 300.0)
+            dilute = friction.PlateSystem(MediumSpec(_TABLE, x(0.01)),
+                                          MediumSpec(_TABLE, 0.01), 10.0, 100.0, 300.0)
             return [friction.friction_dense(plates, "drop"),
                     friction.friction_dense(plates, "keep"),
                     friction.friction_drude_closed_form(plates),
                     friction.friction_dilute(dilute),
-                    friction.friction_hybrid(MediumSpec(table), _GOLD, x(10.0),
+                    friction.friction_hybrid(MediumSpec(_TABLE), _GOLD, x(10.0),
                                              x(100.0), x(300.0)),
                     conductivity(model),
                     surface_plasmon_frequency(Drude(x(9.0), 0.0))]
@@ -334,4 +440,17 @@ def test_number_fields_keep_their_bits():
         # repr tells a float32 result from the float it equals, and a float
         # from any other float
         got, want = routes(kind), routes(lambda v: float(kind(v)))
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def bare(x):
+        """The closed forms that take bare numbers, on ``x`` of each."""
+        return [geometry.g_halfplane(x(2), x(3)),
+                geometry.g_two_planes(x(2), x(3), x(5)),
+                units.thermal_energy(x(300)),
+                comparisons.pendry_force(x(3), x(2), x(5)),
+                comparisons.ratio_to_pendry(x(300), x(5), x(2)),
+                comparisons.vp_friction(x(3), x(2), x(300), x(5))]
+
+    for kind in (np.float32, np.float16, np.int64):
+        got, want = bare(kind), bare(lambda v: float(kind(v)))
         assert list(map(repr, got)) == list(map(repr, want))
