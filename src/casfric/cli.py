@@ -81,18 +81,13 @@ def _check_keys(obj, path, allowed):
         _fail(path, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _number(obj, path, positive=False, non_negative=False):
+def _number(obj, path, zero=False):
+    """``obj`` as a float, finite and > 0, or >= 0 with ``zero``: else
+    the DomainError of :func:`units._positive`, at ``path``."""
     try:
-        v = units._real(path, obj)  # an integer past the float range is inf
-    except DomainError:
-        _fail(path, "must be a number")
-    if not math.isfinite(v):
-        _fail(path, "must be a finite number")
-    if positive and not v > 0.0:
-        _fail(path, "must be > 0")
-    if non_negative and v < 0.0:
-        _fail(path, "must be >= 0")
-    return v
+        return units._positive(path, obj, zero)
+    except DomainError as exc:
+        _fail(path, str(exc).removeprefix(path + " "))
 
 
 def _integer(obj, path):
@@ -123,14 +118,14 @@ def parse_medium(obj, path):
         elif kind == "plasma":
             _check_keys(obj, path, {"model", "plasma_energy_ev", "density_per_nm3"})
             model = Drude(_number(obj.get("plasma_energy_ev"),
-                                  path + ".plasma_energy_ev", positive=True), 0.0)
+                                  path + ".plasma_energy_ev"), 0.0)
         elif kind == "drude":
             _check_keys(obj, path, {"model", "plasma_energy_ev", "damping_ev",
                                     "density_per_nm3"})
             model = Drude(_number(obj.get("plasma_energy_ev"),
-                                  path + ".plasma_energy_ev", positive=True),
+                                  path + ".plasma_energy_ev"),
                           _number(obj.get("damping_ev"),
-                                  path + ".damping_ev", non_negative=True))
+                                  path + ".damping_ev", zero=True))
         elif kind == "tabulated":
             _check_keys(obj, path, {"model", "path", "density_per_nm3"})
             if not isinstance(obj.get("path"), str):
@@ -146,7 +141,7 @@ def parse_medium(obj, path):
                   "must be one of vacuum|plasma|drude|tabulated")
     density = obj.get("density_per_nm3")
     if density is not None:
-        density = _number(density, path + ".density_per_nm3", positive=True)
+        density = _number(density, path + ".density_per_nm3")
     return MediumSpec(model=model, density_per_nm3=density)
 
 
@@ -156,10 +151,8 @@ def parse_quadrature(obj, path):
     _expect_object(obj, path)
     _check_keys(obj, path, {"abs_tol", "rel_tol", "max_subdivisions"})
     base = default_spec()
-    abs_tol = _number(obj.get("abs_tol", base.abs_tol), path + ".abs_tol",
-                      positive=True)
-    rel_tol = _number(obj.get("rel_tol", base.rel_tol), path + ".rel_tol",
-                      positive=True)
+    abs_tol = _number(obj.get("abs_tol", base.abs_tol), path + ".abs_tol")
+    rel_tol = _number(obj.get("rel_tol", base.rel_tol), path + ".rel_tol")
     max_sub = _integer(obj.get("max_subdivisions", base.max_subdivisions),
                        path + ".max_subdivisions")
     return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol,
@@ -182,9 +175,8 @@ def parse_run_config(obj, path=""):
             _fail(path + f".system.{key}", "is required")
     med1 = parse_medium(system["medium1"], path + ".system.medium1")
     med2 = parse_medium(system["medium2"], path + ".system.medium2")
-    v = _number(system.get("v_m_per_s"), path + ".system.v_m_per_s",
-                non_negative=True)
-    t = _number(system.get("T_K"), path + ".system.T_K", positive=True)
+    v = _number(system.get("v_m_per_s"), path + ".system.v_m_per_s", zero=True)
+    t = _number(system.get("T_K"), path + ".system.T_K")
     # the hybrid route reads its gap from z0_nm, the plate routes from d_nm
     gap, unread = ("z0_nm", "d_nm") if route == "hybrid" else ("d_nm", "z0_nm")
     if unread in system:
@@ -193,7 +185,7 @@ def parse_run_config(obj, path=""):
     if system.get(gap) is None:
         _fail(f"{path}.system.{gap}", "is required for the hybrid route"
               if route == "hybrid" else "is required for plate routes")
-    d = _number(system[gap], f"{path}.system.{gap}", positive=True)
+    d = _number(system[gap], f"{path}.system.{gap}")
 
     denominators = obj.get("denominators", "drop")
     if denominators not in ("drop", "keep"):
@@ -217,15 +209,17 @@ def parse_sweep_config(obj):
     axis = obj.get("axis")
     if axis not in SWEEP_AXES:
         _fail(".axis", f"must be one of {SWEEP_AXES}")
+    # values and grid ends are checked against the axis's own domain
+    zero = axis in ("v", "damping")
     values = obj.get("values")
     if isinstance(values, list):
         if not values:
             _fail(".values", "must hold at least one value")
-        vals = [_number(v, f".values[{i}]") for i, v in enumerate(values)]
+        vals = [_number(v, f".values[{i}]", zero) for i, v in enumerate(values)]
     elif isinstance(values, dict):
         _check_keys(values, ".values", {"min", "max", "count", "scale"})
-        lo = _number(values.get("min"), ".values.min")
-        hi = _number(values.get("max"), ".values.max")
+        lo = _number(values.get("min"), ".values.min", zero)
+        hi = _number(values.get("max"), ".values.max", zero)
         count = _integer(values.get("count"), ".values.count")
         scale = values.get("scale", "linear")
         if scale not in ("linear", "log"):
@@ -237,10 +231,6 @@ def parse_sweep_config(obj):
         vals = _grid(lo, hi, count, scale == "log", ".values.count").tolist()
     else:
         _fail(".values", "must be a list of numbers or {min,max,count,scale}")
-    may_be_zero = axis in ("v", "damping")
-    for i, v in enumerate(vals):
-        if not (v > 0.0 or (may_be_zero and v >= 0.0)):
-            _fail(f".values[{i}]", f"out of domain for axis {axis!r}")
     return {"base": base, "axis": axis, "values": vals, "raw": obj}
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
-from .units import _positive_fields, _real_fields, _reals
+from .units import _positive_fields, _real_fields
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,11 @@ class Drude:
     damping_ev: float
 
     def __post_init__(self):
-        _real_fields(self, "plasma_energy_ev", "damping_ev")
-        if not 0.0 < self.plasma_energy_ev <= _M_FAR:
+        _positive_fields(self, "plasma_energy_ev", "damping_ev",
+                         zero=("damping_ev",))
+        if self.plasma_energy_ev > _M_FAR:
             raise DomainError(f"plasma_energy_ev must be finite and in (0, {_M_FAR:g}] eV")
-        if not 0.0 <= self.damping_ev <= _M_FAR:
+        if self.damping_ev > _M_FAR:
             raise DomainError(f"damping_ev must be finite and in [0, {_M_FAR:g}] eV")
 
 
@@ -76,14 +77,12 @@ class Tabulated:
     values: np.ndarray
 
     def __post_init__(self):
-        _reals(self)
+        _real_fields(self, "m_ev", "values", array=True)
         m = np.array(self.m_ev, dtype=float)
         v = np.array(self.values, dtype=float)
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
             raise DomainError("tabulated model needs two same-length 1-D columns "
                               "with at least 2 samples")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
-            raise DomainError("tabulated columns must be finite")
         if not np.all(np.diff(m) > 0.0):
             raise DomainError("tabulated m grid must be strictly increasing")
         if m[0] < 0.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .units import _reals
+from .units import _positive_fields, _real_fields
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,14 @@ class LayeredConfig:
     q_per_nm: float
 
     def __post_init__(self):
-        _reals(self)
-        if not np.all(self.d_nm > 0.0):
-            raise DomainError("d_nm must be > 0")
-        if not np.all(self.q_per_nm > 0.0):
-            raise DomainError("q_per_nm must be > 0")
+        _real_fields(self, "eps1", "eps2", array=True)
+        _positive_fields(self, "d_nm", "q_per_nm", array=True)
         if np.any(self.eps1 == -1.0) or np.any(self.eps2 == -1.0):
             raise DomainError("eps = -1 is the surface-mode pole; the "
                               "boundary system is singular there")
+        if np.any(self.eps1 == 0.0):
+            raise DomainError("eps1 = 0: the charge's own potential "
+                              "1/eps1 in half-plane 1 is infinite")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ class UnsupportedModelError(CasfricError, TypeError):
 class ConfigError(CasfricError, ValueError):
     """A run/sweep configuration failed schema validation.
 
-    ``errors`` holds (path, message) pairs, e.g. (".system.d_nm", "must be > 0").
+    ``errors`` holds (path, message) pairs, e.g.
+    (".system.d_nm", "must be finite and > 0, got -1").
     """
 
     def __init__(self, errors):

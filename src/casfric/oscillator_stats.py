@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .units import _positive, _real, _reals, _whole
+from .units import _formed, _positive, _positive_fields, _real, _whole
 
 # Rows of normals per block of sample_pair_correlators: the working set
 # of a block (a few arrays of this length) stays within a few MiB.
@@ -38,22 +38,22 @@ class OscillatorSpec:
     eigen_energy_ev: float
 
     def __post_init__(self):
-        _reals(self)
-        if not np.all(self.alpha_static > 0.0):
-            raise DomainError("alpha_static must be > 0")
-        if not np.all(self.eigen_energy_ev > 0.0):
-            raise DomainError("eigen_energy_ev must be > 0")
+        _positive_fields(self, "alpha_static", "eigen_energy_ev", array=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gtilde(osc: OscillatorSpec, k) -> float:
     """Oscillator polarizability on the imaginary frequency axis:
-    alpha * w0**2 / (K**2 + w0**2).  Even in K; equals alpha_static at 0."""
-    w2 = osc.eigen_energy_ev ** 2
-    k_arr = np.asarray(k, dtype=float)
-    out = osc.alpha_static * w2 / (k_arr ** 2 + w2)
+    alpha * w0**2 / (K**2 + w0**2).  Even in K; equals alpha_static at 0
+    and is 0 where K**2 leaves the float range."""
+    k = np.asarray(_real("k", k, array=True))
+    w = osc.eigen_energy_ev
+    out = _formed("alpha*w0**2/(K**2 + w0**2)",
+                  lambda: osc.alpha_static * w ** 2 / (k ** 2 + w ** 2))
     return float(out) if out.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def g_imaginary_time(osc: OscillatorSpec, lam, beta):
     """Imaginary-time correlator <s(lambda) s(0)> of one oscillator:
 
@@ -66,32 +66,31 @@ def g_imaginary_time(osc: OscillatorSpec, lam, beta):
     entry bit for bit as its own scalar call.  There is no batched form:
     an ``OscillatorSpec`` of arrays is the batch.
     """
-    b = np.asarray(beta, dtype=float)
-    if not (b > 0.0).all():
-        raise DomainError("beta must be > 0")
-    lam = np.asarray(lam, dtype=float)
-    outside = ~((lam >= 0.0) & (lam <= b))  # nan is outside too
+    b = np.asarray(_positive("beta", beta, array=True))
+    lam = np.asarray(_positive("lam", lam, zero=True, array=True))
+    outside = lam > b
     if outside.any():
         bad = np.broadcast_to(lam, outside.shape)[outside]
-        raise DomainError(f"lambda must lie in [0, beta], got {bad!r}")
+        raise DomainError(f"lam must lie in [0, beta], got {bad!r}")
     w = osc.eigen_energy_ev
     amp = 0.5 * osc.alpha_static * w
     x = b * w / 2.0
     y = (b / 2.0 - lam) * w
     # cosh(y)/sinh(x) = (e^{y-x} + e^{-y-x})/(1 - e^{-2x}): with |y| <= x
-    # no exponent is positive, so nothing overflows at any x.
-    out = amp * (np.exp(y - x) + np.exp(-y - x)) / -np.expm1(-2.0 * x)
+    # no exponent is positive, so only the amplitude, or its quotient by
+    # 1 - e^{-2x} as x -> 0, can leave the float range.
+    out = _formed("the imaginary-time correlator", lambda: amp * (
+        np.exp(y - x) + np.exp(-y - x)) / -np.expm1(-2.0 * x))
     return float(out) if out.ndim == 0 else out
 
 
 def _stability(alpha1: float, alpha2: float, phi: float) -> tuple:
     """(alpha1, alpha2, phi, alpha1*alpha2*phi**2) as Python floats, each
-    alpha finite and > 0 and phi finite, for a stable pair: x < 1."""
+    alpha finite and > 0 and phi finite, for a stable pair: x < 1.  x is
+    (alpha1*phi)*(alpha2*phi), never inf*0."""
     alpha1, alpha2 = _positive("alpha1", alpha1), _positive("alpha2", alpha2)
     phi = _real("phi", phi)
-    if not math.isfinite(phi):
-        raise DomainError(f"phi must be finite, got {phi!r}")
-    x = alpha1 * alpha2 * phi * phi
+    x = (alpha1 * phi) * (alpha2 * phi)
     if x >= 1.0:
         raise StabilityError(
             f"alpha1*alpha2*phi**2 = {x:.6g} >= 1: the coupled Gaussian "
@@ -107,24 +106,28 @@ def pair_correlators(alpha1: float, alpha2: float,
         beta<s1 s2>  = alpha1*alpha2*phi / (1 - alpha1*alpha2*phi**2)
 
     Returned as (beta<s1^2>, beta<s2^2>, beta<s1 s2>).  The cross term is
-    odd in phi; only its square enters any downstream quantity.
+    odd in phi; only its square enters any downstream quantity.  It is
+    formed as (alpha1*phi)*alpha2, never inf*0.  A moment past the float
+    range is a DomainError.
     """
     alpha1, alpha2, phi, x = _stability(alpha1, alpha2, phi)
     denom = 1.0 - x
-    return (alpha1 / denom, alpha2 / denom, alpha1 * alpha2 * phi / denom)
+    return _formed("a pair moment", lambda: (
+        alpha1 / denom, alpha2 / denom, alpha1 * phi * alpha2 / denom))
 
 
 def pair_fourth_moment(alpha1: float, alpha2: float,
                        phi: float) -> tuple[float, float, float]:
     """Connected fourth moment beta**2*(<s1 s2 s1 s2> - <s1 s2>**2),
     decomposed into its in-plane product term <s1^2><s2^2> and the
-    cross-plane term <s1 s2>^2, returned as (term11, term12, sum)."""
+    cross-plane term <s1 s2>^2, returned as (term11, term12, sum).  A
+    term past the float range is a DomainError."""
     b1, b2, b12 = pair_correlators(alpha1, alpha2, phi)
-    term11 = b1 * b2
-    term12 = b12 * b12
-    return (term11, term12, term11 + term12)
+    return _formed("a term of the fourth moment", lambda: (
+        b1 * b2, b12 * b12, b1 * b2 + b12 * b12))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
                             n_samples: int, seed: int):
     """Monte-Carlo estimate of the pair moments from the bivariate
@@ -139,14 +142,13 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     as one draw), and each block adds to the sums of v - c and (v - c)**2
     of every sampled moment v, with c the first block's means (the
     shifted sums of Chan, Golub & LeVeque, 1983), so memory does not
-    grow with ``n_samples``.
+    grow with ``n_samples``.  A sampled moment past the float range is a
+    DomainError.
     """
-    alpha1, alpha2, phi, x = _stability(alpha1, alpha2, phi)
+    b1, b2, b12 = pair_correlators(alpha1, alpha2, phi)
     n_samples = _whole("n_samples", n_samples, 2)
     rng = np.random.default_rng(_whole("seed", seed, 0))
-    cov = np.array([[alpha1, alpha1 * alpha2 * phi],
-                    [alpha1 * alpha2 * phi, alpha2]]) / (1.0 - x)
-    chol = np.linalg.cholesky(cov)
+    chol = np.linalg.cholesky(np.array([[b1, b12], [b12, b2]]))
     # Block buffers, reused: the normals, the two coordinates and the four
     # sampled moments s1^2, s2^2, s1*s2, (s1*s2)^2.
     rows = min(_BLOCK_ROWS, n_samples)
@@ -178,5 +180,6 @@ def sample_pair_correlators(alpha1: float, alpha2: float, phi: float,
     s1s1, s2s2, s1s2, fourth = ((float(m), float(e)) for m, e in zip(mean, stderr))
     # connected part: subtract <s1 s2>^2 (propagating its error is
     # negligible next to the fourth-moment spread)
-    fourth = (fourth[0] - s1s2[0] ** 2, fourth[1])
-    return {"s1s1": s1s1, "s2s2": s2s2, "s1s2": s1s2, "fourth": fourth}
+    moments = _formed("a sampled pair moment", lambda: (
+        s1s1, s2s2, s1s2, (fourth[0] - s1s2[0] ** 2, fourth[1])))
+    return dict(zip(("s1s1", "s2s2", "s1s2", "fourth"), moments))

@@ -291,8 +291,8 @@ def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
     Each job is ``(decay_scale, split_points)`` and is integrated as by
     :func:`integrate_semi_infinite`, to ``==`` the same result: each is
     one job of :func:`integrate_many`.  ``f`` is called under
-    ``np.errstate(divide="ignore", invalid="ignore")``: a tail node may
-    map to inf.
+    ``np.errstate(over="ignore", divide="ignore", invalid="ignore")``: a
+    tail node may map to inf, and ``f`` may overflow there.
     """
     finite_jobs, scales = [], []
     for decay_scale, split_points in jobs:
@@ -311,7 +311,7 @@ def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
         # where the map is infinite: the non-finite value flags the result.
         tail = t < 0.0
         s = scales[job]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             w = 1.0 / (1.0 + t)
             y = f(np.where(tail, ends[job] - s * t * w, t), job)
             return np.where(tail, s * w * w * y, y)

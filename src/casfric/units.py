@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import fields
 
 import numpy as np
 
@@ -45,15 +44,15 @@ def thermal_energy(temperature_k: float) -> float:
     return kt
 
 
-def _formed(name: str, formula) -> float:
-    """``formula()``, which must stay inside the float range.  A result
-    that overflows, and a division by a power that underflows to 0, are
-    a DomainError naming ``name``."""
+def _formed(name: str, formula):
+    """``formula()``, a float or a float array, which must stay inside the
+    float range.  A result that overflows, and a division by a power that
+    underflows to 0, are a DomainError naming ``name``."""
     try:
         out = formula()
     except (OverflowError, ZeroDivisionError):
         out = math.inf
-    if not math.isfinite(out):
+    if not (math.isfinite(out) if type(out) is float else np.isfinite(out).all()):
         raise DomainError(f"{name} leaves the float range")
     return out
 
@@ -67,49 +66,71 @@ def beta(temperature_k: float) -> float:
     return out
 
 
-def _real(name: str, value) -> float:
+def _real(name: str, value, array: bool = False):
     """``value`` as a Python float, or a DomainError naming ``name`` unless
-    it is one real number.  A float passes on its exact type, as it is; an
-    integer past the float range is inf, which every caller refuses."""
-    if type(value) is float:
+    it is a finite real number; see :func:`_in_range`."""
+    if type(value) is float and -math.inf < value < math.inf:
         return value
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
+    return _in_range(name, value, array, -math.inf, False)
 
 
-def _positive(name: str, value, zero: bool = False) -> float:
-    """``value`` as the Python float :func:`_real` makes of it, or a
-    DomainError naming ``name`` unless it is finite and > 0, or >= 0 with
-    ``zero``.  This is the one check of every bare number argument."""
-    x = value if type(value) is float else _real(name, value)
-    if 0.0 < x < math.inf or zero and x == 0.0:
+def _positive(name: str, value, zero: bool = False, array: bool = False):
+    """``value`` as a Python float, or a DomainError naming ``name`` unless
+    it is finite and > 0, or >= 0 with ``zero``; see :func:`_in_range`.
+    This is the one check of every bare number argument."""
+    if type(value) is float and (0.0 < value < math.inf or zero and value == 0.0):
+        return value
+    return _in_range(name, value, array, 0.0, zero)
+
+
+def _in_range(name: str, value, array: bool, low: float, closed: bool):
+    """``value`` as a Python float, or with ``array`` a list or array of
+    real numbers as a float array (a 0-d one as a float), each element
+    finite and > ``low``, or >= ``low`` when ``closed``.  Anything else is
+    a DomainError of one form, naming ``name`` and the first element out
+    of range.  An integer past the float range is inf."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        try:
+            x = np.asarray(value) if array else None
+        except ValueError:  # a ragged list
+            x = None
+        if x is None or x.dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        x = x.astype(float, copy=False) if x.ndim else float(x)
+    ok = (x >= low if closed else x > low) & (x < math.inf)
+    if ok if type(x) is float else ok.all():
         return x
-    raise DomainError(f"{name} must be finite and {'>=' if zero else '>'} 0, "
-                      f"got {value!r}")
+    rule = ("finite" if low == -math.inf else
+            f"finite and {'>=' if closed else '>'} {low:g}")
+    bad = value if type(x) is float else float(x[~ok][0])
+    raise DomainError(f"{name} must be {rule}, got {bad!r}")
 
 
-def _positive_fields(obj, *names: str, zero: tuple = ()) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as the
-    Python float :func:`_positive` makes of it, a field named in ``zero``
-    allowed to be 0; a float field stays put."""
+def _positive_fields(obj, *names: str, zero: tuple = (),
+                     array: bool = False) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as what
+    :func:`_positive` makes of it, a field named in ``zero`` allowed to be
+    0; a float field in range stays put."""
     for name in names:
         value = getattr(obj, name)
-        x = _positive(name, value, name in zero)
+        x = _positive(name, value, name in zero, array)
         if x is not value:
             object.__setattr__(obj, name, x)
 
 
-def _real_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as the
-    Python float :func:`_real` makes of it; a float field stays put."""
+def _real_fields(obj, *names: str, array: bool = False) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as what
+    :func:`_real` makes of it; a finite float field stays put."""
     for name in names:
         value = getattr(obj, name)
-        if type(value) is not float:
-            object.__setattr__(obj, name, _real(name, value))
+        x = _real(name, value, array)
+        if x is not value:
+            object.__setattr__(obj, name, x)
 
 
 def _whole(name: str, value, least: int) -> int:
@@ -120,20 +141,3 @@ def _whole(name: str, value, least: int) -> int:
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
-
-
-def _reals(obj) -> None:
-    """Store each field of the frozen dataclass ``obj`` as a float, or as
-    a float array where it has dimensions, so that a list computes as the
-    array it holds.  A field that is not real numbers is a DomainError
-    naming it."""
-    for field in fields(obj):
-        try:
-            value = np.asarray(getattr(obj, field.name))
-        except ValueError:  # a ragged list
-            value = np.asarray(None)
-        if value.dtype.kind not in "iuf":
-            raise DomainError(f"{field.name} must be a real number or an "
-                              "array of real numbers")
-        object.__setattr__(obj, field.name, value.astype(float, copy=False)
-                           if value.ndim else float(value))

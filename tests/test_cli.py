@@ -231,7 +231,9 @@ class TestCompute:
         path.write_text(text)
         code, out, err = run_cli(capsys, ["compute", "--config", str(path)])
         assert (code, out) == (2, "")
-        assert err == f"config error: .system.{key}: must be a finite number\n"
+        bound = ">=" if key == "v_m_per_s" else ">"
+        assert err == (f"config error: .system.{key}: must be finite and "
+                       f"{bound} 0, got {json.loads(literal)!r}\n")
 
     def test_config_with_byte_order_mark(self, tmp_path, capsys):
         plain = write_json(tmp_path, "plain.json", gold_config())
@@ -387,10 +389,10 @@ class TestConfigErrorPaths:
         "system-not-object": ("compute", _set("system", value=5), [],
                               ".system: must be an object"),
         "not-a-number": ("compute", _set("system", "T_K", value="300"), [],
-                         ".system.T_K: must be a number"),
+                         ".system.T_K: must be a real number, got '300'\n"),
         "negative-speed": ("compute", _set("system", "v_m_per_s",
                                            value=-1.0), [],
-                           ".system.v_m_per_s: must be >= 0"),
+                           ".system.v_m_per_s: must be finite and >= 0, got -1.0\n"),
         "medium-no-model": ("compute", _set("system", "medium1", value={}),
                             [], ".system.medium1: missing 'model'"),
         "table-path-not-string": ("compute", _set(
@@ -415,11 +417,11 @@ class TestConfigErrorPaths:
             ".values: need min < max"),
         "sweep-log-min-zero": ("sweep", _sweep(values={
             "min": 0.0, "max": 5.0, "count": 3, "scale": "log"}), [],
-            ".values.min: must be > 0"),
+            ".values.min: must be finite and > 0, got 0.0\n"),
         "sweep-values-type": ("sweep", _sweep(values="10"), [],
                               ".values: must be a list"),
-        "sweep-value-out-of-domain": ("sweep", _sweep(values=[10.0, -1.0]),
-                                      [], ".values[1]: out of domain"),
+        "sweep-value-out-of-domain": ("sweep", _sweep(values=[10.0, -1.0]), [],
+                                      ".values[1]: must be finite and > 0, got -1.0\n"),
         "m-grid-two-parts": ("spectra", None, ["--m-grid", "1:2"],
                              "--m-grid: expected MIN:MAX"),
         "m-grid-bad-scale": ("spectra", None, ["--m-grid", "1:2:3:cubic"],

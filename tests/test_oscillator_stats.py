@@ -48,17 +48,6 @@ class TestImaginaryTime:
             assert osc.g_imaginary_time(o, lam, b) == pytest.approx(
                 osc.g_imaginary_time(o, b - lam, b), rel=1e-13)
 
-    def test_domain(self):
-        with pytest.raises(DomainError, match="alpha_static"):
-            osc.OscillatorSpec(0.0, 1.0)
-        with pytest.raises(DomainError, match="eigen_energy_ev"):
-            osc.OscillatorSpec(1.0, -1.0)
-        o = osc.OscillatorSpec(1.0, 1.0)
-        with pytest.raises(DomainError):
-            osc.g_imaginary_time(o, -0.1, 1.0)
-        with pytest.raises(DomainError):
-            osc.g_imaginary_time(o, 1.1, 1.0)
-
     @pytest.mark.parametrize("w, beta", [(1.5, 2.0), (2.0, 400.0)])
     def test_array_equals_scalar_calls(self, w, beta):
         # x = beta*w/2 is 1.5 and 400, where 1 - e^{-2x} rounds to 1
@@ -100,15 +89,15 @@ class TestImaginaryTime:
 
     def test_batched_domain_is_per_job(self):
         o = osc.OscillatorSpec(np.ones(2), np.ones(2))
-        with pytest.raises(DomainError, match="lambda"):
+        with pytest.raises(DomainError, match=r"^lam must lie in \[0, beta\], got"):
             osc.g_imaginary_time(o, np.array([1.5, 1.5]), np.array([2.0, 1.0]))
-        with pytest.raises(DomainError, match="lambda"):
+        with pytest.raises(DomainError, match=r"^lam must lie in \[0, beta\], got"):
             osc.g_imaginary_time(o, 1.5, np.array([2.0, 1.0]))
-        with pytest.raises(DomainError, match="beta"):
+        with pytest.raises(DomainError, match=r"^beta must be finite and > 0, got 0\.0"):
             osc.g_imaginary_time(o, np.array([0.5, 0.5]), np.array([2.0, 0.0]))
-        with pytest.raises(DomainError, match="alpha_static"):
+        with pytest.raises(DomainError, match="^alpha_static must be finite and > 0"):
             osc.OscillatorSpec(np.array([1.0, 0.0]), np.ones(2))
-        with pytest.raises(DomainError, match="eigen_energy_ev"):
+        with pytest.raises(DomainError, match="^eigen_energy_ev must be finite and"):
             osc.OscillatorSpec(np.ones(2), np.array([1.0, -1.0]))
 
     def test_list_fields_are_the_array_fields(self):
@@ -119,15 +108,8 @@ class TestImaginaryTime:
             == osc.gtilde(arrays, 0.7).tobytes()
         assert osc.g_imaginary_time(listed, 0.3, 2.0).tobytes() \
             == osc.g_imaginary_time(arrays, 0.3, 2.0).tobytes()
-        with pytest.raises(DomainError, match="alpha_static must be > 0"):
+        with pytest.raises(DomainError, match="^alpha_static must be finite and > 0"):
             osc.OscillatorSpec([1.0, 0.0], [1.0, 1.0])
-
-    @pytest.mark.parametrize("value", ["1.0", None, 1j, [1.0, "a"]],
-                             ids=["str", "none", "complex", "mixed-list"])
-    def test_field_that_is_not_real_numbers_is_rejected(self, value):
-        with pytest.raises(DomainError,
-                           match="eigen_energy_ev must be a real number"):
-            osc.OscillatorSpec(1.0, value)
 
     # x = beta*w0/2 from near 0 to past the float range of e^{-x}, and
     # lambda/beta.
@@ -230,7 +212,8 @@ class TestImaginaryTime:
 
 class TestPairStatistics:
     def test_correlators_free(self):
-        assert osc.pair_correlators(1.0, 2.0, 0.0) == (1.0, 2.0, 0.0)
+        for a1, a2 in ((1.0, 2.0), (1e200, 1e200)):  # a1*a2 is past the floats
+            assert osc.pair_correlators(a1, a2, 0.0) == (a1, a2, 0.0)
 
     def test_correlators_hand_value(self):
         b1, b2, b12 = osc.pair_correlators(1.0, 1.0, 0.5)
@@ -258,6 +241,8 @@ class TestPairStatistics:
         t11, t12, total = osc.pair_fourth_moment(1.3, 0.7, 0.0)
         assert t11 == pytest.approx(1.3 * 0.7, rel=1e-14)
         assert t12 == 0.0
+        with pytest.raises(DomainError, match="^a term of the fourth moment leaves"):
+            osc.pair_fourth_moment(1e200, 1e200, 0.0)  # term11 is 1e400
 
     def test_fourth_moment_equals_d2_lnz(self):
         # the connected moment Z''/Z - (Z'/Z)^2 is the second derivative

@@ -5,9 +5,12 @@ import ast
 import importlib.util
 import inspect
 import math
+import numbers
 import os
+import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -16,13 +19,14 @@ import pytest
 
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
-from casfric import comparisons, friction, geometry, oscillator_stats, units
+from casfric import comparisons as cmp, electrostatics as el, friction, units
+from casfric import geometry as geo, oscillator_stats as osc
 from casfric.dielectric import (Drude, MediumSpec, Tabulated,
                                 surface_plasmon_frequency)
-from casfric.errors import DomainError
+from casfric.errors import CasfricError, DomainError
 from casfric.presets import conductivity
-from casfric.quadrature import (QuadratureSpec, integrate_finite,
-                                integrate_semi_infinite,
+from casfric.quadrature import (IntegralResult, QuadratureSpec,
+                                integrate_finite, integrate_semi_infinite,
                                 integrate_semi_infinite_many)
 
 SRC = Path(casfric.__file__).parent
@@ -101,7 +105,7 @@ def test_friction_names_no_model_but_drude():
 
 def test_imaginary_time_correlator_has_one_calling_convention():
     # a batch is an OscillatorSpec of arrays, so there is no job argument
-    params = inspect.signature(oscillator_stats.g_imaginary_time).parameters
+    params = inspect.signature(osc.g_imaginary_time).parameters
     assert list(params) == ["osc", "lam", "beta"]
 
 
@@ -261,166 +265,205 @@ def test_fresh_import_defers_the_validate_modules():
 
 
 _GOLD = Drude(9.0, 0.035)
-
-
-@pytest.mark.parametrize("make, field", [
-    (lambda: Drude("9", 0.1), "plasma_energy_ev"),
-    (lambda: Drude(9.0, None), "damping_ev"),
-    (lambda: Drude(True, 0.1), "plasma_energy_ev"),
-    (lambda: MediumSpec(_GOLD, "1"), "density_per_nm3"),
-    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), "10",
-                                  1.0, 300.0), "d_nm"),
-    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0,
-                                  1.0, np.array(300.0)), "T_K"),
-    (lambda: friction.friction_hybrid(MediumSpec(_GOLD), _GOLD, "1", 1.0,
-                                      300.0), "z0_nm"),
-    (lambda: Tabulated(["a", "b"], [0, 1]), "m_ev"),
-    (lambda: Tabulated([0, 1j], [0, 1]), "m_ev"),
-    (lambda: Tabulated([0, 1], [[0], [1, 2]]), "values"),
-    (lambda: QuadratureSpec(abs_tol="1e-10"), "abs_tol"),
-    (lambda: QuadratureSpec(max_subdivisions=np.bool_(True)), "max_subdivisions"),
-    (lambda: friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), 10 ** 400,
-                                  1.0, 300.0), "d_nm"),
-], ids=["drude-str", "drude-none", "drude-bool", "medium-density",
-        "plate-gap", "plate-array", "hybrid-height", "table-str",
-        "table-complex", "table-ragged", "spec-tol", "spec-numpy-bool",
-        "plate-gap-past-float"])
-def test_number_fields_raise_typed_errors(make, field):
-    """A field that is not one real number, or a table column that is
-    not real numbers, is a DomainError naming it, not a TypeError or a
-    ValueError from the comparison or conversion that meets it."""
-    with pytest.raises(DomainError, match=field):
-        make()
-
-
 _TABLE = Tabulated([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])
+_OSC = osc.OscillatorSpec(1.0, 1.0)
+# The rule a number must meet, as its DomainError states it.
+P, N, R = "finite and > 0", "finite and >= 0", "finite"
 
-# (call of one bare number x, the name of the argument it takes x as)
-_BARE = {
-    "g_perp": (lambda x: geometry.g_perp(x), "z"),
-    "g_perp_kspace": (lambda x: geometry.g_perp_kspace(x), "z"),
-    "g_halfplane-rho1": (lambda x: geometry.g_halfplane(x, 1.0), "rho1"),
-    "g_halfplane-z0": (lambda x: geometry.g_halfplane(1.0, x), "z0"),
+
+def _plate(d=10.0, v=1.0, t=300.0):
+    return friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), d, v, t)
+
+
+def _hybrid(z0=10.0, v=1.0, t=300.0):
+    return friction.friction_hybrid(MediumSpec(_TABLE), _GOLD, z0, v, t)
+
+
+# The number contract of the public API, one row per number a caller gives:
+# (call of that number x, returning what is computed from it, the name its
+# DomainError gives it, the rule it must meet).
+NUMBERS = {
+    "g_perp": (lambda x: geo.g_perp(x), "z", P),
+    "g_perp_kspace": (lambda x: geo.g_perp_kspace(x), "z", P),
+    "g_halfplane-rho1": (lambda x: geo.g_halfplane(x, 1.0), "rho1", P),
+    "g_halfplane-z0": (lambda x: geo.g_halfplane(1.0, x), "z0", P),
     "g_halfplane_quadrature": (
-        lambda x: geometry.g_halfplane_quadrature(1.0, x), "z0"),
-    "g_two_planes-rho2": (lambda x: geometry.g_two_planes(1.0, x, 1.0), "rho2"),
-    "g_two_planes-d": (lambda x: geometry.g_two_planes(1.0, 1.0, x), "d"),
+        lambda x: geo.g_halfplane_quadrature(1.0, x), "z0", P),
+    "g_two_planes-rho2": (lambda x: geo.g_two_planes(1.0, x, 1.0), "rho2", P),
+    "g_two_planes-d": (lambda x: geo.g_two_planes(1.0, 1.0, x), "d", P),
     "g_two_planes_quadrature": (
-        lambda x: geometry.g_two_planes_quadrature(x, 1.0, 1.0), "rho1"),
-    "pendry-sigma": (lambda x: comparisons.pendry_force(x, 1e-8, 1.0),
-                     "conductivity_over_eps0"),
-    "pendry-d": (lambda x: comparisons.pendry_force(1e10, x, 1.0), "d_m"),
-    "pendry-v": (lambda x: comparisons.pendry_force(1e10, 1e-8, x), "v_m_per_s"),
-    "ratio-T": (lambda x: comparisons.ratio_to_pendry(x, 1.0, 1e-8),
-                "temperature_k"),
-    "ratio-v": (lambda x: comparisons.ratio_to_pendry(300.0, x, 1e-8),
-                "v_m_per_s"),
-    "ratio-d": (lambda x: comparisons.ratio_to_pendry(300.0, 1.0, x), "d_m"),
-    "vp-sigma": (lambda x: comparisons.vp_friction(x, 1e-8, 300.0, 1.0),
-                 "four_pi_sigma"),
-    "vp-d": (lambda x: comparisons.vp_friction(1e10, x, 300.0, 1.0), "d_m"),
-    "vp-T": (lambda x: comparisons.vp_friction(1e10, 1e-8, x, 1.0),
-             "temperature_k"),
-    "vp-v": (lambda x: comparisons.vp_friction(1e10, 1e-8, 300.0, x),
-             "v_m_per_s"),
-    "thermal_energy": (lambda x: units.thermal_energy(x), "temperature_k"),
-    "beta": (lambda x: units.beta(x), "temperature_k"),
-    "semi-infinite": (lambda x: integrate_semi_infinite(np.exp, x),
-                      "decay_scale"),
+        lambda x: geo.g_two_planes_quadrature(x, 1.0, 1.0), "rho1", P),
+    "pendry-sigma": (lambda x: cmp.pendry_force(x, 1e-8, 1.0),
+                     "conductivity_over_eps0", P),
+    "pendry-d": (lambda x: cmp.pendry_force(1e10, x, 1.0), "d_m", P),
+    "pendry-v": (lambda x: cmp.pendry_force(1e10, 1e-8, x), "v_m_per_s", P),
+    "ratio-T": (lambda x: cmp.ratio_to_pendry(x, 1.0, 1e-8), "temperature_k", P),
+    "ratio-v": (lambda x: cmp.ratio_to_pendry(300.0, x, 1e-8), "v_m_per_s", P),
+    "ratio-d": (lambda x: cmp.ratio_to_pendry(300.0, 1.0, x), "d_m", P),
+    "vp-sigma": (lambda x: cmp.vp_friction(x, 1e-8, 300.0, 1.0),
+                 "four_pi_sigma", P),
+    "vp-d": (lambda x: cmp.vp_friction(1e10, x, 300.0, 1.0), "d_m", P),
+    "vp-T": (lambda x: cmp.vp_friction(1e10, 1e-8, x, 1.0), "temperature_k", P),
+    "vp-v": (lambda x: cmp.vp_friction(1e10, 1e-8, 300.0, x), "v_m_per_s", P),
+    "thermal_energy": (lambda x: units.thermal_energy(x), "temperature_k", P),
+    "beta": (lambda x: units.beta(x), "temperature_k", P),
+    "semi-infinite": (lambda x: integrate_semi_infinite(lambda t: np.exp(-t), x),
+                      "decay_scale", P),
     "semi-infinite-many": (lambda x: integrate_semi_infinite_many(
-        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]), "decay_scale"),
-    "pair-alpha1": (lambda x: oscillator_stats.pair_correlators(x, 1.0, 0.5),
-                    "alpha1"),
-    "pair-alpha2": (lambda x: oscillator_stats.pair_correlators(1.0, x, 0.5),
-                    "alpha2"),
-    "pair-phi": (lambda x: oscillator_stats.pair_correlators(1.0, 1.0, x),
-                 "phi"),
-    "fourth-alpha2": (
-        lambda x: oscillator_stats.pair_fourth_moment(1.0, x, 0.5), "alpha2"),
-    "fourth-phi": (
-        lambda x: oscillator_stats.pair_fourth_moment(1.0, 1.0, x), "phi"),
-    "sample-alpha1": (lambda x: oscillator_stats.sample_pair_correlators(
-        x, 1.0, 0.5, 10, 1), "alpha1"),
-    "sample-phi": (lambda x: oscillator_stats.sample_pair_correlators(
-        1.0, 1.0, x, 10, 1), "phi"),
+        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]), "decay_scale", P),
+    "spec-abs_tol": (lambda x: QuadratureSpec(abs_tol=x).abs_tol, "abs_tol", P),
+    "spec-rel_tol": (lambda x: QuadratureSpec(rel_tol=x).rel_tol, "rel_tol", P),
+    "pair-alpha1": (lambda x: osc.pair_correlators(x, 1.0, 0.5), "alpha1", P),
+    "pair-alpha2": (lambda x: osc.pair_correlators(1.0, x, 0.5), "alpha2", P),
+    "pair-phi": (lambda x: osc.pair_correlators(0.1, 0.1, x), "phi", R),
+    "fourth-alpha2": (lambda x: osc.pair_fourth_moment(1.0, x, 0.5), "alpha2", P),
+    "fourth-phi": (lambda x: osc.pair_fourth_moment(0.1, 0.1, x), "phi", R),
+    "sample-alpha1": (lambda x: osc.sample_pair_correlators(x, 1.0, 0.5, 10, 1),
+                      "alpha1", P),
+    "sample-phi": (lambda x: osc.sample_pair_correlators(0.1, 0.1, x, 10, 1),
+                   "phi", R),
+    "osc-alpha_static": (lambda x: osc.g_imaginary_time(
+        osc.OscillatorSpec(x, 1.0), 0.5, 1.0), "alpha_static", P),
+    "osc-eigen_energy_ev": (lambda x: osc.gtilde(osc.OscillatorSpec(1.0, x), 1.0),
+                            "eigen_energy_ev", P),
+    "gtilde-k": (lambda x: osc.gtilde(_OSC, x), "k", R),
+    "imaginary-time-beta": (lambda x: osc.g_imaginary_time(_OSC, 0.0, x), "beta", P),
+    # beta holds every draw, so lam meets only its own rule, >= 0
+    "imaginary-time-lam": (lambda x: osc.g_imaginary_time(_OSC, x, 1e308), "lam", N),
+    "layers-eps1": (lambda x: el.denominator_check(el.LayeredConfig(x, 3.0, 1.0, 1.0)),
+                    "eps1", R),
+    "layers-eps2": (lambda x: el.denominator_check(el.LayeredConfig(2.0, x, 1.0, 1.0)),
+                    "eps2", R),
+    "layers-d_nm": (lambda x: el.denominator_check(el.LayeredConfig(2.0, 3.0, x, 1.0)),
+                    "d_nm", P),
+    "layers-q_per_nm": (lambda x: el.denominator_check(
+        el.LayeredConfig(2.0, 3.0, 1.0, x)), "q_per_nm", P),
+    "plate-d": (lambda x: _plate(d=x).d_nm, "d_nm", P),
+    "plate-v": (lambda x: _plate(v=x).v_m_per_s, "v_m_per_s", N),
+    "plate-T": (lambda x: _plate(t=x).T_K, "T_K", P),
+    "hybrid-z0": (lambda x: _hybrid(z0=x), "z0_nm", P),
+    "hybrid-v": (lambda x: _hybrid(v=x), "v_m_per_s", N),
+    "hybrid-T": (lambda x: _hybrid(t=x), "T_K", P),
+    "medium-density": (lambda x: MediumSpec(_GOLD, x).density_per_nm3,
+                       "density_per_nm3", P),
+    # a Drude energy past 1e76 eV is Drude's own DomainError
+    "drude-plasma": (lambda x: conductivity(Drude(x, 0.1)), "plasma_energy_ev", P),
+    "drude-damping": (lambda x: conductivity(Drude(9.0, x)), "damping_ev", N),
+    # a table takes columns: a number is a column too short to tabulate
+    "table-m": (lambda x: Tabulated(x, [0.0, 1.0]).static_response, "m_ev", R),
+    "table-values": (lambda x: Tabulated([0.0, 1.0], x).static_response,
+                     "values", R),
 }
 
 
-@pytest.mark.parametrize("value", ["1", None, True, math.inf, math.nan],
-                         ids=["str", "none", "bool", "inf", "nan"])
-@pytest.mark.parametrize("case", _BARE)
+def _outcome(call, x):
+    """``call(x)``, or the CasfricError it raises; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call(x)
+        except CasfricError as exc:
+            return exc
+
+
+def _finite(out) -> bool:
+    """Whether ``out`` is finite floats or float arrays, or not converged."""
+    if isinstance(out, (tuple, list, dict)):
+        return all(map(_finite, out.values() if isinstance(out, dict) else out))
+    if isinstance(out, (IntegralResult, friction.FrictionResult)):
+        return not out.converged or _finite(
+            out.value if isinstance(out, IntegralResult) else out.force)
+    if isinstance(out, np.ndarray):
+        return out.dtype == float and bool(np.isfinite(out).all())
+    return type(out) is float and math.isfinite(out)
+
+
+def _check(case, x):
+    """``x`` given to row ``case``: a DomainError of the one form naming the
+    number unless x meets the row's rule, else ``_finite`` or a CasfricError."""
+    call, name, rule = NUMBERS[case]
+    out = _outcome(call, x)
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if x is None and case == "medium-density":
+        assert out is None  # a medium may state no density
+    elif real and abs(x) <= sys.float_info.max and (  # an int past it is inf
+            rule == R or x > 0 or rule == N and x == 0):
+        assert _finite(out) or isinstance(out, CasfricError), (case, x, out)
+    else:
+        assert isinstance(out, DomainError) and re.match(
+            rf"{name} must be {rule if real else 'a real number'}, got ",
+            str(out)), (case, x, out)
+
+
+# Values no rule admits: not real numbers, or not finite.
+NOT_NUMBERS = {"str": "1", "none": None, "bool": True, "numpy-bool": np.bool_(True),
+               "complex": 1j, "list": [1.0, "a"], "ragged": [[1.0], [1.0, 2.0]],
+               "inf": math.inf, "nan": math.nan}
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize("case", NUMBERS)
 def test_bare_numbers_raise_typed_errors(case, value):
-    """A bare number argument that is not one finite real number is a
-    DomainError naming the argument, not a TypeError, a numpy error or a
-    result made of it: phi may take any finite value, the others only
-    one > 0."""
-    call, name = _BARE[case]
-    bound = "" if name == "phi" else " and > 0"
-    with pytest.raises(DomainError, match=rf"^{name} must be (a real number"
-                                          rf"|finite{bound}), got "):
-        call(value)
+    # a DomainError naming the number, never a TypeError or a numpy error
+    _check(case, NOT_NUMBERS[value])
 
 
-# (call of one number x, the field or argument it takes x as, whether 0
-# is allowed); their types are checked as in test_number_fields_raise_typed_errors
-_RANGED = {
-    "plate-d": (lambda x: friction.PlateSystem(
-        MediumSpec(_GOLD), MediumSpec(_GOLD), x, 1.0, 300.0), "d_nm", False),
-    "plate-v": (lambda x: friction.PlateSystem(
-        MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0, x, 300.0), "v_m_per_s",
-        True),
-    "plate-T": (lambda x: friction.PlateSystem(
-        MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0, 1.0, x), "T_K", False),
-    "hybrid-z0": (lambda x: friction.friction_hybrid(
-        MediumSpec(_TABLE), _GOLD, x, 1.0, 300.0), "z0_nm", False),
-    "hybrid-v": (lambda x: friction.friction_hybrid(
-        MediumSpec(_TABLE), _GOLD, 10.0, x, 300.0), "v_m_per_s", True),
-    "hybrid-T": (lambda x: friction.friction_hybrid(
-        MediumSpec(_TABLE), _GOLD, 10.0, 1.0, x), "T_K", False),
-    "medium-density": (lambda x: MediumSpec(_GOLD, x), "density_per_nm3",
-                       False),
-    "spec-abs_tol": (lambda x: QuadratureSpec(abs_tol=x), "abs_tol", False),
-    "spec-rel_tol": (lambda x: QuadratureSpec(rel_tol=x), "rel_tol", False),
-}
+# each rule's edges, non-finite numpy scalars and an integer past the floats
+EDGES = {"negative": -1.0, "zero": 0.0, "inf": np.float64(math.inf),
+         "nan": np.float64(math.nan), "past-float": 10 ** 400}
 
 
-@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan],
-                         ids=["negative", "inf", "nan"])
-@pytest.mark.parametrize("case", _RANGED)
+@pytest.mark.parametrize("value", EDGES)
+@pytest.mark.parametrize("case", NUMBERS)
 def test_numbers_out_of_range_raise_one_form(case, value):
-    """A number outside its range is the same DomainError form as a bare
-    argument's, naming the field: finite and > 0, or >= 0 for a speed."""
-    call, name, zero = _RANGED[case]
-    bound = ">=" if zero else ">"
-    with pytest.raises(DomainError,
-                       match=rf"^{name} must be finite and {bound} 0, got "):
-        call(value)
+    _check(case, EDGES[value])
+
+
+@pytest.mark.parametrize("case", NUMBERS)
+def test_numpy_twins_keep_the_bits(case):
+    # a numpy float or integer gives what the Python float it equals gives
+    call = NUMBERS[case][0]
+    for kind in (np.float64, np.float32, np.float16, np.int64):
+        assert repr(_outcome(call, kind(3))) == repr(_outcome(call, 3.0))
+
+
+# 10**U(-320, 308): subnormal to near the float maximum
+MAGNITUDES = 10.0 ** np.random.default_rng(1).uniform(-320.0, 308.0, 24)
+
+
+@pytest.mark.parametrize("draw", range(len(MAGNITUDES)))
+@pytest.mark.parametrize("case", NUMBERS)
+def test_seeded_magnitudes_of_both_signs(case, draw):
+    for x in (float(MAGNITUDES[draw]), -float(MAGNITUDES[draw])):
+        _check(case, x)
+
+
+# The cases of the first typed-error table, each a value given to a row
+_GIVEN = {
+    "drude-str": ("drude-plasma", "9"), "drude-none": ("drude-damping", None),
+    "drude-bool": ("drude-plasma", True), "plate-gap": ("plate-d", "10"),
+    "medium-density": ("medium-density", "1"), "spec-tol": ("spec-abs_tol", "1e-10"),
+    "plate-array": ("plate-T", np.array(300.0)), "hybrid-height": ("hybrid-z0", "1"),
+    "table-str": ("table-m", ["a", "b"]), "table-complex": ("table-m", [0, 1j]),
+    "table-ragged": ("table-values", [[0], [1, 2]]),
+    "spec-numpy-bool": ("spec-rel_tol", np.bool_(True)),
+    "plate-gap-past-float": ("plate-d", 10 ** 400)}
+
+
+@pytest.mark.parametrize("case", _GIVEN)
+def test_number_fields_raise_typed_errors(case):
+    _check(*_GIVEN[case])
 
 
 def test_number_fields_keep_their_bits():
-    # every number field is stored at construction as the Python float or
-    # int it equals, so a numpy scalar computes as its Python twin does
-    for kind in (np.float64, np.float32, np.float16, np.int64):
-        plasma, damping, density, gap, speed, temp, tol = map(
-            kind, (9, 1, 2, 10, 100, 300, 1))
-        budget = np.int64(3)
-        model = Drude(plasma, damping)
-        system = friction.PlateSystem(MediumSpec(model, density),
-                                      MediumSpec(model), gap, speed, temp)
-        spec = QuadratureSpec(tol, tol, budget)
-        stored = [(model.plasma_energy_ev, plasma), (model.damping_ev, damping),
-                  (system.medium1.density_per_nm3, density),
-                  (system.d_nm, gap), (system.v_m_per_s, speed),
-                  (system.T_K, temp), (spec.abs_tol, tol), (spec.rel_tol, tol)]
-        for field, given in stored:
-            assert type(field) is float and field == float(given)
-        assert type(spec.max_subdivisions) is int and spec.max_subdivisions == 3
-        assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
-            np.sqrt, 0.0, 1.0, QuadratureSpec(1.0, 1.0, 3))
-    for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
-        with pytest.raises(DomainError, match="plasma_energy_ev"):
-            Drude(kind(-9.0), kind(0.035))
-
+    # a numpy integer budget is stored as the int it equals, and a float32
+    # or float16 number computes on every route as its Python twin does
+    # (each number alone: test_numpy_twins_keep_the_bits)
+    spec = QuadratureSpec(1.0, 1.0, np.int64(3))
+    assert type(spec.max_subdivisions) is int and spec.max_subdivisions == 3
+    assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
+        np.sqrt, 0.0, 1.0, QuadratureSpec(1.0, 1.0, 3))
+    for kind in (np.float32, np.float16):
         def routes(x):
             """Each route on the numbers ``x`` makes of the given ones."""
             model = Drude(x(9.0), x(0.035))
@@ -440,17 +483,4 @@ def test_number_fields_keep_their_bits():
         # repr tells a float32 result from the float it equals, and a float
         # from any other float
         got, want = routes(kind), routes(lambda v: float(kind(v)))
-        assert list(map(repr, got)) == list(map(repr, want))
-
-    def bare(x):
-        """The closed forms that take bare numbers, on ``x`` of each."""
-        return [geometry.g_halfplane(x(2), x(3)),
-                geometry.g_two_planes(x(2), x(3), x(5)),
-                units.thermal_energy(x(300)),
-                comparisons.pendry_force(x(3), x(2), x(5)),
-                comparisons.ratio_to_pendry(x(300), x(5), x(2)),
-                comparisons.vp_friction(x(3), x(2), x(300), x(5))]
-
-    for kind in (np.float32, np.float16, np.int64):
-        got, want = bare(kind), bare(lambda v: float(kind(v)))
         assert list(map(repr, got)) == list(map(repr, want))

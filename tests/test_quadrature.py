@@ -795,7 +795,7 @@ class TestOneJob:
     *((tol, value) for tol in ("abs_tol", "rel_tol")
       for value in (math.nan, 0.0, -1.0, math.inf)),
     *(("max_subdivisions", value)
-      for value in (math.nan, 0, -1, math.inf, 2.5, True))])
+      for value in (math.nan, 0, -1, math.inf, 2.5, True, np.bool_(True)))])
 def test_spec_rejects_bad_tolerance_or_budget(field, value):
     """A tolerance must be finite and > 0: an infinite one would accept
     the first pass of any integral as converged.  The budget must be an
