@@ -187,6 +187,14 @@ def test_listed_pole_is_rejected():
             el.LayeredConfig(eps, 3.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", ["2.0", "gold"], ids=["numeric-str", "str"])
+def test_field_that_is_not_real_numbers_is_rejected(value):
+    # the number table's string row is "1"; a float-looking string and a word
+    # must be refused just the same, not parsed
+    with pytest.raises(DomainError, match="d_nm must be a real number"):
+        el.LayeredConfig(2.0, 3.0, value, 1.0)
+
+
 def test_singular_boundary_system_raises():
     # A1 = A2 = 2 at eps = -3 and e^{-2qd} is exactly 0.25, so the
     # denominator 1 - A1*A2*e^{-2qd} is 0
