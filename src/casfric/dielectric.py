@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
-from .units import _positive_fields, _real_fields
+from .units import _positive_fields, _real
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,8 @@ class Tabulated:
     values: np.ndarray
 
     def __post_init__(self):
-        _real_fields(self, "m_ev", "values", array=True)
-        m = np.array(self.m_ev, dtype=float)
-        v = np.array(self.values, dtype=float)
+        m = np.array(_real("m_ev", self.m_ev, array=True), dtype=float)
+        v = np.array(_real("values", self.values, array=True), dtype=float)
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
             raise DomainError("tabulated model needs two same-length 1-D columns "
                               "with at least 2 samples")

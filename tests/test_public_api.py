@@ -386,7 +386,8 @@ def _check(case, x):
     real = isinstance(x, numbers.Real) and not isinstance(x, bool)
     if x is None and case == "medium-density":
         assert out is None  # a medium may state no density
-    elif real and abs(x) <= sys.float_info.max and (  # an int past it is inf
+    elif real and (abs(x) <= sys.float_info.max if isinstance(x, int)  # or inf
+                   else math.isfinite(x)) and (
             rule == R or x > 0 or rule == N and x == 0):
         assert _finite(out) or isinstance(out, CasfricError), (case, x, out)
     else:
@@ -421,10 +422,12 @@ def test_numbers_out_of_range_raise_one_form(case, value):
 
 @pytest.mark.parametrize("case", NUMBERS)
 def test_numpy_twins_keep_the_bits(case):
-    # a numpy float or integer gives what the Python float it equals gives
+    # a numpy float or integer gives what the Python float it equals gives,
+    # and a narrow one outside the row's rule is refused as a Python float is
     call = NUMBERS[case][0]
     for kind in (np.float64, np.float32, np.float16, np.int64):
         assert repr(_outcome(call, kind(3))) == repr(_outcome(call, 3.0))
+        _check(case, kind(-1))
 
 
 # 10**U(-320, 308): subnormal to near the float maximum
@@ -463,7 +466,10 @@ def test_number_fields_keep_their_bits():
     assert type(spec.max_subdivisions) is int and spec.max_subdivisions == 3
     assert integrate_finite(np.sqrt, 0.0, 1.0, spec) == integrate_finite(
         np.sqrt, 0.0, 1.0, QuadratureSpec(1.0, 1.0, 3))
-    for kind in (np.float32, np.float16):
+    for kind in (np.float32, np.float16):  # the 1e76 eV bound overflows them
+        with pytest.raises(DomainError, match="^plasma_energy_ev must be "):
+            Drude(kind(-9.0), kind(0.035))
+
         def routes(x):
             """Each route on the numbers ``x`` makes of the given ones."""
             model = Drude(x(9.0), x(0.035))
