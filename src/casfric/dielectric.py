@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLineError, DomainError, UnsupportedModelError
 from .quadrature import _WGK, _XGK
-from .units import _positive_fields, _real
+from .units import _formed, _positive, _positive_fields, _real
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,17 @@ class Tabulated:
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.array(_real("m_ev", self.m_ev, array=True), dtype=float)
-        v = np.array(_real("values", self.values, array=True), dtype=float)
+        m = np.array(_positive("m_ev", self.m_ev, zero=True, array=True), dtype=float)
+        v = np.array(_positive("values", self.values, zero=True, array=True), dtype=float)
         if m.ndim != 1 or m.shape != v.shape or m.size < 2:
             raise DomainError("tabulated model needs two same-length 1-D columns "
                               "with at least 2 samples")
         if not np.all(np.diff(m) > 0.0):
             raise DomainError("tabulated m grid must be strictly increasing")
-        if m[0] < 0.0:
-            raise DomainError("tabulated m grid must be non-negative")
         if m[-1] > _M_FAR:
             raise DomainError(f"tabulated m grid must end at or below {_M_FAR:g} eV")
         if m[0] == 0.0 and v[0] != 0.0:
             raise DomainError("a tabulated density must vanish at m = 0")
-        if np.any(v < 0.0):
-            raise DomainError("tabulated spectral values must be >= 0")
         # np.interp copies a read-only array on every call, so the model
         # computes on the writable copies and shows read-only views.
         object.__setattr__(self, "_columns", (m, v))
@@ -458,7 +454,7 @@ def _broadening(model: PermittivityModel) -> float:
     return 0.0
 
 
-def dense_alpha_retarded(model: PermittivityModel, m):
+def dense_alpha_retarded(model: PermittivityModel, m: float):
     """The surface response on the retarded branch, A(-m**2 + i*gamma), at
     the model's own broadening gamma (:func:`_broadening`).  Vectorized over
     m, which must be > 0 with m**2 inside the float range.
@@ -469,9 +465,9 @@ def dense_alpha_retarded(model: PermittivityModel, m):
 
 def _retarded_energies(m) -> np.ndarray:
     """m as a 1-d float array of energies on the retarded branch: each
-    > 0 with m**2 inside the float range."""
-    m_arr = np.atleast_1d(np.asarray(m, dtype=float))
-    if m_arr.size and not (m_arr.min() > 0.0 and m_arr.max() <= _M_MAX):
+    > 0 (:func:`units._positive`) with m**2 inside the float range."""
+    m_arr = np.atleast_1d(_positive("m", m, array=True))
+    if m_arr.size and m_arr.max() > _M_MAX:
         raise DomainError("retarded evaluation requires finite m > 0 with "
                           f"m**2 in the float range (m <= {_M_MAX:.6g} eV)")
     return m_arr
@@ -509,10 +505,11 @@ def eps_retarded(model: PermittivityModel, m: float) -> complex:
 
     Evaluated at squared frequency -m**2 + i*gamma with m = hbar*omega > 0;
     the imaginary part is <= 0 in this convention, so the spectral density
-    -Im[...]/pi is non-negative.
+    -Im[...]/pi is non-negative.  One past the float range is a DomainError.
     """
     a = dense_alpha_retarded(model, m)
-    return (1.0 + a) / (1.0 - a)
+    with np.errstate(all="ignore"):
+        return _formed("the permittivity", lambda: (1.0 + a) / (1.0 - a))
 
 
 @dataclass(frozen=True)
@@ -531,16 +528,18 @@ class SpectralDensity:
     support_max: float = math.inf
 
 
-def drude_spectral_value(model: Drude, m):
+def drude_spectral_value(model: Drude, m: float):
     """Closed-form surface spectrum of the damped free-electron model:
-    (e_p**2/pi) * sigma*m / ((e_p**2 - m**2)**2 + (sigma*m)**2).
+    (e_p**2/pi) * sigma*m / ((e_p**2 - m**2)**2 + (sigma*m)**2), odd in m:
+    a Python float at a finite m, an array at an array (:func:`units._real`).
 
     Within a few ulp wherever m**2 is finite, but for the rounding of
     e_p**2 - m**2 beside e_p; past |m| = 1.34e154 eV, where m**2
-    overflows, the value is 0.  Raises no floating-point warning at
-    finite m."""
+    overflows, the value is 0.  Raises no floating-point warning."""
+    m = _real("m", m, array=True)
     with np.errstate(over="ignore"):
-        return _drude_spectrum(_drude_constants(model), m)
+        out = _drude_spectrum(_drude_constants(model), m)
+    return float(out) if type(m) is float else out
 
 
 def _drude_spectrum(constants: tuple, m):

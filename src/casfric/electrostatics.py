@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .units import _positive_fields, _real_fields
+from .units import _positive_fields, _real
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class LayeredConfig:
     q_per_nm: float
 
     def __post_init__(self):
-        _real_fields(self, "eps1", "eps2", array=True)
+        for name in ("eps1", "eps2"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), array=True))
         _positive_fields(self, "d_nm", "q_per_nm", array=True)
         if np.any(self.eps1 == -1.0) or np.any(self.eps2 == -1.0):
             raise DomainError("eps = -1 is the surface-mode pole; the "

@@ -165,8 +165,7 @@ def h0_overlap(s1: SpectralDensity, s2: SpectralDensity,
     floating-point warnings off, and a scale, H0 or error that is not
     finite raises a :class:`~casfric.errors.DomainError` naming T_K.
     """
-    if spec is None:
-        spec = default_spec()
+    spec = spec or default_spec()
     beta = units.beta(temperature_k)
     window = 40.0 / beta
     hints = [h for h in (s1.peak_hint, s2.peak_hint) if h > 0.0]
@@ -267,8 +266,7 @@ def h0_dense_at_u(model1: PermittivityModel, model2: PermittivityModel,
     ``_screening_factor`` does that in closed form.  No check uses this
     kernel as an oracle either; the benchmark's tracer still wraps it.
     """
-    if not u > 0.0:
-        raise DomainError("u must be > 0")
+    u = units._positive("u", u)
     _check_denominators(denominators)
     extra = None
     if denominators == "keep":
@@ -387,8 +385,7 @@ def _h0(integrand: tuple, temperature_k: float,
     if factor is None:
         res = h0_overlap(s1, s2, temperature_k, spec)
     else:
-        if spec is None:
-            spec = default_spec()
+        spec = spec or default_spec()
         inner = (spec if spec.rel_tol >= LI4_REL_ERR
                  else replace(spec, rel_tol=LI4_REL_ERR))
         res = h0_overlap(s1, s2, temperature_k, inner, factor)
@@ -400,7 +397,7 @@ def _h0(integrand: tuple, temperature_k: float,
 
 
 def h0_integrand(route: str, system: PlateSystem,
-                 denominators: DenominatorMode, m) -> dict:
+                 denominators: DenominatorMode, m: float) -> dict:
     """A route's H0 integrand at energies m (eV), from the route's own
     ``_integrand``, as columns: ``m_ev``, the densities ``spectral1`` and
     ``spectral2``, ``thermal_weight`` (x/sinh x)**2 at x = beta*m/2, the

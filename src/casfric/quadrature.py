@@ -37,6 +37,7 @@ sums each panel on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, mul, sub
@@ -45,7 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .units import _positive, _positive_fields, _whole
+from .units import _formed, _positive, _positive_fields, _real, _whole
 
 # 15-point Kronrod abscissae/weights on [-1, 1]; the embedded 7-point
 # Gauss rule sits on the odd-index nodes.
@@ -145,14 +146,34 @@ def _fsum(panels, field):
 
 
 def _edges(a, b, split_points):
-    """Edges of the initial panels of [a, b]: a, inner split points, b."""
-    if not a < b:
-        raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"require finite ends, got a={a!r}, b={b!r}; "
-                          "integrate_semi_infinite takes [0, inf)")
-    return [float(a), *sorted(s for s in set(map(float, split_points))
-                              if a < s < b), float(b)]
+    """Edges of the initial panels of [a, b], whose ends are finite real
+    numbers (:func:`units._real`): a, inner split points, b."""
+    if not (type(a) is type(b) is float and -math.inf < a < b < math.inf):
+        try:
+            a, b = _real("a", a), _real("b", b)
+        except DomainError as exc:
+            if math.inf in (abs(x) for x in (a, b) if isinstance(x, numbers.Real)):
+                raise DomainError(f"{exc}; integrate_semi_infinite takes "
+                                  "[0, inf)") from None
+            raise
+        if not a < b:
+            raise DomainError(f"require a < b, got a={a!r}, b={b!r}")
+    return [a, *sorted(s for s in set(_split_points(split_points))
+                       if a < s < b), b]
+
+
+def _split_points(points) -> list:
+    """The finite split points as Python floats (:func:`units._real`); one
+    that is not a real number is a DomainError naming split_points."""
+    out = []
+    for s in points:
+        try:
+            out.append(s if type(s) is float and abs(s) < math.inf
+                       else _real("split_points", s))
+        except DomainError:
+            if not isinstance(s, numbers.Real) or isinstance(s, bool):
+                raise
+    return out
 
 
 def _bisect(live, retired, spec):
@@ -237,8 +258,7 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
     halves of those they bisect; ``job`` holds the index of the job each
     abscissa belongs to.  Every job is checked before the first call.
     """
-    if spec is None:
-        spec = default_spec()
+    spec = spec or default_spec()
     edges = [_edges(a, b, split_points) for a, b, split_points in jobs]
     if len(edges) == 1:
         return [_integrate(lambda x: f(x, np.zeros(x.shape, dtype=int)),
@@ -275,9 +295,12 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
     [0, L], L = max(10 ``decay_scale``, last split point), is integrated
     as it stands; the tail [L, inf) is mapped onto [-1, 0) by
     x = L - s*t/(1+t), s = ``decay_scale`` (QUADPACK's QAGI with t
-    negated).  Split points <= 0 are dropped.  A tail that does not decay
-    is flagged non-convergent: its bisection runs towards t = -1 until
-    the budget runs out or the map turns non-finite.
+    negated).  Split points <= 0 or not finite are dropped.  A tail that
+    does not decay is flagged non-convergent: its bisection runs towards
+    t = -1 until the budget runs out or the map turns non-finite.
+
+    The head must hold the integrand's mass: else no node may land near
+    it, and exp(-x) at ``decay_scale`` 1e6 gives 0 +- 0, converged.
     """
     return integrate_semi_infinite_many(lambda x, job: f(x),
                                         [(decay_scale, split_points)], spec)[0]
@@ -299,8 +322,8 @@ def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
         decay_scale = _positive("decay_scale", decay_scale)
         # The map resolves x only to ulp(t)*s/(1+t)**2, too coarse for a
         # narrow feature far out, so split points stay in the head.
-        splits = [10.0 * decay_scale] + [s for s in map(float, split_points)
-                                         if s > 0.0]
+        splits = [_formed("10*decay_scale", lambda: 10.0 * decay_scale)] + [
+            s for s in _split_points(split_points) if s > 0.0]
         finite_jobs.append((-1.0, max(splits), [0.0] + splits))
         scales.append(decay_scale)
     scales = np.array(scales)

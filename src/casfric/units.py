@@ -123,16 +123,6 @@ def _positive_fields(obj, *names: str, zero: tuple = (),
             object.__setattr__(obj, name, x)
 
 
-def _real_fields(obj, *names: str, array: bool = False) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as what
-    :func:`_real` makes of it; a finite float field stays put."""
-    for name in names:
-        value = getattr(obj, name)
-        x = _real(name, value, array)
-        if x is not value:
-            object.__setattr__(obj, name, x)
-
-
 def _whole(name: str, value, least: int) -> int:
     """``value`` as an int >= ``least``, or a DomainError naming ``name``:
     a bool, a float and anything else that is not an integer are refused."""

@@ -261,7 +261,7 @@ class TestCompute:
         ("0.0 0.0\n2.0 0.1\n1.0 0.2\n",
          "tabulated m grid must be strictly increasing"),
         ("0.0 0.0\n1.0 -0.1\n2.0 0.1\n",
-         "tabulated spectral values must be >= 0"),
+         "values must be finite and >= 0, got -0.1"),
         ("0.0 0.3\n1.0 0.2\n2.0 0.1\n",
          "a tabulated density must vanish at m = 0")],
         ids=["one-row", "non-increasing", "negative", "nonzero-at-0"])

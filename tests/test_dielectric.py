@@ -117,10 +117,6 @@ class TestRetarded:
         a = dl.dense_alpha_retarded(GOLD, 1.0)
         assert a == pytest.approx(40.5 / (40.5 - 1.0 + 0.035j), rel=1e-14)
 
-    def test_rejects_nonpositive_m(self):
-        with pytest.raises(DomainError):
-            dl.eps_retarded(GOLD, 0.0)
-
 
 class TestSpectralDensity:
     def test_drude_peak_value(self):
@@ -253,7 +249,8 @@ class TestTabulated:
             dl.Tabulated(np.array([1.0, 2.0]), np.array([-0.1, 0.2]))
         with pytest.raises(DomainError):
             dl.Tabulated(np.array([0.0, 1.0]), np.array([0.5, 0.2]))
-        with pytest.raises(DomainError, match="grid must be non-negative"):
+        with pytest.raises(DomainError,
+                           match=r"^m_ev must be finite and >= 0, got -1\.0$"):
             dl.Tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
     def test_reconstruction_matches_drude(self):
@@ -648,9 +645,10 @@ class TestSurfaceResponse:
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0, 1e200, 1.35e154])
     def test_energy_out_of_range_rejected(self, model, m):
         # these gave nan, or 0 at m = inf, with at most a RuntimeWarning
+        message = (r"m > 0 with m\*\*2 in the float range" if 0 < m < math.inf
+                   else rf"^m must be finite and > 0, got {m!r}$")
         for arg in (m, np.array([1.0, m])):
-            with pytest.raises(DomainError, match=r"m > 0 with m\*\*2 in the "
-                                                  "float range"):
+            with pytest.raises(DomainError, match=message):
                 dl.dense_alpha_retarded(model, arg)
         assert math.isfinite(abs(dl.dense_alpha_retarded(model, 1.34e154)))
 

@@ -1007,7 +1007,8 @@ class TestSpectralProducts:
     by ``h0_dense_at_u``."""
 
     def test_u_must_be_positive(self):
-        with pytest.raises(DomainError, match="u must be > 0"):
+        with pytest.raises(DomainError,
+                           match=r"^u must be finite and > 0, got 0\.0$"):
             fr.h0_dense_at_u(GOLD, GOLD, 300.0, 0.0)
 
 

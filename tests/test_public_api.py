@@ -2,6 +2,8 @@
 package itself, unless it is the independent oracle of a check."""
 
 import ast
+import cmath
+import dataclasses
 import importlib.util
 import inspect
 import math
@@ -19,7 +21,8 @@ import pytest
 
 import casfric
 import casfric.cli  # noqa: F401  (loaded first, as perfbench/run.py does)
-from casfric import comparisons as cmp, electrostatics as el, friction, units
+from casfric import comparisons as cmp, dielectric as dl, electrostatics as el
+from casfric import friction, units
 from casfric import geometry as geo, oscillator_stats as osc
 from casfric.dielectric import (Drude, MediumSpec, Tabulated,
                                 surface_plasmon_frequency)
@@ -267,93 +270,163 @@ def test_fresh_import_defers_the_validate_modules():
 _GOLD = Drude(9.0, 0.035)
 _TABLE = Tabulated([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])
 _OSC = osc.OscillatorSpec(1.0, 1.0)
-# The rule a number must meet, as its DomainError states it.
-P, N, R = "finite and > 0", "finite and >= 0", "finite"
+_PLATE = (MediumSpec(_GOLD), MediumSpec(_GOLD), 10.0, 1.0, 300.0)
+_DENSITY = dl.spectral_density(_GOLD)
+# With a bounded integrand, huge ends neither warn nor run long in one pass
+_ONE_PASS = QuadratureSpec(max_subdivisions=1)
+# The rule a number must meet, as its DomainError states it; ANY admits
+# every real number, inf and nan too.
+P, N, R, ANY = "finite and > 0", "finite and >= 0", "finite", "a real number"
 
-
-def _plate(d=10.0, v=1.0, t=300.0):
-    return friction.PlateSystem(MediumSpec(_GOLD), MediumSpec(_GOLD), d, v, t)
-
-
-def _hybrid(z0=10.0, v=1.0, t=300.0):
-    return friction.friction_hybrid(MediumSpec(_TABLE), _GOLD, z0, v, t)
-
-
-# The number contract of the public API, one row per number a caller gives:
-# (call of that number x, returning what is computed from it, the name its
-# DomainError gives it, the rule it must meet).
-NUMBERS = {
-    "g_perp": (lambda x: geo.g_perp(x), "z", P),
-    "g_perp_kspace": (lambda x: geo.g_perp_kspace(x), "z", P),
-    "g_halfplane-rho1": (lambda x: geo.g_halfplane(x, 1.0), "rho1", P),
-    "g_halfplane-z0": (lambda x: geo.g_halfplane(1.0, x), "z0", P),
-    "g_halfplane_quadrature": (
-        lambda x: geo.g_halfplane_quadrature(1.0, x), "z0", P),
-    "g_two_planes-rho2": (lambda x: geo.g_two_planes(1.0, x, 1.0), "rho2", P),
-    "g_two_planes-d": (lambda x: geo.g_two_planes(1.0, 1.0, x), "d", P),
-    "g_two_planes_quadrature": (
-        lambda x: geo.g_two_planes_quadrature(x, 1.0, 1.0), "rho1", P),
-    "pendry-sigma": (lambda x: cmp.pendry_force(x, 1e-8, 1.0),
-                     "conductivity_over_eps0", P),
-    "pendry-d": (lambda x: cmp.pendry_force(1e10, x, 1.0), "d_m", P),
-    "pendry-v": (lambda x: cmp.pendry_force(1e10, 1e-8, x), "v_m_per_s", P),
-    "ratio-T": (lambda x: cmp.ratio_to_pendry(x, 1.0, 1e-8), "temperature_k", P),
-    "ratio-v": (lambda x: cmp.ratio_to_pendry(300.0, x, 1e-8), "v_m_per_s", P),
-    "ratio-d": (lambda x: cmp.ratio_to_pendry(300.0, 1.0, x), "d_m", P),
-    "vp-sigma": (lambda x: cmp.vp_friction(x, 1e-8, 300.0, 1.0),
-                 "four_pi_sigma", P),
-    "vp-d": (lambda x: cmp.vp_friction(1e10, x, 300.0, 1.0), "d_m", P),
-    "vp-T": (lambda x: cmp.vp_friction(1e10, 1e-8, x, 1.0), "temperature_k", P),
-    "vp-v": (lambda x: cmp.vp_friction(1e10, 1e-8, 300.0, x), "v_m_per_s", P),
-    "thermal_energy": (lambda x: units.thermal_energy(x), "temperature_k", P),
-    "beta": (lambda x: units.beta(x), "temperature_k", P),
-    "semi-infinite": (lambda x: integrate_semi_infinite(lambda t: np.exp(-t), x),
-                      "decay_scale", P),
-    "semi-infinite-many": (lambda x: integrate_semi_infinite_many(
-        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]), "decay_scale", P),
-    "spec-abs_tol": (lambda x: QuadratureSpec(abs_tol=x).abs_tol, "abs_tol", P),
-    "spec-rel_tol": (lambda x: QuadratureSpec(rel_tol=x).rel_tol, "rel_tol", P),
-    "pair-alpha1": (lambda x: osc.pair_correlators(x, 1.0, 0.5), "alpha1", P),
-    "pair-alpha2": (lambda x: osc.pair_correlators(1.0, x, 0.5), "alpha2", P),
-    "pair-phi": (lambda x: osc.pair_correlators(0.1, 0.1, x), "phi", R),
-    "fourth-alpha2": (lambda x: osc.pair_fourth_moment(1.0, x, 0.5), "alpha2", P),
-    "fourth-phi": (lambda x: osc.pair_fourth_moment(0.1, 0.1, x), "phi", R),
-    "sample-alpha1": (lambda x: osc.sample_pair_correlators(x, 1.0, 0.5, 10, 1),
-                      "alpha1", P),
-    "sample-phi": (lambda x: osc.sample_pair_correlators(0.1, 0.1, x, 10, 1),
-                   "phi", R),
-    "osc-alpha_static": (lambda x: osc.g_imaginary_time(
-        osc.OscillatorSpec(x, 1.0), 0.5, 1.0), "alpha_static", P),
-    "osc-eigen_energy_ev": (lambda x: osc.gtilde(osc.OscillatorSpec(1.0, x), 1.0),
-                            "eigen_energy_ev", P),
-    "gtilde-k": (lambda x: osc.gtilde(_OSC, x), "k", R),
-    "imaginary-time-beta": (lambda x: osc.g_imaginary_time(_OSC, 0.0, x), "beta", P),
+# The number contract of the public API, one entry per public function and
+# input dataclass that _walk finds taking a float: the names of its cases,
+# valid base arguments, the rule of each float parameter (with the name its
+# DomainError gives, if not the parameter's) and what is computed from the
+# result, if not the result itself.
+CALLS = {
+    units.thermal_energy: ("thermal_energy", (300.0,), {"temperature_k": P}),
+    units.beta: ("beta", (300.0,), {"temperature_k": P}),
+    QuadratureSpec: ("spec-abs_tol spec-rel_tol", (1e-10, 1e-8),
+                     {"abs_tol": P, "rel_tol": P},
+                     lambda s: (s.abs_tol, s.rel_tol)),
+    integrate_finite: ("finite-a finite-b", (np.cos, 0.0, 2.0, _ONE_PASS),
+                       {"a": R, "b": R}),
+    integrate_semi_infinite: ("semi-infinite", (np.cos, 1.0, _ONE_PASS),
+                              {"decay_scale": P}),
+    Drude: ("drude-plasma drude-damping", (9.0, 0.1),
+            {"plasma_energy_ev": P, "damping_ev": N}, conductivity),
+    MediumSpec: ("medium-density", (_GOLD, 1.0), {"density_per_nm3": P},
+                 lambda s: s.density_per_nm3),
+    dl.dense_alpha_retarded: ("dense_alpha_retarded", (_GOLD, 1.0), {"m": P}),
+    dl.eps_retarded: ("eps_retarded", (_GOLD, 1.0), {"m": P}),
+    # the spectrum is odd in m
+    dl.drude_spectral_value: ("drude_spectral_value", (_GOLD, 1.0), {"m": R}),
+    osc.OscillatorSpec: ("osc-alpha_static osc-eigen_energy_ev", (1.0, 1.0),
+                         {"alpha_static": P, "eigen_energy_ev": P},
+                         lambda o: (osc.gtilde(o, 1.0),
+                                    osc.g_imaginary_time(o, 0.5, 1.0))),
+    osc.gtilde: ("gtilde-k", (_OSC, 1.0), {"k": R}),
     # beta holds every draw, so lam meets only its own rule, >= 0
-    "imaginary-time-lam": (lambda x: osc.g_imaginary_time(_OSC, x, 1e308), "lam", N),
-    "layers-eps1": (lambda x: el.denominator_check(el.LayeredConfig(x, 3.0, 1.0, 1.0)),
-                    "eps1", R),
-    "layers-eps2": (lambda x: el.denominator_check(el.LayeredConfig(2.0, x, 1.0, 1.0)),
-                    "eps2", R),
-    "layers-d_nm": (lambda x: el.denominator_check(el.LayeredConfig(2.0, 3.0, x, 1.0)),
-                    "d_nm", P),
-    "layers-q_per_nm": (lambda x: el.denominator_check(
-        el.LayeredConfig(2.0, 3.0, 1.0, x)), "q_per_nm", P),
-    "plate-d": (lambda x: _plate(d=x).d_nm, "d_nm", P),
-    "plate-v": (lambda x: _plate(v=x).v_m_per_s, "v_m_per_s", N),
-    "plate-T": (lambda x: _plate(t=x).T_K, "T_K", P),
-    "hybrid-z0": (lambda x: _hybrid(z0=x), "z0_nm", P),
-    "hybrid-v": (lambda x: _hybrid(v=x), "v_m_per_s", N),
-    "hybrid-T": (lambda x: _hybrid(t=x), "T_K", P),
-    "medium-density": (lambda x: MediumSpec(_GOLD, x).density_per_nm3,
-                       "density_per_nm3", P),
-    # a Drude energy past 1e76 eV is Drude's own DomainError
-    "drude-plasma": (lambda x: conductivity(Drude(x, 0.1)), "plasma_energy_ev", P),
-    "drude-damping": (lambda x: conductivity(Drude(9.0, x)), "damping_ev", N),
-    # a table takes columns: a number is a column too short to tabulate
-    "table-m": (lambda x: Tabulated(x, [0.0, 1.0]).static_response, "m_ev", R),
-    "table-values": (lambda x: Tabulated([0.0, 1.0], x).static_response,
-                     "values", R),
+    osc.g_imaginary_time: ("imaginary-time-lam imaginary-time-beta",
+                           (_OSC, 0.0, 1e308), {"lam": N, "beta": P}),
+    osc.pair_correlators: ("pair-alpha1 pair-alpha2 pair-phi", (1.0, 1.0, 0.5),
+                           {"alpha1": P, "alpha2": P, "phi": R}),
+    osc.pair_fourth_moment: ("fourth-alpha1 fourth-alpha2 fourth-phi",
+                             (1.0, 1.0, 0.5),
+                             {"alpha1": P, "alpha2": P, "phi": R}),
+    osc.sample_pair_correlators: ("sample-alpha1 sample-alpha2 sample-phi",
+                                  (1.0, 1.0, 0.5, 10, 1),
+                                  {"alpha1": P, "alpha2": P, "phi": R}),
+    geo.g_perp: ("g_perp", (1.0,), {"z": P}),
+    geo.g_perp_kspace: ("g_perp_kspace", (1.0,), {"z": P}),
+    geo.g_halfplane: ("g_halfplane-rho1 g_halfplane-z0", (1.0, 1.0),
+                      {"rho1": P, "z0": P}),
+    geo.g_halfplane_quadrature: (
+        "g_halfplane_quadrature-rho1 g_halfplane_quadrature", (1.0, 1.0),
+        {"rho1": P, "z0": P}),
+    geo.g_two_planes: ("g_two_planes-rho1 g_two_planes-rho2 g_two_planes-d",
+                       (1.0, 1.0, 1.0), {"rho1": P, "rho2": P, "d": P}),
+    geo.g_two_planes_quadrature: (
+        "g_two_planes_quadrature g_two_planes_quadrature-rho2 "
+        "g_two_planes_quadrature-d", (1.0, 1.0, 1.0),
+        {"rho1": P, "rho2": P, "d": P}),
+    friction.PlateSystem: ("plate-d plate-v plate-T", _PLATE,
+                           {"d_nm": P, "v_m_per_s": N, "T_K": P},
+                           lambda s: (s.d_nm, s.v_m_per_s, s.T_K)),
+    friction.h0_overlap: ("h0_overlap", (_DENSITY, _DENSITY, 300.0),
+                          {"temperature_k": P}),
+    friction.h0_dense_at_u: ("h0_dense_at_u-T h0_dense_at_u-u",
+                             (_GOLD, _GOLD, 300.0, 1.0),
+                             {"temperature_k": P, "u": P}),
+    friction.h0_integrand: ("h0_integrand", ("dense-full", friction.PlateSystem(
+        *_PLATE), "keep", 1.0), {"m": P}),
+    friction.friction_hybrid: ("hybrid-z0 hybrid-v hybrid-T",
+                               (MediumSpec(_TABLE), _GOLD, 10.0, 1.0, 300.0),
+                               {"z0_nm": P, "v_m_per_s": N,
+                                "temperature_k": ("T_K", P)}),
+    el.LayeredConfig: ("layers-eps1 layers-eps2 layers-d_nm layers-q_per_nm",
+                       (2.0, 3.0, 1.0, 1.0),
+                       {"eps1": R, "eps2": R, "d_nm": P, "q_per_nm": P},
+                       el.denominator_check),
+    cmp.pendry_force: ("pendry-sigma pendry-d pendry-v", (1e10, 1e-8, 1.0),
+                       {"conductivity_over_eps0": P, "d_m": P, "v_m_per_s": P}),
+    cmp.ratio_to_pendry: ("ratio-T ratio-v ratio-d", (300.0, 1.0, 1e-8),
+                          {"temperature_k": P, "v_m_per_s": P, "d_m": P}),
+    cmp.vp_friction: ("vp-sigma vp-d vp-T vp-v", (1e10, 1e-8, 300.0, 1.0),
+                      {"four_pi_sigma": P, "d_m": P, "temperature_k": P,
+                       "v_m_per_s": P}),
 }
+
+# Results and data, which take no number from a caller -> why _walk skips them
+EXEMPT = {
+    "IntegralResult": "the result of an integral",
+    "FrictionResult": "the result of a force route",
+    "BoundarySolution": "the result of solve_layers",
+    "CheckResult": "the result of a criterion",
+    "Preset": "a named set of checked fields",
+    "SpectralDensity": "built on every op by spectral_density, so no per-op check",
+}
+
+
+def _walk():
+    """Each public function and dataclass of the modules in casfric.__all__
+    with its parameters annotated float (or float | None)."""
+    for module in map(casfric.__dict__.get, casfric.__all__):
+        for name, obj in vars(module).items() if inspect.ismodule(module) else ():
+            if (not name.startswith("_")
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and (inspect.isfunction(obj) or inspect.isclass(obj)
+                         and dataclasses.is_dataclass(obj))):
+                params = inspect.signature(obj).parameters.values()
+                yield obj, [p.name for p in params
+                            if p.annotation in ("float", "float | None")]
+
+
+def test_every_float_parameter_has_a_rule():
+    # a new public number fails here until CALLS or EXEMPT names it
+    walked = {obj: floats for obj, floats in _walk()
+              if floats and obj.__name__ not in EXEMPT}
+    assert {obj: list(entry[2]) for obj, entry in CALLS.items()} == walked
+    assert {obj.__name__ for obj, floats in _walk() if floats} >= set(EXEMPT)
+
+
+def _with(obj, base, param, then=None):
+    """x -> ``obj`` of ``base`` but x for ``param``, or ``then`` of that."""
+    signature = inspect.signature(obj)
+
+    def call(x):
+        bound = signature.bind(*base)
+        bound.arguments[param] = x
+        out = obj(*bound.args, **bound.kwargs)
+        return out if then is None else then(out)
+
+    return call
+
+
+# case -> (call of a number x, the name its DomainError gives x, the rule x
+# must meet, whether x may be None): the cases of CALLS, then those of
+# numbers given in a list or an array.
+NUMBERS = {
+    case: (_with(obj, base, param, *then),
+           *(rule if isinstance(rule, tuple) else (param, rule)),
+           "None" in inspect.signature(obj).parameters[param].annotation)
+    for obj, (cases, base, rules, *then) in CALLS.items()
+    for case, (param, rule) in zip(cases.split(), rules.items())}
+NUMBERS.update({
+    # a split point that is not finite lies in no interval
+    "finite-split_points": (lambda x: integrate_finite(
+        np.cos, 0.0, 2.0, _ONE_PASS, [x]), "split_points", ANY, False),
+    "semi-infinite-split_points": (lambda x: integrate_semi_infinite(
+        np.cos, 1.0, _ONE_PASS, [x]), "split_points", ANY, False),
+    "semi-infinite-many": (lambda x: integrate_semi_infinite_many(
+        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]),
+        "decay_scale", P, False),
+    # a table takes columns: a number is a column too short to tabulate
+    "table-m": (lambda x: Tabulated(x, [0.0, 1.0]).static_response,
+                "m_ev", N, False),
+    "table-values": (lambda x: Tabulated([0.0, 1.0], x).static_response,
+                     "values", N, False),
+})
 
 
 def _outcome(call, x):
@@ -367,27 +440,30 @@ def _outcome(call, x):
 
 
 def _finite(out) -> bool:
-    """Whether ``out`` is finite floats or float arrays, or not converged."""
+    """Whether ``out`` is finite floats, complexes or arrays of them, or not
+    converged."""
     if isinstance(out, (tuple, list, dict)):
         return all(map(_finite, out.values() if isinstance(out, dict) else out))
     if isinstance(out, (IntegralResult, friction.FrictionResult)):
         return not out.converged or _finite(
             out.value if isinstance(out, IntegralResult) else out.force)
     if isinstance(out, np.ndarray):
-        return out.dtype == float and bool(np.isfinite(out).all())
-    return type(out) is float and math.isfinite(out)
+        return out.dtype in (float, complex) and bool(np.isfinite(out).all())
+    return type(out) in (float, complex) and cmath.isfinite(out)
 
 
 def _check(case, x):
-    """``x`` given to row ``case``: a DomainError of the one form naming the
-    number unless x meets the row's rule, else ``_finite`` or a CasfricError."""
-    call, name, rule = NUMBERS[case]
+    """``x`` given to ``case``: a DomainError of the one form naming the
+    number unless x meets the case's rule, else ``_finite`` or a
+    CasfricError."""
+    call, name, rule, optional = NUMBERS[case]
     out = _outcome(call, x)
     real = isinstance(x, numbers.Real) and not isinstance(x, bool)
-    if x is None and case == "medium-density":
-        assert out is None  # a medium may state no density
-    elif real and (abs(x) <= sys.float_info.max if isinstance(x, int)  # or inf
-                   else math.isfinite(x)) and (
+    finite = real and (abs(x) <= sys.float_info.max if isinstance(x, int)
+                       else math.isfinite(x))
+    if x is None and optional:
+        assert out is None
+    elif rule == ANY and real or finite and (
             rule == R or x > 0 or rule == N and x == 0):
         assert _finite(out) or isinstance(out, CasfricError), (case, x, out)
     else:
@@ -441,13 +517,18 @@ def test_seeded_magnitudes_of_both_signs(case, draw):
         _check(case, x)
 
 
-# The cases of the first typed-error table, each a value given to a row
+# The cases of the first typed-error table, each a value given to a case
 _GIVEN = {
-    "drude-str": ("drude-plasma", "9"), "drude-none": ("drude-damping", None),
-    "drude-bool": ("drude-plasma", True), "plate-gap": ("plate-d", "10"),
-    "medium-density": ("medium-density", "1"), "spec-tol": ("spec-abs_tol", "1e-10"),
-    "plate-array": ("plate-T", np.array(300.0)), "hybrid-height": ("hybrid-z0", "1"),
-    "table-str": ("table-m", ["a", "b"]), "table-complex": ("table-m", [0, 1j]),
+    "drude-str": ("drude-plasma", "9"),
+    "drude-none": ("drude-damping", None),
+    "drude-bool": ("drude-plasma", True),
+    "plate-gap": ("plate-d", "10"),
+    "medium-density": ("medium-density", "1"),
+    "spec-tol": ("spec-abs_tol", "1e-10"),
+    "plate-array": ("plate-T", np.array(300.0)),
+    "hybrid-height": ("hybrid-z0", "1"),
+    "table-str": ("table-m", ["a", "b"]),
+    "table-complex": ("table-m", [0, 1j]),
     "table-ragged": ("table-values", [[0], [1, 2]]),
     "spec-numpy-bool": ("spec-rel_tol", np.bool_(True)),
     "plate-gap-past-float": ("plate-d", 10 ** 400)}

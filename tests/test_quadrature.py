@@ -161,10 +161,6 @@ class TestFinite:
         res = integrate_finite(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
         assert not res.converged
 
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            integrate_finite(np.sin, 1.0, 0.0)
-
     def test_split_points_help_sharp_peak(self):
         width = 1e-7
         center = 0.3333
@@ -382,25 +378,27 @@ class TestLockstep:
                 want = [15 * first] + [30 * k for k in rest]
                 assert got == want + [0] * (len(rounds) - len(want)), case
 
-    @pytest.mark.parametrize("bad", [(1.0, 1.0, ()), (1.0, 0.0, ()),
-                                     (0.0, math.nan, ())],
-                             ids=["empty", "reversed", "nan"])
-    def test_bad_job_raises_before_any_call(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, 1.0, ()), "require a < b"), ((1.0, 0.0, ()), "require a < b"),
+        ((0.0, math.nan, ()), "^b must be finite, got nan$")],
+        ids=["empty", "reversed", "nan"])
+    def test_bad_job_raises_before_any_call(self, bad, message):
         calls = []
-        with pytest.raises(DomainError, match="require a < b"):
+        with pytest.raises(DomainError, match=message):
             integrate_many(lambda x, job: calls.append(x) or x,
                            [(0.0, 1.0, ()), bad])
         assert calls == []
 
-    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
-                                      (-math.inf, math.inf)],
+    @pytest.mark.parametrize("a, b, end", [(0.0, math.inf, "b"),
+                                           (-math.inf, 0.0, "a"),
+                                           (-math.inf, math.inf, "a")],
                              ids=["to-inf", "from-minus-inf", "both"])
-    def test_infinite_end_raises_before_any_call(self, a, b):
+    def test_infinite_end_raises_before_any_call(self, a, b, end):
         # these gave IntegralResult(nan, nan, 15, False) with a
         # RuntimeWarning: the panel midpoint of an infinite end is not finite
         calls = []
-        with pytest.raises(DomainError, match=r"require finite ends.*"
-                           r"integrate_semi_infinite"):
+        with pytest.raises(DomainError, match=rf"^{end} must be finite, got -?inf; "
+                           r"integrate_semi_infinite takes \[0, inf\)$"):
             integrate_finite(lambda x: calls.append(x) or np.exp(-x), a, b)
         with pytest.raises(DomainError, match="integrate_semi_infinite"):
             integrate_many(lambda x, job: calls.append(x) or x,
@@ -708,6 +706,14 @@ class TestSemiInfinite:
         res = integrate_semi_infinite(f, 1.0, TIGHT, split_points=[center])
         assert res.converged
         assert abs(res.value - exact) <= res.error_estimate
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the head "
+                       "[0, 10*decay_scale] is trusted to hold the mass; far "
+                       "wider, no node lands near it and 0 +- 0 converges")
+    def test_decay_scale_far_past_the_mass_is_honest(self):
+        for scale in (1e6, 1e200):
+            res = integrate_semi_infinite(lambda x: np.exp(-x), scale)
+            assert not res.converged or abs(res.value - 1.0) <= res.error_estimate
 
     def test_nondecaying_flagged_without_warning(self):
         for f in (np.ones_like, lambda x: 1.0 / np.sqrt(1.0 + x)):
