@@ -24,14 +24,15 @@ same shape, elementwise.  A pass stops on the exactly rounded
 (math.fsum) sums of value and error: once the error meets the target, a
 sum is not finite or the budget is spent.
 
-Independent integrals run in lockstep in ``integrate_many`` and
-``integrate_semi_infinite_many``; a batch of one runs as a lone integral.
-Each pass, one call ``f(x, job)`` evaluates the halves of all unfinished
-integrals, ``job`` holding the integer index of the integral each
-abscissa belongs to.  That ``f`` must be elementwise in both arguments:
-entry i of its result depends only on ``x[i]`` and ``job[i]``.  Every
-result is then ``==`` the one its integral gets alone: the panel rule
-sums each panel on its own.
+``integrate_finite`` runs its integral in a loop of its own.  Every
+batch, ``integrate_semi_infinite``'s batch of one included, runs its
+integrals in lockstep in ``integrate_many``.  Each pass, one call
+``f(x, job)`` evaluates the halves of all unfinished integrals, ``job``
+holding the integer index of the integral each abscissa belongs to.
+That ``f`` must be elementwise in both arguments: entry i of its result
+depends only on ``x[i]`` and ``job[i]``.  Every result is then ``==``
+the one its integral gets alone: the panel rule sums each panel on its
+own.
 """
 
 from __future__ import annotations
@@ -219,19 +220,6 @@ def _bisect(live, retired, spec):
             return [], [], total, error
 
 
-def _integrate(f, edges, spec):
-    """One integral of ``f(x)`` over the panels between ``edges``,
-    bisected pass by pass."""
-    lo, hi = edges[:-1], edges[1:]
-    live, retired, evals = [], [], 0
-    while lo:
-        live += _panels(f, lo, hi)
-        evals += 15 * len(lo)
-        lo, hi, total, error = _bisect(live, retired, spec)
-    return IntegralResult(total, error, evals,
-                          math.isfinite(total) and error <= spec.target(total))
-
-
 def integrate_finite(f: Callable, a: float, b: float,
                      spec: QuadratureSpec | None = None,
                      split_points: Iterable[float] = ()) -> IntegralResult:
@@ -244,7 +232,16 @@ def integrate_finite(f: Callable, a: float, b: float,
     Returns a flagged (converged=False) result rather than a silent wrong
     value when the subdivision budget is exhausted.
     """
-    return _integrate(f, _edges(a, b, split_points), spec or default_spec())
+    spec = spec or default_spec()
+    edges = _edges(a, b, split_points)
+    lo, hi = edges[:-1], edges[1:]
+    live, retired, evals = [], [], 0
+    while lo:
+        live += _panels(f, lo, hi)
+        evals += 15 * len(lo)
+        lo, hi, total, error = _bisect(live, retired, spec)
+    return IntegralResult(total, error, evals,
+                          math.isfinite(total) and error <= spec.target(total))
 
 
 def integrate_many(f: Callable, jobs: Iterable[tuple],
@@ -260,9 +257,6 @@ def integrate_many(f: Callable, jobs: Iterable[tuple],
     """
     spec = spec or default_spec()
     edges = [_edges(a, b, split_points) for a, b, split_points in jobs]
-    if len(edges) == 1:
-        return [_integrate(lambda x: f(x, np.zeros(x.shape, dtype=int)),
-                           edges[0], spec)]
     wanted_lo, wanted_hi = [e[:-1] for e in edges], [e[1:] for e in edges]
     live, retired = [[] for _ in edges], [[] for _ in edges]
     evals, results = [0] * len(edges), [None] * len(edges)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .friction import (PlateSystem, friction_dense,
 from .oscillator_stats import (OscillatorSpec, g_imaginary_time, gtilde,
                                pair_correlators, pair_fourth_moment,
                                sample_pair_correlators)
-from .presets import GOLD, PENDRY97, conductivity
+from .presets import GOLD, PENDRY97, Preset, conductivity
 from .quadrature import (QuadratureSpec, integrate_many,
                          integrate_semi_infinite, integrate_semi_infinite_many)
 
@@ -59,11 +59,22 @@ def _rel(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
 
 
+def _spread(scaled: list[float]) -> float:
+    """The worst relative departure of ``scaled`` from its first entry."""
+    return max(abs(s / scaled[0] - 1.0) for s in scaled)
+
+
+def _pair(preset: Preset, **fields) -> PlateSystem:
+    """Two plates of ``preset``'s medium at its gap, speed and
+    temperature, with ``fields`` replaced."""
+    med = MediumSpec(preset.model)
+    return replace(PlateSystem(med, med, preset.d_nm, preset.v_m_per_s,
+                               preset.T_K), **fields)
+
+
 def check_gold_force() -> list[CheckResult]:
     """Criterion 1: gold plate-plate force through all three routes."""
-    med = MediumSpec(GOLD.model)
-    sys_gold = PlateSystem(med, med, d_nm=GOLD.d_nm, v_m_per_s=GOLD.v_m_per_s,
-                           T_K=GOLD.T_K)
+    sys_gold = _pair(GOLD)
     out = []
     cf = friction_drude_closed_form(sys_gold)
     out.append(CheckResult("1a", "gold closed-form force (Pa)",
@@ -143,12 +154,9 @@ def check_pendry() -> list[CheckResult]:
         "4b", "cubic-in-v benchmark force (Pa)",
         _rel(fp, 1.6e3) <= 1e-2, fp, 1.6e3, "1%",
         detail="known inconsistency: quoted trio violates F = ratio * F_P"))
-    med = MediumSpec(PENDRY97.model)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cf = friction_drude_closed_form(
-            PlateSystem(med, med, PENDRY97.d_nm, PENDRY97.v_m_per_s,
-                        PENDRY97.T_K))
+        cf = friction_drude_closed_form(_pair(PENDRY97))
     out.append(CheckResult(
         "4c", "closed-form force at benchmark conductivity (Pa)",
         _rel(cf.force, 3.5e12) <= 2e-2, cf.force, 3.5e12, "2%",
@@ -168,9 +176,7 @@ def check_vp() -> list[CheckResult]:
     d_m = gold.d_nm * units.NM_TO_M
     _, fvp = comparisons.vp_friction(conductivity(gold.model), d_m,
                                      gold.T_K, gold.v_m_per_s)
-    med = MediumSpec(gold.model)
-    ours = friction_drude_closed_form(
-        PlateSystem(med, med, gold.d_nm, gold.v_m_per_s, gold.T_K)).force
+    ours = friction_drude_closed_form(_pair(gold)).force
     ratio = fvp / ours
     return [CheckResult("5", "evanescent benchmark / our force",
                         abs(ratio - 1.2) <= 0.12, ratio, 1.2, "10%")]
@@ -376,36 +382,19 @@ def _fd_identity_check() -> CheckResult:
 
 def check_scaling() -> list[CheckResult]:
     """Criterion 9: linearity in v, gap power law, temperature power law."""
-    out = []
-    gold = GOLD
-    med = MediumSpec(gold.model)
+    def force(**fields) -> float:
+        return friction_dense(_pair(GOLD, **fields), "drop").force
 
-    f1 = friction_dense(PlateSystem(med, med, 10.0, 50.0, 300.0), "drop")
-    f2 = friction_dense(PlateSystem(med, med, 10.0, 100.0, 300.0), "drop")
-    dev = abs(f2.force / f1.force - 2.0)
-    out.append(CheckResult("9a", "force linear in v (doubling deviation)",
-                           dev <= 2e-13, dev, 0.0, "exact"))
-
-    worst = 0.0
-    base = None
-    for d in (5.0, 10.0, 20.0, 50.0):
-        f = friction_dense(PlateSystem(med, med, d, 100.0, 300.0), "drop")
-        scaled = f.force * (d * units.NM_TO_M) ** 4
-        base = scaled if base is None else base
-        worst = max(worst, abs(scaled / base - 1.0))
-    out.append(CheckResult("9b", "force ~ d^-4 over [5, 50] nm (worst dev)",
-                           worst <= 1e-2, worst, 0.0, "1%"))
-
-    worst = 0.0
-    base = None
-    for t in (100.0, 300.0, 600.0):
-        f = friction_dense(PlateSystem(med, med, 10.0, 100.0, t), "drop")
-        scaled = f.force / t ** 2
-        base = scaled if base is None else base
-        worst = max(worst, abs(scaled / base - 1.0))
-    out.append(CheckResult("9c", "force ~ T^2 over [100, 600] K (worst dev)",
-                           worst <= 1e-2, worst, 0.0, "1%"))
-    return out
+    dev = abs(force() / force(v_m_per_s=50.0) - 2.0)
+    d_dev = _spread([force(d_nm=d) * (d * units.NM_TO_M) ** 4
+                     for d in (5.0, 10.0, 20.0, 50.0)])
+    t_dev = _spread([force(T_K=t) / t ** 2 for t in (100.0, 300.0, 600.0)])
+    return [CheckResult("9a", "force linear in v (doubling deviation)",
+                        dev <= 2e-13, dev, 0.0, "exact"),
+            CheckResult("9b", "force ~ d^-4 over [5, 50] nm (worst dev)",
+                        d_dev <= 1e-2, d_dev, 0.0, "1%"),
+            CheckResult("9c", "force ~ T^2 over [100, 600] K (worst dev)",
+                        t_dev <= 1e-2, t_dev, 0.0, "1%")]
 
 
 def run_all() -> list[CheckResult]:

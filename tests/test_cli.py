@@ -418,6 +418,10 @@ class TestConfigErrorPaths:
         "sweep-log-min-zero": ("sweep", _sweep(values={
             "min": 0.0, "max": 5.0, "count": 3, "scale": "log"}), [],
             ".values.min: must be finite and > 0, got 0.0\n"),
+        # a speed may be 0, so only the log scale refuses this grid
+        "sweep-log-min-zero-speed": ("sweep", _sweep(axis="v", values={
+            "min": 0, "max": 100, "count": 5, "scale": "log"}), [],
+            ".values.min: must be > 0 for log scale\n"),
         "sweep-values-type": ("sweep", _sweep(values="10"), [],
                               ".values: must be a list"),
         "sweep-value-out-of-domain": ("sweep", _sweep(values=[10.0, -1.0]), [],

@@ -21,6 +21,7 @@ GOLD = Drude(9.0, 0.035)
 EP = math.sqrt(0.5) * 9.0
 GOLD_MED = MediumSpec(GOLD)
 PLASMA = Drude(9.0, 0.0)  # collisionless: one line at EP
+EPS = np.finfo(float).eps
 # The range error of an overlap integrand at 300 K.
 OUT_OF_RANGE_300K = (r"^the overlap integrand leaves the float range at "
                      r"T_K = 300\.0 K$")
@@ -984,22 +985,76 @@ class TestHybrid:
             fr.friction_hybrid(self.probe(), PLASMA, 1.0, 100.0, 300.0)
 
     def test_dense_embedding_limit(self):
-        # a dilute probe medium embedded in the dense pipeline via the
-        # density bridge A1 = 2 pi rho1 alpha1 converges to the hybrid
-        # kernel as rho1 -> 0: the dense kernel per 2 pi rho1 approaches
-        # the hybrid one (which absorbs the factor 1/2 per plate density)
+        # a dilute probe medium embedded in the dense route via the density
+        # bridge A1 = 2 pi rho1 alpha1: the dense kernel per 2 pi rho1 is
+        # the hybrid one (which absorbs the factor 1/2 per plate density).
+        # Under "drop" the two are one integral, equal to rounding; under
+        # "keep" the screening adds a term first order in rho1.
         probe_value = 5e-5
         m = np.linspace(0.0, 60.0, 4000)
         h_hybrid = fr.friction_hybrid(MediumSpec(Tabulated(m, probe_value * m)),
                                       GOLD, 1.0, 100.0, 300.0).h0
-        ratios = []
-        for rho1 in (1e-1, 1e-2, 1e-3):
-            scaled = Tabulated(m, 2.0 * math.pi * rho1 * probe_value * m)
-            h_dense = fr.h0_dense_at_u(scaled, GOLD, 300.0, 1.0, "keep").value
-            ratios.append(h_dense / (2.0 * math.pi * rho1) / (2.0 * h_hybrid))
-        # converges to 1 linearly in rho1
-        assert abs(ratios[2] - 1.0) < abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
-        assert ratios[2] == pytest.approx(1.0, rel=1e-3)
+        rhos = (1e-1, 1e-2, 1e-3, 1e-4)
+        ratios = {}
+        for denominators in ("drop", "keep"):
+            for rho1 in rhos:
+                scaled = Tabulated(m, 2.0 * math.pi * rho1 * probe_value * m)
+                h_dense = fr.friction_dense(
+                    fr.PlateSystem(MediumSpec(scaled), GOLD_MED, 1.0, 100.0,
+                                   300.0), denominators).h0
+                ratios[denominators, rho1] = (h_dense / (2.0 * math.pi * rho1)
+                                              / (2.0 * h_hybrid))
+        for rho1 in rhos:
+            assert abs(ratios["drop", rho1] - 1.0) <= 4 * EPS
+        slopes = [(ratios["keep", rho1] - 1.0) / rho1 for rho1 in rhos]
+        assert min(slopes) > 0.0
+        assert max(slopes) <= min(slopes) * (1.0 + 1e-2)
+
+
+def gapped_table(rng, n, low):
+    """n samples over [low, low + 4] eV of a Lorentzian 0.1-0.8 eV wide,
+    centred 0.3-3 eV above ``low``, of height 10^U(-3, 0), set to 0 at
+    ``low``: a medium with no spectral weight below ``low``."""
+    m = np.linspace(low, low + 4.0, n)
+    centre, width = rng.uniform(low + 0.3, low + 3.0), rng.uniform(0.1, 0.8)
+    v = 10.0 ** rng.uniform(-3.0, 0.0) / (1.0 + ((m - centre) / width) ** 2)
+    v[0] = 0.0
+    return m, v
+
+
+def test_dense_drop_is_the_dilute_route():
+    # Under "drop" a dense plate of table 2 pi rho alpha is the dilute
+    # medium of table alpha at density rho: both the geometric factor
+    # (densities 1/(2 pi) against rho) and H0 are bilinear in the two
+    # densities, so the two routes form one force, up to the rounding of
+    # the scaled tables.  The paper's non-additivity of dense media starts
+    # at order rho^2, in "keep" (test_dense_embedding_limit).
+    #
+    # A table from m = 0 is flat in S/m on its first segment, and at high
+    # T the thermal weight is flat there to rounding too: rounding then
+    # picks the probe's peak, and the two routes can split their integrals
+    # at different points.  Gapped tables hold the routes to 4 ulp; tables
+    # from 0 to the errors they claim.
+    rng = np.random.default_rng(48)
+    for _ in range(40):
+        n = int(rng.integers(24, 401))
+        rho = 10.0 ** rng.uniform(-4.0, -1.0, 2)
+        t_k = float(rng.uniform(30.0, 1000.0))
+        d_nm = float(rng.uniform(2.0, 50.0))
+        v = float(rng.uniform(10.0, 1000.0))
+        for gapped in (True, False):
+            lows = rng.uniform(0.1, 1.0, 2) if gapped else (0.0, 0.0)
+            tables = [gapped_table(rng, n, low) for low in lows]
+            dilute = fr.friction_dilute(fr.PlateSystem(
+                *(MediumSpec(Tabulated(m, a), r)
+                  for (m, a), r in zip(tables, rho)), d_nm, v, t_k))
+            dense = fr.friction_dense(fr.PlateSystem(
+                *(MediumSpec(Tabulated(m, 2.0 * math.pi * r * a))
+                  for (m, a), r in zip(tables, rho)), d_nm, v, t_k), "drop")
+            assert dense.converged and dilute.converged
+            bound = (4 * EPS if gapped
+                     else dense.quadrature_error + dilute.quadrature_error)
+            assert abs(dense.force / dilute.force - 1.0) <= bound
 
 
 class TestSpectralProducts:
