@@ -41,15 +41,15 @@ class OscillatorSpec:
         _positive_fields(self, "alpha_static", "eigen_energy_ev", array=True)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def gtilde(osc: OscillatorSpec, k: float) -> float:
     """Oscillator polarizability on the imaginary frequency axis:
-    alpha * w0**2 / (K**2 + w0**2).  Even in K; equals alpha_static at 0
-    and is 0 where K**2 leaves the float range."""
+    alpha / (1 + (K/w0)**2), that is alpha * w0**2 / (K**2 + w0**2).
+    Even in K; equals alpha_static at 0 and is 0 where (K/w0)**2 leaves
+    the float range."""
     k = np.asarray(_real("k", k, array=True))
     w = osc.eigen_energy_ev
-    out = _formed("alpha*w0**2/(K**2 + w0**2)",
-                  lambda: osc.alpha_static * w ** 2 / (k ** 2 + w ** 2))
+    out = osc.alpha_static / (1.0 + (k / w) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,13 +74,13 @@ def g_imaginary_time(osc: OscillatorSpec, lam: float, beta: float):
         raise DomainError(f"lam must lie in [0, beta], got {bad!r}")
     w = osc.eigen_energy_ev
     amp = 0.5 * osc.alpha_static * w
-    x = b * w / 2.0
-    y = (b / 2.0 - lam) * w
-    # cosh(y)/sinh(x) = (e^{y-x} + e^{-y-x})/(1 - e^{-2x}): with |y| <= x
-    # no exponent is positive, so only the amplitude, or its quotient by
-    # 1 - e^{-2x} as x -> 0, can leave the float range.
+    # cosh(y)/sinh(x), x = beta*w0/2, y = x - lambda*w0, is
+    # (e^{-lambda*w0} + e^{-(beta - lambda)*w0})/(1 - e^{-beta*w0}): no
+    # exponent is positive and none is a difference of two large ones, so
+    # only the amplitude, or its quotient by 1 - e^{-beta*w0} as
+    # beta*w0 -> 0, can leave the float range.
     out = _formed("the imaginary-time correlator", lambda: amp * (
-        np.exp(y - x) + np.exp(-y - x)) / -np.expm1(-2.0 * x))
+        np.exp(-lam * w) + np.exp(-(b - lam) * w)) / -np.expm1(-b * w))
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,4 +1,4 @@
-"""Deterministic error-controlled integration engines.
+"""A deterministic error-controlled integration engine.
 
 Finite intervals use an adaptive Gauss-Kronrod 7/15 rule with worst-panel
 bisection; the refinement order is a fixed function of the inputs, so
@@ -23,16 +23,6 @@ ndarray of 15*k abscissae per call and must return an ndarray of the
 same shape, elementwise.  A pass stops on the exactly rounded
 (math.fsum) sums of value and error: once the error meets the target, a
 sum is not finite or the budget is spent.
-
-``integrate_finite`` runs its integral in a loop of its own.  Every
-batch, ``integrate_semi_infinite``'s batch of one included, runs its
-integrals in lockstep in ``integrate_many``.  Each pass, one call
-``f(x, job)`` evaluates the halves of all unfinished integrals, ``job``
-holding the integer index of the integral each abscissa belongs to.
-That ``f`` must be elementwise in both arguments: entry i of its result
-depends only on ``x[i]`` and ``job[i]``.  Every result is then ``==``
-the one its integral gets alone: the panel rule sums each panel on its
-own.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable
 
@@ -107,15 +96,15 @@ class IntegralResult:
     converged: bool
 
 
-def _panels(f, lo, hi, *job):
+def _panels(f, lo, hi):
     """G7/K15 on the panels [lo[i], hi[i]], their nodes mid + half*_XGK
-    panel after panel in one call ``f(x, *job)`` -> the panels as
+    panel after panel in one call ``f(x)`` -> the panels as
     (|k15-g7|, lo, hi, k15), the rule's numbers Python floats."""
     # Python floats, rounded as numpy rounds: the rule below takes half.
     half = [0.5 * (q - p) for p, q in zip(lo, hi)]
     x = np.multiply.outer(half, _XGK)
     x += np.array([0.5 * (p + q) for p, q in zip(lo, hi)])[:, None]
-    y = np.asarray(f(x.ravel(), *job), dtype=float)
+    y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape != (x.size,):
         raise DomainError("integrand must return an array matching its input")
     # vecdot sums each row as np.dot sums it alone; a matrix product would
@@ -244,42 +233,6 @@ def integrate_finite(f: Callable, a: float, b: float,
                           math.isfinite(total) and error <= spec.target(total))
 
 
-def integrate_many(f: Callable, jobs: Iterable[tuple],
-                   spec: QuadratureSpec | None = None) -> list[IntegralResult]:
-    """Adaptive integrals of ``f`` over many intervals, in lockstep.
-
-    Each job is ``(a, b, split_points)``, integrated to ``spec`` as by
-    :func:`integrate_finite`, to ``==`` the same result.  Each pass,
-    ``f(x, job)`` is called once with the abscissae of the panels all
-    unfinished integrals need, first their initial panels, then the
-    halves of those they bisect; ``job`` holds the index of the job each
-    abscissa belongs to.  Every job is checked before the first call.
-    """
-    spec = spec or default_spec()
-    edges = [_edges(a, b, split_points) for a, b, split_points in jobs]
-    wanted_lo, wanted_hi = [e[:-1] for e in edges], [e[1:] for e in edges]
-    live, retired = [[] for _ in edges], [[] for _ in edges]
-    evals, results = [0] * len(edges), [None] * len(edges)
-    job_ids = np.arange(len(edges))
-    while any(wanted_lo):
-        panels = _panels(f, list(chain.from_iterable(wanted_lo)),
-                         list(chain.from_iterable(wanted_hi)),
-                         job_ids.repeat([15 * len(lo) for lo in wanted_lo]))
-        start = 0
-        for j, lo in enumerate(wanted_lo):
-            if lo:
-                live[j] += panels[start:start + len(lo)]
-                start += len(lo)
-                evals[j] += 15 * len(lo)
-                wanted_lo[j], wanted_hi[j], total, error = _bisect(
-                    live[j], retired[j], spec)
-                if not wanted_lo[j]:
-                    results[j] = IntegralResult(
-                        total, error, evals[j],
-                        math.isfinite(total) and error <= spec.target(total))
-    return results
-
-
 def integrate_semi_infinite(f: Callable, decay_scale: float,
                             spec: QuadratureSpec | None = None,
                             split_points: Iterable[float] = ()) -> IntegralResult:
@@ -295,42 +248,24 @@ def integrate_semi_infinite(f: Callable, decay_scale: float,
 
     The head must hold the integrand's mass: else no node may land near
     it, and exp(-x) at ``decay_scale`` 1e6 gives 0 +- 0, converged.
+    ``f`` is called under ``np.errstate(over="ignore", divide="ignore",
+    invalid="ignore")``: a tail node may map to inf, and ``f`` may
+    overflow there.
     """
-    return integrate_semi_infinite_many(lambda x, job: f(x),
-                                        [(decay_scale, split_points)], spec)[0]
+    decay_scale = _positive("decay_scale", decay_scale)
+    # The map resolves x only to ulp(t)*s/(1+t)**2, too coarse for a
+    # narrow feature far out, so split points stay in the head.
+    splits = [_formed("10*decay_scale", lambda: 10.0 * decay_scale)] + [
+        s for s in _split_points(split_points) if s > 0.0]
+    head_end = max(splits)
 
-
-def integrate_semi_infinite_many(f: Callable, jobs: Iterable[tuple],
-                                 spec: QuadratureSpec | None = None
-                                 ) -> list[IntegralResult]:
-    """Integrals over [0, inf) of ``f(x, job)``, in lockstep.
-
-    Each job is ``(decay_scale, split_points)`` and is integrated as by
-    :func:`integrate_semi_infinite`, to ``==`` the same result: each is
-    one job of :func:`integrate_many`.  ``f`` is called under
-    ``np.errstate(over="ignore", divide="ignore", invalid="ignore")``: a
-    tail node may map to inf, and ``f`` may overflow there.
-    """
-    finite_jobs, scales = [], []
-    for decay_scale, split_points in jobs:
-        decay_scale = _positive("decay_scale", decay_scale)
-        # The map resolves x only to ulp(t)*s/(1+t)**2, too coarse for a
-        # narrow feature far out, so split points stay in the head.
-        splits = [_formed("10*decay_scale", lambda: 10.0 * decay_scale)] + [
-            s for s in _split_points(split_points) if s > 0.0]
-        finite_jobs.append((-1.0, max(splits), [0.0] + splits))
-        scales.append(decay_scale)
-    scales = np.array(scales)
-    ends = np.array([head_end for _, head_end, _ in finite_jobs])
-
-    def mapped(t, job):
+    def mapped(t):
         # Nodes of tail panels bisected towards t = -1 can round to -1,
         # where the map is infinite: the non-finite value flags the result.
         tail = t < 0.0
-        s = scales[job]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             w = 1.0 / (1.0 + t)
-            y = f(np.where(tail, ends[job] - s * t * w, t), job)
-            return np.where(tail, s * w * w * y, y)
+            y = f(np.where(tail, head_end - decay_scale * t * w, t))
+            return np.where(tail, decay_scale * w * w * y, y)
 
-    return integrate_many(mapped, finite_jobs, spec)
+    return integrate_finite(mapped, -1.0, head_end, spec, [0.0] + splits)

@@ -28,6 +28,10 @@ class TestGtilde:
         o = osc.OscillatorSpec(0.4, 1.1)
         assert osc.gtilde(o, 0.73) == osc.gtilde(o, -0.73)
 
+    def test_eigen_energy_past_the_square_root_of_the_float_range(self):
+        # w0**2 overflows, but alpha/(1 + (K/w0)**2) is 1 to 1e-400
+        assert osc.gtilde(osc.OscillatorSpec(1.0, 1e200), 1.0) == 1.0
+
 
 class TestImaginaryTime:
     def test_equal_time_value(self):
@@ -40,6 +44,11 @@ class TestImaginaryTime:
         o = osc.OscillatorSpec(0.7, 1.5)
         assert osc.g_imaginary_time(o, 0.0, 2000.0) == pytest.approx(
             0.5 * 0.7 * 1.5, rel=1e-12)
+
+    def test_beta_times_eigen_energy_past_the_float_range(self):
+        # beta*w0 overflows, but g(0) is alpha*w0/2 * coth(inf) = 5e199
+        assert osc.g_imaginary_time(osc.OscillatorSpec(1.0, 1e200), 0.0,
+                                    1e200) == 5e199
 
     def test_symmetric_about_half_beta(self):
         o = osc.OscillatorSpec(1.0, 0.8)

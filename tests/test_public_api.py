@@ -29,8 +29,7 @@ from casfric.dielectric import (Drude, MediumSpec, Tabulated,
 from casfric.errors import CasfricError, DomainError
 from casfric.presets import conductivity
 from casfric.quadrature import (IntegralResult, QuadratureSpec,
-                                integrate_finite, integrate_semi_infinite,
-                                integrate_semi_infinite_many)
+                                integrate_finite, integrate_semi_infinite)
 
 SRC = Path(casfric.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -133,8 +132,6 @@ def test_no_module_reads_the_environment():
 IDLE_PARAMETERS = {
     ("cli.py", "cmd_validate", "args"):
         "every command takes the parsed arguments from main's dispatch",
-    ("quadrature.py", "<lambda>", "job"):
-        "integrate_semi_infinite adapts f(x) to a one-job f(x, job)",
 }
 
 
@@ -418,9 +415,6 @@ NUMBERS.update({
         np.cos, 0.0, 2.0, _ONE_PASS, [x]), "split_points", ANY, False),
     "semi-infinite-split_points": (lambda x: integrate_semi_infinite(
         np.cos, 1.0, _ONE_PASS, [x]), "split_points", ANY, False),
-    "semi-infinite-many": (lambda x: integrate_semi_infinite_many(
-        lambda t, job: np.exp(-t), [(1.0, ()), (x, ())]),
-        "decay_scale", P, False),
     # a table takes columns: a number is a column too short to tabulate
     "table-m": (lambda x: Tabulated(x, [0.0, 1.0]).static_response,
                 "m_ev", N, False),

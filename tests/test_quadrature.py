@@ -9,9 +9,7 @@ import pytest
 from casfric.errors import DomainError
 from casfric.quadrature import (_GAUSS_IDX, _WG, _WGK, _XGK, IntegralResult,
                                 QuadratureSpec, _panels, default_spec,
-                                integrate_finite, integrate_many,
-                                integrate_semi_infinite,
-                                integrate_semi_infinite_many)
+                                integrate_finite, integrate_semi_infinite)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -216,6 +214,30 @@ class TestFinite:
         assert math.isnan(res.value) and res.error_estimate == math.inf
         assert not res.converged
 
+    @pytest.mark.parametrize("a, b, message", [
+        (1.0, 1.0, "^require a < b, got a=1.0, b=1.0$"),
+        (1.0, 0.0, "^require a < b, got a=1.0, b=0.0$"),
+        (0.0, math.nan, "^b must be finite, got nan$")],
+        ids=["empty", "reversed", "nan"])
+    def test_bad_interval_raises_before_any_call(self, a, b, message):
+        calls = []
+        with pytest.raises(DomainError, match=message):
+            integrate_finite(lambda x: calls.append(x) or x, a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b, end", [(0.0, math.inf, "b"),
+                                           (-math.inf, 0.0, "a"),
+                                           (-math.inf, math.inf, "a")],
+                             ids=["to-inf", "from-minus-inf", "both"])
+    def test_infinite_end_raises_before_any_call(self, a, b, end):
+        # these gave IntegralResult(nan, nan, 15, False) with a
+        # RuntimeWarning: the panel midpoint of an infinite end is not finite
+        calls = []
+        with pytest.raises(DomainError, match=rf"^{end} must be finite, got -?inf; "
+                           r"integrate_semi_infinite takes \[0, inf\)$"):
+            integrate_finite(lambda x: calls.append(x) or np.exp(-x), a, b)
+        assert calls == []
+
     def test_refinement_monotone_error(self):
         spec = lambda n: QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16,
                                         max_subdivisions=n)
@@ -318,178 +340,12 @@ class TestBatchedPasses:
         assert wide.converged and wide.value == 1e19
 
 
-def by_job(integrands):
-    """One integrand ``f(x, job)`` that hands each job's abscissae to its
-    own integrand of ``integrands``."""
-    def f(x, job):
-        out = np.empty_like(x)
-        for j in np.unique(job).tolist():
-            out[job == j] = integrands[j](x[job == j])
-        return out
-    return f
-
-
-class TestLockstep:
-    """Many integrals in lockstep: one integrand call per round, each
-    integral as ``integrate_finite`` computes it alone."""
-
-    CASES = sorted(ORACLE_CASES)
-
-    def batches(self):
-        """The cases grouped by spec, in order: one batch per spec."""
-        groups = {}
-        for case in self.CASES:
-            groups.setdefault(ORACLE_CASES[case][3], []).append(case)
-        return groups.items()
-
-    @staticmethod
-    def batch(f, spec, cases):
-        return integrate_many(f, [(a, b, splits) for _, a, b, _, splits
-                                  in map(ORACLE_CASES.get, cases)], spec)
-
-    def test_matches_solo_and_panel_by_panel(self):
-        assert max(len(cases) for _, cases in self.batches()) > 1
-        for spec, cases in self.batches():
-            fs = [ORACLE_CASES[c][0] for c in cases]
-            for case, res in zip(cases, self.batch(by_job(fs), spec, cases)):
-                f, a, b, _, splits = ORACLE_CASES[case]
-                solo = integrate_finite(f, a, b, spec, split_points=splits)
-                assert fields(res) == fields(solo), case
-                assert fields(res) == fields(panel_by_panel(f, a, b, spec,
-                                                            splits))
-                assert_plain(res)
-
-    def test_one_call_per_round(self):
-        # Round r holds, of each integral still running, the panels of
-        # its r-th call when integrated alone.
-        for spec, cases in self.batches():
-            solo = [TestBatchedPasses.PANELS_PER_CALL[c] for c in cases]
-            f = by_job([ORACLE_CASES[c][0] for c in cases])
-            rounds = []
-
-            def counted(x, job):
-                rounds.append(np.bincount(job, minlength=len(cases)))
-                return f(x, job)
-
-            self.batch(counted, spec, cases)
-            assert len(rounds) == max(len(calls) for calls in solo)
-            for j, (case, (first, *rest)) in enumerate(zip(cases, solo)):
-                got = [int(r[j]) for r in rounds]
-                want = [15 * first] + [30 * k for k in rest]
-                assert got == want + [0] * (len(rounds) - len(want)), case
-
-    @pytest.mark.parametrize("bad, message", [
-        ((1.0, 1.0, ()), "require a < b"), ((1.0, 0.0, ()), "require a < b"),
-        ((0.0, math.nan, ()), "^b must be finite, got nan$")],
-        ids=["empty", "reversed", "nan"])
-    def test_bad_job_raises_before_any_call(self, bad, message):
-        calls = []
-        with pytest.raises(DomainError, match=message):
-            integrate_many(lambda x, job: calls.append(x) or x,
-                           [(0.0, 1.0, ()), bad])
-        assert calls == []
-
-    @pytest.mark.parametrize("a, b, end", [(0.0, math.inf, "b"),
-                                           (-math.inf, 0.0, "a"),
-                                           (-math.inf, math.inf, "a")],
-                             ids=["to-inf", "from-minus-inf", "both"])
-    def test_infinite_end_raises_before_any_call(self, a, b, end):
-        # these gave IntegralResult(nan, nan, 15, False) with a
-        # RuntimeWarning: the panel midpoint of an infinite end is not finite
-        calls = []
-        with pytest.raises(DomainError, match=rf"^{end} must be finite, got -?inf; "
-                           r"integrate_semi_infinite takes \[0, inf\)$"):
-            integrate_finite(lambda x: calls.append(x) or np.exp(-x), a, b)
-        with pytest.raises(DomainError, match="integrate_semi_infinite"):
-            integrate_many(lambda x, job: calls.append(x) or x,
-                           [(0.0, 1.0, ()), (a, b, ())])
-        assert calls == []
-
-    def test_no_jobs(self):
-        assert integrate_many(lambda x, job: x, []) == []
-
-    def test_semi_infinite_batch_matches_solo(self):
-        # decaying, power-law and non-decaying tails, and a line behind a
-        # split point, in one batch
-        width = 1e-6
-        cases = [
-            (lambda x: np.exp(-x), 1.0, ()),
-            (lambda x: 1.0 / (1.0 + x) ** 4, 2.0, ()),
-            (lambda x: 1.0 / (1.0 + x), 1.0, ()),
-            (np.ones_like, 1.0, ()),
-            (lambda x: np.exp(-x) + width / ((x - 50.0) ** 2 + width ** 2),
-             1.0, (50.0,)),
-        ]
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
-                              max_subdivisions=2000)
-        calls = []
-
-        def f(x, job):
-            calls.append(x.size)
-            return by_job([c[0] for c in cases])(x, job)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            batch = integrate_semi_infinite_many(
-                f, [(scale, splits) for _, scale, splits in cases], spec)
-        for (g, scale, splits), res in zip(cases, batch):
-            solo = integrate_semi_infinite(g, scale, spec, split_points=splits)
-            assert fields(res) == fields(solo)
-        assert sum(calls) == sum(res.evaluations for res in batch)
-        assert [res.converged for res in batch] == [True, True, False, False,
-                                                    True]
-
-    @staticmethod
-    def assert_tied(f, lone, batch, job, companion):
-        """The integral of ``f``, alone by ``lone(g)`` and by
-        ``batch(g, jobs)`` as ``job``, the only one and then job 0 beside
-        ``companion`` (an integrand and its job): the same fields, and
-        ``f`` sees byte-identical nodes for it, call by call."""
-        nodes = []
-        res = lone(lambda x: nodes.append(x.tobytes()) or f(x))
-        for others in ([], [companion]):
-            seen, per_job = [], by_job([f] + [g for g, _ in others])
-
-            def logged(x, job):
-                seen.append(x[job == 0].tobytes())
-                return per_job(x, job)
-
-            out = batch(logged, [job] + [j for _, j in others])
-            assert fields(out[0]) == fields(res)
-            assert [x for x in seen if x] == nodes
-
-    def test_lone_loop_ties_to_the_lockstep_loop(self):
-        # Seeded peaked integrands and closed-form semi-infinite ones, each
-        # beside the previous draw in its two-job batch.
-        companion = (np.exp, (0.0, 1.0, ()))
-        for f, spec, splits in peaked_cases(12, 200):
-            self.assert_tied(
-                f, lambda g: integrate_finite(g, 0.0, 1.0, spec, splits),
-                lambda g, jobs: integrate_many(g, jobs, spec),
-                (0.0, 1.0, splits), companion)
-            companion = (f, (0.0, 1.0, splits))
-        companion = (lambda x: np.exp(-x), (1.0, ()))
-        for f, _, scale, splits, spec in closed_form_cases(13, 60):
-            self.assert_tied(
-                f, lambda g: integrate_semi_infinite(g, scale, spec, splits),
-                lambda g, jobs: integrate_semi_infinite_many(g, jobs, spec),
-                (scale, splits), companion)
-            companion = (f, (scale, splits))
-
-    def test_semi_infinite_bad_scale_raises_before_any_call(self):
-        calls = []
-        with pytest.raises(DomainError, match="decay_scale"):
-            integrate_semi_infinite_many(
-                lambda x, job: calls.append(x) or x, [(1.0, ()), (0.0, ())])
-        assert calls == []
-
-
 def test_panels_match_per_row_dot():
     # The rule sums each panel's row as np.dot sums it alone, whatever
     # the number of rows evaluated with it.  Rows with inf on a Gauss
     # node (k15 = g7 = inf: a silent nan error), -inf on a Kronrod node
     # and nan are among them.  Each panel's nodes are mid + half*_XGK,
-    # bit for bit, and ``job`` reaches f as it was passed.
+    # bit for bit, in one call.
     rng = np.random.default_rng(5)
     for n in range(1, 65):
         rows = (rng.standard_normal((n, 15))
@@ -508,21 +364,19 @@ def test_panels_match_per_row_dot():
             expected.append((k15, abs(k15 - g7)))
             nodes.append(0.5 * (p + q) + h * _XGK)
         edges = list(zip(lo.tolist(), hi.tolist()))
-        job = np.arange(15 * n) % 3
         calls = []
 
-        def f(x, job):
-            calls.append((x.copy(), job))
+        def f(x):
+            calls.append(x.copy())
             return rows.ravel()
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _panels(f, lo.tolist(), hi.tolist(), job)
+            got = _panels(f, lo.tolist(), hi.tolist())
         assert [p[1:3] for p in got] == edges
         assert repr([(k15, err) for err, _, _, k15 in got]) == repr(expected), n
-        [(x, seen_job)] = calls
+        [x] = calls
         assert x.tobytes() == np.concatenate(nodes).tobytes(), n
-        assert seen_job is job
 
 
 def peaked(rng, log_widths=(-5.0, -1.0), log_heights=(-2.0, 2.0)):
@@ -628,28 +482,6 @@ class TestStuckPanel:
                                                     (1.0, ONE_UP)))
         assert not any(np.any((x >= 1.0) & (x <= ONE_UP)) for x in calls[1:])
 
-    @HEIGHTS
-    def test_lockstep_with_a_lone_stuck_panel(self, height, converged):
-        # The lone stuck panel is retired, and ends its job, in the pass
-        # where the cusp job makes its first bisections.
-        stuck = lambda x: np.where(x < 1.0, 1e10, 0.0)  # noqa: E731
-        cusp = self.cusp_and_step(height)
-        jobs = [(1.0, ONE_UP, ()), (0.0, 2.0, (1.0, ONE_UP))]
-        rounds = []
-
-        def f(x, job):
-            rounds.append(np.bincount(job, minlength=2).tolist())
-            return by_job([stuck, cusp])(x, job)
-
-        batch = integrate_many(f, jobs, self.SPEC)
-        for g, (a, b, splits), res in zip((stuck, cusp), jobs, batch):
-            solo = integrate_finite(g, a, b, self.SPEC, split_points=splits)
-            assert fields(res) == fields(solo)
-            assert fields(res) == fields(panel_by_panel(g, a, b, self.SPEC,
-                                                        splits))
-        assert [res.converged for res in batch] == [False, converged]
-        assert rounds[:2] == [[15, 45], [0, 30]]
-
 
 class TestSemiInfinite:
     def test_cubic_exponential(self):
@@ -714,6 +546,33 @@ class TestSemiInfinite:
         for scale in (1e6, 1e200):
             res = integrate_semi_infinite(lambda x: np.exp(-x), scale)
             assert not res.converged or abs(res.value - 1.0) <= res.error_estimate
+
+    def test_decaying_and_nondecaying_tails(self):
+        # decaying, power-law and non-decaying tails, and a line behind a
+        # split point: each flagged by the rule, none with a warning
+        width = 1e-6
+        cases = [
+            (lambda x: np.exp(-x), 1.0, ()),
+            (lambda x: 1.0 / (1.0 + x) ** 4, 2.0, ()),
+            (lambda x: 1.0 / (1.0 + x), 1.0, ()),
+            (np.ones_like, 1.0, ()),
+            (lambda x: np.exp(-x) + width / ((x - 50.0) ** 2 + width ** 2),
+             1.0, (50.0,)),
+        ]
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
+                              max_subdivisions=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [integrate_semi_infinite(f, scale, spec, split_points=splits)
+                    for f, scale, splits in cases]
+        assert [res.converged for res in runs] == [True, True, False, False,
+                                                   True]
+
+    def test_bad_scale_raises_before_any_call(self):
+        calls = []
+        with pytest.raises(DomainError, match="^decay_scale must be "):
+            integrate_semi_infinite(lambda x: calls.append(x) or x, 0.0)
+        assert calls == []
 
     def test_nondecaying_flagged_without_warning(self):
         for f in (np.ones_like, lambda x: 1.0 / np.sqrt(1.0 + x)):
